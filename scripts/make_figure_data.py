@@ -1,20 +1,19 @@
 #!/usr/bin/env python3
 """Generate CSV data for all eighteen bundled parameter-study figures.
 
-Each figure sweeps one parameter of the base scenario over a time grid on
-[0, maturity); figures 1-9 tabulate the bond price, figures 10-18 the credit
-spread.  Output is one CSV per figure, byte-stable across runs.
+Each figure is one ``defbond curve --figure N`` run on the base scenario:
+figures 1-9 tabulate the bond price, figures 10-18 the credit spread, over a
+time grid on [0, maturity).  Output is one CSV per figure, byte-stable across
+runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 from pathlib import Path
 
-from defbond.cli import curve_rows
+from defbond import cli
 from defbond.figures import FIGURE_PRESETS
-from defbond.scenario import apply_sweep_value, load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,21 +31,15 @@ def main() -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = load_scenario(args.scenario)
-
     for fig in sorted(FIGURE_PRESETS):
-        preset = FIGURE_PRESETS[fig]
-        scenario = base
-        for parameter, value in preset.base_overrides:
-            scenario = apply_sweep_value(scenario, parameter, value)
-        header, rows = curve_rows(scenario, preset.parameter, preset.values, preset.quantity, args.points)
         path = out_dir / f"fig{fig:02d}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-        print(f"wrote {path}  ({preset.name})")
-    return 0
+        argv = ["curve", args.scenario, "--figure", str(fig), "--points", str(args.points),
+                "--out", str(path)]
+        code = cli.main(argv)
+        if code != cli.EXIT_OK:
+            return code
+        print(f"wrote {path}  ({FIGURE_PRESETS[fig].name})")
+    return cli.EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """Three-way validation of the closed forms on the bundled base scenarios.
 
-For each scenario and probe time, prints the closed-form price next to the
-PDE-cascade and Monte Carlo values with their distances.
+Runs ``defbond validate`` on each scenario, which prints the closed-form
+price next to the PDE-cascade and Monte Carlo values at every probe time.
+Exits with the worst exit code of the runs (0 when all pass, 4 on an
+accuracy failure).
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 from pathlib import Path
 
-import defbond as db
-from defbond.scenario import load_scenario
+from defbond import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,40 +32,19 @@ def main() -> int:
     parser.add_argument("--times", type=float, nargs="+", default=[0.0, 1.5, 3.0, 4.5])
     args = parser.parse_args()
 
-    worst_pde = 0.0
-    worst_mc = 0.0
+    worst = cli.EXIT_OK
     for name in SCENARIOS:
-        scn = load_scenario(ROOT / "scenarios" / name)
-        market, schedule, recovery = scn.market, scn.schedule, scn.recovery
-        grid = db.GridSpec.auto(
-            market, schedule, scn.evaluation.x, recovery,
-            n_space=args.n_space, n_time_per_interval=args.n_time,
-        )
-        if recovery.mode == "exogenous":
-            solution = db.solve_exogenous_cascade(market, schedule, recovery, grid)
-            price = db.price_exogenous
-        else:
-            solution = db.solve_endogenous_cascade(market, schedule, recovery, grid)
-            price = db.price_endogenous
-        print(f"\n=== {name} ===")
-        print(f"{'t':>5} {'closed':>12} {'pde':>12} {'|diff|':>10} {'mc':>12} {'sigma':>7}")
-        for t in args.times:
-            df = math.exp(-market.r * (schedule.maturity - t))
-            V = scn.evaluation.x * df
-            closed = price(market, schedule, recovery, V, t).price
-            pde_c = df * db.sample(solution, scn.evaluation.x, t)
-            mc = db.simulate_price(
-                market, schedule, recovery, V, db.SimConfig(n_paths=args.paths, seed=args.seed), t
-            )
-            z = abs(closed - mc.price_estimate) / mc.std_error if mc.std_error else 0.0
-            worst_pde = max(worst_pde, abs(closed - pde_c))
-            worst_mc = max(worst_mc, z)
-            print(
-                f"{t:5.2f} {closed:12.8f} {pde_c:12.8f} {abs(closed - pde_c):10.2e} "
-                f"{mc.price_estimate:12.8f} {z:7.2f}"
-            )
-    print(f"\nworst |closed - pde| = {worst_pde:.3e}, worst mc distance = {worst_mc:.2f} sigma")
-    return 0 if (worst_pde <= 1e-3 and worst_mc <= 3.0) else 4
+        print(f"\n=== {name} ===", flush=True)
+        code = cli.main([
+            "validate", str(ROOT / "scenarios" / name),
+            "--n-space", str(args.n_space),
+            "--n-time", str(args.n_time),
+            "--paths", str(args.paths),
+            "--seed", str(args.seed),
+            "--times", *(repr(t) for t in args.times),
+        ])
+        worst = max(worst, code)
+    return worst
 
 
 if __name__ == "__main__":

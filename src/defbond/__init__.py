@@ -11,7 +11,6 @@ from .errors import (
     DomainError,
     ScenarioError,
     ScheduleError,
-    UnsupportedRegimeError,
 )
 from .integrals import WeightedIntegralSpec, integral_binary
 from .montecarlo import McResult, SimConfig, simulate_price
@@ -68,7 +67,6 @@ __all__ = [
     "ScenarioError",
     "ScheduleError",
     "SimConfig",
-    "UnsupportedRegimeError",
     "WeightedIntegralSpec",
     "apply_sweep_value",
     "bivariate_cdf",

@@ -22,11 +22,6 @@ class CovarianceError(DefbondError, ValueError):
         self.eigenvalue = eigenvalue
 
 
-class UnsupportedRegimeError(DefbondError, ValueError):
-    """Barrier/recovery configuration has no supported closed form (mixed
-    comparisons of barriers against the recovery cap)."""
-
-
 class ScenarioError(DefbondError, ValueError):
     """A scenario file failed validation.  ``code`` is a stable short
     identifier suitable for scripting against CLI output."""

@@ -29,13 +29,11 @@ _BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Path budget and seeding.  ``steps_per_interval`` only sets the
-    resolution of the optional default-time histogram diagnostic; payoffs are
-    sampled exactly without a time grid."""
+    """Path budget and seeding; payoffs are sampled exactly without a time
+    grid."""
 
     n_paths: int = 200_000
     seed: int = 0
-    steps_per_interval: int = 0
     antithetic: bool = True
 
     def __post_init__(self):

@@ -40,7 +40,6 @@ class GridSpec:
     x_max: float
     n_space: int = 2048
     n_time_per_interval: int = 2048
-    scheme: str = "crank_nicolson_rannacher"
 
     def __post_init__(self):
         if not (0.0 < self.x_min < self.x_max) or not math.isfinite(self.x_max):
@@ -49,8 +48,6 @@ class GridSpec:
             raise DomainError("GridSpec: n_space must be >= 64")
         if self.n_time_per_interval < 16:
             raise DomainError("GridSpec: n_time_per_interval must be >= 16")
-        if self.scheme != "crank_nicolson_rannacher":
-            raise DomainError(f"GridSpec: unknown scheme {self.scheme!r}")
 
     @classmethod
     def auto(
@@ -267,7 +264,6 @@ def _with_richardson(solve, grid: GridSpec, check_tolerance: float | None) -> Ca
         grid.x_max,
         max(grid.n_space // 2, 64),
         max(grid.n_time_per_interval // 2, 16),
-        grid.scheme,
     )
     coarse = solve(coarse_grid)
     probe = slice(len(fine.y) // 4, 3 * len(fine.y) // 4)

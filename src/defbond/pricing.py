@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .binaries import BinarySpec, BsCoefficients, price_binary_with_error
-from .errors import DomainError, ScheduleError, UnsupportedRegimeError
+from .errors import DomainError, ScheduleError
 from .integrals import WeightedIntegralSpec, integral_binary
 from .normal import DEFAULT_QMC, QmcConfig
 
@@ -183,21 +183,6 @@ def _survival_with_error(market, schedule, x, t, config):
     return min(max(factor * value, 0.0), 1.0), factor * err
 
 
-def _check_regime(schedule: DefaultSchedule, recovery: RecoveryModel) -> bool:
-    """True for the uniform low-barrier regime (every barrier <= n/R), False
-    for the uniform high-barrier regime; anything mixed is rejected."""
-    cap = recovery.cap
-    low = [k <= cap for k in schedule.barriers]
-    if all(low):
-        return True
-    if not any(low):
-        return False
-    raise UnsupportedRegimeError(
-        "mixed barrier regime: barriers compare both ways against n/R = "
-        f"{cap}; no closed form is available"
-    )
-
-
 def _endogenous_terms(
     market: MarketParams,
     schedule: DefaultSchedule,
@@ -209,10 +194,14 @@ def _endogenous_terms(
     R > 0: binaries and weighted integrals inside the intensity prefactor,
     plus the current-interval tail integrals added outside it.
 
+    The default term of each announcing date depends only on how its barrier
+    K_m compares with the cap n/R: at or below it, recovery is x/cap on all
+    of {x <= K_m}; above it, recovery is x/cap under the cap and full on
+    (cap, K_m].
+
     Returns (prefactor, closed, weighted, tail); each list entry is
     (weight, spec).
     """
-    low_regime = _check_regime(schedule, recovery)
     cap = recovery.cap
     inv_cap = 1.0 / cap
     coeffs = BsCoefficients(0.0, market.b, market.s_V)
@@ -225,49 +214,29 @@ def _endogenous_terms(
     weighted: list[tuple[float, WeightedIntegralSpec]] = []
     tail: list[tuple[float, WeightedIntegralSpec]] = []
 
-    if low_regime:
+    # Survival to maturity.  When K_N > cap it cancels against the last
+    # date's -bond(+ at K_N) term, so neither is emitted.
+    if barriers[-1] <= cap:
         closed.append(
             (
                 math.exp(-_cum_hazard(schedule, i + 1, n - 1)),
                 _barrier_cascade_spec(market, schedule, i),
             )
         )
-        for m in range(i, n):
-            closed.append(
-                (
-                    inv_cap * math.exp(-_cum_hazard(schedule, i + 1, m)),
-                    BinarySpec(
-                        "asset",
-                        (1,) * (m - i) + (-1,),
-                        barriers[i : m + 1],
-                        dates[i + 1 : m + 2],
-                        coeffs,
-                    ),
-                )
-            )
-    else:
-        for m in range(i, n):
-            w = math.exp(-_cum_hazard(schedule, i + 1, m))
-            strikes = barriers[i:m] + (cap,)
-            expiries = dates[i + 1 : m + 2]
-            closed.append((w, BinarySpec("bond", (1,) * (m - i + 1), strikes, expiries, coeffs)))
-            closed.append(
-                (w * inv_cap, BinarySpec("asset", (1,) * (m - i) + (-1,), strikes, expiries, coeffs))
-            )
-        for m in range(i, n - 1):
-            w = math.exp(-_cum_hazard(schedule, i + 1, m))
-            closed.append(
-                (
-                    -w,
-                    BinarySpec(
-                        "bond",
-                        (1,) * (m - i + 1),
-                        barriers[i : m + 1],
-                        dates[i + 1 : m + 2],
-                        coeffs,
-                    ),
-                )
-            )
+    for m in range(i, n):
+        w = math.exp(-_cum_hazard(schedule, i + 1, m))
+        ups = (1,) * (m - i)
+        expiries = dates[i + 1 : m + 2]
+        at_barrier = barriers[i : m + 1]
+        if barriers[m] <= cap:
+            asset = BinarySpec("asset", ups + (-1,), at_barrier, expiries, coeffs)
+            closed.append((w * inv_cap, asset))
+            continue
+        at_cap = barriers[i:m] + (cap,)
+        closed.append((w, BinarySpec("bond", ups + (1,), at_cap, expiries, coeffs)))
+        closed.append((w * inv_cap, BinarySpec("asset", ups + (-1,), at_cap, expiries, coeffs)))
+        if m < n - 1:
+            closed.append((-w, BinarySpec("bond", ups + (1,), at_barrier, expiries, coeffs)))
 
     for m in range(i + 1, n):
         if lam[m] == 0.0:

@@ -66,11 +66,19 @@ def test_criterion_1_three_way_exogenous(market, schedule, exo, grid_exo):
 
 def test_criterion_2_three_way_endogenous(market, schedule, endo_low_barrier, endo_high_barrier):
     failures: list[str] = []
-    for tag, rec in (("case-low-barrier", endo_low_barrier), ("case-high-barrier", endo_high_barrier)):
-        grid = GridSpec.auto(market, schedule, 200.0, rec, n_space=GRID_N, n_time_per_interval=GRID_N)
-        solution = db.solve_endogenous_cascade(market, schedule, rec, grid)
-        _three_way(market, schedule, rec, db.price_endogenous, solution, failures, tag)
-    _report(2, "three-way agreement, endogenous recovery (both regimes)", failures)
+    cap_100 = db.RecoveryModel("endogenous", 0.5, n=50.0)
+    cases = [
+        ("case-low-barrier", schedule, endo_low_barrier),
+        ("case-high-barrier", schedule, endo_high_barrier),
+    ]
+    for barriers in ((60.0, 150.0), (150.0, 60.0)):
+        mixed = db.DefaultSchedule(schedule.dates, schedule.intensities, barriers)
+        cases.append((f"case-mixed-{barriers[0]:g}-{barriers[1]:g}", mixed, cap_100))
+    for tag, sched, rec in cases:
+        grid = GridSpec.auto(market, sched, 200.0, rec, n_space=GRID_N, n_time_per_interval=GRID_N)
+        solution = db.solve_endogenous_cascade(market, sched, rec, grid)
+        _three_way(market, sched, rec, db.price_endogenous, solution, failures, tag)
+    _report(2, "three-way agreement, endogenous recovery (both regimes and mixed)", failures)
 
 
 def test_criterion_3_binary_calculus():

@@ -16,8 +16,6 @@ def test_grid_spec_validation():
         GridSpec(1.0, 100.0, n_space=32)
     with pytest.raises(DomainError):
         GridSpec(1.0, 100.0, n_time_per_interval=4)
-    with pytest.raises(DomainError):
-        GridSpec(1.0, 100.0, scheme="explicit")
 
 
 def test_grid_auto_spans_inputs(market, schedule, endo_high_barrier):

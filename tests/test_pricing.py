@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import defbond as db
 from defbond.binaries import price_binary, shift_coefficients
-from defbond.errors import DomainError, ScheduleError, UnsupportedRegimeError
+from defbond.errors import DomainError, ScheduleError
 from defbond.integrals import _adaptive_quad
 from defbond.pricing import _endogenous_terms
 
@@ -129,21 +129,39 @@ def test_exogenous_bounds(r, b, s, R, lam0, lam1, k, x, t):
 # ----------------------------------------------------------- endogenous
 
 
-def test_mixed_regime_rejected(market, schedule):
-    rec = db.RecoveryModel("endogenous", 0.5, n=25.0)  # cap 50: between barriers 100/100? no
-    mixed = db.DefaultSchedule((0.0, 3.0, 6.0), (0.002, 0.005), (40.0, 100.0))
-    with pytest.raises(UnsupportedRegimeError):
-        db.relative_price_endogenous(market, mixed, rec, 200.0, 0.0)
+def test_mixed_regime_matches_capped_last_barrier(market, schedule):
+    # once K_N >= n/R the payoff at T is min(1, x/cap) whatever K_N is, so the
+    # mixed schedule (60, 150) prices as the uniform low-barrier (60, 100)
+    rec = db.RecoveryModel("endogenous", 0.5, n=50.0)  # cap 100
+    mixed = db.DefaultSchedule(schedule.dates, schedule.intensities, (60.0, 150.0))
+    uniform = db.DefaultSchedule(schedule.dates, schedule.intensities, (60.0, 100.0))
+    for t in (0.0, 1.5, 3.0, 4.5):
+        u_mixed = db.relative_price_endogenous(market, mixed, rec, 200.0, t)
+        u_uniform = db.relative_price_endogenous(market, uniform, rec, 200.0, t)
+        assert u_mixed == pytest.approx(u_uniform, abs=1e-12)
 
 
 def test_regime_tie_is_accepted_and_continuous(market, schedule):
-    # equality K = n/R belongs to the low-barrier branch; the two branches
-    # agree across the boundary
+    # equality K = n/R takes the one-asset-binary form; the two per-date
+    # forms agree across the boundary
     tie = db.RecoveryModel("endogenous", 0.5, n=50.0)  # cap exactly 100
     just_below = db.RecoveryModel("endogenous", 0.5, n=50.0 * (1 - 1e-9))  # cap < 100
     u_tie = db.relative_price_endogenous(market, schedule, tie, 200.0, 0.0)
     u_below = db.relative_price_endogenous(market, schedule, just_below, 200.0, 0.0)
     assert u_tie == pytest.approx(u_below, abs=1e-6)
+
+
+@pytest.mark.parametrize("n, counts", [(150.0, (4, 3, 2)), (1.0, (8, 5, 2))])
+def test_endogenous_term_count_on_uniform_schedules(market, n, counts):
+    # cap 300 clears every barrier: one asset binary per date plus the
+    # survival cascade, N - i + 1.  Cap 2 sits under all of them: bond, asset
+    # and -bond per date, less the last -bond, which cancels the cascade,
+    # 3 (N - i) - 1.
+    schedule = db.DefaultSchedule((0.0, 1.5, 3.5, 7.0), (0.01, 0.02, 0.004), (120.0, 90.0, 110.0))
+    rec = db.RecoveryModel("endogenous", 0.5, n=n)
+    for i, (t, count) in enumerate(zip((0.0, 2.0, 4.0), counts)):
+        _, closed, _, _ = _endogenous_terms(market, schedule, rec, i, t)
+        assert len(closed) == count
 
 
 def test_zero_recovery_equals_bare_survival(market, schedule):

@@ -161,13 +161,14 @@ def test_cli_schedule_order_error(tmp_path, base_doc, capsys):
     assert "SCHEDULE_ORDER" in err
 
 
-def test_cli_unsupported_regime_exit_code(tmp_path, base_doc, capsys):
-    base_doc["recovery"] = {"mode": "endogenous", "R": 0.5, "n": 25.0}  # cap 50
-    base_doc["schedule"]["barriers"] = [40.0, 100.0]
-    rc = main(["price", _write(tmp_path, base_doc)])
-    err = capsys.readouterr().err
-    assert rc == 3
-    assert "UNSUPPORTED_REGIME" in err
+def test_cli_price_mixed_regime(tmp_path, base_doc, capsys):
+    # one barrier under the cap n/R = 100, one above it
+    base_doc["recovery"] = {"mode": "endogenous", "R": 0.5, "n": 50.0}
+    base_doc["schedule"]["barriers"] = [60.0, 150.0]
+    rc = main(["price", _write(tmp_path, base_doc), "--json"])
+    assert rc == 0
+    record = json.loads(capsys.readouterr().out.strip())
+    assert 0.0 <= record["price"] <= math.exp(-0.6)
 
 
 def test_cli_curve_preset_deterministic(tmp_path, base_doc):
@@ -316,3 +317,32 @@ def test_cli_validate_accuracy_failure(tmp_path, base_doc, capsys):
     out = capsys.readouterr().out
     assert rc == 4
     assert "VALIDATION FAIL" in out
+
+
+def test_cli_validate_passes_when_every_path_pays_the_same(tmp_path, capsys):
+    # late in the last interval all 20000 paths survive: the standard error
+    # is 0, yet the price sits 1.5e-8 under that common payoff through
+    # defaults rarer than one path in 20000
+    doc = {
+        "market": {"r": 0.1, "b": 0.05, "s_V": 1.0},
+        "schedule": {
+            "dates": [0.0, 3.0, 6.0],
+            "intensities": [0.0017212188939175431, 0.004306917045167598],
+            "barriers": [98.6016346933757, 101.02428932978886],
+        },
+        "recovery": {"mode": "endogenous", "R": 0.5490856277966402, "n": 1.0},
+        "evaluation": {"x": 203.16974296227946, "t": 0.0},
+    }
+    rc = main(
+        [
+            "validate",
+            _write(tmp_path, doc),
+            "--times", "5.389053997511458",
+            "--paths", "20000",
+            "--n-space", "256",
+            "--n-time", "256",
+        ]
+    )
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "VALIDATION PASS" in out
