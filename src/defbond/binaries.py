@@ -29,8 +29,6 @@ __all__ = [
 # keeps near-expiry evaluations finite.
 _D_CLAMP = 38.0
 
-_MAX_ORDER = 16
-
 
 @dataclass(frozen=True)
 class BsCoefficients:
@@ -64,8 +62,6 @@ class BinarySpec:
         m = len(self.signs)
         if m < 1 or len(self.strikes) != m or len(self.expiries) != m:
             raise DomainError("BinarySpec: signs, strikes and expiries must share a length >= 1")
-        if m > _MAX_ORDER:
-            raise DomainError(f"BinarySpec: order {m} exceeds the supported maximum {_MAX_ORDER}")
         if any(s not in (-1, 1) for s in self.signs):
             raise DomainError("BinarySpec: signs must be +-1")
         if any(not (math.isfinite(k) and k > 0.0) for k in self.strikes):

@@ -169,7 +169,11 @@ def cmd_validate(args) -> int:
         # resolution of the estimator.
         mc_tol = max(args.mc_sigmas * mc.std_error, df / mc.n_paths)
         mc_ok = abs(closed - mc.price_estimate) <= mc_tol
-        sigma_dist = abs(closed - mc.price_estimate) / mc.std_error if mc.std_error > 0 else 0.0
+        gap = abs(closed - mc.price_estimate)
+        if mc.std_error > 0:
+            sigma_dist = gap / mc.std_error
+        else:  # a gap over a zero standard error is infinitely many sigmas
+            sigma_dist = math.inf if gap > 0 else 0.0
         ok = pde_ok and mc_ok
         all_ok = all_ok and ok
         print(

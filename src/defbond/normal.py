@@ -1,23 +1,26 @@
 """Univariate, bivariate and m-variate standard normal CDFs.
 
-The m-variate evaluator targets the correlation family
-``sqrt((T_i - t) / (T_j - t))`` that arises when chaining option exercise
-conditions over increasing dates, but accepts any positive definite
-covariance.  Dimension one uses the erf-based library evaluation, dimension
-two a fixed-order Gauss-Legendre reduction of the bivariate integral, and
-dimensions three and up a randomized lattice rule over the sequentially
-conditioned (reordered Cholesky) form, with the error estimate taken from
-the spread of the randomization replicates.
+The m-variate evaluator serves the correlation family
+``sqrt((T_i - t) / (T_j - t))`` of one Brownian motion observed at
+increasing dates.  Dimension one uses the erf-based library evaluation,
+dimension two a fixed-order Gauss-Legendre reduction of the bivariate
+integral.  From dimension three on the coordinates form a Markov chain, and
+the CDF is a forward recursion of one-dimensional Gaussian convolutions over
+panel Gauss-Legendre grids (quadrature between monitoring dates, as in
+Andricopoulos et al., J. Financial Economics 2003, and Feng & Linetsky,
+Mathematical Finance 2008).  Its error estimate is the distance to the same
+recursion on a coarser rule.  Explicit covariances of dimension three and up
+must be Markov chains in the given order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.special import ndtr, ndtri, roots_legendre
+from scipy.special import ndtr, roots_legendre
 
 from .errors import CovarianceError, DomainError, ScheduleError
 
@@ -33,26 +36,27 @@ __all__ = [
 
 _INF = float("inf")
 
-# Fractional parts of k*sqrt(prime) give a well-distributed lattice in up to
-# 15 dimensions (an order-16 chain needs a 15-dimensional integrand).
-_PRIMES = np.array(
-    [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47], dtype=float
-)
-
-# Below this smallest eigenvalue a correlation pair is treated as +-1 and the
-# two coordinates are merged (intersection of their half-lines).
+# Below this smallest eigenvalue an explicit covariance counts as singular; it
+# is accepted only through a +-1 pair, whose coordinates are merged.
 _EIG_COLLAPSE = 1e-10
+
+# Chain CDF: standardized coordinates are cut to [-_L, _L] (the mass outside
+# is below 3e-19 per coordinate); panels carry _NODES Gauss-Legendre nodes,
+# or _NODES_COARSE for the error estimate.  A narrow kernel is integrated in
+# its own variable with _U_NODES nodes once point evaluation would need more
+# than _MAX_PANELS panels.
+_L = 9.0
+_NODES = 12
+_NODES_COARSE = 8
+_U_NODES = 40
+_MAX_PANELS = 64
 
 
 @dataclass(frozen=True)
 class QmcConfig:
-    """Budget and seeding for the randomized-lattice CDF evaluations.
-
-    The point count doubles from ``base_points`` until the error estimate
-    drops below ``target_error`` or the next doubling would exceed
-    ``max_total_points`` across all shifts.  Results are deterministic for a
-    fixed (seed, budget) configuration.
-    """
+    """Settings of the randomized-lattice CDF that dimensions >= 3 once used.
+    Every CDF is now a deterministic quadrature: no field changes any result,
+    and the type stays only in the pricing signatures."""
 
     seed: int = 186525
     base_points: int = 2**13
@@ -62,6 +66,14 @@ class QmcConfig:
 
 
 DEFAULT_QMC = QmcConfig()
+
+
+@cache
+def _legendre(n: int):
+    """Gauss-Legendre nodes and weights on (-1, 1) with the barycentric
+    interpolation weights of those nodes."""
+    x, w = roots_legendre(n)
+    return x, w, (-1.0) ** np.arange(n) * np.sqrt((1.0 - x * x) * w)
 
 
 def std_normal_cdf(x: float) -> float:
@@ -221,10 +233,6 @@ def build_correlation(t: float, expiries) -> CorrelationStructure:
     return CorrelationStructure(float(t), tuple(float(v) for v in expiries))
 
 
-def _box_prob_1d(lo: float, hi: float) -> float:
-    return max(0.0, float(ndtr(hi)) - float(ndtr(lo)))
-
-
 def _box_prob_2d(lo, hi, rho: float) -> float:
     p = (
         _bvnu(lo[0], lo[1], rho)
@@ -235,24 +243,9 @@ def _box_prob_2d(lo, hi, rho: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _merge_pair(lower, upper, corr, i: int, j: int):
-    """Collapse coordinate j into i assuming corr[i, j] is +-1.
-
-    With perfectly (anti)correlated standardized coordinates the two
-    constraints intersect on a single axis, so the box loses one dimension.
-    """
-    if corr[i, j] > 0.0:
-        lower[i] = max(lower[i], lower[j])
-        upper[i] = min(upper[i], upper[j])
-    else:
-        lower[i] = max(lower[i], -upper[j])
-        upper[i] = min(upper[i], -lower[j])
-    keep = np.arange(len(lower)) != j
-    return lower[keep], upper[keep], corr[np.ix_(keep, keep)]
-
-
 def _reduce_box(lower, upper, corr):
-    """Marginalize unconstrained coordinates and merge exact +-1 pairs.
+    """Marginalize unconstrained coordinates and merge exact +-1 neighbours
+    (in a chain a +-1 pair is a run of +-1 neighbours).
 
     Returns (lower, upper, corr, is_empty).  Infinite limits never reach the
     integration kernels: they either drop a dimension here or saturate a
@@ -261,134 +254,114 @@ def _reduce_box(lower, upper, corr):
     while True:
         if lower.size and np.any(upper <= lower):
             return lower, upper, corr, True
-        free = (lower == -_INF) & (upper == _INF)
-        if free.any():
-            keep = ~free
-            lower, upper, corr = lower[keep], upper[keep], corr[np.ix_(keep, keep)]
-            continue
-        d = len(lower)
-        if d < 2:
+        keep = (lower > -_INF) | (upper < _INF)
+        if len(lower) >= 2 and keep.all():
+            rho = np.diagonal(corr, 1)
+            i = int(np.argmax(np.abs(rho)))
+            if abs(rho[i]) >= 1.0 - 5e-16:  # X_{i+1} = +-X_i: intersect the constraints
+                lo, hi = (lower[i + 1], upper[i + 1]) if rho[i] > 0 else (-upper[i + 1], -lower[i + 1])
+                lower[i], upper[i] = max(lower[i], lo), min(upper[i], hi)
+                keep[i + 1] = False
+        if keep.all():
             return lower, upper, corr, False
-        iu, ju = np.triu_indices(d, 1)
-        rr = corr[iu, ju]
-        k = int(np.argmax(np.abs(rr)))
-        if abs(rr[k]) < 1.0 - 5e-16:
-            return lower, upper, corr, False
-        lower, upper, corr = _merge_pair(lower, upper, corr, int(iu[k]), int(ju[k]))
+        lower, upper, corr = lower[keep], upper[keep], corr[np.ix_(keep, keep)]
 
 
-def _ordered_cholesky(corr, lower, upper):
-    """Lower-triangular factor with variables reordered so the smallest
-    conditional probabilities integrate first, plus permuted bounds."""
+def _panel_edges(a: float, b: float, features, hmax: float) -> np.ndarray:
+    """Panel edges on [a, b] with a breakpoint at each feature centre c,
+    graded geometrically from the feature width w up to ``hmax``, and no
+    panel wider than ``hmax``.  Features more than _L widths outside [a, b]
+    are flat there and are skipped."""
+    edges = [a, b]
+    for c, w in features:
+        if a - _L * w < c < b + _L * w:
+            c = min(max(c, a), b)
+            steps = w * 2.0 ** np.arange(max(0, math.ceil(math.log2(hmax / w))))
+            edges.extend([c, *(c - steps), *(c + steps)])
+    e = np.unique(np.clip(edges, a, b))
+    counts = np.maximum(1, np.ceil(np.diff(e) / hmax - 1e-9)).astype(int)
+    parts = [np.linspace(lo, hi, k, endpoint=False) for lo, hi, k in zip(e[:-1], e[1:], counts)]
+    return np.concatenate(parts + [[b]])
+
+
+def _kernel_step(z, r: float, s: float, edges, y, g, n: int):
+    """int_a^b g(y) N(y; r z, s^2) dy at each z, for a kernel too narrow for
+    the grid of y: substitute y = r z + s u, integrate u by Gauss-Legendre on
+    its truncated range, and interpolate g inside its panel (barycentric
+    Lagrange on the panel's Gauss nodes)."""
+    a, b = edges[0], edges[-1]
+    ux, uw, _ = _legendre(_U_NODES)
+    lo = np.maximum((a - r * z) / s, -_L)
+    hi = np.minimum((b - r * z) / s, _L)
+    half = 0.5 * np.maximum(hi - lo, 0.0)[:, None]
+    u = 0.5 * (lo + hi)[:, None] + half * ux
+    yq = np.clip(r * z[:, None] + s * u, a, b)
+    panel = np.clip(np.searchsorted(edges, yq, side="right") - 1, 0, len(edges) - 2)
+    diff = yq[..., None] - y[panel]
+    diff[diff == 0.0] = 1e-300  # a query on a node takes that node's value
+    terms = _legendre(n)[2] / diff
+    gq = (terms * g[panel]).sum(-1) / terms.sum(-1)
+    return (half * uw * _norm_pdf(u) * gq).sum(-1)
+
+
+def _chain_box(lower, upper, rho, n: int) -> float:
+    """P(lower <= X <= upper) for a standardized Gaussian Markov chain of
+    d >= 3 coordinates with adjacent correlations ``rho[k] = corr[k, k+1]``.
+
+    g_k(y) = P(X_j in box_j for all j < k | X_k = y) is carried on a panel
+    Gauss-Legendre grid (``n`` nodes a panel) of each inner coordinate's box
+    cut to [-_L, _L].  g_1 is a difference of Phi; g_k integrates g_{k-1}
+    against the law N(rho z, 1 - rho^2) of X_{k-1} given X_k = z; the result
+    integrates phi * g_{d-2} against the last coordinate's Phi difference.
+    Panels break at the neighbouring box edges seen from this coordinate and
+    grade down to their widths, so near-coincident dates stay resolved.
+    """
     d = len(lower)
-    c = corr.astype(float).copy()
-    lo = lower.astype(float).copy()
-    hi = upper.astype(float).copy()
-    ell = np.zeros((d, d))
-    y = np.zeros(d)
-    for k in range(d):
-        best, best_de = k, np.inf
-        for i in range(k, d):
-            v = c[i, i] - ell[i, :k] @ ell[i, :k]
-            sd = math.sqrt(max(v, 1e-14))
-            s = ell[i, :k] @ y[:k]
-            de = float(ndtr((hi[i] - s) / sd) - ndtr((lo[i] - s) / sd))
-            if de < best_de:
-                best, best_de = i, de
-        if best != k:
-            for arr in (lo, hi, y):
-                arr[[k, best]] = arr[[best, k]]
-            ell[[k, best], :] = ell[[best, k], :]
-            c[[k, best], :] = c[[best, k], :]
-            c[:, [k, best]] = c[:, [best, k]]
-        v = c[k, k] - ell[k, :k] @ ell[k, :k]
-        sd = math.sqrt(max(v, 1e-14))
-        ell[k, k] = sd
-        for i in range(k + 1, d):
-            ell[i, k] = (c[i, k] - ell[i, :k] @ ell[k, :k]) / sd
-        s = ell[k, :k] @ y[:k]
-        a = (lo[k] - s) / sd
-        b = (hi[k] - s) / sd
-        de = float(ndtr(b) - ndtr(a))
-        if de > 1e-14:
-            y[k] = float(_norm_pdf(a) - _norm_pdf(b)) / de
+    s = np.sqrt((1.0 - rho) * (1.0 + rho))
+    x, w, _ = _legendre(n)
+    for k in range(1, d - 1):
+        a, b = max(lower[k], -_L), min(upper[k], _L)
+        if a >= b:
+            return 0.0
+        features = [(e / rho[j], s[j] / abs(rho[j]))
+                    for j, nb in ((k - 1, k - 1), (k, k + 1)) for e in (lower[nb], upper[nb])
+                    if math.isfinite(e) and rho[j] != 0.0]
+        # grid k feeds the next inner step: point-evaluate that kernel on
+        # panels of three kernel widths, unless that needs too many panels
+        point = k < d - 2 and b - a <= 3.0 * s[k] * _MAX_PANELS
+        edges = _panel_edges(a, b, features, min(1.0, 3.0 * s[k]) if point else 1.0)
+        half = 0.5 * np.diff(edges)[:, None]
+        y = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * x
+        if k == 1:
+            g = ndtr((upper[0] - rho[0] * y) / s[0]) - ndtr((lower[0] - rho[0] * y) / s[0])
+        elif prev_point:
+            kernel = _norm_pdf((prev_y.ravel() - rho[k - 1] * y.ravel()[:, None]) / s[k - 1])
+            g = (kernel @ prev_wg.ravel()).reshape(y.shape) / s[k - 1]
         else:
-            mid = 0.5 * (max(a, -10.0) + min(b, 10.0))
-            y[k] = mid
-    return ell, lo, hi
+            g = _kernel_step(y.ravel(), rho[k - 1], s[k - 1], prev_edges, prev_y, prev_g, n).reshape(y.shape)
+        prev_point, prev_edges, prev_y, prev_g, prev_wg = point, edges, y, g, half * w * g
+    r, sd = rho[d - 2], s[d - 2]
+    last = ndtr((upper[d - 1] - r * y) / sd) - ndtr((lower[d - 1] - r * y) / sd)
+    p = float(np.sum(prev_wg * _norm_pdf(y) * last))
+    return min(max(p, 0.0), 1.0)
 
 
-def _qmc_replicate(ell, lo, hi, z) -> float:
-    """Mean of the sequentially conditioned integrand over one point set."""
-    n = z.shape[0]
-    d = ell.shape[0]
-    c = np.full(n, float(ndtr(lo[0] / ell[0, 0])))
-    e = np.full(n, float(ndtr(hi[0] / ell[0, 0])))
-    p = e - c
-    y = np.empty((d - 1, n))
-    for i in range(1, d):
-        q = np.clip(c + z[:, i - 1] * (e - c), 1e-16, 1.0 - 1e-16)
-        y[i - 1] = ndtri(q)
-        s = ell[i, :i] @ y[:i]
-        c = ndtr((lo[i] - s) / ell[i, i])
-        e = ndtr((hi[i] - s) / ell[i, i])
-        p = p * np.maximum(e - c, 0.0)
-    return float(p.mean())
-
-
-def _qmc_box(lower, upper, corr, config: QmcConfig):
-    ell, lo, hi = _ordered_cholesky(corr, lower, upper)
-    d = len(lo)
-    key = np.array([config.seed % 2**64, d], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    shifts = rng.random((config.shifts, d - 1))
-    gen = np.sqrt(_PRIMES[: d - 1])
-    n = config.base_points
-    while True:
-        base = np.arange(1, n + 1)[:, None] * gen[None, :]
-        est = np.empty(config.shifts)
-        for r in range(config.shifts):
-            z = np.abs(2.0 * np.modf(base + shifts[r])[0] - 1.0)
-            est[r] = _qmc_replicate(ell, lo, hi, z)
-        p = float(est.mean())
-        err = 3.5 * float(est.std(ddof=1)) / math.sqrt(config.shifts)
-        if err <= config.target_error or 2 * n * config.shifts > config.max_total_points:
-            break
-        n *= 2
-    return min(max(p, 0.0), 1.0), max(err, 1e-16)
-
-
-def _box_probability(lower, upper, corr, config: QmcConfig):
-    """P(lower <= X <= upper) for X ~ N(0, corr), with error estimate."""
+def _box_probability(lower, upper, corr):
+    """P(lower <= X <= upper) for X ~ N(0, corr), with error estimate.  From
+    three coordinates on, corr must be a Markov chain in the given order."""
     lower, upper, corr, empty = _reduce_box(lower, upper, corr)
     if empty:
         return 0.0, 0.0
     d = len(lower)
-    while d >= 3:
-        eigmin = float(np.linalg.eigvalsh(corr)[0])
-        if eigmin >= _EIG_COLLAPSE:
-            break
-        iu, ju = np.triu_indices(d, 1)
-        rr = corr[iu, ju]
-        k = int(np.argmax(np.abs(rr)))
-        if abs(rr[k]) < 1.0 - 1e-6:
-            # degenerate but not through a +-1 pair: not representable
-            raise CovarianceError(
-                f"covariance is not positive definite: smallest eigenvalue {eigmin:.3e}",
-                eigenvalue=eigmin,
-            )
-        lower, upper, corr = _merge_pair(lower, upper, corr, int(iu[k]), int(ju[k]))
-        lower, upper, corr, empty = _reduce_box(lower, upper, corr)
-        if empty:
-            return 0.0, 0.0
-        d = len(lower)
     if d == 0:
         return 1.0, 0.0
     if d == 1:
-        return _box_prob_1d(lower[0], upper[0]), 1e-15
+        return max(0.0, float(ndtr(upper[0])) - float(ndtr(lower[0]))), 1e-15
     if d == 2:
         return _box_prob_2d(lower, upper, corr[0, 1]), 5e-15
-    return _qmc_box(lower, upper, corr, config)
+    rho = np.diagonal(corr, 1)
+    p = _chain_box(lower, upper, rho, _NODES)
+    return p, max(abs(p - _chain_box(lower, upper, rho, _NODES_COARSE)), 1e-15)
 
 
 def _standardize(a, cov):
@@ -404,6 +377,25 @@ def _standardize(a, cov):
     return a / scale, corr
 
 
+def _check_chain(corr) -> None:
+    """Reject a correlation matrix of dimension >= 3 that is not positive
+    definite (unless singular only through a +-1 pair) or not a Markov chain
+    in the given order, i.e. ``corr[i, k] != corr[i, k-1] * corr[k-1, k]``."""
+    eigmin = float(np.linalg.eigvalsh(corr)[0])
+    rho = np.diagonal(corr, 1)
+    if eigmin < -_EIG_COLLAPSE or (eigmin < _EIG_COLLAPSE and np.abs(rho).max() < 1.0 - 1e-6):
+        raise CovarianceError(
+            f"covariance is not positive definite: smallest eigenvalue {eigmin:.3e}",
+            eigenvalue=eigmin,
+        )
+    i, j = np.triu_indices(len(corr), 1, len(corr) - 1)
+    if not np.allclose(corr[i, j] * rho[j], corr[i, j + 1], rtol=0.0, atol=1e-10):
+        raise DomainError(
+            "mvn_cdf: from three dimensions on the covariance must be a Markov chain "
+            "(corr[i, k] = corr[i, j] * corr[j, k] for i < j < k)"
+        )
+
+
 def mvn_cdf(a, corr, signs=None, config: QmcConfig = DEFAULT_QMC):
     """m-variate normal CDF with optional coordinate flips.
 
@@ -414,14 +406,17 @@ def mvn_cdf(a, corr, signs=None, config: QmcConfig = DEFAULT_QMC):
         instead of ``X_i <= a_i``; equivalently the covariance of the flipped
         vector is ``(s_i s_j r_ij)``.
     corr : CorrelationStructure or (m, m) covariance array
+        An explicit covariance with m >= 3 must be that of a Markov chain in
+        the given order, as every CorrelationStructure is.
     signs : sequence of +-1, optional
+    config : ignored; kept for callers that pass it
 
     Returns
     -------
     (probability, error_estimate)
-        The estimate is conservative: one/two dimensional paths are exact to
-        near machine precision, higher dimensions report 3.5 standard errors
-        of the randomization replicates.
+        One/two dimensional paths are exact to near machine precision; from
+        three dimensions on the estimate is the distance to a coarser
+        quadrature rule, which exceeds the actual error.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or a.size < 1:
@@ -440,6 +435,8 @@ def mvn_cdf(a, corr, signs=None, config: QmcConfig = DEFAULT_QMC):
         if not np.allclose(cov, cov.T, atol=1e-10 * max(1.0, float(np.abs(cov).max()))):
             raise DomainError("mvn_cdf: covariance must be symmetric")
         limits, corrm = _standardize(a, 0.5 * (cov + cov.T))
+        if a.size >= 3:
+            _check_chain(corrm)
 
     m = a.size
     if signs is None:
@@ -451,4 +448,4 @@ def mvn_cdf(a, corr, signs=None, config: QmcConfig = DEFAULT_QMC):
 
     lower = np.where(signs > 0, -_INF, -limits)
     upper = np.where(signs > 0, limits, _INF)
-    return _box_probability(lower, upper, corrm, config)
+    return _box_probability(lower, upper, corrm)

@@ -169,7 +169,7 @@ def test_criterion_4_mvn_engine():
             failures.append(f"marginalization m={m}: diff {abs(p_full - p_red):.2e}")
 
     # monotonicity in each limit, m <= 6 (error-aware: higher-dimensional
-    # estimates carry their reported randomization error)
+    # estimates carry their reported quadrature error)
     for m in (3, 4, 6):
         c = db.build_correlation(0.0, expiries[:m])
         for _ in range(4):

@@ -36,9 +36,24 @@ def test_spec_validation():
     with pytest.raises(ScheduleError):
         BinarySpec("bond", (1, 1), (100.0, 100.0), (2.0, 2.0), BASE)
     with pytest.raises(DomainError):
-        BinarySpec("bond", (1,) * 17, (100.0,) * 17, tuple(float(i + 1) for i in range(17)), BASE)
-    with pytest.raises(DomainError):
         BsCoefficients(0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("order", [17, 32])
+def test_orders_above_sixteen_price(order):
+    # no order cap: long chains price, each extra date can only lower an
+    # all-up bond, and a +inf last limit drops the last date exactly
+    expiries = tuple(0.25 * (i + 1) for i in range(order))
+    strikes = tuple(80.0 + 0.5 * i for i in range(order))
+    long = price_binary(BinarySpec("bond", (1,) * order, strikes, expiries, BASE), 150.0, 0.0)
+    short = price_binary(
+        BinarySpec("bond", (1,) * (order - 1), strikes[:-1], expiries[:-1], BASE), 150.0, 0.0
+    )
+    assert 0.0 < long <= short <= 1.0
+    c_full = db.build_correlation(0.0, expiries)
+    c_red = db.build_correlation(0.0, expiries[:-1])
+    a = np.linspace(-0.8, 1.1, order - 1)
+    assert db.mvn_cdf(np.append(a, np.inf), c_full) == db.mvn_cdf(a, c_red)
 
 
 def test_price_argument_validation():

@@ -10,7 +10,7 @@ import defbond as db
 from defbond.errors import CovarianceError, DomainError, ScheduleError
 from defbond.normal import QmcConfig
 
-from oracles import gl_mvn_cdf
+from oracles import conditional_chain_cdf3, gl_mvn_cdf
 
 INF = float("inf")
 
@@ -265,14 +265,14 @@ def test_mvn_rejects_bad_signs():
 
 
 def test_mvn_deterministic_for_fixed_config():
+    # deterministic, and no QmcConfig field changes the result
     c = db.build_correlation(0.0, (1.0, 2.0, 3.0, 4.5))
     a = [0.3, 0.1, -0.2, 0.8]
     p1, e1 = db.mvn_cdf(a, c)
     p2, e2 = db.mvn_cdf(a, c)
     assert p1 == p2 and e1 == e2
-    p3, _ = db.mvn_cdf(a, c, config=QmcConfig(seed=99))
-    assert p3 == pytest.approx(p1, abs=3 * max(e1, 1e-7))
-    assert p3 != p1
+    cheap = QmcConfig(seed=99, base_points=16, shifts=2, target_error=1.0, max_total_points=64)
+    assert db.mvn_cdf(a, c, config=cheap) == (p1, e1)
 
 
 def test_mvn_high_dimensions_against_scipy():
@@ -291,20 +291,46 @@ def test_mvn_high_dimensions_against_scipy():
 
 
 def test_mvn_error_estimate_covers_actual_error():
-    # conservative coverage of the randomization-based estimate, checked
-    # against the dense-quadrature oracle on random 3-d problems
+    # the chain quadrature matches the dense-quadrature oracle to 1e-12 on
+    # random 3-d problems, and its coarse-rule estimate covers the distance
+    # (up to the oracle's own rounding)
     rng = np.random.default_rng(2024)
-    violations = 0
-    cases = 24
-    for _ in range(cases):
+    for _ in range(24):
         ts = np.cumsum(rng.uniform(0.3, 2.0, size=3))
         c = db.build_correlation(0.0, tuple(ts))
         a = rng.uniform(-1.8, 1.8, size=3)
         p, err = db.mvn_cdf(a, c)
         truth = gl_mvn_cdf(a, c.covariance, n=80)
-        if abs(p - truth) > err + 1e-9:
-            violations += 1
-    assert violations <= max(1, int(0.01 * cases) + 1)
+        assert abs(p - truth) <= 1e-12
+        assert abs(p - truth) <= err + 1e-14
+
+
+@pytest.mark.parametrize("signs", [(1, 1, 1), (1, -1, 1)])
+@pytest.mark.parametrize("position", ["first", "second"])
+def test_mvn_near_coincident_dates_against_conditional_oracle(position, signs):
+    # gap / tau at every decade from 1e-12 to 1, between the first two dates
+    # or the last two; the conditional oracle stays exact where the dense one
+    # does not
+    a = (0.3, 0.35, -0.2)
+    for e in range(-12, 1):
+        gap = 10.0**e
+        taus = (1.0, 1.0 + gap, 2.5) if position == "first" else (1.0, 2.0, 2.0 + 2.0 * gap)
+        p, err = db.mvn_cdf(a, db.build_correlation(0.0, taus), signs)
+        truth = conditional_chain_cdf3(a, taus, signs)
+        assert abs(p - truth) <= 1e-9, (gap, p, truth)
+        assert err <= 1e-9
+
+
+def test_mvn_rejects_non_chain_covariance():
+    # positive definite but not Markov in the given order
+    cov = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]])
+    with pytest.raises(DomainError):
+        db.mvn_cdf([0.0, 0.0, 0.0], cov)
+    # the same chain as an explicit covariance prices like the structure
+    c = db.build_correlation(0.0, (1.0, 2.0, 3.0))
+    assert db.mvn_cdf([0.2, -0.1, 0.4], 2.0 * c.covariance)[0] == pytest.approx(
+        db.mvn_cdf(np.array([0.2, -0.1, 0.4]) / math.sqrt(2.0), c)[0], abs=1e-15
+    )
 
 
 def test_mvn_explicit_covariance_standardizes():

@@ -314,7 +314,7 @@ def test_gluing_limit_at_first_announcing_date(market, schedule, mode):
 
 def test_three_interval_schedule_against_oracles():
     # non-uniform barriers and intensities over three intervals; the closed
-    # form needs order-3 cascades (and the lattice CDF path) in interval 0
+    # form needs order-3 cascades (and the chain CDF path) in interval 0
     market = db.MarketParams(r=0.08, b=0.03, s_V=0.8)
     schedule = db.DefaultSchedule((0.0, 1.5, 3.5, 7.0), (0.01, 0.02, 0.004), (120.0, 90.0, 110.0))
     x = 250.0
@@ -339,6 +339,42 @@ def test_three_interval_schedule_against_oracles():
                 market, schedule, rec, V, db.SimConfig(n_paths=200_000, seed=99), t
             )
             assert abs(closed - mc.price_estimate) <= 3.0 * mc.std_error
+
+
+def _black_cox_survival(x, barrier, b, sigma, T):
+    """Continuous-monitoring survival of a firm value with log drift
+    -b - sigma^2 / 2 above a flat barrier (Black & Cox, J. Finance 1976)."""
+    nu = -b - 0.5 * sigma**2
+    m = math.log(x / barrier)
+    sd = sigma * math.sqrt(T)
+    return db.std_normal_cdf((m + nu * T) / sd) - math.exp(-2.0 * nu * m / sigma**2) * (
+        db.std_normal_cdf((-m + nu * T) / sd)
+    )
+
+
+def test_many_dates_approach_shifted_continuous_barrier():
+    # Zero intensity and a flat barrier on N equal steps: survival over the
+    # announcing dates tends to Black-Cox continuous first passage with the
+    # barrier lowered by exp(-0.5826 sigma sqrt(dt)) (Broadie, Glasserman &
+    # Kou, Math. Finance 1997).  Measured N * (discrete - shifted) is -0.061,
+    # -0.057, -0.056, -0.054, -0.054 for N = 16, 32, 64, 128, 256, and each
+    # doubling of N scales the gap by 0.47-0.49; the bounds below allow twice
+    # the measured gap and ratios in [0.4, 0.6].  The unshifted barrier is
+    # 0.02-0.08 away, more than ten times the shifted gap.
+    market = db.MarketParams(r=0.05, b=0.02, s_V=0.3)
+    x, barrier, T = 100.0, 80.0, 2.0
+    gaps = []
+    for n in (16, 32, 64, 128, 256):
+        schedule = db.DefaultSchedule(tuple(np.linspace(0.0, T, n + 1)), (0.0,) * n, (barrier,) * n)
+        discrete = db.survival_probability(market, schedule, x, 0.0)
+        shift = math.exp(-0.5826 * market.s_V * math.sqrt(T / n))
+        gap = discrete - _black_cox_survival(x, barrier * shift, market.b, market.s_V, T)
+        plain = discrete - _black_cox_survival(x, barrier, market.b, market.s_V, T)
+        assert abs(gap) <= 0.125 / n
+        assert abs(gap) <= 0.1 * abs(plain)
+        gaps.append(gap)
+    ratios = np.array(gaps[1:]) / np.array(gaps[:-1])
+    assert np.all((0.4 <= ratios) & (ratios <= 0.6)), ratios
 
 
 def test_random_schedules_match_simulation():

@@ -319,30 +319,37 @@ def test_cli_validate_accuracy_failure(tmp_path, base_doc, capsys):
     assert "VALIDATION FAIL" in out
 
 
+# Late in the last interval all 20000 paths survive: the standard error is 0,
+# yet the price sits 1.5e-8 under that common payoff through defaults rarer
+# than one path in 20000.
+ZERO_VARIANCE_DOC = {
+    "market": {"r": 0.1, "b": 0.05, "s_V": 1.0},
+    "schedule": {
+        "dates": [0.0, 3.0, 6.0],
+        "intensities": [0.0017212188939175431, 0.004306917045167598],
+        "barriers": [98.6016346933757, 101.02428932978886],
+    },
+    "recovery": {"mode": "endogenous", "R": 0.5490856277966402, "n": 1.0},
+    "evaluation": {"x": 203.16974296227946, "t": 0.0},
+}
+ZERO_VARIANCE_ARGS = ["--times", "5.389053997511458", "--paths", "20000",
+                      "--n-space", "256", "--n-time", "256"]
+
+
 def test_cli_validate_passes_when_every_path_pays_the_same(tmp_path, capsys):
-    # late in the last interval all 20000 paths survive: the standard error
-    # is 0, yet the price sits 1.5e-8 under that common payoff through
-    # defaults rarer than one path in 20000
-    doc = {
-        "market": {"r": 0.1, "b": 0.05, "s_V": 1.0},
-        "schedule": {
-            "dates": [0.0, 3.0, 6.0],
-            "intensities": [0.0017212188939175431, 0.004306917045167598],
-            "barriers": [98.6016346933757, 101.02428932978886],
-        },
-        "recovery": {"mode": "endogenous", "R": 0.5490856277966402, "n": 1.0},
-        "evaluation": {"x": 203.16974296227946, "t": 0.0},
-    }
-    rc = main(
-        [
-            "validate",
-            _write(tmp_path, doc),
-            "--times", "5.389053997511458",
-            "--paths", "20000",
-            "--n-space", "256",
-            "--n-time", "256",
-        ]
-    )
+    rc = main(["validate", _write(tmp_path, ZERO_VARIANCE_DOC), *ZERO_VARIANCE_ARGS])
     out = capsys.readouterr().out
     assert rc == 0
     assert "VALIDATION PASS" in out
+
+
+def test_cli_validate_zero_variance_row_reports_infinite_sigma(tmp_path, capsys):
+    # closed form and MC differ over a zero standard error: the sigma column
+    # reads inf, as one token, so the row keeps its 7 fields
+    main(["validate", _write(tmp_path, ZERO_VARIANCE_DOC), *ZERO_VARIANCE_ARGS])
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.strip().startswith("5.39"))
+    fields = row.split()
+    assert len(fields) == 7
+    assert float(fields[1]) != float(fields[4])
+    assert fields[5] == "inf"
