@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Literal
 
-import numpy as np
-
 from .errors import DomainError, ScheduleError
 from .normal import DEFAULT_QMC, QmcConfig, build_correlation, mvn_cdf
 
@@ -74,14 +72,18 @@ class BinarySpec:
         return len(self.signs)
 
 
-def _signed_limits(spec: BinarySpec, x: float, t: float, plus: bool) -> np.ndarray:
+def _signed_limits(spec: BinarySpec, x: float, t: float, plus: bool) -> list[float]:
     """Signed CDF limits s_i * d_i^(+/-), saturated at +-_D_CLAMP."""
     coeffs = spec.coeffs
-    tau = np.asarray(spec.expiries, float) - t
     drift = coeffs.r - coeffs.q + (0.5 if plus else -0.5) * coeffs.sigma**2
-    d = (np.log(x / np.asarray(spec.strikes, float)) + drift * tau) / (coeffs.sigma * np.sqrt(tau))
-    d = np.clip(d, -_D_CLAMP, _D_CLAMP)
-    return np.asarray(spec.signs, float) * d
+    limits = []
+    for sign, strike, expiry in zip(spec.signs, spec.strikes, spec.expiries):
+        tau = expiry - t
+        moneyness = x / strike
+        log_m = math.log(moneyness) if moneyness > 0.0 else -math.inf  # x/K underflowed
+        d = (log_m + drift * tau) / (coeffs.sigma * math.sqrt(tau))
+        limits.append(sign * min(max(d, -_D_CLAMP), _D_CLAMP))
+    return limits
 
 
 def price_binary_with_error(

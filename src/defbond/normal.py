@@ -2,15 +2,20 @@
 
 The m-variate evaluator serves the correlation family
 ``sqrt((T_i - t) / (T_j - t))`` of one Brownian motion observed at
-increasing dates.  Dimension one uses the erf-based library evaluation,
-dimension two a fixed-order Gauss-Legendre reduction of the bivariate
-integral.  From dimension three on the coordinates form a Markov chain, and
-the CDF is a forward recursion of one-dimensional Gaussian convolutions over
-panel Gauss-Legendre grids (quadrature between monitoring dates, as in
-Andricopoulos et al., J. Financial Economics 2003, and Feng & Linetsky,
-Mathematical Finance 2008).  Its error estimate is the distance to the same
-recursion on a coarser rule.  Explicit covariances of dimension three and up
-must be Markov chains in the given order.
+increasing dates.  Such a chain is carried by its adjacent correlations
+``rho_k = sqrt(tau_k / tau_{k+1})`` alone, never as an m x m matrix:
+marginalizing coordinate k joins its neighbours with ``rho_{k-1} rho_k``, and
+box limits and correlations are plain Python floats until a dimension of
+three or more needs arrays.  Dimension one uses the erf-based library
+evaluation, dimension two a fixed-order Gauss-Legendre reduction of the
+bivariate integral (Genz, Statistics and Computing 2004).  From dimension
+three on the CDF is a forward recursion of one-dimensional Gaussian
+convolutions over panel Gauss-Legendre grids (quadrature between monitoring
+dates, as in Andricopoulos et al., J. Financial Economics 2003, and Feng &
+Linetsky, Mathematical Finance 2008).  Its error estimate is the distance to
+the same recursion on a coarser rule.  Explicit covariances are standardized
+and, from dimension three on, must be Markov chains in the given order; the
+evaluator then reads their superdiagonal.
 """
 
 from __future__ import annotations
@@ -113,14 +118,16 @@ def _bvnu(dh: float, dk: float, r: float) -> float:
         ng = 12
     else:
         ng = 20
-    x, w = roots_legendre(ng)
-    x = 1.0 + x  # nodes for the interval (0, 2); symmetry covers (1-x, 1+x)
+    x, w, _ = _legendre(ng)
+    # nodes for the interval (0, 2); symmetry covers (1-x, 1+x)
+    nodes = zip((1.0 + x).tolist(), w.tolist())
 
     if abs(r) < 0.925:
         hs = 0.5 * (h * h + k * k)
         asr = 0.5 * math.asin(r)
-        sn = np.sin(asr * x)
-        bvn = float(np.exp((sn * hk - hs) / (1.0 - sn**2)) @ w)
+        for xi, wi in nodes:
+            sn = math.sin(asr * xi)
+            bvn += wi * math.exp((sn * hk - hs) / (1.0 - sn * sn))
         bvn = bvn * asr / tp + float(ndtr(-h) * ndtr(-k))
         return min(max(bvn, 0.0), 1.0)
 
@@ -141,14 +148,16 @@ def _bvnu(dh: float, dk: float, r: float) -> float:
             sp = math.sqrt(tp) * float(ndtr(-b / a))
             bvn -= math.exp(-0.5 * hk) * sp * b * (1.0 - c * bs * (1.0 - d * bs) / 3.0)
         a *= 0.5
-        xs = np.square(a * x)
-        asr = -0.5 * (bs / xs + hk)
-        ix = asr > -100.0
-        xs = xs[ix]
-        sp = 1.0 + c * xs * (1.0 + 5.0 * d * xs)
-        rs = np.sqrt(1.0 - xs)
-        ep = np.exp(-0.5 * hk * xs / np.square(1.0 + rs)) / rs
-        bvn = (a * float((np.exp(asr[ix]) * (sp - ep)) @ w[ix]) - bvn) / tp
+        total = 0.0
+        for xi, wi in nodes:
+            xs = (a * xi) * (a * xi)
+            asr = -0.5 * (bs / xs + hk)
+            if asr > -100.0:
+                sp = 1.0 + c * xs * (1.0 + 5.0 * d * xs)
+                rs = math.sqrt(1.0 - xs)
+                ep = math.exp(-0.5 * hk * xs / ((1.0 + rs) * (1.0 + rs))) / rs
+                total += wi * math.exp(asr) * (sp - ep)
+        bvn = (a * total - bvn) / tp
 
     if r > 0.0:
         bvn += float(ndtr(-max(h, k)))
@@ -183,6 +192,8 @@ class CorrelationStructure:
 
     ``covariance[i, j] = sqrt((T_i - t) / (T_j - t))`` for ``i <= j``; its
     inverse is tridiagonal and is produced in closed form by ``precision``.
+    The chain is determined by its adjacent correlations ``rho``, which is
+    all the CDF evaluator reads.
     """
 
     eval_time: float
@@ -192,7 +203,7 @@ class CorrelationStructure:
         if len(self.expiries) < 1:
             raise ScheduleError("CorrelationStructure: at least one expiry required")
         seq = (self.eval_time,) + self.expiries
-        if any(not math.isfinite(v) for v in seq):
+        if not all(map(math.isfinite, seq)):
             raise ScheduleError("CorrelationStructure: non-finite dates")
         if any(b <= a for a, b in zip(seq, seq[1:])):
             raise ScheduleError(
@@ -202,6 +213,13 @@ class CorrelationStructure:
     @property
     def dim(self) -> int:
         return len(self.expiries)
+
+    @property
+    def rho(self) -> list[float]:
+        """Adjacent correlations ``rho[k] = sqrt((T_k - t) / (T_{k+1} - t))``,
+        the superdiagonal of ``covariance``."""
+        t = self.eval_time
+        return [math.sqrt((a - t) / (b - t)) for a, b in zip(self.expiries, self.expiries[1:])]
 
     @cached_property
     def covariance(self) -> np.ndarray:
@@ -230,7 +248,7 @@ class CorrelationStructure:
 
 def build_correlation(t: float, expiries) -> CorrelationStructure:
     """Correlation structure for evaluation time ``t`` and increasing expiries."""
-    return CorrelationStructure(float(t), tuple(float(v) for v in expiries))
+    return CorrelationStructure(float(t), tuple(map(float, expiries)))
 
 
 def _box_prob_2d(lo, hi, rho: float) -> float:
@@ -243,28 +261,32 @@ def _box_prob_2d(lo, hi, rho: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _reduce_box(lower, upper, corr):
+def _reduce_box(lower, upper, rho):
     """Marginalize unconstrained coordinates and merge exact +-1 neighbours
-    (in a chain a +-1 pair is a run of +-1 neighbours).
+    (in a chain a +-1 pair is a run of +-1 neighbours).  Dropping coordinate
+    k joins its neighbours with the correlation ``rho[k-1] * rho[k]``.
 
-    Returns (lower, upper, corr, is_empty).  Infinite limits never reach the
+    Returns (lower, upper, rho, is_empty).  Infinite limits never reach the
     integration kernels: they either drop a dimension here or saturate a
     one/two dimensional closed form.
     """
     while True:
-        if lower.size and np.any(upper <= lower):
-            return lower, upper, corr, True
-        keep = (lower > -_INF) | (upper < _INF)
-        if len(lower) >= 2 and keep.all():
-            rho = np.diagonal(corr, 1)
-            i = int(np.argmax(np.abs(rho)))
-            if abs(rho[i]) >= 1.0 - 5e-16:  # X_{i+1} = +-X_i: intersect the constraints
-                lo, hi = (lower[i + 1], upper[i + 1]) if rho[i] > 0 else (-upper[i + 1], -lower[i + 1])
-                lower[i], upper[i] = max(lower[i], lo), min(upper[i], hi)
-                keep[i + 1] = False
-        if keep.all():
-            return lower, upper, corr, False
-        lower, upper, corr = lower[keep], upper[keep], corr[np.ix_(keep, keep)]
+        keep = []
+        for lo, hi in zip(lower, upper):
+            if hi <= lo:
+                return lower, upper, rho, True
+            keep.append(lo > -_INF or hi < _INF)
+        if all(keep):
+            near = list(map(abs, rho))
+            if not near or max(near) < 1.0 - 5e-16:
+                return lower, upper, rho, False
+            i = near.index(max(near))  # X_{i+1} = +-X_i: intersect the constraints
+            lo, hi = (lower[i + 1], upper[i + 1]) if rho[i] > 0 else (-upper[i + 1], -lower[i + 1])
+            lower[i], upper[i] = max(lower[i], lo), min(upper[i], hi)
+            keep[i + 1] = False
+        idx = [k for k, kept in enumerate(keep) if kept]
+        lower, upper = [lower[k] for k in idx], [upper[k] for k in idx]
+        rho = [math.prod(rho[i:j]) for i, j in zip(idx, idx[1:])]
 
 
 def _panel_edges(a: float, b: float, features, hmax: float) -> np.ndarray:
@@ -346,10 +368,11 @@ def _chain_box(lower, upper, rho, n: int) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _box_probability(lower, upper, corr):
-    """P(lower <= X <= upper) for X ~ N(0, corr), with error estimate.  From
-    three coordinates on, corr must be a Markov chain in the given order."""
-    lower, upper, corr, empty = _reduce_box(lower, upper, corr)
+def _box_probability(lower, upper, rho):
+    """P(lower <= X <= upper), with error estimate, for a standardized
+    Gaussian Markov chain X with adjacent correlations ``rho``; the limits
+    and correlations are lists of floats."""
+    lower, upper, rho, empty = _reduce_box(lower, upper, rho)
     if empty:
         return 0.0, 0.0
     d = len(lower)
@@ -358,8 +381,8 @@ def _box_probability(lower, upper, corr):
     if d == 1:
         return max(0.0, float(ndtr(upper[0])) - float(ndtr(lower[0]))), 1e-15
     if d == 2:
-        return _box_prob_2d(lower, upper, corr[0, 1]), 5e-15
-    rho = np.diagonal(corr, 1)
+        return _box_prob_2d(lower, upper, rho[0]), 5e-15
+    rho = np.array(rho)
     p = _chain_box(lower, upper, rho, _NODES)
     return p, max(abs(p - _chain_box(lower, upper, rho, _NODES_COARSE)), 1e-15)
 
@@ -421,31 +444,30 @@ def mvn_cdf(a, corr, signs=None, config: QmcConfig = DEFAULT_QMC):
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or a.size < 1:
         raise DomainError("mvn_cdf: limits must be a one-dimensional sequence")
-    if np.isnan(a).any():
+    limits = a.tolist()
+    if any(map(math.isnan, limits)):
         raise DomainError("mvn_cdf: NaN limit")
+    m = len(limits)
     if isinstance(corr, CorrelationStructure):
-        if corr.dim != a.size:
+        if corr.dim != m:
             raise DomainError("mvn_cdf: limits and correlation dimension differ")
-        corrm = corr.covariance.copy()
-        limits = a.copy()
+        rho = corr.rho
     else:
         cov = np.asarray(corr, dtype=float)
-        if cov.shape != (a.size, a.size):
+        if cov.shape != (m, m):
             raise DomainError("mvn_cdf: covariance shape does not match limits")
         if not np.allclose(cov, cov.T, atol=1e-10 * max(1.0, float(np.abs(cov).max()))):
             raise DomainError("mvn_cdf: covariance must be symmetric")
-        limits, corrm = _standardize(a, 0.5 * (cov + cov.T))
-        if a.size >= 3:
+        scaled, corrm = _standardize(a, 0.5 * (cov + cov.T))
+        if m >= 3:
             _check_chain(corrm)
+        limits, rho = scaled.tolist(), np.diagonal(corrm, 1).tolist()
 
-    m = a.size
     if signs is None:
-        signs = np.ones(m)
-    else:
-        signs = np.asarray(signs, dtype=float)
-        if signs.shape != (m,) or not np.all(np.abs(signs) == 1.0):
-            raise DomainError("mvn_cdf: signs must be a vector of +-1 entries")
-
-    lower = np.where(signs > 0, -_INF, -limits)
-    upper = np.where(signs > 0, limits, _INF)
-    return _box_probability(lower, upper, corrm)
+        return _box_probability([-_INF] * m, limits, rho)
+    flips = np.asarray(signs, dtype=float)
+    if flips.shape != (m,) or not set(flips.tolist()) <= {1.0, -1.0}:
+        raise DomainError("mvn_cdf: signs must be a vector of +-1 entries")
+    lower = [-_INF if v > 0 else -lim for v, lim in zip(flips.tolist(), limits)]
+    upper = [lim if v > 0 else _INF for v, lim in zip(flips.tolist(), limits)]
+    return _box_probability(lower, upper, rho)

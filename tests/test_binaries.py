@@ -78,6 +78,12 @@ def test_vanishing_strike_put_side():
     assert price_binary(asset1(-1, 1e-12, 1.0), 100.0, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_moneyness_underflow_saturates():
+    # x / K underflows to 0: the limit saturates instead of taking log(0)
+    assert price_binary(bond1(1, 1e10, 1.0), 5e-324, 0.0) == 0.0
+    assert price_binary(bond1(-1, 1e10, 1.0), 5e-324, 0.0) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_second_order_bond_matches_bivariate_formula():
     spec = BinarySpec("bond", (1, 1), (100.0, 100.0), (3.0, 6.0), BASE)
     d1 = (math.log(2.0) - 0.55 * 3.0) / math.sqrt(3.0)

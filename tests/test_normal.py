@@ -199,17 +199,32 @@ def test_mvn_delegates_low_dimensions():
 
 
 def test_mvn_marginalization_chain():
-    # dropping the last coordinate via an infinite limit must reduce exactly
-    # to the call on the leading submatrix
+    # an infinite limit on the first, an interior or the last coordinate must
+    # reduce to the call on the chain without that date; an interior drop
+    # joins its neighbours through rho[k-1] * rho[k]
     rng = np.random.default_rng(5)
     expiries = (0.7, 1.1, 2.0, 3.4, 5.0, 6.5)
     for m in range(3, 7):
         c_full = db.build_correlation(0.0, expiries[:m])
-        c_red = db.build_correlation(0.0, expiries[: m - 1])
-        a = rng.uniform(-1.2, 1.5, size=m - 1)
-        p_full, _ = db.mvn_cdf(np.append(a, INF), c_full)
-        p_red, _ = db.mvn_cdf(a, c_red)
-        assert abs(p_full - p_red) <= 1e-9
+        for k in range(m):
+            c_red = db.build_correlation(0.0, expiries[:k] + expiries[k + 1 : m])
+            a = rng.uniform(-1.2, 1.5, size=m - 1)
+            p_full, _ = db.mvn_cdf(np.insert(a, k, INF), c_full)
+            p_red, _ = db.mvn_cdf(a, c_red)
+            assert abs(p_full - p_red) <= 1e-12, (m, k)
+
+
+def test_mvn_structure_matches_explicit_covariance_in_two_dimensions():
+    # the same chain given as a structure and as its Brownian covariance
+    # min(T_i, T_j), with limits scaled by sqrt(T), under every sign pattern
+    expiries = (1.3, 4.1)
+    c = db.build_correlation(0.0, expiries)
+    cov = np.minimum.outer(expiries, expiries)
+    a = np.array([0.35, -0.8])
+    for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        p, _ = db.mvn_cdf(a, c, signs)
+        q, _ = db.mvn_cdf(a * np.sqrt(expiries), cov, signs)
+        assert abs(p - q) <= 1e-15, signs
 
 
 def test_mvn_monotone_in_each_limit():

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from defbond.errors import DomainError, ScheduleError
 from defbond.integrals import _adaptive_quad
 from defbond.pricing import _endogenous_terms
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 BASE_W0 = 0.107707772403  # exp(-0.021) * N2(d3, d6; sqrt(1/2)), checked below
 
 
@@ -212,6 +214,23 @@ def test_endogenous_vanishing_firm(market, schedule, endo_low_barrier):
     df = math.exp(-market.r * schedule.maturity)
     rep = db.price_endogenous(market, schedule, endo_low_barrier, 1e-9, 0.0)
     assert rep.price == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "name", ["base_endogenous_low_barrier", "base_endogenous_high_barrier", "base_exogenous"]
+)
+def test_bundled_scenarios_at_extreme_spots_and_next_to_dates(name):
+    # extreme spots saturate the log-moneyness and the +-38 clamp; times a
+    # hair from the announcing date and maturity make sqrt(tau) tiny
+    s = db.load_scenario(SCENARIOS / f"{name}.yaml")
+    price = db.price_endogenous if s.recovery.mode == "endogenous" else db.price_exogenous
+    for V in (1e-200, 1e-3, 1e6, 1e200):
+        for t in (0.0, 3.0 - 1e-13, 3.0, 3.0 + 1e-13, 6.0 - 1e-12):
+            rep = price(s.market, s.schedule, s.recovery, V, t)
+            df = math.exp(-s.market.r * (s.schedule.maturity - t))
+            floor = s.recovery.R * df if s.recovery.mode == "exogenous" else 0.0
+            assert math.isfinite(rep.price) and floor <= rep.price <= df, (V, t, rep.price)
+            assert all(math.isfinite(v) for v in rep.diagnostics.values()), (V, t)
 
 
 # -------------------------------------------------------------- spreads
