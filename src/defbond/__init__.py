@@ -29,7 +29,6 @@ from .pde import (
     sample,
     solve_endogenous_cascade,
     solve_exogenous_cascade,
-    solve_survival_cascade,
 )
 from .pricing import (
     DefaultSchedule,
@@ -86,7 +85,6 @@ __all__ = [
     "simulate_price",
     "solve_endogenous_cascade",
     "solve_exogenous_cascade",
-    "solve_survival_cascade",
     "std_normal_cdf",
     "survival_probability",
 ]

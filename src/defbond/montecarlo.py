@@ -91,18 +91,6 @@ def simulate_price(
     n_dates = len(rem_dates)
     drift = (-b - 0.5 * s * s) * seg_dt
 
-    if recovery.mode == "endogenous":
-        cap = recovery.cap
-
-        def rec_of(x):
-            return np.minimum(1.0, x / cap) if math.isfinite(cap) else np.zeros_like(x)
-
-    else:
-        R = recovery.R
-
-        def rec_of(x):
-            return np.full_like(x, R)
-
     def leg_payoff(z, e_unif):
         """(relative payoff, survived) from one set of draws."""
         n = z.shape[0]
@@ -130,7 +118,7 @@ def simulate_price(
         payoff = np.ones(n)
         if expected.any():
             idx = first_hit[expected]
-            payoff[expected] = rec_of(x_at_dates[expected, idx])
+            payoff[expected] = recovery.paid(x_at_dates[expected, idx])
         if unexpected.any():
             sc = seg_c[unexpected]
             d_theta = theta[unexpected] - seg_times[sc]
@@ -142,7 +130,7 @@ def simulate_price(
             x_theta = x_base * np.exp(
                 (-b - 0.5 * s * s) * d_theta + s * np.sqrt(d_theta) * z[unexpected, n_dates]
             )
-            payoff[unexpected] = rec_of(x_theta)
+            payoff[unexpected] = recovery.paid(x_theta)
         return payoff, survived
 
     antithetic = config.antithetic

@@ -2,9 +2,15 @@
 
 Solves the relative-price equation backward interval by interval on a uniform
 log-spot grid: Crank-Nicolson in time with an implicit-Euler (Rannacher)
-start-up after every discontinuous terminal or gluing condition.  Boundary
-values come from the analytic small- and large-spot limits of the solution.
-This engine shares no code path with the closed forms it checks.
+start-up after every discontinuous terminal or gluing condition.  Every
+recovery model runs through one cascade whose data all come from the
+recovery a default pays, p = ``RecoveryModel.paid``: the gluing values, the
+source lam * p, the large-spot boundary p(x_max) + (1 - p(x_max)) S_i(t)
+with S_i the jump survival to maturity, and the small-spot boundary
+p(0) + (p(x_min) - p(0)) c_i(t), exact while p is affine on [0, x_min].
+When every barrier sits far under the grid both edges take the far-field
+value, which needs the same recovery at both edges once a jump channel is
+live.  This engine shares no code path with the closed forms it checks.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ __all__ = [
     "CascadeSolution",
     "solve_endogenous_cascade",
     "solve_exogenous_cascade",
-    "solve_survival_cascade",
     "sample",
     "propagate_terminal",
 ]
@@ -55,7 +60,7 @@ class GridSpec:
         market: MarketParams,
         schedule: DefaultSchedule,
         x_eval: float,
-        recovery: RecoveryModel | None = None,
+        recovery: RecoveryModel,
         n_space: int = 2048,
         n_time_per_interval: int = 2048,
         margin: float = 50.0,
@@ -67,7 +72,7 @@ class GridSpec:
         reaches past that (the relative spot drifts down at rate
         b + s_V^2/2, so high volatility pushes the far field out a lot)."""
         refs = list(schedule.barriers) + [x_eval]
-        if recovery is not None and recovery.mode == "endogenous" and recovery.R > 0.0:
+        if recovery.mode == "endogenous" and math.isfinite(recovery.cap):
             refs.append(recovery.cap)
         horizon = schedule.maturity
         drift = (market.b + 0.5 * market.s_V**2) * horizon
@@ -183,96 +188,110 @@ def _log_survival(schedule: DefaultSchedule, i: int, t: float) -> float:
     return -total
 
 
-def _barriers_below_grid(schedule: DefaultSchedule, grid: GridSpec) -> bool:
-    """Degenerate configuration where every barrier sits far under the grid,
-    so no path on the grid can plausibly trigger an expected default (used by
-    vanishing-barrier limit checks)."""
-    return max(schedule.barriers) * 50.0 <= grid.x_min
+def _cascade(
+    market: MarketParams,
+    schedule: DefaultSchedule,
+    recovery: RecoveryModel,
+    grid: GridSpec,
+    check_tolerance: float | None,
+) -> CascadeSolution:
+    """Backward induction for every recovery model: glue at each announcing
+    date, march each interval with the source lam * paid.
 
-
-def _check_domain(schedule: DefaultSchedule, grid: GridSpec, cap: float | None) -> None:
-    if cap is not None and math.isfinite(cap) and grid.x_max <= 2.0 * cap:
+    The gluing indicator is projected onto the grid by its cell average, so
+    the discontinuity sits at the exact barrier with second-order accuracy
+    no matter how the nodes align.  With ``check_tolerance`` the cascade is
+    solved again on a grid halved in both directions, and a Richardson
+    estimate above the tolerance sets ``accuracy_warning``."""
+    p_0, p_lo, p_hi = (float(recovery.paid(v)) for v in (0.0, grid.x_min, grid.x_max))
+    # the far-field value needs the recovery flat over the top of the grid
+    if float(recovery.paid(0.5 * grid.x_max)) != p_hi:
         raise DomainError(
-            f"GridSpec x_max {grid.x_max} does not clear the recovery cap {cap} with margin"
+            f"GridSpec x_max {grid.x_max} does not clear the recovery cap with margin"
         )
-    if _barriers_below_grid(schedule, grid):
-        return
-    if grid.x_min >= min(schedule.barriers) or grid.x_max <= max(schedule.barriers):
+    # barriers far under the grid trigger no expected default on it (the
+    # vanishing-barrier limit): both edges take the far-field value, which
+    # holds only when every jump default on the grid pays the same
+    unreachable = max(schedule.barriers) * 50.0 <= grid.x_min
+    if unreachable:
+        if p_lo != p_hi and any(v > 0.0 for v in schedule.intensities):
+            raise DomainError(
+                "PDE cascade: barriers below the grid combined with a live jump channel "
+                "and a recovery that varies on the grid have no analytic boundary value; "
+                "widen the grid"
+            )
+    elif grid.x_min >= min(schedule.barriers) or grid.x_max <= max(schedule.barriers):
         raise DomainError(
             f"GridSpec [{grid.x_min}, {grid.x_max}] does not span the barriers with margin"
         )
 
-
-def _solve_cascade(
-    market: MarketParams,
-    schedule: DefaultSchedule,
-    grid: GridSpec,
-    recovery_profile: Callable[[np.ndarray], np.ndarray],
-    source_scale_with_lambda: bool,
-    bc_lo_factory,
-    bc_hi_factory,
-) -> CascadeSolution:
-    """Shared backward induction: glue at each announcing date, march each
-    interval.  ``recovery_profile`` maps grid spots to the relative recovery
-    paid there (also the inhomogeneous source when scaled by the intensity).
-
-    The gluing indicator is projected onto the grid by its cell average, so
-    the discontinuity sits at the exact barrier with second-order accuracy
-    no matter how the nodes align."""
-    y = np.linspace(math.log(grid.x_min), math.log(grid.x_max), grid.n_space + 1)
-    x = np.exp(y)
-    dy = y[1] - y[0]
-    rec = recovery_profile(x)
+    grids = [grid]
+    if check_tolerance is not None:
+        grids.append(GridSpec(
+            grid.x_min,
+            grid.x_max,
+            max(grid.n_space // 2, 64),
+            max(grid.n_time_per_interval // 2, 16),
+        ))
     sigma = market.s_V
     mu = -(market.b + 0.5 * sigma * sigma)
     n = schedule.n_intervals
+    solutions = []
+    for spec in grids:
+        y = np.linspace(math.log(spec.x_min), math.log(spec.x_max), spec.n_space + 1)
+        dy = y[1] - y[0]
+        rec = recovery.paid(np.exp(y))
+        times: list[np.ndarray] = [None] * n  # type: ignore[list-item]
+        values: list[np.ndarray] = [None] * n  # type: ignore[list-item]
+        nxt = np.ones_like(y)
+        for i in range(n - 1, -1, -1):
+            lam = schedule.intensities[i]
+            g = market.b + lam
+            t_lo, t_hi = schedule.dates[i], schedule.dates[i + 1]
 
-    times: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    values: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    nxt = np.ones_like(x)
-    for i in range(n - 1, -1, -1):
-        above = np.clip((y - math.log(schedule.barriers[i])) / dy + 0.5, 0.0, 1.0)
-        terminal = above * nxt + (1.0 - above) * rec
-        lam = schedule.intensities[i]
-        source = lam * rec[1:-1] if source_scale_with_lambda else None
-        t_lo, t_hi = schedule.dates[i], schedule.dates[i + 1]
-        full = _march(
-            y,
-            terminal,
-            sigma,
-            mu,
-            lam,
-            source,
-            bc_lo_factory(i),
-            bc_hi_factory(i),
-            t_lo,
-            t_hi,
-            grid.n_time_per_interval,
-        )
-        times[i] = np.linspace(t_lo, t_hi, grid.n_time_per_interval + 1)
-        values[i] = full
-        nxt = full[0]
-    return CascadeSolution(schedule.dates, y, times, values)
+            def far(t):
+                # no barrier triggers; a jump default pays p(x_max)
+                return p_hi + (1.0 - p_hi) * math.exp(_log_survival(schedule, i, t))
 
+            def near(t):
+                # u = p(0) + (p(x_min) - p(0)) c x / x_min while p is affine on
+                # [0, x_min]: dc/dt = (b + lam) c - lam, c(t_{i+1}) = 1
+                if g == 0.0:
+                    c = 1.0 + lam * (t_hi - t)
+                else:
+                    c = 1.0 + (1.0 - lam / g) * math.expm1(-g * (t_hi - t))
+                return p_0 + (p_lo - p_0) * c
 
-def _with_richardson(solve, grid: GridSpec, check_tolerance: float | None) -> CascadeSolution:
-    fine = solve(grid)
-    if check_tolerance is None:
-        return fine
-    coarse_grid = GridSpec(
-        grid.x_min,
-        grid.x_max,
-        max(grid.n_space // 2, 64),
-        max(grid.n_time_per_interval // 2, 16),
-    )
-    coarse = solve(coarse_grid)
-    probe = slice(len(fine.y) // 4, 3 * len(fine.y) // 4)
-    coarse_on_fine = np.interp(fine.y[probe], coarse.y, coarse.values[0][0])
-    est = float(np.max(np.abs(fine.values[0][0][probe] - coarse_on_fine))) / 3.0
-    if est > check_tolerance:
-        fine.accuracy_warning = (
-            f"Richardson error estimate {est:.3e} exceeds requested tolerance {check_tolerance:.3e}"
-        )
+            above = np.clip((y - math.log(schedule.barriers[i])) / dy + 0.5, 0.0, 1.0)
+            terminal = above * nxt + (1.0 - above) * rec
+            values[i] = _march(
+                y,
+                terminal,
+                sigma,
+                mu,
+                lam,
+                lam * rec[1:-1],
+                far if unreachable else near,
+                far,
+                t_lo,
+                t_hi,
+                spec.n_time_per_interval,
+            )
+            times[i] = np.linspace(t_lo, t_hi, spec.n_time_per_interval + 1)
+            nxt = values[i][0]
+        solutions.append(CascadeSolution(schedule.dates, y, times, values))
+
+    fine = solutions[0]
+    if check_tolerance is not None:
+        coarse = solutions[1]
+        probe = slice(len(fine.y) // 4, 3 * len(fine.y) // 4)
+        coarse_on_fine = np.interp(fine.y[probe], coarse.y, coarse.values[0][0])
+        est = float(np.max(np.abs(fine.values[0][0][probe] - coarse_on_fine))) / 3.0
+        if est > check_tolerance:
+            fine.accuracy_warning = (
+                f"Richardson error estimate {est:.3e} exceeds requested tolerance "
+                f"{check_tolerance:.3e}"
+            )
     return fine
 
 
@@ -286,85 +305,7 @@ def solve_endogenous_cascade(
     """Backward cascade with firm-value recovery min(1, x / (n/R))."""
     if recovery.mode != "endogenous":
         raise DomainError("solve_endogenous_cascade: recovery model must be endogenous")
-    cap = recovery.cap
-    _check_domain(schedule, grid, cap if recovery.R > 0.0 else None)
-    unreachable = _barriers_below_grid(schedule, grid)
-
-    if recovery.R == 0.0:
-        def profile(x):
-            return np.zeros_like(x)
-
-        def bc_hi(i):
-            return lambda t: math.exp(_log_survival(schedule, i, t))
-
-        def bc_lo(i):
-            return bc_hi(i) if unreachable else (lambda t: 0.0)
-
-    else:
-        if unreachable and grid.x_min < cap and any(v > 0.0 for v in schedule.intensities):
-            raise DomainError(
-                "solve_endogenous_cascade: barriers below the grid combined with a live "
-                "jump channel have no analytic boundary value; widen the grid"
-            )
-
-        def profile(x):
-            return np.minimum(1.0, x / cap)
-
-        def bc_hi(i):
-            return lambda t: 1.0
-
-        def bc_lo(i):
-            if unreachable:
-                # no default can pay less than full recovery on this grid
-                return lambda t: 1.0
-            # small-spot asymptote u ~ c(t) x: dc/dt = (b + lam) c - lam / cap,
-            # c(t_{i+1}) = 1/cap
-            lam = schedule.intensities[i]
-            g = market.b + lam
-            t_next = schedule.dates[i + 1]
-            x_min = grid.x_min
-
-            def value(t: float) -> float:
-                delta = t_next - t
-                if g <= 0.0:
-                    c = (1.0 + lam * delta) / cap
-                else:
-                    decay = math.exp(-g * delta)
-                    c = decay / cap + lam / (g * cap) * (1.0 - decay)
-                return c * x_min
-
-            return value
-
-    def run(g):
-        return _solve_cascade(market, schedule, g, profile, True, bc_lo, bc_hi)
-
-    return _with_richardson(run, grid, check_tolerance)
-
-
-def solve_survival_cascade(
-    market: MarketParams,
-    schedule: DefaultSchedule,
-    grid: GridSpec,
-    check_tolerance: float | None = None,
-) -> CascadeSolution:
-    """Homogeneous cascade for the survival probability W (zero recovery at
-    every gluing, no source)."""
-    _check_domain(schedule, grid, None)
-    unreachable = _barriers_below_grid(schedule, grid)
-
-    def profile(x):
-        return np.zeros_like(x)
-
-    def bc_hi(i):
-        return lambda t: math.exp(_log_survival(schedule, i, t))
-
-    def bc_lo(i):
-        return bc_hi(i) if unreachable else (lambda t: 0.0)
-
-    def run(g):
-        return _solve_cascade(market, schedule, g, profile, False, bc_lo, bc_hi)
-
-    return _with_richardson(run, grid, check_tolerance)
+    return _cascade(market, schedule, recovery, grid, check_tolerance)
 
 
 def solve_exogenous_cascade(
@@ -372,38 +313,13 @@ def solve_exogenous_cascade(
     schedule: DefaultSchedule,
     recovery: RecoveryModel,
     grid: GridSpec,
-    w_form: bool = False,
     check_tolerance: float | None = None,
 ) -> CascadeSolution:
-    """Backward cascade with fixed fractional recovery R.
-
-    With ``w_form=True`` the homogeneous survival equation is solved instead
-    and the price is reconstructed as R + (1 - R) W.
-    """
+    """Backward cascade with fixed fractional recovery R; at R = 0 it is the
+    survival probability W."""
     if recovery.mode != "exogenous":
         raise DomainError("solve_exogenous_cascade: recovery model must be exogenous")
-    R = recovery.R
-    if w_form:
-        sol = solve_survival_cascade(market, schedule, grid, check_tolerance)
-        sol.values = [R + (1.0 - R) * v for v in sol.values]
-        return sol
-
-    _check_domain(schedule, grid, None)
-    unreachable = _barriers_below_grid(schedule, grid)
-
-    def profile(x):
-        return np.full_like(x, R)
-
-    def bc_hi(i):
-        return lambda t: R + (1.0 - R) * math.exp(_log_survival(schedule, i, t))
-
-    def bc_lo(i):
-        return bc_hi(i) if unreachable else (lambda t: R)
-
-    def run(g):
-        return _solve_cascade(market, schedule, g, profile, True, bc_lo, bc_hi)
-
-    return _with_richardson(run, grid, check_tolerance)
+    return _cascade(market, schedule, recovery, grid, check_tolerance)
 
 
 def sample(solution: CascadeSolution, x: float, t: float) -> float:

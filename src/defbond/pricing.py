@@ -17,6 +17,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Literal
 
+import numpy as np
+
 from .binaries import BinarySpec, BsCoefficients, price_binary_with_error
 from .errors import DomainError, ScheduleError
 from .integrals import WeightedIntegralSpec, integral_binary
@@ -115,6 +117,13 @@ class RecoveryModel:
         if self.mode != "endogenous":
             raise DomainError("RecoveryModel.cap: only defined for endogenous recovery")
         return math.inf if self.R == 0.0 else self.n / self.R
+
+    def paid(self, x):
+        """Relative recovery a default pays at relative firm value ``x`` (a
+        float or an array): min(1, x / cap) endogenous, R exogenous."""
+        if self.mode == "endogenous":
+            return np.minimum(1.0, x / self.cap)
+        return np.full_like(x, self.R, dtype=float)
 
 
 @dataclass(frozen=True)

@@ -82,24 +82,50 @@ def test_single_interval_matches_closed_form(market):
         assert sample(sol, x, 0.0) == pytest.approx(closed, abs=5e-4)
 
 
+def test_negative_growth_small_spot_boundary(market):
+    # b + lam < 0: the small-spot slope grows backward in time, which only
+    # the exact boundary solution follows
+    market = db.MarketParams(market.r, -0.3, 0.3)
+    schedule = db.DefaultSchedule((0.0, 2.0), (0.1,), (100.0,))
+    rec = db.RecoveryModel("endogenous", 0.5, n=50.0)
+    grid = GridSpec.auto(market, schedule, 150.0, rec, n_space=1024, n_time_per_interval=1024)
+    sol = db.solve_endogenous_cascade(market, schedule, rec, grid)
+    x = 1.5 * grid.x_min
+    closed = db.relative_price_endogenous(market, schedule, rec, x, 0.0)
+    assert sample(sol, x, 0.0) == pytest.approx(closed, abs=2e-5)
+
+
+def test_recovery_mode_mismatch_rejected(market, schedule, exo, endo_high_barrier):
+    grid = GridSpec.auto(market, schedule, 200.0, exo, n_space=128, n_time_per_interval=32)
+    with pytest.raises(DomainError):
+        db.solve_endogenous_cascade(market, schedule, exo, grid)
+    with pytest.raises(DomainError):
+        db.solve_exogenous_cascade(market, schedule, endo_high_barrier, grid)
+
+
 def test_survival_single_barrier_matches_binary(market):
+    # zero exogenous recovery: the cascade is the survival probability W
     schedule = db.DefaultSchedule((0.0, 4.0), (0.0,), (100.0,))
-    grid = GridSpec.auto(market, schedule, 150.0, None, n_space=1024, n_time_per_interval=512)
-    sol = db.solve_survival_cascade(market, schedule, grid)
+    rec = db.RecoveryModel("exogenous", 0.0)
+    grid = GridSpec.auto(market, schedule, 150.0, rec, n_space=1024, n_time_per_interval=512)
+    sol = db.solve_exogenous_cascade(market, schedule, rec, grid)
     co = BsCoefficients(0.0, market.b, market.s_V)
     for x in (70.0, 120.0, 250.0):
         closed = price_binary(BinarySpec("bond", (1,), (100.0,), (4.0,), co), x, 0.0)
         assert sample(sol, x, 0.0) == pytest.approx(closed, abs=5e-4)
 
 
-def test_w_form_matches_direct_solution(market, schedule, exo):
+def test_exogenous_cascade_is_affine_in_recovery(market, schedule, exo):
+    # u = R + (1 - R) W holds on the grid too: gluing, source and boundary
+    # values are all affine in R
     grid = GridSpec.auto(market, schedule, 200.0, exo, n_space=512, n_time_per_interval=128)
     direct = db.solve_exogenous_cascade(market, schedule, exo, grid)
-    via_w = db.solve_exogenous_cascade(market, schedule, exo, grid, w_form=True)
+    zero = db.RecoveryModel("exogenous", 0.0)
+    w = db.solve_exogenous_cascade(market, schedule, zero, grid)
+    R = exo.R
     worst = max(
-        float(np.abs(a - b).max()) for a, b in zip(direct.values, via_w.values)
+        float(np.abs(a - (R + (1.0 - R) * b)).max()) for a, b in zip(direct.values, w.values)
     )
-    # the reconstruction is affine-compatible with the scheme
     assert worst < 1e-10
 
 
@@ -108,7 +134,8 @@ def test_base_scenario_cross_oracle(market, schedule, exo, endo_high_barrier):
     grid = GridSpec.auto(market, schedule, x, endo_high_barrier, n_space=1024, n_time_per_interval=512)
     sol_e = db.solve_endogenous_cascade(market, schedule, endo_high_barrier, grid)
     sol_x = db.solve_exogenous_cascade(market, schedule, exo, GridSpec.auto(market, schedule, x, exo, 1024, 512))
-    sol_w = db.solve_survival_cascade(market, schedule, GridSpec.auto(market, schedule, x, None, 1024, 512))
+    zero = db.RecoveryModel("exogenous", 0.0)
+    sol_w = db.solve_exogenous_cascade(market, schedule, zero, GridSpec.auto(market, schedule, x, zero, 1024, 512))
     for t in (0.0, 2.0, 3.0, 5.0):
         u_closed = db.relative_price_endogenous(market, schedule, endo_high_barrier, x, t)
         assert sample(sol_e, x, t) == pytest.approx(u_closed, abs=1e-4)
@@ -126,7 +153,8 @@ def test_solution_within_payoff_envelope(market, schedule, endo_high_barrier, ex
         assert np.all(np.isfinite(v))
         assert v.min() >= -1e-10
         assert v.max() <= 1.0 + 1e-8
-    solw = db.solve_survival_cascade(market, schedule, GridSpec.auto(market, schedule, 200.0, None, 256, 64))
+    zero = db.RecoveryModel("exogenous", 0.0)
+    solw = db.solve_exogenous_cascade(market, schedule, zero, GridSpec.auto(market, schedule, 200.0, zero, 256, 64))
     for v in solw.values:
         assert v.min() >= -1e-10 and v.max() <= 1.0 + 1e-10
 
