@@ -9,7 +9,10 @@ exact lognormal step, so the estimator carries no discretization bias.
 
 Paths are generated in fixed-size blocks, each keyed into a counter-based
 generator by (seed, block index); results are bit-identical for a given
-(seed, config) no matter how blocks would be dispatched.
+(seed, config) no matter how blocks would be dispatched.  A block's draws
+are transposed once, so each announcing date is a contiguous row: log x
+advances date by date and the first barrier hit is found in one backward
+pass over the dates.
 """
 
 from __future__ import annotations
@@ -90,18 +93,32 @@ def simulate_price(
     b, s = market.b, market.s_V
     n_dates = len(rem_dates)
     drift = (-b - 0.5 * s * s) * seg_dt
+    vol = s * np.sqrt(seg_dt)
+    log_x0 = math.log(x0)
+    # the time a path's first barrier hit ends it, indexed by the hit's date;
+    # index n_dates means no hit
+    hit_times = np.append(rem_dates, np.inf)
 
     def leg_payoff(z, e_unif):
-        """(relative payoff, survived) from one set of draws."""
-        n = z.shape[0]
-        log_steps = drift[None, :] + s * np.sqrt(seg_dt)[None, :] * z[:, :n_dates]
-        log_x = math.log(x0) + np.cumsum(log_steps, axis=1)
-        x_at_dates = np.exp(log_x)
-
-        hit = x_at_dates <= barrier_levels[None, :]
-        any_hit = hit.any(axis=1)
-        first_hit = np.where(any_hit, hit.argmax(axis=1), n_dates)
-        barrier_time = np.where(any_hit, rem_dates[np.minimum(first_hit, n_dates - 1)], np.inf)
+        """(relative payoff, survived) from one set of draws; row j of the
+        date-major ``z`` drives the step to date j, row n_dates the bridge to
+        a jump time."""
+        n = z.shape[1]
+        log_x = np.empty((n_dates, n))
+        x_at_dates = np.empty((n_dates, n))
+        hit = np.empty((n_dates, n), dtype=bool)
+        for j in range(n_dates):
+            step = drift[j] + vol[j] * z[j]
+            # running sum of the steps in the order np.cumsum takes them
+            run = step if j == 0 else run + step
+            np.add(log_x0, run, out=log_x[j])
+            np.exp(log_x[j], out=x_at_dates[j])
+            np.less_equal(x_at_dates[j], barrier_levels[j], out=hit[j])
+        first_hit = np.full(n, n_dates)
+        for j in range(n_dates - 1, -1, -1):
+            first_hit[hit[j]] = j
+        any_hit = first_hit < n_dates
+        barrier_time = hit_times[first_hit]
 
         e = -np.log1p(-np.clip(e_unif, 0.0, 1.0 - 1e-16))
         seg = np.searchsorted(hazard_edges, e, side="right") - 1
@@ -117,18 +134,17 @@ def simulate_price(
 
         payoff = np.ones(n)
         if expected.any():
-            idx = first_hit[expected]
-            payoff[expected] = recovery.paid(x_at_dates[expected, idx])
+            payoff[expected] = recovery.paid(x_at_dates[first_hit[expected], expected])
         if unexpected.any():
             sc = seg_c[unexpected]
             d_theta = theta[unexpected] - seg_times[sc]
             x_base = np.where(
                 sc == 0,
                 x0,
-                np.exp(log_x[unexpected, np.maximum(sc - 1, 0)]),
+                np.exp(log_x[np.maximum(sc - 1, 0), unexpected]),
             )
             x_theta = x_base * np.exp(
-                (-b - 0.5 * s * s) * d_theta + s * np.sqrt(d_theta) * z[unexpected, n_dates]
+                (-b - 0.5 * s * s) * d_theta + s * np.sqrt(d_theta) * z[n_dates, unexpected]
             )
             payoff[unexpected] = recovery.paid(x_theta)
         return payoff, survived
@@ -143,7 +159,8 @@ def simulate_price(
     while done < n_base:
         count = min(_BLOCK, n_base - done)
         rng = _block_rng(config.seed, block)
-        z = rng.standard_normal((count, n_dates + 1))
+        # one transpose per block: each date's draws become a contiguous row
+        z = np.ascontiguousarray(rng.standard_normal((count, n_dates + 1)).T)
         u = rng.random(count)
         pay, surv = leg_payoff(z, u)
         if antithetic:

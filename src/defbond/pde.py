@@ -10,7 +10,10 @@ with S_i the jump survival to maturity, and the small-spot boundary
 p(0) + (p(x_min) - p(0)) c_i(t), exact while p is affine on [0, x_min].
 When every barrier sits far under the grid both edges take the far-field
 value, which needs the same recovery at both edges once a jump channel is
-live.  This engine shares no code path with the closed forms it checks.
+live.  Each interval factors the tridiagonal step matrix once (LAPACK
+``dgttrf``) and solves every step in place in its row of the stored
+solution (``dgttrs``).  This engine shares no code path with the closed
+forms it checks.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .binaries import BsCoefficients
 from .errors import DomainError
@@ -115,7 +119,9 @@ def _march(
 
     Returns (n_steps + 1, len(y)) with row k the solution at t_lo + k dt; the
     first transition after the (possibly discontinuous) terminal row is taken
-    as two implicit-Euler half-steps.
+    as two implicit-Euler half-steps.  Both schemes solve with I - (dt/2) A,
+    so it is LU-factored once and every step is a triangular solve written
+    in place into its row of the output.
     """
     h = y[1] - y[0]
     m = len(y) - 1
@@ -124,40 +130,49 @@ def _march(
     di_c = -2.0 * alpha - rho
     up_c = alpha + mu / (2.0 * h)
     dt = (t_hi - t_lo) / n_steps
+    half = 0.5 * dt
     f = np.zeros(m - 1) if source is None else source
+    half_f = half * f
+    dt_f = dt * f
+    lo_w = half * lo_c
+    up_w = half * up_c
 
-    ab = np.zeros((3, m - 1))
-    ab[0, 1:] = -0.5 * dt * up_c
-    ab[1, :] = 1.0 - 0.5 * dt * di_c
-    ab[2, :-1] = -0.5 * dt * lo_c
-
-    def apply_a(u):
-        return lo_c * u[:-2] + di_c * u[1:-1] + up_c * u[2:]
-
+    *lu, info = dgttrf(
+        np.full(m - 2, -lo_w), np.full(m - 1, 1.0 - half * di_c), np.full(m - 2, -up_w)
+    )
+    if info != 0:
+        raise LinAlgError("singular matrix")
     out = np.empty((n_steps + 1, m + 1))
     out[n_steps] = terminal
-    u = terminal.copy()
-    t = t_hi
-    for k in range(n_steps - 1, -1, -1):
-        t_new = t_lo + k * dt
-        if k == n_steps - 1:
-            # Rannacher start-up: two implicit-Euler half-steps
-            for t_half in (t - 0.5 * dt, t_new):
-                rhs = u[1:-1] + 0.5 * dt * f
-                rhs[0] += 0.5 * dt * lo_c * bc_lo(t_half)
-                rhs[-1] += 0.5 * dt * up_c * bc_hi(t_half)
-                interior = solve_banded((1, 1), ab, rhs)
-                u = np.concatenate(([bc_lo(t_half)], interior, [bc_hi(t_half)]))
-        else:
-            # apply_a(u) already carries the old-time boundary values held in
-            # u[0] and u[-1]; only the implicit (new-time) halves are added.
-            rhs = u[1:-1] + 0.5 * dt * apply_a(u) + dt * f
-            rhs[0] += 0.5 * dt * lo_c * bc_lo(t_new)
-            rhs[-1] += 0.5 * dt * up_c * bc_hi(t_new)
-            interior = solve_banded((1, 1), ab, rhs)
-            u = np.concatenate(([bc_lo(t_new)], interior, [bc_hi(t_new)]))
-        out[k] = u
-        t = t_new
+
+    def solve(k, t):
+        # row k holds the explicit part of the right-hand side; add the
+        # implicit (new-time) boundary halves and solve: the interior is a
+        # contiguous float64 view, which dgttrs overwrites with the solution
+        lo, hi = bc_lo(t), bc_hi(t)
+        row = out[k]
+        row[1] += lo_w * lo
+        row[-2] += up_w * hi
+        _, info = dgttrs(*lu, row[1:-1], overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal gttrs")
+        row[0] = lo
+        row[-1] = hi
+
+    # Rannacher start-up: two implicit-Euler half-steps
+    k = n_steps - 1
+    np.add(terminal[1:-1], half_f, out=out[k, 1:-1])
+    solve(k, t_hi - half)
+    out[k, 1:-1] += half_f
+    solve(k, t_lo + k * dt)
+    for k in range(n_steps - 2, -1, -1):
+        # A u already carries the old-time boundary values u[0] and u[-1]
+        u = out[k + 1]
+        out[k, 1:-1] = u[1:-1] + half * (lo_c * u[:-2] + di_c * u[1:-1] + up_c * u[2:]) + dt_f
+        solve(k, t_lo + k * dt)
+    # a non-finite value anywhere spreads through every later solve
+    if not np.isfinite(out[0]).all():
+        raise ValueError("array must not contain infs or NaNs")
     return out
 
 
@@ -179,13 +194,6 @@ def propagate_terminal(
         y, terminal, coeffs.sigma, mu, coeffs.r, None, bc_lo, bc_hi, t_start, t_end, n_steps
     )
     return full[0]
-
-
-def _log_survival(schedule: DefaultSchedule, i: int, t: float) -> float:
-    total = schedule.intensities[i] * (schedule.dates[i + 1] - t)
-    for k in range(i + 1, schedule.n_intervals):
-        total += schedule.intensities[k] * (schedule.dates[k + 1] - schedule.dates[k])
-    return -total
 
 
 def _cascade(
@@ -248,10 +256,15 @@ def _cascade(
             lam = schedule.intensities[i]
             g = market.b + lam
             t_lo, t_hi = schedule.dates[i], schedule.dates[i + 1]
+            # jump hazard from t_{i+1} to maturity, constant over the interval
+            tail = sum(
+                schedule.intensities[k] * (schedule.dates[k + 1] - schedule.dates[k])
+                for k in range(i + 1, n)
+            )
 
             def far(t):
                 # no barrier triggers; a jump default pays p(x_max)
-                return p_hi + (1.0 - p_hi) * math.exp(_log_survival(schedule, i, t))
+                return p_hi + (1.0 - p_hi) * math.exp(-(lam * (t_hi - t) + tail))
 
             def near(t):
                 # u = p(0) + (p(x_min) - p(0)) c x / x_min while p is affine on

@@ -104,3 +104,38 @@ def test_input_validation(market, schedule, exo):
         db.simulate_price(market, schedule, exo, -1.0, db.SimConfig(n_paths=100, antithetic=False))
     with pytest.raises(DomainError):
         db.simulate_price(market, schedule, exo, 100.0, db.SimConfig(n_paths=100, antithetic=False), t=6.0)
+
+
+# Reference outputs of the path-major engine (np.cumsum along each path).
+# The date-major engine takes the same draws and adds the log steps in the
+# same order, so they reproduce: survival counts exactly, the rest to 1e-12.
+_PINNED = {
+    ("exogenous", True, 0.0): (0.25847710256352824, 0.0002651662380774856, 0.11829331341911764),
+    ("exogenous", True, 2.0): (0.34329643304351665, 0.0003687031440379986, 0.18689682904411764),
+    ("exogenous", False, 0.0): (0.25849601840576497, 0.0004030943275139606, 0.11835075827205882),
+    ("exogenous", False, 2.0): (0.3428863394951319, 0.0005929118710942877, 0.18587718290441177),
+    ("endogenous", True, 0.0): (0.2692200120441119, 0.00038591580448260295, 0.11829331341911764),
+    ("endogenous", True, 2.0): (0.37187634330269936, 0.000498764251438373, 0.18689682904411764),
+    ("endogenous", False, 0.0): (0.2687079902818298, 0.0006793810950462589, 0.11835075827205882),
+    ("endogenous", False, 2.0): (0.37122218080467756, 0.0008937083908771878, 0.18587718290441177),
+}
+
+
+@pytest.mark.parametrize("mode,antithetic,t", sorted(_PINNED))
+def test_pinned_outputs(market, mode, antithetic, t):
+    # three dates with mixed barriers; the base path count straddles the
+    # 2^16 block size, and t = 2 sits exactly on an announcing date
+    schedule = db.DefaultSchedule((0.0, 2.0, 4.0, 6.0), (0.01, 0.02, 0.03), (90.0, 120.0, 80.0))
+    if mode == "exogenous":
+        rec = db.RecoveryModel("exogenous", 0.4)
+    else:
+        rec = db.RecoveryModel("endogenous", 0.5, n=50.0)
+    n_paths = 2**17 + 2**13 if antithetic else 2**16 + 2**12
+    res = db.simulate_price(
+        market, schedule, rec, 150.0, db.SimConfig(n_paths, seed=606, antithetic=antithetic), t
+    )
+    price, std_err, survival = _PINNED[(mode, antithetic, t)]
+    assert res.survival_freq == survival
+    assert res.price_estimate == pytest.approx(price, rel=1e-12, abs=0.0)
+    assert res.std_error == pytest.approx(std_err, rel=1e-12, abs=0.0)
+    assert res.n_paths == n_paths

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 import defbond as db
 from defbond.binaries import BinarySpec, BsCoefficients, price_binary
 from defbond.errors import DomainError
-from defbond.pde import CascadeSolution, GridSpec, sample
+from defbond.pde import CascadeSolution, GridSpec, propagate_terminal, sample
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_grid_spec_validation():
@@ -204,6 +207,17 @@ def test_richardson_warning_on_coarse_grid(market, schedule, exo):
     assert sol2.accuracy_warning is None
 
 
+def test_non_finite_data_rejected():
+    # a NaN in the terminal row spreads through every solve; the march
+    # refuses to return it
+    y = np.linspace(0.0, 6.0, 65)
+    terminal = np.ones_like(y)
+    terminal[30] = np.nan
+    coeffs = BsCoefficients(0.05, 0.0, 0.3)
+    with pytest.raises(ValueError):
+        propagate_terminal(y, terminal, coeffs, 0.0, 1.0, 16, lambda t: 0.0, lambda t: 1.0)
+
+
 # ------------------------------------------------------------------ sampling
 
 
@@ -246,3 +260,37 @@ def test_sample_interpolation_against_finer_grid(market, schedule, exo):
         t = rng.uniform(0.0, 5.99)
         # truncation of the coarse grid dominates near the gluing kinks
         assert sample(coarse, x, t) == pytest.approx(sample(fine, x, t), abs=1.5e-3)
+
+
+# Reference values of the march that called a banded solver at every step.
+# One LU factorisation per interval with the same right-hand sides performs
+# the same elimination, so they reproduce to 1e-12.  Rows: x = 80, 150, 400;
+# columns: t = 0, 1.3, 3, 4.5.
+_PINNED = {
+    "base_exogenous": (
+        0.5230688219274277, 0.527812621470029, 0.5688477585478516, 0.5973445242755412,
+        0.542142721548878, 0.5562369093431034, 0.6163818000709926, 0.6817052646875126,
+        0.590369974684486, 0.6271861382617497, 0.7165494034203852, 0.835842217065938,
+    ),
+    "base_endogenous_low_barrier": (
+        0.15046559834926884, 0.20044327865253464, 0.2295721888406795, 0.32852282140208644,
+        0.2107903930026026, 0.2766549803417666, 0.3386264830108444, 0.4981325001782398,
+        0.3258065821250653, 0.4115040804663974, 0.5407001501930228, 0.763151786241286,
+    ),
+    "base_endogenous_high_barrier": (
+        0.9401999438335318, 0.9900617990139523, 0.9433694649270046, 0.9970452259485175,
+        0.968466553290336, 0.991856535178611, 0.9728886230383161, 0.9993829175853581,
+        0.9866498584158024, 0.9906909568221743, 0.9930817926364774, 0.9999651791469979,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_pinned_bundled_cascades(name):
+    scenario = db.load_scenario(SCENARIOS / f"{name}.yaml")
+    market, schedule, rec = scenario.market, scenario.schedule, scenario.recovery
+    grid = GridSpec.auto(market, schedule, 200.0, rec, n_space=256, n_time_per_interval=64)
+    solve = db.solve_exogenous_cascade if rec.mode == "exogenous" else db.solve_endogenous_cascade
+    sol = solve(market, schedule, rec, grid)
+    got = [sample(sol, x, t) for x in (80.0, 150.0, 400.0) for t in (0.0, 1.3, 3.0, 4.5)]
+    assert got == pytest.approx(_PINNED[name], rel=0.0, abs=1e-12)

@@ -435,6 +435,33 @@ def test_random_schedules_match_simulation():
         )
 
 
+def test_many_date_mixed_regime_three_way():
+    # 16 endogenous dates whose barriers alternate 60/130 around the cap 100,
+    # so the per-date term changes regime at every date.  Measured
+    # |closed - PDE| on 512x128 per interval: 2.6e-5 at t = 0.1 and 1.3e-5 at
+    # t = 3.6 (9.4e-6 / 2.6e-6 at 1024x256, 2.0e-6 / 6.3e-7 at 2048x512);
+    # the tolerance allows about twice the larger one.  MC: 0.01 and 1.03 sigma.
+    market = db.MarketParams(r=0.05, b=0.02, s_V=0.3)
+    n = 16
+    schedule = db.DefaultSchedule(
+        tuple(0.25 * k for k in range(n + 1)),
+        tuple(0.02 + 0.002 * k for k in range(n)),
+        tuple(60.0 if k % 2 == 0 else 130.0 for k in range(n)),
+    )
+    rec = db.RecoveryModel("endogenous", 0.5, n=50.0)
+    x = 160.0
+    grid = db.GridSpec.auto(market, schedule, x, rec, n_space=512, n_time_per_interval=128)
+    solution = db.solve_endogenous_cascade(market, schedule, rec, grid)
+    for t in (0.1, 3.6):
+        df = math.exp(-market.r * (schedule.maturity - t))
+        closed = db.price_endogenous(market, schedule, rec, x * df, t).price
+        assert abs(closed - df * db.sample(solution, x, t)) <= 5e-5
+        mc = db.simulate_price(
+            market, schedule, rec, x * df, db.SimConfig(n_paths=200_000, seed=16), t
+        )
+        assert abs(closed - mc.price_estimate) <= 3.0 * mc.std_error
+
+
 # ------------------------------------------------- parameter monotonicity
 
 
