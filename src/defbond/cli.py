@@ -79,13 +79,10 @@ def curve_rows(scenario: Scenario, parameter: str, values, quantity: str, points
     """Header plus one row per grid time on [0, maturity)."""
     maturity = scenario.schedule.maturity
     ts = [k * maturity / points for k in range(points)]
-    clipped = [t for t in ts if t < maturity]
-    if len(clipped) < len(ts):
-        print("warning: t grid touched maturity; trailing points clipped", file=sys.stderr)
     header = ["t"] + [_series_label(parameter, v) for v in values]
     variants = [apply_sweep_value(scenario, parameter, v) for v in values]
     rows = []
-    for t in clipped:
+    for t in ts:
         row = [_fmt(t)]
         for variant in variants:
             report = _price_report(variant, t)

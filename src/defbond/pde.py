@@ -11,16 +11,19 @@ p(0) + (p(x_min) - p(0)) c_i(t), exact while p is affine on [0, x_min].
 When every barrier sits far under the grid both edges take the far-field
 value, which needs the same recovery at both edges once a jump channel is
 live.  Each interval factors the tridiagonal step matrix once (LAPACK
-``dgttrf``) and solves every step in place in its row of the stored
-solution (``dgttrs``).  This engine shares no code path with the closed
-forms it checks.
+``dgttrf``, held by a per-interval stepper) and solves every step in place
+(``dgttrs``) over two rolling row buffers.  Only every s-th row is kept,
+s = isqrt(steps per interval), plus the glued terminal row; ``sample``
+re-marches the rows it needs from the nearest kept row above them with the
+same stepper, so it reads the values a full history would hold.  This
+engine shares no code path with the closed forms it checks.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -93,87 +96,121 @@ class GridSpec:
 
 @dataclass
 class CascadeSolution:
-    """Per-interval grids of the relative price u on (log-spot, time)."""
+    """Per-interval grids of the relative price u on (log-spot, time).
+
+    ``times[i]`` is interval i's full step grid t_i + k dt, k = 0..n.
+    ``values[i]`` keeps only the rows k = 0, s, 2s, ... below n, with
+    s = ``stride``, and last the glued terminal row k = n.  ``sample``
+    re-marches any other row with ``steppers[i]`` from the nearest kept row
+    above it, bit for bit as the solve computed it.  The defaults (stride 1,
+    no steppers) describe a solution that stores every row.
+    """
 
     dates: tuple[float, ...]
     y: np.ndarray
     times: list[np.ndarray]
     values: list[np.ndarray]
     accuracy_warning: str | None = None
+    stride: int = 1
+    steppers: list["_Stepper"] = field(default_factory=list)
 
 
-def _march(
-    y: np.ndarray,
-    terminal: np.ndarray,
-    sigma: float,
-    mu: float,
-    rho: float,
-    source: np.ndarray | None,
-    bc_lo: Callable[[float], float],
-    bc_hi: Callable[[float], float],
-    t_lo: float,
-    t_hi: float,
-    n_steps: int,
-) -> np.ndarray:
-    """Backward Crank-Nicolson for u_t + (sigma^2/2) u_yy + mu u_y - rho u + f = 0.
+class _Stepper:
+    """Backward Crank-Nicolson for u_t + (sigma^2/2) u_yy + mu u_y - rho u + f = 0
+    on n_steps steps of [t_lo, t_hi]; row k is the solution at t_lo + k dt.
 
-    Returns (n_steps + 1, len(y)) with row k the solution at t_lo + k dt; the
-    first transition after the (possibly discontinuous) terminal row is taken
-    as two implicit-Euler half-steps.  Both schemes solve with I - (dt/2) A,
-    so it is LU-factored once and every step is a triangular solve written
-    in place into its row of the output.
+    The first transition after the (possibly discontinuous) terminal row is
+    taken as two implicit-Euler half-steps.  Both schemes solve with
+    I - (dt/2) A, so it is LU-factored once and every step is a triangular
+    solve.
     """
-    h = y[1] - y[0]
-    m = len(y) - 1
-    alpha = sigma * sigma / (2.0 * h * h)
-    lo_c = alpha - mu / (2.0 * h)
-    di_c = -2.0 * alpha - rho
-    up_c = alpha + mu / (2.0 * h)
-    dt = (t_hi - t_lo) / n_steps
-    half = 0.5 * dt
-    f = np.zeros(m - 1) if source is None else source
-    half_f = half * f
-    dt_f = dt * f
-    lo_w = half * lo_c
-    up_w = half * up_c
 
-    *lu, info = dgttrf(
-        np.full(m - 2, -lo_w), np.full(m - 1, 1.0 - half * di_c), np.full(m - 2, -up_w)
-    )
-    if info != 0:
-        raise LinAlgError("singular matrix")
-    out = np.empty((n_steps + 1, m + 1))
-    out[n_steps] = terminal
+    def __init__(
+        self,
+        y: np.ndarray,
+        sigma: float,
+        mu: float,
+        rho: float,
+        source: np.ndarray | None,
+        bc_lo: Callable[[float], float],
+        bc_hi: Callable[[float], float],
+        t_lo: float,
+        t_hi: float,
+        n_steps: int,
+    ):
+        h = y[1] - y[0]
+        m = len(y) - 1
+        alpha = sigma * sigma / (2.0 * h * h)
+        self.lo_c = alpha - mu / (2.0 * h)
+        self.di_c = -2.0 * alpha - rho
+        self.up_c = alpha + mu / (2.0 * h)
+        self.dt = (t_hi - t_lo) / n_steps
+        self.half = half = 0.5 * self.dt
+        f = np.zeros(m - 1) if source is None else source
+        self.half_f = half * f
+        self.dt_f = self.dt * f
+        self.lo_w = half * self.lo_c
+        self.up_w = half * self.up_c
+        self.bc_lo, self.bc_hi = bc_lo, bc_hi
+        self.t_lo, self.t_hi, self.n_steps = t_lo, t_hi, n_steps
+        # rows a march keeps: every stride-th, then the terminal row
+        self.stride = math.isqrt(n_steps)
+        *self.lu, info = dgttrf(
+            np.full(m - 2, -self.lo_w),
+            np.full(m - 1, 1.0 - half * self.di_c),
+            np.full(m - 2, -self.up_w),
+        )
+        if info != 0:
+            raise LinAlgError("singular matrix")
 
-    def solve(k, t):
-        # row k holds the explicit part of the right-hand side; add the
+    def _solve(self, row: np.ndarray, t: float) -> None:
+        # row holds the explicit part of the right-hand side; add the
         # implicit (new-time) boundary halves and solve: the interior is a
         # contiguous float64 view, which dgttrs overwrites with the solution
-        lo, hi = bc_lo(t), bc_hi(t)
-        row = out[k]
-        row[1] += lo_w * lo
-        row[-2] += up_w * hi
-        _, info = dgttrs(*lu, row[1:-1], overwrite_b=True)
+        lo, hi = self.bc_lo(t), self.bc_hi(t)
+        row[1] += self.lo_w * lo
+        row[-2] += self.up_w * hi
+        _, info = dgttrs(*self.lu, row[1:-1], overwrite_b=True)
         if info != 0:
             raise ValueError(f"illegal value in {-info}-th argument of internal gttrs")
         row[0] = lo
         row[-1] = hi
 
-    # Rannacher start-up: two implicit-Euler half-steps
-    k = n_steps - 1
-    np.add(terminal[1:-1], half_f, out=out[k, 1:-1])
-    solve(k, t_hi - half)
-    out[k, 1:-1] += half_f
-    solve(k, t_lo + k * dt)
-    for k in range(n_steps - 2, -1, -1):
-        # A u already carries the old-time boundary values u[0] and u[-1]
-        u = out[k + 1]
-        out[k, 1:-1] = u[1:-1] + half * (lo_c * u[:-2] + di_c * u[1:-1] + up_c * u[2:]) + dt_f
-        solve(k, t_lo + k * dt)
+    def step(self, k: int, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write row k into ``out`` from row k + 1 in ``u`` (a different array)."""
+        if k == self.n_steps - 1:
+            # Rannacher start-up: two implicit-Euler half-steps
+            np.add(u[1:-1], self.half_f, out=out[1:-1])
+            self._solve(out, self.t_hi - self.half)
+            out[1:-1] += self.half_f
+        else:
+            # A u already carries the old-time boundary values u[0] and u[-1]
+            out[1:-1] = (
+                u[1:-1]
+                + self.half * (self.lo_c * u[:-2] + self.di_c * u[1:-1] + self.up_c * u[2:])
+                + self.dt_f
+            )
+        self._solve(out, self.t_lo + k * self.dt)
+        return out
+
+
+def _march(stepper: _Stepper, terminal: np.ndarray) -> np.ndarray:
+    """Run ``stepper`` down from ``terminal`` over two rolling row buffers.
+
+    Returns the kept rows: k = 0, s, 2s, ... below n_steps, then the
+    terminal row, with s = ``stepper.stride``.
+    """
+    n, s = stepper.n_steps, stepper.stride
+    kept = np.empty((-(-n // s) + 1, len(terminal)))
+    kept[-1] = terminal
+    spare = np.empty((2, len(terminal)))
+    u = kept[-1]
+    for k in range(n - 1, -1, -1):
+        u = stepper.step(k, u, kept[k // s] if k % s == 0 else spare[k & 1])
     # a non-finite value anywhere spreads through every later solve
-    if not np.isfinite(out[0]).all():
+    if not np.isfinite(kept[0]).all():
         raise ValueError("array must not contain infs or NaNs")
-    return out
+    return kept
 
 
 def propagate_terminal(
@@ -190,10 +227,34 @@ def propagate_terminal(
     on a log-spot grid; returns the slice at ``t_start``.  Verification hook
     for nesting identities."""
     mu = coeffs.r - coeffs.q - 0.5 * coeffs.sigma**2
-    full = _march(
-        y, terminal, coeffs.sigma, mu, coeffs.r, None, bc_lo, bc_hi, t_start, t_end, n_steps
+    stepper = _Stepper(
+        y, coeffs.sigma, mu, coeffs.r, None, bc_lo, bc_hi, t_start, t_end, n_steps
     )
-    return full[0]
+    return _march(stepper, terminal)[0]
+
+
+def _edges(
+    b: float, lam: float, t_hi: float, tail: float, p_0: float, p_lo: float, p_hi: float
+) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    """Small- and large-spot boundary values of one interval as functions of t;
+    ``tail`` is the jump hazard from t_hi to maturity.  The interval's stepper
+    keeps them for re-marching on ``sample``, so each binds its own values."""
+    g = b + lam
+
+    def near(t):
+        # u = p(0) + (p(x_min) - p(0)) c x / x_min while p is affine on
+        # [0, x_min]: dc/dt = (b + lam) c - lam, c(t_{i+1}) = 1
+        if g == 0.0:
+            c = 1.0 + lam * (t_hi - t)
+        else:
+            c = 1.0 + (1.0 - lam / g) * math.expm1(-g * (t_hi - t))
+        return p_0 + (p_lo - p_0) * c
+
+    def far(t):
+        # no barrier triggers; a jump default pays p(x_max)
+        return p_hi + (1.0 - p_hi) * math.exp(-(lam * (t_hi - t) + tail))
+
+    return near, far
 
 
 def _cascade(
@@ -251,35 +312,21 @@ def _cascade(
         rec = recovery.paid(np.exp(y))
         times: list[np.ndarray] = [None] * n  # type: ignore[list-item]
         values: list[np.ndarray] = [None] * n  # type: ignore[list-item]
+        steppers: list[_Stepper] = [None] * n  # type: ignore[list-item]
         nxt = np.ones_like(y)
         for i in range(n - 1, -1, -1):
             lam = schedule.intensities[i]
-            g = market.b + lam
             t_lo, t_hi = schedule.dates[i], schedule.dates[i + 1]
             # jump hazard from t_{i+1} to maturity, constant over the interval
             tail = sum(
                 schedule.intensities[k] * (schedule.dates[k + 1] - schedule.dates[k])
                 for k in range(i + 1, n)
             )
-
-            def far(t):
-                # no barrier triggers; a jump default pays p(x_max)
-                return p_hi + (1.0 - p_hi) * math.exp(-(lam * (t_hi - t) + tail))
-
-            def near(t):
-                # u = p(0) + (p(x_min) - p(0)) c x / x_min while p is affine on
-                # [0, x_min]: dc/dt = (b + lam) c - lam, c(t_{i+1}) = 1
-                if g == 0.0:
-                    c = 1.0 + lam * (t_hi - t)
-                else:
-                    c = 1.0 + (1.0 - lam / g) * math.expm1(-g * (t_hi - t))
-                return p_0 + (p_lo - p_0) * c
-
+            near, far = _edges(market.b, lam, t_hi, tail, p_0, p_lo, p_hi)
             above = np.clip((y - math.log(schedule.barriers[i])) / dy + 0.5, 0.0, 1.0)
             terminal = above * nxt + (1.0 - above) * rec
-            values[i] = _march(
+            steppers[i] = _Stepper(
                 y,
-                terminal,
                 sigma,
                 mu,
                 lam,
@@ -290,9 +337,13 @@ def _cascade(
                 t_hi,
                 spec.n_time_per_interval,
             )
+            values[i] = _march(steppers[i], terminal)
             times[i] = np.linspace(t_lo, t_hi, spec.n_time_per_interval + 1)
             nxt = values[i][0]
-        solutions.append(CascadeSolution(schedule.dates, y, times, values))
+        solutions.append(CascadeSolution(
+            schedule.dates, y, times, values,
+            stride=steppers[0].stride, steppers=steppers,
+        ))
 
     fine = solutions[0]
     if check_tolerance is not None:
@@ -336,10 +387,12 @@ def solve_exogenous_cascade(
 
 
 def sample(solution: CascadeSolution, x: float, t: float) -> float:
-    """Bilinear interpolation of the stored cascade on (log x, t).
+    """Bilinear interpolation of the cascade on (log x, t).
 
     Announcing dates belong to the interval on their right; ``t`` equal to
-    maturity returns the glued terminal data of the last interval.
+    maturity returns the glued terminal data of the last interval.  A
+    bracketing row that is not kept is re-marched from the nearest kept row
+    above it, so the value is the one the full history would give.
     """
     y = math.log(x) if x > 0.0 else -math.inf
     if not (solution.y[0] <= y <= solution.y[-1]):
@@ -348,8 +401,22 @@ def sample(solution: CascadeSolution, x: float, t: float) -> float:
         raise DomainError(f"sample: time {t} outside the grid hull")
     i = min(bisect_right(solution.dates, t) - 1, len(solution.values) - 1)
     times = solution.times[i]
-    grid = solution.values[i]
     k = min(max(bisect_right(times, t) - 1, 0), len(times) - 2)
     w = (t - times[k]) / (times[k + 1] - times[k])
-    row = (1.0 - w) * grid[k] + w * grid[k + 1]
+    lower, upper = _bracket(solution, i, k)
+    row = (1.0 - w) * lower + w * upper
     return float(np.interp(y, solution.y, row))
+
+
+def _bracket(solution: CascadeSolution, i: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows k and k + 1 of interval i."""
+    s = solution.stride
+    kept = solution.values[i]
+    r = -(-(k + 1) // s)  # the nearest kept row at or above k + 1
+    upper = kept[r]
+    spare = np.empty((2, len(upper)))
+    for j in range(min(r * s, len(solution.times[i]) - 1) - 1, k, -1):
+        upper = solution.steppers[i].step(j, upper, spare[j & 1])
+    if k % s == 0:
+        return kept[k // s], upper
+    return solution.steppers[i].step(k, upper, spare[k & 1]), upper

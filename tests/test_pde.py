@@ -166,15 +166,14 @@ def test_jumps_only_at_announcing_dates(market, schedule, exo):
     grid = GridSpec.auto(market, schedule, 200.0, exo, n_space=512, n_time_per_interval=256)
     sol = db.solve_exogenous_cascade(market, schedule, exo, grid)
     j_below = int(np.searchsorted(sol.y, math.log(50.0)))
-    j_above = int(np.searchsorted(sol.y, math.log(400.0)))
     # gluing at t_1 cuts the sub-barrier value down to the recovery
     glued = sol.values[0][-1]
     continuation = sol.values[1][0]
     assert abs(glued[j_below] - exo.R) < 1e-12
     assert continuation[j_below] - glued[j_below] > 0.02
     # away from the gluing the solution moves smoothly in time
-    interior = sol.values[0][1:-1]
-    step = np.abs(np.diff(interior[:, j_above], axis=0)).max()
+    interior = [sample(sol, 400.0, float(t)) for t in sol.times[0][1:-1]]
+    step = np.abs(np.diff(interior)).max()
     assert step < 5e-3
 
 
@@ -285,6 +284,35 @@ _PINNED = {
 }
 
 
+# Values of the march that kept every row, at five kinds of step time on the
+# same grids (columns) and at x = x_min, 80, 150, 400, x_max (rows); the
+# grid edges carry each interval's own boundary values.  Re-marching
+# reproduces them bit for bit.
+_PINNED_STEPS = {
+    "base_exogenous": (
+        0.5, 0.5, 0.5, 0.5, 0.5,
+        0.5102082371892381, 0.576950718186603, 0.5807688392530052, 0.5258561284515584, 0.5688477585478516,
+        0.6114361695830904, 0.633019759250296, 0.6412673411839501, 0.5495775891254074, 0.6163818000709926,
+        0.7138999283405242, 0.7478420658483254, 0.7632132187927895, 0.6093405608841391, 0.7165494034203852,
+        0.9925097948438474, 0.9937696153851978, 0.994290659355171, 0.990344447594333, 0.9925559698015314,
+    ),
+    "base_endogenous_low_barrier": (
+        0.0007514921521447464, 0.0006650291454263296, 0.0006719898745931912, 0.0006732837577593748, 0.000649096448734653,
+        0.36831728910895206, 0.2567481406851874, 0.26975107159301026, 0.17682839553970045, 0.2295721888406795,
+        0.3442316421879514, 0.38098716845560954, 0.4015691800261691, 0.24613852402219233, 0.3386264830108444,
+        0.5351686120561808, 0.603029405038717, 0.6326050101486981, 0.37337835805999614, 0.5407001501930228,
+        1.0, 1.0, 1.0, 1.0, 1.0,
+    ),
+    "base_endogenous_high_barrier": (
+        0.0015029843042894929, 0.0013300582908526593, 0.0013439797491863823, 0.0013465675155187496, 0.001298192897469306,
+        0.9956891082416236, 0.969266048730421, 0.9780076412933115, 0.9761581119961346, 0.9433694649270046,
+        0.9736863247782166, 0.9875495541106464, 0.9918830643026485, 0.9872388816333311, 0.9728886230383161,
+        0.9924503427161698, 0.997662558992493, 0.9987158129195384, 0.9910412949008136, 0.9930817926364774,
+        1.0, 1.0, 1.0, 1.0, 1.0,
+    ),
+}
+
+
 @pytest.mark.parametrize("name", sorted(_PINNED))
 def test_pinned_bundled_cascades(name):
     scenario = db.load_scenario(SCENARIOS / f"{name}.yaml")
@@ -294,3 +322,29 @@ def test_pinned_bundled_cascades(name):
     sol = solve(market, schedule, rec, grid)
     got = [sample(sol, x, t) for x in (80.0, 150.0, 400.0) for t in (0.0, 1.3, 3.0, 4.5)]
     assert got == pytest.approx(_PINNED[name], rel=0.0, abs=1e-12)
+    # 64 steps per interval keep every 8th row; the other rows are re-marched
+    t0, t1 = sol.times
+    steps = (
+        t0[63],  # the Rannacher start-up row
+        0.5 * (t1[10] + t1[11]),  # between two rows that are not kept
+        t1[15],  # one step below the kept row 16
+        t0[16],  # on a kept row
+        3.0,  # on the interior announcing date
+    )
+    spots = (grid.x_min, 80.0, 150.0, 400.0, grid.x_max)
+    got = [sample(sol, x, float(t)) for x in spots for t in steps]
+    assert got == list(_PINNED_STEPS[name])
+
+
+def test_history_memory_scales_with_root_of_steps(market):
+    # 16 intervals at 512 steps each: the kept rows are a small share of the
+    # 16 * 513 rows a full history would hold, and any step still samples
+    n = 16
+    schedule = db.DefaultSchedule(
+        tuple(0.25 * k for k in range(n + 1)), (0.01,) * n, (80.0,) * n
+    )
+    rec = db.RecoveryModel("exogenous", 0.4)
+    grid = GridSpec.auto(market, schedule, 100.0, rec, n_space=512, n_time_per_interval=512)
+    sol = db.solve_exogenous_cascade(market, schedule, rec, grid)
+    assert sum(v.nbytes for v in sol.values) <= n * 513 * 513 * 8 / 10
+    assert math.isfinite(sample(sol, 100.0, 0.25 * 7 + 0.25 * 301 / 512))
