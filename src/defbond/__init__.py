@@ -6,7 +6,6 @@ verify them."""
 
 from .binaries import BinarySpec, BsCoefficients, price_binary, shift_coefficients
 from .errors import (
-    CovarianceError,
     DefbondError,
     DomainError,
     ScenarioError,
@@ -51,7 +50,6 @@ __all__ = [
     "BsCoefficients",
     "CascadeSolution",
     "CorrelationStructure",
-    "CovarianceError",
     "DEFAULT_QMC",
     "DefaultSchedule",
     "DefbondError",

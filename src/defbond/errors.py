@@ -13,15 +13,6 @@ class ScheduleError(DefbondError, ValueError):
     """A date schedule is malformed (ordering, bounds, or lengths)."""
 
 
-class CovarianceError(DefbondError, ValueError):
-    """A covariance matrix is unusable: not positive definite beyond the
-    tolerated near-degeneracy."""
-
-    def __init__(self, message: str, eigenvalue: float | None = None):
-        super().__init__(message)
-        self.eigenvalue = eigenvalue
-
-
 class ScenarioError(DefbondError, ValueError):
     """A scenario file failed validation.  ``code`` is a stable short
     identifier suitable for scripting against CLI output."""

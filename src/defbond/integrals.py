@@ -174,7 +174,6 @@ def integral_binary(
     x: float,
     t: float,
     config: QmcConfig = DEFAULT_QMC,
-    abs_tol: float = QUAD_ABS_TOL,
 ) -> tuple[float, float]:
     """Weighted integral value and the quadrature error estimate."""
     if not (math.isfinite(x) and x > 0.0):
@@ -195,5 +194,5 @@ def integral_binary(
         w = rate * math.exp(-rate * (tau - anchor))
         return w * price_binary(spec.binary_at(tau), x, t, config)
 
-    value, err = _adaptive_quad(integrand, spec.lower, spec.upper, abs_tol=abs_tol)
+    value, err = _adaptive_quad(integrand, spec.lower, spec.upper)
     return max(value, 0.0), err

@@ -13,9 +13,8 @@ three on the CDF is a forward recursion of one-dimensional Gaussian
 convolutions over panel Gauss-Legendre grids (quadrature between monitoring
 dates, as in Andricopoulos et al., J. Financial Economics 2003, and Feng &
 Linetsky, Mathematical Finance 2008).  Its error estimate is the distance to
-the same recursion on a coarser rule.  Explicit covariances are standardized
-and, from dimension three on, must be Markov chains in the given order; the
-evaluator then reads their superdiagonal.
+the same recursion on a coarser rule.  ``mvn_cdf`` accepts only a
+``CorrelationStructure``: every CDF the pricer needs is such a chain.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from functools import cache, cached_property
 import numpy as np
 from scipy.special import ndtr, roots_legendre
 
-from .errors import CovarianceError, DomainError, ScheduleError
+from .errors import DomainError, ScheduleError
 
 __all__ = [
     "QmcConfig",
@@ -40,10 +39,6 @@ __all__ = [
 ]
 
 _INF = float("inf")
-
-# Below this smallest eigenvalue an explicit covariance counts as singular; it
-# is accepted only through a +-1 pair, whose coordinates are merged.
-_EIG_COLLAPSE = 1e-10
 
 # Chain CDF: standardized coordinates are cut to [-_L, _L] (the mass outside
 # is below 3e-19 per coordinate); panels carry _NODES Gauss-Legendre nodes,
@@ -387,38 +382,6 @@ def _box_probability(lower, upper, rho):
     return p, max(abs(p - _chain_box(lower, upper, rho, _NODES_COARSE)), 1e-15)
 
 
-def _standardize(a, cov):
-    diag = np.diag(cov).copy()
-    if np.any(diag <= 0.0):
-        bad = float(diag.min())
-        raise CovarianceError(
-            f"covariance has non-positive variance {bad:.3e}", eigenvalue=bad
-        )
-    scale = np.sqrt(diag)
-    corr = cov / np.outer(scale, scale)
-    np.fill_diagonal(corr, 1.0)
-    return a / scale, corr
-
-
-def _check_chain(corr) -> None:
-    """Reject a correlation matrix of dimension >= 3 that is not positive
-    definite (unless singular only through a +-1 pair) or not a Markov chain
-    in the given order, i.e. ``corr[i, k] != corr[i, k-1] * corr[k-1, k]``."""
-    eigmin = float(np.linalg.eigvalsh(corr)[0])
-    rho = np.diagonal(corr, 1)
-    if eigmin < -_EIG_COLLAPSE or (eigmin < _EIG_COLLAPSE and np.abs(rho).max() < 1.0 - 1e-6):
-        raise CovarianceError(
-            f"covariance is not positive definite: smallest eigenvalue {eigmin:.3e}",
-            eigenvalue=eigmin,
-        )
-    i, j = np.triu_indices(len(corr), 1, len(corr) - 1)
-    if not np.allclose(corr[i, j] * rho[j], corr[i, j + 1], rtol=0.0, atol=1e-10):
-        raise DomainError(
-            "mvn_cdf: from three dimensions on the covariance must be a Markov chain "
-            "(corr[i, k] = corr[i, j] * corr[j, k] for i < j < k)"
-        )
-
-
 def mvn_cdf(a, corr, signs=None, config: QmcConfig = DEFAULT_QMC):
     """m-variate normal CDF with optional coordinate flips.
 
@@ -426,11 +389,10 @@ def mvn_cdf(a, corr, signs=None, config: QmcConfig = DEFAULT_QMC):
     ----------
     a : sequence of m floats (+-inf allowed)
         Limits.  With ``signs[i] == -1`` the i-th event is ``-X_i <= a_i``
-        instead of ``X_i <= a_i``; equivalently the covariance of the flipped
-        vector is ``(s_i s_j r_ij)``.
-    corr : CorrelationStructure or (m, m) covariance array
-        An explicit covariance with m >= 3 must be that of a Markov chain in
-        the given order, as every CorrelationStructure is.
+        instead of ``X_i <= a_i``; equivalently the correlation of the
+        flipped vector is ``(s_i s_j r_ij)``.
+    corr : CorrelationStructure
+        The chain of the m expiries; anything else raises ``DomainError``.
     signs : sequence of +-1, optional
     config : ignored; kept for callers that pass it
 
@@ -448,20 +410,11 @@ def mvn_cdf(a, corr, signs=None, config: QmcConfig = DEFAULT_QMC):
     if any(map(math.isnan, limits)):
         raise DomainError("mvn_cdf: NaN limit")
     m = len(limits)
-    if isinstance(corr, CorrelationStructure):
-        if corr.dim != m:
-            raise DomainError("mvn_cdf: limits and correlation dimension differ")
-        rho = corr.rho
-    else:
-        cov = np.asarray(corr, dtype=float)
-        if cov.shape != (m, m):
-            raise DomainError("mvn_cdf: covariance shape does not match limits")
-        if not np.allclose(cov, cov.T, atol=1e-10 * max(1.0, float(np.abs(cov).max()))):
-            raise DomainError("mvn_cdf: covariance must be symmetric")
-        scaled, corrm = _standardize(a, 0.5 * (cov + cov.T))
-        if m >= 3:
-            _check_chain(corrm)
-        limits, rho = scaled.tolist(), np.diagonal(corrm, 1).tolist()
+    if not isinstance(corr, CorrelationStructure):
+        raise DomainError("mvn_cdf: correlation must be a CorrelationStructure")
+    if corr.dim != m:
+        raise DomainError("mvn_cdf: limits and correlation dimension differ")
+    rho = corr.rho
 
     if signs is None:
         return _box_probability([-_INF] * m, limits, rho)

@@ -43,6 +43,10 @@ __all__ = [
     "propagate_terminal",
 ]
 
+# Grid edges sit at least this factor past every barrier, the recovery cap and
+# the spot (GridSpec.auto); barriers this far under x_min are unreachable.
+_MARGIN = 50.0
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -70,10 +74,9 @@ class GridSpec:
         recovery: RecoveryModel,
         n_space: int = 2048,
         n_time_per_interval: int = 2048,
-        margin: float = 50.0,
     ) -> "GridSpec":
         """Domain sized so the analytic boundary values hold to verification
-        tolerances: at least ``margin`` times past every barrier, the
+        tolerances: at least ``_MARGIN`` (50) times past every barrier, the
         recovery cap and the evaluation spot, widened further when the
         lognormal drift plus four standard deviations over the full horizon
         reaches past that (the relative spot drifts down at rate
@@ -84,8 +87,8 @@ class GridSpec:
         horizon = schedule.maturity
         drift = (market.b + 0.5 * market.s_V**2) * horizon
         spread = 4.0 * market.s_V * math.sqrt(horizon)
-        log_hi = max(math.log(margin), drift + spread)
-        log_lo = max(math.log(margin), spread - drift)
+        log_hi = max(math.log(_MARGIN), drift + spread)
+        log_lo = max(math.log(_MARGIN), spread - drift)
         return cls(
             min(refs) * math.exp(-log_lo),
             max(refs) * math.exp(log_hi),
@@ -281,7 +284,7 @@ def _cascade(
     # barriers far under the grid trigger no expected default on it (the
     # vanishing-barrier limit): both edges take the far-field value, which
     # holds only when every jump default on the grid pays the same
-    unreachable = max(schedule.barriers) * 50.0 <= grid.x_min
+    unreachable = max(schedule.barriers) * _MARGIN <= grid.x_min
     if unreachable:
         if p_lo != p_hi and any(v > 0.0 for v in schedule.intensities):
             raise DomainError(

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 import defbond as db
-from defbond.errors import CovarianceError, DomainError, ScheduleError
+from defbond.errors import DomainError, ScheduleError
 from defbond.normal import QmcConfig
 
 from oracles import conditional_chain_cdf3, gl_mvn_cdf
@@ -167,11 +168,6 @@ def test_mvn_total_mass():
     assert err == 0.0
 
 
-def test_mvn_identity_covariance_independence():
-    p, _ = db.mvn_cdf([0.0, 0.0, 0.0], np.eye(3))
-    assert p == pytest.approx(0.125, abs=1e-12)
-
-
 M3_LIMITS = (0.5, 0.2, -0.1)
 # frozen from gl_mvn_cdf(M3_LIMITS, cov(t=0, T=(1,2,3)), n=140, lo=-9.5); the
 # oracle is re-evaluated live below
@@ -214,17 +210,19 @@ def test_mvn_marginalization_chain():
             assert abs(p_full - p_red) <= 1e-12, (m, k)
 
 
-def test_mvn_structure_matches_explicit_covariance_in_two_dimensions():
-    # the same chain given as a structure and as its Brownian covariance
-    # min(T_i, T_j), with limits scaled by sqrt(T), under every sign pattern
-    expiries = (1.3, 4.1)
-    c = db.build_correlation(0.0, expiries)
-    cov = np.minimum.outer(expiries, expiries)
-    a = np.array([0.35, -0.8])
-    for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        p, _ = db.mvn_cdf(a, c, signs)
-        q, _ = db.mvn_cdf(a * np.sqrt(expiries), cov, signs)
-        assert abs(p - q) <= 1e-15, signs
+def test_mvn_signs_match_bivariate_in_two_dimensions():
+    # the event s_i X_i <= a_i under every sign pattern is the bivariate CDF
+    # of the flipped pair, whose correlation is s_1 s_2 rho
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        t1, t2 = np.cumsum(rng.uniform(0.2, 3.0, size=2))
+        c = db.build_correlation(0.0, (t1, t2))
+        rho = math.sqrt(t1 / t2)
+        a = rng.uniform(-2.0, 2.0, size=2)
+        for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            p, _ = db.mvn_cdf(a, c, signs)
+            q = db.bivariate_cdf(a[0], a[1], signs[0] * signs[1] * rho)
+            assert abs(p - q) <= 1e-15, signs
 
 
 def test_mvn_monotone_in_each_limit():
@@ -258,19 +256,12 @@ def test_mvn_near_coincident_dates_collapse():
     assert p == pytest.approx(p2, abs=1e-9)
 
 
-def test_mvn_non_positive_definite_raises_with_eigenvalue():
-    cov = np.array([[1.0, 0.9, 0.1], [0.9, 1.0, 0.9], [0.1, 0.9, 1.0]])
-    assert np.linalg.eigvalsh(cov)[0] < 0
-    with pytest.raises(CovarianceError) as exc:
-        db.mvn_cdf([0.0, 0.0, 0.0], cov)
-    assert exc.value.eigenvalue is not None
-    assert exc.value.eigenvalue < 1e-10
-
-
-def test_mvn_rejects_asymmetric_covariance():
-    cov = np.array([[1.0, 0.2], [0.4, 1.0]])
+def test_mvn_rejects_non_structure_correlation():
+    # only the Brownian-chain structure is accepted, not a matrix
     with pytest.raises(DomainError):
-        db.mvn_cdf([0.0, 0.0], cov)
+        db.mvn_cdf([0.0, 0.0], np.eye(2))
+    with pytest.raises(DomainError):
+        db.mvn_cdf([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]])
 
 
 def test_mvn_rejects_bad_signs():
@@ -320,6 +311,22 @@ def test_mvn_error_estimate_covers_actual_error():
         assert abs(p - truth) <= err + 1e-14
 
 
+def test_mvn_every_sign_pattern_in_three_dimensions():
+    # each flip pattern s matches the dense oracle on the flipped covariance
+    # s_i s_j c_ij, and the coarse-rule estimate covers the distance
+    rng = np.random.default_rng(303)
+    for _ in range(4):
+        ts = np.cumsum(rng.uniform(0.3, 2.0, size=3))
+        c = db.build_correlation(0.0, tuple(ts))
+        a = rng.uniform(-1.8, 1.8, size=3)
+        for signs in itertools.product((1, -1), repeat=3):
+            s = np.array(signs, dtype=float)
+            p, err = db.mvn_cdf(a, c, signs)
+            truth = gl_mvn_cdf(a, np.outer(s, s) * c.covariance, n=80)
+            assert abs(p - truth) <= 1e-12, signs
+            assert abs(p - truth) <= err + 1e-14, signs
+
+
 @pytest.mark.parametrize("signs", [(1, 1, 1), (1, -1, 1)])
 @pytest.mark.parametrize("position", ["first", "second"])
 def test_mvn_near_coincident_dates_against_conditional_oracle(position, signs):
@@ -336,34 +343,9 @@ def test_mvn_near_coincident_dates_against_conditional_oracle(position, signs):
         assert err <= 1e-9
 
 
-def test_mvn_rejects_non_chain_covariance():
-    # positive definite but not Markov in the given order
-    cov = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]])
-    with pytest.raises(DomainError):
-        db.mvn_cdf([0.0, 0.0, 0.0], cov)
-    # the same chain as an explicit covariance prices like the structure
-    c = db.build_correlation(0.0, (1.0, 2.0, 3.0))
-    assert db.mvn_cdf([0.2, -0.1, 0.4], 2.0 * c.covariance)[0] == pytest.approx(
-        db.mvn_cdf(np.array([0.2, -0.1, 0.4]) / math.sqrt(2.0), c)[0], abs=1e-15
-    )
-
-
-def test_mvn_explicit_covariance_standardizes():
-    cov = np.array([[4.0, 1.2], [1.2, 1.0]])
-    p, _ = db.mvn_cdf([2.0, 0.5], cov)
-    expected = db.bivariate_cdf(1.0, 0.5, 0.6)
-    assert p == pytest.approx(expected, abs=1e-13)
-
-
-def test_mvn_rejects_non_positive_variance():
-    cov = np.array([[1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(CovarianceError):
-        db.mvn_cdf([0.0, 0.0], cov)
-
-
 def test_mvn_rejects_matrix_limits():
     with pytest.raises(DomainError):
-        db.mvn_cdf([[0.0, 0.0]], np.eye(2))
+        db.mvn_cdf([[0.0, 0.0]], db.build_correlation(0.0, (1.0, 2.0)))
 
 
 def test_mvn_extreme_box_is_zero_without_nan():
