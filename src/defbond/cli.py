@@ -134,6 +134,11 @@ def cmd_validate(args) -> int:
     times = args.times if args.times else [scenario.evaluation.t]
     if any(not 0.0 <= t < schedule.maturity for t in times):
         raise ScenarioError("BAD_VALUE", f"--times must lie in [0, {schedule.maturity})")
+    for name, value in (("--pde-tol", args.pde_tol), ("--mc-sigmas", args.mc_sigmas)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ScenarioError("BAD_VALUE", f"{name} must be positive and finite, got {value}")
+    # every argument is checked before the PDE solve, the slow part
+    sim = SimConfig(n_paths=args.paths, seed=args.seed, antithetic=True)
     x_ref = scenario.firm_value() / math.exp(
         -market.r * (schedule.maturity - scenario.evaluation.t)
     )
@@ -147,7 +152,6 @@ def cmd_validate(args) -> int:
     else:
         solution = solve_endogenous_cascade(market, schedule, recovery, grid, check_tolerance=check)
 
-    sim = SimConfig(n_paths=args.paths, seed=args.seed, antithetic=True)
     all_ok = True
     print(f"{'t':>6} {'closed':>14} {'pde':>14} {'|diff|':>10} "
           f"{'mc':>14} {'sigma':>6}  status")

@@ -11,8 +11,13 @@ Paths are generated in fixed-size blocks, each keyed into a counter-based
 generator by (seed, block index); results are bit-identical for a given
 (seed, config) no matter how blocks would be dispatched.  A block's draws
 are transposed once, so each announcing date is a contiguous row: log x
-advances date by date and the first barrier hit is found in one backward
-pass over the dates.
+advances date by date in one forward pass that keeps a single row of x and
+records each path's first barrier hit as it happens.  Only paths whose
+exponential draw falls inside the total hazard can jump (about 2% at
+lambda = 0.01), so the jump time, the test against the first hit and the
+lognormal bridge run on that subset alone; every other path's payoff is 1
+or the recovery at its hit.  The antithetic leg reuses the draws with a
+sign on the volatility, which IEEE arithmetic makes exact.
 """
 
 from __future__ import annotations
@@ -99,55 +104,68 @@ def simulate_price(
     # index n_dates means no hit
     hit_times = np.append(rem_dates, np.inf)
 
-    def leg_payoff(z, e_unif):
-        """(relative payoff, survived) from one set of draws; row j of the
-        date-major ``z`` drives the step to date j, row n_dates the bridge to
-        a jump time."""
+    total_hazard = float(hazard_edges[-1])
+    # e = -log1p(-u) < H exactly when u < 1 - exp(-H); the widened bound
+    # keeps every such u against rounding in either function
+    u_bound = -math.expm1(-total_hazard) * (1.0 + 1e-6)
+
+    def leg_payoff(z, e_unif, sign):
+        """(relative payoff, paths survived) from one set of draws, taken with
+        ``sign``; row j of the date-major ``z`` drives the step to date j, row
+        n_dates the bridge to a jump time."""
         n = z.shape[1]
-        log_x = np.empty((n_dates, n))
-        x_at_dates = np.empty((n_dates, n))
-        hit = np.empty((n_dates, n), dtype=bool)
-        for j in range(n_dates):
-            step = drift[j] + vol[j] * z[j]
-            # running sum of the steps in the order np.cumsum takes them
-            run = step if j == 0 else run + step
-            np.add(log_x0, run, out=log_x[j])
-            np.exp(log_x[j], out=x_at_dates[j])
-            np.less_equal(x_at_dates[j], barrier_levels[j], out=hit[j])
-        first_hit = np.full(n, n_dates)
-        for j in range(n_dates - 1, -1, -1):
-            first_hit[hit[j]] = j
-        any_hit = first_hit < n_dates
-        barrier_time = hit_times[first_hit]
-
-        e = -np.log1p(-np.clip(e_unif, 0.0, 1.0 - 1e-16))
+        # jump defaults: only draws below the bound can land inside the
+        # hazard mass, and the exact test keeps those that do
+        cand = np.flatnonzero(e_unif < u_bound)
+        e = -np.log1p(-np.clip(e_unif[cand], 0.0, 1.0 - 1e-16))
+        jumps = e < total_hazard
+        jidx = cand[jumps]
+        e = e[jumps]
+        # edges[seg] <= e < edges[seg + 1], so the segment's intensity is > 0
         seg = np.searchsorted(hazard_edges, e, side="right") - 1
-        jumps = seg < n_dates
-        seg_c = np.minimum(seg, n_dates - 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            offset = (e - hazard_edges[seg_c]) / seg_lambdas[seg_c]
-        theta = np.where(jumps, seg_times[seg_c] + offset, np.inf)
+        theta = seg_times[seg] + (e - hazard_edges[seg]) / seg_lambdas[seg]
+        # log x of the jumping paths at each date, for the bridge's start,
+        # and the date of their first barrier hit
+        log_x_jump = np.empty((n_dates, len(jidx)))
+        jump_hit = np.full(len(jidx), n_dates)
 
-        unexpected = theta < barrier_time
-        expected = ~unexpected & any_hit
-        survived = ~unexpected & ~any_hit
+        # barrier hits: one forward pass keeps x at each path's first hit; a
+        # select, not a masked copy, which branches on every element
+        alive = np.ones(n, dtype=bool)
+        hit = np.empty(n, dtype=bool)
+        x_hit = np.zeros(n)
+        step = np.empty(n)
+        run = np.zeros(n)
+        log_x = np.empty(n)
+        x = np.empty(n)
+        for j in range(n_dates):
+            np.multiply(z[j], sign * vol[j], out=step)
+            step += drift[j]
+            run += step  # the order np.cumsum takes them; 0 + step is exact
+            np.add(log_x0, run, out=log_x)
+            np.exp(log_x, out=x)
+            log_x_jump[j] = log_x[jidx]
+            np.less_equal(x, barrier_levels[j], out=hit)
+            hit &= alive
+            x_hit = np.where(hit, x, x_hit)
+            jump_hit[hit[jidx]] = j
+            alive ^= hit
 
-        payoff = np.ones(n)
-        if expected.any():
-            payoff[expected] = recovery.paid(x_at_dates[first_hit[expected], expected])
-        if unexpected.any():
-            sc = seg_c[unexpected]
-            d_theta = theta[unexpected] - seg_times[sc]
-            x_base = np.where(
-                sc == 0,
-                x0,
-                np.exp(log_x[np.maximum(sc - 1, 0), unexpected]),
-            )
-            x_theta = x_base * np.exp(
-                (-b - 0.5 * s * s) * d_theta + s * np.sqrt(d_theta) * z[n_dates, unexpected]
-            )
-            payoff[unexpected] = recovery.paid(x_theta)
-        return payoff, survived
+        payoff = np.where(alive, 1.0, recovery.paid(x_hit))
+        unexpected = theta < hit_times[jump_hit]
+        uidx = jidx[unexpected]
+        sc = seg[unexpected]
+        d_theta = theta[unexpected] - seg_times[sc]
+        x_base = np.where(
+            sc == 0,
+            x0,
+            np.exp(log_x_jump[np.maximum(sc - 1, 0), np.flatnonzero(unexpected)]),
+        )
+        x_theta = x_base * np.exp(
+            (-b - 0.5 * s * s) * d_theta + sign * s * np.sqrt(d_theta) * z[n_dates, uidx]
+        )
+        payoff[uidx] = recovery.paid(x_theta)
+        return payoff, int(np.count_nonzero(alive)) - int(np.count_nonzero(alive[uidx]))
 
     antithetic = config.antithetic
     n_base = config.n_paths // 2 if antithetic else config.n_paths
@@ -162,14 +180,14 @@ def simulate_price(
         # one transpose per block: each date's draws become a contiguous row
         z = np.ascontiguousarray(rng.standard_normal((count, n_dates + 1)).T)
         u = rng.random(count)
-        pay, surv = leg_payoff(z, u)
+        pay, surv = leg_payoff(z, u, 1.0)
+        survived_total += surv
         if antithetic:
-            pay2, surv2 = leg_payoff(-z, 1.0 - u)
+            pay2, surv2 = leg_payoff(z, 1.0 - u, -1.0)
             v = 0.5 * (pay + pay2)
-            survived_total += int(surv.sum()) + int(surv2.sum())
+            survived_total += surv2
         else:
             v = pay
-            survived_total += int(surv.sum())
         sum_v += float(v.sum())
         sum_v2 += float((v * v).sum())
         done += count

@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they verify: dense tensor-product
 Gauss-Legendre and conditioning on the first date for normal orthant
-probabilities, composite Simpson for the weighted binary integrals.
+probabilities, composite Simpson for the weighted binary integrals, and a
+dense Monte Carlo engine that carries every path through every step.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import roots_legendre
 
-from defbond import bivariate_cdf
+from defbond import McResult, bivariate_cdf
 
 
 def gl_mvn_cdf(a, cov, n: int = 96, lo: float = -9.5) -> float:
@@ -77,3 +78,97 @@ def simpson_integral(f, a: float, b: float, panels: int) -> float:
     ys = np.array([f(x) for x in xs])
     h = xs[1] - xs[0]
     return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum()))
+
+
+def dense_simulate_price(market, schedule, recovery, V0, config, t=0.0) -> McResult:
+    """``simulate_price`` computed densely: every path's x is kept at every
+    date, the first barrier hit is found by a backward pass over the dates and
+    jump times are drawn for every path.  Same blocks, draws and floating-point
+    operations as the engine, so the two agree bit for bit."""
+    maturity = schedule.maturity
+    df = math.exp(-market.r * (maturity - t))
+    x0 = V0 / df
+    first = next(j for j, d in enumerate(schedule.dates) if d > t)
+    rem_dates = np.asarray(schedule.dates[first:], dtype=float)
+    barrier_levels = np.asarray(schedule.barriers[first - 1 :], dtype=float)
+    seg_times = np.concatenate(([t], rem_dates))
+    seg_lambdas = np.asarray(schedule.intensities[first - 1 :], dtype=float)
+    seg_dt = np.diff(seg_times)
+    hazard_edges = np.concatenate(([0.0], np.cumsum(seg_lambdas * seg_dt)))
+    b, s = market.b, market.s_V
+    n_dates = len(rem_dates)
+    drift = (-b - 0.5 * s * s) * seg_dt
+    vol = s * np.sqrt(seg_dt)
+    log_x0 = math.log(x0)
+    hit_times = np.append(rem_dates, np.inf)
+
+    def leg_payoff(z, e_unif):
+        n = z.shape[1]
+        log_x = np.empty((n_dates, n))
+        x_at_dates = np.empty((n_dates, n))
+        hit = np.empty((n_dates, n), dtype=bool)
+        for j in range(n_dates):
+            step = drift[j] + vol[j] * z[j]
+            run = step if j == 0 else run + step
+            np.add(log_x0, run, out=log_x[j])
+            np.exp(log_x[j], out=x_at_dates[j])
+            np.less_equal(x_at_dates[j], barrier_levels[j], out=hit[j])
+        first_hit = np.full(n, n_dates)
+        for j in range(n_dates - 1, -1, -1):
+            first_hit[hit[j]] = j
+        any_hit = first_hit < n_dates
+        barrier_time = hit_times[first_hit]
+
+        e = -np.log1p(-np.clip(e_unif, 0.0, 1.0 - 1e-16))
+        seg = np.searchsorted(hazard_edges, e, side="right") - 1
+        jumps = seg < n_dates
+        seg_c = np.minimum(seg, n_dates - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            offset = (e - hazard_edges[seg_c]) / seg_lambdas[seg_c]
+        theta = np.where(jumps, seg_times[seg_c] + offset, np.inf)
+
+        unexpected = theta < barrier_time
+        expected = ~unexpected & any_hit
+        survived = ~unexpected & ~any_hit
+
+        payoff = np.ones(n)
+        if expected.any():
+            payoff[expected] = recovery.paid(x_at_dates[first_hit[expected], expected])
+        if unexpected.any():
+            sc = seg_c[unexpected]
+            d_theta = theta[unexpected] - seg_times[sc]
+            x_base = np.where(sc == 0, x0, np.exp(log_x[np.maximum(sc - 1, 0), unexpected]))
+            x_theta = x_base * np.exp(
+                (-b - 0.5 * s * s) * d_theta + s * np.sqrt(d_theta) * z[n_dates, unexpected]
+            )
+            payoff[unexpected] = recovery.paid(x_theta)
+        return payoff, survived
+
+    block_size = 1 << 16
+    n_base = config.n_paths // 2 if config.antithetic else config.n_paths
+    sum_v = sum_v2 = 0.0
+    survived_total = done = block = 0
+    while done < n_base:
+        count = min(block_size, n_base - done)
+        key = np.array([config.seed % 2**64, block], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        z = np.ascontiguousarray(rng.standard_normal((count, n_dates + 1)).T)
+        u = rng.random(count)
+        pay, surv = leg_payoff(z, u)
+        survived_total += int(surv.sum())
+        if config.antithetic:
+            pay2, surv2 = leg_payoff(-z, 1.0 - u)
+            pay = 0.5 * (pay + pay2)
+            survived_total += int(surv2.sum())
+        sum_v += float(pay.sum())
+        sum_v2 += float((pay * pay).sum())
+        done += count
+        block += 1
+
+    mean_rel = sum_v / n_base
+    if n_base > 1:
+        var = max(sum_v2 - n_base * mean_rel * mean_rel, 0.0) / (n_base - 1)
+        std_err = df * math.sqrt(var / n_base)
+    else:
+        std_err = math.inf
+    return McResult(df * mean_rel, std_err, survived_total / config.n_paths, config.n_paths)

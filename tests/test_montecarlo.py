@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 import defbond as db
 from defbond.errors import DomainError
+from oracles import dense_simulate_price
 
 
 def test_config_validation():
@@ -139,3 +141,92 @@ def test_pinned_outputs(market, mode, antithetic, t):
     assert res.price_estimate == pytest.approx(price, rel=1e-12, abs=0.0)
     assert res.std_error == pytest.approx(std_err, rel=1e-12, abs=0.0)
     assert res.n_paths == n_paths
+
+
+# Regimes that change which paths the engine works on, pinned before the
+# engine restricted jump and bridge arithmetic to the paths that jump.
+_PINNED_REGIMES = {
+    # intensity 20 on every interval: every exponential draw lands in the
+    # hazard mass, so every path jumps
+    "all_jump": (
+        (20.0, 20.0, 20.0), (90.0, 120.0, 80.0), True, 0.0,
+        (0.37120856046969464, 0.00011658536385722367, 0.0),
+    ),
+    # barriers 8 standard deviations under the spot: no path is ever hit
+    "never_hit": (
+        (0.05, 0.1, 0.2), (1e-6, 1e-6, 1e-6), False, 0.0,
+        (0.35065882907268964, 0.0008974227086761959, 0.4978170955882353),
+    ),
+    # first barrier far above the spot: every path that has not jumped is
+    # hit on the first date
+    "all_hit_first": (
+        (0.05, 0.02, 0.03), (1e6, 120.0, 80.0), True, 0.5,
+        (0.23921892072493364, 0.000275691055329216, 0.0),
+    ),
+    # no jump channel, live barriers, evaluated on an announcing date
+    "zero_hazard": (
+        (0.0, 0.0, 0.0), (90.0, 120.0, 80.0), True, 2.0,
+        (0.1953318227105337, 0.000508495241467967, 0.20685173483455882),
+    ),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(_PINNED_REGIMES))
+def test_pinned_regimes(market, regime):
+    intensities, barriers, antithetic, t, expected = _PINNED_REGIMES[regime]
+    schedule = db.DefaultSchedule((0.0, 2.0, 4.0, 6.0), intensities, barriers)
+    rec = db.RecoveryModel("endogenous", 0.5, n=200.0)
+    n_paths = 2**17 + 2**13 if antithetic else 2**16 + 2**12
+    res = db.simulate_price(
+        market, schedule, rec, 150.0, db.SimConfig(n_paths, seed=606, antithetic=antithetic), t
+    )
+    price, std_err, survival = expected
+    assert res.survival_freq == survival
+    assert res.price_estimate == pytest.approx(price, rel=1e-12, abs=0.0)
+    assert res.std_error == pytest.approx(std_err, rel=1e-12, abs=0.0)
+
+
+def _differential_case(k: int):
+    """Seeded configuration k of 40; k mod 8 picks a regime the engine treats
+    differently from a dense pass over every path."""
+    rng = np.random.default_rng(9000 + k)
+    n_dates = 1 + k % 6
+    dates = (0.0,) + tuple(np.round(np.cumsum(rng.uniform(0.2, 2.5, n_dates)), 6))
+    intensities = list(10.0 ** rng.uniform(-3.0, -0.5, n_dates))
+    barriers = list(10.0 ** rng.uniform(1.5, 2.3, n_dates))
+    V, t = 100.0, float(rng.uniform(0.0, 0.9 * dates[1]))
+    regime = k % 8
+    if regime == 1:  # zero-intensity middle segments
+        for j in range(1, n_dates - 1):
+            intensities[j] = 0.0
+    elif regime == 2:  # most paths jump
+        intensities = list(rng.uniform(1.0, 3.0, n_dates))
+    elif regime == 3 and n_dates > 1:  # evaluation exactly on a date
+        t = dates[int(rng.integers(1, n_dates))]
+    elif regime == 4:  # far above every barrier
+        V = 1e6
+    elif regime == 5:  # below the first barrier
+        V = 1e-3
+    elif regime == 6:  # no jump channel
+        intensities = [0.0] * n_dates
+    market = db.MarketParams(0.05, float(rng.uniform(-0.05, 0.1)), float(rng.uniform(0.1, 0.8)))
+    schedule = db.DefaultSchedule(dates, tuple(intensities), tuple(barriers))
+    if k % 2:
+        R, n = rng.uniform(0.2, 0.9), rng.uniform(20.0, 200.0)
+        rec = db.RecoveryModel("endogenous", float(R), n=float(n))
+    else:
+        rec = db.RecoveryModel("exogenous", float(rng.uniform(0.0, 1.0)))
+    antithetic = (k // 2) % 2 == 0
+    n_paths = 4000 + 2 * int(rng.integers(0, 1000))
+    if k in (7, 25):  # base paths beyond one 2^16 block
+        n_paths = 2 * 2**16 + 3002 if antithetic else 2**16 + 1501
+    config = db.SimConfig(n_paths, seed=int(rng.integers(0, 2**32)), antithetic=antithetic)
+    return market, schedule, rec, V, config, t
+
+
+@pytest.mark.parametrize("k", range(40))
+def test_matches_dense_reference_engine(k):
+    market, schedule, rec, V, config, t = _differential_case(k)
+    assert db.simulate_price(market, schedule, rec, V, config, t) == dense_simulate_price(
+        market, schedule, rec, V, config, t
+    )

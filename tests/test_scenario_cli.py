@@ -4,6 +4,7 @@ import math
 import pytest
 import yaml
 
+from defbond import cli
 from defbond.cli import main
 from defbond.errors import ScenarioError
 from defbond.figures import FIGURE_PRESETS
@@ -237,6 +238,35 @@ def test_cli_validate_rejects_bad_times(tmp_path, base_doc, capsys):
     rc = main(["validate", _write(tmp_path, base_doc), "--times", "7.0"])
     assert rc == 2
     assert "BAD_VALUE" in capsys.readouterr().err
+
+
+def _forbid_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the PDE solve ran before the arguments were checked")
+
+    monkeypatch.setattr(cli, "solve_exogenous_cascade", no_solve)
+
+
+def test_cli_validate_rejects_bad_paths_before_solving(tmp_path, base_doc, capsys, monkeypatch):
+    _forbid_solve(monkeypatch)
+    rc = main(["validate", _write(tmp_path, base_doc), "--paths", "3"])
+    assert rc == 2
+    assert "error BAD_VALUE" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option,value",
+    [("--pde-tol", "-1"), ("--pde-tol", "0"), ("--pde-tol", "nan"),
+     ("--mc-sigmas", "0"), ("--mc-sigmas", "inf")],
+)
+def test_cli_validate_rejects_bad_tolerances(
+    tmp_path, base_doc, capsys, monkeypatch, option, value
+):
+    _forbid_solve(monkeypatch)
+    rc = main(["validate", _write(tmp_path, base_doc), option, value])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error BAD_VALUE" in err and option in err
 
 
 def test_sweep_index_out_of_range_codes(base_doc):
