@@ -60,12 +60,15 @@ class BinarySpec:
         m = len(self.signs)
         if m < 1 or len(self.strikes) != m or len(self.expiries) != m:
             raise DomainError("BinarySpec: signs, strikes and expiries must share a length >= 1")
-        if any(s not in (-1, 1) for s in self.signs):
-            raise DomainError("BinarySpec: signs must be +-1")
-        if any(not (math.isfinite(k) and k > 0.0) for k in self.strikes):
-            raise DomainError("BinarySpec: strikes must be positive and finite")
-        if any(b <= a for a, b in zip(self.expiries, self.expiries[1:])):
-            raise ScheduleError(f"BinarySpec: expiries not strictly increasing: {self.expiries}")
+        for sign in self.signs:
+            if sign not in (-1, 1):
+                raise DomainError("BinarySpec: signs must be +-1")
+        for strike in self.strikes:
+            if not (math.isfinite(strike) and strike > 0.0):
+                raise DomainError("BinarySpec: strikes must be positive and finite")
+        for a, b in zip(self.expiries, self.expiries[1:]):
+            if b <= a:
+                raise ScheduleError(f"BinarySpec: expiries not strictly increasing: {self.expiries}")
 
     @property
     def order(self) -> int:
@@ -75,14 +78,19 @@ class BinarySpec:
 def _signed_limits(spec: BinarySpec, x: float, t: float, plus: bool) -> list[float]:
     """Signed CDF limits s_i * d_i^(+/-), saturated at +-_D_CLAMP."""
     coeffs = spec.coeffs
-    drift = coeffs.r - coeffs.q + (0.5 if plus else -0.5) * coeffs.sigma**2
+    sigma = coeffs.sigma
+    drift = coeffs.r - coeffs.q + (0.5 if plus else -0.5) * sigma**2
     limits = []
     for sign, strike, expiry in zip(spec.signs, spec.strikes, spec.expiries):
         tau = expiry - t
         moneyness = x / strike
         log_m = math.log(moneyness) if moneyness > 0.0 else -math.inf  # x/K underflowed
-        d = (log_m + drift * tau) / (coeffs.sigma * math.sqrt(tau))
-        limits.append(sign * min(max(d, -_D_CLAMP), _D_CLAMP))
+        d = (log_m + drift * tau) / (sigma * math.sqrt(tau))
+        if d > _D_CLAMP:
+            d = _D_CLAMP
+        elif d < -_D_CLAMP:
+            d = -_D_CLAMP
+        limits.append(sign * d)
     return limits
 
 

@@ -69,7 +69,7 @@ _W_GAUSS[1:-1:2] = np.concatenate((_WG[:-1], _WG[::-1]))
 def _kronrod_panel(f: Callable[[float], float], a: float, b: float):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    fv = np.array([f(mid + half * xi) for xi in _NODES])
+    fv = np.array([f(mid + half * xi) for xi in _NODES.tolist()])
     resk = half * float(_W_KRONROD @ fv)
     resg = half * float(_W_GAUSS @ fv)
     diff = abs(resk - resg)

@@ -8,7 +8,10 @@ marginalizing coordinate k joins its neighbours with ``rho_{k-1} rho_k``, and
 box limits and correlations are plain Python floats until a dimension of
 three or more needs arrays.  Dimension one uses the erf-based library
 evaluation, dimension two a fixed-order Gauss-Legendre reduction of the
-bivariate integral (Genz, Statistics and Computing 2004).  From dimension
+bivariate integral (Genz, Statistics and Computing 2004); a two-dimensional
+result that cancels far below the terms it is formed from is recomputed as a
+positive conditional integral, so tail boxes keep their relative accuracy.
+From dimension
 three on the CDF is a forward recursion of one-dimensional Gaussian
 convolutions over panel Gauss-Legendre grids (quadrature between monitoring
 dates, as in Andricopoulos et al., J. Financial Economics 2003, and Feng &
@@ -50,6 +53,11 @@ _NODES = 12
 _NODES_COARSE = 8
 _U_NODES = 40
 _MAX_PANELS = 64
+
+# A bivariate result below _CANCEL times the terms it was formed from has
+# lost about four digits to cancellation (rounding alone then leaves about
+# 1e-12 relative); it is recomputed as a positive conditional integral.
+_CANCEL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -123,7 +131,11 @@ def _bvnu(dh: float, dk: float, r: float) -> float:
         for xi, wi in nodes:
             sn = math.sin(asr * xi)
             bvn += wi * math.exp((sn * hk - hs) / (1.0 - sn * sn))
-        bvn = bvn * asr / tp + float(ndtr(-h) * ndtr(-k))
+        product = float(ndtr(-h) * ndtr(-k))
+        bvn = bvn * asr / tp + product
+        if bvn < _CANCEL * product:
+            # r < 0 made the sum cancel the product: integrate directly
+            return _conditional_box((h, k), (_INF, _INF), r)
         return min(max(bvn, 0.0), 1.0)
 
     if r < 0.0:
@@ -197,13 +209,17 @@ class CorrelationStructure:
     def __post_init__(self):
         if len(self.expiries) < 1:
             raise ScheduleError("CorrelationStructure: at least one expiry required")
-        seq = (self.eval_time,) + self.expiries
-        if not all(map(math.isfinite, seq)):
+        prev = self.eval_time
+        if not math.isfinite(prev):
             raise ScheduleError("CorrelationStructure: non-finite dates")
-        if any(b <= a for a, b in zip(seq, seq[1:])):
-            raise ScheduleError(
-                f"CorrelationStructure: expiries must satisfy t < T_1 < ... < T_m, got t={self.eval_time}, T={self.expiries}"
-            )
+        for date in self.expiries:
+            if not math.isfinite(date):
+                raise ScheduleError("CorrelationStructure: non-finite dates")
+            if date <= prev:
+                raise ScheduleError(
+                    f"CorrelationStructure: expiries must satisfy t < T_1 < ... < T_m, got t={self.eval_time}, T={self.expiries}"
+                )
+            prev = date
 
     @property
     def dim(self) -> int:
@@ -247,13 +263,62 @@ def build_correlation(t: float, expiries) -> CorrelationStructure:
 
 
 def _box_prob_2d(lo, hi, rho: float) -> float:
-    p = (
-        _bvnu(lo[0], lo[1], rho)
-        - _bvnu(hi[0], lo[1], rho)
-        - _bvnu(lo[0], hi[1], rho)
-        + _bvnu(hi[0], hi[1], rho)
+    terms = (
+        _bvnu(lo[0], lo[1], rho),
+        _bvnu(hi[0], lo[1], rho),
+        _bvnu(lo[0], hi[1], rho),
+        _bvnu(hi[0], hi[1], rho),
     )
+    p = terms[0] - terms[1] - terms[2] + terms[3]
+    if p < _CANCEL * max(terms):
+        p = _conditional_box(lo, hi, rho)
     return min(max(p, 0.0), 1.0)
+
+
+def _tail_mass(a: float, b: float) -> float:
+    """P(a <= Z <= b) for a standard normal Z, differenced in the tail the
+    interval lies in so that a tail interval keeps its relative accuracy."""
+    return float(ndtr(-a) - ndtr(-b)) if a > 0.0 else float(ndtr(b) - ndtr(a))
+
+
+def _conditional_box(lo, hi, r: float) -> float:
+    """P(lo <= (X, Y) <= hi) for standard normals with correlation r, as the
+    positive integral of phi(x) P(lo_Y <= Y <= hi_Y | X = x) over the limits
+    of the coordinate with the smaller marginal.
+
+    For boxes whose inclusion-exclusion cancels: every term is positive, so
+    a probability far below its orthant terms keeps its relative accuracy.
+    x runs at most _L past its finite limit into the tail, on panels graded
+    down at its own finite limits and at the other coordinate's limits seen
+    from x.
+    """
+    if _tail_mass(lo[1], hi[1]) < _tail_mass(lo[0], hi[0]):
+        lo, hi = lo[::-1], hi[::-1]
+    a, b = max(lo[0], min(hi[0], 0.0) - _L), min(hi[0], max(lo[0], 0.0) + _L)
+    if a >= b:
+        return 0.0
+    s = math.sqrt((1.0 - r) * (1.0 + r))
+    features = []
+    for e in (lo[0], hi[0]):
+        if math.isfinite(e):
+            # past e the integrand decays at about |e| plus |r| / s times
+            # the depth of P(Y in box | X = e) in its tail
+            depth = max(0.0, (r * e - hi[1]) / s, (lo[1] - r * e) / s)
+            features.append((e, 1.0 / max(1.0, abs(e) + abs(r) / s * depth)))
+    if r != 0.0:
+        features += [(e / r, s / abs(r)) for e in (lo[1], hi[1]) if math.isfinite(e)]
+    edges = _panel_edges(a, b, features, 1.0)
+    x, w, _ = _legendre(_NODES)
+    half = 0.5 * np.diff(edges)[:, None]
+    y = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * x
+    if lo[1] == -_INF:
+        q = ndtr((hi[1] - r * y) / s)
+    elif hi[1] == _INF:
+        q = ndtr((r * y - lo[1]) / s)
+    else:
+        zl, zh = (lo[1] - r * y) / s, (hi[1] - r * y) / s
+        q = np.where(zl > 0.0, ndtr(-zl) - ndtr(-zh), ndtr(zh) - ndtr(zl))
+    return float(np.sum(half * w * _norm_pdf(y) * q))
 
 
 def _reduce_box(lower, upper, rho):
@@ -289,16 +354,25 @@ def _panel_edges(a: float, b: float, features, hmax: float) -> np.ndarray:
     graded geometrically from the feature width w up to ``hmax``, and no
     panel wider than ``hmax``.  Features more than _L widths outside [a, b]
     are flat there and are skipped."""
-    edges = [a, b]
+    edges = {a, b}
     for c, w in features:
         if a - _L * w < c < b + _L * w:
             c = min(max(c, a), b)
-            steps = w * 2.0 ** np.arange(max(0, math.ceil(math.log2(hmax / w))))
-            edges.extend([c, *(c - steps), *(c + steps)])
-    e = np.unique(np.clip(edges, a, b))
-    counts = np.maximum(1, np.ceil(np.diff(e) / hmax - 1e-9)).astype(int)
-    parts = [np.linspace(lo, hi, k, endpoint=False) for lo, hi, k in zip(e[:-1], e[1:], counts)]
-    return np.concatenate(parts + [[b]])
+            edges.add(c)
+            for k in range(max(0, math.ceil(math.log2(hmax / w)))):
+                step = w * 2.0**k
+                edges.add(max(c - step, a))
+                edges.add(min(c + step, b))
+    # split each gap into equal panels no wider than hmax, spaced as
+    # np.linspace(lo, hi, count, endpoint=False) spaces them
+    e = sorted(edges)
+    points = []
+    for lo, hi in zip(e, e[1:]):
+        count = max(1, math.ceil((hi - lo) / hmax - 1e-9))
+        step = (hi - lo) / count
+        points += [j * step + lo for j in range(count)]
+    points.append(b)
+    return np.array(points)
 
 
 def _kernel_step(z, r: float, s: float, edges, y, g, n: int):
@@ -367,6 +441,14 @@ def _box_probability(lower, upper, rho):
     """P(lower <= X <= upper), with error estimate, for a standardized
     Gaussian Markov chain X with adjacent correlations ``rho``; the limits
     and correlations are lists of floats."""
+    if len(lower) == 1:
+        # ndtr(-inf) and ndtr(inf) are exactly 0 and 1: skip them
+        lo, hi = lower[0], upper[0]
+        if hi <= lo:
+            return 0.0, 0.0
+        if lo == -_INF:
+            return (1.0, 0.0) if hi == _INF else (float(ndtr(hi)), 1e-15)
+        return max(0.0, (1.0 if hi == _INF else float(ndtr(hi))) - float(ndtr(lo))), 1e-15
     lower, upper, rho, empty = _reduce_box(lower, upper, rho)
     if empty:
         return 0.0, 0.0
@@ -403,12 +485,17 @@ def mvn_cdf(a, corr, signs=None, config: QmcConfig = DEFAULT_QMC):
         three dimensions on the estimate is the distance to a coarser
         quadrature rule, which exceeds the actual error.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or a.size < 1:
+    # an array's tolist() nests a 2-D array and unwraps a 0-d one, so both
+    # fail float() below like any other non-sequence
+    try:
+        limits = [float(v) for v in (a.tolist() if isinstance(a, np.ndarray) else a)]
+    except TypeError:
+        limits = []
+    if not limits:
         raise DomainError("mvn_cdf: limits must be a one-dimensional sequence")
-    limits = a.tolist()
-    if any(map(math.isnan, limits)):
-        raise DomainError("mvn_cdf: NaN limit")
+    for v in limits:
+        if v != v:
+            raise DomainError("mvn_cdf: NaN limit")
     m = len(limits)
     if not isinstance(corr, CorrelationStructure):
         raise DomainError("mvn_cdf: correlation must be a CorrelationStructure")
@@ -418,9 +505,24 @@ def mvn_cdf(a, corr, signs=None, config: QmcConfig = DEFAULT_QMC):
 
     if signs is None:
         return _box_probability([-_INF] * m, limits, rho)
-    flips = np.asarray(signs, dtype=float)
-    if flips.shape != (m,) or not set(flips.tolist()) <= {1.0, -1.0}:
+    if isinstance(signs, np.ndarray):
+        signs = signs.tolist()
+    try:
+        valid = len(signs) == m
+    except TypeError:
+        valid = False
+    lower, upper = [], []
+    if valid:
+        for v, lim in zip(signs, limits):
+            if v == 1:
+                lower.append(-_INF)
+                upper.append(lim)
+            elif v == -1:
+                lower.append(-lim)
+                upper.append(_INF)
+            else:
+                valid = False
+                break
+    if not valid:
         raise DomainError("mvn_cdf: signs must be a vector of +-1 entries")
-    lower = [-_INF if v > 0 else -lim for v, lim in zip(flips.tolist(), limits)]
-    upper = [lim if v > 0 else _INF for v, lim in zip(flips.tolist(), limits)]
     return _box_probability(lower, upper, rho)

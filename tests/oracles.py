@@ -71,6 +71,38 @@ def conditional_chain_cdf3(a, taus, signs) -> float:
     return value
 
 
+def conditional_chain_cdf4(a, taus, signs) -> float:
+    """P(s_i W(tau_i) / sqrt(tau_i) <= a_i, i = 1..4) for a Brownian motion W.
+
+    Conditions on w = W(tau_1): the increments to tau_2, tau_3 and tau_4 are
+    a Brownian chain of their own, whose probability is
+    ``conditional_chain_cdf3`` at the shifted limits (b_i - s_i w) / sqrt(g_i),
+    g_i = tau_i - tau_1.  The limit of date i switches over a width sqrt(g_i)
+    around w = s_i b_i, and the breakpoints grade down to that width, so two
+    interior gaps decades apart stay resolved.
+    """
+    t1 = taus[0]
+    s = np.asarray(signs, float)
+    b = np.asarray(a, float) * np.sqrt(taus)  # s_i W(tau_i) <= b_i
+    g = np.asarray(taus[1:], float) - t1
+
+    def integrand(w):
+        inner = (b[1:] - s[1:] * w) / np.sqrt(g)
+        dens = math.exp(-0.5 * w * w / t1) / math.sqrt(2.0 * math.pi * t1)
+        return dens * conditional_chain_cdf3(inner, tuple(g), s[1:])
+
+    reach = 12.0 * math.sqrt(t1)
+    lo, hi = (-reach, b[0]) if s[0] > 0 else (-b[0], reach)
+    points = {
+        s[i] * b[i] + k * math.sqrt(g[i - 1])
+        for i in (1, 2, 3)
+        for k in (-64, -16, -4, -1, 0, 1, 4, 16, 64)
+    }
+    points = sorted(p for p in points if lo < p < hi)
+    value, _ = quad(integrand, lo, hi, points=points or None, epsabs=1e-14, epsrel=1e-13, limit=500)
+    return value
+
+
 def simpson_integral(f, a: float, b: float, panels: int) -> float:
     """Composite Simpson with ``panels`` panels (must be even)."""
     assert panels % 2 == 0

@@ -11,7 +11,7 @@ import defbond as db
 from defbond.errors import DomainError, ScheduleError
 from defbond.normal import QmcConfig
 
-from oracles import conditional_chain_cdf3, gl_mvn_cdf
+from oracles import conditional_chain_cdf3, conditional_chain_cdf4, gl_mvn_cdf
 
 INF = float("inf")
 
@@ -343,9 +343,105 @@ def test_mvn_near_coincident_dates_against_conditional_oracle(position, signs):
         assert err <= 1e-9
 
 
+# Interior near-coincident dates at d = 4: chains (1, 1 + g1, 1 + g1 + g2,
+# 2.5) whose two interior gaps lie 2 to 6 decades apart.  The 12-node rule
+# is off by up to 4e-11 here (the 40-node rule by 1.5e-15); the coarse-rule
+# estimate, up to 6e-8, covers it.
+@pytest.mark.parametrize("g1, g2, signs", [
+    (1.7e-2, 2.3e-6, (1, 1, 1, 1)),
+    (1e-6, 1e-2, (1, -1, 1, 1)),
+    (1e-3, 1e-5, (1, 1, -1, 1)),
+    (1e-7, 1e-1, (-1, 1, 1, -1)),
+    (1e-1, 1e-7, (1, 1, 1, 1)),
+])
+def test_mvn_interior_near_coincident_dates_against_conditional_oracle(g1, g2, signs):
+    a = (0.3, 0.35, 0.32, -0.2)
+    taus = (1.0, 1.0 + g1, 1.0 + g1 + g2, 2.5)
+    p, err = db.mvn_cdf(a, db.build_correlation(0.0, taus), signs)
+    truth = conditional_chain_cdf4(a, taus, signs)
+    assert abs(p - truth) <= err, (p, truth, err)
+    assert err <= 1e-7
+
+
 def test_mvn_rejects_matrix_limits():
     with pytest.raises(DomainError):
         db.mvn_cdf([[0.0, 0.0]], db.build_correlation(0.0, (1.0, 2.0)))
+
+
+@pytest.mark.parametrize("limits", [
+    [0.1, float("nan")],
+    [],
+    np.array(0.5),
+    0.5,
+    np.array([[0.1], [0.2]]),
+    None,
+])
+def test_mvn_rejects_malformed_limits(limits):
+    with pytest.raises(DomainError):
+        db.mvn_cdf(limits, db.build_correlation(0.0, (1.0, 2.0)))
+
+
+@pytest.mark.parametrize("signs", [
+    (1,),
+    (1, 1, 1),
+    (1, 0),
+    (1, float("nan")),
+    np.array([1.0, 0.0]),
+    np.array([[1], [1]]),
+    1,
+])
+def test_mvn_rejects_malformed_signs(signs):
+    with pytest.raises(DomainError):
+        db.mvn_cdf([0.1, 0.2], db.build_correlation(0.0, (1.0, 2.0)), signs)
+
+
+def test_mvn_accepts_array_and_tuple_inputs_alike():
+    c = db.build_correlation(0.0, (1.0, 2.0, 3.0))
+    ref = db.mvn_cdf([0.2, -0.1, 0.4], c, (1, -1, 1))
+    assert db.mvn_cdf(np.array([0.2, -0.1, 0.4]), c, np.array([1.0, -1.0, 1.0])) == ref
+    assert db.mvn_cdf((0.2, -0.1, 0.4), c, [1, -1, 1]) == ref
+
+
+@pytest.mark.parametrize("t, expiries", [
+    (float("nan"), (1.0, 2.0)),
+    (0.0, (1.0, float("nan"))),
+    (0.0, (float("nan"), 2.0)),
+    (-INF, (1.0, 2.0)),
+    (0.0, (1.0, INF)),
+])
+def test_correlation_rejects_non_finite_dates(t, expiries):
+    with pytest.raises(ScheduleError):
+        db.build_correlation(t, expiries)
+
+
+# Boxes whose inclusion-exclusion cancels, as (limits, expiries, signs), with
+# P from a 40-digit mpmath integration of phi(x) P(Y in box | X = x).
+CANCELLING_BOXES = [
+    ((-2.598395298646475, -1.5981929570216107), (1.0, 2.0), (-1, 1), 1.0218821137899136e-9),
+    ((1.1, -3.75), (1.0, 1.1), (1, -1), 1.2783158334107827e-21),
+    ((-5.0, -5.5), (1.0, 2.5), (1, 1), 6.7355320577273796e-10),
+    ((-4.0, 7.0), (2.0, 2.2), (-1, -1), 3.1671241833119921e-5),
+]
+
+
+@pytest.mark.parametrize("limits, expiries, signs, truth", CANCELLING_BOXES)
+def test_mvn_cancelling_boxes_keep_relative_accuracy(limits, expiries, signs, truth):
+    # the first is the box behind a shift-equality failure: P(X > 2.6,
+    # Y < -1.6) at correlation sqrt(1/2) was 3.5e-9 low relative when taken
+    # as Phi(-2.6) minus an upper orthant of about 4.7e-3
+    p, _ = db.mvn_cdf(list(limits), db.build_correlation(0.0, expiries), signs)
+    assert p == pytest.approx(truth, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("a, b, rho, truth", [
+    (-2.598395298646475, -1.5981929570216107, -0.7071067811865476, 1.0218821137899136e-9),
+    (-4.984266748860291, 1.457527844765222, -0.9241215302011411, 5.4328381949122556e-24),
+])
+def test_bivariate_negative_correlation_tail(a, b, rho, truth):
+    # P(X <= a, Y <= b) far below Phi(a) Phi(b) at rho < 0, where the
+    # single-integral form cancels against that product (the second was
+    # off by a factor of 1e4)
+    assert db.bivariate_cdf(a, b, rho) == pytest.approx(truth, rel=1e-13, abs=0.0)
 
 
 def test_mvn_extreme_box_is_zero_without_nan():

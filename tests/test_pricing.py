@@ -233,6 +233,45 @@ def test_bundled_scenarios_at_extreme_spots_and_next_to_dates(name):
             assert all(math.isfinite(v) for v in rep.diagnostics.values()), (V, t)
 
 
+# Recorded (price, cdf_error, quadrature_error) of the bundled scenarios at
+# their own spot path, compared with ==: a change to the binary and CDF
+# plumbing must leave every computed float where it was.  The two
+# high-barrier quadrature errors at t = 0 and 1.3 moved by about 4e-21 when
+# bivariate tails below 1e-4 of their inclusion-exclusion terms started
+# being integrated directly (Kronrod-Gauss differences pick that up).
+PINNED_PRICES = {
+    ("base_endogenous_low_barrier", 0.0): (0.1328429532007513, 5.147178255423852e-15, 2.6687295150254045e-09),
+    ("base_endogenous_low_barrier", 1.3): (0.19645262679744183, 6.065661177524609e-15, 4.987677199809834e-09),
+    ("base_endogenous_low_barrier", 4.5): (0.4994558980592314, 1.646826562955258e-15, 7.30978609272291e-09),
+    ("base_endogenous_high_barrier", 0.0): (0.5358731781203812, 2.497925355830703e-13, 4.474807528032104e-11),
+    ("base_endogenous_high_barrier", 1.3): (0.6197700830115676, 3.0407622589778187e-13, 3.800846017066589e-11),
+    ("base_endogenous_high_barrier", 4.5): (0.8604860400545192, 8.010925174828628e-14, 6.447751938233404e-15),
+    ("base_exogenous", 0.0): (0.30396145744331926, 1.343516905099159e-15, 0.0),
+    ("base_exogenous", 1.3): (0.3586479896109323, 1.5340184524882066e-15, 0.0),
+    ("base_exogenous", 4.5): (0.6256133659861275, 4.271384068042398e-16, 0.0),
+}
+
+
+@pytest.mark.parametrize("name, t", sorted(PINNED_PRICES))
+def test_bundled_scenario_prices_are_pinned(name, t):
+    s = db.load_scenario(SCENARIOS / f"{name}.yaml")
+    price = db.price_endogenous if s.recovery.mode == "endogenous" else db.price_exogenous
+    rep = price(s.market, s.schedule, s.recovery, s.firm_value(t), t)
+    got = (rep.price, rep.diagnostics["cdf_error"], rep.diagnostics["quadrature_error"])
+    assert got == PINNED_PRICES[name, t]
+
+
+def test_three_date_endogenous_price_is_pinned():
+    # the 3-date endogenous case whose CDF calls the benchmark self-check counts
+    market = db.MarketParams(r=0.08, b=0.03, s_V=0.8)
+    schedule = db.DefaultSchedule((0.0, 1.5, 3.5, 7.0), (0.01, 0.02, 0.004), (120.0, 90.0, 110.0))
+    recovery = db.RecoveryModel("endogenous", 0.5, n=1.0)
+    rep = db.price_endogenous(market, schedule, recovery, 250.0 * math.exp(-0.08 * 7.0), 0.0)
+    assert rep.price == 0.570340451699515
+    assert rep.diagnostics == {"cdf_error": 4.325459642591837e-13,
+                               "quadrature_error": 1.8954904271044136e-12}
+
+
 # -------------------------------------------------------------- spreads
 
 
