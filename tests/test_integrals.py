@@ -114,6 +114,67 @@ def test_second_order_integrand_left_endpoint_degeneracy():
     assert err < 1e-6
 
 
+# ------------------------------------------------------- near the money
+
+# Order-1 tails from the evaluation time, where the binary behaves like
+# sqrt(tau - t) at the lower end, on the parameters of a low-barrier curve
+# variant: strike = cap n/R, coefficients (0, b, s_V), weight rate lambda.
+NTM_STRIKE = 192.77515813855308
+NTM_COEFFS = BsCoefficients(0.0, 0.05, 0.9881724410788062)
+NTM_RATE = 0.005929604926072699
+
+# (x, t, T, kind, value), the value from a 40-digit mpmath tanh-sinh
+# integration in s = t + (T - t) v^2, split at the layer breakpoints.  The
+# first pair is a curve price at t = 5.2 whose bond tail the raw-time
+# Kronrod rule missed by 1.25e-7 while reporting an error of 1.9e-9.
+NEAR_THE_MONEY_TAILS = [
+    (192.49089480065913, 5.2, 6.0, 'bond', 0.00176144390629558006535583442622),
+    (192.49089480065913, 5.2, 6.0, 'asset', 0.355318796496355243428019488339),
+    (NTM_STRIKE * 0.9985, 5.2, 6.0, 'bond', 0.00176133954715636672727690912651),
+    (NTM_STRIKE * 0.9985, 5.2, 6.0, 'asset', 0.355329870292419040650789723912),
+    (NTM_STRIKE * 0.9985, 0.0, 3.0, 'bond', 0.00474664925762607630622129655314),
+    (NTM_STRIKE * 0.9985, 0.0, 3.0, 'asset', 0.979511539209441662557097905429),
+    (NTM_STRIKE * 1.0, 5.2, 6.0, 'bond', 0.00176750350507030163612932352515),
+    (NTM_STRIKE * 1.0, 5.2, 6.0, 'asset', 0.354674515973438608616716813225),
+    (NTM_STRIKE * 1.0, 0.0, 3.0, 'bond', 0.00475740559634587154290702867023),
+    (NTM_STRIKE * 1.0, 0.0, 3.0, 'asset', 0.97890790226428532895763783005),
+    (NTM_STRIKE * 1.0015, 5.2, 6.0, 'bond', 0.00177366332319262574379145406864),
+    (NTM_STRIKE * 1.0015, 5.2, 6.0, 'asset', 0.354018177256316749871120311211),
+    (NTM_STRIKE * 1.0015, 0.0, 3.0, 'bond', 0.00476815470475337941086795076469),
+    (NTM_STRIKE * 1.0015, 0.0, 3.0, 'asset', 0.97830254919729753191847421193),
+    (NTM_STRIKE * 1.05, 5.2, 6.0, 'bond', 0.00196363669017759167434177784268),
+    (NTM_STRIKE * 1.05, 5.2, 6.0, 'asset', 0.333653840585152527642817930985),
+    (NTM_STRIKE * 1.05, 0.0, 3.0, 'bond', 0.00510484851586988616083781530838),
+    (NTM_STRIKE * 1.05, 0.0, 3.0, 'asset', 0.959210018017008880885429854139),
+]
+
+
+@pytest.mark.parametrize("x, t, upper, kind, truth", NEAR_THE_MONEY_TAILS)
+def test_near_the_money_tail_matches_oracle(x, t, upper, kind, truth):
+    sign = 1 if kind == "bond" else -1
+    spec = WeightedIntegralSpec(kind, (sign,), (NTM_STRIKE,), (), NTM_COEFFS, NTM_RATE,
+                                t, t, upper)
+    val, err = integral_binary(spec, x, t)
+    assert abs(val - truth) <= max(err, 1e-13)
+
+
+@pytest.mark.parametrize("kind", ["bond", "asset"])
+@pytest.mark.parametrize("span", [1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9])
+@pytest.mark.parametrize("t", [0.0, 3.0, 5.2])
+def test_at_the_money_tail_over_a_tiny_span(kind, span, t):
+    # x == K puts the layer at zero width; nodes of s = t + span v^2 round
+    # onto t, where the binary is undefined, and must be kept above it
+    sign = 1 if kind == "bond" else -1
+    spec = WeightedIntegralSpec(kind, (sign,), (200.0,), (), BASE, 0.005, t, t, t + span)
+    val, err = integral_binary(spec, 200.0, t)
+    # the binary starts at half its payoff scale; over spans this short it
+    # stays there to within sqrt(span)
+    scale = 1.0 if kind == "bond" else 200.0
+    mass = -math.expm1(-0.005 * (spec.upper - t))
+    assert math.isfinite(err)
+    assert val == pytest.approx(0.5 * scale * mass, rel=1e-4)
+
+
 @given(mid=st.floats(3.05, 5.95), lam=st.floats(0.001, 0.8))
 @settings(deadline=None, max_examples=25)
 def test_additivity(mid, lam):

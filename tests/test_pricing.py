@@ -1,3 +1,4 @@
+import functools
 import math
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import defbond as db
 from defbond.binaries import price_binary, shift_coefficients
 from defbond.errors import DomainError, ScheduleError
+from defbond import integrals
 from defbond.integrals import _adaptive_quad
 from defbond.pricing import _endogenous_terms
 
@@ -233,16 +235,70 @@ def test_bundled_scenarios_at_extreme_spots_and_next_to_dates(name):
             assert all(math.isfinite(v) for v in rep.diagnostics.values()), (V, t)
 
 
+def _floats_below(value, count):
+    out = []
+    for _ in range(count):
+        value = math.nextafter(value, -math.inf)
+        out.append(value)
+    return out
+
+
+@pytest.mark.parametrize(
+    "name", ["base_endogenous_low_barrier", "base_endogenous_high_barrier", "base_exogenous"]
+)
+def test_prices_on_the_last_floats_before_a_date(name):
+    # the current-interval tail integral spans a few ulps; its quadrature
+    # nodes round onto t, where a binary expiring at t is undefined.  On the
+    # low-barrier base x sits at n/R, so the tail also runs in s = t + span v^2.
+    s = db.load_scenario(SCENARIOS / f"{name}.yaml")
+    price = db.price_endogenous if s.recovery.mode == "endogenous" else db.price_exogenous
+    for t in _floats_below(3.0, 8) + _floats_below(6.0, 8):
+        rep = price(s.market, s.schedule, s.recovery, s.firm_value(t), t)
+        df = math.exp(-s.market.r * (s.schedule.maturity - t))
+        floor = s.recovery.R * df if s.recovery.mode == "exogenous" else 0.0
+        assert math.isfinite(rep.price) and floor <= rep.price <= df, (t, rep.price)
+
+
+def test_near_the_money_prices_hold_their_quadrature_error(monkeypatch):
+    # a low-barrier curve variant whose relative spot sits 0.15% under the
+    # cap n/R: the tail integrals from t start inside their boundary layer.
+    # At t = 5.2 the raw-time Kronrod rule was 1.16e-7 off while reporting
+    # 1.76e-9.
+    market = db.MarketParams(r=0.1, b=0.05, s_V=0.9881724410788062)
+    schedule = db.DefaultSchedule(
+        (0.0, 3.0, 6.0),
+        (0.0017093178991521125, 0.005929604926072699),
+        (95.309562259402, 100.07889576227251),
+    )
+    recovery = db.RecoveryModel("endogenous", 0.5187390375689751, n=100.0)
+    x = 192.49089480065913
+    times = [k * 6.0 / 15 for k in range(15)]  # k = 13 is t = 5.2
+
+    def prices():
+        return [
+            db.price_endogenous(market, schedule, recovery, x * math.exp(-0.1 * (6.0 - t)), t)
+            for t in times
+        ]
+
+    reports = prices()
+    tight = functools.partial(integrals._adaptive_quad, abs_tol=1e-14, max_intervals=2**14)
+    monkeypatch.setattr(integrals, "_adaptive_quad", tight)
+    for t, rep, ref in zip(times, reports, prices()):
+        assert abs(rep.price - ref.price) <= rep.diagnostics["quadrature_error"] + 1e-13, t
+
+
 # Recorded (price, cdf_error, quadrature_error) of the bundled scenarios at
 # their own spot path, compared with ==: a change to the binary and CDF
 # plumbing must leave every computed float where it was.  The two
 # high-barrier quadrature errors at t = 0 and 1.3 moved by about 4e-21 when
 # bivariate tails below 1e-4 of their inclusion-exclusion terms started
-# being integrated directly (Kronrod-Gauss differences pick that up).
+# being integrated directly (Kronrod-Gauss differences pick that up).  The
+# low-barrier prices moved by up to 1.0e-9, onto a tight-tolerance reference,
+# when their integrals with a singular lower end moved to s = lower + span v^2.
 PINNED_PRICES = {
-    ("base_endogenous_low_barrier", 0.0): (0.1328429532007513, 5.147178255423852e-15, 2.6687295150254045e-09),
-    ("base_endogenous_low_barrier", 1.3): (0.19645262679744183, 6.065661177524609e-15, 4.987677199809834e-09),
-    ("base_endogenous_low_barrier", 4.5): (0.4994558980592314, 1.646826562955258e-15, 7.30978609272291e-09),
+    ("base_endogenous_low_barrier", 0.0): (0.13284295345819666, 5.147178255423852e-15, 6.798860148521909e-10),
+    ("base_endogenous_low_barrier", 1.3): (0.1964526271454898, 6.065661177524609e-15, 1.6287233115351763e-09),
+    ("base_endogenous_low_barrier", 4.5): (0.4994558990957419, 1.646826562955258e-15, 9.688920008159921e-22),
     ("base_endogenous_high_barrier", 0.0): (0.5358731781203812, 2.497925355830703e-13, 4.474807528032104e-11),
     ("base_endogenous_high_barrier", 1.3): (0.6197700830115676, 3.0407622589778187e-13, 3.800846017066589e-11),
     ("base_endogenous_high_barrier", 4.5): (0.8604860400545192, 8.010925174828628e-14, 6.447751938233404e-15),
