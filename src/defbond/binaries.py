@@ -23,8 +23,9 @@ __all__ = [
     "shift_coefficients",
 ]
 
-# Beyond |d| = 38 the normal CDF is 0 or 1 to double precision; saturating
-# keeps near-expiry evaluations finite.
+# Phi is exactly 0 below about -37.68 (where scipy's ndtr underflows, and
+# the scalar Phi of normal.py with it) and exactly 1 above about 8.3, so
+# saturating at |d| = 38 changes no CDF and keeps near-expiry limits finite.
 _D_CLAMP = 38.0
 
 

@@ -3,6 +3,8 @@
 Evaluates ``int_C^D lam * exp(-lam * (tau - anchor)) * price(tau) dtau`` where
 ``price(tau)`` is a binary whose last expiry runs over the integration
 variable, by adaptive 7-15 Gauss-Kronrod (abs tol 1e-8, at most 2^12 panels).
+As in QUADPACK, no panel reports an error below 50 eps times the integral of
+|integrand| over it, what rounding alone can leave.
 
 The integrand is smooth inside the interval, but when the interval starts on
 the previous expiry of the chain (the evaluation time for order 1, the last
@@ -39,8 +41,9 @@ __all__ = ["WeightedIntegralSpec", "integral_binary"]
 
 QUAD_ABS_TOL = 1e-8
 QUAD_MAX_INTERVALS = 2**12
-# A layer narrower than ub^2 < eps of the span is below the span's float
-# resolution and gets no breakpoints of its own.
+# Double-precision machine epsilon.  A layer narrower than ub^2 < eps of the
+# span is below the span's float resolution and gets no breakpoints of its
+# own; eps also sets each panel's rounding floor.
 _EPS = 2.0**-52
 
 # 7-15 Gauss-Kronrod nodes/weights on (-1, 1); all nodes are interior.
@@ -91,7 +94,9 @@ def _kronrod_panel(f: Callable[[float], float], a: float, b: float):
     resg = half * float(_W_GAUSS @ fv)
     diff = abs(resk - resg)
     err = min(diff, (200.0 * diff) ** 1.5) if diff > 0.0 else 0.0
-    return resk, err
+    # QUADPACK's rounding floor (qk15): 50 eps times int |f| over the panel
+    floor = 50.0 * _EPS * half * float(_W_KRONROD @ np.abs(fv))
+    return resk, max(err, floor), err <= floor
 
 
 def _adaptive_quad(
@@ -105,15 +110,16 @@ def _adaptive_quad(
     """Adaptive Gauss-Kronrod with worst-interval-first subdivision.
 
     Starts from the panels that ``breaks`` (increasing, inside (a, b)) cut
-    [a, b] into.  Returns (value, error_estimate); the value is the
-    fixed-order sum over final panels accumulated in ascending position for
-    reproducibility.
+    [a, b] into.  Stops once the worst panel's error is its rounding floor:
+    halving it cannot lower the total.  Returns (value, error_estimate); the
+    value is the fixed-order sum over final panels accumulated in ascending
+    position for reproducibility.
     """
     edges = (a, *breaks, b)
     heap = []
     for lo, hi in zip(edges, edges[1:]):
-        val, err = _kronrod_panel(f, lo, hi)
-        heap.append((-err, lo, hi, val, err))
+        val, err, rounded = _kronrod_panel(f, lo, hi)
+        heap.append((-err, lo, hi, val, err, rounded))
     heapify(heap)
     count = len(heap)
     while count < max_intervals:
@@ -122,14 +128,14 @@ def _adaptive_quad(
             break
         worst = heappop(heap)
         neg, lo, hi = worst[0], worst[1], worst[2]
-        if -neg <= 1e-300:
+        if -neg <= 1e-300 or worst[5]:
             heappush(heap, worst)
             break
         mid = 0.5 * (lo + hi)
-        v1, e1 = _kronrod_panel(f, lo, mid)
-        v2, e2 = _kronrod_panel(f, mid, hi)
-        heappush(heap, (-e1, lo, mid, v1, e1))
-        heappush(heap, (-e2, mid, hi, v2, e2))
+        v1, e1, r1 = _kronrod_panel(f, lo, mid)
+        v2, e2, r2 = _kronrod_panel(f, mid, hi)
+        heappush(heap, (-e1, lo, mid, v1, e1, r1))
+        heappush(heap, (-e2, mid, hi, v2, e2, r2))
         count += 1
     panels = sorted(heap, key=lambda item: item[1])
     value = math.fsum(p[3] for p in panels)

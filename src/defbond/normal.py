@@ -6,28 +6,31 @@ increasing dates.  Such a chain is carried by its adjacent correlations
 ``rho_k = sqrt(tau_k / tau_{k+1})`` alone, never as an m x m matrix:
 marginalizing coordinate k joins its neighbours with ``rho_{k-1} rho_k``, and
 box limits and correlations are plain Python floats until a dimension of
-three or more needs arrays.  Dimension one uses the erf-based library
-evaluation, dimension two a fixed-order Gauss-Legendre reduction of the
-bivariate integral (Genz, Statistics and Computing 2004); a two-dimensional
-result that cancels far below the terms it is formed from is recomputed as a
-positive conditional integral, so tail boxes keep their relative accuracy.
-From dimension
-three on the CDF is a forward recursion of one-dimensional Gaussian
-convolutions over panel Gauss-Legendre grids (quadrature between monitoring
-dates, as in Andricopoulos et al., J. Financial Economics 2003, and Feng &
-Linetsky, Mathematical Finance 2008).  Its error estimate is the distance to
+three or more needs arrays.  Every scalar Phi is ``math.erfc``, the C
+library's erfc (piecewise rational approximations after Cody, Math. Comp.
+1969), so dimensions one and two need no scipy; dimension two is a
+fixed-order Gauss-Legendre reduction of the bivariate integral (Genz,
+Statistics and Computing 2004).  A two-dimensional result that cancels far
+below the terms it is formed from is recomputed as a positive conditional
+integral, so tail boxes keep their relative accuracy.  From dimension three
+on the CDF is a forward recursion of one-dimensional Gaussian convolutions
+over panel Gauss-Legendre grids (quadrature between monitoring dates, as in
+Andricopoulos et al., J. Financial Economics 2003, and Feng & Linetsky,
+Mathematical Finance 2008).  Its error estimate is the distance to
 the same recursion on a coarser rule.  ``mvn_cdf`` accepts only a
-``CorrelationStructure``: every CDF the pricer needs is such a chain.
+``CorrelationStructure``: every CDF the pricer needs is such a chain.  The
+array kernels (conditional boxes, chains) take Phi from ``scipy.special``,
+which is imported on their first call: importing this module loads no scipy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.special import ndtr, roots_legendre
 
 from .errors import DomainError, ScheduleError
 
@@ -59,6 +62,11 @@ _MAX_PANELS = 64
 # 1e-12 relative); it is recomputed as a positive conditional integral.
 _CANCEL = 1e-4
 
+# scipy's ndtr underflows to exactly 0 where x^2 / 2 exceeds log(DBL_MAX);
+# libm's erfc would still return subnormals there.
+_PHI_ZERO = -math.sqrt(2.0 * math.log(sys.float_info.max))  # about -37.68
+_SQRT_HALF = math.sqrt(0.5)
+
 
 @dataclass(frozen=True)
 class QmcConfig:
@@ -80,15 +88,31 @@ DEFAULT_QMC = QmcConfig()
 def _legendre(n: int):
     """Gauss-Legendre nodes and weights on (-1, 1) with the barycentric
     interpolation weights of those nodes."""
-    x, w = roots_legendre(n)
+    x, w = np.polynomial.legendre.leggauss(n)
     return x, w, (-1.0) ** np.arange(n) * np.sqrt((1.0 - x * x) * w)
+
+
+def _phi(x: float) -> float:
+    """Phi(x) of a float: exactly 0 at and below _PHI_ZERO, as scipy's
+    ndtr, and exactly 1 from about 8.3 on."""
+    if x <= _PHI_ZERO:
+        return 0.0
+    return 0.5 * math.erfc(-x * _SQRT_HALF)
+
+
+@cache
+def _array_phi():
+    """scipy.special.ndtr, Phi of an array; scipy is imported on first use."""
+    from scipy.special import ndtr
+
+    return ndtr
 
 
 def std_normal_cdf(x: float) -> float:
     """P(Z <= x) for a standard normal Z.  Accepts +-inf as limits."""
     if math.isnan(x):
         raise DomainError("std_normal_cdf: NaN argument")
-    return float(ndtr(x))
+    return _phi(x)
 
 
 def _norm_pdf(x):
@@ -105,11 +129,11 @@ def _bvnu(dh: float, dk: float, r: float) -> float:
     if dh == _INF or dk == _INF:
         return 0.0
     if dh == -_INF:
-        return 1.0 if dk == -_INF else float(ndtr(-dk))
+        return 1.0 if dk == -_INF else _phi(-dk)
     if dk == -_INF:
-        return float(ndtr(-dh))
+        return _phi(-dh)
     if r == 0.0:
-        return float(ndtr(-dh) * ndtr(-dk))
+        return _phi(-dh) * _phi(-dk)
 
     tp = 2.0 * math.pi
     h, k = dh, dk
@@ -131,7 +155,7 @@ def _bvnu(dh: float, dk: float, r: float) -> float:
         for xi, wi in nodes:
             sn = math.sin(asr * xi)
             bvn += wi * math.exp((sn * hk - hs) / (1.0 - sn * sn))
-        product = float(ndtr(-h) * ndtr(-k))
+        product = _phi(-h) * _phi(-k)
         bvn = bvn * asr / tp + product
         if bvn < _CANCEL * product:
             # r < 0 made the sum cancel the product: integrate directly
@@ -152,7 +176,7 @@ def _bvnu(dh: float, dk: float, r: float) -> float:
             bvn = a * math.exp(asr) * (1.0 - c * (bs - as_) * (1.0 - d * bs) / 3.0 + c * d * as_**2)
         if hk > -100.0:
             b = math.sqrt(bs)
-            sp = math.sqrt(tp) * float(ndtr(-b / a))
+            sp = math.sqrt(tp) * _phi(-b / a)
             bvn -= math.exp(-0.5 * hk) * sp * b * (1.0 - c * bs * (1.0 - d * bs) / 3.0)
         a *= 0.5
         total = 0.0
@@ -167,14 +191,14 @@ def _bvnu(dh: float, dk: float, r: float) -> float:
         bvn = (a * total - bvn) / tp
 
     if r > 0.0:
-        bvn += float(ndtr(-max(h, k)))
+        bvn += _phi(-max(h, k))
     elif h >= k:
         bvn = -bvn
     else:
         if h < 0.0:
-            lk = float(ndtr(k) - ndtr(h))
+            lk = _phi(k) - _phi(h)
         else:
-            lk = float(ndtr(-h) - ndtr(-k))
+            lk = _phi(-h) - _phi(-k)
         bvn = lk - bvn
     return min(max(bvn, 0.0), 1.0)
 
@@ -188,7 +212,7 @@ def bivariate_cdf(a: float, b: float, rho: float) -> float:
     if rho == 1.0:
         return std_normal_cdf(min(a, b))
     if rho == -1.0:
-        return max(0.0, float(ndtr(a)) - float(ndtr(-b)))
+        return max(0.0, _phi(a) - _phi(-b))
     return _bvnu(-a, -b, rho)
 
 
@@ -278,7 +302,7 @@ def _box_prob_2d(lo, hi, rho: float) -> float:
 def _tail_mass(a: float, b: float) -> float:
     """P(a <= Z <= b) for a standard normal Z, differenced in the tail the
     interval lies in so that a tail interval keeps its relative accuracy."""
-    return float(ndtr(-a) - ndtr(-b)) if a > 0.0 else float(ndtr(b) - ndtr(a))
+    return _phi(-a) - _phi(-b) if a > 0.0 else _phi(b) - _phi(a)
 
 
 def _conditional_box(lo, hi, r: float) -> float:
@@ -311,6 +335,7 @@ def _conditional_box(lo, hi, r: float) -> float:
     x, w, _ = _legendre(_NODES)
     half = 0.5 * np.diff(edges)[:, None]
     y = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * x
+    ndtr = _array_phi()
     if lo[1] == -_INF:
         q = ndtr((hi[1] - r * y) / s)
     elif hi[1] == _INF:
@@ -410,6 +435,7 @@ def _chain_box(lower, upper, rho, n: int) -> float:
     d = len(lower)
     s = np.sqrt((1.0 - rho) * (1.0 + rho))
     x, w, _ = _legendre(n)
+    ndtr = _array_phi()
     for k in range(1, d - 1):
         a, b = max(lower[k], -_L), min(upper[k], _L)
         if a >= b:
@@ -442,13 +468,13 @@ def _box_probability(lower, upper, rho):
     Gaussian Markov chain X with adjacent correlations ``rho``; the limits
     and correlations are lists of floats."""
     if len(lower) == 1:
-        # ndtr(-inf) and ndtr(inf) are exactly 0 and 1: skip them
+        # Phi(-inf) and Phi(inf) are exactly 0 and 1: skip them
         lo, hi = lower[0], upper[0]
         if hi <= lo:
             return 0.0, 0.0
         if lo == -_INF:
-            return (1.0, 0.0) if hi == _INF else (float(ndtr(hi)), 1e-15)
-        return max(0.0, (1.0 if hi == _INF else float(ndtr(hi))) - float(ndtr(lo))), 1e-15
+            return (1.0, 0.0) if hi == _INF else (_phi(hi), 1e-15)
+        return max(0.0, (1.0 if hi == _INF else _phi(hi)) - _phi(lo)), 1e-15
     lower, upper, rho, empty = _reduce_box(lower, upper, rho)
     if empty:
         return 0.0, 0.0
@@ -456,7 +482,7 @@ def _box_probability(lower, upper, rho):
     if d == 0:
         return 1.0, 0.0
     if d == 1:
-        return max(0.0, float(ndtr(upper[0])) - float(ndtr(lower[0]))), 1e-15
+        return max(0.0, _phi(upper[0]) - _phi(lower[0])), 1e-15
     if d == 2:
         return _box_prob_2d(lower, upper, rho[0]), 5e-15
     rho = np.array(rho)

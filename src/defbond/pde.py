@@ -12,11 +12,13 @@ When every barrier sits far under the grid both edges take the far-field
 value, which needs the same recovery at both edges once a jump channel is
 live.  Each interval factors the tridiagonal step matrix once (LAPACK
 ``dgttrf``, held by a per-interval stepper) and solves every step in place
-(``dgttrs``) over two rolling row buffers.  Only every s-th row is kept,
-s = isqrt(steps per interval), plus the glued terminal row; ``sample``
-re-marches the rows it needs from the nearest kept row above them with the
-same stepper, so it reads the values a full history would hold.  This
-engine shares no code path with the closed forms it checks.
+(``dgttrs``) over two rolling row buffers; the stepper imports both from
+``scipy.linalg`` when the first one is built, so importing this module loads
+no scipy.  Only every s-th row is kept, s = isqrt(steps per interval),
+plus the glued terminal row; ``sample`` re-marches the rows it needs from
+the nearest kept row above them with the same stepper, so it reads the
+values a full history would hold.  This engine shares no code path with the
+closed forms it checks.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .binaries import BsCoefficients
 from .errors import DomainError
@@ -158,6 +159,9 @@ class _Stepper:
         self.t_lo, self.t_hi, self.n_steps = t_lo, t_hi, n_steps
         # rows a march keeps: every stride-th, then the terminal row
         self.stride = math.isqrt(n_steps)
+        from scipy.linalg.lapack import dgttrf, dgttrs
+
+        self.dgttrs = dgttrs
         *self.lu, info = dgttrf(
             np.full(m - 2, -self.lo_w),
             np.full(m - 1, 1.0 - half * self.di_c),
@@ -173,7 +177,7 @@ class _Stepper:
         lo, hi = self.bc_lo(t), self.bc_hi(t)
         row[1] += self.lo_w * lo
         row[-2] += self.up_w * hi
-        _, info = dgttrs(*self.lu, row[1:-1], overwrite_b=True)
+        _, info = self.dgttrs(*self.lu, row[1:-1], overwrite_b=True)
         if info != 0:
             raise ValueError(f"illegal value in {-info}-th argument of internal gttrs")
         row[0] = lo

@@ -64,6 +64,21 @@ def test_adaptive_quad_reports_error_when_budget_capped():
     assert err > 1e-14
 
 
+def test_adaptive_quad_stops_at_the_rounding_floor():
+    # 50 eps int |f| = 7e-7 exceeds abs_tol: no split can meet the tolerance,
+    # so the rule stops at the floor instead of spending the panel budget
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 1e8 * math.exp(-x)
+
+    val, err = _adaptive_quad(f, 0.0, 1.0, abs_tol=1e-8)
+    assert len(calls) == 15
+    assert abs(val - 1e8 * -math.expm1(-1.0)) <= err
+    assert err == pytest.approx(50 * 2.0**-52 * 1e8 * -math.expm1(-1.0), rel=1e-12)
+
+
 def test_constant_integrand_weight_mass():
     # quadrature hook: with the binary replaced by 1 the integral is the
     # weight mass 1 - exp(-lam (D - C))
@@ -155,7 +170,7 @@ def test_near_the_money_tail_matches_oracle(x, t, upper, kind, truth):
     spec = WeightedIntegralSpec(kind, (sign,), (NTM_STRIKE,), (), NTM_COEFFS, NTM_RATE,
                                 t, t, upper)
     val, err = integral_binary(spec, x, t)
-    assert abs(val - truth) <= max(err, 1e-13)
+    assert abs(val - truth) <= err
 
 
 @pytest.mark.parametrize("kind", ["bond", "asset"])

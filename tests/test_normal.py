@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 import defbond as db
+from defbond import normal
 from defbond.errors import DomainError, ScheduleError
 from defbond.normal import QmcConfig
 
@@ -26,6 +27,26 @@ def test_std_normal_center():
 def test_std_normal_total_mass():
     assert db.std_normal_cdf(INF) == 1.0
     assert db.std_normal_cdf(-INF) == 0.0
+
+
+def test_scalar_phi_matches_scipy_ndtr():
+    # every scalar Phi is libm erfc; it must track scipy's ndtr to about
+    # rounding and underflow to exactly 0 where ndtr does
+    from scipy.special import ndtr
+
+    xs = np.linspace(-37.6, 9.0, 4661)
+    got = np.array([normal._phi(x) for x in xs.tolist()])
+    assert np.all(np.abs(got - ndtr(xs)) <= 1e-13 * ndtr(xs))
+    for x in (-37.7, -38.0, -40.0, -1e300, -INF):
+        assert normal._phi(x) == 0.0
+    for x in (8.3, 9.0, 38.0, 1e300, INF):
+        assert normal._phi(x) == 1.0
+    # 3000 consecutive floats across the underflow edge near -37.6771207205:
+    # zero exactly where ndtr is
+    x = -37.677120720485
+    for _ in range(3000):
+        assert (normal._phi(x) == 0.0) == (ndtr(x) == 0.0), x
+        x = math.nextafter(x, -INF)
 
 
 def test_std_normal_against_quadrature_oracle():

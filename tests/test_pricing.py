@@ -296,11 +296,11 @@ def test_near_the_money_prices_hold_their_quadrature_error(monkeypatch):
 # low-barrier prices moved by up to 1.0e-9, onto a tight-tolerance reference,
 # when their integrals with a singular lower end moved to s = lower + span v^2.
 PINNED_PRICES = {
-    ("base_endogenous_low_barrier", 0.0): (0.13284295345819666, 5.147178255423852e-15, 6.798860148521909e-10),
-    ("base_endogenous_low_barrier", 1.3): (0.1964526271454898, 6.065661177524609e-15, 1.6287233115351763e-09),
-    ("base_endogenous_low_barrier", 4.5): (0.4994558990957419, 1.646826562955258e-15, 9.688920008159921e-22),
-    ("base_endogenous_high_barrier", 0.0): (0.5358731781203812, 2.497925355830703e-13, 4.474807528032104e-11),
-    ("base_endogenous_high_barrier", 1.3): (0.6197700830115676, 3.0407622589778187e-13, 3.800846017066589e-11),
+    ("base_endogenous_low_barrier", 0.0): (0.13284295345819666, 5.147178255423852e-15, 6.798860405390251e-10),
+    ("base_endogenous_low_barrier", 1.3): (0.19645262714548986, 6.065661177524609e-15, 1.6287233363828903e-09),
+    ("base_endogenous_low_barrier", 4.5): (0.4994558990957419, 1.646826562955258e-15, 4.815758321205294e-17),
+    ("base_endogenous_high_barrier", 0.0): (0.5358731781203812, 2.497925355830703e-13, 4.474807531326252e-11),
+    ("base_endogenous_high_barrier", 1.3): (0.6197700830115676, 3.0407622589778187e-13, 3.8008460168545975e-11),
     ("base_endogenous_high_barrier", 4.5): (0.8604860400545192, 8.010925174828628e-14, 6.447751938233404e-15),
     ("base_exogenous", 0.0): (0.30396145744331926, 1.343516905099159e-15, 0.0),
     ("base_exogenous", 1.3): (0.3586479896109323, 1.5340184524882066e-15, 0.0),
@@ -325,7 +325,7 @@ def test_three_date_endogenous_price_is_pinned():
     rep = db.price_endogenous(market, schedule, recovery, 250.0 * math.exp(-0.08 * 7.0), 0.0)
     assert rep.price == 0.570340451699515
     assert rep.diagnostics == {"cdf_error": 4.325459642591837e-13,
-                               "quadrature_error": 1.8954904271044136e-12}
+                               "quadrature_error": 1.8955449938922133e-12}
 
 
 # -------------------------------------------------------------- spreads

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -88,8 +92,6 @@ def test_load_scenario_file(tmp_path, base_doc):
 
 
 def test_bundled_scenarios_parse():
-    from pathlib import Path
-
     root = Path(__file__).resolve().parent.parent / "scenarios"
     for name in (
         "base_exogenous.yaml",
@@ -98,6 +100,41 @@ def test_bundled_scenarios_parse():
     ):
         scn = load_scenario(root / name)
         assert scn.schedule.maturity == 6.0
+
+
+# ------------------------------------------------------------------ startup
+
+_STARTUP_SCRIPT = """
+import sys
+from pathlib import Path
+
+import defbond
+import defbond.cli
+
+loaded = {p.stem: defbond.load_scenario(p) for p in sorted(Path(sys.argv[1]).glob("*.yaml"))}
+assert len(loaded) == 3, sorted(loaded)
+for name in ("base_endogenous_low_barrier", "base_exogenous"):
+    s = loaded[name]
+    price = defbond.price_endogenous if s.recovery.mode == "endogenous" else defbond.price_exogenous
+    for t in (0.0, 1.3):
+        price(s.market, s.schedule, s.recovery, s.firm_value(t), t)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+# a cancelling two-dimensional box loads scipy.special on first use
+s = loaded["base_endogenous_high_barrier"]
+print(repr(defbond.price_endogenous(s.market, s.schedule, s.recovery, s.firm_value(0.0), 0.0).price))
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_startup_and_scalar_prices_load_no_scipy():
+    # import, scenario loading and the low-barrier and exogenous bases need
+    # only scalar normal CDFs (libm erfc): a fresh interpreter loads no scipy
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, str(root / "scenarios")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "0.5358731781203812", "True"]
 
 
 # ------------------------------------------------------------------ presets
