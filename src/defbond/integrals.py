@@ -1,6 +1,6 @@
 """Exponentially weighted time-integrals of binary prices.
 
-Evaluates ``int_C^D lam * exp(-lam * (tau - anchor)) * price(tau) dtau`` where
+Evaluates ``int_C^D lam * exp(-lam * (tau - C)) * price(tau) dtau`` where
 ``price(tau)`` is a binary whose last expiry runs over the integration
 variable, by adaptive 7-15 Gauss-Kronrod (abs tol 1e-8, at most 2^12 panels).
 As in QUADPACK, no panel reports an error below 50 eps times the integral of
@@ -150,8 +150,8 @@ class WeightedIntegralSpec:
     The fixed part of the chain (signs/strikes for the first m-1 dates plus
     the running last slot) is stored explicitly; ``binary_at(tau)`` realizes
     the chain at a concrete last expiry.  The weight is
-    ``weight_rate * exp(-weight_rate * (tau - weight_anchor))`` with
-    ``weight_anchor <= lower`` so the weight never exceeds the rate.
+    ``weight_rate * exp(-weight_rate * (tau - lower))``, the density of a
+    first jump at tau given none before ``lower``.
     """
 
     kind: Literal["asset", "bond"]
@@ -160,7 +160,6 @@ class WeightedIntegralSpec:
     fixed_expiries: tuple[float, ...]
     coeffs: BsCoefficients
     weight_rate: float
-    weight_anchor: float
     lower: float
     upper: float
 
@@ -176,8 +175,6 @@ class WeightedIntegralSpec:
             raise ScheduleError(
                 f"WeightedIntegralSpec: bounds reversed: [{self.lower}, {self.upper}]"
             )
-        if self.weight_anchor > self.lower:
-            raise ScheduleError("WeightedIntegralSpec: anchor must not exceed the lower bound")
         if any(b <= a for a, b in zip(self.fixed_expiries, self.fixed_expiries[1:])):
             raise ScheduleError("WeightedIntegralSpec: fixed expiries not increasing")
         if self.fixed_expiries and self.lower < self.fixed_expiries[-1]:
@@ -234,15 +231,14 @@ def integral_binary(
     if spec.weight_rate == 0.0 or spec.lower == spec.upper:
         return 0.0, 0.0
 
-    rate, anchor = spec.weight_rate, spec.weight_anchor
-    lower, upper = spec.lower, spec.upper
+    rate, lower, upper = spec.weight_rate, spec.lower, spec.upper
     # the first float above lower stands in for nodes that round onto it
     above_lower = math.nextafter(lower, math.inf)
 
     def integrand(tau: float) -> float:
         if tau <= lower:
             tau = above_lower
-        w = rate * math.exp(-rate * (tau - anchor))
+        w = rate * math.exp(-rate * (tau - lower))
         return w * price_binary(spec.binary_at(tau), x, t, config)
 
     ub = _layer_width(spec, x, t)

@@ -123,8 +123,9 @@ def _bvnu(dh: float, dk: float, r: float) -> float:
     """Upper-orthant probability P(X > dh, Y > dk), correlation r.
 
     Gauss-Legendre reduction of the single-integral form of the bivariate
-    normal, with the usual split at ``|r| = 0.925`` where the integration
-    variable switches to keep the integrand benign near ``|r| = 1``.
+    normal (12 nodes for ``|r| < 0.75``, 20 above), with the usual split at
+    ``|r| = 0.925`` where the integration variable switches to keep the
+    integrand benign near ``|r| = 1``.
     """
     if dh == _INF or dk == _INF:
         return 0.0
@@ -139,13 +140,7 @@ def _bvnu(dh: float, dk: float, r: float) -> float:
     h, k = dh, dk
     hk = h * k
     bvn = 0.0
-    if abs(r) < 0.3:
-        ng = 6
-    elif abs(r) < 0.75:
-        ng = 12
-    else:
-        ng = 20
-    x, w, _ = _legendre(ng)
+    x, w, _ = _legendre(12 if abs(r) < 0.75 else 20)
     # nodes for the interval (0, 2); symmetry covers (1-x, 1+x)
     nodes = zip((1.0 + x).tolist(), w.tolist())
 

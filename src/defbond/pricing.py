@@ -5,9 +5,11 @@ The firm value is observed only at a set of announcing dates, where default
 occurs if it falls under a barrier; between dates default can also arrive as
 the first jump of a Poisson clock with a per-interval constant intensity.
 After a change of numeraire to the default-free bond, the price per unit face
-value is a sum of chained binaries (barrier survival) and exponentially
-weighted time-integrals of binaries (jump-default recovery), all priced at
-coefficients (0, dividend rate, firm volatility).
+value is one weighted sum of terms, all priced at coefficients (0, dividend
+rate, firm volatility): chained binaries for barrier survival and barrier
+default, and exponentially weighted time-integrals of binaries for jump
+default.  Each weight carries the probability of no jump default from the
+evaluation time to where its term starts.
 """
 
 from __future__ import annotations
@@ -146,18 +148,11 @@ def locate_interval(schedule: DefaultSchedule, t: float) -> int:
     return bisect_right(schedule.dates, t) - 1
 
 
-def _cum_hazard(schedule: DefaultSchedule, lo: int, hi: int) -> float:
-    """sum of lambda_k * (t_{k+1} - t_k) over k in [lo, hi]; empty when hi < lo."""
-    total = 0.0
-    for k in range(lo, hi + 1):
-        total += schedule.intensities[k] * (schedule.dates[k + 1] - schedule.dates[k])
-    return total
-
-
-def _survival_factor(schedule: DefaultSchedule, i: int, t: float) -> float:
-    n = schedule.n_intervals
-    log_s = -schedule.intensities[i] * (schedule.dates[i + 1] - t) - _cum_hazard(schedule, i + 1, n - 1)
-    return math.exp(log_s)
+def _jump_survival(schedule: DefaultSchedule, i: int, t: float, m: int) -> float:
+    """Probability of no jump default on (t, t_{m+1}] for t in interval i <= m."""
+    lam, dates = schedule.intensities, schedule.dates
+    hazard = sum(lam[k] * (dates[k + 1] - dates[k]) for k in range(i + 1, m + 1))
+    return math.exp(-lam[i] * (dates[i + 1] - t) - hazard)
 
 
 def _barrier_cascade_spec(market: MarketParams, schedule: DefaultSchedule, i: int) -> BinarySpec:
@@ -179,17 +174,18 @@ def survival_probability(
     config: QmcConfig = DEFAULT_QMC,
 ) -> float:
     """Probability of surviving both default channels on (t, T]."""
-    w, _ = _survival_with_error(market, schedule, x, t, config)
+    w, _, _ = _survival_with_error(market, schedule, x, t, config)
     return w
 
 
 def _survival_with_error(market, schedule, x, t, config):
+    """Survival probability, its CDF error and the interval index of t."""
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"survival_probability: spot must be positive, got {x}")
     i = locate_interval(schedule, t)
     value, err = price_binary_with_error(_barrier_cascade_spec(market, schedule, i), x, t, config)
-    factor = _survival_factor(schedule, i, t)
-    return min(max(factor * value, 0.0), 1.0), factor * err
+    factor = _jump_survival(schedule, i, t, schedule.n_intervals - 1)
+    return min(max(factor * value, 0.0), 1.0), factor * err, i
 
 
 def _endogenous_terms(
@@ -198,18 +194,19 @@ def _endogenous_terms(
     recovery: RecoveryModel,
     i: int,
     t: float,
-):
-    """Term lists of the interval-i closed form, endogenous recovery with
-    R > 0: binaries and weighted integrals inside the intensity prefactor,
-    plus the current-interval tail integrals added outside it.
+) -> list[tuple[float, BinarySpec | WeightedIntegralSpec]]:
+    """The interval-i closed form, endogenous recovery, as (weight, spec)
+    pairs: the relative price is the sum of weight times the spec's value,
+    and every weight includes the jump survival from t.
 
-    The default term of each announcing date depends only on how its barrier
-    K_m compares with the cap n/R: at or below it, recovery is x/cap on all
-    of {x <= K_m}; above it, recovery is x/cap under the cap and full on
-    (cap, K_m].
-
-    Returns (prefactor, closed, weighted, tail); each list entry is
-    (weight, spec).
+    Besides the survival binary, each date m >= i adds its barrier default
+    and each interval m >= i its jump default, both recovering
+    min(1, x/cap).  With c = min(K_m, cap) the barrier default is
+    asset(-, c)/cap, plus bond(+, cap) - bond(+, K_m) for the full recovery
+    on (cap, K_m] when K_m > cap.  The jump default is bond(+, cap) +
+    asset(-, cap)/cap integrated over the jump time from max(t, t_m) to
+    t_{m+1}.  With R = 0 the cap is infinite and nothing is recovered, so
+    only the survival binary is left.
     """
     cap = recovery.cap
     inv_cap = 1.0 / cap
@@ -219,69 +216,38 @@ def _endogenous_terms(
     lam = schedule.intensities
     n = schedule.n_intervals
 
-    closed: list[tuple[float, BinarySpec]] = []
-    weighted: list[tuple[float, WeightedIntegralSpec]] = []
-    tail: list[tuple[float, WeightedIntegralSpec]] = []
-
+    terms: list[tuple[float, BinarySpec | WeightedIntegralSpec]] = []
     # Survival to maturity.  When K_N > cap it cancels against the last
-    # date's -bond(+ at K_N) term, so neither is emitted.
+    # date's -bond(+, K_N), so neither is emitted.
     if barriers[-1] <= cap:
-        closed.append(
-            (
-                math.exp(-_cum_hazard(schedule, i + 1, n - 1)),
-                _barrier_cascade_spec(market, schedule, i),
-            )
-        )
+        survival = _jump_survival(schedule, i, t, n - 1)
+        terms.append((survival, _barrier_cascade_spec(market, schedule, i)))
+    if recovery.R == 0.0:
+        return terms
     for m in range(i, n):
-        w = math.exp(-_cum_hazard(schedule, i + 1, m))
         ups = (1,) * (m - i)
         expiries = dates[i + 1 : m + 2]
-        at_barrier = barriers[i : m + 1]
-        if barriers[m] <= cap:
-            asset = BinarySpec("asset", ups + (-1,), at_barrier, expiries, coeffs)
-            closed.append((w * inv_cap, asset))
-            continue
-        at_cap = barriers[i:m] + (cap,)
-        closed.append((w, BinarySpec("bond", ups + (1,), at_cap, expiries, coeffs)))
-        closed.append((w * inv_cap, BinarySpec("asset", ups + (-1,), at_cap, expiries, coeffs)))
-        if m < n - 1:
-            closed.append((-w, BinarySpec("bond", ups + (1,), at_barrier, expiries, coeffs)))
-
-    for m in range(i + 1, n):
-        if lam[m] == 0.0:
-            continue
-        w = math.exp(-_cum_hazard(schedule, i + 1, m - 1))
-        strikes = barriers[i:m] + (cap,)
-        fixed = dates[i + 1 : m + 1]
-        common = dict(
-            strikes=strikes,
-            fixed_expiries=fixed,
-            coeffs=coeffs,
-            weight_rate=lam[m],
-            weight_anchor=dates[m],
-            lower=dates[m],
-            upper=dates[m + 1],
-        )
-        weighted.append((w, WeightedIntegralSpec("bond", (1,) * (m - i + 1), **common)))
-        weighted.append(
-            (w * inv_cap, WeightedIntegralSpec("asset", (1,) * (m - i) + (-1,), **common))
-        )
-
-    if lam[i] > 0.0:
-        common = dict(
-            strikes=(cap,),
-            fixed_expiries=(),
-            coeffs=coeffs,
-            weight_rate=lam[i],
-            weight_anchor=t,
-            lower=t,
-            upper=dates[i + 1],
-        )
-        tail.append((1.0, WeightedIntegralSpec("bond", (1,), **common)))
-        tail.append((inv_cap, WeightedIntegralSpec("asset", (-1,), **common)))
-
-    prefactor = math.exp(-lam[i] * (dates[i + 1] - t))
-    return prefactor, closed, weighted, tail
+        strikes = barriers[i:m] + (min(barriers[m], cap),)
+        w = _jump_survival(schedule, i, t, m)
+        terms.append((w * inv_cap, BinarySpec("asset", ups + (-1,), strikes, expiries, coeffs)))
+        if barriers[m] > cap:
+            terms.append((w, BinarySpec("bond", ups + (1,), strikes, expiries, coeffs)))
+            if m < n - 1:
+                at_barrier = barriers[i : m + 1]
+                terms.append((-w, BinarySpec("bond", ups + (1,), at_barrier, expiries, coeffs)))
+        if lam[m] > 0.0:
+            common = dict(
+                strikes=barriers[i:m] + (cap,),
+                fixed_expiries=dates[i + 1 : m + 1],
+                coeffs=coeffs,
+                weight_rate=lam[m],
+                lower=dates[m] if m > i else t,
+                upper=dates[m + 1],
+            )
+            w = _jump_survival(schedule, i, t, m - 1) if m > i else 1.0
+            terms.append((w, WeightedIntegralSpec("bond", ups + (1,), **common)))
+            terms.append((w * inv_cap, WeightedIntegralSpec("asset", ups + (-1,), **common)))
+    return terms
 
 
 def _endogenous_value(
@@ -298,33 +264,15 @@ def _endogenous_value(
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"relative_price_endogenous: spot must be positive, got {x}")
     i = locate_interval(schedule, t)
-    if recovery.R == 0.0:
-        # n/R -> inf: every recovery term carries a vanishing factor, leaving
-        # the bare survival cascade.
-        w, err = _survival_with_error(market, schedule, x, t, config)
-        return w, err, 0.0, i
-
-    prefactor, closed, weighted, tail = _endogenous_terms(market, schedule, recovery, i, t)
-    cdf_err = 0.0
-    quad_err = 0.0
-    total = 0.0
-    for w, spec in closed:
-        value, err = price_binary_with_error(spec, x, t, config)
-        total += w * value
-        cdf_err += abs(w) * err
-    for w, spec in weighted:
-        value, err = integral_binary(spec, x, t, config)
-        total += w * value
-        quad_err += abs(w) * err
-    u = prefactor * total
-    cdf_err *= prefactor
-    quad_err *= prefactor
-
-    for w, spec in tail:
-        value, err = integral_binary(spec, x, t, config)
+    u = cdf_err = quad_err = 0.0
+    for w, spec in _endogenous_terms(market, schedule, recovery, i, t):
+        if isinstance(spec, BinarySpec):
+            value, err = price_binary_with_error(spec, x, t, config)
+            cdf_err += abs(w) * err
+        else:
+            value, err = integral_binary(spec, x, t, config)
+            quad_err += abs(w) * err
         u += w * value
-        quad_err += w * err
-
     return max(u, 0.0), cdf_err, quad_err, i
 
 
@@ -387,8 +335,7 @@ def price_exogenous(
         raise DomainError(f"price_exogenous: firm value must be positive, got {V}")
     df = _discount(market, schedule, t)
     x = V / df
-    w, err = _survival_with_error(market, schedule, x, t, config)
-    i = locate_interval(schedule, t)
+    w, err, i = _survival_with_error(market, schedule, x, t, config)
     R = recovery.R
     price = R * df + (1.0 - R) * w * df
     u = R + (1.0 - R) * w

@@ -207,14 +207,16 @@ def test_criterion_5_integral_of_binary():
     co = BsCoefficients(0.0, 0.05, 1.0)
 
     # additivity at quadrature tolerance
-    spec_all = WeightedIntegralSpec("bond", (1,), (150.0,), (), co, 0.2, 3.0, 3.0, 6.0)
-    spec_l = WeightedIntegralSpec("bond", (1,), (150.0,), (), co, 0.2, 3.0, 3.0, 4.3)
-    spec_r = WeightedIntegralSpec("bond", (1,), (150.0,), (), co, 0.2, 3.0, 4.3, 6.0)
+    spec_all = WeightedIntegralSpec("bond", (1,), (150.0,), (), co, 0.2, 3.0, 6.0)
+    spec_l = WeightedIntegralSpec("bond", (1,), (150.0,), (), co, 0.2, 3.0, 4.3)
+    spec_r = WeightedIntegralSpec("bond", (1,), (150.0,), (), co, 0.2, 4.3, 6.0)
     whole, e0 = integral_binary(spec_all, 180.0, 0.0)
     left, e1 = integral_binary(spec_l, 180.0, 0.0)
     right, e2 = integral_binary(spec_r, 180.0, 0.0)
-    if abs(whole - (left + right)) > max(1e-9, 3 * (e0 + e1 + e2)):
-        failures.append(f"additivity: {whole:.10f} vs {left + right:.10f}")
+    # the right piece's weight starts at 4.3: scale it by the survival to 4.3
+    joined = left + math.exp(-0.2 * (4.3 - 3.0)) * right
+    if abs(whole - joined) > max(1e-9, 3 * (e0 + e1 + e2)):
+        failures.append(f"additivity: {whole:.10f} vs {joined:.10f}")
 
     # constant-integrand closed form at 1e-12
     lam, c_lo, d_hi = 0.31, 3.0, 6.0
@@ -224,7 +226,7 @@ def test_criterion_5_integral_of_binary():
 
     # dense-Simpson agreement at 1e-6 (2^14 panels)
     lam = 0.005
-    spec = WeightedIntegralSpec("bond", (1,), (200.0,), (), co, lam, 3.0, 3.0, 6.0)
+    spec = WeightedIntegralSpec("bond", (1,), (200.0,), (), co, lam, 3.0, 6.0)
     val, _ = integral_binary(spec, 200.0, 0.0)
 
     def f(tau):

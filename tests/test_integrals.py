@@ -13,8 +13,8 @@ from oracles import simpson_integral
 BASE = BsCoefficients(0.0, 0.05, 1.0)
 
 
-def order1(kind, sign, k, lam, anchor, lo, hi, coeffs=BASE):
-    return WeightedIntegralSpec(kind, (sign,), (k,), (), coeffs, lam, anchor, lo, hi)
+def order1(kind, sign, k, lam, lo, hi, coeffs=BASE):
+    return WeightedIntegralSpec(kind, (sign,), (k,), (), coeffs, lam, lo, hi)
 
 
 # -------------------------------------------------------------- construction
@@ -22,20 +22,18 @@ def order1(kind, sign, k, lam, anchor, lo, hi, coeffs=BASE):
 
 def test_spec_validation():
     with pytest.raises(ScheduleError):
-        order1("bond", 1, 200.0, 0.01, 3.0, 6.0, 3.0)  # reversed bounds
-    with pytest.raises(ScheduleError):
-        order1("bond", 1, 200.0, 0.01, 4.0, 3.0, 6.0)  # anchor past lower
+        order1("bond", 1, 200.0, 0.01, 6.0, 3.0)  # reversed bounds
     with pytest.raises(DomainError):
-        order1("bond", 1, 200.0, -0.1, 3.0, 3.0, 6.0)  # negative rate
+        order1("bond", 1, 200.0, -0.1, 3.0, 6.0)  # negative rate
     with pytest.raises(DomainError):
-        WeightedIntegralSpec("bond", (1, 1), (100.0,), (), BASE, 0.01, 3.0, 3.0, 6.0)
+        WeightedIntegralSpec("bond", (1, 1), (100.0,), (), BASE, 0.01, 3.0, 6.0)
     with pytest.raises(ScheduleError):
         # integration interval starts before the last fixed expiry
-        WeightedIntegralSpec("bond", (1, 1), (100.0, 200.0), (4.0,), BASE, 0.01, 3.0, 3.0, 6.0)
+        WeightedIntegralSpec("bond", (1, 1), (100.0, 200.0), (4.0,), BASE, 0.01, 3.0, 6.0)
 
 
 def test_evaluation_time_validation():
-    spec = WeightedIntegralSpec("bond", (1, 1), (100.0, 200.0), (3.0,), BASE, 0.01, 3.0, 3.0, 6.0)
+    spec = WeightedIntegralSpec("bond", (1, 1), (100.0, 200.0), (3.0,), BASE, 0.01, 3.0, 6.0)
     with pytest.raises(ScheduleError):
         integral_binary(spec, 200.0, 3.5)
     with pytest.raises(DomainError):
@@ -46,12 +44,12 @@ def test_evaluation_time_validation():
 
 
 def test_zero_rate_is_exactly_zero():
-    spec = order1("bond", 1, 200.0, 0.0, 3.0, 3.0, 6.0)
+    spec = order1("bond", 1, 200.0, 0.0, 3.0, 6.0)
     assert integral_binary(spec, 200.0, 0.0) == (0.0, 0.0)
 
 
 def test_empty_interval_is_exactly_zero():
-    spec = order1("bond", 1, 200.0, 0.01, 3.0, 3.0, 3.0)
+    spec = order1("bond", 1, 200.0, 0.01, 3.0, 3.0)
     assert integral_binary(spec, 200.0, 0.0) == (0.0, 0.0)
 
 
@@ -96,7 +94,7 @@ SIMPSON_CASE_EXPECTED = 1.8519660012552299e-03
 
 def test_dense_simpson_agreement():
     lam = 0.005
-    spec = order1("bond", 1, 200.0, lam, 3.0, 3.0, 6.0)
+    spec = order1("bond", 1, 200.0, lam, 3.0, 6.0)
     val, err = integral_binary(spec, 200.0, 0.0)
 
     def f(tau):
@@ -114,7 +112,7 @@ def test_second_order_integrand_left_endpoint_degeneracy():
     # the correlation collapse keep the integral finite and accurate
     lam = 0.4
     spec = WeightedIntegralSpec(
-        "bond", (1, 1), (100.0, 150.0), (3.0,), BASE, lam, 3.0, 3.0, 6.0
+        "bond", (1, 1), (100.0, 150.0), (3.0,), BASE, lam, 3.0, 6.0
     )
     val, err = integral_binary(spec, 200.0, 0.0)
 
@@ -167,8 +165,7 @@ NEAR_THE_MONEY_TAILS = [
 @pytest.mark.parametrize("x, t, upper, kind, truth", NEAR_THE_MONEY_TAILS)
 def test_near_the_money_tail_matches_oracle(x, t, upper, kind, truth):
     sign = 1 if kind == "bond" else -1
-    spec = WeightedIntegralSpec(kind, (sign,), (NTM_STRIKE,), (), NTM_COEFFS, NTM_RATE,
-                                t, t, upper)
+    spec = WeightedIntegralSpec(kind, (sign,), (NTM_STRIKE,), (), NTM_COEFFS, NTM_RATE, t, upper)
     val, err = integral_binary(spec, x, t)
     assert abs(val - truth) <= err
 
@@ -180,7 +177,7 @@ def test_at_the_money_tail_over_a_tiny_span(kind, span, t):
     # x == K puts the layer at zero width; nodes of s = t + span v^2 round
     # onto t, where the binary is undefined, and must be kept above it
     sign = 1 if kind == "bond" else -1
-    spec = WeightedIntegralSpec(kind, (sign,), (200.0,), (), BASE, 0.005, t, t, t + span)
+    spec = WeightedIntegralSpec(kind, (sign,), (200.0,), (), BASE, 0.005, t, t + span)
     val, err = integral_binary(spec, 200.0, t)
     # the binary starts at half its payoff scale; over spans this short it
     # stays there to within sqrt(span)
@@ -194,10 +191,12 @@ def test_at_the_money_tail_over_a_tiny_span(kind, span, t):
 @settings(deadline=None, max_examples=25)
 def test_additivity(mid, lam):
     x, t = 180.0, 0.0
-    whole, e0 = integral_binary(order1("bond", 1, 150.0, lam, 3.0, 3.0, 6.0), x, t)
-    left, e1 = integral_binary(order1("bond", 1, 150.0, lam, 3.0, 3.0, mid), x, t)
-    right, e2 = integral_binary(order1("bond", 1, 150.0, lam, 3.0, mid, 6.0), x, t)
-    assert whole == pytest.approx(left + right, abs=max(1e-9, 3 * (e0 + e1 + e2)))
+    whole, e0 = integral_binary(order1("bond", 1, 150.0, lam, 3.0, 6.0), x, t)
+    left, e1 = integral_binary(order1("bond", 1, 150.0, lam, 3.0, mid), x, t)
+    right, e2 = integral_binary(order1("bond", 1, 150.0, lam, mid, 6.0), x, t)
+    # the right piece's weight starts at mid: scale it by the survival to mid
+    joined = left + math.exp(-lam * (mid - 3.0)) * right
+    assert whole == pytest.approx(joined, abs=max(1e-9, 3 * (e0 + e1 + e2)))
 
 
 @given(
@@ -211,7 +210,7 @@ def test_additivity(mid, lam):
 def test_dominated_bound(lam, kind, sign, k, r):
     x, t, c, d = 160.0, 0.0, 3.0, 6.0
     coeffs = BsCoefficients(r, 0.05, 1.0)
-    spec = order1(kind, sign, k, lam, c, c, d, coeffs)
+    spec = order1(kind, sign, k, lam, c, d, coeffs)
     val, _ = integral_binary(spec, x, t)
     if kind == "bond":
         family_bound = max(math.exp(-r * (c - t)), math.exp(-r * (d - t)))

@@ -155,17 +155,23 @@ def test_regime_tie_is_accepted_and_continuous(market, schedule):
     assert u_tie == pytest.approx(u_below, abs=1e-6)
 
 
-@pytest.mark.parametrize("n, counts", [(150.0, (4, 3, 2)), (1.0, (8, 5, 2))])
-def test_endogenous_term_count_on_uniform_schedules(market, n, counts):
-    # cap 300 clears every barrier: one asset binary per date plus the
-    # survival cascade, N - i + 1.  Cap 2 sits under all of them: bond, asset
-    # and -bond per date, less the last -bond, which cancels the cascade,
-    # 3 (N - i) - 1.
+@pytest.mark.parametrize(
+    "R, n, counts",
+    [(0.5, 150.0, (4, 3, 2)), (0.5, 1.0, (8, 5, 2)), (0.5, 50.0, (6, 3, 2)), (0.0, 1.0, (1, 1, 1))],
+    ids=["cap_above_all", "cap_below_all", "mixed_regimes", "zero_recovery"],
+)
+def test_endogenous_binary_term_count(market, R, n, counts):
+    # Binaries in the term list.  Cap 300 clears every barrier: one asset
+    # binary per date plus the survival cascade, N - i + 1.  Cap 2 sits under
+    # all of them: asset, bond and -bond per date, less the last -bond, which
+    # cancels the cascade, 3 (N - i) - 1.  Cap 100 lies between barriers 90
+    # and 110/120: three binaries at dates above it, one at the date below,
+    # and no cascade.  R = 0 recovers nothing and leaves the cascade alone.
     schedule = db.DefaultSchedule((0.0, 1.5, 3.5, 7.0), (0.01, 0.02, 0.004), (120.0, 90.0, 110.0))
-    rec = db.RecoveryModel("endogenous", 0.5, n=n)
+    rec = db.RecoveryModel("endogenous", R, n=n)
     for i, (t, count) in enumerate(zip((0.0, 2.0, 4.0), counts)):
-        _, closed, _, _ = _endogenous_terms(market, schedule, rec, i, t)
-        assert len(closed) == count
+        terms = _endogenous_terms(market, schedule, rec, i, t)
+        assert sum(isinstance(spec, db.BinarySpec) for _, spec in terms) == count
 
 
 def test_zero_recovery_equals_bare_survival(market, schedule):
@@ -295,12 +301,14 @@ def test_near_the_money_prices_hold_their_quadrature_error(monkeypatch):
 # being integrated directly (Kronrod-Gauss differences pick that up).  The
 # low-barrier prices moved by up to 1.0e-9, onto a tight-tolerance reference,
 # when their integrals with a singular lower end moved to s = lower + span v^2.
+# Endogenous values moved by at most 2 ulps when the closed form became one
+# list of terms whose weights each carry the jump survival from t.
 PINNED_PRICES = {
     ("base_endogenous_low_barrier", 0.0): (0.13284295345819666, 5.147178255423852e-15, 6.798860405390251e-10),
-    ("base_endogenous_low_barrier", 1.3): (0.19645262714548986, 6.065661177524609e-15, 1.6287233363828903e-09),
-    ("base_endogenous_low_barrier", 4.5): (0.4994558990957419, 1.646826562955258e-15, 4.815758321205294e-17),
+    ("base_endogenous_low_barrier", 1.3): (0.19645262714548986, 6.065661177524609e-15, 1.62872333638289e-09),
+    ("base_endogenous_low_barrier", 4.5): (0.4994558990957418, 1.6468265629552576e-15, 4.815758321205294e-17),
     ("base_endogenous_high_barrier", 0.0): (0.5358731781203812, 2.497925355830703e-13, 4.474807531326252e-11),
-    ("base_endogenous_high_barrier", 1.3): (0.6197700830115676, 3.0407622589778187e-13, 3.8008460168545975e-11),
+    ("base_endogenous_high_barrier", 1.3): (0.6197700830115677, 3.0407622589778187e-13, 3.800846016854598e-11),
     ("base_endogenous_high_barrier", 4.5): (0.8604860400545192, 8.010925174828628e-14, 6.447751938233404e-15),
     ("base_exogenous", 0.0): (0.30396145744331926, 1.343516905099159e-15, 0.0),
     ("base_exogenous", 1.3): (0.3586479896109323, 1.5340184524882066e-15, 0.0),
@@ -323,9 +331,9 @@ def test_three_date_endogenous_price_is_pinned():
     schedule = db.DefaultSchedule((0.0, 1.5, 3.5, 7.0), (0.01, 0.02, 0.004), (120.0, 90.0, 110.0))
     recovery = db.RecoveryModel("endogenous", 0.5, n=1.0)
     rep = db.price_endogenous(market, schedule, recovery, 250.0 * math.exp(-0.08 * 7.0), 0.0)
-    assert rep.price == 0.570340451699515
-    assert rep.diagnostics == {"cdf_error": 4.325459642591837e-13,
-                               "quadrature_error": 1.8955449938922133e-12}
+    assert rep.price == 0.5703404516995149
+    assert rep.diagnostics == {"cdf_error": 4.3254596425918385e-13,
+                               "quadrature_error": 1.895544993892213e-12}
 
 
 # -------------------------------------------------------------- spreads
@@ -368,26 +376,22 @@ def test_assembly_via_shifted_coefficients_matches(market, schedule, endo_high_b
     x, t = 200.0, 0.7
     i = db.locate_interval(schedule, t)
     lam_i = schedule.intensities[i]
-    pre, closed, weighted, tail = _endogenous_terms(market, schedule, endo_high_barrier, i, t)
 
-    total = 0.0
-    for w, spec in closed:
+    def shifted_value(spec):
         scale, shifted = shift_coefficients(spec, lam_i, t)
-        total += w * scale * price_binary(shifted, x, t)
+        return scale * price_binary(shifted, x, t)
 
-    def weighted_value(spec):
-        def integrand(tau):
-            weight = spec.weight_rate * math.exp(-spec.weight_rate * (tau - spec.weight_anchor))
-            scale, shifted = shift_coefficients(spec.binary_at(tau), lam_i, t)
-            return weight * scale * price_binary(shifted, x, t)
+    u_shifted = 0.0
+    for w, spec in _endogenous_terms(market, schedule, endo_high_barrier, i, t):
+        if isinstance(spec, db.BinarySpec):
+            u_shifted += w * shifted_value(spec)
+            continue
 
-        return _adaptive_quad(integrand, spec.lower, spec.upper)[0]
+        def integrand(tau, spec=spec):
+            weight = spec.weight_rate * math.exp(-spec.weight_rate * (tau - spec.lower))
+            return weight * shifted_value(spec.binary_at(tau))
 
-    for w, spec in weighted:
-        total += w * weighted_value(spec)
-    u_shifted = pre * total
-    for w, spec in tail:
-        u_shifted += w * weighted_value(spec)
+        u_shifted += w * _adaptive_quad(integrand, spec.lower, spec.upper)[0]
 
     u_direct = db.relative_price_endogenous(market, schedule, endo_high_barrier, x, t)
     assert u_shifted == pytest.approx(u_direct, rel=1e-10)
