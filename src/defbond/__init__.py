@@ -14,9 +14,7 @@ from .errors import (
 from .integrals import WeightedIntegralSpec, integral_binary
 from .montecarlo import McResult, SimConfig, simulate_price
 from .normal import (
-    DEFAULT_QMC,
     CorrelationStructure,
-    QmcConfig,
     bivariate_cdf,
     build_correlation,
     mvn_cdf,
@@ -50,7 +48,6 @@ __all__ = [
     "BsCoefficients",
     "CascadeSolution",
     "CorrelationStructure",
-    "DEFAULT_QMC",
     "DefaultSchedule",
     "DefbondError",
     "DomainError",
@@ -58,7 +55,6 @@ __all__ = [
     "MarketParams",
     "McResult",
     "PriceReport",
-    "QmcConfig",
     "RecoveryModel",
     "Scenario",
     "ScenarioError",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Literal
 
 from .errors import DomainError, ScheduleError
-from .normal import DEFAULT_QMC, QmcConfig, build_correlation, mvn_cdf
+from .normal import DEFAULT_QMC, build_correlation, mvn_cdf
 
 __all__ = [
     "BsCoefficients",
@@ -45,6 +45,19 @@ class BsCoefficients:
             raise DomainError("BsCoefficients: sigma must be positive")
 
 
+def check_payoff(owner: str, kind: str, signs: tuple, strikes: tuple) -> None:
+    """The kind, sign and strike checks of every chained payoff; ``owner``
+    names the spec in the error."""
+    if kind not in ("asset", "bond"):
+        raise DomainError(f"{owner}: unknown kind {kind!r}")
+    for sign in signs:
+        if sign not in (-1, 1):
+            raise DomainError(f"{owner}: signs must be +-1")
+    for strike in strikes:
+        if not (math.isfinite(strike) and strike > 0.0):
+            raise DomainError(f"{owner}: strikes must be positive and finite")
+
+
 @dataclass(frozen=True)
 class BinarySpec:
     """An order-m binary: payoff kind, per-date signs, strikes and expiries."""
@@ -56,17 +69,10 @@ class BinarySpec:
     coeffs: BsCoefficients
 
     def __post_init__(self):
-        if self.kind not in ("asset", "bond"):
-            raise DomainError(f"BinarySpec: unknown kind {self.kind!r}")
         m = len(self.signs)
         if m < 1 or len(self.strikes) != m or len(self.expiries) != m:
             raise DomainError("BinarySpec: signs, strikes and expiries must share a length >= 1")
-        for sign in self.signs:
-            if sign not in (-1, 1):
-                raise DomainError("BinarySpec: signs must be +-1")
-        for strike in self.strikes:
-            if not (math.isfinite(strike) and strike > 0.0):
-                raise DomainError("BinarySpec: strikes must be positive and finite")
+        check_payoff("BinarySpec", self.kind, self.signs, self.strikes)
         for a, b in zip(self.expiries, self.expiries[1:]):
             if b <= a:
                 raise ScheduleError(f"BinarySpec: expiries not strictly increasing: {self.expiries}")
@@ -95,9 +101,7 @@ def _signed_limits(spec: BinarySpec, x: float, t: float, plus: bool) -> list[flo
     return limits
 
 
-def price_binary_with_error(
-    spec: BinarySpec, x: float, t: float, config: QmcConfig = DEFAULT_QMC
-) -> tuple[float, float]:
+def price_binary_with_error(spec: BinarySpec, x: float, t: float) -> tuple[float, float]:
     """Binary price plus a bound on the CDF-evaluation error it inherits."""
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"price_binary: spot must be positive, got {x}")
@@ -107,7 +111,8 @@ def price_binary_with_error(
         )
     corr = build_correlation(t, spec.expiries)
     limits = _signed_limits(spec, x, t, plus=(spec.kind == "asset"))
-    prob, cdf_err = mvn_cdf(limits, corr, spec.signs, config)
+    # bench/tracing.py reads target_error from mvn_cdf's fourth positional argument
+    prob, cdf_err = mvn_cdf(limits, corr, spec.signs, DEFAULT_QMC)
     horizon = spec.expiries[-1] - t
     if spec.kind == "asset":
         scale = x * math.exp(-spec.coeffs.q * horizon)
@@ -116,9 +121,9 @@ def price_binary_with_error(
     return scale * prob, scale * cdf_err
 
 
-def price_binary(spec: BinarySpec, x: float, t: float, config: QmcConfig = DEFAULT_QMC) -> float:
+def price_binary(spec: BinarySpec, x: float, t: float) -> float:
     """Price of the binary at spot ``x`` and time ``t < T_1``."""
-    return price_binary_with_error(spec, x, t, config)[0]
+    return price_binary_with_error(spec, x, t)[0]
 
 
 def shift_coefficients(spec: BinarySpec, new_r: float, t: float) -> tuple[float, BinarySpec]:

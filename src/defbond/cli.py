@@ -251,7 +251,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ScenarioError as exc:
-        print(f"error {exc.code}: {exc}", file=sys.stderr)
+        print(f"error {exc}", file=sys.stderr)  # str(exc) starts with the code
         return EXIT_VALIDATION
     except DefbondError as exc:
         print(f"error BAD_VALUE: {exc}", file=sys.stderr)

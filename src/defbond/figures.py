@@ -1,7 +1,7 @@
 """Named sweep presets for the eighteen bundled parameter-study figures.
 
 Figures 1-9 sweep the bond price over the time axis, figures 10-18 repeat the
-same sweeps for the credit spread.  The ``mixed`` presets move the two
+same sweeps for the credit spread.  Figures 5, 8, 14 and 17 move the two
 schedule entries in opposite directions, so their series cross inside the
 first interval instead of staying ordered.
 """
@@ -20,7 +20,6 @@ class FigurePreset:
     quantity: Literal["price", "spread"]
     parameter: str
     values: tuple
-    mixed: bool = False
     base_overrides: tuple[tuple[str, float], ...] = ()
 
     @property
@@ -37,14 +36,14 @@ def _sweeps(quantity: str, start: int) -> dict[int, FigurePreset]:
             start + 3, quantity, "K", ((50.0, 50.0), (100.0, 100.0), (150.0, 150.0))
         ),
         start + 4: FigurePreset(
-            start + 4, quantity, "K", ((50.0, 150.0), (100.0, 100.0), (150.0, 50.0)), mixed=True
+            start + 4, quantity, "K", ((50.0, 150.0), (100.0, 100.0), (150.0, 50.0))
         ),
         start + 5: FigurePreset(start + 5, quantity, "K2", (50.0, 100.0, 150.0)),
         start + 6: FigurePreset(
             start + 6, quantity, "lambda", ((0.001, 0.002), (0.01, 0.02), (0.1, 0.2))
         ),
         start + 7: FigurePreset(
-            start + 7, quantity, "lambda", ((0.001, 0.2), (0.01, 0.02), (0.1, 0.002)), mixed=True
+            start + 7, quantity, "lambda", ((0.001, 0.2), (0.01, 0.02), (0.1, 0.002))
         ),
         start + 8: FigurePreset(
             start + 8,

@@ -33,9 +33,8 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .binaries import BinarySpec, BsCoefficients, price_binary
+from .binaries import BinarySpec, BsCoefficients, check_payoff, price_binary
 from .errors import DomainError, ScheduleError
-from .normal import DEFAULT_QMC, QmcConfig
 
 __all__ = ["WeightedIntegralSpec", "integral_binary"]
 
@@ -169,8 +168,13 @@ class WeightedIntegralSpec:
             raise DomainError(
                 "WeightedIntegralSpec: need m signs, m strikes and m-1 fixed expiries"
             )
+        check_payoff("WeightedIntegralSpec", self.kind, self.signs, self.strikes)
         if self.weight_rate < 0.0 or not math.isfinite(self.weight_rate):
             raise DomainError("WeightedIntegralSpec: weight rate must be >= 0")
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ScheduleError(
+                f"WeightedIntegralSpec: bounds must be finite: [{self.lower}, {self.upper}]"
+            )
         if self.lower > self.upper:
             raise ScheduleError(
                 f"WeightedIntegralSpec: bounds reversed: [{self.lower}, {self.upper}]"
@@ -212,12 +216,7 @@ def _layer_width(spec: WeightedIntegralSpec, x: float, t: float) -> float:
     return dist / (spec.coeffs.sigma * math.sqrt(spec.upper - spec.lower))
 
 
-def integral_binary(
-    spec: WeightedIntegralSpec,
-    x: float,
-    t: float,
-    config: QmcConfig = DEFAULT_QMC,
-) -> tuple[float, float]:
+def integral_binary(spec: WeightedIntegralSpec, x: float, t: float) -> tuple[float, float]:
     """Weighted integral value and the quadrature error estimate."""
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"integral_binary: spot must be positive, got {x}")
@@ -239,7 +238,7 @@ def integral_binary(
         if tau <= lower:
             tau = above_lower
         w = rate * math.exp(-rate * (tau - lower))
-        return w * price_binary(spec.binary_at(tau), x, t, config)
+        return w * price_binary(spec.binary_at(tau), x, t)
 
     ub = _layer_width(spec, x, t)
     if ub >= 1.0:

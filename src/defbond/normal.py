@@ -35,8 +35,6 @@ import numpy as np
 from .errors import DomainError, ScheduleError
 
 __all__ = [
-    "QmcConfig",
-    "DEFAULT_QMC",
     "CorrelationStructure",
     "build_correlation",
     "std_normal_cdf",
@@ -70,15 +68,12 @@ _SQRT_HALF = math.sqrt(0.5)
 
 @dataclass(frozen=True)
 class QmcConfig:
-    """Settings of the randomized-lattice CDF that dimensions >= 3 once used.
-    Every CDF is now a deterministic quadrature: no field changes any result,
-    and the type stays only in the pricing signatures."""
+    """Error target that ``mvn_cdf`` accepts and ignores: every CDF is a
+    deterministic quadrature.  Its only reader is the benchmark tracer
+    (``bench/tracing.py``), which compares d >= 3 error estimates with it;
+    ROADMAP item 1 deletes the class with that read."""
 
-    seed: int = 186525
-    base_points: int = 2**13
-    shifts: int = 12
     target_error: float = 1e-7
-    max_total_points: int = 2**20
 
 
 DEFAULT_QMC = QmcConfig()
@@ -497,7 +492,8 @@ def mvn_cdf(a, corr, signs=None, config: QmcConfig = DEFAULT_QMC):
     corr : CorrelationStructure
         The chain of the m expiries; anything else raises ``DomainError``.
     signs : sequence of +-1, optional
-    config : ignored; kept for callers that pass it
+    config : QmcConfig, ignored by the evaluation; only the benchmark
+        tracer reads it
 
     Returns
     -------

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -106,17 +106,17 @@ class CascadeSolution:
     ``values[i]`` keeps only the rows k = 0, s, 2s, ... below n, with
     s = ``stride``, and last the glued terminal row k = n.  ``sample``
     re-marches any other row with ``steppers[i]`` from the nearest kept row
-    above it, bit for bit as the solve computed it.  The defaults (stride 1,
-    no steppers) describe a solution that stores every row.
+    above it, bit for bit as the solve computed it.  ``accuracy_warning`` is
+    set when a Richardson check exceeds its tolerance.
     """
 
     dates: tuple[float, ...]
     y: np.ndarray
     times: list[np.ndarray]
     values: list[np.ndarray]
+    stride: int
+    steppers: list["_Stepper"]
     accuracy_warning: str | None = None
-    stride: int = 1
-    steppers: list["_Stepper"] = field(default_factory=list)
 
 
 class _Stepper:
@@ -347,10 +347,9 @@ def _cascade(
             values[i] = _march(steppers[i], terminal)
             times[i] = np.linspace(t_lo, t_hi, spec.n_time_per_interval + 1)
             nxt = values[i][0]
-        solutions.append(CascadeSolution(
-            schedule.dates, y, times, values,
-            stride=steppers[0].stride, steppers=steppers,
-        ))
+        solutions.append(
+            CascadeSolution(schedule.dates, y, times, values, steppers[0].stride, steppers)
+        )
 
     fine = solutions[0]
     if check_tolerance is not None:

@@ -24,7 +24,6 @@ import numpy as np
 from .binaries import BinarySpec, BsCoefficients, price_binary_with_error
 from .errors import DomainError, ScheduleError
 from .integrals import WeightedIntegralSpec, integral_binary
-from .normal import DEFAULT_QMC, QmcConfig
 
 __all__ = [
     "MarketParams",
@@ -171,19 +170,18 @@ def survival_probability(
     schedule: DefaultSchedule,
     x: float,
     t: float,
-    config: QmcConfig = DEFAULT_QMC,
 ) -> float:
     """Probability of surviving both default channels on (t, T]."""
-    w, _, _ = _survival_with_error(market, schedule, x, t, config)
+    w, _, _ = _survival_with_error(market, schedule, x, t)
     return w
 
 
-def _survival_with_error(market, schedule, x, t, config):
+def _survival_with_error(market, schedule, x, t):
     """Survival probability, its CDF error and the interval index of t."""
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"survival_probability: spot must be positive, got {x}")
     i = locate_interval(schedule, t)
-    value, err = price_binary_with_error(_barrier_cascade_spec(market, schedule, i), x, t, config)
+    value, err = price_binary_with_error(_barrier_cascade_spec(market, schedule, i), x, t)
     factor = _jump_survival(schedule, i, t, schedule.n_intervals - 1)
     return min(max(factor * value, 0.0), 1.0), factor * err, i
 
@@ -256,7 +254,6 @@ def _endogenous_value(
     recovery: RecoveryModel,
     x: float,
     t: float,
-    config: QmcConfig,
 ):
     """Relative price u_i plus accumulated (cdf_error, quadrature_error)."""
     if recovery.mode != "endogenous":
@@ -267,10 +264,10 @@ def _endogenous_value(
     u = cdf_err = quad_err = 0.0
     for w, spec in _endogenous_terms(market, schedule, recovery, i, t):
         if isinstance(spec, BinarySpec):
-            value, err = price_binary_with_error(spec, x, t, config)
+            value, err = price_binary_with_error(spec, x, t)
             cdf_err += abs(w) * err
         else:
-            value, err = integral_binary(spec, x, t, config)
+            value, err = integral_binary(spec, x, t)
             quad_err += abs(w) * err
         u += w * value
     return max(u, 0.0), cdf_err, quad_err, i
@@ -282,10 +279,9 @@ def relative_price_endogenous(
     recovery: RecoveryModel,
     x: float,
     t: float,
-    config: QmcConfig = DEFAULT_QMC,
 ) -> float:
     """Bond price per unit of the default-free bond, endogenous recovery."""
-    u, _, _, _ = _endogenous_value(market, schedule, recovery, x, t, config)
+    u, _, _, _ = _endogenous_value(market, schedule, recovery, x, t)
     return u
 
 
@@ -299,14 +295,13 @@ def price_endogenous(
     recovery: RecoveryModel,
     V: float,
     t: float,
-    config: QmcConfig = DEFAULT_QMC,
 ) -> PriceReport:
     """Bond price at firm value ``V``, endogenous recovery."""
     if not (math.isfinite(V) and V > 0.0):
         raise DomainError(f"price_endogenous: firm value must be positive, got {V}")
     df = _discount(market, schedule, t)
     x = V / df
-    u, cdf_err, quad_err, i = _endogenous_value(market, schedule, recovery, x, t, config)
+    u, cdf_err, quad_err, i = _endogenous_value(market, schedule, recovery, x, t)
     remaining = schedule.maturity - t
     spread = max(0.0, -math.log(u) / remaining) if u > 0.0 else math.inf
     return PriceReport(
@@ -325,7 +320,6 @@ def price_exogenous(
     recovery: RecoveryModel,
     V: float,
     t: float,
-    config: QmcConfig = DEFAULT_QMC,
 ) -> PriceReport:
     """Bond price at firm value ``V``, exogenous recovery: the recovery floor
     plus the survival-weighted allowance."""
@@ -335,7 +329,7 @@ def price_exogenous(
         raise DomainError(f"price_exogenous: firm value must be positive, got {V}")
     df = _discount(market, schedule, t)
     x = V / df
-    w, err, i = _survival_with_error(market, schedule, x, t, config)
+    w, err, i = _survival_with_error(market, schedule, x, t)
     R = recovery.R
     price = R * df + (1.0 - R) * w * df
     u = R + (1.0 - R) * w
@@ -357,11 +351,10 @@ def credit_spread(
     recovery: RecoveryModel,
     V: float,
     t: float,
-    config: QmcConfig = DEFAULT_QMC,
 ) -> float:
     """Yield pickup of the defaultable bond over the default-free bond."""
     if t >= schedule.maturity:
         raise DomainError("credit_spread: undefined at or past maturity")
     if recovery.mode == "exogenous":
-        return price_exogenous(market, schedule, recovery, V, t, config).credit_spread
-    return price_endogenous(market, schedule, recovery, V, t, config).credit_spread
+        return price_exogenous(market, schedule, recovery, V, t).credit_spread
+    return price_endogenous(market, schedule, recovery, V, t).credit_spread

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import yaml
 
-from .errors import DefbondError, ScenarioError
+from .errors import DefbondError, DomainError, ScenarioError
 from .pricing import DefaultSchedule, MarketParams, RecoveryModel
 
 __all__ = [
@@ -49,6 +49,12 @@ class Evaluation:
     t: float
     x: float | None = None
     V: float | None = None
+
+    def __post_init__(self):
+        # runs on load and on every sweep of x, so both reject the same spots
+        for name, spot in (("x", self.x), ("V", self.V)):
+            if spot is not None and not (math.isfinite(spot) and spot > 0.0):
+                raise DomainError(f"evaluation.{name} must be positive and finite, got {spot}")
 
 
 @dataclass(frozen=True)
@@ -156,13 +162,14 @@ def parse_scenario(doc: dict) -> Scenario:
         raise ScenarioError("BAD_VALUE", "evaluation needs exactly one of x or V")
     x = _number(e["x"], "evaluation.x") if has_x else None
     V = _number(e["V"], "evaluation.V") if has_v else None
-    if (x is not None and x <= 0.0) or (V is not None and V <= 0.0):
-        raise ScenarioError("BAD_VALUE", "evaluation spot must be positive")
     if not (0.0 <= t < schedule.maturity):
         raise ScenarioError(
             "BAD_VALUE", f"evaluation.t={t} outside [0, maturity={schedule.maturity})"
         )
-    evaluation = Evaluation(t=t, x=x, V=V)
+    try:
+        evaluation = Evaluation(t=t, x=x, V=V)
+    except DefbondError as exc:
+        raise ScenarioError("BAD_VALUE", str(exc)) from exc
 
     sweep = None
     if doc.get("sweep") is not None:

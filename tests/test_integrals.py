@@ -30,6 +30,20 @@ def test_spec_validation():
     with pytest.raises(ScheduleError):
         # integration interval starts before the last fixed expiry
         WeightedIntegralSpec("bond", (1, 1), (100.0, 200.0), (4.0,), BASE, 0.01, 3.0, 6.0)
+    # the kind, sign and strike checks of BinarySpec; a zero rate would
+    # otherwise price a bogus kind to (0, 0)
+    with pytest.raises(DomainError):
+        order1("bogus", 1, 200.0, 0.0, 3.0, 6.0)
+    with pytest.raises(DomainError):
+        order1("bond", 0, 200.0, 0.01, 3.0, 6.0)
+    for strike in (-5.0, 0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            order1("bond", 1, strike, 0.01, 3.0, 6.0)
+    with pytest.raises(DomainError):
+        WeightedIntegralSpec("bond", (1, 1), (-5.0, 200.0), (3.0,), BASE, 0.01, 3.0, 6.0)
+    for lower, upper in ((math.nan, 6.0), (3.0, math.nan), (3.0, math.inf), (-math.inf, 6.0)):
+        with pytest.raises(ScheduleError):
+            order1("bond", 1, 200.0, 0.01, lower, upper)
 
 
 def test_evaluation_time_validation():

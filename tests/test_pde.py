@@ -224,7 +224,8 @@ def _toy_solution():
     y = np.array([0.0, 1.0, 2.0])
     times = [np.array([0.0, 1.0])]
     values = [np.array([[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])]
-    return CascadeSolution((0.0, 1.0), y, times, values)
+    # stride 1 keeps every row, so sampling never re-marches
+    return CascadeSolution((0.0, 1.0), y, times, values, stride=1, steppers=[])
 
 
 def test_sample_exact_node():

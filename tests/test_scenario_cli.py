@@ -48,6 +48,11 @@ def test_parse_firm_value_given_directly(base_doc):
         (lambda d: d["recovery"].update(R=1.5), "BAD_VALUE"),
         (lambda d: d["evaluation"].update(V=50.0), "BAD_VALUE"),  # both x and V
         (lambda d: d["evaluation"].update(t=7.0), "BAD_VALUE"),
+        (lambda d: d["evaluation"].update(x=math.inf), "BAD_VALUE"),
+        (lambda d: d["evaluation"].update(x=math.nan), "BAD_VALUE"),
+        (lambda d: d.update(evaluation={"V": math.inf, "t": 0.0}), "BAD_VALUE"),
+        (lambda d: d.update(sweep={"parameter": "x", "values": [math.inf]}), "BAD_SWEEP"),
+        (lambda d: d.update(sweep={"parameter": "x", "values": [math.nan]}), "BAD_SWEEP"),
         (lambda d: d.update(sweep={"parameter": "sigma", "values": [1, 2]}), "BAD_SWEEP"),
         (lambda d: d.update(sweep={"parameter": "K", "values": [[50.0]]}), "BAD_SWEEP"),
         (lambda d: d.update(sweep={"parameter": "K9", "values": [50.0]}), "BAD_SWEEP"),
@@ -145,8 +150,15 @@ def test_figure_presets_complete():
     for fig, preset in FIGURE_PRESETS.items():
         assert preset.quantity == ("price" if fig <= 9 else "spread")
         assert len(preset.values) == 3
-    assert FIGURE_PRESETS[5].mixed and FIGURE_PRESETS[8].mixed
-    assert FIGURE_PRESETS[14].mixed and FIGURE_PRESETS[17].mixed
+    # the two schedule entries of a crossing sweep move in opposite
+    # directions from the first series to the last
+    crossing = []
+    for fig, preset in FIGURE_PRESETS.items():
+        first, last = preset.values[0], preset.values[-1]
+        if isinstance(first, tuple):
+            if (last[0] - first[0]) * (last[1] - first[1]) < 0.0:
+                crossing.append(fig)
+    assert crossing == [5, 8, 14, 17]
     assert FIGURE_PRESETS[9].base_overrides == (("lambda0", 0.01),)
 
 
@@ -304,6 +316,7 @@ def test_cli_validate_rejects_bad_tolerances(
     assert rc == 2
     err = capsys.readouterr().err
     assert "error BAD_VALUE" in err and option in err
+    assert err.count("BAD_VALUE") == 1
 
 
 def test_sweep_index_out_of_range_codes(base_doc):
