@@ -7,17 +7,19 @@ otherwise.  Jump defaults are drawn exactly by inverting the piecewise-linear
 cumulative hazard, and the firm value at the jump time is bridged with one
 exact lognormal step, so the estimator carries no discretization bias.
 
-Paths are generated in fixed-size blocks, each keyed into a counter-based
+Paths are generated in fixed-size blocks, each seeded into its own SFC64
 generator by (seed, block index); results are bit-identical for a given
-(seed, config) no matter how blocks would be dispatched.  A block's draws
-are transposed once, so each announcing date is a contiguous row: log x
+(seed, config) no matter how blocks would be dispatched.  A block draws its
+step normals date-major, so each announcing date is a contiguous row: log x
 advances date by date in one forward pass that keeps a single row of x and
 records each path's first barrier hit as it happens.  Only paths whose
 exponential draw falls inside the total hazard can jump (about 2% at
 lambda = 0.01), so the jump time, the test against the first hit and the
-lognormal bridge run on that subset alone; every other path's payoff is 1
-or the recovery at its hit.  The antithetic leg reuses the draws with a
-sign on the volatility, which IEEE arithmetic makes exact.
+lognormal bridge run on that subset alone, and the block draws bridge
+normals only for the paths that can jump in either antithetic leg; every
+other path's payoff is 1 or the recovery at its hit.  The antithetic leg
+reuses the draws with a sign on the volatility, which IEEE arithmetic makes
+exact.
 """
 
 from __future__ import annotations
@@ -60,8 +62,7 @@ class McResult:
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
-    key = np.array([seed % 2**64, block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed % 2**64, block])))
 
 
 def simulate_price(
@@ -109,10 +110,11 @@ def simulate_price(
     # keeps every such u against rounding in either function
     u_bound = -math.expm1(-total_hazard) * (1.0 + 1e-6)
 
-    def leg_payoff(z, e_unif, sign):
+    def leg_payoff(z, e_unif, bridge_idx, bridge_z, sign):
         """(relative payoff, paths survived) from one set of draws, taken with
-        ``sign``; row j of the date-major ``z`` drives the step to date j, row
-        n_dates the bridge to a jump time."""
+        ``sign``; row j of the date-major ``z`` drives the step to date j, and
+        ``bridge_z`` holds the bridge normals of the paths ``bridge_idx``, a
+        sorted superset of those that can jump."""
         n = z.shape[1]
         # jump defaults: only draws below the bound can land inside the
         # hazard mass, and the exact test keeps those that do
@@ -161,8 +163,9 @@ def simulate_price(
             x0,
             np.exp(log_x_jump[np.maximum(sc - 1, 0), np.flatnonzero(unexpected)]),
         )
+        z_theta = bridge_z[np.searchsorted(bridge_idx, uidx)]
         x_theta = x_base * np.exp(
-            (-b - 0.5 * s * s) * d_theta + sign * s * np.sqrt(d_theta) * z[n_dates, uidx]
+            (-b - 0.5 * s * s) * d_theta + sign * s * np.sqrt(d_theta) * z_theta
         )
         payoff[uidx] = recovery.paid(x_theta)
         return payoff, int(np.count_nonzero(alive)) - int(np.count_nonzero(alive[uidx]))
@@ -177,13 +180,15 @@ def simulate_price(
     while done < n_base:
         count = min(_BLOCK, n_base - done)
         rng = _block_rng(config.seed, block)
-        # one transpose per block: each date's draws become a contiguous row
-        z = np.ascontiguousarray(rng.standard_normal((count, n_dates + 1)).T)
+        z = rng.standard_normal((n_dates, count))
         u = rng.random(count)
-        pay, surv = leg_payoff(z, u, 1.0)
+        # a bridge normal for every path that either leg could see jump
+        bridge_idx = np.flatnonzero((u < u_bound) | (1.0 - u < u_bound))
+        bridge_z = rng.standard_normal(len(bridge_idx))
+        pay, surv = leg_payoff(z, u, bridge_idx, bridge_z, 1.0)
         survived_total += surv
         if antithetic:
-            pay2, surv2 = leg_payoff(z, 1.0 - u, -1.0)
+            pay2, surv2 = leg_payoff(z, 1.0 - u, bridge_idx, bridge_z, -1.0)
             v = 0.5 * (pay + pay2)
             survived_total += surv2
         else:

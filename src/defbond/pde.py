@@ -12,9 +12,11 @@ When every barrier sits far under the grid both edges take the far-field
 value, which needs the same recovery at both edges once a jump channel is
 live.  Each interval factors the tridiagonal step matrix once (LAPACK
 ``dgttrf``, held by a per-interval stepper) and solves every step in place
-(``dgttrs``) over two rolling row buffers; the stepper imports both from
-``scipy.linalg`` when the first one is built, so importing this module loads
-no scipy.  Only every s-th row is kept, s = isqrt(steps per interval),
+(``dgttrs``) over two rolling row buffers; the explicit half of a
+Crank-Nicolson step is folded to three coefficients on the shifted rows and
+accumulated in place into the output row.  A stepper imports both LAPACK
+routines from ``scipy.linalg`` when it is built, so importing this module
+loads no scipy.  Only every s-th row is kept, s = isqrt(steps per interval),
 plus the glued terminal row; ``sample`` re-marches the rows it needs from
 the nearest kept row above them with the same stepper, so it reads the
 values a full history would hold.  This engine shares no code path with the
@@ -145,16 +147,19 @@ class _Stepper:
         h = y[1] - y[0]
         m = len(y) - 1
         alpha = sigma * sigma / (2.0 * h * h)
-        self.lo_c = alpha - mu / (2.0 * h)
-        self.di_c = -2.0 * alpha - rho
-        self.up_c = alpha + mu / (2.0 * h)
+        lo_c = alpha - mu / (2.0 * h)
+        di_c = -2.0 * alpha - rho
+        up_c = alpha + mu / (2.0 * h)
         self.dt = (t_hi - t_lo) / n_steps
         self.half = half = 0.5 * self.dt
         f = np.zeros(m - 1) if source is None else source
         self.half_f = half * f
         self.dt_f = self.dt * f
-        self.lo_w = half * self.lo_c
-        self.up_w = half * self.up_c
+        # the explicit half-step u + (dt/2) A u folded to three coefficients
+        self.lo_w = half * lo_c
+        self.di_w = 1.0 + half * di_c
+        self.up_w = half * up_c
+        self.scratch = np.empty(m - 1)
         self.bc_lo, self.bc_hi = bc_lo, bc_hi
         self.t_lo, self.t_hi, self.n_steps = t_lo, t_hi, n_steps
         # rows a march keeps: every stride-th, then the terminal row
@@ -164,7 +169,7 @@ class _Stepper:
         self.dgttrs = dgttrs
         *self.lu, info = dgttrf(
             np.full(m - 2, -self.lo_w),
-            np.full(m - 1, 1.0 - half * self.di_c),
+            np.full(m - 1, 1.0 - half * di_c),
             np.full(m - 2, -self.up_w),
         )
         if info != 0:
@@ -192,11 +197,13 @@ class _Stepper:
             out[1:-1] += self.half_f
         else:
             # A u already carries the old-time boundary values u[0] and u[-1]
-            out[1:-1] = (
-                u[1:-1]
-                + self.half * (self.lo_c * u[:-2] + self.di_c * u[1:-1] + self.up_c * u[2:])
-                + self.dt_f
-            )
+            inner, scratch = out[1:-1], self.scratch
+            np.multiply(u[1:-1], self.di_w, out=inner)
+            np.multiply(u[:-2], self.lo_w, out=scratch)
+            inner += scratch
+            np.multiply(u[2:], self.up_w, out=scratch)
+            inner += scratch
+            inner += self.dt_f
         self._solve(out, self.t_lo + k * self.dt)
         return out
 

@@ -229,14 +229,19 @@ def apply_sweep_value(scenario: Scenario, parameter: str, value) -> Scenario:
             return value
         return (float(value),) * len(template)
 
+    def scalar() -> float:
+        if isinstance(value, tuple):
+            raise ScenarioError("BAD_SWEEP", f"{parameter} sweep value must be a number")
+        return float(value)
+
     try:
         if parameter == "R":
-            return replace(scenario, recovery=replace(scenario.recovery, R=float(value)))
+            return replace(scenario, recovery=replace(scenario.recovery, R=scalar()))
         if parameter == "s_V":
-            return replace(scenario, market=replace(scenario.market, s_V=float(value)))
+            return replace(scenario, market=replace(scenario.market, s_V=scalar()))
         if parameter == "x":
             return replace(
-                scenario, evaluation=replace(scenario.evaluation, x=float(value), V=None)
+                scenario, evaluation=replace(scenario.evaluation, x=scalar(), V=None)
             )
         if parameter == "K":
             return replace(scenario, schedule=replace(schedule, barriers=as_vector(schedule.barriers)))
@@ -249,13 +254,13 @@ def apply_sweep_value(scenario: Scenario, parameter: str, value) -> Scenario:
             if not 0 <= idx < n:
                 raise ScenarioError("BAD_SWEEP", f"{parameter}: barrier index out of range 1..{n}")
             barriers = list(schedule.barriers)
-            barriers[idx] = float(value)
+            barriers[idx] = scalar()
             return replace(scenario, schedule=replace(schedule, barriers=tuple(barriers)))
         idx = int(match.group(3))
         if not 0 <= idx < n:
             raise ScenarioError("BAD_SWEEP", f"{parameter}: interval index out of range 0..{n - 1}")
         intensities = list(schedule.intensities)
-        intensities[idx] = float(value)
+        intensities[idx] = scalar()
         return replace(scenario, schedule=replace(schedule, intensities=tuple(intensities)))
     except DefbondError as exc:
         if isinstance(exc, ScenarioError):

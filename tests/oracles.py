@@ -114,9 +114,10 @@ def simpson_integral(f, a: float, b: float, panels: int) -> float:
 
 def dense_simulate_price(market, schedule, recovery, V0, config, t=0.0) -> McResult:
     """``simulate_price`` computed densely: every path's x is kept at every
-    date, the first barrier hit is found by a backward pass over the dates and
-    jump times are drawn for every path.  Same blocks, draws and floating-point
-    operations as the engine, so the two agree bit for bit."""
+    date, the first barrier hit is found by a backward pass over the dates,
+    jump times are drawn for every path and each path's bridge normal sits in
+    a dense row (zero where the block drew none).  Same blocks, draws and
+    floating-point operations as the engine, so the two agree bit for bit."""
     maturity = schedule.maturity
     df = math.exp(-market.r * (maturity - t))
     x0 = V0 / df
@@ -133,8 +134,9 @@ def dense_simulate_price(market, schedule, recovery, V0, config, t=0.0) -> McRes
     vol = s * np.sqrt(seg_dt)
     log_x0 = math.log(x0)
     hit_times = np.append(rem_dates, np.inf)
+    u_bound = -math.expm1(-float(hazard_edges[-1])) * (1.0 + 1e-6)
 
-    def leg_payoff(z, e_unif):
+    def leg_payoff(z, bridge, e_unif):
         n = z.shape[1]
         log_x = np.empty((n_dates, n))
         x_at_dates = np.empty((n_dates, n))
@@ -171,7 +173,7 @@ def dense_simulate_price(market, schedule, recovery, V0, config, t=0.0) -> McRes
             d_theta = theta[unexpected] - seg_times[sc]
             x_base = np.where(sc == 0, x0, np.exp(log_x[np.maximum(sc - 1, 0), unexpected]))
             x_theta = x_base * np.exp(
-                (-b - 0.5 * s * s) * d_theta + s * np.sqrt(d_theta) * z[n_dates, unexpected]
+                (-b - 0.5 * s * s) * d_theta + s * np.sqrt(d_theta) * bridge[unexpected]
             )
             payoff[unexpected] = recovery.paid(x_theta)
         return payoff, survived
@@ -182,14 +184,18 @@ def dense_simulate_price(market, schedule, recovery, V0, config, t=0.0) -> McRes
     survived_total = done = block = 0
     while done < n_base:
         count = min(block_size, n_base - done)
-        key = np.array([config.seed % 2**64, block], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        z = np.ascontiguousarray(rng.standard_normal((count, n_dates + 1)).T)
+        seq = np.random.SeedSequence([config.seed % 2**64, block])
+        rng = np.random.Generator(np.random.SFC64(seq))
+        z = rng.standard_normal((n_dates, count))
         u = rng.random(count)
-        pay, surv = leg_payoff(z, u)
+        # bridge normals only for the paths that can jump in either leg
+        can_jump = (u < u_bound) | (1.0 - u < u_bound)
+        bridge = np.zeros(count)
+        bridge[can_jump] = rng.standard_normal(int(can_jump.sum()))
+        pay, surv = leg_payoff(z, bridge, u)
         survived_total += int(surv.sum())
         if config.antithetic:
-            pay2, surv2 = leg_payoff(-z, 1.0 - u)
+            pay2, surv2 = leg_payoff(-z, -bridge, 1.0 - u)
             pay = 0.5 * (pay + pay2)
             survived_total += int(surv2.sum())
         sum_v += float(pay.sum())

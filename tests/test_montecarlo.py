@@ -108,18 +108,18 @@ def test_input_validation(market, schedule, exo):
         db.simulate_price(market, schedule, exo, 100.0, db.SimConfig(n_paths=100, antithetic=False), t=6.0)
 
 
-# Reference outputs of the path-major engine (np.cumsum along each path).
-# The date-major engine takes the same draws and adds the log steps in the
-# same order, so they reproduce: survival counts exactly, the rest to 1e-12.
+# Reference outputs on the per-block SFC64 stream: date-major step normals,
+# the uniforms, then one bridge normal per path that can jump in either leg.
+# Survival counts reproduce exactly, the rest to 1e-12.
 _PINNED = {
-    ("exogenous", True, 0.0): (0.25847710256352824, 0.0002651662380774856, 0.11829331341911764),
-    ("exogenous", True, 2.0): (0.34329643304351665, 0.0003687031440379986, 0.18689682904411764),
-    ("exogenous", False, 0.0): (0.25849601840576497, 0.0004030943275139606, 0.11835075827205882),
-    ("exogenous", False, 2.0): (0.3428863394951319, 0.0005929118710942877, 0.18587718290441177),
-    ("endogenous", True, 0.0): (0.2692200120441119, 0.00038591580448260295, 0.11829331341911764),
-    ("endogenous", True, 2.0): (0.37187634330269936, 0.000498764251438373, 0.18689682904411764),
-    ("endogenous", False, 0.0): (0.2687079902818298, 0.0006793810950462589, 0.11835075827205882),
-    ("endogenous", False, 2.0): (0.37122218080467756, 0.0008937083908771878, 0.18587718290441177),
+    ("exogenous", True, 0.0): (0.2593779695500509, 0.00026725208894828965, 0.12102912454044118),
+    ("exogenous", True, 2.0): (0.34340328840471535, 0.00036880854005528503, 0.1871625114889706),
+    ("exogenous", False, 0.0): (0.25910605431789846, 0.00040580994905383804, 0.12020335477941177),
+    ("exogenous", False, 2.0): (0.3430480665282978, 0.0005934062542842426, 0.186279296875),
+    ("endogenous", True, 0.0): (0.26962318687897735, 0.00038525762260249697, 0.12102912454044118),
+    ("endogenous", True, 2.0): (0.37292016144555223, 0.0004987411489035229, 0.1871625114889706),
+    ("endogenous", False, 0.0): (0.2692346749110798, 0.0006807008933656288, 0.12020335477941177),
+    ("endogenous", False, 2.0): (0.37290204371784447, 0.0008944721481476407, 0.186279296875),
 }
 
 
@@ -143,30 +143,30 @@ def test_pinned_outputs(market, mode, antithetic, t):
     assert res.n_paths == n_paths
 
 
-# Regimes that change which paths the engine works on, pinned before the
-# engine restricted jump and bridge arithmetic to the paths that jump.
+# Regimes that change which paths the engine works on and which paths get a
+# bridge normal, on the same stream as above.
 _PINNED_REGIMES = {
     # intensity 20 on every interval: every exponential draw lands in the
     # hazard mass, so every path jumps
     "all_jump": (
         (20.0, 20.0, 20.0), (90.0, 120.0, 80.0), True, 0.0,
-        (0.37120856046969464, 0.00011658536385722367, 0.0),
+        (0.37094762244089047, 0.00011598118636721665, 0.0),
     ),
     # barriers 8 standard deviations under the spot: no path is ever hit
     "never_hit": (
         (0.05, 0.1, 0.2), (1e-6, 1e-6, 1e-6), False, 0.0,
-        (0.35065882907268964, 0.0008974227086761959, 0.4978170955882353),
+        (0.35225288263858867, 0.0008937246976732657, 0.498046875),
     ),
     # first barrier far above the spot: every path that has not jumped is
     # hit on the first date
     "all_hit_first": (
         (0.05, 0.02, 0.03), (1e6, 120.0, 80.0), True, 0.5,
-        (0.23921892072493364, 0.000275691055329216, 0.0),
+        (0.23932664680403784, 0.0002758072031913488, 0.0),
     ),
     # no jump channel, live barriers, evaluated on an announcing date
     "zero_hazard": (
         (0.0, 0.0, 0.0), (90.0, 120.0, 80.0), True, 2.0,
-        (0.1953318227105337, 0.000508495241467967, 0.20685173483455882),
+        (0.19593936394693984, 0.0005076815717579629, 0.20741182215073528),
     ),
 }
 

@@ -7,7 +7,7 @@ import pytest
 import defbond as db
 from defbond.binaries import BinarySpec, BsCoefficients, price_binary
 from defbond.errors import DomainError
-from defbond.pde import CascadeSolution, GridSpec, propagate_terminal, sample
+from defbond.pde import CascadeSolution, GridSpec, _Stepper, propagate_terminal, sample
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -217,6 +217,44 @@ def test_non_finite_data_rejected():
         propagate_terminal(y, terminal, coeffs, 0.0, 1.0, 16, lambda t: 0.0, lambda t: 1.0)
 
 
+def test_step_matches_unfolded_formula():
+    # step() folds the explicit half u + (dt/2) A u + dt f into three
+    # coefficients; on random rows it must match the unfolded sum to a few
+    # ulps of its terms.  Both go through the same solve, whose matrix is
+    # diagonally dominant by at least 1, so the solve does not amplify the
+    # difference.  The last step is the Rannacher start-up.
+    rng = np.random.default_rng(21)
+    y = np.linspace(0.0, 6.0, 129)
+    h = y[1] - y[0]
+    sigma, mu, rho = 0.4, -0.13, 0.02
+    alpha = sigma * sigma / (2.0 * h * h)
+    lo_c, di_c, up_c = alpha - mu / (2.0 * h), -2.0 * alpha - rho, alpha + mu / (2.0 * h)
+    f = rng.uniform(0.0, 0.05, len(y) - 2)
+    stepper = _Stepper(y, sigma, mu, rho, f, lambda t: 0.2, lambda t: 0.9, 0.5, 2.0, 32)
+    half, dt = stepper.half, stepper.dt
+    for k in (7, stepper.n_steps - 1):
+        u = rng.uniform(-1.0, 1.0, len(y))
+        got = stepper.step(k, u, np.empty_like(u))
+        want = np.empty_like(u)
+        if k == stepper.n_steps - 1:
+            want[1:-1] = u[1:-1] + half * f
+            stepper._solve(want, stepper.t_hi - half)
+            want[1:-1] += half * f
+            terms = np.abs(want[1:-1]) + half * f
+        else:
+            parts = (
+                u[1:-1],
+                half * (lo_c * u[:-2]),
+                half * (di_c * u[1:-1]),
+                half * (up_c * u[2:]),
+                dt * f,
+            )
+            want[1:-1] = u[1:-1] + half * (lo_c * u[:-2] + di_c * u[1:-1] + up_c * u[2:]) + dt * f
+            terms = sum(np.abs(p) for p in parts)
+        stepper._solve(want, stepper.t_lo + k * dt)
+        assert np.max(np.abs(got - want)) <= 4.0 * np.finfo(float).eps * np.max(terms)
+
+
 # ------------------------------------------------------------------ sampling
 
 
@@ -285,30 +323,30 @@ _PINNED = {
 }
 
 
-# Values of the march that kept every row, at five kinds of step time on the
-# same grids (columns) and at x = x_min, 80, 150, 400, x_max (rows); the
-# grid edges carry each interval's own boundary values.  Re-marching
-# reproduces them bit for bit.
+# Values of the march with the explicit half-step folded to three
+# coefficients, at five kinds of step time on the same grids (columns) and
+# at x = x_min, 80, 150, 400, x_max (rows); the grid edges carry each
+# interval's own boundary values.  Re-marching reproduces them bit for bit.
 _PINNED_STEPS = {
     "base_exogenous": (
         0.5, 0.5, 0.5, 0.5, 0.5,
-        0.5102082371892381, 0.576950718186603, 0.5807688392530052, 0.5258561284515584, 0.5688477585478516,
-        0.6114361695830904, 0.633019759250296, 0.6412673411839501, 0.5495775891254074, 0.6163818000709926,
-        0.7138999283405242, 0.7478420658483254, 0.7632132187927895, 0.6093405608841391, 0.7165494034203852,
+        0.510208237189238, 0.5769507181866028, 0.5807688392530048, 0.5258561284515584, 0.5688477585478517,
+        0.6114361695830904, 0.6330197592502956, 0.6412673411839499, 0.5495775891254074, 0.6163818000709926,
+        0.7138999283405242, 0.7478420658483251, 0.7632132187927889, 0.6093405608841389, 0.7165494034203853,
         0.9925097948438474, 0.9937696153851978, 0.994290659355171, 0.990344447594333, 0.9925559698015314,
     ),
     "base_endogenous_low_barrier": (
         0.0007514921521447464, 0.0006650291454263296, 0.0006719898745931912, 0.0006732837577593748, 0.000649096448734653,
-        0.36831728910895206, 0.2567481406851874, 0.26975107159301026, 0.17682839553970045, 0.2295721888406795,
-        0.3442316421879514, 0.38098716845560954, 0.4015691800261691, 0.24613852402219233, 0.3386264830108444,
-        0.5351686120561808, 0.603029405038717, 0.6326050101486981, 0.37337835805999614, 0.5407001501930228,
+        0.368317289108952, 0.2567481406851874, 0.26975107159301026, 0.1768283955397005, 0.22957218884067937,
+        0.34423164218795127, 0.3809871684556096, 0.40156918002616915, 0.24613852402219216, 0.3386264830108442,
+        0.5351686120561808, 0.6030294050387168, 0.6326050101486979, 0.3733783580599961, 0.5407001501930228,
         1.0, 1.0, 1.0, 1.0, 1.0,
     ),
     "base_endogenous_high_barrier": (
         0.0015029843042894929, 0.0013300582908526593, 0.0013439797491863823, 0.0013465675155187496, 0.001298192897469306,
-        0.9956891082416236, 0.969266048730421, 0.9780076412933115, 0.9761581119961346, 0.9433694649270046,
-        0.9736863247782166, 0.9875495541106464, 0.9918830643026485, 0.9872388816333311, 0.9728886230383161,
-        0.9924503427161698, 0.997662558992493, 0.9987158129195384, 0.9910412949008136, 0.9930817926364774,
+        0.9956891082416236, 0.9692660487304217, 0.9780076412933123, 0.9761581119961393, 0.943369464927005,
+        0.973686324778217, 0.987549554110647, 0.991883064302649, 0.987238881633336, 0.9728886230383164,
+        0.9924503427161705, 0.9976625589924933, 0.9987158129195388, 0.9910412949008185, 0.9930817926364782,
         1.0, 1.0, 1.0, 1.0, 1.0,
     ),
 }

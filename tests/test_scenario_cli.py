@@ -56,6 +56,11 @@ def test_parse_firm_value_given_directly(base_doc):
         (lambda d: d.update(sweep={"parameter": "sigma", "values": [1, 2]}), "BAD_SWEEP"),
         (lambda d: d.update(sweep={"parameter": "K", "values": [[50.0]]}), "BAD_SWEEP"),
         (lambda d: d.update(sweep={"parameter": "K9", "values": [50.0]}), "BAD_SWEEP"),
+        (lambda d: d.update(sweep={"parameter": "R", "values": [[0.2, 0.3]]}), "BAD_SWEEP"),
+        (lambda d: d.update(sweep={"parameter": "s_V", "values": [[0.2, 0.3]]}), "BAD_SWEEP"),
+        (lambda d: d.update(sweep={"parameter": "x", "values": [[0.2, 0.3]]}), "BAD_SWEEP"),
+        (lambda d: d.update(sweep={"parameter": "K1", "values": [[0.2, 0.3]]}), "BAD_SWEEP"),
+        (lambda d: d.update(sweep={"parameter": "lambda0", "values": [[0.2, 0.3]]}), "BAD_SWEEP"),
     ],
 )
 def test_parse_errors_carry_codes(base_doc, mutate, code):
