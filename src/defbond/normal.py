@@ -8,19 +8,26 @@ marginalizing coordinate k joins its neighbours with ``rho_{k-1} rho_k``, and
 box limits and correlations are plain Python floats until a dimension of
 three or more needs arrays.  Every scalar Phi is ``math.erfc``, the C
 library's erfc (piecewise rational approximations after Cody, Math. Comp.
-1969), so dimensions one and two need no scipy; dimension two is a
-fixed-order Gauss-Legendre reduction of the bivariate integral (Genz,
-Statistics and Computing 2004).  A two-dimensional result that cancels far
-below the terms it is formed from is recomputed as a positive conditional
-integral, so tail boxes keep their relative accuracy.  From dimension three
-on the CDF is a forward recursion of one-dimensional Gaussian convolutions
-over panel Gauss-Legendre grids (quadrature between monitoring dates, as in
+1969), so dimensions one and two need no scipy.  A box of one or two
+coordinates is an orthant of the coordinates signed toward their bounds
+(X > lo, or -X > -hi for an upper bound): Phi(-h) in one dimension, and in
+two a fixed-order Gauss-Legendre reduction of the bivariate integral (Genz,
+Statistics and Computing 2004) at a correlation r >= 0.  At r < 0 the
+orthant is its smaller marginal minus the reflected orthant at -r; where
+that difference cancels far below the marginal it is recomputed as a
+positive conditional integral, so tail boxes keep their relative accuracy.
+A coordinate bounded on both sides (only a merged +-1 pair of dates makes
+one) is a Phi difference taken in its own tail in one dimension and the
+conditional integral in two.  From dimension three on the CDF is a forward
+recursion of one-dimensional Gaussian convolutions over panel
+Gauss-Legendre grids (quadrature between monitoring dates, as in
 Andricopoulos et al., J. Financial Economics 2003, and Feng & Linetsky,
-Mathematical Finance 2008).  Its error estimate is the distance to
-the same recursion on a coarser rule.  ``mvn_cdf`` accepts only a
+Mathematical Finance 2008).  Its error estimate is the distance to the same
+recursion on a coarser rule.  ``mvn_cdf`` accepts only a
 ``CorrelationStructure``: every CDF the pricer needs is such a chain.  The
-array kernels (conditional boxes, chains) take Phi from ``scipy.special``,
-which is imported on their first call: importing this module loads no scipy.
+array kernels (conditional integrals, chains) take Phi from
+``scipy.special``, which is imported on their first call: importing this
+module loads no scipy.
 """
 
 from __future__ import annotations
@@ -55,9 +62,9 @@ _NODES_COARSE = 8
 _U_NODES = 40
 _MAX_PANELS = 64
 
-# A bivariate result below _CANCEL times the terms it was formed from has
-# lost about four digits to cancellation (rounding alone then leaves about
-# 1e-12 relative); it is recomputed as a positive conditional integral.
+# A reflected orthant below _CANCEL times the marginal it is subtracted from
+# has lost about four digits to cancellation (rounding alone then leaves
+# about 1e-12 relative); it is recomputed as a positive conditional integral.
 _CANCEL = 1e-4
 
 # scipy's ndtr underflows to exactly 0 where x^2 / 2 exceeds log(DBL_MAX);
@@ -114,48 +121,41 @@ def _norm_pdf(x):
     return np.exp(-0.5 * np.square(x)) / math.sqrt(2.0 * math.pi)
 
 
-def _bvnu(dh: float, dk: float, r: float) -> float:
-    """Upper-orthant probability P(X > dh, Y > dk), correlation r.
+def _bvnu(h: float, k: float, r: float) -> float:
+    """Upper-orthant probability P(X > h, Y > k) for a correlation
+    0 <= r <= 1.
 
     Gauss-Legendre reduction of the single-integral form of the bivariate
-    normal (12 nodes for ``|r| < 0.75``, 20 above), with the usual split at
-    ``|r| = 0.925`` where the integration variable switches to keep the
-    integrand benign near ``|r| = 1``.
+    normal (12 nodes for ``r < 0.75``, 20 above), with the usual split at
+    ``r = 0.925`` where the integration variable switches to keep the
+    integrand benign near ``r = 1``.
     """
-    if dh == _INF or dk == _INF:
+    if h == _INF or k == _INF:
         return 0.0
-    if dh == -_INF:
-        return 1.0 if dk == -_INF else _phi(-dk)
-    if dk == -_INF:
-        return _phi(-dh)
+    if h == -_INF:
+        return 1.0 if k == -_INF else _phi(-k)
+    if k == -_INF:
+        return _phi(-h)
     if r == 0.0:
-        return _phi(-dh) * _phi(-dk)
+        return _phi(-h) * _phi(-k)
 
     tp = 2.0 * math.pi
-    h, k = dh, dk
     hk = h * k
     bvn = 0.0
-    x, w, _ = _legendre(12 if abs(r) < 0.75 else 20)
+    x, w, _ = _legendre(12 if r < 0.75 else 20)
     # nodes for the interval (0, 2); symmetry covers (1-x, 1+x)
     nodes = zip((1.0 + x).tolist(), w.tolist())
 
-    if abs(r) < 0.925:
+    if r < 0.925:
         hs = 0.5 * (h * h + k * k)
         asr = 0.5 * math.asin(r)
         for xi, wi in nodes:
             sn = math.sin(asr * xi)
             bvn += wi * math.exp((sn * hk - hs) / (1.0 - sn * sn))
-        product = _phi(-h) * _phi(-k)
-        bvn = bvn * asr / tp + product
-        if bvn < _CANCEL * product:
-            # r < 0 made the sum cancel the product: integrate directly
-            return _conditional_box((h, k), (_INF, _INF), r)
-        return min(max(bvn, 0.0), 1.0)
+        bvn = bvn * asr / tp + _phi(-h) * _phi(-k)
+        return min(bvn, 1.0)
 
-    if r < 0.0:
-        k = -k
-        hk = -hk
-    if abs(r) < 1.0:
+    if r < 1.0:
         as_ = (1.0 - r) * (1.0 + r)
         a = math.sqrt(as_)
         bs = (h - k) ** 2
@@ -179,18 +179,27 @@ def _bvnu(dh: float, dk: float, r: float) -> float:
                 ep = math.exp(-0.5 * hk * xs / ((1.0 + rs) * (1.0 + rs))) / rs
                 total += wi * math.exp(asr) * (sp - ep)
         bvn = (a * total - bvn) / tp
+    return min(max(bvn + _phi(-max(h, k)), 0.0), 1.0)
 
-    if r > 0.0:
-        bvn += _phi(-max(h, k))
-    elif h >= k:
-        bvn = -bvn
-    else:
-        if h < 0.0:
-            lk = _phi(k) - _phi(h)
-        else:
-            lk = _phi(-h) - _phi(-k)
-        bvn = lk - bvn
-    return min(max(bvn, 0.0), 1.0)
+
+def _orthant(h: float, k: float, r: float) -> float:
+    """P(X > h, Y > k) for standard normals with correlation r.
+
+    A negative r is reflected once, subtracting from the smaller marginal:
+    P(X > h, Y > k) = P(X > h) - P(X > h, -Y >= -k), the last at
+    correlation -r.  Where that difference cancels below _CANCEL of the
+    marginal it is recomputed as a positive conditional integral, so tail
+    orthants keep their relative accuracy.
+    """
+    if r >= 0.0:
+        return _bvnu(h, k, r)
+    if k > h:
+        h, k = k, h
+    marginal = _phi(-h)
+    p = marginal - _bvnu(h, -k, -r)
+    if p < _CANCEL * marginal:
+        return _conditional_box((h, k), (_INF, _INF), r)
+    return p
 
 
 def bivariate_cdf(a: float, b: float, rho: float) -> float:
@@ -199,11 +208,9 @@ def bivariate_cdf(a: float, b: float, rho: float) -> float:
         raise DomainError("bivariate_cdf: NaN argument")
     if abs(rho) > 1.0:
         raise DomainError(f"bivariate_cdf: |rho| = {abs(rho)} > 1")
-    if rho == 1.0:
-        return std_normal_cdf(min(a, b))
     if rho == -1.0:
         return max(0.0, _phi(a) - _phi(-b))
-    return _bvnu(-a, -b, rho)
+    return _orthant(-a, -b, rho)
 
 
 @dataclass(frozen=True)
@@ -211,10 +218,9 @@ class CorrelationStructure:
     """Correlation data implied by observing a driftless diffusion at a set
     of increasing dates, seen from ``eval_time``.
 
-    ``covariance[i, j] = sqrt((T_i - t) / (T_j - t))`` for ``i <= j``; its
-    inverse is tridiagonal and is produced in closed form by ``precision``.
-    The chain is determined by its adjacent correlations ``rho``, which is
-    all the CDF evaluator reads.
+    ``covariance[i, j] = sqrt((T_i - t) / (T_j - t))`` for ``i <= j``.  The
+    chain is determined by its adjacent correlations ``rho``, which is all
+    the CDF evaluator reads.
     """
 
     eval_time: float
@@ -252,41 +258,10 @@ class CorrelationStructure:
         ratio = np.sqrt(np.minimum(tau[:, None], tau[None, :]) / np.maximum(tau[:, None], tau[None, :]))
         return ratio
 
-    @cached_property
-    def precision(self) -> np.ndarray:
-        m = self.dim
-        if m == 1:
-            return np.array([[1.0]])
-        ts = np.asarray(self.expiries, float)
-        tau = ts - self.eval_time
-        gaps = np.diff(ts)
-        a = np.zeros((m, m))
-        a[0, 0] = tau[1] / gaps[0]
-        a[m - 1, m - 1] = tau[m - 1] / gaps[m - 2]
-        for i in range(1, m - 1):
-            a[i, i] = tau[i] / gaps[i - 1] + tau[i] / gaps[i]
-        for i in range(m - 1):
-            off = -math.sqrt(tau[i] * tau[i + 1]) / gaps[i]
-            a[i, i + 1] = a[i + 1, i] = off
-        return a
-
 
 def build_correlation(t: float, expiries) -> CorrelationStructure:
     """Correlation structure for evaluation time ``t`` and increasing expiries."""
     return CorrelationStructure(float(t), tuple(map(float, expiries)))
-
-
-def _box_prob_2d(lo, hi, rho: float) -> float:
-    terms = (
-        _bvnu(lo[0], lo[1], rho),
-        _bvnu(hi[0], lo[1], rho),
-        _bvnu(lo[0], hi[1], rho),
-        _bvnu(hi[0], hi[1], rho),
-    )
-    p = terms[0] - terms[1] - terms[2] + terms[3]
-    if p < _CANCEL * max(terms):
-        p = _conditional_box(lo, hi, rho)
-    return min(max(p, 0.0), 1.0)
 
 
 def _tail_mass(a: float, b: float) -> float:
@@ -300,8 +275,9 @@ def _conditional_box(lo, hi, r: float) -> float:
     positive integral of phi(x) P(lo_Y <= Y <= hi_Y | X = x) over the limits
     of the coordinate with the smaller marginal.
 
-    For boxes whose inclusion-exclusion cancels: every term is positive, so
-    a probability far below its orthant terms keeps its relative accuracy.
+    For orthants whose reflection cancels and for boxes bounded on both
+    sides in one coordinate: every term is positive, so a probability far
+    below its marginals keeps its relative accuracy.
     x runs at most _L past its finite limit into the tail, on panels graded
     down at its own finite limits and at the other coordinate's limits seen
     from x.
@@ -457,24 +433,31 @@ def _box_probability(lower, upper, rho):
     """P(lower <= X <= upper), with error estimate, for a standardized
     Gaussian Markov chain X with adjacent correlations ``rho``; the limits
     and correlations are lists of floats."""
-    if len(lower) == 1:
-        # Phi(-inf) and Phi(inf) are exactly 0 and 1: skip them
-        lo, hi = lower[0], upper[0]
-        if hi <= lo:
+    if rho:
+        # one coordinate has nothing to reduce: Phi is exactly 0 and 1 at
+        # -inf and inf
+        lower, upper, rho, empty = _reduce_box(lower, upper, rho)
+        if empty:
             return 0.0, 0.0
-        if lo == -_INF:
-            return (1.0, 0.0) if hi == _INF else (_phi(hi), 1e-15)
-        return max(0.0, (1.0 if hi == _INF else _phi(hi)) - _phi(lo)), 1e-15
-    lower, upper, rho, empty = _reduce_box(lower, upper, rho)
-    if empty:
-        return 0.0, 0.0
     d = len(lower)
     if d == 0:
         return 1.0, 0.0
+    # up to two coordinates: an orthant of the coordinates signed toward
+    # their bounds, X > lo or -X > -hi, unless one is two-sided
     if d == 1:
-        return max(0.0, _phi(upper[0]) - _phi(lower[0])), 1e-15
+        lo, hi = lower[0], upper[0]
+        if hi == _INF:
+            return _phi(-lo), 1e-15
+        return (_phi(hi) if lo == -_INF else _tail_mass(lo, hi)), 1e-15
     if d == 2:
-        return _box_prob_2d(lower, upper, rho[0]), 5e-15
+        (h, k), (h_up, k_up), r = lower, upper, rho[0]
+        if -_INF < h and h_up < _INF or -_INF < k and k_up < _INF:
+            return _conditional_box(lower, upper, r), 5e-15
+        if h_up < _INF:
+            h, r = -h_up, -r
+        if k_up < _INF:
+            k, r = -k_up, -r
+        return _orthant(h, k, r), 5e-15
     rho = np.array(rho)
     p = _chain_box(lower, upper, rho, _NODES)
     return p, max(abs(p - _chain_box(lower, upper, rho, _NODES_COARSE)), 1e-15)
@@ -498,9 +481,10 @@ def mvn_cdf(a, corr, signs=None, config: QmcConfig = DEFAULT_QMC):
     Returns
     -------
     (probability, error_estimate)
-        One/two dimensional paths are exact to near machine precision; from
-        three dimensions on the estimate is the distance to a coarser
-        quadrature rule, which exceeds the actual error.
+        One and two dimensions are signed orthants, accurate to about
+        1e-15 absolute; from three dimensions on the estimate is the
+        distance to a coarser quadrature rule, which exceeds the actual
+        error.
     """
     # an array's tolist() nests a 2-D array and unwraps a 0-d one, so both
     # fail float() below like any other non-sequence

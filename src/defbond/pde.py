@@ -33,7 +33,6 @@ from typing import Callable
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .binaries import BsCoefficients
 from .errors import DomainError
 from .pricing import DefaultSchedule, MarketParams, RecoveryModel
 
@@ -43,7 +42,6 @@ __all__ = [
     "solve_endogenous_cascade",
     "solve_exogenous_cascade",
     "sample",
-    "propagate_terminal",
 ]
 
 # Grid edges sit at least this factor past every barrier, the recovery cap and
@@ -137,7 +135,7 @@ class _Stepper:
         sigma: float,
         mu: float,
         rho: float,
-        source: np.ndarray | None,
+        source: np.ndarray,
         bc_lo: Callable[[float], float],
         bc_hi: Callable[[float], float],
         t_lo: float,
@@ -152,9 +150,8 @@ class _Stepper:
         up_c = alpha + mu / (2.0 * h)
         self.dt = (t_hi - t_lo) / n_steps
         self.half = half = 0.5 * self.dt
-        f = np.zeros(m - 1) if source is None else source
-        self.half_f = half * f
-        self.dt_f = self.dt * f
+        self.half_f = half * source
+        self.dt_f = self.dt * source
         # the explicit half-step u + (dt/2) A u folded to three coefficients
         self.lo_w = half * lo_c
         self.di_w = 1.0 + half * di_c
@@ -225,26 +222,6 @@ def _march(stepper: _Stepper, terminal: np.ndarray) -> np.ndarray:
     if not np.isfinite(kept[0]).all():
         raise ValueError("array must not contain infs or NaNs")
     return kept
-
-
-def propagate_terminal(
-    y: np.ndarray,
-    terminal: np.ndarray,
-    coeffs: BsCoefficients,
-    t_start: float,
-    t_end: float,
-    n_steps: int,
-    bc_lo: Callable[[float], float],
-    bc_hi: Callable[[float], float],
-) -> np.ndarray:
-    """Solve the plain pricing equation backward from arbitrary terminal data
-    on a log-spot grid; returns the slice at ``t_start``.  Verification hook
-    for nesting identities."""
-    mu = coeffs.r - coeffs.q - 0.5 * coeffs.sigma**2
-    stepper = _Stepper(
-        y, coeffs.sigma, mu, coeffs.r, None, bc_lo, bc_hi, t_start, t_end, n_steps
-    )
-    return _march(stepper, terminal)[0]
 
 
 def _edges(

@@ -2,8 +2,10 @@
 
 These deliberately avoid the code paths they verify: dense tensor-product
 Gauss-Legendre and conditioning on the first date for normal orthant
-probabilities, composite Simpson for the weighted binary integrals, and a
-dense Monte Carlo engine that carries every path through every step.
+probabilities, composite Simpson for the weighted binary integrals, a
+finite-difference solve of the plain pricing equation for nesting
+identities, and a dense Monte Carlo engine that carries every path through
+every step.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from scipy.integrate import quad
 from scipy.special import roots_legendre
 
 from defbond import McResult, bivariate_cdf
+from defbond.pde import _march, _Stepper
 
 
 def gl_mvn_cdf(a, cov, n: int = 96, lo: float = -9.5) -> float:
@@ -110,6 +113,18 @@ def simpson_integral(f, a: float, b: float, panels: int) -> float:
     ys = np.array([f(x) for x in xs])
     h = xs[1] - xs[0]
     return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum()))
+
+
+def propagate_terminal(y, terminal, coeffs, t_start, t_end, n_steps, bc_lo, bc_hi) -> np.ndarray:
+    """Solve the plain pricing equation with coefficients ``coeffs`` backward
+    from arbitrary terminal data on the log-spot grid ``y``, with the PDE
+    engine's Crank-Nicolson stepper and no source; returns the slice at
+    ``t_start``.  Checks nesting identities of the closed forms."""
+    mu = coeffs.r - coeffs.q - 0.5 * coeffs.sigma**2
+    stepper = _Stepper(
+        y, coeffs.sigma, mu, coeffs.r, np.zeros(len(y) - 2), bc_lo, bc_hi, t_start, t_end, n_steps
+    )
+    return _march(stepper, terminal)[0]
 
 
 def dense_simulate_price(market, schedule, recovery, V0, config, t=0.0) -> McResult:

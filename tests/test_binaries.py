@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import defbond as db
 from defbond.binaries import BinarySpec, BsCoefficients, price_binary, shift_coefficients
 from defbond.errors import DomainError, ScheduleError
-from defbond.pde import propagate_terminal
+
+from oracles import propagate_terminal
 
 BASE = BsCoefficients(0.0, 0.05, 1.0)
 
@@ -93,6 +94,17 @@ def test_second_order_bond_matches_bivariate_formula():
     d2 = (math.log(2.0) - 0.55 * 6.0) / math.sqrt(6.0)
     expected = db.bivariate_cdf(d1, d2, math.sqrt(0.5))
     assert price_binary(spec, 200.0, 0.0) == pytest.approx(expected, abs=1e-13)
+
+
+@pytest.mark.parametrize("x", [200.0, 300.0, 400.0])
+def test_down_bond_keeps_tail_digits(x):
+    # e^{-r tau} Phi(-d2): taken as 1 - Phi(d2) it was 1.3e-5 relative off
+    # at x = 400, where Phi(-d2) is 1.5e-12
+    coeffs = BsCoefficients(0.05, 0.02, 0.2)
+    d2 = (math.log(x / 100.0) + coeffs.r - coeffs.q - 0.5 * coeffs.sigma**2) / coeffs.sigma
+    expected = math.exp(-coeffs.r) * 0.5 * math.erfc(d2 / math.sqrt(2.0))
+    price = price_binary(bond1(-1, 100.0, 1.0, coeffs), x, 0.0)
+    assert price == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 # ------------------------------------------------------------------- parity

@@ -7,7 +7,9 @@ import pytest
 import defbond as db
 from defbond.binaries import BinarySpec, BsCoefficients, price_binary
 from defbond.errors import DomainError
-from defbond.pde import CascadeSolution, GridSpec, _Stepper, propagate_terminal, sample
+from defbond.pde import CascadeSolution, GridSpec, _Stepper, sample
+
+from oracles import propagate_terminal
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 

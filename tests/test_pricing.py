@@ -304,13 +304,13 @@ def test_near_the_money_prices_hold_their_quadrature_error(monkeypatch):
 # Endogenous values moved by at most 2 ulps when the closed form became one
 # list of terms whose weights each carry the jump survival from t.
 PINNED_PRICES = {
-    ("base_endogenous_low_barrier", 0.0): (0.13284295345819666, 5.147178255423852e-15, 6.798860405390251e-10),
-    ("base_endogenous_low_barrier", 1.3): (0.19645262714548986, 6.065661177524609e-15, 1.62872333638289e-09),
+    ("base_endogenous_low_barrier", 0.0): (0.13284295345819663, 5.147178255423852e-15, 6.798860405390251e-10),
+    ("base_endogenous_low_barrier", 1.3): (0.19645262714548986, 6.065661177524609e-15, 1.6287233364944629e-09),
     ("base_endogenous_low_barrier", 4.5): (0.4994558990957418, 1.6468265629552576e-15, 4.815758321205294e-17),
-    ("base_endogenous_high_barrier", 0.0): (0.5358731781203812, 2.497925355830703e-13, 4.474807531326252e-11),
-    ("base_endogenous_high_barrier", 1.3): (0.6197700830115677, 3.0407622589778187e-13, 3.800846016854598e-11),
-    ("base_endogenous_high_barrier", 4.5): (0.8604860400545192, 8.010925174828628e-14, 6.447751938233404e-15),
-    ("base_exogenous", 0.0): (0.30396145744331926, 1.343516905099159e-15, 0.0),
+    ("base_endogenous_high_barrier", 0.0): (0.5358731781203808, 2.497925355830703e-13, 4.4748075325681435e-11),
+    ("base_endogenous_high_barrier", 1.3): (0.6197700830115707, 3.0407622589778187e-13, 3.8008460128709506e-11),
+    ("base_endogenous_high_barrier", 4.5): (0.8604860400545189, 8.010925174828628e-14, 6.4477339509742744e-15),
+    ("base_exogenous", 0.0): (0.3039614574433192, 1.343516905099159e-15, 0.0),
     ("base_exogenous", 1.3): (0.3586479896109323, 1.5340184524882066e-15, 0.0),
     ("base_exogenous", 4.5): (0.6256133659861275, 4.271384068042398e-16, 0.0),
 }
@@ -331,9 +331,9 @@ def test_three_date_endogenous_price_is_pinned():
     schedule = db.DefaultSchedule((0.0, 1.5, 3.5, 7.0), (0.01, 0.02, 0.004), (120.0, 90.0, 110.0))
     recovery = db.RecoveryModel("endogenous", 0.5, n=1.0)
     rep = db.price_endogenous(market, schedule, recovery, 250.0 * math.exp(-0.08 * 7.0), 0.0)
-    assert rep.price == 0.5703404516995149
+    assert rep.price == 0.5703404516995123
     assert rep.diagnostics == {"cdf_error": 4.3254596425918385e-13,
-                               "quadrature_error": 1.895544993892213e-12}
+                               "quadrature_error": 1.8955450039683516e-12}
 
 
 # -------------------------------------------------------------- spreads

@@ -144,7 +144,7 @@ def test_startup_and_scalar_prices_load_no_scipy():
     proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, str(root / "scenarios")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "0.5358731781203812", "True"]
+    assert proc.stdout.splitlines() == ["[]", "0.5358731781203808", "True"]
 
 
 # ------------------------------------------------------------------ presets
