@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Literal
+from typing import Callable, Literal
 
 from .errors import DomainError, ScheduleError
-from .normal import DEFAULT_QMC, build_correlation, mvn_cdf
+from .normal import DEFAULT_QMC, CorrelationStructure, mvn_cdf
 
 __all__ = [
     "BsCoefficients",
@@ -82,23 +82,58 @@ class BinarySpec:
         return len(self.signs)
 
 
-def _signed_limits(spec: BinarySpec, x: float, t: float, plus: bool) -> list[float]:
-    """Signed CDF limits s_i * d_i^(+/-), saturated at +-_D_CLAMP."""
-    coeffs = spec.coeffs
+def _log_moneyness(x: float, strike: float) -> float:
+    moneyness = x / strike
+    return math.log(moneyness) if moneyness > 0.0 else -math.inf  # x/K underflowed
+
+
+def _signed_limit(sign: int, log_m: float, drift: float, sigma: float, tau: float) -> float:
+    """Signed CDF limit s * d^(+/-) of one date tau ahead, saturated at
+    +-_D_CLAMP."""
+    d = (log_m + drift * tau) / (sigma * math.sqrt(tau))
+    if d > _D_CLAMP:
+        d = _D_CLAMP
+    elif d < -_D_CLAMP:
+        d = -_D_CLAMP
+    return sign * d
+
+
+def last_expiry_pricer(
+    kind: str, signs: tuple, strikes: tuple, fixed_expiries: tuple, coeffs: BsCoefficients,
+    x: float, t: float,
+) -> Callable[[float], tuple[float, float]]:
+    """Price and CDF error bound of an order-m binary as a function of its
+    last expiry tau.
+
+    ``f(tau)`` prices ``BinarySpec(kind, signs, strikes, fixed_expiries +
+    (tau,), coeffs)`` at (x, t).  The drift, the m - 1 limits of the fixed
+    expiries and log(x / K_m) are computed once; each tau costs one limit,
+    one correlation chain and one CDF call, so a weighted integral prices
+    its nodes from one call here.  The caller has checked the payoff,
+    ``x > 0``, ``t`` before the first expiry and ``tau`` after the last
+    fixed one.
+    """
+    plus = kind == "asset"
     sigma = coeffs.sigma
     drift = coeffs.r - coeffs.q + (0.5 if plus else -0.5) * sigma**2
-    limits = []
-    for sign, strike, expiry in zip(spec.signs, spec.strikes, spec.expiries):
-        tau = expiry - t
-        moneyness = x / strike
-        log_m = math.log(moneyness) if moneyness > 0.0 else -math.inf  # x/K underflowed
-        d = (log_m + drift * tau) / (sigma * math.sqrt(tau))
-        if d > _D_CLAMP:
-            d = _D_CLAMP
-        elif d < -_D_CLAMP:
-            d = -_D_CLAMP
-        limits.append(sign * d)
-    return limits
+    t = float(t)
+    fixed = tuple(map(float, fixed_expiries))
+    head = [
+        _signed_limit(sign, _log_moneyness(x, strike), drift, sigma, expiry - t)
+        for sign, strike, expiry in zip(signs, strikes, fixed)
+    ]
+    sign, log_m = signs[-1], _log_moneyness(x, strikes[-1])
+    level, decay = (x, coeffs.q) if plus else (1.0, coeffs.r)
+
+    def price(tau: float) -> tuple[float, float]:
+        limits = head + [_signed_limit(sign, log_m, drift, sigma, tau - t)]
+        # mvn_cdf is looked up in this module, and bench/tracing.py reads
+        # target_error from its fourth positional argument
+        prob, cdf_err = mvn_cdf(limits, CorrelationStructure(t, fixed + (tau,)), signs, DEFAULT_QMC)
+        scale = level * math.exp(-decay * (tau - t))
+        return scale * prob, scale * cdf_err
+
+    return price
 
 
 def price_binary_with_error(spec: BinarySpec, x: float, t: float) -> tuple[float, float]:
@@ -109,16 +144,10 @@ def price_binary_with_error(spec: BinarySpec, x: float, t: float) -> tuple[float
         raise ScheduleError(
             f"price_binary: evaluation time {t} is not before the first expiry {spec.expiries[0]}"
         )
-    corr = build_correlation(t, spec.expiries)
-    limits = _signed_limits(spec, x, t, plus=(spec.kind == "asset"))
-    # bench/tracing.py reads target_error from mvn_cdf's fourth positional argument
-    prob, cdf_err = mvn_cdf(limits, corr, spec.signs, DEFAULT_QMC)
-    horizon = spec.expiries[-1] - t
-    if spec.kind == "asset":
-        scale = x * math.exp(-spec.coeffs.q * horizon)
-    else:
-        scale = math.exp(-spec.coeffs.r * horizon)
-    return scale * prob, scale * cdf_err
+    pricer = last_expiry_pricer(
+        spec.kind, spec.signs, spec.strikes, spec.expiries[:-1], spec.coeffs, x, t
+    )
+    return pricer(float(spec.expiries[-1]))
 
 
 def price_binary(spec: BinarySpec, x: float, t: float) -> float:

@@ -4,7 +4,10 @@ Evaluates ``int_C^D lam * exp(-lam * (tau - C)) * price(tau) dtau`` where
 ``price(tau)`` is a binary whose last expiry runs over the integration
 variable, by adaptive 7-15 Gauss-Kronrod (abs tol 1e-8, at most 2^12 panels).
 As in QUADPACK, no panel reports an error below 50 eps times the integral of
-|integrand| over it, what rounding alone can leave.
+|integrand| over it, what rounding alone can leave.  Only the last expiry
+moves from node to node, so each integral sets up the rest of the chain once
+(``binaries.last_expiry_pricer``, which ``price_binary`` also goes through)
+and a node costs one CDF limit and one CDF call.
 
 The integrand is smooth inside the interval, but when the interval starts on
 the previous expiry of the chain (the evaluation time for order 1, the last
@@ -33,7 +36,10 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .binaries import BinarySpec, BsCoefficients, check_payoff, price_binary
+from .binaries import BsCoefficients, check_payoff, last_expiry_pricer
+# Nodes are priced by last_expiry_pricer; the name price_binary stays bound
+# because the benchmark tracer (bench/tracing.py) patches this attribute.
+from .binaries import price_binary  # noqa: F401
 from .errors import DomainError, ScheduleError
 
 __all__ = ["WeightedIntegralSpec", "integral_binary"]
@@ -146,9 +152,10 @@ def _adaptive_quad(
 class WeightedIntegralSpec:
     """Integral of an order-m binary over its last expiry.
 
-    The fixed part of the chain (signs/strikes for the first m-1 dates plus
-    the running last slot) is stored explicitly; ``binary_at(tau)`` realizes
-    the chain at a concrete last expiry.  The weight is
+    The chain is stored as m signs and strikes and the m - 1 fixed expiries
+    before the running last one; at a last expiry tau the integrand is the
+    binary ``BinarySpec(kind, signs, strikes, fixed_expiries + (tau,),
+    coeffs)``.  The weight is
     ``weight_rate * exp(-weight_rate * (tau - lower))``, the density of a
     first jump at tau given none before ``lower``.
     """
@@ -190,15 +197,6 @@ class WeightedIntegralSpec:
     def order(self) -> int:
         return len(self.signs)
 
-    def binary_at(self, tau: float) -> BinarySpec:
-        return BinarySpec(
-            self.kind,
-            self.signs,
-            self.strikes,
-            self.fixed_expiries + (tau,),
-            self.coeffs,
-        )
-
 
 def _layer_width(spec: WeightedIntegralSpec, x: float, t: float) -> float:
     """Boundary-layer width ``ub`` at the lower end (module docstring); inf
@@ -233,12 +231,15 @@ def integral_binary(spec: WeightedIntegralSpec, x: float, t: float) -> tuple[flo
     rate, lower, upper = spec.weight_rate, spec.lower, spec.upper
     # the first float above lower stands in for nodes that round onto it
     above_lower = math.nextafter(lower, math.inf)
+    binary = last_expiry_pricer(
+        spec.kind, spec.signs, spec.strikes, spec.fixed_expiries, spec.coeffs, x, t
+    )
 
     def integrand(tau: float) -> float:
         if tau <= lower:
             tau = above_lower
         w = rate * math.exp(-rate * (tau - lower))
-        return w * price_binary(spec.binary_at(tau), x, t)
+        return w * binary(tau)[0]
 
     ub = _layer_width(spec, x, t)
     if ub >= 1.0:

@@ -25,9 +25,9 @@ Andricopoulos et al., J. Financial Economics 2003, and Feng & Linetsky,
 Mathematical Finance 2008).  Its error estimate is the distance to the same
 recursion on a coarser rule.  ``mvn_cdf`` accepts only a
 ``CorrelationStructure``: every CDF the pricer needs is such a chain.  The
-array kernels (conditional integrals, chains) take Phi from
-``scipy.special``, which is imported on their first call: importing this
-module loads no scipy.
+conditional integral takes the same scalar Phi at each of its nodes, so no
+box of at most two coordinates loads scipy; only the chain recursion takes
+Phi of its arrays from ``scipy.special``, imported on its first call.
 """
 
 from __future__ import annotations
@@ -102,9 +102,17 @@ def _phi(x: float) -> float:
     return 0.5 * math.erfc(-x * _SQRT_HALF)
 
 
+def _phi_nodes(z: np.ndarray) -> np.ndarray:
+    """``_phi`` at every entry of ``z``, bit for bit: the scalar libm erfc
+    mapped over the entries, so no scipy is needed."""
+    e = np.fromiter(map(math.erfc, (-z * _SQRT_HALF).ravel().tolist()), float, z.size)
+    return np.where(z <= _PHI_ZERO, 0.0, 0.5 * e.reshape(z.shape))
+
+
 @cache
 def _array_phi():
-    """scipy.special.ndtr, Phi of an array; scipy is imported on first use."""
+    """scipy.special.ndtr, Phi of the chain recursion's arrays; scipy is
+    imported on first use."""
     from scipy.special import ndtr
 
     return ndtr
@@ -280,7 +288,8 @@ def _conditional_box(lo, hi, r: float) -> float:
     below its marginals keeps its relative accuracy.
     x runs at most _L past its finite limit into the tail, on panels graded
     down at its own finite limits and at the other coordinate's limits seen
-    from x.
+    from x.  Phi at the nodes is the scalar libm one (``_phi_nodes``, and
+    ``_tail_mass`` node by node for a two-sided Y), so no scipy is loaded.
     """
     if _tail_mass(lo[1], hi[1]) < _tail_mass(lo[0], hi[0]):
         lo, hi = lo[::-1], hi[::-1]
@@ -301,14 +310,13 @@ def _conditional_box(lo, hi, r: float) -> float:
     x, w, _ = _legendre(_NODES)
     half = 0.5 * np.diff(edges)[:, None]
     y = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * x
-    ndtr = _array_phi()
     if lo[1] == -_INF:
-        q = ndtr((hi[1] - r * y) / s)
+        q = _phi_nodes((hi[1] - r * y) / s)
     elif hi[1] == _INF:
-        q = ndtr((r * y - lo[1]) / s)
+        q = _phi_nodes((r * y - lo[1]) / s)
     else:
-        zl, zh = (lo[1] - r * y) / s, (hi[1] - r * y) / s
-        q = np.where(zl > 0.0, ndtr(-zl) - ndtr(-zh), ndtr(zh) - ndtr(zl))
+        zl, zh = ((lo[1] - r * y) / s).ravel().tolist(), ((hi[1] - r * y) / s).ravel().tolist()
+        q = np.reshape(list(map(_tail_mass, zl, zh)), y.shape)
     return float(np.sum(half * w * _norm_pdf(y) * q))
 
 
@@ -321,6 +329,17 @@ def _reduce_box(lower, upper, rho):
     integration kernels: they either drop a dimension here or saturate a
     one/two dimensional closed form.
     """
+    # the common case has nothing to do: every coordinate bounded on some
+    # side, no empty box and no +-1 neighbours
+    for lo, hi in zip(lower, upper):
+        if hi <= lo or lo == -_INF and hi == _INF:
+            break
+    else:
+        for r in rho:
+            if not -1.0 + 5e-16 < r < 1.0 - 5e-16:
+                break
+        else:
+            return lower, upper, rho, False
     while True:
         keep = []
         for lo, hi in zip(lower, upper):

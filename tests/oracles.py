@@ -5,7 +5,8 @@ Gauss-Legendre and conditioning on the first date for normal orthant
 probabilities, composite Simpson for the weighted binary integrals, a
 finite-difference solve of the plain pricing equation for nesting
 identities, and a dense Monte Carlo engine that carries every path through
-every step.
+every step.  Bivariate boxes are integrated over one coordinate by
+adaptive quadrature with scipy's Phi.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import roots_legendre
+from scipy.special import ndtr, roots_legendre
 
 from defbond import McResult, bivariate_cdf
 from defbond.pde import _march, _Stepper
@@ -39,6 +40,28 @@ def gl_mvn_cdf(a, cov, n: int = 96, lo: float = -9.5) -> float:
     quad = np.einsum("ni,ij,nj->n", pts, prec, pts)
     dens = np.exp(-0.5 * quad) / ((2.0 * math.pi) ** (d / 2.0) * math.sqrt(det))
     return float(dens @ wts)
+
+
+def conditional_box_ndtr(lo, hi, r: float) -> float:
+    """P(lo <= (X, Y) <= hi) for standard normals at correlation r.
+
+    Integrates phi(x) P(lo_Y <= Y <= hi_Y | X = x) over x in [lo_X, hi_X]
+    (cut to |x| <= 40, where phi is 0 in double precision) by adaptive
+    quadrature, with Phi from ``scipy.special.ndtr`` and the conditional
+    mass differenced in the tail it lies in.  The conditional limits cross
+    zero at x = lo_Y / r and hi_Y / r, which are passed as breakpoints.
+    """
+    s = math.sqrt((1.0 - r) * (1.0 + r))
+
+    def integrand(x):
+        a, b = (lo[1] - r * x) / s, (hi[1] - r * x) / s
+        mass = ndtr(-a) - ndtr(-b) if a > 0.0 else ndtr(b) - ndtr(a)
+        return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * mass
+
+    a, b = max(lo[0], -40.0), min(hi[0], 40.0)
+    points = sorted(e / r for e in (lo[1], hi[1]) if math.isfinite(e) and r != 0.0 and a < e / r < b)
+    value, _ = quad(integrand, a, b, points=points or None, epsabs=0.0, epsrel=2e-14, limit=500)
+    return value
 
 
 def conditional_chain_cdf3(a, taus, signs) -> float:

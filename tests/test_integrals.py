@@ -1,10 +1,12 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defbond.binaries import BinarySpec, BsCoefficients, price_binary
+from defbond.binaries import BinarySpec, BsCoefficients, last_expiry_pricer, price_binary
 from defbond.errors import DomainError, ScheduleError
 from defbond.integrals import WeightedIntegralSpec, _adaptive_quad, integral_binary
 
@@ -98,6 +100,39 @@ def test_constant_integrand_weight_mass():
     val, err = _adaptive_quad(lambda tau: lam * math.exp(-lam * (tau - c)), c, d)
     assert val == pytest.approx(1.0 - math.exp(-lam * (d - c)), abs=1e-12)
     assert err < 1e-10
+
+
+# ------------------------------------------------------------ node pricing
+
+
+def _node_cases():
+    """(kind, signs, strikes, fixed expiries, coeffs, x, t, taus): orders 1-3,
+    both kinds, every sign pattern, the first float above the lower end,
+    limits that saturate and a spot whose x/K underflows."""
+    rng = np.random.default_rng(29)
+    for order in (1, 2, 3):
+        for kind, signs in itertools.product(("asset", "bond"), itertools.product((-1, 1), repeat=order)):
+            coeffs = BsCoefficients(*rng.uniform(-0.02, 0.1, 2).tolist(), rng.uniform(0.05, 1.0))
+            t = rng.uniform(0.0, 1.0)
+            fixed = tuple((t + np.cumsum(rng.uniform(0.01, 2.0, order - 1))).tolist())
+            lower = fixed[-1] if fixed else t
+            taus = (math.nextafter(lower, math.inf), lower + rng.uniform(1e-9, 1e-6),
+                    lower + rng.uniform(0.01, 5.0))
+            strikes = tuple(rng.uniform(50.0, 200.0, order).tolist())
+            for x in (rng.uniform(50.0, 200.0), 1e-30, 1e30, 5e-324):
+                yield kind, signs, strikes, fixed, coeffs, x, t, taus
+
+
+def test_node_pricer_reused_across_nodes_prices_each_binary():
+    # an integral prices all its nodes from one pricer; each node must be
+    # the price of the binary at that last expiry on its own, whatever the
+    # pricer evaluated before it (limits saturating at the clamp, x/K
+    # underflowing to 0, tau one float above the lower end)
+    for kind, signs, strikes, fixed, coeffs, x, t, taus in _node_cases():
+        node = last_expiry_pricer(kind, signs, strikes, fixed, coeffs, x, t)
+        for tau in taus + taus[::-1]:
+            spec = BinarySpec(kind, signs, strikes, fixed + (tau,), coeffs)
+            assert node(tau)[0] == price_binary(spec, x, t), (spec, x, t)
 
 
 # ---------------------------------------------------------------- oracles

@@ -12,7 +12,7 @@ from defbond import normal
 from defbond.errors import DomainError, ScheduleError
 from defbond.normal import QmcConfig
 
-from oracles import conditional_chain_cdf3, conditional_chain_cdf4, gl_mvn_cdf
+from oracles import conditional_box_ndtr, conditional_chain_cdf3, conditional_chain_cdf4, gl_mvn_cdf
 
 INF = float("inf")
 
@@ -37,6 +37,11 @@ def test_scalar_phi_matches_scipy_ndtr():
     xs = np.linspace(-37.6, 9.0, 4661)
     got = np.array([normal._phi(x) for x in xs.tolist()])
     assert np.all(np.abs(got - ndtr(xs)) <= 1e-13 * ndtr(xs))
+    # the node-array form of the conditional integral is the same Phi, bit
+    # for bit, across the underflow edge too
+    edge = np.linspace(-37.6771207205 - 1e-9, -37.6771207205 + 1e-9, 339)
+    for z in (xs.reshape(59, 79), edge, np.array([-INF, -40.0, 38.0, INF])):
+        assert normal._phi_nodes(z).tolist() == np.vectorize(normal._phi)(z).tolist()
     for x in (-37.7, -38.0, -40.0, -1e300, -INF):
         assert normal._phi(x) == 0.0
     for x in (8.3, 9.0, 38.0, 1e300, INF):
@@ -450,6 +455,30 @@ def test_mvn_cancelling_boxes_keep_relative_accuracy(limits, expiries, signs, tr
     # as Phi(-2.6) minus an upper orthant of about 4.7e-3
     p, _ = db.mvn_cdf(list(limits), db.build_correlation(0.0, expiries), signs)
     assert p == pytest.approx(truth, rel=1e-13, abs=0.0)
+
+
+def test_conditional_box_matches_the_ndtr_form():
+    # the conditional integral takes Phi node by node from libm's erfc; an
+    # adaptive quadrature with scipy's ndtr gives the same boxes to
+    # rounding: orthants at r < 0 whose reflection cancels, and boxes
+    # bounded on both sides in one coordinate beside a one-sided one
+    rng = np.random.default_rng(17)
+    inf = math.inf
+    boxes = []
+    while len(boxes) < 100:
+        h, k, r = rng.uniform(-1.0, 5.0), rng.uniform(-1.0, 5.0), rng.uniform(-0.999, -0.05)
+        marginal = normal._phi(-max(h, k))
+        if marginal - normal._bvnu(max(h, k), -min(h, k), -r) < normal._CANCEL * marginal:
+            boxes.append(((h, k), (inf, inf), r))
+    while len(boxes) < 200:
+        a = rng.uniform(-6.0, 6.0)
+        pair = (a, a + rng.uniform(0.05, 3.0))
+        other = (rng.uniform(-4.0, 4.0), inf) if rng.uniform() < 0.5 else (-inf, rng.uniform(-4.0, 4.0))
+        lo, hi = zip(pair, other) if rng.uniform() < 0.5 else zip(other, pair)
+        boxes.append((lo, hi, rng.uniform(-0.999, 0.999)))
+    for lo, hi, r in boxes:
+        p, truth = normal._conditional_box(lo, hi, r), conditional_box_ndtr(lo, hi, r)
+        assert p == pytest.approx(truth, rel=1e-13, abs=0.0), (lo, hi, r)
 
 
 def test_mvn_two_sided_pair_matches_bivariate_difference():

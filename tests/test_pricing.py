@@ -389,7 +389,9 @@ def test_assembly_via_shifted_coefficients_matches(market, schedule, endo_high_b
 
         def integrand(tau, spec=spec):
             weight = spec.weight_rate * math.exp(-spec.weight_rate * (tau - spec.lower))
-            return weight * shifted_value(spec.binary_at(tau))
+            binary = db.BinarySpec(spec.kind, spec.signs, spec.strikes,
+                                   spec.fixed_expiries + (tau,), spec.coeffs)
+            return weight * shifted_value(binary)
 
         u_shifted += w * _adaptive_quad(integrand, spec.lower, spec.upper)[0]
 
