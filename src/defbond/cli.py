@@ -41,7 +41,9 @@ def _price_report(scenario: Scenario, t: float | None = None) -> PriceReport:
 
 
 def _record(report: PriceReport) -> dict:
-    return {
+    """The ``price --json`` record; a non-finite value (the infinite spread of
+    a zero price) is ``null``, since JSON has no Infinity or NaN."""
+    record = {
         "price": report.price,
         "relative_price": report.relative_price,
         "survival_prob": report.survival_prob,
@@ -50,13 +52,17 @@ def _record(report: PriceReport) -> dict:
         "cdf_error": report.diagnostics["cdf_error"],
         "quadrature_error": report.diagnostics["quadrature_error"],
     }
+    return {
+        k: None if isinstance(v, float) and not math.isfinite(v) else v
+        for k, v in record.items()
+    }
 
 
 def cmd_price(args) -> int:
     scenario = load_scenario(args.scenario)
     report = _price_report(scenario)
     if args.json:
-        print(json.dumps(_record(report), sort_keys=True))
+        print(json.dumps(_record(report), sort_keys=True, allow_nan=False))
         return EXIT_OK
     print(f"interval_index    {report.interval_index}")
     print(f"price             {_fmt(report.price)}")
@@ -120,7 +126,10 @@ def cmd_curve(args) -> int:
     if args.out == "-":
         out = contextlib.nullcontext(sys.stdout)
     else:
-        out = open(args.out, "w", encoding="utf-8", newline="")
+        try:
+            out = open(args.out, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise ScenarioError("BAD_FILE", f"cannot write {args.out}: {exc}") from exc
     with out as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -138,7 +147,7 @@ def cmd_validate(args) -> int:
         if not (math.isfinite(value) and value > 0.0):
             raise ScenarioError("BAD_VALUE", f"{name} must be positive and finite, got {value}")
     # every argument is checked before the PDE solve, the slow part
-    sim = SimConfig(n_paths=args.paths, seed=args.seed, antithetic=True)
+    sim = SimConfig(n_paths=args.paths, seed=args.seed)
     x_ref = scenario.firm_value() / math.exp(
         -market.r * (schedule.maturity - scenario.evaluation.t)
     )

@@ -7,19 +7,18 @@ otherwise.  Jump defaults are drawn exactly by inverting the piecewise-linear
 cumulative hazard, and the firm value at the jump time is bridged with one
 exact lognormal step, so the estimator carries no discretization bias.
 
-Paths are generated in fixed-size blocks, each seeded into its own SFC64
-generator by (seed, block index); results are bit-identical for a given
-(seed, config) no matter how blocks would be dispatched.  A block draws its
-step normals date-major, so each announcing date is a contiguous row: log x
-advances date by date in one forward pass that keeps a single row of x and
-records each path's first barrier hit as it happens.  Only paths whose
-exponential draw falls inside the total hazard can jump (about 2% at
-lambda = 0.01), so the jump time, the test against the first hit and the
-lognormal bridge run on that subset alone, and the block draws bridge
-normals only for the paths that can jump in either antithetic leg; every
-other path's payoff is 1 or the recovery at its hit.  The antithetic leg
-reuses the draws with a sign on the volatility, which IEEE arithmetic makes
-exact.
+Paths are generated in antithetic pairs, in fixed-size blocks, each seeded
+into its own SFC64 generator by (seed, block index); results are
+bit-identical for a given (seed, n_paths) no matter how blocks would be
+dispatched.  A block draws its step normals date-major, so each announcing
+date is a contiguous row.  Only paths whose exponential draw falls inside the
+total hazard can jump (about 2% at lambda = 0.01), so the jump time and the
+lognormal bridge run on that subset alone, and the block draws bridge normals
+only for the paths that can jump in either leg.  Defaults are then settled in
+time order by one forward pass over the dates that keeps a single row of x: a
+jump inside the segment ending at date j comes first, then the barrier at
+date j.  The antithetic leg reuses the draws with a sign on the volatility,
+which IEEE arithmetic makes exact.
 """
 
 from __future__ import annotations
@@ -40,17 +39,14 @@ _BLOCK = 1 << 16
 @dataclass(frozen=True)
 class SimConfig:
     """Path budget and seeding; payoffs are sampled exactly without a time
-    grid."""
+    grid, in antithetic pairs."""
 
     n_paths: int = 200_000
     seed: int = 0
-    antithetic: bool = True
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise DomainError("SimConfig: n_paths must be >= 1")
-        if self.antithetic and self.n_paths % 2:
-            raise DomainError("SimConfig: antithetic pairing needs an even n_paths")
+        if self.n_paths < 2 or self.n_paths % 2:
+            raise DomainError("SimConfig: n_paths must be even and >= 2 (antithetic pairs)")
 
 
 @dataclass(frozen=True)
@@ -101,9 +97,6 @@ def simulate_price(
     drift = (-b - 0.5 * s * s) * seg_dt
     vol = s * np.sqrt(seg_dt)
     log_x0 = math.log(x0)
-    # the time a path's first barrier hit ends it, indexed by the hit's date;
-    # index n_dates means no hit
-    hit_times = np.append(rem_dates, np.inf)
 
     total_hazard = float(hazard_edges[-1])
     # e = -log1p(-u) < H exactly when u < 1 - exp(-H); the widened bound
@@ -126,59 +119,48 @@ def simulate_price(
         # edges[seg] <= e < edges[seg + 1], so the segment's intensity is > 0
         seg = np.searchsorted(hazard_edges, e, side="right") - 1
         theta = seg_times[seg] + (e - hazard_edges[seg]) / seg_lambdas[seg]
-        # log x of the jumping paths at each date, for the bridge's start,
-        # and the date of their first barrier hit
-        log_x_jump = np.empty((n_dates, len(jidx)))
-        jump_hit = np.full(len(jidx), n_dates)
+        d_theta = theta - seg_times[seg]
+        # the lognormal step from the segment's start to the jump time
+        z_theta = bridge_z[np.searchsorted(bridge_idx, jidx)]
+        growth = np.exp((-b - 0.5 * s * s) * d_theta + sign * s * np.sqrt(d_theta) * z_theta)
 
-        # barrier hits: one forward pass keeps x at each path's first hit; a
-        # select, not a masked copy, which branches on every element
+        # one forward pass in time order: a jump inside segment j ends its
+        # path before the barrier at date j is tested; x holds the previous
+        # date's value (x0 before the first), x_dead each path's x at default
         alive = np.ones(n, dtype=bool)
         hit = np.empty(n, dtype=bool)
-        x_hit = np.zeros(n)
+        x_dead = np.zeros(n)
         step = np.empty(n)
         run = np.zeros(n)
         log_x = np.empty(n)
-        x = np.empty(n)
+        x = np.full(n, x0)
         for j in range(n_dates):
+            in_j = seg == j
+            jumped = jidx[in_j]
+            live = alive[jumped]
+            jumped = jumped[live]
+            x_dead[jumped] = x[jumped] * growth[in_j][live]
+            alive[jumped] = False
             np.multiply(z[j], sign * vol[j], out=step)
             step += drift[j]
             run += step  # the order np.cumsum takes them; 0 + step is exact
             np.add(log_x0, run, out=log_x)
             np.exp(log_x, out=x)
-            log_x_jump[j] = log_x[jidx]
             np.less_equal(x, barrier_levels[j], out=hit)
             hit &= alive
-            x_hit = np.where(hit, x, x_hit)
-            jump_hit[hit[jidx]] = j
+            # a select, not a masked copy, which branches on every element
+            x_dead = np.where(hit, x, x_dead)
             alive ^= hit
+        return np.where(alive, 1.0, recovery.paid(x_dead)), int(np.count_nonzero(alive))
 
-        payoff = np.where(alive, 1.0, recovery.paid(x_hit))
-        unexpected = theta < hit_times[jump_hit]
-        uidx = jidx[unexpected]
-        sc = seg[unexpected]
-        d_theta = theta[unexpected] - seg_times[sc]
-        x_base = np.where(
-            sc == 0,
-            x0,
-            np.exp(log_x_jump[np.maximum(sc - 1, 0), np.flatnonzero(unexpected)]),
-        )
-        z_theta = bridge_z[np.searchsorted(bridge_idx, uidx)]
-        x_theta = x_base * np.exp(
-            (-b - 0.5 * s * s) * d_theta + sign * s * np.sqrt(d_theta) * z_theta
-        )
-        payoff[uidx] = recovery.paid(x_theta)
-        return payoff, int(np.count_nonzero(alive)) - int(np.count_nonzero(alive[uidx]))
-
-    antithetic = config.antithetic
-    n_base = config.n_paths // 2 if antithetic else config.n_paths
+    n_pairs = config.n_paths // 2
     sum_v = 0.0
     sum_v2 = 0.0
     survived_total = 0
     done = 0
     block = 0
-    while done < n_base:
-        count = min(_BLOCK, n_base - done)
+    while done < n_pairs:
+        count = min(_BLOCK, n_pairs - done)
         rng = _block_rng(config.seed, block)
         z = rng.standard_normal((n_dates, count))
         u = rng.random(count)
@@ -186,22 +168,18 @@ def simulate_price(
         bridge_idx = np.flatnonzero((u < u_bound) | (1.0 - u < u_bound))
         bridge_z = rng.standard_normal(len(bridge_idx))
         pay, surv = leg_payoff(z, u, bridge_idx, bridge_z, 1.0)
-        survived_total += surv
-        if antithetic:
-            pay2, surv2 = leg_payoff(z, 1.0 - u, bridge_idx, bridge_z, -1.0)
-            v = 0.5 * (pay + pay2)
-            survived_total += surv2
-        else:
-            v = pay
+        pay2, surv2 = leg_payoff(z, 1.0 - u, bridge_idx, bridge_z, -1.0)
+        v = 0.5 * (pay + pay2)
+        survived_total += surv + surv2
         sum_v += float(v.sum())
         sum_v2 += float((v * v).sum())
         done += count
         block += 1
 
-    mean_rel = sum_v / n_base
-    if n_base > 1:
-        var = max(sum_v2 - n_base * mean_rel * mean_rel, 0.0) / (n_base - 1)
-        std_err = df * math.sqrt(var / n_base)
+    mean_rel = sum_v / n_pairs
+    if n_pairs > 1:
+        var = max(sum_v2 - n_pairs * mean_rel * mean_rel, 0.0) / (n_pairs - 1)
+        std_err = df * math.sqrt(var / n_pairs)
     else:
         std_err = math.inf
     return McResult(

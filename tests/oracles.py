@@ -171,7 +171,6 @@ def dense_simulate_price(market, schedule, recovery, V0, config, t=0.0) -> McRes
     drift = (-b - 0.5 * s * s) * seg_dt
     vol = s * np.sqrt(seg_dt)
     log_x0 = math.log(x0)
-    hit_times = np.append(rem_dates, np.inf)
     u_bound = -math.expm1(-float(hazard_edges[-1])) * (1.0 + 1e-6)
 
     def leg_payoff(z, bridge, e_unif):
@@ -189,7 +188,6 @@ def dense_simulate_price(market, schedule, recovery, V0, config, t=0.0) -> McRes
         for j in range(n_dates - 1, -1, -1):
             first_hit[hit[j]] = j
         any_hit = first_hit < n_dates
-        barrier_time = hit_times[first_hit]
 
         e = -np.log1p(-np.clip(e_unif, 0.0, 1.0 - 1e-16))
         seg = np.searchsorted(hazard_edges, e, side="right") - 1
@@ -199,7 +197,9 @@ def dense_simulate_price(market, schedule, recovery, V0, config, t=0.0) -> McRes
             offset = (e - hazard_edges[seg_c]) / seg_lambdas[seg_c]
         theta = np.where(jumps, seg_times[seg_c] + offset, np.inf)
 
-        unexpected = theta < barrier_time
+        # a jump inside the segment that ends at the first hit date comes
+        # before that date's barrier
+        unexpected = jumps & (seg <= first_hit)
         expected = ~unexpected & any_hit
         survived = ~unexpected & ~any_hit
 
@@ -217,7 +217,7 @@ def dense_simulate_price(market, schedule, recovery, V0, config, t=0.0) -> McRes
         return payoff, survived
 
     block_size = 1 << 16
-    n_base = config.n_paths // 2 if config.antithetic else config.n_paths
+    n_base = config.n_paths // 2
     sum_v = sum_v2 = 0.0
     survived_total = done = block = 0
     while done < n_base:
@@ -231,11 +231,9 @@ def dense_simulate_price(market, schedule, recovery, V0, config, t=0.0) -> McRes
         bridge = np.zeros(count)
         bridge[can_jump] = rng.standard_normal(int(can_jump.sum()))
         pay, surv = leg_payoff(z, bridge, u)
-        survived_total += int(surv.sum())
-        if config.antithetic:
-            pay2, surv2 = leg_payoff(-z, -bridge, 1.0 - u)
-            pay = 0.5 * (pay + pay2)
-            survived_total += int(surv2.sum())
+        pay2, surv2 = leg_payoff(-z, -bridge, 1.0 - u)
+        pay = 0.5 * (pay + pay2)
+        survived_total += int(surv.sum()) + int(surv2.sum())
         sum_v += float(pay.sum())
         sum_v2 += float((pay * pay).sum())
         done += count

@@ -12,8 +12,7 @@ def test_config_validation():
     with pytest.raises(DomainError):
         db.SimConfig(n_paths=0)
     with pytest.raises(DomainError):
-        db.SimConfig(n_paths=10001, antithetic=True)
-    db.SimConfig(n_paths=10001, antithetic=False)
+        db.SimConfig(n_paths=10001)
 
 
 def test_no_default_channels_is_exact(market):
@@ -58,19 +57,6 @@ def test_block_boundary_continuity(market, schedule, exo):
     )
 
 
-def test_antithetic_mean_unchanged_variance_not_larger(market, schedule, exo):
-    df = math.exp(-market.r * 6.0)
-    v = 200.0 * df
-    anti = db.simulate_price(market, schedule, exo, v, db.SimConfig(n_paths=200_000, seed=5))
-    plain = db.simulate_price(
-        market, schedule, exo, v, db.SimConfig(n_paths=200_000, seed=5, antithetic=False)
-    )
-    assert abs(anti.price_estimate - plain.price_estimate) <= 4 * (
-        anti.std_error + plain.std_error
-    )
-    assert anti.std_error <= plain.std_error * 1.05
-
-
 def test_matches_closed_form_exogenous(market, schedule, exo):
     df = math.exp(-market.r * 6.0)
     rep = db.price_exogenous(market, schedule, exo, 200.0 * df, 0.0)
@@ -103,28 +89,27 @@ def test_evaluation_on_announcing_date_skips_its_barrier(market, schedule, exo):
 
 def test_input_validation(market, schedule, exo):
     with pytest.raises(DomainError):
-        db.simulate_price(market, schedule, exo, -1.0, db.SimConfig(n_paths=100, antithetic=False))
+        db.simulate_price(market, schedule, exo, -1.0, db.SimConfig(n_paths=100))
     with pytest.raises(DomainError):
-        db.simulate_price(market, schedule, exo, 100.0, db.SimConfig(n_paths=100, antithetic=False), t=6.0)
+        db.simulate_price(market, schedule, exo, 100.0, db.SimConfig(n_paths=100), t=6.0)
 
 
 # Reference outputs on the per-block SFC64 stream: date-major step normals,
 # the uniforms, then one bridge normal per path that can jump in either leg.
 # Survival counts reproduce exactly, the rest to 1e-12.
 _PINNED = {
-    ("exogenous", True, 0.0): (0.2593779695500509, 0.00026725208894828965, 0.12102912454044118),
-    ("exogenous", True, 2.0): (0.34340328840471535, 0.00036880854005528503, 0.1871625114889706),
-    ("exogenous", False, 0.0): (0.25910605431789846, 0.00040580994905383804, 0.12020335477941177),
-    ("exogenous", False, 2.0): (0.3430480665282978, 0.0005934062542842426, 0.186279296875),
-    ("endogenous", True, 0.0): (0.26962318687897735, 0.00038525762260249697, 0.12102912454044118),
-    ("endogenous", True, 2.0): (0.37292016144555223, 0.0004987411489035229, 0.1871625114889706),
-    ("endogenous", False, 0.0): (0.2692346749110798, 0.0006807008933656288, 0.12020335477941177),
-    ("endogenous", False, 2.0): (0.37290204371784447, 0.0008944721481476407, 0.186279296875),
+    ("exogenous", 0.0): (0.2593779695500509, 0.00026725208894828965, 0.12102912454044118),
+    ("exogenous", 2.0): (0.34340328840471535, 0.00036880854005528503, 0.1871625114889706),
+    ("endogenous", 0.0): (0.26962318687897735, 0.00038525762260249697, 0.12102912454044118),
+    ("endogenous", 2.0): (0.37292016144555223, 0.0004987411489035229, 0.1871625114889706),
 }
 
 
-@pytest.mark.parametrize("mode,antithetic,t", sorted(_PINNED))
-def test_pinned_outputs(market, mode, antithetic, t):
+# the ids keep the recorded test names, mode-True-t, so test histories line up
+@pytest.mark.parametrize(
+    "mode,t", sorted(_PINNED), ids=[f"{mode}-True-{t}" for mode, t in sorted(_PINNED)]
+)
+def test_pinned_outputs(market, mode, t):
     # three dates with mixed barriers; the base path count straddles the
     # 2^16 block size, and t = 2 sits exactly on an announcing date
     schedule = db.DefaultSchedule((0.0, 2.0, 4.0, 6.0), (0.01, 0.02, 0.03), (90.0, 120.0, 80.0))
@@ -132,11 +117,9 @@ def test_pinned_outputs(market, mode, antithetic, t):
         rec = db.RecoveryModel("exogenous", 0.4)
     else:
         rec = db.RecoveryModel("endogenous", 0.5, n=50.0)
-    n_paths = 2**17 + 2**13 if antithetic else 2**16 + 2**12
-    res = db.simulate_price(
-        market, schedule, rec, 150.0, db.SimConfig(n_paths, seed=606, antithetic=antithetic), t
-    )
-    price, std_err, survival = _PINNED[(mode, antithetic, t)]
+    n_paths = 2**17 + 2**13
+    res = db.simulate_price(market, schedule, rec, 150.0, db.SimConfig(n_paths, seed=606), t)
+    price, std_err, survival = _PINNED[(mode, t)]
     assert res.survival_freq == survival
     assert res.price_estimate == pytest.approx(price, rel=1e-12, abs=0.0)
     assert res.std_error == pytest.approx(std_err, rel=1e-12, abs=0.0)
@@ -149,23 +132,23 @@ _PINNED_REGIMES = {
     # intensity 20 on every interval: every exponential draw lands in the
     # hazard mass, so every path jumps
     "all_jump": (
-        (20.0, 20.0, 20.0), (90.0, 120.0, 80.0), True, 0.0,
+        (20.0, 20.0, 20.0), (90.0, 120.0, 80.0), 0.0,
         (0.37094762244089047, 0.00011598118636721665, 0.0),
     ),
     # barriers 8 standard deviations under the spot: no path is ever hit
     "never_hit": (
-        (0.05, 0.1, 0.2), (1e-6, 1e-6, 1e-6), False, 0.0,
-        (0.35225288263858867, 0.0008937246976732657, 0.498046875),
+        (0.05, 0.1, 0.2), (1e-6, 1e-6, 1e-6), 0.0,
+        (0.3513172226000044, 0.00036296525012370894, 0.49628762637867646),
     ),
     # first barrier far above the spot: every path that has not jumped is
     # hit on the first date
     "all_hit_first": (
-        (0.05, 0.02, 0.03), (1e6, 120.0, 80.0), True, 0.5,
+        (0.05, 0.02, 0.03), (1e6, 120.0, 80.0), 0.5,
         (0.23932664680403784, 0.0002758072031913488, 0.0),
     ),
     # no jump channel, live barriers, evaluated on an announcing date
     "zero_hazard": (
-        (0.0, 0.0, 0.0), (90.0, 120.0, 80.0), True, 2.0,
+        (0.0, 0.0, 0.0), (90.0, 120.0, 80.0), 2.0,
         (0.19593936394693984, 0.0005076815717579629, 0.20741182215073528),
     ),
 }
@@ -173,12 +156,11 @@ _PINNED_REGIMES = {
 
 @pytest.mark.parametrize("regime", sorted(_PINNED_REGIMES))
 def test_pinned_regimes(market, regime):
-    intensities, barriers, antithetic, t, expected = _PINNED_REGIMES[regime]
+    intensities, barriers, t, expected = _PINNED_REGIMES[regime]
     schedule = db.DefaultSchedule((0.0, 2.0, 4.0, 6.0), intensities, barriers)
     rec = db.RecoveryModel("endogenous", 0.5, n=200.0)
-    n_paths = 2**17 + 2**13 if antithetic else 2**16 + 2**12
     res = db.simulate_price(
-        market, schedule, rec, 150.0, db.SimConfig(n_paths, seed=606, antithetic=antithetic), t
+        market, schedule, rec, 150.0, db.SimConfig(2**17 + 2**13, seed=606), t
     )
     price, std_err, survival = expected
     assert res.survival_freq == survival
@@ -216,11 +198,10 @@ def _differential_case(k: int):
         rec = db.RecoveryModel("endogenous", float(R), n=float(n))
     else:
         rec = db.RecoveryModel("exogenous", float(rng.uniform(0.0, 1.0)))
-    antithetic = (k // 2) % 2 == 0
     n_paths = 4000 + 2 * int(rng.integers(0, 1000))
-    if k in (7, 25):  # base paths beyond one 2^16 block
-        n_paths = 2 * 2**16 + 3002 if antithetic else 2**16 + 1501
-    config = db.SimConfig(n_paths, seed=int(rng.integers(0, 2**32)), antithetic=antithetic)
+    if k in (7, 25):  # path pairs beyond one 2^16 block
+        n_paths = 2 * 2**16 + 3002
+    config = db.SimConfig(n_paths, seed=int(rng.integers(0, 2**32)))
     return market, schedule, rec, V, config, t
 
 

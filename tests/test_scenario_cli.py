@@ -208,6 +208,29 @@ def test_cli_price_full_recovery_matches_riskless(tmp_path, base_doc, capsys):
     assert record["credit_spread"] == 0.0
 
 
+def _strict_json(text):
+    """RFC 8259 JSON: Infinity, -Infinity and NaN are not values."""
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_price_json_zero_price_is_strict_json(tmp_path, base_doc, capsys):
+    # nothing recovered and certain default at the one date: price 0, so the
+    # credit spread is infinite and the record writes it as null
+    base_doc["market"] = {"r": 0.05, "b": 0.02, "s_V": 0.3}
+    base_doc["schedule"] = {"dates": [0.0, 1.0], "intensities": [0.01], "barriers": [1000.0]}
+    base_doc["recovery"] = {"mode": "exogenous", "R": 0.0}
+    base_doc["evaluation"] = {"x": 0.001, "t": 0.0}
+    rc = main(["price", "--json", _write(tmp_path, base_doc)])
+    assert rc == 0
+    record = _strict_json(capsys.readouterr().out.strip())
+    assert record["price"] == 0.0
+    assert record["credit_spread"] is None
+
+
 def test_cli_schedule_order_error(tmp_path, base_doc, capsys):
     base_doc["schedule"]["dates"] = [0.0, 4.0, 2.0]
     rc = main(["price", _write(tmp_path, base_doc)])
@@ -286,6 +309,16 @@ def test_cli_curve_rejects_bad_points(tmp_path, base_doc, capsys):
     base_doc["sweep"] = {"parameter": "R", "values": [0.5]}
     rc = main(["curve", _write(tmp_path, base_doc), "--points", "1"])
     assert rc == 2
+
+
+def test_cli_curve_unwritable_out_is_bad_file(tmp_path, base_doc, capsys):
+    missing = tmp_path / "missing" / "x.csv"
+    rc = main(["curve", _write(tmp_path, base_doc), "--figure", "1", "--points", "2",
+               "--out", str(missing)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error BAD_FILE: ")
+    assert err.count("\n") == 1
 
 
 def test_cli_validate_rejects_bad_times(tmp_path, base_doc, capsys):
