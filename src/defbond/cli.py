@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import sys
+from pathlib import Path
 
 from .errors import DefbondError, ScenarioError
 from .figures import FIGURE_PRESETS
@@ -121,6 +122,10 @@ def cmd_curve(args) -> int:
         quantity = args.quantity
     if args.points < 2:
         raise ScenarioError("BAD_VALUE", "--points must be >= 2")
+    # check --out before the sweep but open it after, so a failed sweep leaves no file
+    target = Path(args.out)
+    if args.out != "-" and (target.is_dir() or not target.parent.is_dir()):
+        raise ScenarioError("BAD_FILE", f"cannot write {args.out}: not a file in an existing directory")
 
     header, rows = curve_rows(scenario, parameter, values, quantity, args.points)
     if args.out == "-":

@@ -7,7 +7,7 @@ As in QUADPACK, no panel reports an error below 50 eps times the integral of
 |integrand| over it, what rounding alone can leave.  Only the last expiry
 moves from node to node, so each integral sets up the rest of the chain once
 (``binaries.last_expiry_pricer``, which ``price_binary`` also goes through)
-and a node costs one CDF limit and one CDF call.
+and a node costs one CDF limit, one correlation chain and one CDF call.
 
 The integrand is smooth inside the interval, but when the interval starts on
 the previous expiry of the chain (the evaluation time for order 1, the last
@@ -85,7 +85,7 @@ _WG = np.array(
     ]
 )
 
-_NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))  # ascending, 15 points
+_NODES = np.concatenate((-_XGK[:-1], _XGK[::-1])).tolist()  # ascending, 15 points
 _W_KRONROD = np.concatenate((_WGK[:-1], _WGK[::-1]))
 _W_GAUSS = np.zeros(15)
 _W_GAUSS[1:-1:2] = np.concatenate((_WG[:-1], _WG[::-1]))
@@ -94,7 +94,7 @@ _W_GAUSS[1:-1:2] = np.concatenate((_WG[:-1], _WG[::-1]))
 def _kronrod_panel(f: Callable[[float], float], a: float, b: float):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    fv = np.array([f(mid + half * xi) for xi in _NODES.tolist()])
+    fv = np.array([f(mid + half * xi) for xi in _NODES])
     resk = half * float(_W_KRONROD @ fv)
     resg = half * float(_W_GAUSS @ fv)
     diff = abs(resk - resg)

@@ -34,8 +34,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -129,6 +130,13 @@ def _norm_pdf(x):
     return np.exp(-0.5 * np.square(x)) / math.sqrt(2.0 * math.pi)
 
 
+@cache
+def _bvnu_nodes(n: int) -> tuple[tuple[float, float], ...]:
+    """(1 + x, w) of the n-node Gauss-Legendre rule: ``_bvnu``'s nodes on (0, 2)."""
+    x, w, _ = _legendre(n)
+    return tuple(zip((1.0 + x).tolist(), w.tolist()))
+
+
 def _bvnu(h: float, k: float, r: float) -> float:
     """Upper-orthant probability P(X > h, Y > k) for a correlation
     0 <= r <= 1.
@@ -150,9 +158,7 @@ def _bvnu(h: float, k: float, r: float) -> float:
     tp = 2.0 * math.pi
     hk = h * k
     bvn = 0.0
-    x, w, _ = _legendre(12 if r < 0.75 else 20)
-    # nodes for the interval (0, 2); symmetry covers (1-x, 1+x)
-    nodes = zip((1.0 + x).tolist(), w.tolist())
+    nodes = _bvnu_nodes(12 if r < 0.75 else 20)
 
     if r < 0.925:
         hs = 0.5 * (h * h + k * k)
@@ -227,19 +233,21 @@ class CorrelationStructure:
     of increasing dates, seen from ``eval_time``.
 
     ``covariance[i, j] = sqrt((T_i - t) / (T_j - t))`` for ``i <= j``.  The
-    chain is determined by its adjacent correlations ``rho``, which is all
-    the CDF evaluator reads.
+    chain is determined by its adjacent correlations ``rho``, the
+    superdiagonal of ``covariance``, which is all the CDF evaluator reads.
     """
 
     eval_time: float
     expiries: tuple[float, ...]
+    rho: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.expiries) < 1:
             raise ScheduleError("CorrelationStructure: at least one expiry required")
-        prev = self.eval_time
-        if not math.isfinite(prev):
+        t = prev = self.eval_time
+        if not math.isfinite(t):
             raise ScheduleError("CorrelationStructure: non-finite dates")
+        rho = []
         for date in self.expiries:
             if not math.isfinite(date):
                 raise ScheduleError("CorrelationStructure: non-finite dates")
@@ -247,18 +255,10 @@ class CorrelationStructure:
                 raise ScheduleError(
                     f"CorrelationStructure: expiries must satisfy t < T_1 < ... < T_m, got t={self.eval_time}, T={self.expiries}"
                 )
+            if prev > t:
+                rho.append(math.sqrt((prev - t) / (date - t)))
             prev = date
-
-    @property
-    def dim(self) -> int:
-        return len(self.expiries)
-
-    @property
-    def rho(self) -> list[float]:
-        """Adjacent correlations ``rho[k] = sqrt((T_k - t) / (T_{k+1} - t))``,
-        the superdiagonal of ``covariance``."""
-        t = self.eval_time
-        return [math.sqrt((a - t) / (b - t)) for a, b in zip(self.expiries, self.expiries[1:])]
+        object.__setattr__(self, "rho", tuple(rho))
 
     @cached_property
     def covariance(self) -> np.ndarray:
@@ -505,44 +505,38 @@ def mvn_cdf(a, corr, signs=None, config: QmcConfig = DEFAULT_QMC):
         distance to a coarser quadrature rule, which exceeds the actual
         error.
     """
-    # an array's tolist() nests a 2-D array and unwraps a 0-d one, so both
-    # fail float() below like any other non-sequence
-    try:
-        limits = [float(v) for v in (a.tolist() if isinstance(a, np.ndarray) else a)]
-    except TypeError:
-        limits = []
-    if not limits:
-        raise DomainError("mvn_cdf: limits must be a one-dimensional sequence")
-    for v in limits:
-        if v != v:
-            raise DomainError("mvn_cdf: NaN limit")
-    m = len(limits)
-    if not isinstance(corr, CorrelationStructure):
-        raise DomainError("mvn_cdf: correlation must be a CorrelationStructure")
-    if corr.dim != m:
-        raise DomainError("mvn_cdf: limits and correlation dimension differ")
-    rho = corr.rho
-
-    if signs is None:
-        return _box_probability([-_INF] * m, limits, rho)
+    # one pass converts, NaN-checks and signs the limits (bad signs are reported
+    # last); tolist() nests a 2-D array and unwraps a 0-d one: float() fails both
     if isinstance(signs, np.ndarray):
         signs = signs.tolist()
     try:
-        valid = len(signs) == m
-    except TypeError:
-        valid = False
+        a = a.tolist() if isinstance(a, np.ndarray) else list(a)
+        signed = signs is None or len(signs) == len(a)
+    except TypeError:  # limits that are no sequence fail in the loop below
+        signed = False
+    if signs is None or not signed:
+        signs = repeat(1)
     lower, upper = [], []
-    if valid:
-        for v, lim in zip(signs, limits):
-            if v == 1:
-                lower.append(-_INF)
-                upper.append(lim)
-            elif v == -1:
-                lower.append(-lim)
+    try:
+        for v, s in zip(a, signs):
+            v = float(v)
+            if v != v:
+                raise DomainError("mvn_cdf: NaN limit")
+            if s == -1:
+                lower.append(-v)
                 upper.append(_INF)
             else:
-                valid = False
-                break
-    if not valid:
+                signed = signed and s == 1
+                lower.append(-_INF)
+                upper.append(v)
+    except TypeError:
+        lower = []
+    if not lower:
+        raise DomainError("mvn_cdf: limits must be a one-dimensional sequence")
+    if not isinstance(corr, CorrelationStructure):
+        raise DomainError("mvn_cdf: correlation must be a CorrelationStructure")
+    if len(corr.expiries) != len(lower):
+        raise DomainError("mvn_cdf: limits and correlation dimension differ")
+    if not signed:
         raise DomainError("mvn_cdf: signs must be a vector of +-1 entries")
-    return _box_probability(lower, upper, rho)
+    return _box_probability(lower, upper, corr.rho)

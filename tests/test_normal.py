@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -158,6 +159,18 @@ def test_build_correlation_single_date():
 def test_build_correlation_near_expiry():
     c = db.build_correlation(2.9, (3.0, 6.0))
     assert c.covariance[0, 1] == pytest.approx(math.sqrt(0.1 / 3.1), abs=1e-15)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_correlation_rho_is_the_covariance_superdiagonal(d):
+    t = 0.4
+    expiries = tuple(0.5 + 0.7 * k + 0.1 * k * k for k in range(d))
+    c = db.build_correlation(t, expiries)
+    assert isinstance(c.rho, tuple)
+    assert c.rho == tuple(math.sqrt((a - t) / (b - t)) for a, b in zip(expiries, expiries[1:]))
+    assert c.rho == tuple(np.diagonal(c.covariance, 1).tolist())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.rho = (0.5,) * (d - 1)
 
 
 def test_build_correlation_rejects_bad_order():
@@ -403,11 +416,76 @@ def test_mvn_rejects_malformed_signs(signs):
         db.mvn_cdf([0.1, 0.2], db.build_correlation(0.0, (1.0, 2.0)), signs)
 
 
+def _chain(d: int):
+    return db.build_correlation(0.0, tuple(1.0 + k for k in range(d)))
+
+
 def test_mvn_accepts_array_and_tuple_inputs_alike():
-    c = db.build_correlation(0.0, (1.0, 2.0, 3.0))
-    ref = db.mvn_cdf([0.2, -0.1, 0.4], c, (1, -1, 1))
-    assert db.mvn_cdf(np.array([0.2, -0.1, 0.4]), c, np.array([1.0, -1.0, 1.0])) == ref
-    assert db.mvn_cdf((0.2, -0.1, 0.4), c, [1, -1, 1]) == ref
+    for limits, signs in (([0.2], [-1]), ([0.2, -0.1], [1, -1]), ([0.2, -0.1, 0.4], [1, -1, 1])):
+        c = _chain(len(limits))
+        ref = db.mvn_cdf(limits, c, tuple(signs))
+        assert db.mvn_cdf(np.array(limits), c, np.array(signs, dtype=float)) == ref
+        assert db.mvn_cdf(tuple(limits), c, signs) == ref
+        assert db.mvn_cdf(iter(limits), c, signs) == ref
+
+
+# mvn_cdf converts, NaN-checks and signs its limits in one pass; each fault
+# raises DomainError with the message of the first check it fails: limits,
+# then the correlation and its dimension, then the signs.
+
+def _bad_signs(d: int):
+    """Sign vectors with a 0, a 2 or a NaN entry, or of the wrong length."""
+    return [
+        (0,) + (1,) * (d - 1),
+        (1,) * (d - 1) + (2,),
+        (-1,) * (d - 1) + (float("nan"),),
+        (1,) * (d - 1),
+        (1,) * (d + 1),
+        np.array((1.0,) * (d - 1) + (0.0,)),
+        1,
+    ]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_mvn_rejects_a_nan_limit_at_every_position_under_any_signs(d):
+    patterns = [None, *itertools.product((1, -1), repeat=d), *_bad_signs(d)]
+    for position in range(d):
+        limits = [0.3] * d
+        limits[position] = float("nan")
+        for signs in patterns:
+            for a in (limits, np.array(limits)):
+                with pytest.raises(DomainError, match="NaN limit"):
+                    db.mvn_cdf(a, _chain(d), signs)
+        with pytest.raises(DomainError, match="NaN limit"):
+            db.mvn_cdf(limits, np.eye(d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_mvn_rejects_signs_other_than_plus_minus_one(d):
+    for signs in _bad_signs(d):
+        with pytest.raises(DomainError, match="signs must be"):
+            db.mvn_cdf([0.3] * d, _chain(d), signs)
+
+
+@pytest.mark.parametrize("limits", [[], (), np.array([]), [[0.1, 0.2]], np.zeros((2, 1)), np.zeros((1, 2))])
+@pytest.mark.parametrize("signs", [None, (1, 1), (1, -1, 1)])
+def test_mvn_rejects_empty_and_two_dimensional_limits(limits, signs):
+    with pytest.raises(DomainError, match="one-dimensional"):
+        db.mvn_cdf(limits, _chain(2), signs)
+
+
+@pytest.mark.parametrize("corr", [np.eye(2), [[1.0, 0.5], [0.5, 1.0]], None, _chain(2).covariance])
+@pytest.mark.parametrize("signs", [None, (1, -1), (1, 0)])
+def test_mvn_rejects_a_correlation_that_is_no_chain(corr, signs):
+    with pytest.raises(DomainError, match="CorrelationStructure"):
+        db.mvn_cdf([0.3, 0.1], corr, signs)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("signs", [None, (1, -1), (1, -1, 1), (1, 2)])
+def test_mvn_rejects_mismatched_dimensions(d, signs):
+    with pytest.raises(DomainError, match="dimension differ"):
+        db.mvn_cdf([0.3, 0.1], _chain(d), signs)
 
 
 @pytest.mark.parametrize("t, expiries", [

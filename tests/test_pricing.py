@@ -325,6 +325,40 @@ def test_bundled_scenario_prices_are_pinned(name, t):
     assert got == PINNED_PRICES[name, t]
 
 
+# (price, cdf_error, quadrature_error) of each bundled base on the 5-point
+# grid t = k T / 5 of ``defbond curve --points 5``, recorded before the CDF
+# argument handling was reworked for speed; that work moves no float.
+GRID_PRICES = {
+    ("base_endogenous_low_barrier", 0.0): (0.13284295345819663, 5.147178255423852e-15, 6.798860405390251e-10),
+    ("base_endogenous_low_barrier", 1.2): (0.19061008478674063, 5.989306907863685e-15, 1.5065316361341716e-09),
+    ("base_endogenous_low_barrier", 2.4): (0.2691149351232555, 6.975488963317627e-15, 5.314182818714742e-09),
+    ("base_endogenous_low_barrier", 3.6): (0.35907820593253886, 1.4665989805931688e-15, 6.203672801494316e-17),
+    ("base_endogenous_low_barrier", 4.8): (0.5632573188136056, 1.7118884417653488e-15, 4.1663603797528346e-17),
+    ("base_endogenous_high_barrier", 0.0): (0.5358731781203808, 2.497925355830703e-13, 4.4748075325681435e-11),
+    ("base_endogenous_high_barrier", 1.2): (0.6135738950939376, 2.9951051366906606e-13, 3.57579434926543e-11),
+    ("base_endogenous_high_barrier", 2.4): (0.6881224646359664, 3.5914238754309663e-13, 8.813060291567446e-11),
+    ("base_endogenous_high_barrier", 3.6): (0.7817908012128123, 6.97126689904912e-14, 3.0568443358979355e-11),
+    ("base_endogenous_high_barrier", 4.8): (0.8868905860128774, 8.390897434497667e-14, 4.404726212186292e-15),
+    ("base_exogenous", 0.0): (0.3039614574433192, 1.343516905099159e-15, 0.0),
+    ("base_exogenous", 1.2): (0.3538933030553374, 1.5184509932844035e-15, 0.0),
+    ("base_exogenous", 2.4): (0.4218647628971065, 1.7161625657670593e-15, 0.0),
+    ("base_exogenous", 3.6): (0.5265624780970858, 3.886223690344731e-16, 0.0),
+    ("base_exogenous", 4.8): (0.6691843837296926, 4.408074233917081e-16, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _ in GRID_PRICES}))
+def test_bundled_scenarios_are_pinned_on_the_curve_grid(name):
+    s = db.load_scenario(SCENARIOS / f"{name}.yaml")
+    price = db.price_endogenous if s.recovery.mode == "endogenous" else db.price_exogenous
+    maturity = s.schedule.maturity
+    for k in range(5):
+        t = k * maturity / 5
+        rep = price(s.market, s.schedule, s.recovery, s.firm_value(t), t)
+        got = (rep.price, rep.diagnostics["cdf_error"], rep.diagnostics["quadrature_error"])
+        assert got == pytest.approx(GRID_PRICES[name, t], rel=1e-14, abs=0.0), t
+
+
 def test_three_date_endogenous_price_is_pinned():
     # the 3-date endogenous case whose CDF calls the benchmark self-check counts
     market = db.MarketParams(r=0.08, b=0.03, s_V=0.8)

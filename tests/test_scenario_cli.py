@@ -311,14 +311,26 @@ def test_cli_curve_rejects_bad_points(tmp_path, base_doc, capsys):
     assert rc == 2
 
 
-def test_cli_curve_unwritable_out_is_bad_file(tmp_path, base_doc, capsys):
-    missing = tmp_path / "missing" / "x.csv"
-    rc = main(["curve", _write(tmp_path, base_doc), "--figure", "1", "--points", "2",
-               "--out", str(missing)])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.startswith("error BAD_FILE: ")
-    assert err.count("\n") == 1
+def test_cli_curve_unwritable_out_is_bad_file(tmp_path, base_doc, capsys, monkeypatch):
+    # a missing directory, a file where the directory should be, and a
+    # directory as the target are all rejected before anything is priced
+    def no_price(*args, **kwargs):
+        raise AssertionError("the sweep was priced before --out was checked")
+
+    monkeypatch.setattr(cli, "_price_report", no_price)
+    scenario = _write(tmp_path, base_doc)
+    (tmp_path / "plain").write_text("")
+    for out in (tmp_path / "missing" / "x.csv", tmp_path / "plain" / "x.csv", tmp_path):
+        rc = main(["curve", scenario, "--figure", "1", "--points", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2, out
+        assert err.startswith("error BAD_FILE: ")
+        assert err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+    # a usable target is opened only after the sweep: one that fails leaves no file
+    with pytest.raises(AssertionError):
+        main(["curve", scenario, "--figure", "1", "--points", "2", "--out", str(tmp_path / "x.csv")])
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_validate_rejects_bad_times(tmp_path, base_doc, capsys):
