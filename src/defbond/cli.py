@@ -102,13 +102,11 @@ def curve_rows(scenario: Scenario, parameter: str, values, quantity: str, points
 def cmd_curve(args) -> int:
     scenario = load_scenario(args.scenario)
     figure = args.figure
-    if figure is not None and figure != "custom":
+    if figure is not None:
         try:
             figure = int(figure)
         except ValueError:
-            raise ScenarioError(
-                "BAD_SWEEP", f"--figure takes 1..18 or 'custom', got {args.figure!r}"
-            ) from None
+            raise ScenarioError("BAD_SWEEP", f"--figure takes 1..18, got {args.figure!r}") from None
         if figure not in FIGURE_PRESETS:
             raise ScenarioError("BAD_SWEEP", f"no figure preset {figure}; valid: 1..18")
         preset = FIGURE_PRESETS[figure]
@@ -229,12 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve = sub.add_parser("curve", help="sweep a parameter over a time grid, emit CSV")
     p_curve.add_argument("scenario")
     p_curve.add_argument(
-        "--figure", help="bundled figure preset 1..18, or 'custom' for the file's sweep"
+        "--figure", help="bundled figure preset 1..18; without it the file's sweep is used"
     )
     p_curve.add_argument("--points", type=int, default=121, help="time grid points on [0, T)")
     p_curve.add_argument(
         "--quantity", choices=("price", "spread"), default="price",
-        help="series quantity for custom sweeps",
+        help="series quantity for the file's sweep",
     )
     p_curve.add_argument("--out", default="-", help="output CSV path ('-' for stdout)")
     p_curve.set_defaults(func=cmd_curve)

@@ -83,7 +83,7 @@ class GridSpec:
         reaches past that (the relative spot drifts down at rate
         b + s_V^2/2, so high volatility pushes the far field out a lot)."""
         refs = list(schedule.barriers) + [x_eval]
-        if recovery.mode == "endogenous" and math.isfinite(recovery.cap):
+        if math.isfinite(recovery.cap):
             refs.append(recovery.cap)
         horizon = schedule.maturity
         drift = (market.b + 0.5 * market.s_V**2) * horizon

@@ -15,6 +15,7 @@ evaluation time to where its term starts.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Literal
@@ -114,10 +115,10 @@ class RecoveryModel:
 
     @property
     def cap(self) -> float:
-        """Relative firm value n/R above which endogenous recovery is full."""
-        if self.mode != "endogenous":
-            raise DomainError("RecoveryModel.cap: only defined for endogenous recovery")
-        return math.inf if self.R == 0.0 else self.n / self.R
+        """Relative firm value n/R above which endogenous recovery is full;
+        infinite for a recovery that does not grow with the firm value
+        (exogenous, or endogenous with R = 0)."""
+        return self.n / self.R if self.mode == "endogenous" and self.R > 0.0 else math.inf
 
     def paid(self, x):
         """Relative recovery a default pays at relative firm value ``x`` (a
@@ -154,17 +155,6 @@ def _jump_survival(schedule: DefaultSchedule, i: int, t: float, m: int) -> float
     return math.exp(-lam[i] * (dates[i + 1] - t) - hazard)
 
 
-def _barrier_cascade_spec(market: MarketParams, schedule: DefaultSchedule, i: int) -> BinarySpec:
-    n = schedule.n_intervals
-    return BinarySpec(
-        "bond",
-        (1,) * (n - i),
-        schedule.barriers[i:],
-        schedule.dates[i + 1 :],
-        BsCoefficients(0.0, market.b, market.s_V),
-    )
-
-
 def survival_probability(
     market: MarketParams,
     schedule: DefaultSchedule,
@@ -172,41 +162,30 @@ def survival_probability(
     t: float,
 ) -> float:
     """Probability of surviving both default channels on (t, T]."""
-    w, _, _ = _survival_with_error(market, schedule, x, t)
+    w, _, _, _ = _sum_terms(market, schedule, math.inf, x, t, "survival_probability")
     return w
 
 
-def _survival_with_error(market, schedule, x, t):
-    """Survival probability, its CDF error and the interval index of t."""
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"survival_probability: spot must be positive, got {x}")
-    i = locate_interval(schedule, t)
-    value, err = price_binary_with_error(_barrier_cascade_spec(market, schedule, i), x, t)
-    factor = _jump_survival(schedule, i, t, schedule.n_intervals - 1)
-    return min(max(factor * value, 0.0), 1.0), factor * err, i
-
-
-def _endogenous_terms(
+def _terms(
     market: MarketParams,
     schedule: DefaultSchedule,
-    recovery: RecoveryModel,
+    cap: float,
     i: int,
     t: float,
 ) -> list[tuple[float, BinarySpec | WeightedIntegralSpec]]:
-    """The interval-i closed form, endogenous recovery, as (weight, spec)
-    pairs: the relative price is the sum of weight times the spec's value,
-    and every weight includes the jump survival from t.
+    """The interval-i closed form for a default that recovers min(1, x/cap)
+    as (weight, spec) pairs: the relative price is the sum of weight times
+    the spec's value, and every weight includes the jump survival from t.
 
     Besides the survival binary, each date m >= i adds its barrier default
-    and each interval m >= i its jump default, both recovering
-    min(1, x/cap).  With c = min(K_m, cap) the barrier default is
-    asset(-, c)/cap, plus bond(+, cap) - bond(+, K_m) for the full recovery
-    on (cap, K_m] when K_m > cap.  The jump default is bond(+, cap) +
-    asset(-, cap)/cap integrated over the jump time from max(t, t_m) to
-    t_{m+1}.  With R = 0 the cap is infinite and nothing is recovered, so
-    only the survival binary is left.
+    and each interval m >= i its jump default.  With c = min(K_m, cap) the
+    barrier default is asset(-, c)/cap, plus bond(+, cap) - bond(+, K_m) for
+    the full recovery on (cap, K_m] when K_m > cap.  The jump default is
+    bond(+, cap) + asset(-, cap)/cap integrated over the jump time from
+    max(t, t_m) to t_{m+1}.  A recovery that does not grow with the firm
+    value (exogenous, or endogenous with R = 0) has an infinite cap and
+    recovers nothing here, so only the survival binary is left.
     """
-    cap = recovery.cap
     inv_cap = 1.0 / cap
     coeffs = BsCoefficients(0.0, market.b, market.s_V)
     dates = schedule.dates
@@ -219,8 +198,9 @@ def _endogenous_terms(
     # date's -bond(+, K_N), so neither is emitted.
     if barriers[-1] <= cap:
         survival = _jump_survival(schedule, i, t, n - 1)
-        terms.append((survival, _barrier_cascade_spec(market, schedule, i)))
-    if recovery.R == 0.0:
+        cascade = BinarySpec("bond", (1,) * (n - i), barriers[i:], dates[i + 1 :], coeffs)
+        terms.append((survival, cascade))
+    if math.isinf(cap):
         return terms
     for m in range(i, n):
         ups = (1,) * (m - i)
@@ -248,21 +228,14 @@ def _endogenous_terms(
     return terms
 
 
-def _endogenous_value(
-    market: MarketParams,
-    schedule: DefaultSchedule,
-    recovery: RecoveryModel,
-    x: float,
-    t: float,
-):
-    """Relative price u_i plus accumulated (cdf_error, quadrature_error)."""
-    if recovery.mode != "endogenous":
-        raise DomainError("relative_price_endogenous: recovery model must be endogenous")
+def _sum_terms(market, schedule, cap: float, x: float, t: float, caller: str):
+    """The sum of the terms, clamped to [0, 1], plus the accumulated
+    (cdf_error, quadrature_error) and the interval index of t."""
     if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"relative_price_endogenous: spot must be positive, got {x}")
+        raise DomainError(f"{caller}: spot must be positive, got {x}")
     i = locate_interval(schedule, t)
     u = cdf_err = quad_err = 0.0
-    for w, spec in _endogenous_terms(market, schedule, recovery, i, t):
+    for w, spec in _terms(market, schedule, cap, i, t):
         if isinstance(spec, BinarySpec):
             value, err = price_binary_with_error(spec, x, t)
             cdf_err += abs(w) * err
@@ -270,7 +243,7 @@ def _endogenous_value(
             value, err = integral_binary(spec, x, t)
             quad_err += abs(w) * err
         u += w * value
-    return max(u, 0.0), cdf_err, quad_err, i
+    return min(max(u, 0.0), 1.0), cdf_err, quad_err, i
 
 
 def relative_price_endogenous(
@@ -281,12 +254,38 @@ def relative_price_endogenous(
     t: float,
 ) -> float:
     """Bond price per unit of the default-free bond, endogenous recovery."""
-    u, _, _, _ = _endogenous_value(market, schedule, recovery, x, t)
+    if recovery.mode != "endogenous":
+        raise DomainError("relative_price_endogenous: recovery model must be endogenous")
+    u, _, _, _ = _sum_terms(market, schedule, recovery.cap, x, t, "relative_price_endogenous")
     return u
 
 
-def _discount(market: MarketParams, schedule: DefaultSchedule, t: float) -> float:
-    return math.exp(-market.r * (schedule.maturity - t))
+def _report(market, schedule, recovery, V: float, t: float, caller: str) -> PriceReport:
+    """Price report at firm value ``V``.  The relative price is a floor plus
+    a share of the term sum: R plus 1 - R of the survival probability for
+    exogenous recovery, 0 plus all of it for endogenous recovery."""
+    if not (math.isfinite(V) and V > 0.0):
+        raise DomainError(f"{caller}: firm value must be positive, got {V}")
+    remaining = schedule.maturity - t
+    df = math.exp(-market.r * remaining)
+    # V / df overflows for V near the largest float, and for every V once df
+    # underflows to 0.  Far above every barrier and the cap the relative
+    # price is flat in x, so the largest float prices it.
+    x = V / df if V < df * sys.float_info.max else sys.float_info.max
+    w, cdf_err, quad_err, i = _sum_terms(market, schedule, recovery.cap, x, t, caller)
+    exogenous = recovery.mode == "exogenous"
+    floor = recovery.R if exogenous else 0.0
+    share = 1.0 - floor
+    u = floor + share * w
+    spread = max(0.0, -math.log(u) / remaining) if u > 0.0 else math.inf
+    return PriceReport(
+        price=floor * df + share * w * df,
+        relative_price=u,
+        survival_prob=w if exogenous else None,
+        credit_spread=spread,
+        interval_index=i,
+        diagnostics={"cdf_error": share * df * cdf_err, "quadrature_error": share * df * quad_err},
+    )
 
 
 def price_endogenous(
@@ -297,21 +296,9 @@ def price_endogenous(
     t: float,
 ) -> PriceReport:
     """Bond price at firm value ``V``, endogenous recovery."""
-    if not (math.isfinite(V) and V > 0.0):
-        raise DomainError(f"price_endogenous: firm value must be positive, got {V}")
-    df = _discount(market, schedule, t)
-    x = V / df
-    u, cdf_err, quad_err, i = _endogenous_value(market, schedule, recovery, x, t)
-    remaining = schedule.maturity - t
-    spread = max(0.0, -math.log(u) / remaining) if u > 0.0 else math.inf
-    return PriceReport(
-        price=df * u,
-        relative_price=u,
-        survival_prob=None,
-        credit_spread=spread,
-        interval_index=i,
-        diagnostics={"cdf_error": df * cdf_err, "quadrature_error": df * quad_err},
-    )
+    if recovery.mode != "endogenous":
+        raise DomainError("price_endogenous: recovery model must be endogenous")
+    return _report(market, schedule, recovery, V, t, "price_endogenous")
 
 
 def price_exogenous(
@@ -325,24 +312,7 @@ def price_exogenous(
     plus the survival-weighted allowance."""
     if recovery.mode != "exogenous":
         raise DomainError("price_exogenous: recovery model must be exogenous")
-    if not (math.isfinite(V) and V > 0.0):
-        raise DomainError(f"price_exogenous: firm value must be positive, got {V}")
-    df = _discount(market, schedule, t)
-    x = V / df
-    w, err, i = _survival_with_error(market, schedule, x, t)
-    R = recovery.R
-    price = R * df + (1.0 - R) * w * df
-    u = R + (1.0 - R) * w
-    remaining = schedule.maturity - t
-    spread = max(0.0, -math.log(u) / remaining) if u > 0.0 else math.inf
-    return PriceReport(
-        price=price,
-        relative_price=u,
-        survival_prob=w,
-        credit_spread=spread,
-        interval_index=i,
-        diagnostics={"cdf_error": (1.0 - R) * df * err, "quadrature_error": 0.0},
-    )
+    return _report(market, schedule, recovery, V, t, "price_exogenous")
 
 
 def credit_spread(
@@ -355,6 +325,4 @@ def credit_spread(
     """Yield pickup of the defaultable bond over the default-free bond."""
     if t >= schedule.maturity:
         raise DomainError("credit_spread: undefined at or past maturity")
-    if recovery.mode == "exogenous":
-        return price_exogenous(market, schedule, recovery, V, t).credit_spread
-    return price_endogenous(market, schedule, recovery, V, t).credit_spread
+    return _report(market, schedule, recovery, V, t, "credit_spread").credit_spread

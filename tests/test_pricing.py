@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from defbond.binaries import price_binary, shift_coefficients
 from defbond.errors import DomainError, ScheduleError
 from defbond import integrals
 from defbond.integrals import _adaptive_quad
-from defbond.pricing import _endogenous_terms
+from defbond.pricing import _terms
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 BASE_W0 = 0.107707772403  # exp(-0.021) * N2(d3, d6; sqrt(1/2)), checked below
@@ -43,6 +44,32 @@ def test_recovery_validation():
         db.RecoveryModel("endogenous", 0.5)
     assert db.RecoveryModel("endogenous", 0.0, n=2.0).cap == math.inf
     assert db.RecoveryModel("endogenous", 0.5, n=1.0).cap == 2.0
+
+
+EXO = db.RecoveryModel("exogenous", 0.4)
+ENDO = db.RecoveryModel("endogenous", 0.5, n=1.0)
+
+
+@pytest.mark.parametrize(
+    "name, recovery, spot, t, message",
+    [
+        ("price_exogenous", EXO, -1.0, 0.0, "firm value must be positive"),
+        ("price_exogenous", ENDO, 100.0, 0.0, "recovery model must be exogenous"),
+        ("price_endogenous", ENDO, math.inf, 0.0, "firm value must be positive"),
+        ("price_endogenous", EXO, 100.0, 0.0, "recovery model must be endogenous"),
+        ("relative_price_endogenous", ENDO, 0.0, 0.0, "spot must be positive"),
+        ("relative_price_endogenous", EXO, 100.0, 0.0, "recovery model must be endogenous"),
+        ("survival_probability", None, math.nan, 0.0, "spot must be positive"),
+        ("credit_spread", EXO, 0.0, 0.0, "firm value must be positive"),
+        ("credit_spread", ENDO, -1.0, 0.0, "firm value must be positive"),
+        ("credit_spread", ENDO, 100.0, 6.0, "undefined at or past maturity"),
+    ],
+)
+def test_input_errors_name_the_called_function(market, schedule, name, recovery, spot, t, message):
+    # credit_spread takes either recovery mode and survival_probability none
+    args = (market, schedule) if recovery is None else (market, schedule, recovery)
+    with pytest.raises(DomainError, match=f"^{name}: {message}"):
+        getattr(db, name)(*args, spot, t)
 
 
 # ---------------------------------------------------------- locate_interval
@@ -156,30 +183,41 @@ def test_regime_tie_is_accepted_and_continuous(market, schedule):
 
 
 @pytest.mark.parametrize(
-    "R, n, counts",
-    [(0.5, 150.0, (4, 3, 2)), (0.5, 1.0, (8, 5, 2)), (0.5, 50.0, (6, 3, 2)), (0.0, 1.0, (1, 1, 1))],
-    ids=["cap_above_all", "cap_below_all", "mixed_regimes", "zero_recovery"],
+    "rec, counts",
+    [
+        (db.RecoveryModel("endogenous", 0.5, n=150.0), (4, 3, 2)),
+        (db.RecoveryModel("endogenous", 0.5, n=1.0), (8, 5, 2)),
+        (db.RecoveryModel("endogenous", 0.5, n=50.0), (6, 3, 2)),
+        (db.RecoveryModel("endogenous", 0.0, n=1.0), (1, 1, 1)),
+        (db.RecoveryModel("exogenous", 0.4), (1, 1, 1)),
+    ],
+    ids=["cap_above_all", "cap_below_all", "mixed_regimes", "zero_recovery", "exogenous"],
 )
-def test_endogenous_binary_term_count(market, R, n, counts):
+def test_endogenous_binary_term_count(market, rec, counts):
     # Binaries in the term list.  Cap 300 clears every barrier: one asset
     # binary per date plus the survival cascade, N - i + 1.  Cap 2 sits under
     # all of them: asset, bond and -bond per date, less the last -bond, which
     # cancels the cascade, 3 (N - i) - 1.  Cap 100 lies between barriers 90
     # and 110/120: three binaries at dates above it, one at the date below,
-    # and no cascade.  R = 0 recovers nothing and leaves the cascade alone.
+    # and no cascade.  R = 0 and exogenous recovery have an infinite cap:
+    # nothing grows with the firm value, and the cascade is left alone.
     schedule = db.DefaultSchedule((0.0, 1.5, 3.5, 7.0), (0.01, 0.02, 0.004), (120.0, 90.0, 110.0))
-    rec = db.RecoveryModel("endogenous", R, n=n)
     for i, (t, count) in enumerate(zip((0.0, 2.0, 4.0), counts)):
-        terms = _endogenous_terms(market, schedule, rec, i, t)
+        terms = _terms(market, schedule, rec.cap, i, t)
         assert sum(isinstance(spec, db.BinarySpec) for _, spec in terms) == count
 
 
 def test_zero_recovery_equals_bare_survival(market, schedule):
     rec = db.RecoveryModel("endogenous", 0.0, n=1.0)
+    exo = db.RecoveryModel("exogenous", 0.0)
     for t, x in ((0.0, 200.0), (4.0, 140.0)):
         u = db.relative_price_endogenous(market, schedule, rec, x, t)
         w = db.survival_probability(market, schedule, x, t)
         assert u == w
+        df = math.exp(-market.r * (schedule.maturity - t))
+        assert x * df / df == x  # the report prices at the same x
+        rep = db.price_exogenous(market, schedule, exo, x * df, t)
+        assert rep.relative_price == u and rep.survival_prob == w
 
 
 def test_zero_intensity_low_recovery_collapses_to_barrier_cascade(market):
@@ -232,13 +270,22 @@ def test_bundled_scenarios_at_extreme_spots_and_next_to_dates(name):
     # hair from the announcing date and maturity make sqrt(tau) tiny
     s = db.load_scenario(SCENARIOS / f"{name}.yaml")
     price = db.price_endogenous if s.recovery.mode == "endogenous" else db.price_exogenous
-    for V in (1e-200, 1e-3, 1e6, 1e200):
+    for V in (1e-200, 1e-3, 1e6, 1e200, 1e308, sys.float_info.max):
         for t in (0.0, 3.0 - 1e-13, 3.0, 3.0 + 1e-13, 6.0 - 1e-12):
             rep = price(s.market, s.schedule, s.recovery, V, t)
             df = math.exp(-s.market.r * (s.schedule.maturity - t))
             floor = s.recovery.R * df if s.recovery.mode == "exogenous" else 0.0
             assert math.isfinite(rep.price) and floor <= rep.price <= df, (V, t, rep.price)
             assert all(math.isfinite(v) for v in rep.diagnostics.values()), (V, t)
+
+
+def test_prices_when_the_discount_underflows(market, exo, endo_high_barrier):
+    # exp(-0.1 * 8000) underflows to 0, so V / df has no finite value
+    schedule = db.DefaultSchedule((0.0, 4000.0, 8000.0), (0.002, 0.005), (100.0, 100.0))
+    for price, rec in ((db.price_exogenous, exo), (db.price_endogenous, endo_high_barrier)):
+        rep = price(market, schedule, rec, 100.0, 0.0)
+        assert rep.price == 0.0 and 0.0 < rep.relative_price <= 1.0
+        assert math.isfinite(rep.credit_spread)
 
 
 def _floats_below(value, count):
@@ -416,7 +463,7 @@ def test_assembly_via_shifted_coefficients_matches(market, schedule, endo_high_b
         return scale * price_binary(shifted, x, t)
 
     u_shifted = 0.0
-    for w, spec in _endogenous_terms(market, schedule, endo_high_barrier, i, t):
+    for w, spec in _terms(market, schedule, endo_high_barrier.cap, i, t):
         if isinstance(spec, db.BinarySpec):
             u_shifted += w * shifted_value(spec)
             continue

@@ -273,17 +273,6 @@ def test_cli_curve_custom_sweep(tmp_path, base_doc, capsys):
     assert len(lines) == 6
 
 
-def test_cli_curve_explicit_custom_keyword(tmp_path, base_doc, capsys):
-    base_doc["sweep"] = {"parameter": "R", "values": [0.2, 0.8]}
-    path = _write(tmp_path, base_doc)
-    rc = main(["curve", path, "--figure", "custom", "--points", "4"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert out.split("\n")[0] == "t,R=0.2,R=0.8"
-    rc = main(["curve", path, "--figure", "nope"])
-    assert rc == 2
-
-
 def test_cli_curve_single_value_sweep(tmp_path, base_doc, capsys):
     base_doc["sweep"] = {"parameter": "R", "values": [0.5]}
     rc = main(["curve", _write(tmp_path, base_doc), "--points", "4"])
@@ -301,8 +290,13 @@ def test_cli_curve_requires_sweep_or_figure(tmp_path, base_doc, capsys):
 
 
 def test_cli_curve_unknown_figure(tmp_path, base_doc, capsys):
-    rc = main(["curve", _write(tmp_path, base_doc), "--figure", "99"])
-    assert rc == 2
+    # "custom" is not a preset: omitting --figure prices the file's sweep
+    base_doc["sweep"] = {"parameter": "R", "values": [0.2, 0.8]}
+    path = _write(tmp_path, base_doc)
+    for figure in ("99", "nope", "custom"):
+        rc = main(["curve", path, "--figure", figure])
+        assert rc == 2
+        assert "BAD_SWEEP" in capsys.readouterr().err
 
 
 def test_cli_curve_rejects_bad_points(tmp_path, base_doc, capsys):
