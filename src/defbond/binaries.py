@@ -73,6 +73,8 @@ class BinarySpec:
         if m < 1 or len(self.strikes) != m or len(self.expiries) != m:
             raise DomainError("BinarySpec: signs, strikes and expiries must share a length >= 1")
         check_payoff("BinarySpec", self.kind, self.signs, self.strikes)
+        if not all(map(math.isfinite, self.expiries)):
+            raise ScheduleError(f"BinarySpec: expiries must be finite: {self.expiries}")
         for a, b in zip(self.expiries, self.expiries[1:]):
             if b <= a:
                 raise ScheduleError(f"BinarySpec: expiries not strictly increasing: {self.expiries}")
@@ -107,11 +109,11 @@ def last_expiry_pricer(
 
     ``f(tau)`` prices ``BinarySpec(kind, signs, strikes, fixed_expiries +
     (tau,), coeffs)`` at (x, t).  The drift, the m - 1 limits of the fixed
-    expiries and log(x / K_m) are computed once; each tau costs one limit,
-    one correlation chain and one CDF call, so a weighted integral prices
-    its nodes from one call here.  The caller has checked the payoff,
-    ``x > 0``, ``t`` before the first expiry and ``tau`` after the last
-    fixed one.
+    expiries, log(x / K_m) and the checked chain of the fixed expiries are
+    computed once; each tau costs one limit, one appended correlation and
+    one CDF call, so a weighted integral prices its nodes from one call
+    here.  The caller has checked the payoff, ``x > 0``, ``t`` before the
+    first expiry and ``tau`` finite and after the last fixed one.
     """
     plus = kind == "asset"
     sigma = coeffs.sigma
@@ -124,12 +126,13 @@ def last_expiry_pricer(
     ]
     sign, log_m = signs[-1], _log_moneyness(x, strikes[-1])
     level, decay = (x, coeffs.q) if plus else (1.0, coeffs.r)
+    chain = CorrelationStructure._last_date_chains(t, fixed)
 
     def price(tau: float) -> tuple[float, float]:
         limits = head + [_signed_limit(sign, log_m, drift, sigma, tau - t)]
         # mvn_cdf is looked up in this module, and bench/tracing.py reads
         # target_error from its fourth positional argument
-        prob, cdf_err = mvn_cdf(limits, CorrelationStructure(t, fixed + (tau,)), signs, DEFAULT_QMC)
+        prob, cdf_err = mvn_cdf(limits, chain(tau), signs, DEFAULT_QMC)
         scale = level * math.exp(-decay * (tau - t))
         return scale * prob, scale * cdf_err
 

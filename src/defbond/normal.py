@@ -23,11 +23,12 @@ recursion of one-dimensional Gaussian convolutions over panel
 Gauss-Legendre grids (quadrature between monitoring dates, as in
 Andricopoulos et al., J. Financial Economics 2003, and Feng & Linetsky,
 Mathematical Finance 2008).  Its error estimate is the distance to the same
-recursion on a coarser rule.  ``mvn_cdf`` accepts only a
-``CorrelationStructure``: every CDF the pricer needs is such a chain.  The
-conditional integral takes the same scalar Phi at each of its nodes, so no
-box of at most two coordinates loads scipy; only the chain recursion takes
-Phi of its arrays from ``scipy.special``, imported on its first call.
+recursion on a coarser rule, run in the same pass over the same panels.
+``mvn_cdf`` accepts only a ``CorrelationStructure``: every CDF the pricer
+needs is such a chain.  The conditional integral takes the same scalar Phi
+at each of its nodes, so no box of at most two coordinates loads scipy; only
+the chain recursion takes Phi of its arrays from ``scipy.special``, imported
+on its first call.
 """
 
 from __future__ import annotations
@@ -260,6 +261,28 @@ class CorrelationStructure:
             prev = date
         object.__setattr__(self, "rho", tuple(rho))
 
+    @classmethod
+    def _last_date_chains(cls, eval_time: float, fixed: tuple[float, ...]):
+        """tau -> the chain of ``fixed + (tau,)`` seen from ``eval_time``.
+
+        The dates are checked here, once; each chain appends the one
+        correlation of tau, the expression ``__post_init__`` uses, and checks
+        nothing: the caller has checked that tau is finite and after the last
+        fixed date (after ``eval_time`` when there is none).
+        """
+        if not math.isfinite(eval_time):
+            raise ScheduleError("CorrelationStructure: non-finite dates")
+        head = cls(eval_time, fixed).rho if fixed else ()
+        last = fixed[-1] - eval_time if fixed else None
+
+        def chain(tau: float) -> CorrelationStructure:
+            node = cls.__new__(cls)
+            rho = head + (math.sqrt(last / (tau - eval_time)),) if fixed else head
+            node.__dict__.update(eval_time=eval_time, expiries=fixed + (tau,), rho=rho)
+            return node
+
+        return chain
+
     @cached_property
     def covariance(self) -> np.ndarray:
         tau = np.asarray(self.expiries, float) - self.eval_time
@@ -378,6 +401,9 @@ def _panel_edges(a: float, b: float, features, hmax: float) -> np.ndarray:
     e = sorted(edges)
     points = []
     for lo, hi in zip(e, e[1:]):
+        if hi - lo <= hmax:
+            points.append(lo)
+            continue
         count = max(1, math.ceil((hi - lo) / hmax - 1e-9))
         step = (hi - lo) / count
         points += [j * step + lo for j in range(count)]
@@ -405,26 +431,55 @@ def _kernel_step(z, r: float, s: float, edges, y, g, n: int):
     return (half * uw * _norm_pdf(u) * gq).sum(-1)
 
 
-def _chain_box(lower, upper, rho, n: int) -> float:
+def _point_kernel(x, r: float, s: float, z):
+    """phi((x - r z) / s) with a row for each z and a column for each x:
+    ``_norm_pdf`` of that matrix, bit for bit, computed in place so that
+    the matrix is allocated once."""
+    k = x - r * z[:, None]
+    k /= s
+    np.square(k, out=k)
+    k *= -0.5
+    np.exp(k, out=k)
+    k /= math.sqrt(2.0 * math.pi)
+    return k
+
+
+def _phi_between(lo: float, hi: float, r, s, y):
+    """Phi((hi - r y) / s) - Phi((lo - r y) / s) at every y; Phi is exactly 0
+    and 1 at -inf and inf, so an infinite limit takes no Phi."""
+    ndtr = _array_phi()
+    if lo == -_INF:
+        return ndtr((hi - r * y) / s)
+    if hi == _INF:
+        return 1.0 - ndtr((lo - r * y) / s)
+    return ndtr((hi - r * y) / s) - ndtr((lo - r * y) / s)
+
+
+def _chain_box(lower, upper, rho) -> tuple[float, float]:
     """P(lower <= X <= upper) for a standardized Gaussian Markov chain of
-    d >= 3 coordinates with adjacent correlations ``rho[k] = corr[k, k+1]``.
+    d >= 3 coordinates with adjacent correlations ``rho[k] = corr[k, k+1]``,
+    on the _NODES rule and on the _NODES_COARSE rule of its error estimate.
 
     g_k(y) = P(X_j in box_j for all j < k | X_k = y) is carried on a panel
-    Gauss-Legendre grid (``n`` nodes a panel) of each inner coordinate's box
-    cut to [-_L, _L].  g_1 is a difference of Phi; g_k integrates g_{k-1}
-    against the law N(rho z, 1 - rho^2) of X_{k-1} given X_k = z; the result
-    integrates phi * g_{d-2} against the last coordinate's Phi difference.
+    Gauss-Legendre grid of each inner coordinate's box cut to [-_L, _L].
+    g_1 is a difference of Phi; g_k integrates g_{k-1} against the law
+    N(rho z, 1 - rho^2) of X_{k-1} given X_k = z; the result integrates
+    phi * g_{d-2} against the last coordinate's Phi difference.
     Panels break at the neighbouring box edges seen from this coordinate and
     grade down to their widths, so near-coincident dates stay resolved.
+
+    Both rules run in one pass over the same panel edges: their nodes sit in
+    one flat array, the fine rule's block first, so each elementwise step is
+    one numpy call, while each kernel step and each sum runs on one rule's
+    contiguous block, exactly as that rule alone would.
     """
     d = len(lower)
-    s = np.sqrt((1.0 - rho) * (1.0 + rho))
-    x, w, _ = _legendre(n)
-    ndtr = _array_phi()
+    s = [math.sqrt((1.0 - r) * (1.0 + r)) for r in rho]
+    rules = [_legendre(n)[:2] for n in (_NODES, _NODES_COARSE)]
     for k in range(1, d - 1):
         a, b = max(lower[k], -_L), min(upper[k], _L)
         if a >= b:
-            return 0.0
+            return 0.0, 0.0
         features = [(e / rho[j], s[j] / abs(rho[j]))
                     for j, nb in ((k - 1, k - 1), (k, k + 1)) for e in (lower[nb], upper[nb])
                     if math.isfinite(e) and rho[j] != 0.0]
@@ -432,20 +487,27 @@ def _chain_box(lower, upper, rho, n: int) -> float:
         # panels of three kernel widths, unless that needs too many panels
         point = k < d - 2 and b - a <= 3.0 * s[k] * _MAX_PANELS
         edges = _panel_edges(a, b, features, min(1.0, 3.0 * s[k]) if point else 1.0)
-        half = 0.5 * np.diff(edges)[:, None]
-        y = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * x
+        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+        mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+        y = np.concatenate([mid + half * x for x, _ in rules], axis=None)
+        hw = np.concatenate([half * w for _, w in rules], axis=None)
+        blocks = [slice(0, half.size * _NODES), slice(half.size * _NODES, y.size)]
         if k == 1:
-            g = ndtr((upper[0] - rho[0] * y) / s[0]) - ndtr((lower[0] - rho[0] * y) / s[0])
+            g = _phi_between(lower[0], upper[0], rho[0], s[0], y)
         elif prev_point:
-            kernel = _norm_pdf((prev_y.ravel() - rho[k - 1] * y.ravel()[:, None]) / s[k - 1])
-            g = (kernel @ prev_wg.ravel()).reshape(y.shape) / s[k - 1]
+            g = np.concatenate([
+                _point_kernel(prev_y[old], rho[k - 1], s[k - 1], y[new]) @ prev_wg[old]
+                for new, old in zip(blocks, prev_blocks)
+            ]) / s[k - 1]
         else:
-            g = _kernel_step(y.ravel(), rho[k - 1], s[k - 1], prev_edges, prev_y, prev_g, n).reshape(y.shape)
-        prev_point, prev_edges, prev_y, prev_g, prev_wg = point, edges, y, g, half * w * g
-    r, sd = rho[d - 2], s[d - 2]
-    last = ndtr((upper[d - 1] - r * y) / sd) - ndtr((lower[d - 1] - r * y) / sd)
-    p = float(np.sum(prev_wg * _norm_pdf(y) * last))
-    return min(max(p, 0.0), 1.0)
+            g = np.concatenate([
+                _kernel_step(y[new], rho[k - 1], s[k - 1], prev_edges,
+                             prev_y[old].reshape(-1, n), prev_g[old].reshape(-1, n), n)
+                for new, old, n in zip(blocks, prev_blocks, (_NODES, _NODES_COARSE))
+            ])
+        prev_point, prev_edges, prev_blocks, prev_y, prev_g, prev_wg = point, edges, blocks, y, g, hw * g
+    terms = prev_wg * _norm_pdf(y) * _phi_between(lower[d - 1], upper[d - 1], rho[d - 2], s[d - 2], y)
+    return tuple(min(max(float(terms[block].sum()), 0.0), 1.0) for block in blocks)
 
 
 def _box_probability(lower, upper, rho):
@@ -477,9 +539,8 @@ def _box_probability(lower, upper, rho):
         if k_up < _INF:
             k, r = -k_up, -r
         return _orthant(h, k, r), 5e-15
-    rho = np.array(rho)
-    p = _chain_box(lower, upper, rho, _NODES)
-    return p, max(abs(p - _chain_box(lower, upper, rho, _NODES_COARSE)), 1e-15)
+    p, coarse = _chain_box(lower, upper, rho)
+    return p, max(abs(p - coarse), 1e-15)
 
 
 def mvn_cdf(a, corr, signs=None, config: QmcConfig = DEFAULT_QMC):

@@ -199,10 +199,25 @@ def parse_scenario(doc: dict) -> Scenario:
     return Scenario(market, schedule, recovery, evaluation, sweep)
 
 
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, which resolves YAML 1.1 scalars, also reading
+    YAML 1.2 floats: 1.1 takes ``1e6``, ``1E+6`` and ``1.0e308`` (no point,
+    or no exponent sign) for strings."""
+
+
+# after the 1.1 int and float patterns, so every scalar either already
+# reads keeps its type; only exponent forms they miss become floats here
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"),
+)
+
+
 def load_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_Loader)
     except OSError as exc:
         raise ScenarioError("BAD_FILE", f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -39,6 +39,9 @@ def test_spec_validation():
             BinarySpec("bond", (1, 1), (100.0, strike), (1.0, 2.0), BASE)
     with pytest.raises(ScheduleError):
         BinarySpec("bond", (1, 1), (100.0, 100.0), (2.0, 2.0), BASE)
+    for expiry in (float("nan"), math.inf):
+        with pytest.raises(ScheduleError):
+            BinarySpec("bond", (1, 1), (100.0, 100.0), (1.0, expiry), BASE)
     with pytest.raises(DomainError):
         BsCoefficients(0.0, 0.0, 0.0)
 

@@ -16,6 +16,7 @@ from defbond.normal import QmcConfig
 from oracles import conditional_box_ndtr, conditional_chain_cdf3, conditional_chain_cdf4, gl_mvn_cdf
 
 INF = float("inf")
+NAN = float("nan")
 
 
 # ---------------------------------------------------------------- univariate
@@ -171,6 +172,29 @@ def test_correlation_rho_is_the_covariance_superdiagonal(d):
     assert c.rho == tuple(np.diagonal(c.covariance, 1).tolist())
     with pytest.raises(dataclasses.FrozenInstanceError):
         c.rho = (0.5,) * (d - 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_last_date_chains_equal_checked_chains(d):
+    # a Kronrod node's chain appends one correlation to the fixed dates,
+    # checked once, and is the structure the constructor builds
+    t = 0.4
+    fixed = tuple(0.5 + 0.7 * k + 0.1 * k * k for k in range(d - 1))
+    chain = normal.CorrelationStructure._last_date_chains(t, fixed)
+    for tau in (math.nextafter(fixed[-1] if fixed else t, INF), 9.25, 1e6):
+        node, built = chain(tau), db.build_correlation(t, fixed + (tau,))
+        assert node == built and node.rho == built.rho
+        assert np.array_equal(node.covariance, built.covariance)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.rho = built.rho
+
+
+@pytest.mark.parametrize("t, fixed", [
+    (NAN, ()), (-INF, ()), (NAN, (1.0,)), (0.0, (1.0, NAN)), (0.0, (2.0, 1.0)), (1.0, (1.0,)),
+])
+def test_last_date_chains_check_the_fixed_dates(t, fixed):
+    with pytest.raises(ScheduleError):
+        normal.CorrelationStructure._last_date_chains(t, fixed)
 
 
 def test_build_correlation_rejects_bad_order():
@@ -574,6 +598,27 @@ def test_mvn_two_sided_pair_matches_bivariate_difference():
         p, err = db.mvn_cdf([a1, a2, a3], c, (1, -1, 1))
         assert p == pytest.approx(whole - below, rel=0.0, abs=1e-15)
         assert err <= 1e-14
+
+
+@pytest.mark.parametrize("pair", [0, 1, 2])
+def test_mvn_two_sided_coordinate_inside_a_chain(pair):
+    # an ulp pair of opposite signs at the first, an inner or the last date
+    # of a 4-date chain merges to a 3-date chain with -0.4 <= X_pair <= a:
+    # the recursion's Phi difference at a finite lower and upper limit, or
+    # its two-sided inner grid, against a difference of one-sided chains
+    taus, a, c = (1.0, 2.0, 3.0), [0.8, 0.5, 0.2], 0.4
+    expiries = list(taus)
+    expiries.insert(pair + 1, math.nextafter(taus[pair], INF))
+    signs = [1, 1, 1]
+    signs.insert(pair + 1, -1)
+    limits = list(a)
+    limits.insert(pair + 1, c)
+    whole = conditional_chain_cdf3(a, taus, (1, 1, 1))
+    below = conditional_chain_cdf3([-c if k == pair else v for k, v in enumerate(a)], taus, (1, 1, 1))
+    assert whole - below > 1e-4 * whole  # the difference does not cancel
+    p, err = db.mvn_cdf(limits, db.build_correlation(0.0, expiries), signs)
+    assert p == pytest.approx(whole - below, rel=0.0, abs=1e-13)
+    assert err <= 1e-14
 
 
 @pytest.mark.parametrize("a, b, rho, truth, rel", [

@@ -101,6 +101,38 @@ def test_load_scenario_file(tmp_path, base_doc):
     assert exc.value.code == "BAD_FILE"
 
 
+_SCENARIO_TEXT = """\
+market: {{r: 0.1, b: {b}, s_V: 1.0}}
+schedule: {{dates: [0.0, 3.0, 6.0], intensities: [0.002, 0.005], barriers: [100.0, 100.0]}}
+recovery: {{mode: exogenous, R: 0.5}}
+evaluation: {{V: {V}, t: 0.0}}
+"""
+
+
+@pytest.mark.parametrize("b, V", [
+    ("0.05", "1e6"), ("0.05", "1E+6"), ("0.05", "1e308"), ("0.05", "1.0e308"), ("-2.5e-3", "100.0"),
+])
+def test_load_scenario_reads_yaml_12_floats(tmp_path, capsys, b, V):
+    # the YAML 1.1 resolver reads 1e6, 1E+6 and 1e308 as strings (BAD_VALUE, exit 2)
+    path = tmp_path / "scn.yaml"
+    path.write_text(_SCENARIO_TEXT.format(b=b, V=V), encoding="utf-8")
+    scn = load_scenario(path)
+    assert (scn.market.b, scn.evaluation.V) == (float(b), float(V))
+    assert main(["price", "--json", str(path)]) == 0
+    assert math.isfinite(_strict_json(capsys.readouterr().out.strip())["price"])
+
+
+@pytest.mark.parametrize("b, V", [
+    ("0.05", ".inf"), ("0.05", ".nan"), ("0.05", "1e400"), (".nan", "100.0"), ("-.inf", "100.0"),
+])
+def test_cli_price_rejects_non_finite_numbers(tmp_path, capsys, b, V):
+    path = tmp_path / "scn.yaml"
+    path.write_text(_SCENARIO_TEXT.format(b=b, V=V), encoding="utf-8")
+    assert main(["price", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error BAD_VALUE: "), err
+
+
 def test_bundled_scenarios_parse():
     root = Path(__file__).resolve().parent.parent / "scenarios"
     for name in (
