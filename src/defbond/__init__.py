@@ -2,7 +2,14 @@
 information: barrier tests at announcing dates plus a piecewise-constant
 jump-default intensity.  Closed forms are assembled from higher-order binary
 options and their time-integrals; independent PDE and Monte Carlo engines
-verify them."""
+verify them.
+
+The PDE and Monte Carlo names (``GridSpec``, ``simulate_price`` and the
+rest of their modules' public names here) are bound on first use, so
+importing the package and pricing in closed form loads no numpy.
+"""
+
+import importlib
 
 from .binaries import BinarySpec, BsCoefficients, price_binary, shift_coefficients
 from .errors import (
@@ -12,20 +19,12 @@ from .errors import (
     ScheduleError,
 )
 from .integrals import WeightedIntegralSpec, integral_binary
-from .montecarlo import McResult, SimConfig, simulate_price
 from .normal import (
     CorrelationStructure,
     bivariate_cdf,
     build_correlation,
     mvn_cdf,
     std_normal_cdf,
-)
-from .pde import (
-    CascadeSolution,
-    GridSpec,
-    sample,
-    solve_endogenous_cascade,
-    solve_exogenous_cascade,
 )
 from .pricing import (
     DefaultSchedule,
@@ -42,6 +41,27 @@ from .pricing import (
 from .scenario import Scenario, apply_sweep_value, load_scenario, parse_scenario
 
 __version__ = "0.1.0"
+
+# name -> module of the engines that load numpy, imported on first use (PEP 562)
+_ENGINES = {
+    "CascadeSolution": "pde",
+    "GridSpec": "pde",
+    "sample": "pde",
+    "solve_endogenous_cascade": "pde",
+    "solve_exogenous_cascade": "pde",
+    "McResult": "montecarlo",
+    "SimConfig": "montecarlo",
+    "simulate_price": "montecarlo",
+}
+
+
+def __getattr__(name):
+    if name not in _ENGINES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_ENGINES[name]}", __name__)
+    value = globals()[name] = getattr(module, name)
+    return value
+
 
 __all__ = [
     "BinarySpec",

@@ -17,16 +17,25 @@ import math
 import sys
 from pathlib import Path
 
+from . import _ENGINES
 from .errors import DefbondError, ScenarioError
 from .figures import FIGURE_PRESETS
-from .montecarlo import SimConfig, simulate_price
-from .pde import GridSpec, sample, solve_endogenous_cascade, solve_exogenous_cascade
 from .pricing import PriceReport, price_endogenous, price_exogenous
 from .scenario import Scenario, apply_sweep_value, load_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ACCURACY = 4
+
+
+# The PDE and Monte Carlo engines load numpy and only ``validate`` runs them:
+# their names are bound here on first use (PEP 562), and ``cmd_validate``
+# calls whatever this module has bound, a wrapper set on it included.
+def __getattr__(name):
+    if name not in _ENGINES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
 
 
 def _fmt(v: float) -> str:
@@ -150,19 +159,21 @@ def cmd_validate(args) -> int:
         if not (math.isfinite(value) and value > 0.0):
             raise ScenarioError("BAD_VALUE", f"{name} must be positive and finite, got {value}")
     # every argument is checked before the PDE solve, the slow part
-    sim = SimConfig(n_paths=args.paths, seed=args.seed)
+    engines = sys.modules[__name__]  # the engines load here, through __getattr__
+    sim = engines.SimConfig(n_paths=args.paths, seed=args.seed)
     x_ref = scenario.firm_value() / math.exp(
         -market.r * (schedule.maturity - scenario.evaluation.t)
     )
 
-    grid = GridSpec.auto(
+    grid = engines.GridSpec.auto(
         market, schedule, x_ref, recovery, n_space=args.n_space, n_time_per_interval=args.n_time
     )
     check = args.pde_tol if args.grid_check else None
     if recovery.mode == "exogenous":
-        solution = solve_exogenous_cascade(market, schedule, recovery, grid, check_tolerance=check)
+        solve = engines.solve_exogenous_cascade
     else:
-        solution = solve_endogenous_cascade(market, schedule, recovery, grid, check_tolerance=check)
+        solve = engines.solve_endogenous_cascade
+    solution = solve(market, schedule, recovery, grid, check_tolerance=check)
 
     all_ok = True
     print(f"{'t':>6} {'closed':>14} {'pde':>14} {'|diff|':>10} "
@@ -172,8 +183,8 @@ def cmd_validate(args) -> int:
         firm = scenario.firm_value(t)  # x-scenarios rescale V, V-scenarios hold it
         report = _price_report(scenario, t)
         closed = report.price
-        pde_price = df * sample(solution, firm / df, t)
-        mc = simulate_price(market, schedule, recovery, firm, sim, t)
+        pde_price = df * engines.sample(solution, firm / df, t)
+        mc = engines.simulate_price(market, schedule, recovery, firm, sim, t)
 
         pde_ok = abs(closed - pde_price) <= args.pde_tol
         # When every path pays the same the standard error is 0, yet the

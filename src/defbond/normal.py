@@ -25,10 +25,15 @@ Andricopoulos et al., J. Financial Economics 2003, and Feng & Linetsky,
 Mathematical Finance 2008).  Its error estimate is the distance to the same
 recursion on a coarser rule, run in the same pass over the same panels.
 ``mvn_cdf`` accepts only a ``CorrelationStructure``: every CDF the pricer
-needs is such a chain.  The conditional integral takes the same scalar Phi
-at each of its nodes, so no box of at most two coordinates loads scipy; only
-the chain recursion takes Phi of its arrays from ``scipy.special``, imported
-on its first call.
+needs is such a chain.
+
+This module holds the scalar CDFs and the public API; it imports neither
+numpy nor scipy.  The two array kernels, the conditional integral and the
+chain recursion, live in ``kernels.py``, which is imported on the first box
+that needs one, and numpy with it.  The conditional integral takes the same
+scalar Phi at each of its nodes, so no box of at most two coordinates loads
+scipy; only the chain recursion takes Phi of its arrays from
+``scipy.special``, imported on its first call.
 """
 
 from __future__ import annotations
@@ -36,10 +41,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import repeat
-
-import numpy as np
 
 from .errors import DomainError, ScheduleError
 
@@ -52,17 +55,6 @@ __all__ = [
 ]
 
 _INF = float("inf")
-
-# Chain CDF: standardized coordinates are cut to [-_L, _L] (the mass outside
-# is below 3e-19 per coordinate); panels carry _NODES Gauss-Legendre nodes,
-# or _NODES_COARSE for the error estimate.  A narrow kernel is integrated in
-# its own variable with _U_NODES nodes once point evaluation would need more
-# than _MAX_PANELS panels.
-_L = 9.0
-_NODES = 12
-_NODES_COARSE = 8
-_U_NODES = 40
-_MAX_PANELS = 64
 
 # A reflected orthant below _CANCEL times the marginal it is subtracted from
 # has lost about four digits to cancellation (rounding alone then leaves
@@ -88,36 +80,12 @@ class QmcConfig:
 DEFAULT_QMC = QmcConfig()
 
 
-@cache
-def _legendre(n: int):
-    """Gauss-Legendre nodes and weights on (-1, 1) with the barycentric
-    interpolation weights of those nodes."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w, (-1.0) ** np.arange(n) * np.sqrt((1.0 - x * x) * w)
-
-
 def _phi(x: float) -> float:
     """Phi(x) of a float: exactly 0 at and below _PHI_ZERO, as scipy's
     ndtr, and exactly 1 from about 8.3 on."""
     if x <= _PHI_ZERO:
         return 0.0
     return 0.5 * math.erfc(-x * _SQRT_HALF)
-
-
-def _phi_nodes(z: np.ndarray) -> np.ndarray:
-    """``_phi`` at every entry of ``z``, bit for bit: the scalar libm erfc
-    mapped over the entries, so no scipy is needed."""
-    e = np.fromiter(map(math.erfc, (-z * _SQRT_HALF).ravel().tolist()), float, z.size)
-    return np.where(z <= _PHI_ZERO, 0.0, 0.5 * e.reshape(z.shape))
-
-
-@cache
-def _array_phi():
-    """scipy.special.ndtr, Phi of the chain recursion's arrays; scipy is
-    imported on first use."""
-    from scipy.special import ndtr
-
-    return ndtr
 
 
 def std_normal_cdf(x: float) -> float:
@@ -127,15 +95,45 @@ def std_normal_cdf(x: float) -> float:
     return _phi(x)
 
 
-def _norm_pdf(x):
-    return np.exp(-0.5 * np.square(x)) / math.sqrt(2.0 * math.pi)
-
-
-@cache
-def _bvnu_nodes(n: int) -> tuple[tuple[float, float], ...]:
-    """(1 + x, w) of the n-node Gauss-Legendre rule: ``_bvnu``'s nodes on (0, 2)."""
-    x, w, _ = _legendre(n)
-    return tuple(zip((1.0 + x).tolist(), w.tolist()))
+# (1 + x, w) of the 12- and 20-node Gauss-Legendre rules: ``_bvnu``'s nodes
+# on (0, 2), shipped as literals the way Genz's published code ships them
+# (bit for bit numpy's leggauss).
+_BVNU_12 = (
+    (0.018439365753280756, 0.04717533638651141),
+    (0.0958827436295252, 0.10693932599531907),
+    (0.2300973258056953, 0.16007832854334642),
+    (0.4126820457133825, 0.20316742672306573),
+    (0.6321685010018199, 0.2334925365383546),
+    (0.8747665914885311, 0.2491470458134027),
+    (1.1252334085114688, 0.2491470458134027),
+    (1.3678314989981801, 0.2334925365383546),
+    (1.5873179542866174, 0.20316742672306573),
+    (1.7699026741943047, 0.16007832854334642),
+    (1.904117256370475, 0.10693932599531907),
+    (1.9815606342467191, 0.04717533638651141),
+)
+_BVNU_20 = (
+    (0.006871400814905004, 0.017614007139150893),
+    (0.03602807272208619, 0.040601429800386446),
+    (0.08776557174867405, 0.06267204833410879),
+    (0.16088302817778122, 0.08327674157670471),
+    (0.2536680935398492, 0.1019301198172407),
+    (0.363946319273485, 0.1181945319615186),
+    (0.4891329980491729, 0.1316886384491769),
+    (0.6262939112845805, 0.1420961093183824),
+    (0.7722141488583549, 0.14917298647260424),
+    (0.9234734788665027, 0.15275338713072628),
+    (1.0765265211334973, 0.15275338713072628),
+    (1.227785851141645, 0.14917298647260424),
+    (1.3737060887154195, 0.1420961093183824),
+    (1.5108670019508272, 0.1316886384491769),
+    (1.6360536807265151, 0.1181945319615186),
+    (1.7463319064601508, 0.1019301198172407),
+    (1.839116971822219, 0.08327674157670471),
+    (1.912234428251326, 0.06267204833410879),
+    (1.963971927277914, 0.040601429800386446),
+    (1.9931285991850949, 0.017614007139150893),
+)
 
 
 def _bvnu(h: float, k: float, r: float) -> float:
@@ -159,7 +157,7 @@ def _bvnu(h: float, k: float, r: float) -> float:
     tp = 2.0 * math.pi
     hk = h * k
     bvn = 0.0
-    nodes = _bvnu_nodes(12 if r < 0.75 else 20)
+    nodes = _BVNU_12 if r < 0.75 else _BVNU_20
 
     if r < 0.925:
         hs = 0.5 * (h * h + k * k)
@@ -213,6 +211,8 @@ def _orthant(h: float, k: float, r: float) -> float:
     marginal = _phi(-h)
     p = marginal - _bvnu(h, -k, -r)
     if p < _CANCEL * marginal:
+        from .kernels import _conditional_box
+
         return _conditional_box((h, k), (_INF, _INF), r)
     return p
 
@@ -284,7 +284,11 @@ class CorrelationStructure:
         return chain
 
     @cached_property
-    def covariance(self) -> np.ndarray:
+    def covariance(self):
+        """The m x m correlation matrix as a numpy array.  The CDF reads only
+        ``rho``, so numpy is imported here."""
+        import numpy as np
+
         tau = np.asarray(self.expiries, float) - self.eval_time
         ratio = np.sqrt(np.minimum(tau[:, None], tau[None, :]) / np.maximum(tau[:, None], tau[None, :]))
         return ratio
@@ -299,48 +303,6 @@ def _tail_mass(a: float, b: float) -> float:
     """P(a <= Z <= b) for a standard normal Z, differenced in the tail the
     interval lies in so that a tail interval keeps its relative accuracy."""
     return _phi(-a) - _phi(-b) if a > 0.0 else _phi(b) - _phi(a)
-
-
-def _conditional_box(lo, hi, r: float) -> float:
-    """P(lo <= (X, Y) <= hi) for standard normals with correlation r, as the
-    positive integral of phi(x) P(lo_Y <= Y <= hi_Y | X = x) over the limits
-    of the coordinate with the smaller marginal.
-
-    For orthants whose reflection cancels and for boxes bounded on both
-    sides in one coordinate: every term is positive, so a probability far
-    below its marginals keeps its relative accuracy.
-    x runs at most _L past its finite limit into the tail, on panels graded
-    down at its own finite limits and at the other coordinate's limits seen
-    from x.  Phi at the nodes is the scalar libm one (``_phi_nodes``, and
-    ``_tail_mass`` node by node for a two-sided Y), so no scipy is loaded.
-    """
-    if _tail_mass(lo[1], hi[1]) < _tail_mass(lo[0], hi[0]):
-        lo, hi = lo[::-1], hi[::-1]
-    a, b = max(lo[0], min(hi[0], 0.0) - _L), min(hi[0], max(lo[0], 0.0) + _L)
-    if a >= b:
-        return 0.0
-    s = math.sqrt((1.0 - r) * (1.0 + r))
-    features = []
-    for e in (lo[0], hi[0]):
-        if math.isfinite(e):
-            # past e the integrand decays at about |e| plus |r| / s times
-            # the depth of P(Y in box | X = e) in its tail
-            depth = max(0.0, (r * e - hi[1]) / s, (lo[1] - r * e) / s)
-            features.append((e, 1.0 / max(1.0, abs(e) + abs(r) / s * depth)))
-    if r != 0.0:
-        features += [(e / r, s / abs(r)) for e in (lo[1], hi[1]) if math.isfinite(e)]
-    edges = _panel_edges(a, b, features, 1.0)
-    x, w, _ = _legendre(_NODES)
-    half = 0.5 * np.diff(edges)[:, None]
-    y = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * x
-    if lo[1] == -_INF:
-        q = _phi_nodes((hi[1] - r * y) / s)
-    elif hi[1] == _INF:
-        q = _phi_nodes((r * y - lo[1]) / s)
-    else:
-        zl, zh = ((lo[1] - r * y) / s).ravel().tolist(), ((hi[1] - r * y) / s).ravel().tolist()
-        q = np.reshape(list(map(_tail_mass, zl, zh)), y.shape)
-    return float(np.sum(half * w * _norm_pdf(y) * q))
 
 
 def _reduce_box(lower, upper, rho):
@@ -382,134 +344,6 @@ def _reduce_box(lower, upper, rho):
         rho = [math.prod(rho[i:j]) for i, j in zip(idx, idx[1:])]
 
 
-def _panel_edges(a: float, b: float, features, hmax: float) -> np.ndarray:
-    """Panel edges on [a, b] with a breakpoint at each feature centre c,
-    graded geometrically from the feature width w up to ``hmax``, and no
-    panel wider than ``hmax``.  Features more than _L widths outside [a, b]
-    are flat there and are skipped."""
-    edges = {a, b}
-    for c, w in features:
-        if a - _L * w < c < b + _L * w:
-            c = min(max(c, a), b)
-            edges.add(c)
-            for k in range(max(0, math.ceil(math.log2(hmax / w)))):
-                step = w * 2.0**k
-                edges.add(max(c - step, a))
-                edges.add(min(c + step, b))
-    # split each gap into equal panels no wider than hmax, spaced as
-    # np.linspace(lo, hi, count, endpoint=False) spaces them
-    e = sorted(edges)
-    points = []
-    for lo, hi in zip(e, e[1:]):
-        if hi - lo <= hmax:
-            points.append(lo)
-            continue
-        count = max(1, math.ceil((hi - lo) / hmax - 1e-9))
-        step = (hi - lo) / count
-        points += [j * step + lo for j in range(count)]
-    points.append(b)
-    return np.array(points)
-
-
-def _kernel_step(z, r: float, s: float, edges, y, g, n: int):
-    """int_a^b g(y) N(y; r z, s^2) dy at each z, for a kernel too narrow for
-    the grid of y: substitute y = r z + s u, integrate u by Gauss-Legendre on
-    its truncated range, and interpolate g inside its panel (barycentric
-    Lagrange on the panel's Gauss nodes)."""
-    a, b = edges[0], edges[-1]
-    ux, uw, _ = _legendre(_U_NODES)
-    lo = np.maximum((a - r * z) / s, -_L)
-    hi = np.minimum((b - r * z) / s, _L)
-    half = 0.5 * np.maximum(hi - lo, 0.0)[:, None]
-    u = 0.5 * (lo + hi)[:, None] + half * ux
-    yq = np.clip(r * z[:, None] + s * u, a, b)
-    panel = np.clip(np.searchsorted(edges, yq, side="right") - 1, 0, len(edges) - 2)
-    diff = yq[..., None] - y[panel]
-    diff[diff == 0.0] = 1e-300  # a query on a node takes that node's value
-    terms = _legendre(n)[2] / diff
-    gq = (terms * g[panel]).sum(-1) / terms.sum(-1)
-    return (half * uw * _norm_pdf(u) * gq).sum(-1)
-
-
-def _point_kernel(x, r: float, s: float, z):
-    """phi((x - r z) / s) with a row for each z and a column for each x:
-    ``_norm_pdf`` of that matrix, bit for bit, computed in place so that
-    the matrix is allocated once."""
-    k = x - r * z[:, None]
-    k /= s
-    np.square(k, out=k)
-    k *= -0.5
-    np.exp(k, out=k)
-    k /= math.sqrt(2.0 * math.pi)
-    return k
-
-
-def _phi_between(lo: float, hi: float, r, s, y):
-    """Phi((hi - r y) / s) - Phi((lo - r y) / s) at every y; Phi is exactly 0
-    and 1 at -inf and inf, so an infinite limit takes no Phi."""
-    ndtr = _array_phi()
-    if lo == -_INF:
-        return ndtr((hi - r * y) / s)
-    if hi == _INF:
-        return 1.0 - ndtr((lo - r * y) / s)
-    return ndtr((hi - r * y) / s) - ndtr((lo - r * y) / s)
-
-
-def _chain_box(lower, upper, rho) -> tuple[float, float]:
-    """P(lower <= X <= upper) for a standardized Gaussian Markov chain of
-    d >= 3 coordinates with adjacent correlations ``rho[k] = corr[k, k+1]``,
-    on the _NODES rule and on the _NODES_COARSE rule of its error estimate.
-
-    g_k(y) = P(X_j in box_j for all j < k | X_k = y) is carried on a panel
-    Gauss-Legendre grid of each inner coordinate's box cut to [-_L, _L].
-    g_1 is a difference of Phi; g_k integrates g_{k-1} against the law
-    N(rho z, 1 - rho^2) of X_{k-1} given X_k = z; the result integrates
-    phi * g_{d-2} against the last coordinate's Phi difference.
-    Panels break at the neighbouring box edges seen from this coordinate and
-    grade down to their widths, so near-coincident dates stay resolved.
-
-    Both rules run in one pass over the same panel edges: their nodes sit in
-    one flat array, the fine rule's block first, so each elementwise step is
-    one numpy call, while each kernel step and each sum runs on one rule's
-    contiguous block, exactly as that rule alone would.
-    """
-    d = len(lower)
-    s = [math.sqrt((1.0 - r) * (1.0 + r)) for r in rho]
-    rules = [_legendre(n)[:2] for n in (_NODES, _NODES_COARSE)]
-    for k in range(1, d - 1):
-        a, b = max(lower[k], -_L), min(upper[k], _L)
-        if a >= b:
-            return 0.0, 0.0
-        features = [(e / rho[j], s[j] / abs(rho[j]))
-                    for j, nb in ((k - 1, k - 1), (k, k + 1)) for e in (lower[nb], upper[nb])
-                    if math.isfinite(e) and rho[j] != 0.0]
-        # grid k feeds the next inner step: point-evaluate that kernel on
-        # panels of three kernel widths, unless that needs too many panels
-        point = k < d - 2 and b - a <= 3.0 * s[k] * _MAX_PANELS
-        edges = _panel_edges(a, b, features, min(1.0, 3.0 * s[k]) if point else 1.0)
-        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-        mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-        y = np.concatenate([mid + half * x for x, _ in rules], axis=None)
-        hw = np.concatenate([half * w for _, w in rules], axis=None)
-        blocks = [slice(0, half.size * _NODES), slice(half.size * _NODES, y.size)]
-        if k == 1:
-            g = _phi_between(lower[0], upper[0], rho[0], s[0], y)
-        elif prev_point:
-            g = np.concatenate([
-                _point_kernel(prev_y[old], rho[k - 1], s[k - 1], y[new]) @ prev_wg[old]
-                for new, old in zip(blocks, prev_blocks)
-            ]) / s[k - 1]
-        else:
-            g = np.concatenate([
-                _kernel_step(y[new], rho[k - 1], s[k - 1], prev_edges,
-                             prev_y[old].reshape(-1, n), prev_g[old].reshape(-1, n), n)
-                for new, old, n in zip(blocks, prev_blocks, (_NODES, _NODES_COARSE))
-            ])
-        prev_point, prev_edges, prev_blocks, prev_y, prev_g, prev_wg = point, edges, blocks, y, g, hw * g
-    terms = prev_wg * _norm_pdf(y) * _phi_between(lower[d - 1], upper[d - 1], rho[d - 2], s[d - 2], y)
-    return tuple(min(max(float(terms[block].sum()), 0.0), 1.0) for block in blocks)
-
-
 def _box_probability(lower, upper, rho):
     """P(lower <= X <= upper), with error estimate, for a standardized
     Gaussian Markov chain X with adjacent correlations ``rho``; the limits
@@ -533,12 +367,16 @@ def _box_probability(lower, upper, rho):
     if d == 2:
         (h, k), (h_up, k_up), r = lower, upper, rho[0]
         if -_INF < h and h_up < _INF or -_INF < k and k_up < _INF:
+            from .kernels import _conditional_box
+
             return _conditional_box(lower, upper, r), 5e-15
         if h_up < _INF:
             h, r = -h_up, -r
         if k_up < _INF:
             k, r = -k_up, -r
         return _orthant(h, k, r), 5e-15
+    from .kernels import _chain_box
+
     p, coarse = _chain_box(lower, upper, rho)
     return p, max(abs(p - coarse), 1e-15)
 
@@ -567,11 +405,12 @@ def mvn_cdf(a, corr, signs=None, config: QmcConfig = DEFAULT_QMC):
         error.
     """
     # one pass converts, NaN-checks and signs the limits (bad signs are reported
-    # last); tolist() nests a 2-D array and unwraps a 0-d one: float() fails both
-    if isinstance(signs, np.ndarray):
+    # last); an array is told by its tolist(), which nests a 2-D array and
+    # unwraps a 0-d one: float() fails both
+    if hasattr(signs, "tolist"):
         signs = signs.tolist()
     try:
-        a = a.tolist() if isinstance(a, np.ndarray) else list(a)
+        a = a.tolist() if hasattr(a, "tolist") else list(a)
         signed = signs is None or len(signs) == len(a)
     except TypeError:  # limits that are no sequence fail in the loop below
         signed = False

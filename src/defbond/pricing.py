@@ -20,8 +20,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Literal
 
-import numpy as np
-
 from .binaries import BinarySpec, BsCoefficients, price_binary_with_error
 from .errors import DomainError, ScheduleError
 from .integrals import WeightedIntegralSpec, integral_binary
@@ -122,7 +120,10 @@ class RecoveryModel:
 
     def paid(self, x):
         """Relative recovery a default pays at relative firm value ``x`` (a
-        float or an array): min(1, x / cap) endogenous, R exogenous."""
+        float or an array): min(1, x / cap) endogenous, R exogenous.  The
+        closed form never calls it, so numpy is imported here."""
+        import numpy as np
+
         if self.mode == "endogenous":
             return np.minimum(1.0, x / self.cap)
         return np.full_like(x, self.R, dtype=float)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 import defbond as db
-from defbond import normal
+from defbond import kernels, normal
 from defbond.errors import DomainError, ScheduleError
 from defbond.normal import QmcConfig
 
@@ -43,7 +43,7 @@ def test_scalar_phi_matches_scipy_ndtr():
     # for bit, across the underflow edge too
     edge = np.linspace(-37.6771207205 - 1e-9, -37.6771207205 + 1e-9, 339)
     for z in (xs.reshape(59, 79), edge, np.array([-INF, -40.0, 38.0, INF])):
-        assert normal._phi_nodes(z).tolist() == np.vectorize(normal._phi)(z).tolist()
+        assert kernels._phi_nodes(z).tolist() == np.vectorize(normal._phi)(z).tolist()
     for x in (-37.7, -38.0, -40.0, -1e300, -INF):
         assert normal._phi(x) == 0.0
     for x in (8.3, 9.0, 38.0, 1e300, INF):
@@ -579,8 +579,45 @@ def test_conditional_box_matches_the_ndtr_form():
         lo, hi = zip(pair, other) if rng.uniform() < 0.5 else zip(other, pair)
         boxes.append((lo, hi, rng.uniform(-0.999, 0.999)))
     for lo, hi, r in boxes:
-        p, truth = normal._conditional_box(lo, hi, r), conditional_box_ndtr(lo, hi, r)
+        p, truth = kernels._conditional_box(lo, hi, r), conditional_box_ndtr(lo, hi, r)
         assert p == pytest.approx(truth, rel=1e-13, abs=0.0), (lo, hi, r)
+
+
+@pytest.mark.parametrize("limits, rho, signs", [
+    # the cancelling orthant P(X1 <= 1.43, X2 >= 6.13) at correlation 0.997
+    ((1.43, -6.13), (0.997,), (1, -1)),
+    # a 3-date chain with X3 >= 4.55 after X2 <= 1.28
+    ((0.5, 1.28, -4.55), (0.562, 0.998), (1, 1, -1)),
+])
+def test_boxes_a_bound_proves_empty_skip_the_quadrature(monkeypatch, limits, rho, signs):
+    # given the coordinate before it, the last coordinate's conditional mass
+    # is exactly 0.0 in double precision over that coordinate's whole box:
+    # the box returns 0.0 with its usual error floor before any panel grid
+    # is built, and the independent ndtr quadratures agree on 0.0
+    taus = [1.0]
+    for r in rho:
+        taus.append(taus[-1] / r**2)
+    corr = db.build_correlation(0.0, taus)
+    assert corr.rho == rho
+
+    def no_quadrature(*args):
+        raise AssertionError("a panel grid was built")
+
+    monkeypatch.setattr(kernels, "_panel_edges", no_quadrature)
+    assert db.mvn_cdf(list(limits), corr, signs) == (0.0, 5e-15 if len(limits) == 2 else 1e-15)
+    if len(limits) == 2:
+        lo, hi = (-INF, -limits[1]), (limits[0], INF)
+        assert conditional_box_ndtr(lo, hi, rho[0]) == 0.0
+    else:
+        assert conditional_chain_cdf3(limits, tuple(taus), signs) == 0.0
+
+
+def test_bvnu_tables_are_the_gauss_legendre_rules():
+    # the literal node tables of the bivariate reduction are (1 + x, w) of
+    # numpy's 12- and 20-node Gauss-Legendre rules, bit for bit
+    for n, table in ((12, normal._BVNU_12), (20, normal._BVNU_20)):
+        x, w = np.polynomial.legendre.leggauss(n)
+        assert table == tuple(zip((1.0 + x).tolist(), w.tolist()))
 
 
 def test_mvn_two_sided_pair_matches_bivariate_difference():

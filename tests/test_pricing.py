@@ -349,14 +349,16 @@ def test_near_the_money_prices_hold_their_quadrature_error(monkeypatch):
 # low-barrier prices moved by up to 1.0e-9, onto a tight-tolerance reference,
 # when their integrals with a singular lower end moved to s = lower + span v^2.
 # Endogenous values moved by at most 2 ulps when the closed form became one
-# list of terms whose weights each carry the jump survival from t.
+# list of terms whose weights each carry the jump survival from t.  Three
+# quadrature errors moved by up to 4.7e-20 (prices not at all) when each
+# Kronrod panel's sums became exactly rounded (``math.fsum``).
 PINNED_PRICES = {
-    ("base_endogenous_low_barrier", 0.0): (0.13284295345819663, 5.147178255423852e-15, 6.798860405390251e-10),
+    ("base_endogenous_low_barrier", 0.0): (0.13284295345819663, 5.147178255423852e-15, 6.798860405401928e-10),
     ("base_endogenous_low_barrier", 1.3): (0.19645262714548986, 6.065661177524609e-15, 1.6287233364944629e-09),
     ("base_endogenous_low_barrier", 4.5): (0.4994558990957418, 1.6468265629552576e-15, 4.815758321205294e-17),
     ("base_endogenous_high_barrier", 0.0): (0.5358731781203808, 2.497925355830703e-13, 4.4748075325681435e-11),
-    ("base_endogenous_high_barrier", 1.3): (0.6197700830115707, 3.0407622589778187e-13, 3.8008460128709506e-11),
-    ("base_endogenous_high_barrier", 4.5): (0.8604860400545189, 8.010925174828628e-14, 6.4477339509742744e-15),
+    ("base_endogenous_high_barrier", 1.3): (0.6197700830115707, 3.0407622589778187e-13, 3.800846017609735e-11),
+    ("base_endogenous_high_barrier", 4.5): (0.8604860400545189, 8.010925174828628e-14, 6.44772552769643e-15),
     ("base_exogenous", 0.0): (0.3039614574433192, 1.343516905099159e-15, 0.0),
     ("base_exogenous", 1.3): (0.3586479896109323, 1.5340184524882066e-15, 0.0),
     ("base_exogenous", 4.5): (0.6256133659861275, 4.271384068042398e-16, 0.0),
@@ -374,17 +376,19 @@ def test_bundled_scenario_prices_are_pinned(name, t):
 
 # (price, cdf_error, quadrature_error) of each bundled base on the 5-point
 # grid t = k T / 5 of ``defbond curve --points 5``, recorded before the CDF
-# argument handling was reworked for speed; that work moves no float.
+# argument handling was reworked for speed; that work moves no float.  Five
+# quadrature errors moved by up to 1.1e-19 when each Kronrod panel's sums
+# became exactly rounded.
 GRID_PRICES = {
-    ("base_endogenous_low_barrier", 0.0): (0.13284295345819663, 5.147178255423852e-15, 6.798860405390251e-10),
-    ("base_endogenous_low_barrier", 1.2): (0.19061008478674063, 5.989306907863685e-15, 1.5065316361341716e-09),
+    ("base_endogenous_low_barrier", 0.0): (0.13284295345819663, 5.147178255423852e-15, 6.798860405401928e-10),
+    ("base_endogenous_low_barrier", 1.2): (0.19061008478674063, 5.989306907863685e-15, 1.5065316360261998e-09),
     ("base_endogenous_low_barrier", 2.4): (0.2691149351232555, 6.975488963317627e-15, 5.314182818714742e-09),
     ("base_endogenous_low_barrier", 3.6): (0.35907820593253886, 1.4665989805931688e-15, 6.203672801494316e-17),
     ("base_endogenous_low_barrier", 4.8): (0.5632573188136056, 1.7118884417653488e-15, 4.1663603797528346e-17),
     ("base_endogenous_high_barrier", 0.0): (0.5358731781203808, 2.497925355830703e-13, 4.4748075325681435e-11),
-    ("base_endogenous_high_barrier", 1.2): (0.6135738950939376, 2.9951051366906606e-13, 3.57579434926543e-11),
-    ("base_endogenous_high_barrier", 2.4): (0.6881224646359664, 3.5914238754309663e-13, 8.813060291567446e-11),
-    ("base_endogenous_high_barrier", 3.6): (0.7817908012128123, 6.97126689904912e-14, 3.0568443358979355e-11),
+    ("base_endogenous_high_barrier", 1.2): (0.6135738950939376, 2.9951051366906606e-13, 3.5757943557240045e-11),
+    ("base_endogenous_high_barrier", 2.4): (0.6881224646359664, 3.5914238754309663e-13, 8.813060291719868e-11),
+    ("base_endogenous_high_barrier", 3.6): (0.7817908012128123, 6.97126689904912e-14, 3.056844335869288e-11),
     ("base_endogenous_high_barrier", 4.8): (0.8868905860128774, 8.390897434497667e-14, 4.404726212186292e-15),
     ("base_exogenous", 0.0): (0.3039614574433192, 1.343516905099159e-15, 0.0),
     ("base_exogenous", 1.2): (0.3538933030553374, 1.5184509932844035e-15, 0.0),
@@ -414,7 +418,7 @@ def test_three_date_endogenous_price_is_pinned():
     rep = db.price_endogenous(market, schedule, recovery, 250.0 * math.exp(-0.08 * 7.0), 0.0)
     assert rep.price == 0.5703404516995123
     assert rep.diagnostics == {"cdf_error": 4.3254596425918385e-13,
-                               "quadrature_error": 1.8955450039683516e-12}
+                               "quadrature_error": 1.895545021014891e-12}
 
 
 # -------------------------------------------------------------- spreads
@@ -576,6 +580,47 @@ def test_many_dates_approach_shifted_continuous_barrier():
         gaps.append(gap)
     ratios = np.array(gaps[1:]) / np.array(gaps[:-1])
     assert np.all((0.4 <= ratios) & (ratios <= 0.6)), ratios
+
+
+@pytest.mark.parametrize(
+    "r, b, sigma, T, barrier, n_bonds, R, n_gap_band, residual",
+    [
+        # measured N * gap -0.0178 .. -0.0167, Richardson residual 1.39e-5
+        (0.05, 0.02, 0.3, 2.0, 80.0, 50.0, 0.5, (-0.036, -0.008), 1.39e-5),
+        # measured N * gap -0.0542 .. -0.0448, Richardson residual 9.50e-5
+        (0.05, 0.06, 0.6, 5.0, 60.0, 40.0, 0.4, (-0.11, -0.022), 9.50e-5),
+    ],
+)
+def test_many_dates_approach_shifted_continuous_barrier_endogenous(
+    r, b, sigma, T, barrier, n_bonds, R, n_gap_band, residual
+):
+    # Zero intensity and a flat barrier K under the cap n / R on N equal
+    # steps.  Under continuous monitoring a default pays at exactly K, so
+    # the relative price is u_c = W + (K / cap)(1 - W) with W the Black-Cox
+    # survival; N dates shift K to K e^{-0.5826 sigma sqrt(T / N)} in both
+    # places (Broadie, Glasserman & Kou 1997).  Measured gap ratios per
+    # doubling of N are 0.48-0.50 (first set) and 0.41-0.54 (second); the
+    # bounds allow ratios in [0.35, 0.65], N * gap within half and twice the
+    # measured range, and twice the measured Richardson residual
+    # 2 gap_64 - gap_32.  The unshifted gap is 7-100x the shifted one.
+    market = db.MarketParams(r, b, sigma)
+    recovery = db.RecoveryModel("endogenous", R, n=n_bonds)
+    x = 100.0
+    gaps = []
+    for n in (8, 16, 32, 64):
+        schedule = db.DefaultSchedule(tuple(k * T / n for k in range(n + 1)), (0.0,) * n, (barrier,) * n)
+        discrete = db.relative_price_endogenous(market, schedule, recovery, x, 0.0)
+        continuous = []
+        for k in (barrier * math.exp(-0.5826 * sigma * math.sqrt(T / n)), barrier):
+            w = _black_cox_survival(x, k, b, sigma, T)
+            continuous.append(w + k / recovery.cap * (1.0 - w))
+        gap, plain = discrete - continuous[0], discrete - continuous[1]
+        assert n_gap_band[0] <= n * gap <= n_gap_band[1], n
+        assert abs(gap) <= 0.2 * abs(plain), n
+        gaps.append(gap)
+    ratios = np.array(gaps[1:]) / np.array(gaps[:-1])
+    assert np.all((0.35 <= ratios) & (ratios <= 0.65)), ratios
+    assert abs(2.0 * gaps[3] - gaps[2]) <= 2.0 * residual
 
 
 def test_random_schedules_match_simulation():

@@ -150,33 +150,77 @@ _STARTUP_SCRIPT = """
 import sys
 from pathlib import Path
 
-import defbond
-import defbond.cli
+def loaded(*packages):
+    return sorted(m for m in sys.modules if m.split(".")[0] in packages)
 
-loaded = {p.stem: defbond.load_scenario(p) for p in sorted(Path(sys.argv[1]).glob("*.yaml"))}
-assert len(loaded) == 3, sorted(loaded)
+import defbond.cli
+import defbond
+
+loaded_scenarios = {p.stem: defbond.load_scenario(p) for p in sorted(Path(sys.argv[1]).glob("*.yaml"))}
+assert len(loaded_scenarios) == 3, sorted(loaded_scenarios)
 for name in ("base_endogenous_low_barrier", "base_exogenous"):
-    s = loaded[name]
+    s = loaded_scenarios[name]
     price = defbond.price_endogenous if s.recovery.mode == "endogenous" else defbond.price_exogenous
     for t in (0.0, 1.3):
         price(s.market, s.schedule, s.recovery, s.firm_value(t), t)
+print(loaded("numpy", "scipy"))
 # its cancelling two-dimensional boxes take the conditional integral
-s = loaded["base_endogenous_high_barrier"]
+s = loaded_scenarios["base_endogenous_high_barrier"]
 print(repr(defbond.price_endogenous(s.market, s.schedule, s.recovery, s.firm_value(0.0), 0.0).price))
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print("numpy" in sys.modules, loaded("scipy"))
+# a chain of three dates takes Phi of its arrays from scipy.special
+market = defbond.MarketParams(r=0.08, b=0.03, s_V=0.8)
+schedule = defbond.DefaultSchedule((0.0, 1.5, 3.5, 7.0), (0.01, 0.02, 0.004), (120.0, 90.0, 110.0))
+recovery = defbond.RecoveryModel("endogenous", 0.5, n=1.0)
+defbond.price_endogenous(market, schedule, recovery, 150.0, 0.0)
+print("scipy.special" in sys.modules)
 """
 
 
 def test_startup_and_scalar_prices_load_no_scipy():
-    # import, scenario loading and the prices of all three bases need only
-    # boxes of at most two coordinates, whose Phi is libm's erfc: a fresh
-    # interpreter loads no scipy
+    # import, scenario loading and the low-barrier and exogenous prices need
+    # only scalar CDFs, whose Phi is libm's erfc, and pure-Python Kronrod
+    # sums: a fresh interpreter loads neither numpy nor scipy.  The
+    # high-barrier base's conditional integrals then load numpy but not
+    # scipy; a 3-date chain loads scipy.special
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
     proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, str(root / "scenarios")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["0.5358731781203808", "[]"]
+    assert proc.stdout.splitlines() == ["[]", "0.5358731781203808", "True []", "True"]
+
+
+def test_engine_names_resolve_on_first_use(tmp_path, base_doc, capsys, monkeypatch):
+    # validate calls the PDE and Monte Carlo names bound on defbond.cli, so a
+    # wrapper set there, as the benchmark tracer sets one, is the one called
+    calls = []
+
+    def wrap(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    for name in ("solve_exogenous_cascade", "sample", "simulate_price"):
+        wrap(name)
+    rc = main(["validate", _write(tmp_path, base_doc), "--n-space", "256", "--n-time", "128",
+               "--paths", "20000", "--pde-tol", "5e-2", "--mc-sigmas", "5"])
+    capsys.readouterr()
+    assert rc == 0
+    assert calls == ["solve_exogenous_cascade", "sample", "simulate_price"]
+    from defbond import CascadeSolution, GridSpec, simulate_price
+    from defbond.montecarlo import simulate_price as defined
+    from defbond.pde import CascadeSolution as solution, GridSpec as grid
+
+    assert (simulate_price, GridSpec, CascadeSolution) == (defined, grid, solution)
+    with pytest.raises(AttributeError):
+        cli.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        from defbond import no_such_name  # noqa: F401
 
 
 # ------------------------------------------------------------------ presets
