@@ -190,13 +190,17 @@ def _point_kernel(x, r: float, s: float, z):
 
 def _phi_between(lo: float, hi: float, r, s, y):
     """Phi((hi - r y) / s) - Phi((lo - r y) / s) at every y; Phi is exactly 0
-    and 1 at -inf and inf, so an infinite limit takes no Phi."""
+    and 1 at -inf and inf, so an infinite limit takes no Phi.  A window above
+    zero is taken as Phi(-zl) - Phi(-zh), so upper tails keep their relative
+    accuracy instead of cancelling against 1."""
     ndtr = _array_phi()
     if lo == -_INF:
         return ndtr((hi - r * y) / s)
     if hi == _INF:
-        return 1.0 - ndtr((lo - r * y) / s)
-    return ndtr((hi - r * y) / s) - ndtr((lo - r * y) / s)
+        return ndtr((r * y - lo) / s)
+    zl = (lo - r * y) / s
+    flip = np.where(zl > 0.0, -1.0, 1.0)
+    return flip * (ndtr(flip * ((hi - r * y) / s)) - ndtr(flip * zl))
 
 
 def _chain_box(lower, upper, rho) -> tuple[float, float]:

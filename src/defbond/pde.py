@@ -10,16 +10,18 @@ with S_i the jump survival to maturity, and the small-spot boundary
 p(0) + (p(x_min) - p(0)) c_i(t), exact while p is affine on [0, x_min].
 When every barrier sits far under the grid both edges take the far-field
 value, which needs the same recovery at both edges once a jump channel is
-live.  Each interval factors the tridiagonal step matrix once (LAPACK
-``dgttrf``, held by a per-interval stepper) and solves every step in place
-(``dgttrs``) over two rolling row buffers; the explicit half of a
-Crank-Nicolson step is folded to three coefficients on the shifted rows and
-accumulated in place into the output row.  A stepper imports both LAPACK
-routines from ``scipy.linalg`` when it is built, so importing this module
-loads no scipy.  Only every s-th row is kept, s = isqrt(steps per interval),
-plus the glued terminal row; ``sample`` re-marches the rows it needs from
-the nearest kept row above them with the same stepper, so it reads the
-values a full history would hold.  This engine shares no code path with the
+live.  Each interval factors its step matrix M = I - (dt/2) A once, held by
+a per-interval stepper, and solves every step in place over two rolling row
+buffers.  While the cell Peclet number is below 1, a diagonal scaling makes M
+a symmetric positive definite tridiagonal matrix, which LAPACK factors and
+solves without pivoting (``dpttrf``/``dpttrs``); other grids take the
+pivoted LU (``dgttrf``/``dgttrs``).  The explicit half of a Crank-Nicolson
+step is folded into the solve, whose result less the old row is the new
+row.  A stepper imports its LAPACK routines from ``scipy.linalg`` when it
+is built, so importing this module loads no scipy.  Only every s-th row is
+kept, s = isqrt(steps per interval), plus the glued terminal row; ``sample``
+re-marches the rows it needs from the nearest kept row above them with the
+same stepper, so it reads the values a full history would hold.  This engine shares no code path with the
 closed forms it checks.
 """
 
@@ -47,6 +49,10 @@ __all__ = [
 # Grid edges sit at least this factor past every barrier, the recovery cap and
 # the spot (GridSpec.auto); barriers this far under x_min are unreachable.
 _MARGIN = 50.0
+
+# A stepper symmetrises its matrix only while the diagonal scaling P stays
+# within e^(+-_MAX_LOG_P), so P, P^-1 and the scaled rows stay normal floats.
+_MAX_LOG_P = 600.0
 
 
 @dataclass(frozen=True)
@@ -125,8 +131,19 @@ class _Stepper:
 
     The first transition after the (possibly discontinuous) terminal row is
     taken as two implicit-Euler half-steps.  Both schemes solve with
-    I - (dt/2) A, so it is LU-factored once and every step is a triangular
-    solve.
+    M = I - (dt/2) A, factored once; the explicit half of a Crank-Nicolson
+    step is folded through (I - (dt/2) A)^-1 (I + (dt/2) A) = 2 M^-1 - I, so a
+    step is one solve of 2u + dt f plus the boundary halves, less u.
+
+    M has sub-diagonal -lo and super-diagonal -up.  While both are negative
+    (cell Peclet number |mu| h / sigma^2 < 1), M = P S P^-1 with
+    P = diag(r^(j - (m-2)/2)), r = sqrt(lo / up), and S symmetric tridiagonal
+    with off-diagonal -sqrt(lo up).  sqrt(lo up) <= (dt/2) alpha, so for
+    rho >= 0 S is diagonally dominant by at least 1 and positive definite: it
+    is factored with LAPACK ``dpttrf`` and every solve is a scaling by P^-1,
+    one ``dpttrs`` and a scaling by P.  When S does not exist, or P would
+    leave e^(+-_MAX_LOG_P), M is LU-factored with partial pivoting
+    (``dgttrf``/``dgttrs``) and P is the identity.
     """
 
     def __init__(
@@ -145,63 +162,76 @@ class _Stepper:
         h = y[1] - y[0]
         m = len(y) - 1
         alpha = sigma * sigma / (2.0 * h * h)
-        lo_c = alpha - mu / (2.0 * h)
-        di_c = -2.0 * alpha - rho
-        up_c = alpha + mu / (2.0 * h)
         self.dt = (t_hi - t_lo) / n_steps
         self.half = half = 0.5 * self.dt
+        lo = half * (alpha - mu / (2.0 * h))
+        up = half * (alpha + mu / (2.0 * h))
+        diag = 1.0 + half * (2.0 * alpha + rho)
         self.half_f = half * source
-        self.dt_f = self.dt * source
-        # the explicit half-step u + (dt/2) A u folded to three coefficients
-        self.lo_w = half * lo_c
-        self.di_w = 1.0 + half * di_c
-        self.up_w = half * up_c
-        self.scratch = np.empty(m - 1)
         self.bc_lo, self.bc_hi = bc_lo, bc_hi
         self.t_lo, self.t_hi, self.n_steps = t_lo, t_hi, n_steps
         # rows a march keeps: every stride-th, then the terminal row
         self.stride = math.isqrt(n_steps)
-        from scipy.linalg.lapack import dgttrf, dgttrs
+        from scipy.linalg import lapack
 
-        self.dgttrs = dgttrs
-        *self.lu, info = dgttrf(
-            np.full(m - 2, -self.lo_w),
-            np.full(m - 1, 1.0 - half * di_c),
-            np.full(m - 2, -self.up_w),
-        )
+        if lo > 0.0 and up > 0.0 and 0.25 * (m - 2) * abs(math.log(lo / up)) <= _MAX_LOG_P:
+            # powers of one rounded r keep every ratio p[j + 1] / p[j] within
+            # a few ulps of r, which the similarity needs, at any exponent
+            r = math.sqrt(lo / up)
+            j = np.arange(m - 1) - 0.5 * (m - 2)
+            self.p = np.power(r, j)
+            q = np.power(r, -j)
+            *self.lu, info = lapack.dpttrf(
+                np.full(m - 1, diag), np.full(m - 2, -math.sqrt(lo * up))
+            )
+            self.trs = lapack.dpttrs
+        else:
+            self.p = q = np.ones(m - 1)
+            *self.lu, info = lapack.dgttrf(
+                np.full(m - 2, -lo), np.full(m - 1, diag), np.full(m - 2, -up)
+            )
+            self.trs = lapack.dgttrs
         if info != 0:
             raise LinAlgError("singular matrix")
+        self.q = q
+        self.two_q = 2.0 * q
+        self.dt_fq = self.dt * source * q
+        # the boundary weights of the end rows, pre-scaled by P^-1
+        self.lo_q = lo * q[0]
+        self.up_q = up * q[-1]
 
-    def _solve(self, row: np.ndarray, t: float) -> None:
-        # row holds the explicit part of the right-hand side; add the
-        # implicit (new-time) boundary halves and solve: the interior is a
-        # contiguous float64 view, which dgttrs overwrites with the solution
+    def _solve(self, row: np.ndarray, old_lo: float, old_hi: float, t: float) -> None:
+        """Overwrite row[1:-1], which holds P^-1 times the right-hand side
+        without its boundary halves, with the solution at time t; old_lo and
+        old_hi are the old-time boundary values the right side carries."""
         lo, hi = self.bc_lo(t), self.bc_hi(t)
-        row[1] += self.lo_w * lo
-        row[-2] += self.up_w * hi
-        _, info = self.dgttrs(*self.lu, row[1:-1], overwrite_b=True)
+        row[1] += self.lo_q * (old_lo + lo)
+        row[-2] += self.up_q * (old_hi + hi)
+        inner = row[1:-1]
+        _, info = self.trs(*self.lu, inner, overwrite_b=True)
         if info != 0:
-            raise ValueError(f"illegal value in {-info}-th argument of internal gttrs")
+            raise ValueError(f"illegal value in {-info}-th argument of the tridiagonal solve")
+        inner *= self.p
         row[0] = lo
         row[-1] = hi
 
     def step(self, k: int, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write row k into ``out`` from row k + 1 in ``u`` (a different array)."""
+        inner = out[1:-1]
         if k == self.n_steps - 1:
             # Rannacher start-up: two implicit-Euler half-steps
-            np.add(u[1:-1], self.half_f, out=out[1:-1])
-            self._solve(out, self.t_hi - self.half)
-            out[1:-1] += self.half_f
+            np.add(u[1:-1], self.half_f, out=inner)
+            inner *= self.q
+            self._solve(out, 0.0, 0.0, self.t_hi - self.half)
+            inner += self.half_f
+            inner *= self.q
+            self._solve(out, 0.0, 0.0, self.t_lo + k * self.dt)
         else:
-            # A u already carries the old-time boundary values u[0] and u[-1]
-            inner, scratch = out[1:-1], self.scratch
-            np.multiply(u[1:-1], self.di_w, out=inner)
-            np.multiply(u[:-2], self.lo_w, out=scratch)
-            inner += scratch
-            np.multiply(u[2:], self.up_w, out=scratch)
-            inner += scratch
-            inner += self.dt_f
-        self._solve(out, self.t_lo + k * self.dt)
+            # M^-1 (2u + dt f + the old- and new-time boundary halves) - u
+            np.multiply(u[1:-1], self.two_q, out=inner)
+            inner += self.dt_fq
+            self._solve(out, float(u[0]), float(u[-1]), self.t_lo + k * self.dt)
+            inner -= u[1:-1]
         return out
 
 

@@ -683,3 +683,19 @@ def test_bivariate_near_degenerate_matches_collapse_limit():
     for a, b in ((0.3, 0.9), (-0.5, -0.2), (1.1, 1.1)):
         close = db.bivariate_cdf(a, b, 1.0 - 1e-8)
         assert close == pytest.approx(db.std_normal_cdf(min(a, b)), abs=2e-5)
+
+
+@pytest.mark.parametrize("x3, window", [(-5.0, False), (-6.0, False), (-5.0, True)])
+def test_mvn_chain_upper_tail_keeps_relative_accuracy(x3, window):
+    # X_3 >= -x3 far in the upper tail of a 3-date chain, alone or as the
+    # window 5 <= X_3 <= 6 of a merged ulp pair: the chain takes the tail
+    # as Phi(-z), so it keeps its digits instead of cancelling against 1
+    taus = (1.0, 2.0, 3.0)
+    truth = conditional_chain_cdf3([0.5, 1.0, x3], taus, (1, 1, -1))
+    if window:
+        truth -= conditional_chain_cdf3([0.5, 1.0, -6.0], taus, (1, 1, -1))
+        expiries = taus + (math.nextafter(3.0, INF),)
+        p, _ = db.mvn_cdf([0.5, 1.0, x3, 6.0], db.build_correlation(0.0, expiries), (1, 1, -1, 1))
+    else:
+        p, _ = db.mvn_cdf([0.5, 1.0, x3], db.build_correlation(0.0, taus), (1, 1, -1))
+    assert p == pytest.approx(truth, rel=1e-8, abs=0.0)

@@ -3,11 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import defbond as db
 from defbond.binaries import BinarySpec, BsCoefficients, price_binary
 from defbond.errors import DomainError
-from defbond.pde import CascadeSolution, GridSpec, _Stepper, sample
+from defbond.pde import CascadeSolution, GridSpec, _bracket, _Stepper, sample
 
 from oracles import propagate_terminal
 
@@ -220,11 +221,12 @@ def test_non_finite_data_rejected():
 
 
 def test_step_matches_unfolded_formula():
-    # step() folds the explicit half u + (dt/2) A u + dt f into three
-    # coefficients; on random rows it must match the unfolded sum to a few
-    # ulps of its terms.  Both go through the same solve, whose matrix is
-    # diagonally dominant by at least 1, so the solve does not amplify the
-    # difference.  The last step is the Rannacher start-up.
+    # step() folds the explicit half through (I - hA)^-1 (I + hA) = 2 (I - hA)^-1 - I,
+    # so it solves for 2u + dt f and subtracts u; on random rows it must match
+    # the solve of the unfolded right side u + (dt/2) A u + dt f to a few ulps
+    # of that sum's terms.  The solve's matrix is diagonally dominant by at
+    # least 1, so it does not amplify the difference.  The last step is the
+    # Rannacher start-up.
     rng = np.random.default_rng(21)
     y = np.linspace(0.0, 6.0, 129)
     h = y[1] - y[0]
@@ -233,15 +235,15 @@ def test_step_matches_unfolded_formula():
     lo_c, di_c, up_c = alpha - mu / (2.0 * h), -2.0 * alpha - rho, alpha + mu / (2.0 * h)
     f = rng.uniform(0.0, 0.05, len(y) - 2)
     stepper = _Stepper(y, sigma, mu, rho, f, lambda t: 0.2, lambda t: 0.9, 0.5, 2.0, 32)
-    half, dt = stepper.half, stepper.dt
+    half, dt, q = stepper.half, stepper.dt, stepper.q
     for k in (7, stepper.n_steps - 1):
         u = rng.uniform(-1.0, 1.0, len(y))
         got = stepper.step(k, u, np.empty_like(u))
         want = np.empty_like(u)
         if k == stepper.n_steps - 1:
-            want[1:-1] = u[1:-1] + half * f
-            stepper._solve(want, stepper.t_hi - half)
-            want[1:-1] += half * f
+            want[1:-1] = q * (u[1:-1] + half * f)
+            stepper._solve(want, 0.0, 0.0, stepper.t_hi - half)
+            want[1:-1] = q * (want[1:-1] + half * f)
             terms = np.abs(want[1:-1]) + half * f
         else:
             parts = (
@@ -252,9 +254,117 @@ def test_step_matches_unfolded_formula():
                 dt * f,
             )
             want[1:-1] = u[1:-1] + half * (lo_c * u[:-2] + di_c * u[1:-1] + up_c * u[2:]) + dt * f
+            want[1:-1] *= q
             terms = sum(np.abs(p) for p in parts)
-        stepper._solve(want, stepper.t_lo + k * dt)
+        stepper._solve(want, 0.0, 0.0, stepper.t_lo + k * dt)
         assert np.max(np.abs(got - want)) <= 4.0 * np.finfo(float).eps * np.max(terms)
+
+
+def _dense_step(y, sigma, mu, rho, f, bc_lo, bc_hi, t_lo, t_hi, n, k, u):
+    """Row k from row k + 1 by np.linalg.solve on the dense Crank-Nicolson
+    system (two implicit-Euler half-steps at k = n - 1), with the sum of the
+    absolute terms of its right-hand side."""
+    h = y[1] - y[0]
+    alpha = sigma * sigma / (2.0 * h * h)
+    lo_c, di_c, up_c = alpha - mu / (2.0 * h), -2.0 * alpha - rho, alpha + mu / (2.0 * h)
+    size = len(y) - 2
+    a = (np.diag(np.full(size, di_c)) + np.diag(np.full(size - 1, lo_c), -1)
+         + np.diag(np.full(size - 1, up_c), 1))
+    dt = (t_hi - t_lo) / n
+    half = 0.5 * dt
+    implicit = np.eye(size) - half * a
+
+    def edges(lo, hi):
+        e = np.zeros(size)
+        e[0], e[-1] = half * lo_c * lo, half * up_c * hi
+        return e
+
+    t = t_lo + k * dt
+    out = np.empty_like(u)
+    out[0], out[-1] = bc_lo(t), bc_hi(t)
+    if k == n - 1:
+        mid = edges(bc_lo(t_hi - half), bc_hi(t_hi - half))
+        first = np.linalg.solve(implicit, u[1:-1] + half * f + mid)
+        out[1:-1] = np.linalg.solve(implicit, first + half * f + edges(out[0], out[-1]))
+        terms = (np.abs(u[1:-1]) + np.abs(first) + dt * f + np.abs(mid)
+                 + np.abs(edges(out[0], out[-1])))
+    else:
+        explicit = u[1:-1] + half * (a @ u[1:-1]) + edges(u[0], u[-1])
+        out[1:-1] = np.linalg.solve(implicit, explicit + dt * f + edges(out[0], out[-1]))
+        terms = (np.abs(u[1:-1]) + half * (np.abs(a) @ np.abs(u[1:-1]))
+                 + np.abs(edges(u[0], u[-1])) + dt * f + np.abs(edges(out[0], out[-1])))
+    return out, terms
+
+
+# (sigma, mu, intervals of the grid, the factorisation the stepper picks).
+# The exponent of P is E = (m - 2)/2 * atanh(Pe) with the cell Peclet number
+# Pe = |mu| h / sigma^2; the symmetrised path needs Pe < 1 and E <= 600.
+_STEPPER_GRIDS = {
+    "symmetric": (0.4, -0.13, 128, "dpttrs"),
+    "under the exponent guard": (0.1, -math.tanh(595.0 / 255.0) * 0.01 / (6.0 / 512), 512, "dpttrs"),
+    "over the exponent guard": (0.1, -math.tanh(605.0 / 255.0) * 0.01 / (6.0 / 512), 512, "dgttrs"),
+    "Peclet above 1": (0.01, -0.03, 128, "dgttrs"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STEPPER_GRIDS))
+def test_step_matches_dense_solve(name):
+    # an interior step and the Rannacher start-up against the dense system,
+    # on both factorisations and at the edge of the range of P
+    sigma, mu, m, trs = _STEPPER_GRIDS[name]
+    rng = np.random.default_rng(17)
+    y = np.linspace(0.0, 6.0, m + 1)
+    rho, n = 0.02, 32
+    f = rng.uniform(0.0, 0.05, m - 1)
+    bc_lo, bc_hi = (lambda t: 0.2 + 0.1 * t), (lambda t: 0.9 - 0.05 * t)
+    stepper = _Stepper(y, sigma, mu, rho, f, bc_lo, bc_hi, 0.5, 2.0, n)
+    assert stepper.trs is getattr(lapack, trs)
+    for k in (7, n - 1):
+        u = rng.uniform(-1.0, 1.0, m + 1)
+        got = stepper.step(k, u, np.empty_like(u))
+        want, terms = _dense_step(y, sigma, mu, rho, f, bc_lo, bc_hi, 0.5, 2.0, n, k, u)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(terms), k
+
+
+@pytest.mark.parametrize("s_v, trs", [(1.0, "dpttrs"), (0.01, "dgttrs")])
+def test_bracket_rows_equal_a_full_march(s_v, trs):
+    # every pair of rows sample() reads, re-marched from the kept rows, is
+    # bit for bit the pair a march that keeps every row computes
+    scenario = db.load_scenario(SCENARIOS / "base_exogenous.yaml")
+    market = db.MarketParams(scenario.market.r, scenario.market.b, s_v)
+    schedule, rec = scenario.schedule, scenario.recovery
+    grid = GridSpec.auto(market, schedule, 200.0, rec, n_space=256, n_time_per_interval=64)
+    sol = db.solve_exogenous_cascade(market, schedule, rec, grid)
+    for i, stepper in enumerate(sol.steppers):
+        assert stepper.trs is getattr(lapack, trs)
+        rows = [None] * 64 + [sol.values[i][-1]]
+        for k in range(63, -1, -1):
+            rows[k] = stepper.step(k, rows[k + 1], np.empty_like(rows[k + 1]))
+        for k in range(64):
+            lower, upper = _bracket(sol, i, k)
+            assert np.array_equal(lower, rows[k]) and np.array_equal(upper, rows[k + 1]), (i, k)
+
+
+@pytest.mark.parametrize("name", ["base_exogenous", "base_endogenous_low_barrier"])
+@pytest.mark.parametrize("s_v, trs", [(0.01, "dgttrs"), (0.02, "dpttrs")])
+def test_low_volatility_cascade_matches_closed_form(name, s_v, trs):
+    # on the default grid s_V = 0.01 puts the cell Peclet number above 1, so
+    # the stepper pivots; at s_V = 0.02 the symmetrised path runs with P
+    # reaching e^592, close to its e^600 limit
+    scenario = db.load_scenario(SCENARIOS / f"{name}.yaml")
+    market = db.MarketParams(scenario.market.r, scenario.market.b, s_v)
+    schedule, rec = scenario.schedule, scenario.recovery
+    firm = scenario.firm_value(0.0)
+    df = math.exp(-market.r * schedule.maturity)
+    grid = GridSpec.auto(market, schedule, firm / df, rec)
+    if rec.mode == "exogenous":
+        sol = db.solve_exogenous_cascade(market, schedule, rec, grid)
+        closed = db.price_exogenous(market, schedule, rec, firm, 0.0).price
+    else:
+        sol = db.solve_endogenous_cascade(market, schedule, rec, grid)
+        closed = db.price_endogenous(market, schedule, rec, firm, 0.0).price
+    assert all(stepper.trs is getattr(lapack, trs) for stepper in sol.steppers)
+    assert df * sample(sol, firm / df, 0.0) == pytest.approx(closed, rel=0.0, abs=1e-6)
 
 
 # ------------------------------------------------------------------ sampling
@@ -303,8 +413,8 @@ def test_sample_interpolation_against_finer_grid(market, schedule, exo):
 
 
 # Reference values of the march that called a banded solver at every step.
-# One LU factorisation per interval with the same right-hand sides performs
-# the same elimination, so they reproduce to 1e-12.  Rows: x = 80, 150, 400;
+# A factorisation per interval, pivoted or symmetrised, solves the same
+# systems, so they reproduce to 1e-12.  Rows: x = 80, 150, 400;
 # columns: t = 0, 1.3, 3, 4.5.
 _PINNED = {
     "base_exogenous": (
@@ -325,30 +435,31 @@ _PINNED = {
 }
 
 
-# Values of the march with the explicit half-step folded to three
-# coefficients, at five kinds of step time on the same grids (columns) and
-# at x = x_min, 80, 150, 400, x_max (rows); the grid edges carry each
-# interval's own boundary values.  Re-marching reproduces them bit for bit.
+# Values of the march that solves the symmetrised system and folds the
+# explicit half-step through 2 (I - hA)^-1 - I, at five kinds of step time on
+# the same grids (columns) and at x = x_min, 80, 150, 400, x_max (rows); the
+# grid edges carry each interval's own boundary values.  Re-marching
+# reproduces them bit for bit.
 _PINNED_STEPS = {
     "base_exogenous": (
         0.5, 0.5, 0.5, 0.5, 0.5,
-        0.510208237189238, 0.5769507181866028, 0.5807688392530048, 0.5258561284515584, 0.5688477585478517,
-        0.6114361695830904, 0.6330197592502956, 0.6412673411839499, 0.5495775891254074, 0.6163818000709926,
-        0.7138999283405242, 0.7478420658483251, 0.7632132187927889, 0.6093405608841389, 0.7165494034203853,
+        0.5102082371892391, 0.5769507181866104, 0.5807688392530119, 0.5258561284515518, 0.5688477585478601,
+        0.6114361695830987, 0.6330197592503034, 0.6412673411839569, 0.5495775891254016, 0.6163818000710013,
+        0.7138999283405334, 0.7478420658483332, 0.7632132187927969, 0.6093405608841346, 0.7165494034203946,
         0.9925097948438474, 0.9937696153851978, 0.994290659355171, 0.990344447594333, 0.9925559698015314,
     ),
     "base_endogenous_low_barrier": (
         0.0007514921521447464, 0.0006650291454263296, 0.0006719898745931912, 0.0006732837577593748, 0.000649096448734653,
-        0.368317289108952, 0.2567481406851874, 0.26975107159301026, 0.1768283955397005, 0.22957218884067937,
-        0.34423164218795127, 0.3809871684556096, 0.40156918002616915, 0.24613852402219216, 0.3386264830108442,
-        0.5351686120561808, 0.6030294050387168, 0.6326050101486979, 0.3733783580599961, 0.5407001501930228,
+        0.36831728910895245, 0.2567481406851904, 0.2697510715930133, 0.17682839553969876, 0.22957218884068267,
+        0.34423164218795543, 0.38098716845561376, 0.40156918002617337, 0.24613852402219, 0.33862648301084886,
+        0.535168612056187, 0.6030294050387233, 0.632605010148704, 0.37337835805999314, 0.5407001501930291,
         1.0, 1.0, 1.0, 1.0, 1.0,
     ),
     "base_endogenous_high_barrier": (
         0.0015029843042894929, 0.0013300582908526593, 0.0013439797491863823, 0.0013465675155187496, 0.001298192897469306,
-        0.9956891082416236, 0.9692660487304217, 0.9780076412933123, 0.9761581119961393, 0.943369464927005,
-        0.973686324778217, 0.987549554110647, 0.991883064302649, 0.987238881633336, 0.9728886230383164,
-        0.9924503427161705, 0.9976625589924933, 0.9987158129195388, 0.9910412949008185, 0.9930817926364782,
+        0.995689108241626, 0.9692660487304404, 0.9780076412933298, 0.9761581119961443, 0.9433694649270266,
+        0.9736863247782395, 0.9875495541106669, 0.9918830643026674, 0.9872388816333452, 0.9728886230383399,
+        0.992450342716194, 0.9976625589925134, 0.9987158129195574, 0.9910412949008333, 0.9930817926365016,
         1.0, 1.0, 1.0, 1.0, 1.0,
     ),
 }

@@ -416,9 +416,9 @@ def test_three_date_endogenous_price_is_pinned():
     schedule = db.DefaultSchedule((0.0, 1.5, 3.5, 7.0), (0.01, 0.02, 0.004), (120.0, 90.0, 110.0))
     recovery = db.RecoveryModel("endogenous", 0.5, n=1.0)
     rep = db.price_endogenous(market, schedule, recovery, 250.0 * math.exp(-0.08 * 7.0), 0.0)
-    assert rep.price == 0.5703404516995123
+    assert rep.price == 0.5703404516995124
     assert rep.diagnostics == {"cdf_error": 4.3254596425918385e-13,
-                               "quadrature_error": 1.895545021014891e-12}
+                               "quadrature_error": 1.8955450581177974e-12}
 
 
 # -------------------------------------------------------------- spreads
