@@ -22,7 +22,6 @@ from .integrals import WeightedIntegralSpec, integral_binary
 from .normal import (
     CorrelationStructure,
     bivariate_cdf,
-    build_correlation,
     mvn_cdf,
     std_normal_cdf,
 )
@@ -31,11 +30,9 @@ from .pricing import (
     MarketParams,
     PriceReport,
     RecoveryModel,
-    credit_spread,
     locate_interval,
     price_endogenous,
     price_exogenous,
-    relative_price_endogenous,
     survival_probability,
 )
 from .scenario import Scenario, apply_sweep_value, load_scenario, parse_scenario
@@ -83,8 +80,6 @@ __all__ = [
     "WeightedIntegralSpec",
     "apply_sweep_value",
     "bivariate_cdf",
-    "build_correlation",
-    "credit_spread",
     "integral_binary",
     "load_scenario",
     "locate_interval",
@@ -93,7 +88,6 @@ __all__ = [
     "price_binary",
     "price_endogenous",
     "price_exogenous",
-    "relative_price_endogenous",
     "sample",
     "shift_coefficients",
     "simulate_price",

@@ -16,10 +16,10 @@ Statistics and Computing 2004) at a correlation r >= 0.  At r < 0 the
 orthant is its smaller marginal minus the reflected orthant at -r; where
 that difference cancels far below the marginal it is recomputed as a
 positive conditional integral, so tail boxes keep their relative accuracy.
-A coordinate bounded on both sides (only a merged +-1 pair of dates makes
-one) is a Phi difference taken in its own tail in one dimension and the
-conditional integral in two.  From dimension three on the CDF is a forward
-recursion of one-dimensional Gaussian convolutions over panel
+A coordinate bounded on both sides (only a merged pair of perfectly
+correlated dates makes one) is a Phi difference taken in its own tail in one
+dimension and the conditional integral in two.  From dimension three on the
+CDF is a forward recursion of one-dimensional Gaussian convolutions over panel
 Gauss-Legendre grids (quadrature between monitoring dates, as in
 Andricopoulos et al., J. Financial Economics 2003, and Feng & Linetsky,
 Mathematical Finance 2008).  Its error estimate is the distance to the same
@@ -48,7 +48,6 @@ from .errors import DomainError, ScheduleError
 
 __all__ = [
     "CorrelationStructure",
-    "build_correlation",
     "std_normal_cdf",
     "bivariate_cdf",
     "mvn_cdf",
@@ -151,8 +150,6 @@ def _bvnu(h: float, k: float, r: float) -> float:
         return 1.0 if k == -_INF else _phi(-k)
     if k == -_INF:
         return _phi(-h)
-    if r == 0.0:
-        return _phi(-h) * _phi(-k)
 
     tp = 2.0 * math.pi
     hk = h * k
@@ -223,6 +220,9 @@ def bivariate_cdf(a: float, b: float, rho: float) -> float:
         raise DomainError("bivariate_cdf: NaN argument")
     if abs(rho) > 1.0:
         raise DomainError(f"bivariate_cdf: |rho| = {abs(rho)} > 1")
+    # Phi is exactly 0 or 1 past +-_PHI_ZERO, so such a limit is taken as
+    # infinite; that also keeps h * k finite in _bvnu
+    a, b = (math.copysign(_INF, v) if abs(v) >= -_PHI_ZERO else v for v in (a, b))
     if rho == -1.0:
         return max(0.0, _phi(a) - _phi(-b))
     return _orthant(-a, -b, rho)
@@ -243,6 +243,10 @@ class CorrelationStructure:
     rho: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # dates may come as any real numbers; the chain holds floats
+        self.__dict__.update(
+            eval_time=float(self.eval_time), expiries=tuple(map(float, self.expiries))
+        )
         if len(self.expiries) < 1:
             raise ScheduleError("CorrelationStructure: at least one expiry required")
         t = prev = self.eval_time
@@ -259,7 +263,7 @@ class CorrelationStructure:
             if prev > t:
                 rho.append(math.sqrt((prev - t) / (date - t)))
             prev = date
-        object.__setattr__(self, "rho", tuple(rho))
+        self.__dict__["rho"] = tuple(rho)
 
     @classmethod
     def _last_date_chains(cls, eval_time: float, fixed: tuple[float, ...]):
@@ -294,11 +298,6 @@ class CorrelationStructure:
         return ratio
 
 
-def build_correlation(t: float, expiries) -> CorrelationStructure:
-    """Correlation structure for evaluation time ``t`` and increasing expiries."""
-    return CorrelationStructure(float(t), tuple(map(float, expiries)))
-
-
 def _tail_mass(a: float, b: float) -> float:
     """P(a <= Z <= b) for a standard normal Z, differenced in the tail the
     interval lies in so that a tail interval keeps its relative accuracy."""
@@ -306,22 +305,23 @@ def _tail_mass(a: float, b: float) -> float:
 
 
 def _reduce_box(lower, upper, rho):
-    """Marginalize unconstrained coordinates and merge exact +-1 neighbours
-    (in a chain a +-1 pair is a run of +-1 neighbours).  Dropping coordinate
-    k joins its neighbours with the correlation ``rho[k-1] * rho[k]``.
+    """Marginalize unconstrained coordinates and merge neighbours of
+    correlation 1.  Dropping coordinate k joins its neighbours with the
+    correlation ``rho[k-1] * rho[k]``; a chain's correlations, and so their
+    products, are never negative.
 
     Returns (lower, upper, rho, is_empty).  Infinite limits never reach the
     integration kernels: they either drop a dimension here or saturate a
     one/two dimensional closed form.
     """
     # the common case has nothing to do: every coordinate bounded on some
-    # side, no empty box and no +-1 neighbours
+    # side, no empty box and no neighbours of correlation 1
     for lo, hi in zip(lower, upper):
         if hi <= lo or lo == -_INF and hi == _INF:
             break
     else:
         for r in rho:
-            if not -1.0 + 5e-16 < r < 1.0 - 5e-16:
+            if r >= 1.0 - 5e-16:
                 break
         else:
             return lower, upper, rho, False
@@ -332,12 +332,10 @@ def _reduce_box(lower, upper, rho):
                 return lower, upper, rho, True
             keep.append(lo > -_INF or hi < _INF)
         if all(keep):
-            near = list(map(abs, rho))
-            if not near or max(near) < 1.0 - 5e-16:
+            if not rho or max(rho) < 1.0 - 5e-16:
                 return lower, upper, rho, False
-            i = near.index(max(near))  # X_{i+1} = +-X_i: intersect the constraints
-            lo, hi = (lower[i + 1], upper[i + 1]) if rho[i] > 0 else (-upper[i + 1], -lower[i + 1])
-            lower[i], upper[i] = max(lower[i], lo), min(upper[i], hi)
+            i = rho.index(max(rho))  # X_{i+1} = X_i: intersect the constraints
+            lower[i], upper[i] = max(lower[i], lower[i + 1]), min(upper[i], upper[i + 1])
             keep[i + 1] = False
         idx = [k for k, kept in enumerate(keep) if kept]
         lower, upper = [lower[k] for k in idx], [upper[k] for k in idx]

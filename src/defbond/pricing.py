@@ -30,11 +30,9 @@ __all__ = [
     "RecoveryModel",
     "PriceReport",
     "locate_interval",
-    "relative_price_endogenous",
     "price_endogenous",
     "survival_probability",
     "price_exogenous",
-    "credit_spread",
 ]
 
 
@@ -131,8 +129,9 @@ class RecoveryModel:
 
 @dataclass(frozen=True)
 class PriceReport:
-    """Bond price with its relative price, survival probability (exogenous
-    mode), credit spread and numerical-error diagnostics."""
+    """Bond price with its relative price u (the price per unit of the
+    default-free bond), survival probability (exogenous mode), credit spread
+    -log(u) / (T - t) and numerical-error diagnostics."""
 
     price: float
     relative_price: float
@@ -142,11 +141,17 @@ class PriceReport:
     diagnostics: dict[str, float]
 
 
+def _interval(schedule: DefaultSchedule, t: float, caller: str) -> int:
+    """Index i with ``t_i <= t < t_{i+1}``; a t outside [0, T), NaN included,
+    raises naming ``caller``."""
+    if not 0.0 <= t < schedule.maturity:
+        raise DomainError(f"{caller}: t={t} outside [0, {schedule.maturity})")
+    return bisect_right(schedule.dates, t) - 1
+
+
 def locate_interval(schedule: DefaultSchedule, t: float) -> int:
     """Index i with ``t_i <= t < t_{i+1}``."""
-    if math.isnan(t) or t < 0.0 or t >= schedule.maturity:
-        raise DomainError(f"locate_interval: t={t} outside [0, {schedule.maturity})")
-    return bisect_right(schedule.dates, t) - 1
+    return _interval(schedule, t, "locate_interval")
 
 
 def _jump_survival(schedule: DefaultSchedule, i: int, t: float, m: int) -> float:
@@ -163,7 +168,8 @@ def survival_probability(
     t: float,
 ) -> float:
     """Probability of surviving both default channels on (t, T]."""
-    w, _, _, _ = _sum_terms(market, schedule, math.inf, x, t, "survival_probability")
+    i = _interval(schedule, t, "survival_probability")
+    w, _, _ = _sum_terms(market, schedule, math.inf, x, i, t, "survival_probability")
     return w
 
 
@@ -229,12 +235,11 @@ def _terms(
     return terms
 
 
-def _sum_terms(market, schedule, cap: float, x: float, t: float, caller: str):
-    """The sum of the terms, clamped to [0, 1], plus the accumulated
-    (cdf_error, quadrature_error) and the interval index of t."""
+def _sum_terms(market, schedule, cap: float, x: float, i: int, t: float, caller: str):
+    """The sum of the interval-i terms, clamped to [0, 1], plus the
+    accumulated (cdf_error, quadrature_error)."""
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"{caller}: spot must be positive, got {x}")
-    i = locate_interval(schedule, t)
     u = cdf_err = quad_err = 0.0
     for w, spec in _terms(market, schedule, cap, i, t):
         if isinstance(spec, BinarySpec):
@@ -244,21 +249,7 @@ def _sum_terms(market, schedule, cap: float, x: float, t: float, caller: str):
             value, err = integral_binary(spec, x, t)
             quad_err += abs(w) * err
         u += w * value
-    return min(max(u, 0.0), 1.0), cdf_err, quad_err, i
-
-
-def relative_price_endogenous(
-    market: MarketParams,
-    schedule: DefaultSchedule,
-    recovery: RecoveryModel,
-    x: float,
-    t: float,
-) -> float:
-    """Bond price per unit of the default-free bond, endogenous recovery."""
-    if recovery.mode != "endogenous":
-        raise DomainError("relative_price_endogenous: recovery model must be endogenous")
-    u, _, _, _ = _sum_terms(market, schedule, recovery.cap, x, t, "relative_price_endogenous")
-    return u
+    return min(max(u, 0.0), 1.0), cdf_err, quad_err
 
 
 def _report(market, schedule, recovery, V: float, t: float, caller: str) -> PriceReport:
@@ -267,13 +258,14 @@ def _report(market, schedule, recovery, V: float, t: float, caller: str) -> Pric
     exogenous recovery, 0 plus all of it for endogenous recovery."""
     if not (math.isfinite(V) and V > 0.0):
         raise DomainError(f"{caller}: firm value must be positive, got {V}")
+    i = _interval(schedule, t, caller)
     remaining = schedule.maturity - t
     df = math.exp(-market.r * remaining)
     # V / df overflows for V near the largest float, and for every V once df
     # underflows to 0.  Far above every barrier and the cap the relative
     # price is flat in x, so the largest float prices it.
     x = V / df if V < df * sys.float_info.max else sys.float_info.max
-    w, cdf_err, quad_err, i = _sum_terms(market, schedule, recovery.cap, x, t, caller)
+    w, cdf_err, quad_err = _sum_terms(market, schedule, recovery.cap, x, i, t, caller)
     exogenous = recovery.mode == "exogenous"
     floor = recovery.R if exogenous else 0.0
     share = 1.0 - floor
@@ -314,16 +306,3 @@ def price_exogenous(
     if recovery.mode != "exogenous":
         raise DomainError("price_exogenous: recovery model must be exogenous")
     return _report(market, schedule, recovery, V, t, "price_exogenous")
-
-
-def credit_spread(
-    market: MarketParams,
-    schedule: DefaultSchedule,
-    recovery: RecoveryModel,
-    V: float,
-    t: float,
-) -> float:
-    """Yield pickup of the defaultable bond over the default-free bond."""
-    if t >= schedule.maturity:
-        raise DomainError("credit_spread: undefined at or past maturity")
-    return _report(market, schedule, recovery, V, t, "credit_spread").credit_spread

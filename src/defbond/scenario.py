@@ -100,6 +100,15 @@ def _number_list(value, where: str) -> tuple[float, ...]:
     return tuple(_number(v, where) for v in value)
 
 
+def _build(code: str, make, *args, context: str = "", **fields):
+    """``make(*args, **fields)``, with a model error re-raised as a
+    ScenarioError ``code`` whose message follows ``context``."""
+    try:
+        return make(*args, **fields)
+    except DefbondError as exc:
+        raise ScenarioError(code, context + str(exc)) from exc
+
+
 def parse_scenario(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("BAD_FILE", "scenario document must be a mapping")
@@ -107,16 +116,8 @@ def parse_scenario(doc: dict) -> Scenario:
     m = _require(doc, "market", "scenario")
     if not isinstance(m, dict):
         raise ScenarioError("BAD_VALUE", "market must be a mapping")
-    try:
-        market = MarketParams(
-            r=_number(_require(m, "r", "market"), "market.r"),
-            b=_number(_require(m, "b", "market"), "market.b"),
-            s_V=_number(_require(m, "s_V", "market"), "market.s_V"),
-        )
-    except DefbondError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError("BAD_VALUE", str(exc)) from exc
+    rates = {key: _number(_require(m, key, "market"), f"market.{key}") for key in ("r", "b", "s_V")}
+    market = _build("BAD_VALUE", MarketParams, **rates)
 
     s = _require(doc, "schedule", "scenario")
     if not isinstance(s, dict):
@@ -135,10 +136,7 @@ def parse_scenario(doc: dict) -> Scenario:
             "intensities and barriers must each have one entry per interval "
             f"({len(dates) - 1}), got {len(intensities)} and {len(barriers)}",
         )
-    try:
-        schedule = DefaultSchedule(dates, intensities, barriers)
-    except DefbondError as exc:
-        raise ScenarioError("BAD_VALUE", str(exc)) from exc
+    schedule = _build("BAD_VALUE", DefaultSchedule, dates, intensities, barriers)
 
     r = _require(doc, "recovery", "scenario")
     if not isinstance(r, dict):
@@ -147,10 +145,7 @@ def parse_scenario(doc: dict) -> Scenario:
     kwargs = {"mode": mode, "R": _number(_require(r, "R", "recovery"), "recovery.R")}
     if "n" in r:
         kwargs["n"] = _number(r["n"], "recovery.n")
-    try:
-        recovery = RecoveryModel(**kwargs)
-    except DefbondError as exc:
-        raise ScenarioError("BAD_VALUE", str(exc)) from exc
+    recovery = _build("BAD_VALUE", RecoveryModel, **kwargs)
 
     e = _require(doc, "evaluation", "scenario")
     if not isinstance(e, dict):
@@ -166,10 +161,7 @@ def parse_scenario(doc: dict) -> Scenario:
         raise ScenarioError(
             "BAD_VALUE", f"evaluation.t={t} outside [0, maturity={schedule.maturity})"
         )
-    try:
-        evaluation = Evaluation(t=t, x=x, V=V)
-    except DefbondError as exc:
-        raise ScenarioError("BAD_VALUE", str(exc)) from exc
+    evaluation = _build("BAD_VALUE", Evaluation, t=t, x=x, V=V)
 
     sweep = None
     if doc.get("sweep") is not None:
@@ -249,35 +241,30 @@ def apply_sweep_value(scenario: Scenario, parameter: str, value) -> Scenario:
             raise ScenarioError("BAD_SWEEP", f"{parameter} sweep value must be a number")
         return float(value)
 
-    try:
-        if parameter == "R":
-            return replace(scenario, recovery=replace(scenario.recovery, R=scalar()))
-        if parameter == "s_V":
-            return replace(scenario, market=replace(scenario.market, s_V=scalar()))
-        if parameter == "x":
-            return replace(
-                scenario, evaluation=replace(scenario.evaluation, x=scalar(), V=None)
-            )
-        if parameter == "K":
-            return replace(scenario, schedule=replace(schedule, barriers=as_vector(schedule.barriers)))
-        if parameter == "lambda":
-            return replace(
-                scenario, schedule=replace(schedule, intensities=as_vector(schedule.intensities))
-            )
-        if parameter.startswith("K"):
-            idx = int(match.group(2)) - 1
-            if not 0 <= idx < n:
-                raise ScenarioError("BAD_SWEEP", f"{parameter}: barrier index out of range 1..{n}")
-            barriers = list(schedule.barriers)
-            barriers[idx] = scalar()
-            return replace(scenario, schedule=replace(schedule, barriers=tuple(barriers)))
+    if parameter == "R":
+        part, fields = "recovery", {"R": scalar()}
+    elif parameter == "s_V":
+        part, fields = "market", {"s_V": scalar()}
+    elif parameter == "x":
+        part, fields = "evaluation", {"x": scalar(), "V": None}
+    elif parameter == "K":
+        part, fields = "schedule", {"barriers": as_vector(schedule.barriers)}
+    elif parameter == "lambda":
+        part, fields = "schedule", {"intensities": as_vector(schedule.intensities)}
+    elif parameter.startswith("K"):
+        idx = int(match.group(2)) - 1
+        if not 0 <= idx < n:
+            raise ScenarioError("BAD_SWEEP", f"{parameter}: barrier index out of range 1..{n}")
+        barriers = list(schedule.barriers)
+        barriers[idx] = scalar()
+        part, fields = "schedule", {"barriers": tuple(barriers)}
+    else:
         idx = int(match.group(3))
         if not 0 <= idx < n:
             raise ScenarioError("BAD_SWEEP", f"{parameter}: interval index out of range 0..{n - 1}")
         intensities = list(schedule.intensities)
         intensities[idx] = scalar()
-        return replace(scenario, schedule=replace(schedule, intensities=tuple(intensities)))
-    except DefbondError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError("BAD_SWEEP", f"{parameter}={value!r}: {exc}") from exc
+        part, fields = "schedule", {"intensities": tuple(intensities)}
+    context = f"{parameter}={value!r}: "
+    swept = _build("BAD_SWEEP", replace, getattr(scenario, part), context=context, **fields)
+    return replace(scenario, **{part: swept})

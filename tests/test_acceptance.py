@@ -157,8 +157,8 @@ def test_criterion_4_mvn_engine():
     # marginalization chain, m <= 6, tolerance 1e-9
     expiries = (0.7, 1.1, 2.0, 3.4, 5.0, 6.5)
     for m in range(2, 7):
-        c_full = db.build_correlation(0.0, expiries[:m])
-        c_red = db.build_correlation(0.0, expiries[: m - 1])
+        c_full = db.CorrelationStructure(0.0, expiries[:m])
+        c_red = db.CorrelationStructure(0.0, expiries[: m - 1])
         a = rng.uniform(-1.2, 1.5, size=m - 1)
         p_full, _ = db.mvn_cdf(np.append(a, np.inf), c_full)
         if m - 1 == 1:
@@ -171,7 +171,7 @@ def test_criterion_4_mvn_engine():
     # monotonicity in each limit, m <= 6 (error-aware: higher-dimensional
     # estimates carry their reported quadrature error)
     for m in (3, 4, 6):
-        c = db.build_correlation(0.0, expiries[:m])
+        c = db.CorrelationStructure(0.0, expiries[:m])
         for _ in range(4):
             a = rng.uniform(-1.5, 1.5, size=m)
             i = int(rng.integers(0, m))
@@ -183,7 +183,7 @@ def test_criterion_4_mvn_engine():
                 failures.append(f"monotonicity m={m} i={i}: {hi:.2e} < {lo:.2e}")
 
     # dense-quadrature agreement at m=3, tolerance 1e-6
-    c3 = db.build_correlation(0.0, (1.0, 2.0, 3.0))
+    c3 = db.CorrelationStructure(0.0, (1.0, 2.0, 3.0))
     p3, err3 = db.mvn_cdf([0.5, 0.2, -0.1], c3)
     oracle = gl_mvn_cdf([0.5, 0.2, -0.1], c3.covariance)
     if abs(p3 - oracle) > 1e-6:

@@ -57,8 +57,8 @@ def test_orders_above_sixteen_price(order):
         BinarySpec("bond", (1,) * (order - 1), strikes[:-1], expiries[:-1], BASE), 150.0, 0.0
     )
     assert 0.0 < long <= short <= 1.0
-    c_full = db.build_correlation(0.0, expiries)
-    c_red = db.build_correlation(0.0, expiries[:-1])
+    c_full = db.CorrelationStructure(0.0, expiries)
+    c_red = db.CorrelationStructure(0.0, expiries[:-1])
     a = np.linspace(-0.8, 1.1, order - 1)
     assert db.mvn_cdf(np.append(a, np.inf), c_full) == db.mvn_cdf(a, c_red)
 

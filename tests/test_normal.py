@@ -117,9 +117,14 @@ def test_bivariate_against_quadrature_oracle(a, b, rho):
 
 
 def test_bivariate_zero_rho_factorizes():
-    assert db.bivariate_cdf(0.7, -1.1, 0.0) == pytest.approx(
-        db.std_normal_cdf(0.7) * db.std_normal_cdf(-1.1), abs=1e-14
-    )
+    # at r = 0 the Gauss-Legendre sum is scaled by asin(0) = 0, so the
+    # orthant is the product of its marginals to the last bit; limits past
+    # the saturation of Phi, up to the largest float, factorize too
+    rng = np.random.default_rng(25)
+    limits = rng.uniform(-9.0, 9.0, 400).tolist() + [-1e300, -40.0, 40.0, 1e300, -INF, INF]
+    for a in limits:
+        for b in rng.choice(limits, 5).tolist() + [-1e300, 1e300]:
+            assert db.bivariate_cdf(a, b, 0.0) == db.std_normal_cdf(a) * db.std_normal_cdf(b), (a, b)
 
 
 def test_bivariate_degenerate_rho():
@@ -148,17 +153,24 @@ def test_bivariate_symmetry(a, b, rho):
 
 
 def test_build_correlation_two_dates():
-    c = db.build_correlation(0.0, (3.0, 6.0))
+    c = db.CorrelationStructure(0.0, (3.0, 6.0))
     assert c.covariance[0, 1] == pytest.approx(math.sqrt(0.5), abs=1e-15)
 
 
+def test_correlation_structure_holds_float_dates():
+    c = db.CorrelationStructure(0, [1, 2])
+    assert c == db.CorrelationStructure(0.0, (1.0, 2.0))
+    assert type(c.eval_time) is float and all(type(v) is float for v in c.expiries)
+    assert c.rho == (math.sqrt(0.5),)
+
+
 def test_build_correlation_single_date():
-    c = db.build_correlation(1.0, (2.5,))
+    c = db.CorrelationStructure(1.0, (2.5,))
     assert c.covariance.tolist() == [[1.0]]
 
 
 def test_build_correlation_near_expiry():
-    c = db.build_correlation(2.9, (3.0, 6.0))
+    c = db.CorrelationStructure(2.9, (3.0, 6.0))
     assert c.covariance[0, 1] == pytest.approx(math.sqrt(0.1 / 3.1), abs=1e-15)
 
 
@@ -166,7 +178,7 @@ def test_build_correlation_near_expiry():
 def test_correlation_rho_is_the_covariance_superdiagonal(d):
     t = 0.4
     expiries = tuple(0.5 + 0.7 * k + 0.1 * k * k for k in range(d))
-    c = db.build_correlation(t, expiries)
+    c = db.CorrelationStructure(t, expiries)
     assert isinstance(c.rho, tuple)
     assert c.rho == tuple(math.sqrt((a - t) / (b - t)) for a, b in zip(expiries, expiries[1:]))
     assert c.rho == tuple(np.diagonal(c.covariance, 1).tolist())
@@ -182,7 +194,7 @@ def test_last_date_chains_equal_checked_chains(d):
     fixed = tuple(0.5 + 0.7 * k + 0.1 * k * k for k in range(d - 1))
     chain = normal.CorrelationStructure._last_date_chains(t, fixed)
     for tau in (math.nextafter(fixed[-1] if fixed else t, INF), 9.25, 1e6):
-        node, built = chain(tau), db.build_correlation(t, fixed + (tau,))
+        node, built = chain(tau), db.CorrelationStructure(t, fixed + (tau,))
         assert node == built and node.rho == built.rho
         assert np.array_equal(node.covariance, built.covariance)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -199,16 +211,16 @@ def test_last_date_chains_check_the_fixed_dates(t, fixed):
 
 def test_build_correlation_rejects_bad_order():
     with pytest.raises(ScheduleError):
-        db.build_correlation(0.0, (3.0, 3.0))
+        db.CorrelationStructure(0.0, (3.0, 3.0))
     with pytest.raises(ScheduleError):
-        db.build_correlation(5.0, (3.0, 6.0))
+        db.CorrelationStructure(5.0, (3.0, 6.0))
 
 
 # ----------------------------------------------------------------- mvn_cdf
 
 
 def test_mvn_total_mass():
-    c = db.build_correlation(0.0, (1.0, 2.0, 3.0, 4.0))
+    c = db.CorrelationStructure(0.0, (1.0, 2.0, 3.0, 4.0))
     p, err = db.mvn_cdf([INF] * 4, c)
     assert p == 1.0
     assert err == 0.0
@@ -221,7 +233,7 @@ M3_EXPECTED = 0.372731462627
 
 
 def test_mvn_m3_against_dense_quadrature():
-    c = db.build_correlation(0.0, (1.0, 2.0, 3.0))
+    c = db.CorrelationStructure(0.0, (1.0, 2.0, 3.0))
     oracle = gl_mvn_cdf(M3_LIMITS, c.covariance)
     assert oracle == pytest.approx(M3_EXPECTED, abs=1e-9)
     p, err = db.mvn_cdf(M3_LIMITS, c)
@@ -230,11 +242,11 @@ def test_mvn_m3_against_dense_quadrature():
 
 
 def test_mvn_delegates_low_dimensions():
-    c2 = db.build_correlation(0.0, (3.0, 6.0))
+    c2 = db.CorrelationStructure(0.0, (3.0, 6.0))
     p2, err2 = db.mvn_cdf([0.3, -0.2], c2)
     assert p2 == pytest.approx(db.bivariate_cdf(0.3, -0.2, math.sqrt(0.5)), abs=1e-14)
     assert err2 <= 1e-12
-    c1 = db.build_correlation(0.0, (3.0,))
+    c1 = db.CorrelationStructure(0.0, (3.0,))
     p1, err1 = db.mvn_cdf([0.77], c1)
     assert p1 == pytest.approx(db.std_normal_cdf(0.77), abs=1e-15)
     assert err1 <= 1e-15
@@ -247,9 +259,9 @@ def test_mvn_marginalization_chain():
     rng = np.random.default_rng(5)
     expiries = (0.7, 1.1, 2.0, 3.4, 5.0, 6.5)
     for m in range(3, 7):
-        c_full = db.build_correlation(0.0, expiries[:m])
+        c_full = db.CorrelationStructure(0.0, expiries[:m])
         for k in range(m):
-            c_red = db.build_correlation(0.0, expiries[:k] + expiries[k + 1 : m])
+            c_red = db.CorrelationStructure(0.0, expiries[:k] + expiries[k + 1 : m])
             a = rng.uniform(-1.2, 1.5, size=m - 1)
             p_full, _ = db.mvn_cdf(np.insert(a, k, INF), c_full)
             p_red, _ = db.mvn_cdf(a, c_red)
@@ -262,7 +274,7 @@ def test_mvn_signs_match_bivariate_in_two_dimensions():
     rng = np.random.default_rng(17)
     for _ in range(12):
         t1, t2 = np.cumsum(rng.uniform(0.2, 3.0, size=2))
-        c = db.build_correlation(0.0, (t1, t2))
+        c = db.CorrelationStructure(0.0, (t1, t2))
         rho = math.sqrt(t1 / t2)
         a = rng.uniform(-2.0, 2.0, size=2)
         for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
@@ -273,7 +285,7 @@ def test_mvn_signs_match_bivariate_in_two_dimensions():
 
 def test_mvn_monotone_in_each_limit():
     rng = np.random.default_rng(11)
-    c = db.build_correlation(0.0, (1.0, 2.5, 4.0))
+    c = db.CorrelationStructure(0.0, (1.0, 2.5, 4.0))
     for _ in range(8):
         a = rng.uniform(-1.5, 1.5, size=3)
         i = rng.integers(0, 3)
@@ -285,7 +297,7 @@ def test_mvn_monotone_in_each_limit():
 
 
 def test_mvn_signs_match_inclusion_exclusion():
-    c = db.build_correlation(0.0, (3.0, 6.0))
+    c = db.CorrelationStructure(0.0, (3.0, 6.0))
     rho = math.sqrt(0.5)
     a1, a2 = 0.6, -0.3
     p, _ = db.mvn_cdf([a1, a2], c, signs=(1, -1))
@@ -295,9 +307,9 @@ def test_mvn_signs_match_inclusion_exclusion():
 
 def test_mvn_near_coincident_dates_collapse():
     # two expiries 1e-12 apart degenerate to the min of their limits
-    c = db.build_correlation(0.0, (1.0, 1.0 + 1e-12, 3.0))
+    c = db.CorrelationStructure(0.0, (1.0, 1.0 + 1e-12, 3.0))
     p, _ = db.mvn_cdf([0.4, 0.9, 0.1], c)
-    c2 = db.build_correlation(0.0, (1.0, 3.0))
+    c2 = db.CorrelationStructure(0.0, (1.0, 3.0))
     p2, _ = db.mvn_cdf([min(0.4, 0.9), 0.1], c2)
     assert p == pytest.approx(p2, abs=1e-9)
 
@@ -311,14 +323,14 @@ def test_mvn_rejects_non_structure_correlation():
 
 
 def test_mvn_rejects_bad_signs():
-    c = db.build_correlation(0.0, (1.0, 2.0))
+    c = db.CorrelationStructure(0.0, (1.0, 2.0))
     with pytest.raises(DomainError):
         db.mvn_cdf([0.0, 0.0], c, signs=(1, 2))
 
 
 def test_mvn_deterministic_for_fixed_config():
     # deterministic, and the config's error target changes no result
-    c = db.build_correlation(0.0, (1.0, 2.0, 3.0, 4.5))
+    c = db.CorrelationStructure(0.0, (1.0, 2.0, 3.0, 4.5))
     a = [0.3, 0.1, -0.2, 0.8]
     p1, e1 = db.mvn_cdf(a, c)
     p2, e2 = db.mvn_cdf(a, c)
@@ -334,7 +346,7 @@ def test_mvn_high_dimensions_against_scipy():
     rng = np.random.default_rng(31)
     for m in (5, 6, 7):
         ts = np.cumsum(rng.uniform(0.3, 1.5, size=m))
-        c = db.build_correlation(0.0, tuple(ts))
+        c = db.CorrelationStructure(0.0, tuple(ts))
         a = rng.uniform(-1.0, 2.0, size=m)
         p, err = db.mvn_cdf(a, c)
         ref = multivariate_normal(mean=np.zeros(m), cov=c.covariance).cdf(a)
@@ -348,7 +360,7 @@ def test_mvn_error_estimate_covers_actual_error():
     rng = np.random.default_rng(2024)
     for _ in range(24):
         ts = np.cumsum(rng.uniform(0.3, 2.0, size=3))
-        c = db.build_correlation(0.0, tuple(ts))
+        c = db.CorrelationStructure(0.0, tuple(ts))
         a = rng.uniform(-1.8, 1.8, size=3)
         p, err = db.mvn_cdf(a, c)
         truth = gl_mvn_cdf(a, c.covariance, n=80)
@@ -362,7 +374,7 @@ def test_mvn_every_sign_pattern_in_three_dimensions():
     rng = np.random.default_rng(303)
     for _ in range(4):
         ts = np.cumsum(rng.uniform(0.3, 2.0, size=3))
-        c = db.build_correlation(0.0, tuple(ts))
+        c = db.CorrelationStructure(0.0, tuple(ts))
         a = rng.uniform(-1.8, 1.8, size=3)
         for signs in itertools.product((1, -1), repeat=3):
             s = np.array(signs, dtype=float)
@@ -382,7 +394,7 @@ def test_mvn_near_coincident_dates_against_conditional_oracle(position, signs):
     for e in range(-12, 1):
         gap = 10.0**e
         taus = (1.0, 1.0 + gap, 2.5) if position == "first" else (1.0, 2.0, 2.0 + 2.0 * gap)
-        p, err = db.mvn_cdf(a, db.build_correlation(0.0, taus), signs)
+        p, err = db.mvn_cdf(a, db.CorrelationStructure(0.0, taus), signs)
         truth = conditional_chain_cdf3(a, taus, signs)
         assert abs(p - truth) <= 1e-9, (gap, p, truth)
         assert err <= 1e-9
@@ -402,7 +414,7 @@ def test_mvn_near_coincident_dates_against_conditional_oracle(position, signs):
 def test_mvn_interior_near_coincident_dates_against_conditional_oracle(g1, g2, signs):
     a = (0.3, 0.35, 0.32, -0.2)
     taus = (1.0, 1.0 + g1, 1.0 + g1 + g2, 2.5)
-    p, err = db.mvn_cdf(a, db.build_correlation(0.0, taus), signs)
+    p, err = db.mvn_cdf(a, db.CorrelationStructure(0.0, taus), signs)
     truth = conditional_chain_cdf4(a, taus, signs)
     assert abs(p - truth) <= err, (p, truth, err)
     assert err <= 1e-7
@@ -410,7 +422,7 @@ def test_mvn_interior_near_coincident_dates_against_conditional_oracle(g1, g2, s
 
 def test_mvn_rejects_matrix_limits():
     with pytest.raises(DomainError):
-        db.mvn_cdf([[0.0, 0.0]], db.build_correlation(0.0, (1.0, 2.0)))
+        db.mvn_cdf([[0.0, 0.0]], db.CorrelationStructure(0.0, (1.0, 2.0)))
 
 
 @pytest.mark.parametrize("limits", [
@@ -423,7 +435,7 @@ def test_mvn_rejects_matrix_limits():
 ])
 def test_mvn_rejects_malformed_limits(limits):
     with pytest.raises(DomainError):
-        db.mvn_cdf(limits, db.build_correlation(0.0, (1.0, 2.0)))
+        db.mvn_cdf(limits, db.CorrelationStructure(0.0, (1.0, 2.0)))
 
 
 @pytest.mark.parametrize("signs", [
@@ -437,11 +449,11 @@ def test_mvn_rejects_malformed_limits(limits):
 ])
 def test_mvn_rejects_malformed_signs(signs):
     with pytest.raises(DomainError):
-        db.mvn_cdf([0.1, 0.2], db.build_correlation(0.0, (1.0, 2.0)), signs)
+        db.mvn_cdf([0.1, 0.2], db.CorrelationStructure(0.0, (1.0, 2.0)), signs)
 
 
 def _chain(d: int):
-    return db.build_correlation(0.0, tuple(1.0 + k for k in range(d)))
+    return db.CorrelationStructure(0.0, tuple(1.0 + k for k in range(d)))
 
 
 def test_mvn_accepts_array_and_tuple_inputs_alike():
@@ -521,7 +533,7 @@ def test_mvn_rejects_mismatched_dimensions(d, signs):
 ])
 def test_correlation_rejects_non_finite_dates(t, expiries):
     with pytest.raises(ScheduleError):
-        db.build_correlation(t, expiries)
+        db.CorrelationStructure(t, expiries)
 
 
 # A +-1 pair merged by box reduction leaves a coordinate bounded on both
@@ -555,7 +567,7 @@ def test_mvn_cancelling_boxes_keep_relative_accuracy(limits, expiries, signs, tr
     # the first is the box behind a shift-equality failure: P(X > 2.6,
     # Y < -1.6) at correlation sqrt(1/2) was 3.5e-9 low relative when taken
     # as Phi(-2.6) minus an upper orthant of about 4.7e-3
-    p, _ = db.mvn_cdf(list(limits), db.build_correlation(0.0, expiries), signs)
+    p, _ = db.mvn_cdf(list(limits), db.CorrelationStructure(0.0, expiries), signs)
     assert p == pytest.approx(truth, rel=1e-13, abs=0.0)
 
 
@@ -597,7 +609,7 @@ def test_boxes_a_bound_proves_empty_skip_the_quadrature(monkeypatch, limits, rho
     taus = [1.0]
     for r in rho:
         taus.append(taus[-1] / r**2)
-    corr = db.build_correlation(0.0, taus)
+    corr = db.CorrelationStructure(0.0, taus)
     assert corr.rho == rho
 
     def no_quadrature(*args):
@@ -623,7 +635,7 @@ def test_bvnu_tables_are_the_gauss_legendre_rules():
 def test_mvn_two_sided_pair_matches_bivariate_difference():
     # P(-a_2 <= X_1 <= a_1, X_3 <= a_3) where the difference of bivariate
     # CDFs keeps its digits
-    c = db.build_correlation(0.0, ULP_PAIR)
+    c = db.CorrelationStructure(0.0, ULP_PAIR)
     r = math.sqrt(1.0 / 3.0)
     rng = np.random.default_rng(8)
     for _ in range(40):
@@ -653,7 +665,7 @@ def test_mvn_two_sided_coordinate_inside_a_chain(pair):
     whole = conditional_chain_cdf3(a, taus, (1, 1, 1))
     below = conditional_chain_cdf3([-c if k == pair else v for k, v in enumerate(a)], taus, (1, 1, 1))
     assert whole - below > 1e-4 * whole  # the difference does not cancel
-    p, err = db.mvn_cdf(limits, db.build_correlation(0.0, expiries), signs)
+    p, err = db.mvn_cdf(limits, db.CorrelationStructure(0.0, expiries), signs)
     assert p == pytest.approx(whole - below, rel=0.0, abs=1e-13)
     assert err <= 1e-14
 
@@ -672,7 +684,7 @@ def test_bivariate_negative_correlation_tail(a, b, rho, truth, rel):
 
 
 def test_mvn_extreme_box_is_zero_without_nan():
-    c = db.build_correlation(0.0, (1.0, 2.0, 3.0, 4.0))
+    c = db.CorrelationStructure(0.0, (1.0, 2.0, 3.0, 4.0))
     p, err = db.mvn_cdf([-30.0, -30.0, -30.0, -30.0], c)
     assert p == 0.0
     assert math.isfinite(err)
@@ -695,7 +707,7 @@ def test_mvn_chain_upper_tail_keeps_relative_accuracy(x3, window):
     if window:
         truth -= conditional_chain_cdf3([0.5, 1.0, -6.0], taus, (1, 1, -1))
         expiries = taus + (math.nextafter(3.0, INF),)
-        p, _ = db.mvn_cdf([0.5, 1.0, x3, 6.0], db.build_correlation(0.0, expiries), (1, 1, -1, 1))
+        p, _ = db.mvn_cdf([0.5, 1.0, x3, 6.0], db.CorrelationStructure(0.0, expiries), (1, 1, -1, 1))
     else:
-        p, _ = db.mvn_cdf([0.5, 1.0, x3], db.build_correlation(0.0, taus), (1, 1, -1))
+        p, _ = db.mvn_cdf([0.5, 1.0, x3], db.CorrelationStructure(0.0, taus), (1, 1, -1))
     assert p == pytest.approx(truth, rel=1e-8, abs=0.0)

@@ -97,7 +97,8 @@ def test_negative_growth_small_spot_boundary(market):
     grid = GridSpec.auto(market, schedule, 150.0, rec, n_space=1024, n_time_per_interval=1024)
     sol = db.solve_endogenous_cascade(market, schedule, rec, grid)
     x = 1.5 * grid.x_min
-    closed = db.relative_price_endogenous(market, schedule, rec, x, 0.0)
+    V = x * math.exp(-market.r * schedule.maturity)
+    closed = db.price_endogenous(market, schedule, rec, V, 0.0).relative_price
     assert sample(sol, x, 0.0) == pytest.approx(closed, abs=2e-5)
 
 
@@ -143,11 +144,10 @@ def test_base_scenario_cross_oracle(market, schedule, exo, endo_high_barrier):
     zero = db.RecoveryModel("exogenous", 0.0)
     sol_w = db.solve_exogenous_cascade(market, schedule, zero, GridSpec.auto(market, schedule, x, zero, 1024, 512))
     for t in (0.0, 2.0, 3.0, 5.0):
-        u_closed = db.relative_price_endogenous(market, schedule, endo_high_barrier, x, t)
+        V = x * math.exp(-market.r * (6.0 - t))
+        u_closed = db.price_endogenous(market, schedule, endo_high_barrier, V, t).relative_price
         assert sample(sol_e, x, t) == pytest.approx(u_closed, abs=1e-4)
-        rep = db.price_exogenous(
-            market, schedule, exo, x * math.exp(-market.r * (6.0 - t)), t
-        )
+        rep = db.price_exogenous(market, schedule, exo, V, t)
         assert sample(sol_x, x, t) == pytest.approx(rep.relative_price, abs=1e-4)
         assert sample(sol_w, x, t) == pytest.approx(rep.survival_prob, abs=1e-4)
 
@@ -189,8 +189,9 @@ def test_second_order_convergence(market):
         grid = GridSpec.auto(market, schedule, 200.0, rec, n_space=n, n_time_per_interval=n)
         sol = db.solve_endogenous_cascade(market, schedule, rec, grid)
         out = []
+        df = math.exp(-market.r * schedule.maturity)
         for x in probes:
-            closed = db.relative_price_endogenous(market, schedule, rec, x, 0.0)
+            closed = db.price_endogenous(market, schedule, rec, x * df, 0.0).relative_price
             out.append(sample(sol, x, 0.0) - closed)
         return np.linalg.norm(out)
 

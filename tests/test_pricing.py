@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -57,18 +58,19 @@ ENDO = db.RecoveryModel("endogenous", 0.5, n=1.0)
         ("price_exogenous", ENDO, 100.0, 0.0, "recovery model must be exogenous"),
         ("price_endogenous", ENDO, math.inf, 0.0, "firm value must be positive"),
         ("price_endogenous", EXO, 100.0, 0.0, "recovery model must be endogenous"),
-        ("relative_price_endogenous", ENDO, 0.0, 0.0, "spot must be positive"),
-        ("relative_price_endogenous", EXO, 100.0, 0.0, "recovery model must be endogenous"),
         ("survival_probability", None, math.nan, 0.0, "spot must be positive"),
-        ("credit_spread", EXO, 0.0, 0.0, "firm value must be positive"),
-        ("credit_spread", ENDO, -1.0, 0.0, "firm value must be positive"),
-        ("credit_spread", ENDO, 100.0, 6.0, "undefined at or past maturity"),
+    ] + [
+        # an evaluation time outside [0, T) is named before any discounting
+        (name, recovery, 100.0, t, f"t={t} outside [0, 6.0)")
+        for name, recovery in (("price_exogenous", EXO), ("price_endogenous", ENDO),
+                               ("survival_probability", None))
+        for t in (6.0, -0.1, math.nan, math.inf, 1e4)
     ],
 )
 def test_input_errors_name_the_called_function(market, schedule, name, recovery, spot, t, message):
-    # credit_spread takes either recovery mode and survival_probability none
+    # survival_probability takes no recovery model
     args = (market, schedule) if recovery is None else (market, schedule, recovery)
-    with pytest.raises(DomainError, match=f"^{name}: {message}"):
+    with pytest.raises(DomainError, match="^" + re.escape(f"{name}: {message}")):
         getattr(db, name)(*args, spot, t)
 
 
@@ -167,8 +169,9 @@ def test_mixed_regime_matches_capped_last_barrier(market, schedule):
     mixed = db.DefaultSchedule(schedule.dates, schedule.intensities, (60.0, 150.0))
     uniform = db.DefaultSchedule(schedule.dates, schedule.intensities, (60.0, 100.0))
     for t in (0.0, 1.5, 3.0, 4.5):
-        u_mixed = db.relative_price_endogenous(market, mixed, rec, 200.0, t)
-        u_uniform = db.relative_price_endogenous(market, uniform, rec, 200.0, t)
+        V = 200.0 * math.exp(-market.r * (schedule.maturity - t))
+        u_mixed = db.price_endogenous(market, mixed, rec, V, t).relative_price
+        u_uniform = db.price_endogenous(market, uniform, rec, V, t).relative_price
         assert u_mixed == pytest.approx(u_uniform, abs=1e-12)
 
 
@@ -177,8 +180,9 @@ def test_regime_tie_is_accepted_and_continuous(market, schedule):
     # forms agree across the boundary
     tie = db.RecoveryModel("endogenous", 0.5, n=50.0)  # cap exactly 100
     just_below = db.RecoveryModel("endogenous", 0.5, n=50.0 * (1 - 1e-9))  # cap < 100
-    u_tie = db.relative_price_endogenous(market, schedule, tie, 200.0, 0.0)
-    u_below = db.relative_price_endogenous(market, schedule, just_below, 200.0, 0.0)
+    V = 200.0 * math.exp(-market.r * schedule.maturity)
+    u_tie = db.price_endogenous(market, schedule, tie, V, 0.0).relative_price
+    u_below = db.price_endogenous(market, schedule, just_below, V, 0.0).relative_price
     assert u_tie == pytest.approx(u_below, abs=1e-6)
 
 
@@ -211,11 +215,11 @@ def test_zero_recovery_equals_bare_survival(market, schedule):
     rec = db.RecoveryModel("endogenous", 0.0, n=1.0)
     exo = db.RecoveryModel("exogenous", 0.0)
     for t, x in ((0.0, 200.0), (4.0, 140.0)):
-        u = db.relative_price_endogenous(market, schedule, rec, x, t)
+        df = math.exp(-market.r * (schedule.maturity - t))
+        assert x * df / df == x  # both reports price at the same x
+        u = db.price_endogenous(market, schedule, rec, x * df, t).relative_price
         w = db.survival_probability(market, schedule, x, t)
         assert u == w
-        df = math.exp(-market.r * (schedule.maturity - t))
-        assert x * df / df == x  # the report prices at the same x
         rep = db.price_exogenous(market, schedule, exo, x * df, t)
         assert rep.relative_price == u and rep.survival_prob == w
 
@@ -226,13 +230,14 @@ def test_zero_intensity_low_recovery_collapses_to_barrier_cascade(market):
         "bond", (1, 1), (100.0, 100.0), (3.0, 6.0), db.BsCoefficients(0.0, 0.05, 1.0)
     )
     pure = price_binary(cascade, 200.0, 0.0)
-    u0 = db.relative_price_endogenous(
-        market, schedule, db.RecoveryModel("endogenous", 0.0, n=1.0), 200.0, 0.0
-    )
+    V = 200.0 * math.exp(-market.r * schedule.maturity)
+    u0 = db.price_endogenous(
+        market, schedule, db.RecoveryModel("endogenous", 0.0, n=1.0), V, 0.0
+    ).relative_price
     assert u0 == pytest.approx(pure, abs=1e-12)
-    tiny = db.relative_price_endogenous(
-        market, schedule, db.RecoveryModel("endogenous", 1e-12, n=1.0), 200.0, 0.0
-    )
+    tiny = db.price_endogenous(
+        market, schedule, db.RecoveryModel("endogenous", 1e-12, n=1.0), V, 0.0
+    ).relative_price
     assert tiny == pytest.approx(pure, abs=1e-9)
 
 
@@ -241,7 +246,13 @@ def test_price_endogenous_composition(market, schedule, endo_high_barrier):
     df = math.exp(-market.r * schedule.maturity)
     V = 200.0 * df
     rep = db.price_endogenous(market, schedule, endo_high_barrier, V, t)
-    u = db.relative_price_endogenous(market, schedule, endo_high_barrier, 200.0, t)
+    # the relative price is the term sum at x = V / df
+    assert V / df == 200.0
+    u = sum(
+        w * (price_binary(spec, 200.0, t) if isinstance(spec, db.BinarySpec)
+             else db.integral_binary(spec, 200.0, t)[0])
+        for w, spec in _terms(market, schedule, endo_high_barrier.cap, 0, t)
+    )
     assert rep.price == pytest.approx(df * u, abs=1e-15)
     assert rep.relative_price == pytest.approx(u, abs=1e-15)
     assert rep.survival_prob is None
@@ -426,19 +437,22 @@ def test_three_date_endogenous_price_is_pinned():
 
 def test_spread_trivials(market, schedule):
     riskless = db.RecoveryModel("exogenous", 1.0)
-    assert db.credit_spread(market, schedule, riskless, 120.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+    rep = db.price_exogenous(market, schedule, riskless, 120.0, 0.0)
+    assert rep.credit_spread == pytest.approx(0.0, abs=1e-12)
     calm = db.DefaultSchedule((0.0, 3.0, 6.0), (0.0, 0.0), (1e-10, 1e-10))
     rec = db.RecoveryModel("exogenous", 0.3)
-    assert db.credit_spread(market, calm, rec, 120.0, 0.0) == pytest.approx(0.0, abs=1e-10)
+    assert db.price_exogenous(market, calm, rec, 120.0, 0.0).credit_spread == pytest.approx(
+        0.0, abs=1e-10
+    )
     with pytest.raises(DomainError):
-        db.credit_spread(market, schedule, rec, 120.0, 6.0)
+        db.price_exogenous(market, schedule, rec, 120.0, 6.0)
 
 
 def test_spread_endogenous_uses_general_definition(market, schedule, endo_high_barrier):
     df = math.exp(-market.r * schedule.maturity)
-    u = db.relative_price_endogenous(market, schedule, endo_high_barrier, 200.0, 0.0)
-    cs = db.credit_spread(market, schedule, endo_high_barrier, 200.0 * df, 0.0)
-    assert cs == pytest.approx(-math.log(u) / 6.0, abs=1e-12)
+    rep = db.price_endogenous(market, schedule, endo_high_barrier, 200.0 * df, 0.0)
+    cs = rep.credit_spread
+    assert cs == pytest.approx(-math.log(rep.relative_price) / 6.0, abs=1e-12)
     assert cs >= 0.0
 
 
@@ -446,7 +460,7 @@ def test_spread_base_composition(market, schedule, exo):
     df = math.exp(-market.r * schedule.maturity)
     w = db.survival_probability(market, schedule, 200.0, 0.0)
     expected = -math.log(0.5 + 0.5 * w) / 6.0
-    assert db.credit_spread(market, schedule, exo, 200.0 * df, 0.0) == pytest.approx(
+    assert db.price_exogenous(market, schedule, exo, 200.0 * df, 0.0).credit_spread == pytest.approx(
         expected, abs=1e-12
     )
 
@@ -480,7 +494,8 @@ def test_assembly_via_shifted_coefficients_matches(market, schedule, endo_high_b
 
         u_shifted += w * _adaptive_quad(integrand, spec.lower, spec.upper)[0]
 
-    u_direct = db.relative_price_endogenous(market, schedule, endo_high_barrier, x, t)
+    V = x * math.exp(-market.r * (schedule.maturity - t))
+    u_direct = db.price_endogenous(market, schedule, endo_high_barrier, V, t).relative_price
     assert u_shifted == pytest.approx(u_direct, rel=1e-10)
 
 
@@ -609,7 +624,8 @@ def test_many_dates_approach_shifted_continuous_barrier_endogenous(
     gaps = []
     for n in (8, 16, 32, 64):
         schedule = db.DefaultSchedule(tuple(k * T / n for k in range(n + 1)), (0.0,) * n, (barrier,) * n)
-        discrete = db.relative_price_endogenous(market, schedule, recovery, x, 0.0)
+        V = x * math.exp(-r * schedule.maturity)
+        discrete = db.price_endogenous(market, schedule, recovery, V, 0.0).relative_price
         continuous = []
         for k in (barrier * math.exp(-0.5826 * sigma * math.sqrt(T / n)), barrier):
             w = _black_cox_survival(x, k, b, sigma, T)
@@ -713,18 +729,20 @@ def test_price_monotone_in_recovery_vol_and_spot(market, schedule):
     assert prices_x[0] < prices_x[1] < prices_x[2]
 
     spreads_R = [
-        db.credit_spread(market, schedule, db.RecoveryModel("exogenous", R), 200.0 * df, 0.0)
+        db.price_exogenous(market, schedule, db.RecoveryModel("exogenous", R), 200.0 * df, 0.0)
+        .credit_spread
         for R in (0.2, 0.5, 0.95)
     ]
     assert spreads_R[0] > spreads_R[1] > spreads_R[2]
 
     spreads_s = [
-        db.credit_spread(db.MarketParams(0.1, 0.05, s), schedule, rec, 200.0 * df, 0.0)
+        db.price_exogenous(db.MarketParams(0.1, 0.05, s), schedule, rec, 200.0 * df, 0.0).credit_spread
         for s in (0.5, 1.0, 1.5)
     ]
     assert spreads_s[0] < spreads_s[1] < spreads_s[2]
 
     spreads_x = [
-        db.credit_spread(market, schedule, rec, x * df, 0.0) for x in (200.0, 350.0, 500.0)
+        db.price_exogenous(market, schedule, rec, x * df, 0.0).credit_spread
+        for x in (200.0, 350.0, 500.0)
     ]
     assert spreads_x[0] > spreads_x[1] > spreads_x[2]
