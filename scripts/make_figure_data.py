@@ -38,7 +38,7 @@ def main() -> int:
         code = cli.main(argv)
         if code != cli.EXIT_OK:
             return code
-        print(f"wrote {path}  ({FIGURE_PRESETS[fig].name})")
+        print(f"wrote {path}")
     return cli.EXIT_OK
 
 

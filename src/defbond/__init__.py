@@ -30,7 +30,6 @@ from .pricing import (
     MarketParams,
     PriceReport,
     RecoveryModel,
-    locate_interval,
     price_endogenous,
     price_exogenous,
     survival_probability,
@@ -82,7 +81,6 @@ __all__ = [
     "bivariate_cdf",
     "integral_binary",
     "load_scenario",
-    "locate_interval",
     "mvn_cdf",
     "parse_scenario",
     "price_binary",

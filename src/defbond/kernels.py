@@ -97,9 +97,8 @@ def _conditional_box(lo, hi, r: float) -> float:
     """
     if _tail_mass(lo[1], hi[1]) < _tail_mass(lo[0], hi[0]):
         lo, hi = lo[::-1], hi[::-1]
+    # both callers pass lo < hi in each coordinate, so a < b
     a, b = max(lo[0], min(hi[0], 0.0) - _L), min(hi[0], max(lo[0], 0.0) + _L)
-    if a >= b:
-        return 0.0
     s = math.sqrt((1.0 - r) * (1.0 + r))
     if _largest_mass(lo[1], hi[1], r, s, a, b) == 0.0:
         return 0.0

@@ -80,7 +80,10 @@ def simulate_price(
 
     maturity = schedule.maturity
     df = math.exp(-market.r * (maturity - t))
-    x0 = V0 / df
+    # for a subnormal V0 and r < 0, V0 / df underflows to 0; the relative
+    # price is flat there, so the smallest positive float prices it, as in
+    # the closed form
+    x0 = max(V0 / df, math.ulp(0.0))
 
     # remaining announcing dates (strictly after t; an evaluation exactly on a
     # date treats that date's barrier as already passed)

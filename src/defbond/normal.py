@@ -201,6 +201,10 @@ def _orthant(h: float, k: float, r: float) -> float:
     marginal it is recomputed as a positive conditional integral, so tail
     orthants keep their relative accuracy.
     """
+    # Phi is exactly 0 or 1 past +-_PHI_ZERO, so such a limit is taken as
+    # infinite; that also keeps h * k finite in _bvnu
+    if not (_PHI_ZERO < h < -_PHI_ZERO and _PHI_ZERO < k < -_PHI_ZERO):
+        h, k = (math.copysign(_INF, v) if abs(v) >= -_PHI_ZERO else v for v in (h, k))
     if r >= 0.0:
         return _bvnu(h, k, r)
     if k > h:
@@ -220,9 +224,6 @@ def bivariate_cdf(a: float, b: float, rho: float) -> float:
         raise DomainError("bivariate_cdf: NaN argument")
     if abs(rho) > 1.0:
         raise DomainError(f"bivariate_cdf: |rho| = {abs(rho)} > 1")
-    # Phi is exactly 0 or 1 past +-_PHI_ZERO, so such a limit is taken as
-    # infinite; that also keeps h * k finite in _bvnu
-    a, b = (math.copysign(_INF, v) if abs(v) >= -_PHI_ZERO else v for v in (a, b))
     if rho == -1.0:
         return max(0.0, _phi(a) - _phi(-b))
     return _orthant(-a, -b, rho)

@@ -29,7 +29,6 @@ __all__ = [
     "DefaultSchedule",
     "RecoveryModel",
     "PriceReport",
-    "locate_interval",
     "price_endogenous",
     "survival_probability",
     "price_exogenous",
@@ -149,11 +148,6 @@ def _interval(schedule: DefaultSchedule, t: float, caller: str) -> int:
     return bisect_right(schedule.dates, t) - 1
 
 
-def locate_interval(schedule: DefaultSchedule, t: float) -> int:
-    """Index i with ``t_i <= t < t_{i+1}``."""
-    return _interval(schedule, t, "locate_interval")
-
-
 def _jump_survival(schedule: DefaultSchedule, i: int, t: float, m: int) -> float:
     """Probability of no jump default on (t, t_{m+1}] for t in interval i <= m."""
     lam, dates = schedule.intensities, schedule.dates
@@ -262,9 +256,10 @@ def _report(market, schedule, recovery, V: float, t: float, caller: str) -> Pric
     remaining = schedule.maturity - t
     df = math.exp(-market.r * remaining)
     # V / df overflows for V near the largest float, and for every V once df
-    # underflows to 0.  Far above every barrier and the cap the relative
-    # price is flat in x, so the largest float prices it.
-    x = V / df if V < df * sys.float_info.max else sys.float_info.max
+    # underflows to 0; it underflows to 0 for a subnormal V when r < 0.  Far
+    # above every barrier and the cap, and far below them, the relative price
+    # is flat in x, so the largest or the smallest positive float prices it.
+    x = max(V / df, math.ulp(0.0)) if V < df * sys.float_info.max else sys.float_info.max
     w, cdf_err, quad_err = _sum_terms(market, schedule, recovery.cap, x, i, t, caller)
     exogenous = recovery.mode == "exogenous"
     floor = recovery.R if exogenous else 0.0

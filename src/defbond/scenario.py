@@ -88,6 +88,13 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _mapping(doc: dict, key: str) -> dict:
+    section = _require(doc, key, "scenario")
+    if not isinstance(section, dict):
+        raise ScenarioError("BAD_VALUE", f"{key} must be a mapping")
+    return section
+
+
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError("BAD_VALUE", f"{where} must be a number, got {value!r}")
@@ -113,15 +120,11 @@ def parse_scenario(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("BAD_FILE", "scenario document must be a mapping")
 
-    m = _require(doc, "market", "scenario")
-    if not isinstance(m, dict):
-        raise ScenarioError("BAD_VALUE", "market must be a mapping")
+    m = _mapping(doc, "market")
     rates = {key: _number(_require(m, key, "market"), f"market.{key}") for key in ("r", "b", "s_V")}
     market = _build("BAD_VALUE", MarketParams, **rates)
 
-    s = _require(doc, "schedule", "scenario")
-    if not isinstance(s, dict):
-        raise ScenarioError("BAD_VALUE", "schedule must be a mapping")
+    s = _mapping(doc, "schedule")
     dates = _number_list(_require(s, "dates", "schedule"), "schedule.dates")
     intensities = _number_list(_require(s, "intensities", "schedule"), "schedule.intensities")
     barriers = _number_list(_require(s, "barriers", "schedule"), "schedule.barriers")
@@ -138,18 +141,14 @@ def parse_scenario(doc: dict) -> Scenario:
         )
     schedule = _build("BAD_VALUE", DefaultSchedule, dates, intensities, barriers)
 
-    r = _require(doc, "recovery", "scenario")
-    if not isinstance(r, dict):
-        raise ScenarioError("BAD_VALUE", "recovery must be a mapping")
+    r = _mapping(doc, "recovery")
     mode = _require(r, "mode", "recovery")
     kwargs = {"mode": mode, "R": _number(_require(r, "R", "recovery"), "recovery.R")}
     if "n" in r:
         kwargs["n"] = _number(r["n"], "recovery.n")
     recovery = _build("BAD_VALUE", RecoveryModel, **kwargs)
 
-    e = _require(doc, "evaluation", "scenario")
-    if not isinstance(e, dict):
-        raise ScenarioError("BAD_VALUE", "evaluation must be a mapping")
+    e = _mapping(doc, "evaluation")
     t = _number(_require(e, "t", "evaluation"), "evaluation.t")
     has_x = "x" in e
     has_v = "V" in e

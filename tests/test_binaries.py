@@ -44,6 +44,9 @@ def test_spec_validation():
             BinarySpec("bond", (1, 1), (100.0, 100.0), (1.0, expiry), BASE)
     with pytest.raises(DomainError):
         BsCoefficients(0.0, 0.0, 0.0)
+    for r, q in ((math.nan, 0.0), (0.0, math.inf)):
+        with pytest.raises(DomainError):
+            BsCoefficients(r, q, 1.0)
 
 
 @pytest.mark.parametrize("order", [17, 32])
@@ -71,6 +74,8 @@ def test_price_argument_validation():
         price_binary(spec, 100.0, 1.0)
     with pytest.raises(ScheduleError):
         price_binary(spec, 100.0, 2.0)
+    with pytest.raises(DomainError):
+        shift_coefficients(spec, math.nan, 0.0)
 
 
 # ------------------------------------------------------------------ examples

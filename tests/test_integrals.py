@@ -32,6 +32,10 @@ def test_spec_validation():
     with pytest.raises(ScheduleError):
         # integration interval starts before the last fixed expiry
         WeightedIntegralSpec("bond", (1, 1), (100.0, 200.0), (4.0,), BASE, 0.01, 3.0, 6.0)
+    with pytest.raises(ScheduleError):
+        WeightedIntegralSpec(
+            "bond", (1, 1, 1), (90.0, 100.0, 200.0), (2.0, 2.0), BASE, 0.01, 3.0, 6.0
+        )
     # the kind, sign and strike checks of BinarySpec; a zero rate would
     # otherwise price a bogus kind to (0, 0)
     with pytest.raises(DomainError):
@@ -54,6 +58,8 @@ def test_evaluation_time_validation():
         integral_binary(spec, 200.0, 3.5)
     with pytest.raises(DomainError):
         integral_binary(spec, -1.0, 0.0)
+    with pytest.raises(ScheduleError):
+        integral_binary(order1("bond", 1, 200.0, 0.01, 3.0, 6.0), 200.0, 3.5)
 
 
 # ------------------------------------------------------------------ trivials
@@ -153,6 +159,20 @@ def test_dense_simpson_agreement():
     oracle = simpson_integral(f, 3.0, 6.0, 2**12)
     assert oracle == pytest.approx(SIMPSON_CASE_EXPECTED, abs=1e-10)
     assert val == pytest.approx(oracle, abs=1e-6)
+    assert abs(val - oracle) <= max(err, 1e-9)
+    # an integral that starts after its last fixed expiry has a smooth
+    # lower end: no boundary layer, a plain adaptive rule
+    spec = WeightedIntegralSpec("bond", (1, 1), (100.0, 200.0), (2.0,), BASE, lam, 3.0, 6.0)
+    val, err = integral_binary(spec, 200.0, 0.0)
+
+    def g(tau):
+        w = lam * math.exp(-lam * (tau - 3.0))
+        return w * price_binary(
+            BinarySpec("bond", (1, 1), (100.0, 200.0), (2.0, tau), BASE), 200.0, 0.0
+        )
+
+    oracle = simpson_integral(g, 3.0, 6.0, 2**12)
+    assert val == pytest.approx(oracle, abs=1e-9)
     assert abs(val - oracle) <= max(err, 1e-9)
 
 

@@ -92,6 +92,9 @@ def test_input_validation(market, schedule, exo):
         db.simulate_price(market, schedule, exo, -1.0, db.SimConfig(n_paths=100))
     with pytest.raises(DomainError):
         db.simulate_price(market, schedule, exo, 100.0, db.SimConfig(n_paths=100), t=6.0)
+    # the smallest budget, one antithetic pair, has no sample variance
+    pair = db.simulate_price(market, schedule, exo, 100.0, db.SimConfig(n_paths=2))
+    assert pair.std_error == math.inf
 
 
 # Reference outputs on the per-block SFC64 stream: date-major step normals,

@@ -95,6 +95,20 @@ def test_bivariate_marginalizes_at_inf():
         for rho in (-0.7, 0.0, 0.9):
             assert db.bivariate_cdf(a, INF, rho) == pytest.approx(db.std_normal_cdf(a), abs=1e-14)
             assert db.bivariate_cdf(INF, a, rho) == pytest.approx(db.std_normal_cdf(a), abs=1e-14)
+    # a limit past the saturation of Phi, +-37.68, is an infinite one to the
+    # last bit, at every correlation including -1
+    rng = np.random.default_rng(26)
+    edge = -normal._PHI_ZERO
+    inside = math.nextafter(edge, 0.0)
+    limits = rng.uniform(-9.0, 9.0, 60).tolist() + [
+        -1e300, -40.0, -edge, -inside, inside, edge, 40.0, 1e300
+    ]
+    saturate = {-1e300: -INF, -40.0: -INF, -edge: -INF, edge: INF, 40.0: INF, 1e300: INF}
+    for rho in rng.uniform(-1.0, 1.0, 8).tolist() + [-1.0, -0.5, 0.0, 0.5, 1.0]:
+        for a in limits:
+            for b in rng.choice(limits, 6).tolist() + [-1e300, 1e300]:
+                expected = db.bivariate_cdf(saturate.get(a, a), saturate.get(b, b), rho)
+                assert db.bivariate_cdf(a, b, rho) == expected, (a, b, rho)
 
 
 def test_bivariate_known_value():
@@ -212,6 +226,8 @@ def test_last_date_chains_check_the_fixed_dates(t, fixed):
 def test_build_correlation_rejects_bad_order():
     with pytest.raises(ScheduleError):
         db.CorrelationStructure(0.0, (3.0, 3.0))
+    with pytest.raises(ScheduleError):
+        db.CorrelationStructure(0.0, ())
     with pytest.raises(ScheduleError):
         db.CorrelationStructure(5.0, (3.0, 6.0))
 
@@ -688,6 +704,9 @@ def test_mvn_extreme_box_is_zero_without_nan():
     p, err = db.mvn_cdf([-30.0, -30.0, -30.0, -30.0], c)
     assert p == 0.0
     assert math.isfinite(err)
+    # a finite limit past +-37.68 saturates in two dimensions, as in
+    # bivariate_cdf, so h * k cannot overflow to NaN
+    assert db.mvn_cdf([1e200, 1e200], db.CorrelationStructure(0.0, (1.0, 2.0))) == (1.0, 5e-15)
 
 
 def test_bivariate_near_degenerate_matches_collapse_limit():

@@ -8,7 +8,7 @@ from scipy.linalg import lapack
 import defbond as db
 from defbond.binaries import BinarySpec, BsCoefficients, price_binary
 from defbond.errors import DomainError
-from defbond.pde import CascadeSolution, GridSpec, _bracket, _Stepper, sample
+from defbond.pde import CascadeSolution, GridSpec, _bracket, _edges, _Stepper, sample
 
 from oracles import propagate_terminal
 
@@ -100,6 +100,30 @@ def test_negative_growth_small_spot_boundary(market):
     V = x * math.exp(-market.r * schedule.maturity)
     closed = db.price_endogenous(market, schedule, rec, V, 0.0).relative_price
     assert sample(sol, x, 0.0) == pytest.approx(closed, abs=2e-5)
+
+
+def test_zero_growth_small_spot_boundary(market):
+    # b + lam = 0 exactly: the small-spot slope stays constant, c = 1 +
+    # lam (t_{i+1} - t), the g -> 0 limit of the g != 0 solution; the
+    # symmetric mean of g = +-1e-9 cancels the first-order term
+    lam, t_hi = 0.02, 3.0
+
+    def near(g):
+        return _edges(g - lam, lam, t_hi, 0.01, 0.0, 0.25, 1.0)[0]
+
+    for t in (0.0, 1.0, 2.9):
+        limit = 0.5 * (near(1e-9)(t) + near(-1e-9)(t))
+        assert abs(near(0.0)(t) - limit) <= 1e-12, t
+    # a cascade with b = -lam in every interval against the closed form
+    market = db.MarketParams(market.r, -lam, market.s_V)
+    schedule = db.DefaultSchedule((0.0, 3.0, 6.0), (lam, lam), (100.0, 100.0))
+    rec = db.RecoveryModel("endogenous", 0.5, n=50.0)
+    grid = GridSpec.auto(market, schedule, 200.0, rec, n_space=512, n_time_per_interval=256)
+    sol = db.solve_endogenous_cascade(market, schedule, rec, grid)
+    for x in (60.0, 100.0, 200.0, 400.0):
+        V = x * math.exp(-market.r * schedule.maturity)
+        closed = db.price_endogenous(market, schedule, rec, V, 0.0).relative_price
+        assert sample(sol, x, 0.0) == pytest.approx(closed, abs=1e-3), x
 
 
 def test_recovery_mode_mismatch_rejected(market, schedule, exo, endo_high_barrier):

@@ -30,6 +30,12 @@ def test_schedule_validation():
         db.DefaultSchedule((0.0, 3.0, 2.0), (0.1, 0.1), (100.0, 100.0))
     with pytest.raises(ScheduleError):
         db.DefaultSchedule((0.0, 3.0), (0.1, 0.1), (100.0,))
+    with pytest.raises(ScheduleError):
+        db.DefaultSchedule((0.0, 3.0), (0.1,), (100.0, 100.0))
+    with pytest.raises(ScheduleError):
+        db.DefaultSchedule((0.0,), (), ())
+    with pytest.raises(ScheduleError):
+        db.DefaultSchedule((0.0, math.inf), (0.1,), (100.0,))
     with pytest.raises(DomainError):
         db.DefaultSchedule((0.0, 3.0), (-0.1,), (100.0,))
     with pytest.raises(DomainError):
@@ -74,17 +80,14 @@ def test_input_errors_name_the_called_function(market, schedule, name, recovery,
         getattr(db, name)(*args, spot, t)
 
 
-# ---------------------------------------------------------- locate_interval
+# ----------------------------------------------------------- interval index
 
 
-def test_locate_interval(schedule):
-    assert db.locate_interval(schedule, 0.0) == 0
-    assert db.locate_interval(schedule, 3.0) == 1
-    assert db.locate_interval(schedule, 5.9) == 1
-    with pytest.raises(DomainError):
-        db.locate_interval(schedule, 6.0)
-    with pytest.raises(DomainError):
-        db.locate_interval(schedule, -0.1)
+def test_report_locates_the_interval(market, schedule, exo):
+    # t_i <= t < t_{i+1}; test_input_errors_name_the_called_function rejects
+    # a t outside [0, T)
+    for t, index in ((0.0, 0), (3.0, 1), (5.9, 1)):
+        assert db.price_exogenous(market, schedule, exo, 100.0, t).interval_index == index
 
 
 # -------------------------------------------------------- survival / exo
@@ -290,13 +293,26 @@ def test_bundled_scenarios_at_extreme_spots_and_next_to_dates(name):
             assert all(math.isfinite(v) for v in rep.diagnostics.values()), (V, t)
 
 
-def test_prices_when_the_discount_underflows(market, exo, endo_high_barrier):
+def test_prices_when_the_discount_underflows(market, schedule, exo, endo_high_barrier):
     # exp(-0.1 * 8000) underflows to 0, so V / df has no finite value
-    schedule = db.DefaultSchedule((0.0, 4000.0, 8000.0), (0.002, 0.005), (100.0, 100.0))
+    far = db.DefaultSchedule((0.0, 4000.0, 8000.0), (0.002, 0.005), (100.0, 100.0))
     for price, rec in ((db.price_exogenous, exo), (db.price_endogenous, endo_high_barrier)):
-        rep = price(market, schedule, rec, 100.0, 0.0)
+        rep = price(market, far, rec, 100.0, 0.0)
         assert rep.price == 0.0 and 0.0 < rep.relative_price <= 1.0
         assert math.isfinite(rep.credit_spread)
+    # at r < 0 a subnormal V / df underflows to 0 instead; it prices at the
+    # smallest float, where the relative price is flat, as in Monte Carlo
+    market = db.MarketParams(-0.5, market.b, market.s_V)
+    df = math.exp(0.5 * schedule.maturity)
+    rep = db.price_exogenous(market, schedule, exo, 5e-324, 0.0)
+    tiny = db.price_exogenous(market, schedule, exo, 1e-320, 0.0)
+    assert rep.relative_price == tiny.relative_price == 0.5
+    rep_endo = db.price_endogenous(market, schedule, endo_high_barrier, 5e-324, 0.0)
+    assert 0.0 <= rep_endo.price <= df
+    config = db.SimConfig(n_paths=1000, seed=3)
+    assert db.simulate_price(market, schedule, exo, 5e-324, config).price_estimate == rep.price
+    mc_endo = db.simulate_price(market, schedule, endo_high_barrier, 5e-324, config)
+    assert 0.0 <= mc_endo.price_estimate <= df
 
 
 def _floats_below(value, count):
@@ -473,7 +489,9 @@ def test_assembly_via_shifted_coefficients_matches(market, schedule, endo_high_b
     # interval intensity and undoing the shift with the scale relation;
     # integral terms rescale inside the integrand
     x, t = 200.0, 0.7
-    i = db.locate_interval(schedule, t)
+    V = x * math.exp(-market.r * (schedule.maturity - t))
+    report = db.price_endogenous(market, schedule, endo_high_barrier, V, t)
+    i = report.interval_index
     lam_i = schedule.intensities[i]
 
     def shifted_value(spec):
@@ -494,9 +512,7 @@ def test_assembly_via_shifted_coefficients_matches(market, schedule, endo_high_b
 
         u_shifted += w * _adaptive_quad(integrand, spec.lower, spec.upper)[0]
 
-    V = x * math.exp(-market.r * (schedule.maturity - t))
-    u_direct = db.price_endogenous(market, schedule, endo_high_barrier, V, t).relative_price
-    assert u_shifted == pytest.approx(u_direct, rel=1e-10)
+    assert u_shifted == pytest.approx(report.relative_price, rel=1e-10)
 
 
 # ------------------------------------------------------------- gluing

@@ -61,6 +61,15 @@ def test_parse_firm_value_given_directly(base_doc):
         (lambda d: d.update(sweep={"parameter": "x", "values": [[0.2, 0.3]]}), "BAD_SWEEP"),
         (lambda d: d.update(sweep={"parameter": "K1", "values": [[0.2, 0.3]]}), "BAD_SWEEP"),
         (lambda d: d.update(sweep={"parameter": "lambda0", "values": [[0.2, 0.3]]}), "BAD_SWEEP"),
+        (lambda d: d["schedule"].update(dates=[]), "BAD_VALUE"),
+        (lambda d: d.update(market=[0.1, 0.05, 1.0]), "BAD_VALUE"),
+        (lambda d: d.update(schedule="0, 3, 6"), "BAD_VALUE"),
+        (lambda d: d.update(recovery=0.5), "BAD_VALUE"),
+        (lambda d: d.update(evaluation=None), "BAD_VALUE"),
+        (lambda d: d["market"].update(s_V=0.0), "BAD_VALUE"),
+        (lambda d: d["schedule"].update(dates=[0.0, 3.0, math.inf]), "BAD_VALUE"),
+        (lambda d: d.update(sweep=["R", 0.2]), "BAD_SWEEP"),
+        (lambda d: d.update(sweep={"parameter": "R", "values": []}), "BAD_SWEEP"),
     ],
 )
 def test_parse_errors_carry_codes(base_doc, mutate, code):
@@ -96,9 +105,15 @@ def test_load_scenario_file(tmp_path, base_doc):
     path.write_text(yaml.safe_dump(base_doc), encoding="utf-8")
     scn = load_scenario(path)
     assert scn.evaluation.x == 200.0
-    with pytest.raises(ScenarioError) as exc:
-        load_scenario(tmp_path / "missing.yaml")
-    assert exc.value.code == "BAD_FILE"
+    # a missing file, a YAML syntax error, an empty file and a document that
+    # is no mapping
+    (tmp_path / "broken.yaml").write_text("market: {r: 0.1\n", encoding="utf-8")
+    (tmp_path / "empty.yaml").write_text("", encoding="utf-8")
+    (tmp_path / "list.yaml").write_text("- 0.1\n", encoding="utf-8")
+    for name in ("missing.yaml", "broken.yaml", "empty.yaml", "list.yaml"):
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(tmp_path / name)
+        assert exc.value.code == "BAD_FILE", name
 
 
 _SCENARIO_TEXT = """\
