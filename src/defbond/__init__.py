@@ -4,7 +4,7 @@ jump-default intensity.  Closed forms are assembled from higher-order binary
 options and their time-integrals; independent PDE and Monte Carlo engines
 verify them.
 
-The PDE and Monte Carlo names (``GridSpec``, ``simulate_price`` and the
+The PDE and Monte Carlo names (``GridSpec``, ``simulate_prices`` and the
 rest of their modules' public names here) are bound on first use, so
 importing the package and pricing in closed form loads no numpy.
 """
@@ -48,6 +48,7 @@ _ENGINES = {
     "McResult": "montecarlo",
     "SimConfig": "montecarlo",
     "simulate_price": "montecarlo",
+    "simulate_prices": "montecarlo",
 }
 
 
@@ -89,6 +90,7 @@ __all__ = [
     "sample",
     "shift_coefficients",
     "simulate_price",
+    "simulate_prices",
     "solve_endogenous_cascade",
     "solve_exogenous_cascade",
     "std_normal_cdf",

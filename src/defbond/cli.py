@@ -158,7 +158,7 @@ def cmd_validate(args) -> int:
     for name, value in (("--pde-tol", args.pde_tol), ("--mc-sigmas", args.mc_sigmas)):
         if not (math.isfinite(value) and value > 0.0):
             raise ScenarioError("BAD_VALUE", f"{name} must be positive and finite, got {value}")
-    # every argument is checked before the PDE solve, the slow part
+    # every argument is checked before the engines run, the slow part
     engines = sys.modules[__name__]  # the engines load here, through __getattr__
     sim = engines.SimConfig(n_paths=args.paths, seed=args.seed)
     x_ref = scenario.firm_value() / math.exp(
@@ -168,6 +168,11 @@ def cmd_validate(args) -> int:
     grid = engines.GridSpec.auto(
         market, schedule, x_ref, recovery, n_space=args.n_space, n_time_per_interval=args.n_time
     )
+    firms = [scenario.firm_value(t) for t in times]  # x-scenarios rescale V, V-scenarios hold it
+    # one call: probes with the same remaining dates share each block's
+    # draws; made before the solve, its scratch never sits beside the
+    # cascade's kept rows, which keeps the peak memory down
+    mcs = engines.simulate_prices(market, schedule, recovery, list(zip(firms, times)), sim)
     check = args.pde_tol if args.grid_check else None
     if recovery.mode == "exogenous":
         solve = engines.solve_exogenous_cascade
@@ -178,13 +183,11 @@ def cmd_validate(args) -> int:
     all_ok = True
     print(f"{'t':>6} {'closed':>14} {'pde':>14} {'|diff|':>10} "
           f"{'mc':>14} {'sigma':>6}  status")
-    for t in times:
+    for t, firm, mc in zip(times, firms, mcs):
         df = math.exp(-market.r * (schedule.maturity - t))
-        firm = scenario.firm_value(t)  # x-scenarios rescale V, V-scenarios hold it
         report = _price_report(scenario, t)
         closed = report.price
         pde_price = df * engines.sample(solution, firm / df, t)
-        mc = engines.simulate_price(market, schedule, recovery, firm, sim, t)
 
         pde_ok = abs(closed - pde_price) <= args.pde_tol
         # When every path pays the same the standard error is 0, yet the

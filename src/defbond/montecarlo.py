@@ -19,11 +19,27 @@ time order by one forward pass over the dates that keeps a single row of x: a
 jump inside the segment ending at date j comes first, then the barrier at
 date j.  The antithetic leg reuses the draws with a sign on the volatility,
 which IEEE arithmetic makes exact.
+
+The pass settles barrier defaults without branching selects.  A path's
+x_dead is 0 while it lives, so fmax(x_dead, x * hit) sets it to x at a hit
+and keeps it elsewhere (fmax drops the NaN of inf * 0), and
+maximum(paid(x_dead), alive) pays 1 to a survivor, since paid(0) <= 1, and
+paid(x_dead) >= 0 to a default.
+
+``simulate_prices`` takes several starts (V0, t).  Starts with the same first
+remaining date form a group, and each block's step normals and uniforms are
+drawn once for the group.  Its bridge normals are drawn once too, for the
+paths that can jump under the group's widest hazard bound; each start takes
+the prefix that its own bound selects, which is its own draw, because
+``standard_normal(k)`` returns the first k values of any longer draw.  So
+every start gets what it would get alone, bit for bit, and the starts of a
+group share common random numbers, as they would through one seed.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +47,7 @@ import numpy as np
 from .errors import DomainError
 from .pricing import DefaultSchedule, MarketParams, RecoveryModel
 
-__all__ = ["SimConfig", "McResult", "simulate_price"]
+__all__ = ["SimConfig", "McResult", "simulate_price", "simulate_prices"]
 
 _BLOCK = 1 << 16
 
@@ -45,6 +61,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_paths", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"SimConfig: {name} must be an integer, got {value!r}")
         if self.n_paths < 2 or self.n_paths % 2:
             raise DomainError("SimConfig: n_paths must be even and >= 2 (antithetic pairs)")
 
@@ -61,25 +81,11 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed % 2**64, block])))
 
 
-def simulate_price(
-    market: MarketParams,
-    schedule: DefaultSchedule,
-    recovery: RecoveryModel,
-    V0: float,
-    config: SimConfig,
-    t: float = 0.0,
-) -> McResult:
-    """Discounted-payoff mean, its standard error and the survival frequency.
-
-    ``V0`` is the firm value at the evaluation time ``t``.
-    """
-    if not (math.isfinite(V0) and V0 > 0.0):
-        raise DomainError(f"simulate_price: firm value must be positive, got {V0}")
-    if not (0.0 <= t < schedule.maturity):
-        raise DomainError(f"simulate_price: t={t} outside [0, maturity)")
-
-    maturity = schedule.maturity
-    df = math.exp(-market.r * (maturity - t))
+def _start_legs(market, schedule, recovery, V0, t, first, rows):
+    """(discount factor, candidate bound, leg pass) of one start whose first
+    remaining date is ``schedule.dates[first]``; the pass works in ``rows``,
+    block-sized scratch rows that every start of a call shares."""
+    df = math.exp(-market.r * (schedule.maturity - t))
     # for a subnormal V0 and r < 0, V0 / df underflows to 0; the relative
     # price is flat there, so the smallest positive float prices it, as in
     # the closed form
@@ -87,7 +93,6 @@ def simulate_price(
 
     # remaining announcing dates (strictly after t; an evaluation exactly on a
     # date treats that date's barrier as already passed)
-    first = next(j for j, d in enumerate(schedule.dates) if d > t)
     rem_dates = np.asarray(schedule.dates[first:], dtype=float)
     barrier_levels = np.asarray(schedule.barriers[first - 1 :], dtype=float)
     seg_times = np.concatenate(([t], rem_dates))
@@ -130,13 +135,12 @@ def simulate_price(
         # one forward pass in time order: a jump inside segment j ends its
         # path before the barrier at date j is tested; x holds the previous
         # date's value (x0 before the first), x_dead each path's x at default
-        alive = np.ones(n, dtype=bool)
-        hit = np.empty(n, dtype=bool)
-        x_dead = np.zeros(n)
-        step = np.empty(n)
-        run = np.zeros(n)
-        log_x = np.empty(n)
-        x = np.full(n, x0)
+        # and 0 while it lives
+        alive, hit, x_dead, step, run, x = (row[:n] for row in rows)
+        alive.fill(True)
+        x_dead.fill(0.0)
+        run.fill(0.0)
+        x.fill(x0)
         for j in range(n_dates):
             in_j = seg == j
             jumped = jidx[in_j]
@@ -147,47 +151,114 @@ def simulate_price(
             np.multiply(z[j], sign * vol[j], out=step)
             step += drift[j]
             run += step  # the order np.cumsum takes them; 0 + step is exact
-            np.add(log_x0, run, out=log_x)
-            np.exp(log_x, out=x)
+            np.add(log_x0, run, out=x)
+            np.exp(x, out=x)
             np.less_equal(x, barrier_levels[j], out=hit)
             hit &= alive
-            # a select, not a masked copy, which branches on every element
-            x_dead = np.where(hit, x, x_dead)
+            # x_dead = x where hit, without a select that branches on every
+            # element: a hit path was alive, so its x_dead is 0 and fmax
+            # takes x >= 0; elsewhere x * 0 is 0 or the NaN of inf * 0,
+            # which fmax drops (step is free until the next date)
+            with np.errstate(invalid="ignore"):
+                np.multiply(x, hit, out=step)
+            np.fmax(x_dead, step, out=x_dead)
             alive ^= hit
-        return np.where(alive, 1.0, recovery.paid(x_dead)), int(np.count_nonzero(alive))
+        # a live path pays 1 >= paid(0), a dead one paid(x_dead) >= 0
+        pay = recovery.paid(x_dead)
+        np.maximum(pay, alive, out=pay)
+        return pay, int(np.count_nonzero(alive))
+
+    return df, u_bound, leg_payoff
+
+
+def simulate_prices(
+    market: MarketParams,
+    schedule: DefaultSchedule,
+    recovery: RecoveryModel,
+    starts,
+    config: SimConfig,
+) -> list[McResult]:
+    """One ``McResult`` per ``(V0, t)`` in ``starts``, in their order, each
+    equal to what ``simulate_price`` gives for that start alone.
+
+    ``V0`` is the firm value at the evaluation time ``t``.  Starts with the
+    same remaining dates share each block's draws.
+    """
+    starts = list(starts)
+    groups: dict[int, list[int]] = {}
+    for i, (V0, t) in enumerate(starts):
+        if not (math.isfinite(V0) and V0 > 0.0):
+            raise DomainError(f"simulate_prices: firm value must be positive, got {V0}")
+        if not (0.0 <= t < schedule.maturity):
+            raise DomainError(f"simulate_prices: t={t} outside [0, maturity)")
+        first = next(j for j, d in enumerate(schedule.dates) if d > t)
+        groups.setdefault(first, []).append(i)
 
     n_pairs = config.n_paths // 2
-    sum_v = 0.0
-    sum_v2 = 0.0
-    survived_total = 0
-    done = 0
-    block = 0
-    while done < n_pairs:
-        count = min(_BLOCK, n_pairs - done)
-        rng = _block_rng(config.seed, block)
-        z = rng.standard_normal((n_dates, count))
-        u = rng.random(count)
-        # a bridge normal for every path that either leg could see jump
-        bridge_idx = np.flatnonzero((u < u_bound) | (1.0 - u < u_bound))
-        bridge_z = rng.standard_normal(len(bridge_idx))
-        pay, surv = leg_payoff(z, u, bridge_idx, bridge_z, 1.0)
-        pay2, surv2 = leg_payoff(z, 1.0 - u, bridge_idx, bridge_z, -1.0)
-        v = 0.5 * (pay + pay2)
-        survived_total += surv + surv2
-        sum_v += float(v.sum())
-        sum_v2 += float((v * v).sum())
-        done += count
-        block += 1
-
-    mean_rel = sum_v / n_pairs
-    if n_pairs > 1:
-        var = max(sum_v2 - n_pairs * mean_rel * mean_rel, 0.0) / (n_pairs - 1)
-        std_err = df * math.sqrt(var / n_pairs)
-    else:
-        std_err = math.inf
-    return McResult(
-        price_estimate=df * mean_rel,
-        std_error=std_err,
-        survival_freq=survived_total / config.n_paths,
-        n_paths=config.n_paths,
+    width = min(_BLOCK, n_pairs)
+    rows = (np.empty(width, dtype=bool), np.empty(width, dtype=bool)) + tuple(
+        np.empty(width) for _ in range(4)
     )
+    results: list[McResult] = [None] * len(starts)
+    for first, members in groups.items():
+        n_dates = len(schedule.dates) - first
+        legs = [
+            _start_legs(market, schedule, recovery, *starts[i], first, rows) for i in members
+        ]
+        u_wide = max(u_bound for _, u_bound, _ in legs)
+        sums = [[0.0, 0.0, 0] for _ in members]  # sum v, sum v^2, survivors
+        done = 0
+        block = 0
+        while done < n_pairs:
+            count = min(_BLOCK, n_pairs - done)
+            rng = _block_rng(config.seed, block)
+            z = rng.standard_normal((n_dates, count))
+            u = rng.random(count)
+            u_anti = 1.0 - u
+            # a bridge normal for every path that either leg of any start
+            # could see jump; a start's own paths are a subset, and its own
+            # draw would be the first as many normals of this one
+            wide_idx = np.flatnonzero((u < u_wide) | (u_anti < u_wide))
+            wide_z = rng.standard_normal(len(wide_idx))
+            u_w, u_anti_w = u[wide_idx], u_anti[wide_idx]
+            for (_, u_bound, leg_payoff), acc in zip(legs, sums):
+                bridge_idx = wide_idx[(u_w < u_bound) | (u_anti_w < u_bound)]
+                bridge_z = wide_z[: len(bridge_idx)]
+                pay, surv = leg_payoff(z, u, bridge_idx, bridge_z, 1.0)
+                pay2, surv2 = leg_payoff(z, u_anti, bridge_idx, bridge_z, -1.0)
+                v = 0.5 * (pay + pay2)
+                acc[0] += float(v.sum())
+                acc[1] += float((v * v).sum())
+                acc[2] += surv + surv2
+            done += count
+            block += 1
+
+        for i, (df, _, _), (sum_v, sum_v2, survived) in zip(members, legs, sums):
+            mean_rel = sum_v / n_pairs
+            if n_pairs > 1:
+                var = max(sum_v2 - n_pairs * mean_rel * mean_rel, 0.0) / (n_pairs - 1)
+                std_err = df * math.sqrt(var / n_pairs)
+            else:
+                std_err = math.inf
+            results[i] = McResult(
+                price_estimate=df * mean_rel,
+                std_error=std_err,
+                survival_freq=survived / config.n_paths,
+                n_paths=config.n_paths,
+            )
+    return results
+
+
+def simulate_price(
+    market: MarketParams,
+    schedule: DefaultSchedule,
+    recovery: RecoveryModel,
+    V0: float,
+    config: SimConfig,
+    t: float = 0.0,
+) -> McResult:
+    """Discounted-payoff mean, its standard error and the survival frequency.
+
+    ``V0`` is the firm value at the evaluation time ``t``.
+    """
+    return simulate_prices(market, schedule, recovery, [(V0, t)], config)[0]

@@ -13,6 +13,12 @@ def test_config_validation():
         db.SimConfig(n_paths=0)
     with pytest.raises(DomainError):
         db.SimConfig(n_paths=10001)
+    # a float or a bool is refused here, not deep inside the first block
+    for bad in ({"n_paths": 1e6}, {"n_paths": True}, {"seed": 1.5}, {"seed": False},
+                {"seed": "7"}):
+        with pytest.raises(DomainError):
+            db.SimConfig(**bad)
+    assert db.SimConfig(n_paths=np.int64(4000), seed=np.uint32(7)).n_paths == 4000
 
 
 def test_no_default_channels_is_exact(market):
@@ -214,3 +220,30 @@ def test_matches_dense_reference_engine(k):
     assert db.simulate_price(market, schedule, rec, V, config, t) == dense_simulate_price(
         market, schedule, rec, V, config, t
     )
+
+
+@pytest.mark.parametrize("k", range(40))
+def test_shared_draws_match_single_starts(k):
+    # two more starts in the case's interval at other V and t, so their
+    # hazard bounds, and the bridge normals each one takes, differ
+    market, schedule, rec, V, config, t = _differential_case(k)
+    rng = np.random.default_rng(7000 + k)
+    dates = schedule.dates
+    i = max(j for j, d in enumerate(dates) if d <= t)
+    starts = [(V, t)] + [
+        (V * 10.0 ** float(rng.uniform(-0.5, 0.5)), float(rng.uniform(dates[i], dates[i + 1])))
+        for _ in range(2)
+    ]
+    shared = db.simulate_prices(market, schedule, rec, starts, config)
+    assert shared == [db.simulate_price(market, schedule, rec, V0, config, t0) for V0, t0 in starts]
+
+
+def test_shared_draws_keep_input_order(market):
+    # starts from two intervals, interleaved, one exactly on the date 2
+    schedule = db.DefaultSchedule((0.0, 2.0, 4.0, 6.0), (0.01, 0.02, 0.03), (90.0, 120.0, 80.0))
+    rec = db.RecoveryModel("endogenous", 0.5, n=50.0)
+    config = db.SimConfig(2**17 + 2**13, seed=606)
+    starts = [(150.0, 3.0), (120.0, 0.5), (150.0, 2.0), (90.0, 1.5)]
+    shared = db.simulate_prices(market, schedule, rec, starts, config)
+    assert shared == [db.simulate_price(market, schedule, rec, V0, config, t) for V0, t in starts]
+    assert len({r.price_estimate for r in shared}) == len(starts)

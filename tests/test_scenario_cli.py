@@ -220,18 +220,18 @@ def test_engine_names_resolve_on_first_use(tmp_path, base_doc, capsys, monkeypat
 
         monkeypatch.setattr(cli, name, wrapper)
 
-    for name in ("solve_exogenous_cascade", "sample", "simulate_price"):
+    for name in ("solve_exogenous_cascade", "sample", "simulate_prices"):
         wrap(name)
     rc = main(["validate", _write(tmp_path, base_doc), "--n-space", "256", "--n-time", "128",
                "--paths", "20000", "--pde-tol", "5e-2", "--mc-sigmas", "5"])
     capsys.readouterr()
     assert rc == 0
-    assert calls == ["solve_exogenous_cascade", "sample", "simulate_price"]
-    from defbond import CascadeSolution, GridSpec, simulate_price
-    from defbond.montecarlo import simulate_price as defined
+    assert calls == ["simulate_prices", "solve_exogenous_cascade", "sample"]
+    from defbond import CascadeSolution, GridSpec, simulate_prices
+    from defbond.montecarlo import simulate_prices as defined
     from defbond.pde import CascadeSolution as solution, GridSpec as grid
 
-    assert (simulate_price, GridSpec, CascadeSolution) == (defined, grid, solution)
+    assert (simulate_prices, GridSpec, CascadeSolution) == (defined, grid, solution)
     with pytest.raises(AttributeError):
         cli.no_such_name  # noqa: B018
     with pytest.raises(ImportError):
