@@ -23,12 +23,6 @@ __all__ = [
     "shift_coefficients",
 ]
 
-# Phi is exactly 0 below about -37.68 (where scipy's ndtr underflows, and
-# the scalar Phi of normal.py with it) and exactly 1 above about 8.3, so
-# saturating at |d| = 38 changes no CDF and keeps near-expiry limits finite.
-_D_CLAMP = 38.0
-
-
 @dataclass(frozen=True)
 class BsCoefficients:
     """Coefficient triple (risk-free rate, dividend rate, volatility) of the
@@ -90,14 +84,9 @@ def _log_moneyness(x: float, strike: float) -> float:
 
 
 def _signed_limit(sign: int, log_m: float, drift: float, sigma: float, tau: float) -> float:
-    """Signed CDF limit s * d^(+/-) of one date tau ahead, saturated at
-    +-_D_CLAMP."""
-    d = (log_m + drift * tau) / (sigma * math.sqrt(tau))
-    if d > _D_CLAMP:
-        d = _D_CLAMP
-    elif d < -_D_CLAMP:
-        d = -_D_CLAMP
-    return sign * d
+    """Signed CDF limit s * d^(+/-) of one date tau ahead, +-inf included:
+    ``mvn_cdf`` takes any limit past +-37.68 as infinite."""
+    return sign * (log_m + drift * tau) / (sigma * math.sqrt(tau))
 
 
 def last_expiry_pricer(

@@ -8,7 +8,9 @@ marginalizing coordinate k joins its neighbours with ``rho_{k-1} rho_k``, and
 box limits and correlations are plain Python floats until a dimension of
 three or more needs arrays.  Every scalar Phi is ``math.erfc``, the C
 library's erfc (piecewise rational approximations after Cody, Math. Comp.
-1969), so dimensions one and two need no scipy.  A box of one or two
+1969), so dimensions one and two need no scipy.  Phi is exactly 0 or 1 past
++-37.68 (``_PHI_ZERO``), so a limit past it is +-inf from where it enters
+``mvn_cdf`` or ``bivariate_cdf``, the one place it lives.  A box of one or two
 coordinates is an orthant of the coordinates signed toward their bounds
 (X > lo, or -X > -hi for an upper bound): Phi(-h) in one dimension, and in
 two a fixed-order Gauss-Legendre reduction of the bivariate integral (Genz,
@@ -136,21 +138,13 @@ _BVNU_20 = (
 
 
 def _bvnu(h: float, k: float, r: float) -> float:
-    """Upper-orthant probability P(X > h, Y > k) for a correlation
-    0 <= r <= 1.
+    """Upper orthant P(X > h, Y > k) at finite h, k and correlation 0 <= r <= 1.
 
     Gauss-Legendre reduction of the single-integral form of the bivariate
     normal (12 nodes for ``r < 0.75``, 20 above), with the usual split at
     ``r = 0.925`` where the integration variable switches to keep the
     integrand benign near ``r = 1``.
     """
-    if h == _INF or k == _INF:
-        return 0.0
-    if h == -_INF:
-        return 1.0 if k == -_INF else _phi(-k)
-    if k == -_INF:
-        return _phi(-h)
-
     tp = 2.0 * math.pi
     hk = h * k
     bvn = 0.0
@@ -193,7 +187,7 @@ def _bvnu(h: float, k: float, r: float) -> float:
 
 
 def _orthant(h: float, k: float, r: float) -> float:
-    """P(X > h, Y > k) for standard normals with correlation r.
+    """P(X > h, Y > k) for standard normals at correlation r, h and k finite.
 
     A negative r is reflected once, subtracting from the smaller marginal:
     P(X > h, Y > k) = P(X > h) - P(X > h, -Y >= -k), the last at
@@ -201,10 +195,6 @@ def _orthant(h: float, k: float, r: float) -> float:
     marginal it is recomputed as a positive conditional integral, so tail
     orthants keep their relative accuracy.
     """
-    # Phi is exactly 0 or 1 past +-_PHI_ZERO, so such a limit is taken as
-    # infinite; that also keeps h * k finite in _bvnu
-    if not (_PHI_ZERO < h < -_PHI_ZERO and _PHI_ZERO < k < -_PHI_ZERO):
-        h, k = (math.copysign(_INF, v) if abs(v) >= -_PHI_ZERO else v for v in (h, k))
     if r >= 0.0:
         return _bvnu(h, k, r)
     if k > h:
@@ -226,7 +216,8 @@ def bivariate_cdf(a: float, b: float, rho: float) -> float:
         raise DomainError(f"bivariate_cdf: |rho| = {abs(rho)} > 1")
     if rho == -1.0:
         return max(0.0, _phi(a) - _phi(-b))
-    return _orthant(-a, -b, rho)
+    upper = [v if _PHI_ZERO < v < -_PHI_ZERO else math.copysign(_INF, v) for v in (a, b)]
+    return _box_probability([-_INF, -_INF], upper, [rho])[0]
 
 
 @dataclass(frozen=True)
@@ -311,9 +302,8 @@ def _reduce_box(lower, upper, rho):
     correlation ``rho[k-1] * rho[k]``; a chain's correlations, and so their
     products, are never negative.
 
-    Returns (lower, upper, rho, is_empty).  Infinite limits never reach the
-    integration kernels: they either drop a dimension here or saturate a
-    one/two dimensional closed form.
+    Returns (lower, upper, rho, is_empty).  A limit past +-37.68 arrives as
+    +-inf, so it drops or empties its coordinate here, before any kernel.
     """
     # the common case has nothing to do: every coordinate bounded on some
     # side, no empty box and no neighbours of correlation 1
@@ -345,11 +335,10 @@ def _reduce_box(lower, upper, rho):
 
 def _box_probability(lower, upper, rho):
     """P(lower <= X <= upper), with error estimate, for a standardized
-    Gaussian Markov chain X with adjacent correlations ``rho``; the limits
-    and correlations are lists of floats."""
+    Gaussian Markov chain X with adjacent correlations ``rho``; limits past
+    +-37.68 arrive as +-inf, and limits and correlations are lists of floats."""
     if rho:
-        # one coordinate has nothing to reduce: Phi is exactly 0 and 1 at
-        # -inf and inf
+        # one coordinate has nothing to reduce; d == 1 below tells it empty
         lower, upper, rho, empty = _reduce_box(lower, upper, rho)
         if empty:
             return 0.0, 0.0
@@ -360,9 +349,10 @@ def _box_probability(lower, upper, rho):
     # their bounds, X > lo or -X > -hi, unless one is two-sided
     if d == 1:
         lo, hi = lower[0], upper[0]
-        if hi == _INF:
-            return _phi(-lo), 1e-15
-        return (_phi(hi) if lo == -_INF else _tail_mass(lo, hi)), 1e-15
+        if hi <= lo:
+            return 0.0, 0.0
+        p = _phi(-lo) if hi == _INF else _phi(hi) if lo == -_INF else _tail_mass(lo, hi)
+        return p, 1e-15
     if d == 2:
         (h, k), (h_up, k_up), r = lower, upper, rho[0]
         if -_INF < h and h_up < _INF or -_INF < k and k_up < _INF:
@@ -419,8 +409,10 @@ def mvn_cdf(a, corr, signs=None, config: QmcConfig = DEFAULT_QMC):
     try:
         for v, s in zip(a, signs):
             v = float(v)
-            if v != v:
-                raise DomainError("mvn_cdf: NaN limit")
+            if not _PHI_ZERO < v < -_PHI_ZERO:
+                if v != v:
+                    raise DomainError("mvn_cdf: NaN limit")
+                v = math.copysign(_INF, v)
             if s == -1:
                 lower.append(-v)
                 upper.append(_INF)

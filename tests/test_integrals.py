@@ -132,7 +132,7 @@ def _node_cases():
 def test_node_pricer_reused_across_nodes_prices_each_binary():
     # an integral prices all its nodes from one pricer; each node must be
     # the price of the binary at that last expiry on its own, whatever the
-    # pricer evaluated before it (limits saturating at the clamp, x/K
+    # pricer evaluated before it (limits past the saturation of Phi, x/K
     # underflowing to 0, tau one float above the lower end)
     for kind, signs, strikes, fixed, coeffs, x, t, taus in _node_cases():
         node = last_expiry_pricer(kind, signs, strikes, fixed, coeffs, x, t)

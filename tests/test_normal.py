@@ -704,9 +704,32 @@ def test_mvn_extreme_box_is_zero_without_nan():
     p, err = db.mvn_cdf([-30.0, -30.0, -30.0, -30.0], c)
     assert p == 0.0
     assert math.isfinite(err)
-    # a finite limit past +-37.68 saturates in two dimensions, as in
-    # bivariate_cdf, so h * k cannot overflow to NaN
-    assert db.mvn_cdf([1e200, 1e200], db.CorrelationStructure(0.0, (1.0, 2.0))) == (1.0, 5e-15)
+    # a finite limit past +-37.68 is infinite as it enters the box, so both
+    # coordinates drop and the whole space is exact: no h * k to overflow
+    assert db.mvn_cdf([1e200, 1e200], db.CorrelationStructure(0.0, (1.0, 2.0))) == (1.0, 0.0)
+
+
+def test_mvn_limits_past_the_saturation_are_infinite():
+    # a limit past +-37.68 is +-inf as it enters the box, in every dimension:
+    # the chain gives exactly what it gives with the infinite limit, and a
+    # box that this empties is exactly (0.0, 0.0)
+    rng = np.random.default_rng(28)
+    edge = -normal._PHI_ZERO
+    extremes = [37.7, -37.7, 40.0, -40.0, 1e200, -1e200, INF, -INF]
+    for d in (1, 2, 3, 4):
+        for _ in range(60 if d < 3 else 40):
+            expiries = np.cumsum(rng.uniform(0.2, 2.0, d)).tolist()
+            signs = rng.choice([-1, 1], d).tolist()
+            limits = [
+                float(rng.choice(extremes)) if rng.uniform() < 0.5 else rng.uniform(-2.5, 2.5)
+                for _ in range(d)
+            ]
+            saturated = [math.copysign(INF, v) if abs(v) >= edge else v for v in limits]
+            corr = db.CorrelationStructure(0.0, expiries)
+            got = db.mvn_cdf(limits, corr, signs)
+            assert got == db.mvn_cdf(saturated, corr, signs), (limits, signs, expiries)
+            if -INF in saturated:
+                assert got == (0.0, 0.0), (limits, signs, expiries)
 
 
 def test_bivariate_near_degenerate_matches_collapse_limit():

@@ -280,7 +280,7 @@ def test_endogenous_vanishing_firm(market, schedule, endo_low_barrier):
     "name", ["base_endogenous_low_barrier", "base_endogenous_high_barrier", "base_exogenous"]
 )
 def test_bundled_scenarios_at_extreme_spots_and_next_to_dates(name):
-    # extreme spots saturate the log-moneyness and the +-38 clamp; times a
+    # extreme spots saturate the log-moneyness and the CDF limits; times a
     # hair from the announcing date and maturity make sqrt(tau) tiny
     s = db.load_scenario(SCENARIOS / f"{name}.yaml")
     price = db.price_endogenous if s.recovery.mode == "endogenous" else db.price_exogenous
@@ -291,6 +291,19 @@ def test_bundled_scenarios_at_extreme_spots_and_next_to_dates(name):
             floor = s.recovery.R * df if s.recovery.mode == "exogenous" else 0.0
             assert math.isfinite(rep.price) and floor <= rep.price <= df, (V, t, rep.price)
             assert all(math.isfinite(v) for v in rep.diagnostics.values()), (V, t)
+
+
+def test_extreme_spot_saturates_every_asset_limit():
+    # from about V = 1e40 up every asset limit of the high-barrier base is
+    # past +-37.68, so each asset term is exactly 0 and adds nothing to
+    # cdf_error, where a floor of 1e-15 times x would read 2.2e+293 at
+    # V = 1e308; the price is the V = 1e20 one to the last bit
+    s = db.load_scenario(SCENARIOS / "base_endogenous_high_barrier.yaml")
+    ref = db.price_endogenous(s.market, s.schedule, s.recovery, 1e20, 0.0)
+    for V in (1e100, 1e308):
+        rep = db.price_endogenous(s.market, s.schedule, s.recovery, V, 0.0)
+        assert rep.price == ref.price, V
+        assert rep.diagnostics["cdf_error"] <= 1e-14, (V, rep.diagnostics)
 
 
 def test_prices_when_the_discount_underflows(market, schedule, exo, endo_high_barrier):
@@ -543,6 +556,40 @@ def test_gluing_limit_at_first_announcing_date(market, schedule, mode):
             recov = min(df1, rec.R * V / rec.n)
         glued = cont if V > 100.0 * df1 else recov
         assert left == pytest.approx(glued, abs=1e-6)
+
+
+def test_survival_glues_one_ulp_before_every_date_on_long_chains():
+    # one ulp before an announcing date the survival probability W (the
+    # relative price at R = 0) is 1{x > K} times W at the date: the first
+    # limit of every chain is past +-37.68, so it leaves the chain or empties
+    # the box.  Seeded 3- to 8-interval schedules, x a fixed multiple of the
+    # date's barrier; at maturity W is 1
+    rng = np.random.default_rng(28)
+    market = db.MarketParams(0.08, 0.03, 0.8)
+    rec = db.RecoveryModel("exogenous", 0.0)
+
+    def survival(schedule, V, t):
+        # W and its reported CDF error, both relative to the discount
+        rep = db.price_exogenous(market, schedule, rec, V, t)
+        df = math.exp(-market.r * (schedule.maturity - t))
+        return rep.relative_price, rep.diagnostics["cdf_error"] / df
+
+    for n in (3, 4, 5, 6, 7, 8):
+        for _ in range(2):
+            dates = np.cumsum([0.0] + rng.uniform(0.3, 2.0, n).tolist()).tolist()
+            schedule = db.DefaultSchedule(
+                tuple(dates),
+                tuple(rng.uniform(0.005, 0.03, n).tolist()),
+                tuple(rng.uniform(80.0, 130.0, n).tolist()),
+            )
+            for date, k in zip(dates[1:], schedule.barriers):
+                for c in (0.7, 0.99, 1.01, 1.3):
+                    V = c * k * math.exp(-market.r * (schedule.maturity - date))
+                    w, bound = survival(schedule, V, math.nextafter(date, -math.inf))
+                    final = date == schedule.maturity
+                    at, at_err = (1.0, 0.0) if final else survival(schedule, V, date)
+                    glued = at if c > 1.0 else 0.0
+                    assert abs(w - glued) <= bound + at_err + 1e-15, (schedule, date, c, w, glued)
 
 
 # ------------------------------------------- three-interval generalization
