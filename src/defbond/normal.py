@@ -302,8 +302,11 @@ def _reduce_box(lower, upper, rho):
     correlation ``rho[k-1] * rho[k]``; a chain's correlations, and so their
     products, are never negative.
 
-    Returns (lower, upper, rho, is_empty).  A limit past +-37.68 arrives as
-    +-inf, so it drops or empties its coordinate here, before any kernel.
+    Returns (lower, upper, rho, is_empty, merge_error).  A limit past +-37.68
+    arrives as +-inf, so it drops or empties its coordinate here, before any
+    kernel.  Merging a one-sided coordinate into a neighbour at correlation r
+    changes the box by at most P(X <= c < Y) <= acos(r) / (2 pi) for its limit
+    c; merge_error adds acos(r) / pi per merge.
     """
     # the common case has nothing to do: every coordinate bounded on some
     # side, no empty box and no neighbours of correlation 1
@@ -315,19 +318,21 @@ def _reduce_box(lower, upper, rho):
             if r >= 1.0 - 5e-16:
                 break
         else:
-            return lower, upper, rho, False
+            return lower, upper, rho, False, 0.0
+    merged = 0.0
     while True:
         keep = []
         for lo, hi in zip(lower, upper):
             if hi <= lo:
-                return lower, upper, rho, True
+                return lower, upper, rho, True, merged
             keep.append(lo > -_INF or hi < _INF)
         if all(keep):
             if not rho or max(rho) < 1.0 - 5e-16:
-                return lower, upper, rho, False
+                return lower, upper, rho, False, merged
             i = rho.index(max(rho))  # X_{i+1} = X_i: intersect the constraints
             lower[i], upper[i] = max(lower[i], lower[i + 1]), min(upper[i], upper[i + 1])
             keep[i + 1] = False
+            merged += math.acos(rho[i]) / math.pi
         idx = [k for k, kept in enumerate(keep) if kept]
         lower, upper = [lower[k] for k in idx], [upper[k] for k in idx]
         rho = [math.prod(rho[i:j]) for i, j in zip(idx, idx[1:])]
@@ -337,11 +342,12 @@ def _box_probability(lower, upper, rho):
     """P(lower <= X <= upper), with error estimate, for a standardized
     Gaussian Markov chain X with adjacent correlations ``rho``; limits past
     +-37.68 arrive as +-inf, and limits and correlations are lists of floats."""
+    merged = 0.0
     if rho:
         # one coordinate has nothing to reduce; d == 1 below tells it empty
-        lower, upper, rho, empty = _reduce_box(lower, upper, rho)
+        lower, upper, rho, empty, merged = _reduce_box(lower, upper, rho)
         if empty:
-            return 0.0, 0.0
+            return 0.0, merged
     d = len(lower)
     if d == 0:
         return 1.0, 0.0
@@ -352,22 +358,22 @@ def _box_probability(lower, upper, rho):
         if hi <= lo:
             return 0.0, 0.0
         p = _phi(-lo) if hi == _INF else _phi(hi) if lo == -_INF else _tail_mass(lo, hi)
-        return p, 1e-15
+        return p, 1e-15 + merged
     if d == 2:
         (h, k), (h_up, k_up), r = lower, upper, rho[0]
         if -_INF < h and h_up < _INF or -_INF < k and k_up < _INF:
             from .kernels import _conditional_box
 
-            return _conditional_box(lower, upper, r), 5e-15
+            return _conditional_box(lower, upper, r), 5e-15 + merged
         if h_up < _INF:
             h, r = -h_up, -r
         if k_up < _INF:
             k, r = -k_up, -r
-        return _orthant(h, k, r), 5e-15
+        return _orthant(h, k, r), 5e-15 + merged
     from .kernels import _chain_box
 
     p, coarse = _chain_box(lower, upper, rho)
-    return p, max(abs(p - coarse), 1e-15)
+    return p, max(abs(p - coarse), 1e-15) + merged
 
 
 def mvn_cdf(a, corr, signs=None, config: QmcConfig = DEFAULT_QMC):

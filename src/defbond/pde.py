@@ -10,19 +10,22 @@ with S_i the jump survival to maturity, and the small-spot boundary
 p(0) + (p(x_min) - p(0)) c_i(t), exact while p is affine on [0, x_min].
 When every barrier sits far under the grid both edges take the far-field
 value, which needs the same recovery at both edges once a jump channel is
-live.  Each interval factors its step matrix M = I - (dt/2) A once, held by
-a per-interval stepper, and solves every step in place over two rolling row
-buffers.  While the cell Peclet number is below 1, a diagonal scaling makes M
-a symmetric positive definite tridiagonal matrix, which LAPACK factors and
-solves without pivoting (``dpttrf``/``dpttrs``); other grids take the
-pivoted LU (``dgttrf``/``dgttrs``).  The explicit half of a Crank-Nicolson
-step is folded into the solve, whose result less the old row is the new
-row.  A stepper imports its LAPACK routines from ``scipy.linalg`` when it
-is built, so importing this module loads no scipy.  Only every s-th row is
-kept, s = isqrt(steps per interval), plus the glued terminal row; ``sample``
-re-marches the rows it needs from the nearest kept row above them with the
-same stepper, so it reads the values a full history would hold.  This engine shares no code path with the
-closed forms it checks.
+live.  Each interval has constant coefficients, so its step matrix
+M = I - (dt/2) A is tridiagonal Toeplitz.  While the cell Peclet number is
+below 1, a diagonal scaling makes M symmetric, and the orthonormal discrete
+sine transform diagonalises it (the fast direct solver of Buzbee, Golub &
+Nielson, SIAM J. Numer. Anal. 1970): every step is then one scalar
+recurrence per sine mode, and an interval's kept rows come in closed form
+from a table of powers, one matrix product and one batched inverse
+transform (``_SineStepper``).  Rounding in that basis grows with the range
+of the scaling, so it runs while the scaling stays within e^(+-8); every
+other interval takes the pivoted LU march, one LAPACK ``dgttrs`` solve per
+step (``_Stepper``).  A stepper imports ``scipy.fft`` or
+``scipy.linalg`` when it is built, so importing this module loads no scipy.
+Only every s-th row is kept, s = isqrt(steps per interval), plus the glued
+terminal row; ``sample`` recomputes the rows it needs from the nearest kept
+row above them with the interval's own stepper.  This engine shares no code
+path with the closed forms it checks.
 """
 
 from __future__ import annotations
@@ -50,9 +53,11 @@ __all__ = [
 # the spot (GridSpec.auto); barriers this far under x_min are unreachable.
 _MARGIN = 50.0
 
-# A stepper symmetrises its matrix only while the diagonal scaling P stays
-# within e^(+-_MAX_LOG_P), so P, P^-1 and the scaled rows stay normal floats.
-_MAX_LOG_P = 600.0
+# An interval marches in the sine basis only while its diagonal scaling P stays
+# within e^(+-_MAX_LOG_P): the basis's rounding scales like eps e^(2 _MAX_LOG_P)
+# toward the grid edge where P is largest and like eps e^_MAX_LOG_P mid-grid
+# (a 2048^2 grid at e^(+-7.95) kept its rows within 7e-11 of the LU march).
+_MAX_LOG_P = 8.0
 
 
 @dataclass(frozen=True)
@@ -110,10 +115,10 @@ class CascadeSolution:
 
     ``times[i]`` is interval i's full step grid t_i + k dt, k = 0..n.
     ``values[i]`` keeps only the rows k = 0, s, 2s, ... below n, with
-    s = ``stride``, and last the glued terminal row k = n.  ``sample``
-    re-marches any other row with ``steppers[i]`` from the nearest kept row
-    above it, bit for bit as the solve computed it.  ``accuracy_warning`` is
-    set when a Richardson check exceeds its tolerance.
+    s = ``stride``, and last the glued terminal row k = n.  ``sample`` reads
+    a kept row as it is and recomputes any other row with ``steppers[i]``
+    from the nearest kept row above it.  ``accuracy_warning`` is set when a
+    Richardson check exceeds its tolerance.
     """
 
     dates: tuple[float, ...]
@@ -121,8 +126,24 @@ class CascadeSolution:
     times: list[np.ndarray]
     values: list[np.ndarray]
     stride: int
-    steppers: list["_Stepper"]
+    steppers: list["_Stepper | _SineStepper"]
     accuracy_warning: str | None = None
+
+
+def _coefficients(y, sigma, mu, rho, t_lo, t_hi, n_steps):
+    """dt and the magnitudes (lo, diag, up) of M = I - (dt/2) A for
+    u_t + (sigma^2/2) u_yy + mu u_y - rho u + f = 0 on n_steps steps of
+    [t_lo, t_hi]: M has sub-diagonal -lo, diagonal diag and super-diagonal -up."""
+    h = y[1] - y[0]
+    alpha = sigma * sigma / (2.0 * h * h)
+    dt = (t_hi - t_lo) / n_steps
+    half = 0.5 * dt
+    return (
+        dt,
+        half * (alpha - mu / (2.0 * h)),
+        1.0 + half * (2.0 * alpha + rho),
+        half * (alpha + mu / (2.0 * h)),
+    )
 
 
 class _Stepper:
@@ -131,19 +152,11 @@ class _Stepper:
 
     The first transition after the (possibly discontinuous) terminal row is
     taken as two implicit-Euler half-steps.  Both schemes solve with
-    M = I - (dt/2) A, factored once; the explicit half of a Crank-Nicolson
-    step is folded through (I - (dt/2) A)^-1 (I + (dt/2) A) = 2 M^-1 - I, so a
-    step is one solve of 2u + dt f plus the boundary halves, less u.
-
-    M has sub-diagonal -lo and super-diagonal -up.  While both are negative
-    (cell Peclet number |mu| h / sigma^2 < 1), M = P S P^-1 with
-    P = diag(r^(j - (m-2)/2)), r = sqrt(lo / up), and S symmetric tridiagonal
-    with off-diagonal -sqrt(lo up).  sqrt(lo up) <= (dt/2) alpha, so for
-    rho >= 0 S is diagonally dominant by at least 1 and positive definite: it
-    is factored with LAPACK ``dpttrf`` and every solve is a scaling by P^-1,
-    one ``dpttrs`` and a scaling by P.  When S does not exist, or P would
-    leave e^(+-_MAX_LOG_P), M is LU-factored with partial pivoting
-    (``dgttrf``/``dgttrs``) and P is the identity.
+    M = I - (dt/2) A, LU-factored once with partial pivoting (LAPACK
+    ``dgttrf``); the explicit half of a Crank-Nicolson step is folded through
+    (I - (dt/2) A)^-1 (I + (dt/2) A) = 2 M^-1 - I, so a step is one
+    ``dgttrs`` solve of 2u + dt f plus the boundary halves, less u.  It takes
+    any grid; the cascade uses it where ``_SineStepper`` does not apply.
     """
 
     def __init__(
@@ -159,59 +172,34 @@ class _Stepper:
         t_hi: float,
         n_steps: int,
     ):
-        h = y[1] - y[0]
-        m = len(y) - 1
-        alpha = sigma * sigma / (2.0 * h * h)
-        self.dt = (t_hi - t_lo) / n_steps
-        self.half = half = 0.5 * self.dt
-        lo = half * (alpha - mu / (2.0 * h))
-        up = half * (alpha + mu / (2.0 * h))
-        diag = 1.0 + half * (2.0 * alpha + rho)
-        self.half_f = half * source
+        self.dt, self.lo, diag, self.up = _coefficients(y, sigma, mu, rho, t_lo, t_hi, n_steps)
+        self.half = 0.5 * self.dt
+        self.half_f = self.half * source
+        self.dt_f = self.dt * source
         self.bc_lo, self.bc_hi = bc_lo, bc_hi
         self.t_lo, self.t_hi, self.n_steps = t_lo, t_hi, n_steps
         # rows a march keeps: every stride-th, then the terminal row
         self.stride = math.isqrt(n_steps)
         from scipy.linalg import lapack
 
-        if lo > 0.0 and up > 0.0 and 0.25 * (m - 2) * abs(math.log(lo / up)) <= _MAX_LOG_P:
-            # powers of one rounded r keep every ratio p[j + 1] / p[j] within
-            # a few ulps of r, which the similarity needs, at any exponent
-            r = math.sqrt(lo / up)
-            j = np.arange(m - 1) - 0.5 * (m - 2)
-            self.p = np.power(r, j)
-            q = np.power(r, -j)
-            *self.lu, info = lapack.dpttrf(
-                np.full(m - 1, diag), np.full(m - 2, -math.sqrt(lo * up))
-            )
-            self.trs = lapack.dpttrs
-        else:
-            self.p = q = np.ones(m - 1)
-            *self.lu, info = lapack.dgttrf(
-                np.full(m - 2, -lo), np.full(m - 1, diag), np.full(m - 2, -up)
-            )
-            self.trs = lapack.dgttrs
+        m = len(y) - 1
+        *self.lu, info = lapack.dgttrf(
+            np.full(m - 2, -self.lo), np.full(m - 1, diag), np.full(m - 2, -self.up)
+        )
         if info != 0:
             raise LinAlgError("singular matrix")
-        self.q = q
-        self.two_q = 2.0 * q
-        self.dt_fq = self.dt * source * q
-        # the boundary weights of the end rows, pre-scaled by P^-1
-        self.lo_q = lo * q[0]
-        self.up_q = up * q[-1]
+        self.trs = lapack.dgttrs
 
     def _solve(self, row: np.ndarray, old_lo: float, old_hi: float, t: float) -> None:
-        """Overwrite row[1:-1], which holds P^-1 times the right-hand side
-        without its boundary halves, with the solution at time t; old_lo and
-        old_hi are the old-time boundary values the right side carries."""
+        """Overwrite row[1:-1], which holds the right-hand side without its
+        boundary halves, with the solution at time t; old_lo and old_hi are
+        the old-time boundary values the right side carries."""
         lo, hi = self.bc_lo(t), self.bc_hi(t)
-        row[1] += self.lo_q * (old_lo + lo)
-        row[-2] += self.up_q * (old_hi + hi)
-        inner = row[1:-1]
-        _, info = self.trs(*self.lu, inner, overwrite_b=True)
+        row[1] += self.lo * (old_lo + lo)
+        row[-2] += self.up * (old_hi + hi)
+        _, info = self.trs(*self.lu, row[1:-1], overwrite_b=True)
         if info != 0:
             raise ValueError(f"illegal value in {-info}-th argument of the tridiagonal solve")
-        inner *= self.p
         row[0] = lo
         row[-1] = hi
 
@@ -221,45 +209,231 @@ class _Stepper:
         if k == self.n_steps - 1:
             # Rannacher start-up: two implicit-Euler half-steps
             np.add(u[1:-1], self.half_f, out=inner)
-            inner *= self.q
             self._solve(out, 0.0, 0.0, self.t_hi - self.half)
             inner += self.half_f
-            inner *= self.q
             self._solve(out, 0.0, 0.0, self.t_lo + k * self.dt)
         else:
             # M^-1 (2u + dt f + the old- and new-time boundary halves) - u
-            np.multiply(u[1:-1], self.two_q, out=inner)
-            inner += self.dt_fq
+            np.multiply(u[1:-1], 2.0, out=inner)
+            inner += self.dt_f
             self._solve(out, float(u[0]), float(u[-1]), self.t_lo + k * self.dt)
             inner -= u[1:-1]
         return out
 
+    def march(self, terminal: np.ndarray) -> np.ndarray:
+        """Run down from ``terminal`` over two rolling row buffers.
 
-def _march(stepper: _Stepper, terminal: np.ndarray) -> np.ndarray:
-    """Run ``stepper`` down from ``terminal`` over two rolling row buffers.
+        Returns the kept rows: k = 0, s, 2s, ... below n_steps, then the
+        terminal row, with s = ``stride``.
+        """
+        n, s = self.n_steps, self.stride
+        kept = np.empty((-(-n // s) + 1, len(terminal)))
+        kept[-1] = terminal
+        spare = np.empty((2, len(terminal)))
+        u = kept[-1]
+        for k in range(n - 1, -1, -1):
+            u = self.step(k, u, kept[k // s] if k % s == 0 else spare[k & 1])
+        # a non-finite value anywhere spreads through every later solve
+        if not np.isfinite(kept[0]).all():
+            raise ValueError("array must not contain infs or NaNs")
+        return kept
 
-    Returns the kept rows: k = 0, s, 2s, ... below n_steps, then the
-    terminal row, with s = ``stepper.stride``.
+    def rows(self, row: np.ndarray, top: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows k and k + 1 re-marched from ``row``, row ``top`` > k, bit for
+        bit as ``march`` computes them."""
+        spare = np.empty((2, len(row)))
+        upper = row
+        for j in range(top - 1, k, -1):
+            upper = self.step(j, upper, spare[j & 1])
+        return self.step(k, upper, spare[k & 1]), upper
+
+
+def _sine(x: np.ndarray) -> np.ndarray:
+    """The orthonormal DST-I Q along the last axis; Q is symmetric and
+    orthogonal, so it is its own inverse."""
+    from scipy.fft import dst
+
+    return dst(x, type=1, norm="ortho")
+
+
+class _SineStepper:
+    """The scheme of ``_Stepper`` in closed form, for an interval where both
+    off-diagonals of M = I - (dt/2) A are negative (cell Peclet number
+    |mu| h / sigma^2 < 1); ``_stepper`` picks it.
+
+    Then M = P S P^-1 with P = diag(r^(j - (m-2)/2)), r = sqrt(lo / up), and
+    S symmetric Toeplitz with diagonal d and off-diagonal -sqrt(lo up), so
+    S = Q Lambda Q with Q the orthonormal DST-I and
+    Lambda_k = d - 2 sqrt(lo up) cos(k pi / m), k = 1..m-1, at least 1 for
+    rho >= 0.  In the modes w = Q P^-1 (u - p(0)), with the constant
+    ``shift`` = p(0) taken out so that a recovery constant on the grid adds
+    no rounding, a Crank-Nicolson step is
+
+        w <- g w + (F + beta a + gamma c) / Lambda,   g = 2 / Lambda - 1,
+
+    where F = Q P^-1 dt (f - rho p(0)) is the transformed source, beta and
+    gamma are the sums of the old and new edge values less p(0), and a, c
+    are Q times the end unit vectors weighted lo / p_0 and up / p_end.  The
+    Rannacher start-up is two divisions by Lambda.  Kept rows s apart follow
+    from one another by g^s and a sum over their block of steps, taken for
+    all blocks as one matrix product with the table g^0..g^(s-1).
     """
-    n, s = stepper.n_steps, stepper.stride
-    kept = np.empty((-(-n // s) + 1, len(terminal)))
-    kept[-1] = terminal
-    spare = np.empty((2, len(terminal)))
-    u = kept[-1]
-    for k in range(n - 1, -1, -1):
-        u = stepper.step(k, u, kept[k // s] if k % s == 0 else spare[k & 1])
-    # a non-finite value anywhere spreads through every later solve
-    if not np.isfinite(kept[0]).all():
-        raise ValueError("array must not contain infs or NaNs")
-    return kept
+
+    def __init__(
+        self,
+        y: np.ndarray,
+        sigma: float,
+        mu: float,
+        rho: float,
+        source: np.ndarray,
+        bc_lo: Callable,
+        bc_hi: Callable,
+        t_lo: float,
+        t_hi: float,
+        n_steps: int,
+        shift: float,
+    ):
+        self.dt, lo, diag, up = _coefficients(y, sigma, mu, rho, t_lo, t_hi, n_steps)
+        self.half = 0.5 * self.dt
+        self.bc_lo, self.bc_hi, self.shift = bc_lo, bc_hi, shift
+        self.t_lo, self.t_hi, self.n_steps = t_lo, t_hi, n_steps
+        self.stride = math.isqrt(n_steps)
+        m = len(y) - 1
+        # powers of one rounded r keep every ratio p[j + 1] / p[j] within a
+        # few ulps of r, which the similarity needs
+        r = math.sqrt(lo / up)
+        j = np.arange(m - 1) - 0.5 * (m - 2)
+        self.p = np.power(r, j)
+        self.q = np.power(r, -j)
+        # d - 2 sqrt(lo up) cos(theta) as (d - 2 sqrt(lo up)) + 4 sqrt(lo up)
+        # sin(theta / 2)^2: the difference is exact while its terms are within
+        # a factor 2 and at least d / 2 otherwise, and the rest adds positive
+        # terms, so each Lambda_k is off by a few ulps of itself, not of d;
+        # an error of d's ulps in the slow modes grows over the steps and
+        # spreads across the grid
+        off = 2.0 * math.sqrt(lo * up)
+        lam = (diag - off) + 2.0 * off * np.sin(np.arange(1, m) * (0.5 * math.pi / m)) ** 2
+        self.inv = 1.0 / lam
+        self.g = 2.0 * self.inv - 1.0
+        forcing = np.zeros((3, m - 1))
+        forcing[0] = self.dt * (source - rho * shift) * self.q
+        forcing[1, 0] = lo * self.q[0]
+        forcing[2, -1] = up * self.q[-1]
+        # F / Lambda, a / Lambda and c / Lambda
+        self.f, self.a, self.c = _sine(forcing) * self.inv
+
+    def _boundary(self, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
+        """Boundary values of rows k0..k1-1."""
+        t = self.t_lo + np.arange(k0, k1) * self.dt
+        return self.bc_lo(t), self.bc_hi(t)
+
+    def _start(self, w: np.ndarray, lo: float, hi: float) -> np.ndarray:
+        """Modes of row n - 1 from those of the terminal row: two implicit-Euler
+        half-steps, the first to the midpoint's edges; lo and hi are row
+        n - 1's edge values less p(0)."""
+        mid = self.t_hi - self.half
+        w = w * self.inv + 0.5 * self.f
+        w += (self.bc_lo(mid) - self.shift) * self.a + (self.bc_hi(mid) - self.shift) * self.c
+        w *= self.inv
+        w += 0.5 * self.f + lo * self.a + hi * self.c
+        return w
+
+    def _modes(self, row: np.ndarray) -> np.ndarray:
+        """w = Q P^-1 (u - p(0)) of a row's interior."""
+        return _sine(self.q * (row[1:-1] - self.shift))
+
+    def _fill(self, out: np.ndarray, modes: np.ndarray) -> None:
+        """Write the interiors of the rows with ``modes`` into ``out``."""
+        inner = out[..., 1:-1]
+        inner[...] = _sine(modes)
+        inner *= self.p
+        inner += self.shift
+
+    def march(self, terminal: np.ndarray) -> np.ndarray:
+        """The kept rows k = 0, s, 2s, ... below n_steps, then the terminal
+        row, as ``_Stepper.march`` returns them."""
+        n, s = self.n_steps, self.stride
+        blocks = -(-n // s)
+        lo, hi = self._boundary(0, n)
+        a, c = lo - self.shift, hi - self.shift
+        w = self._start(self._modes(terminal), a[-1], c[-1])
+        # each step's weights of F, a and c, padded to whole blocks of s
+        weights = np.zeros((3, blocks * s))
+        weights[0, : n - 1] = 1.0
+        np.add(a[1:], a[:-1], out=weights[1, : n - 1])
+        np.add(c[1:], c[:-1], out=weights[2, : n - 1])
+        powers = np.empty((s + 1, len(w)))
+        powers[0] = 1.0
+        for i in range(1, s + 1):
+            np.multiply(powers[i - 1], self.g, out=powers[i])
+        # block b's sum over its steps k = bs + i of g^i times their forcing
+        weights = weights.reshape(3, blocks, s)
+        modes = weights[0] @ powers[:s]
+        modes *= self.f
+        part = np.empty_like(modes)
+        for weight, vector in zip(weights[1:], (self.a, self.c)):
+            np.matmul(weight, powers[:s], out=part)
+            part *= vector
+            modes += part
+        # the top block runs from row n - 1 down to row (blocks - 1) s
+        modes[-1] += powers[n - 1 - (blocks - 1) * s] * w
+        for b in range(blocks - 2, -1, -1):
+            modes[b] += powers[s] * modes[b + 1]
+        del part, powers  # before the transform allocates its own
+        kept = np.empty((blocks + 1, len(terminal)))
+        self._fill(kept[:-1], modes)
+        kept[:-1, 0], kept[:-1, -1] = lo[::s], hi[::s]
+        kept[-1] = terminal
+        # a non-finite value anywhere spreads through every mode
+        if not np.isfinite(kept[0]).all():
+            raise ValueError("array must not contain infs or NaNs")
+        return kept
+
+    def rows(self, row: np.ndarray, top: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows k and k + 1 from ``row``, row ``top`` > k: its modes advanced
+        top - k steps by the recurrence, and one inverse transform.  Row
+        ``top`` itself is returned as it is."""
+        n = self.n_steps
+        lo, hi = self._boundary(k, min(top + 1, n))
+        a, c = lo - self.shift, hi - self.shift
+        # row top's own modes stand in for row k + 1 when top is k + 1; that
+        # row is then returned as it is
+        modes = np.empty((2, len(row) - 2))
+        modes[1] = w = self._modes(row)
+        for j in range(top - 1, k - 1, -1):
+            if j == n - 1:
+                w = self._start(w, a[j - k], c[j - k])
+            else:
+                beta, gamma = a[j + 1 - k] + a[j - k], c[j + 1 - k] + c[j - k]
+                w = self.g * w + self.f + beta * self.a + gamma * self.c
+            if j <= k + 1:
+                modes[j - k] = w
+        out = np.empty((2, len(row)))
+        self._fill(out, modes)
+        out[0, 0], out[0, -1] = lo[0], hi[0]
+        if top == k + 1:
+            out[1] = row
+        else:
+            out[1, 0], out[1, -1] = lo[1], hi[1]
+        return out[0], out[1]
+
+
+def _stepper(y, sigma, mu, rho, source, bc_lo, bc_hi, t_lo, t_hi, n_steps, shift):
+    """The interval's stepper: ``_SineStepper`` while both off-diagonals of M
+    are negative and P stays within e^(+-_MAX_LOG_P), else ``_Stepper``."""
+    _, lo, _, up = _coefficients(y, sigma, mu, rho, t_lo, t_hi, n_steps)
+    if lo > 0.0 and up > 0.0 and 0.25 * (len(y) - 3) * abs(math.log(lo / up)) <= _MAX_LOG_P:
+        return _SineStepper(y, sigma, mu, rho, source, bc_lo, bc_hi, t_lo, t_hi, n_steps, shift)
+    return _Stepper(y, sigma, mu, rho, source, bc_lo, bc_hi, t_lo, t_hi, n_steps)
 
 
 def _edges(
     b: float, lam: float, t_hi: float, tail: float, p_0: float, p_lo: float, p_hi: float
-) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    """Small- and large-spot boundary values of one interval as functions of t;
-    ``tail`` is the jump hazard from t_hi to maturity.  The interval's stepper
-    keeps them for re-marching on ``sample``, so each binds its own values."""
+) -> tuple[Callable, Callable]:
+    """Small- and large-spot boundary values of one interval as functions of t,
+    a float or an array of times; ``tail`` is the jump hazard from t_hi to
+    maturity.  The interval's stepper keeps them for ``sample``, so each
+    binds its own values."""
     g = b + lam
 
     def near(t):
@@ -268,12 +442,12 @@ def _edges(
         if g == 0.0:
             c = 1.0 + lam * (t_hi - t)
         else:
-            c = 1.0 + (1.0 - lam / g) * math.expm1(-g * (t_hi - t))
+            c = 1.0 + (1.0 - lam / g) * np.expm1(-g * (t_hi - t))
         return p_0 + (p_lo - p_0) * c
 
     def far(t):
         # no barrier triggers; a jump default pays p(x_max)
-        return p_hi + (1.0 - p_hi) * math.exp(-(lam * (t_hi - t) + tail))
+        return p_hi + (1.0 - p_hi) * np.exp(-(lam * (t_hi - t) + tail))
 
     return near, far
 
@@ -333,7 +507,7 @@ def _cascade(
         rec = recovery.paid(np.exp(y))
         times: list[np.ndarray] = [None] * n  # type: ignore[list-item]
         values: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-        steppers: list[_Stepper] = [None] * n  # type: ignore[list-item]
+        steppers: list = [None] * n
         nxt = np.ones_like(y)
         for i in range(n - 1, -1, -1):
             lam = schedule.intensities[i]
@@ -346,7 +520,7 @@ def _cascade(
             near, far = _edges(market.b, lam, t_hi, tail, p_0, p_lo, p_hi)
             above = np.clip((y - math.log(schedule.barriers[i])) / dy + 0.5, 0.0, 1.0)
             terminal = above * nxt + (1.0 - above) * rec
-            steppers[i] = _Stepper(
+            steppers[i] = _stepper(
                 y,
                 sigma,
                 mu,
@@ -357,8 +531,9 @@ def _cascade(
                 t_lo,
                 t_hi,
                 spec.n_time_per_interval,
+                p_0,
             )
-            values[i] = _march(steppers[i], terminal)
+            values[i] = steppers[i].march(terminal)
             times[i] = np.linspace(t_lo, t_hi, spec.n_time_per_interval + 1)
             nxt = values[i][0]
         solutions.append(
@@ -410,9 +585,11 @@ def sample(solution: CascadeSolution, x: float, t: float) -> float:
     """Bilinear interpolation of the cascade on (log x, t).
 
     Announcing dates belong to the interval on their right; ``t`` equal to
-    maturity returns the glued terminal data of the last interval.  A
-    bracketing row that is not kept is re-marched from the nearest kept row
-    above it, so the value is the one the full history would give.
+    maturity returns the glued terminal data of the last interval.  A kept
+    bracketing row is read as it is; any other is recomputed by the
+    interval's stepper from the nearest kept row above it: re-marched bit
+    for bit on an LU interval, advanced in closed form per sine mode on the
+    others.
     """
     y = math.log(x) if x > 0.0 else -math.inf
     if not (solution.y[0] <= y <= solution.y[-1]):
@@ -433,10 +610,8 @@ def _bracket(solution: CascadeSolution, i: int, k: int) -> tuple[np.ndarray, np.
     s = solution.stride
     kept = solution.values[i]
     r = -(-(k + 1) // s)  # the nearest kept row at or above k + 1
-    upper = kept[r]
-    spare = np.empty((2, len(upper)))
-    for j in range(min(r * s, len(solution.times[i]) - 1) - 1, k, -1):
-        upper = solution.steppers[i].step(j, upper, spare[j & 1])
-    if k % s == 0:
-        return kept[k // s], upper
-    return solution.steppers[i].step(k, upper, spare[k & 1]), upper
+    top = min(r * s, len(solution.times[i]) - 1)
+    if top == k + 1 and k % s == 0:
+        return kept[k // s], kept[r]
+    lower, upper = solution.steppers[i].rows(kept[r], top, k)
+    return (kept[k // s] if k % s == 0 else lower), upper

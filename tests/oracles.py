@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr, roots_legendre
 
 from defbond import McResult, bivariate_cdf
-from defbond.pde import _march, _Stepper
+from defbond.pde import _Stepper
 
 
 def gl_mvn_cdf(a, cov, n: int = 96, lo: float = -9.5) -> float:
@@ -147,7 +147,7 @@ def propagate_terminal(y, terminal, coeffs, t_start, t_end, n_steps, bc_lo, bc_h
     stepper = _Stepper(
         y, coeffs.sigma, mu, coeffs.r, np.zeros(len(y) - 2), bc_lo, bc_hi, t_start, t_end, n_steps
     )
-    return _march(stepper, terminal)[0]
+    return stepper.march(terminal)[0]
 
 
 def dense_simulate_price(market, schedule, recovery, V0, config, t=0.0) -> McResult:

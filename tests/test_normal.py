@@ -554,8 +554,20 @@ def test_correlation_rejects_non_finite_dates(t, expiries):
 
 # A +-1 pair merged by box reduction leaves a coordinate bounded on both
 # sides: expiries one ulp apart with opposite signs give lo <= X_1 <= hi
-# beside X_3 <= a_3, at correlation sqrt(1/3).
+# beside X_3 <= a_3, at correlation sqrt(1/3).  The merge adds
+# acos(r) / pi = 4.7e-9 to the reported error, r = 1 - 1.1e-16 the pair's
+# correlation.
 ULP_PAIR = (1.0, math.nextafter(1.0, 2.0), 3.0)
+ULP_MERGE = math.acos(math.sqrt(1.0 / math.nextafter(1.0, 2.0))) / math.pi
+
+
+def test_merged_pair_reports_its_merge_error():
+    # two one-sided coordinates one ulp apart at 0 are merged into one, whose
+    # probability 0.5 lies acos(r) / (2 pi) = 2.4e-9 above the pair's
+    # 0.25 + asin(r) / (2 pi) (40-digit mpmath); the reported error covers it
+    p, err = db.mvn_cdf([0.0, 0.0], db.CorrelationStructure(0.0, (1.0, math.nextafter(1.0, 2.0))))
+    assert abs(p - 0.4999999976284065) <= err
+    assert err == pytest.approx(ULP_MERGE, rel=1e-6)
 
 
 # Boxes that cancel when taken as differences of larger probabilities, as
@@ -662,7 +674,7 @@ def test_mvn_two_sided_pair_matches_bivariate_difference():
         assert whole - below > 1e-4 * whole  # the difference does not cancel
         p, err = db.mvn_cdf([a1, a2, a3], c, (1, -1, 1))
         assert p == pytest.approx(whole - below, rel=0.0, abs=1e-15)
-        assert err <= 1e-14
+        assert err <= 1e-14 + ULP_MERGE
 
 
 @pytest.mark.parametrize("pair", [0, 1, 2])
@@ -681,9 +693,10 @@ def test_mvn_two_sided_coordinate_inside_a_chain(pair):
     whole = conditional_chain_cdf3(a, taus, (1, 1, 1))
     below = conditional_chain_cdf3([-c if k == pair else v for k, v in enumerate(a)], taus, (1, 1, 1))
     assert whole - below > 1e-4 * whole  # the difference does not cancel
-    p, err = db.mvn_cdf(limits, db.CorrelationStructure(0.0, expiries), signs)
+    corr = db.CorrelationStructure(0.0, expiries)
+    p, err = db.mvn_cdf(limits, corr, signs)
     assert p == pytest.approx(whole - below, rel=0.0, abs=1e-13)
-    assert err <= 1e-14
+    assert err <= 1e-14 + math.acos(corr.rho[pair]) / math.pi
 
 
 @pytest.mark.parametrize("a, b, rho, truth, rel", [

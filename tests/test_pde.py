@@ -3,12 +3,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
 
 import defbond as db
+from defbond import pde
 from defbond.binaries import BinarySpec, BsCoefficients, price_binary
 from defbond.errors import DomainError
-from defbond.pde import CascadeSolution, GridSpec, _bracket, _edges, _Stepper, sample
+from defbond.pde import (
+    CascadeSolution,
+    GridSpec,
+    _bracket,
+    _edges,
+    _SineStepper,
+    _stepper,
+    _Stepper,
+    sample,
+)
 
 from oracles import propagate_terminal
 
@@ -260,15 +269,15 @@ def test_step_matches_unfolded_formula():
     lo_c, di_c, up_c = alpha - mu / (2.0 * h), -2.0 * alpha - rho, alpha + mu / (2.0 * h)
     f = rng.uniform(0.0, 0.05, len(y) - 2)
     stepper = _Stepper(y, sigma, mu, rho, f, lambda t: 0.2, lambda t: 0.9, 0.5, 2.0, 32)
-    half, dt, q = stepper.half, stepper.dt, stepper.q
+    half, dt = stepper.half, stepper.dt
     for k in (7, stepper.n_steps - 1):
         u = rng.uniform(-1.0, 1.0, len(y))
         got = stepper.step(k, u, np.empty_like(u))
         want = np.empty_like(u)
         if k == stepper.n_steps - 1:
-            want[1:-1] = q * (u[1:-1] + half * f)
+            want[1:-1] = u[1:-1] + half * f
             stepper._solve(want, 0.0, 0.0, stepper.t_hi - half)
-            want[1:-1] = q * (want[1:-1] + half * f)
+            want[1:-1] += half * f
             terms = np.abs(want[1:-1]) + half * f
         else:
             parts = (
@@ -279,7 +288,6 @@ def test_step_matches_unfolded_formula():
                 dt * f,
             )
             want[1:-1] = u[1:-1] + half * (lo_c * u[:-2] + di_c * u[1:-1] + up_c * u[2:]) + dt * f
-            want[1:-1] *= q
             terms = sum(np.abs(p) for p in parts)
         stepper._solve(want, 0.0, 0.0, stepper.t_lo + k * dt)
         assert np.max(np.abs(got - want)) <= 4.0 * np.finfo(float).eps * np.max(terms)
@@ -321,29 +329,25 @@ def _dense_step(y, sigma, mu, rho, f, bc_lo, bc_hi, t_lo, t_hi, n, k, u):
     return out, terms
 
 
-# (sigma, mu, intervals of the grid, the factorisation the stepper picks).
-# The exponent of P is E = (m - 2)/2 * atanh(Pe) with the cell Peclet number
-# Pe = |mu| h / sigma^2; the symmetrised path needs Pe < 1 and E <= 600.
+# (sigma, mu, intervals of the grid): the cell Peclet number |mu| h / sigma^2
+# is below 1 on the first grid, where M can be symmetrised, and above 1 on
+# the second; ``_Stepper`` LU-factors both.
 _STEPPER_GRIDS = {
-    "symmetric": (0.4, -0.13, 128, "dpttrs"),
-    "under the exponent guard": (0.1, -math.tanh(595.0 / 255.0) * 0.01 / (6.0 / 512), 512, "dpttrs"),
-    "over the exponent guard": (0.1, -math.tanh(605.0 / 255.0) * 0.01 / (6.0 / 512), 512, "dgttrs"),
-    "Peclet above 1": (0.01, -0.03, 128, "dgttrs"),
+    "symmetric": (0.4, -0.13, 128),
+    "Peclet above 1": (0.01, -0.03, 128),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_STEPPER_GRIDS))
 def test_step_matches_dense_solve(name):
-    # an interior step and the Rannacher start-up against the dense system,
-    # on both factorisations and at the edge of the range of P
-    sigma, mu, m, trs = _STEPPER_GRIDS[name]
+    # an interior step and the Rannacher start-up against the dense system
+    sigma, mu, m = _STEPPER_GRIDS[name]
     rng = np.random.default_rng(17)
     y = np.linspace(0.0, 6.0, m + 1)
     rho, n = 0.02, 32
     f = rng.uniform(0.0, 0.05, m - 1)
     bc_lo, bc_hi = (lambda t: 0.2 + 0.1 * t), (lambda t: 0.9 - 0.05 * t)
     stepper = _Stepper(y, sigma, mu, rho, f, bc_lo, bc_hi, 0.5, 2.0, n)
-    assert stepper.trs is getattr(lapack, trs)
     for k in (7, n - 1):
         u = rng.uniform(-1.0, 1.0, m + 1)
         got = stepper.step(k, u, np.empty_like(u))
@@ -351,31 +355,99 @@ def test_step_matches_dense_solve(name):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(terms), k
 
 
-@pytest.mark.parametrize("s_v, trs", [(1.0, "dpttrs"), (0.01, "dgttrs")])
-def test_bracket_rows_equal_a_full_march(s_v, trs):
-    # every pair of rows sample() reads, re-marched from the kept rows, is
-    # bit for bit the pair a march that keeps every row computes
+def _one_interval(stepper, y, terminal):
+    """A cascade of one interval, [0.5, 2.0], marched by ``stepper``."""
+    n = stepper.n_steps
+    values = [stepper.march(terminal)]
+    return CascadeSolution(
+        (0.5, 2.0), y, [np.linspace(0.5, 2.0, n + 1)], values, stepper.stride, [stepper]
+    )
+
+
+def test_sine_march_matches_dense_steps():
+    # a whole interval in the sine basis, with a source, time-varying edges,
+    # the start-up and a shift p(0) that is not zero, against the dense
+    # Crank-Nicolson system solved row by row: kept rows from the closed-form
+    # march, the others from the per-mode recurrence, all to 1e-12 of the
+    # dense steps' terms
+    rng = np.random.default_rng(29)
+    sigma, mu, rho, m, n = 0.4, -0.13, 0.02, 128, 32
+    y = np.linspace(0.0, 6.0, m + 1)
+    f = rng.uniform(0.0, 0.05, m - 1)
+    bc_lo, bc_hi = (lambda t: 0.2 + 0.1 * t), (lambda t: 0.9 - 0.05 * t)
+    stepper = _stepper(y, sigma, mu, rho, f, bc_lo, bc_hi, 0.5, 2.0, n, 0.3)
+    assert type(stepper) is _SineStepper
+    rows = [None] * n + [rng.uniform(-1.0, 1.0, m + 1)]
+    scale = 0.0
+    for k in range(n - 1, -1, -1):
+        rows[k], terms = _dense_step(y, sigma, mu, rho, f, bc_lo, bc_hi, 0.5, 2.0, n, k, rows[k + 1])
+        scale = max(scale, float(np.max(terms)))
+    sol = _one_interval(stepper, y, rows[-1])
+    for k in range(n):
+        lower, upper = _bracket(sol, 0, k)
+        assert np.max(np.abs(lower - rows[k])) <= 1e-12 * scale, k
+        assert np.max(np.abs(upper - rows[k + 1])) <= 1e-12 * scale, k
+
+
+@pytest.mark.parametrize("exponent", [7.95, 8.05])
+def test_sine_basis_guard(exponent):
+    # a 2048^2 grid whose scaling P reaches e^(+-exponent): under the guard
+    # of e^(+-8) the sine basis runs and stays within 1e-8 of the LU march on
+    # every kept row (rounding grows toward the edge where P is largest) and
+    # within 1e-10 on samples inside the grid; over it the LU march runs
+    m, n, sigma, lam, p_0 = 2048, 2048, 0.1, 0.02, 0.4
+    y = np.linspace(0.0, 6.0, m + 1)
+    mu = -math.tanh(exponent / (0.5 * (m - 2))) * sigma * sigma / (y[1] - y[0])
+    near, far = _edges(0.05, lam, 2.0, 0.01, p_0, p_0, p_0)
+    source = np.full(m - 1, lam * p_0)
+    terminal = np.where(y > 2.5, 1.0, p_0)
+    args = (y, sigma, mu, lam, source, near, far, 0.5, 2.0, n)
+    stepper = _stepper(*args, p_0)
+    if exponent > 8.0:
+        assert type(stepper) is _Stepper
+        return
+    assert type(stepper) is _SineStepper
+    sine, lu = _one_interval(stepper, y, terminal), _one_interval(_Stepper(*args), y, terminal)
+    assert np.max(np.abs(sine.values[0] - lu.values[0])) <= 1e-8
+    for x in (math.exp(1.0), math.exp(2.5), math.exp(3.0), math.exp(4.5)):
+        for t in (0.5, 0.5 + 1.5 * 13.5 / n, 1.3, 2.0 - 1.5 * 0.5 / n):
+            assert abs(sample(sine, x, t) - sample(lu, x, t)) <= 1e-10, (x, t)
+
+
+@pytest.mark.parametrize("s_v, path", [(1.0, "sine"), (0.01, "dgttrs")])
+def test_bracket_rows_equal_a_full_march(s_v, path, monkeypatch):
+    # every pair of rows sample() reads against the pair a march that keeps
+    # every row computes: bit for bit on LU intervals, which re-march from
+    # the kept rows, and to rounding on sine-basis intervals, against the
+    # same cascade with the sine basis switched off
     scenario = db.load_scenario(SCENARIOS / "base_exogenous.yaml")
     market = db.MarketParams(scenario.market.r, scenario.market.b, s_v)
     schedule, rec = scenario.schedule, scenario.recovery
     grid = GridSpec.auto(market, schedule, 200.0, rec, n_space=256, n_time_per_interval=64)
     sol = db.solve_exogenous_cascade(market, schedule, rec, grid)
-    for i, stepper in enumerate(sol.steppers):
-        assert stepper.trs is getattr(lapack, trs)
-        rows = [None] * 64 + [sol.values[i][-1]]
+    kind = _SineStepper if path == "sine" else _Stepper
+    assert all(type(stepper) is kind for stepper in sol.steppers)
+    if path == "sine":
+        monkeypatch.setattr(pde, "_MAX_LOG_P", -1.0)
+    reference = db.solve_exogenous_cascade(market, schedule, rec, grid)
+    tolerance = 1e-12 if path == "sine" else 0.0
+    for i, stepper in enumerate(reference.steppers):
+        assert type(stepper) is _Stepper
+        rows = [None] * 64 + [reference.values[i][-1]]
         for k in range(63, -1, -1):
             rows[k] = stepper.step(k, rows[k + 1], np.empty_like(rows[k + 1]))
         for k in range(64):
             lower, upper = _bracket(sol, i, k)
-            assert np.array_equal(lower, rows[k]) and np.array_equal(upper, rows[k + 1]), (i, k)
+            assert np.max(np.abs(lower - rows[k])) <= tolerance, (i, k)
+            assert np.max(np.abs(upper - rows[k + 1])) <= tolerance, (i, k)
 
 
 @pytest.mark.parametrize("name", ["base_exogenous", "base_endogenous_low_barrier"])
-@pytest.mark.parametrize("s_v, trs", [(0.01, "dgttrs"), (0.02, "dpttrs")])
-def test_low_volatility_cascade_matches_closed_form(name, s_v, trs):
-    # on the default grid s_V = 0.01 puts the cell Peclet number above 1, so
-    # the stepper pivots; at s_V = 0.02 the symmetrised path runs with P
-    # reaching e^592, close to its e^600 limit
+@pytest.mark.parametrize("s_v, path", [(0.01, "dgttrs"), (0.02, "dgttrs"), (0.2, "sine")])
+def test_low_volatility_cascade_matches_closed_form(name, s_v, path):
+    # on the default grid s_V = 0.01 puts the cell Peclet number above 1; at
+    # s_V = 0.02 the symmetrising scaling would reach e^592 and at 0.2 e^7.4,
+    # so only the last marches in the sine basis (guard e^8) and the others pivot
     scenario = db.load_scenario(SCENARIOS / f"{name}.yaml")
     market = db.MarketParams(scenario.market.r, scenario.market.b, s_v)
     schedule, rec = scenario.schedule, scenario.recovery
@@ -388,7 +460,8 @@ def test_low_volatility_cascade_matches_closed_form(name, s_v, trs):
     else:
         sol = db.solve_endogenous_cascade(market, schedule, rec, grid)
         closed = db.price_endogenous(market, schedule, rec, firm, 0.0).price
-    assert all(stepper.trs is getattr(lapack, trs) for stepper in sol.steppers)
+    kind = _SineStepper if path == "sine" else _Stepper
+    assert all(type(stepper) is kind for stepper in sol.steppers)
     assert df * sample(sol, firm / df, 0.0) == pytest.approx(closed, rel=0.0, abs=1e-6)
 
 
@@ -438,8 +511,8 @@ def test_sample_interpolation_against_finer_grid(market, schedule, exo):
 
 
 # Reference values of the march that called a banded solver at every step.
-# A factorisation per interval, pivoted or symmetrised, solves the same
-# systems, so they reproduce to 1e-12.  Rows: x = 80, 150, 400;
+# A factorisation per interval, pivoted or symmetrised, or the sine basis
+# solves the same systems, so they reproduce to 1e-12.  Rows: x = 80, 150, 400;
 # columns: t = 0, 1.3, 3, 4.5.
 _PINNED = {
     "base_exogenous": (
@@ -460,31 +533,30 @@ _PINNED = {
 }
 
 
-# Values of the march that solves the symmetrised system and folds the
-# explicit half-step through 2 (I - hA)^-1 - I, at five kinds of step time on
-# the same grids (columns) and at x = x_min, 80, 150, 400, x_max (rows); the
-# grid edges carry each interval's own boundary values.  Re-marching
-# reproduces them bit for bit.
+# Values of the march in the sine basis, at five kinds of step time on the
+# same grids (columns) and at x = x_min, 80, 150, 400, x_max (rows); the grid
+# edges carry each interval's own boundary values.  They moved by up to
+# 2.2e-14 from the symmetrised LAPACK march that the sine basis replaced.
 _PINNED_STEPS = {
     "base_exogenous": (
         0.5, 0.5, 0.5, 0.5, 0.5,
-        0.5102082371892391, 0.5769507181866104, 0.5807688392530119, 0.5258561284515518, 0.5688477585478601,
-        0.6114361695830987, 0.6330197592503034, 0.6412673411839569, 0.5495775891254016, 0.6163818000710013,
-        0.7138999283405334, 0.7478420658483332, 0.7632132187927969, 0.6093405608841346, 0.7165494034203946,
+        0.5102082371892377, 0.5769507181865962, 0.5807688392529988, 0.5258561284515728, 0.5688477585478431,
+        0.6114361695830844, 0.6330197592502906, 0.6412673411839455, 0.5495775891254213, 0.6163818000709859,
+        0.713899928340521, 0.7478420658483232, 0.7632132187927878, 0.6093405608841522, 0.7165494034203818,
         0.9925097948438474, 0.9937696153851978, 0.994290659355171, 0.990344447594333, 0.9925559698015314,
     ),
     "base_endogenous_low_barrier": (
         0.0007514921521447464, 0.0006650291454263296, 0.0006719898745931912, 0.0006732837577593748, 0.000649096448734653,
-        0.36831728910895245, 0.2567481406851904, 0.2697510715930133, 0.17682839553969876, 0.22957218884068267,
-        0.34423164218795543, 0.38098716845561376, 0.40156918002617337, 0.24613852402219, 0.33862648301084886,
-        0.535168612056187, 0.6030294050387233, 0.632605010148704, 0.37337835805999314, 0.5407001501930291,
+        0.36831728910895356, 0.2567481406851965, 0.26975107159301903, 0.1768283955397044, 0.22957218884068903,
+        0.34423164218796465, 0.3809871684556227, 0.4015691800261817, 0.24613852402219893, 0.3386264830108582,
+        0.5351686120562025, 0.6030294050387371, 0.6326050101487174, 0.3733783580600096, 0.5407001501930444,
         1.0, 1.0, 1.0, 1.0, 1.0,
     ),
     "base_endogenous_high_barrier": (
         0.0015029843042894929, 0.0013300582908526593, 0.0013439797491863823, 0.0013465675155187496, 0.001298192897469306,
-        0.995689108241626, 0.9692660487304404, 0.9780076412933298, 0.9761581119961443, 0.9433694649270266,
-        0.9736863247782395, 0.9875495541106669, 0.9918830643026674, 0.9872388816333452, 0.9728886230383399,
-        0.992450342716194, 0.9976625589925134, 0.9987158129195574, 0.9910412949008333, 0.9930817926365016,
+        0.9956891082416247, 0.9692660487304265, 0.9780076412933161, 0.9761581119961495, 0.9433694649270089,
+        0.9736863247782261, 0.9875495541106571, 0.9918830643026582, 0.9872388816333518, 0.9728886230383259,
+        0.992450342716196, 0.9976625589925197, 0.9987158129195632, 0.9910412949008548, 0.9930817926365042,
         1.0, 1.0, 1.0, 1.0, 1.0,
     ),
 }
@@ -499,7 +571,7 @@ def test_pinned_bundled_cascades(name):
     sol = solve(market, schedule, rec, grid)
     got = [sample(sol, x, t) for x in (80.0, 150.0, 400.0) for t in (0.0, 1.3, 3.0, 4.5)]
     assert got == pytest.approx(_PINNED[name], rel=0.0, abs=1e-12)
-    # 64 steps per interval keep every 8th row; the other rows are re-marched
+    # 64 steps per interval keep every 8th row; the other rows are recomputed
     t0, t1 = sol.times
     steps = (
         t0[63],  # the Rannacher start-up row
