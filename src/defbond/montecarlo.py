@@ -24,16 +24,24 @@ The pass settles barrier defaults without branching selects.  A path's
 x_dead is 0 while it lives, so fmax(x_dead, x * hit) sets it to x at a hit
 and keeps it elsewhere (fmax drops the NaN of inf * 0), and
 maximum(paid(x_dead), alive) pays 1 to a survivor, since paid(0) <= 1, and
-paid(x_dead) >= 0 to a default.
+paid(x_dead) >= 0 to a default.  The pass allocates no full row: it works in
+block-sized rows that every start of a call reuses, takes its jump
+candidates from the paths that have bridge normals rather than from a test
+over every path, and pays the recovery into a row that the caller passes.
 
 ``simulate_prices`` takes several starts (V0, t).  Starts with the same first
-remaining date form a group, and each block's step normals and uniforms are
-drawn once for the group.  Its bridge normals are drawn once too, for the
-paths that can jump under the group's widest hazard bound; each start takes
-the prefix that its own bound selects, which is its own draw, because
-``standard_normal(k)`` returns the first k values of any longer draw.  So
-every start gets what it would get alone, bit for bit, and the starts of a
-group share common random numbers, as they would through one seed.
+remaining date form a group.  Alone, a group would draw its d date rows of
+step normals, then its uniforms, then its bridge normals; the fill is
+sequential, so its rows are the first d rows of the longest group's.  Each
+block therefore draws the longest group's rows once, in runs ending at each
+group's last row, and keeps the generator state there: the group draws its
+uniforms and bridge normals from that state, which is then put back for the
+next rows.  A group's bridge normals are drawn once, for the paths that can
+jump under its widest hazard bound; each start takes the prefix that its own
+bound selects, which is its own draw, because ``standard_normal(k)`` returns
+the first k values of any longer draw.  So every start gets what it would get
+alone, bit for bit, and the starts share common random numbers, as they
+would through one seed.
 """
 
 from __future__ import annotations
@@ -111,16 +119,19 @@ def _start_legs(market, schedule, recovery, V0, t, first, rows):
     # keeps every such u against rounding in either function
     u_bound = -math.expm1(-total_hazard) * (1.0 + 1e-6)
 
-    def leg_payoff(z, e_unif, bridge_idx, bridge_z, sign):
-        """(relative payoff, paths survived) from one set of draws, taken with
-        ``sign``; row j of the date-major ``z`` drives the step to date j, and
-        ``bridge_z`` holds the bridge normals of the paths ``bridge_idx``, a
-        sorted superset of those that can jump."""
+    def leg_payoff(z, wide_idx, e_wide, bridge_idx, bridge_z, sign, out):
+        """Paths survived from one set of draws, taken with ``sign``, and
+        each path's relative payoff written to ``out``.  Row j of the
+        date-major ``z`` drives the step to date j; ``e_wide`` holds the
+        leg's uniforms at the paths ``wide_idx``, a sorted superset of those
+        below ``u_bound``, and ``bridge_z`` the bridge normals of the paths
+        ``bridge_idx``, a sorted superset of those that can jump."""
         n = z.shape[1]
         # jump defaults: only draws below the bound can land inside the
         # hazard mass, and the exact test keeps those that do
-        cand = np.flatnonzero(e_unif < u_bound)
-        e = -np.log1p(-np.clip(e_unif[cand], 0.0, 1.0 - 1e-16))
+        below = e_wide < u_bound
+        cand = wide_idx[below]
+        e = -np.log1p(-np.clip(e_wide[below], 0.0, 1.0 - 1e-16))
         jumps = e < total_hazard
         jidx = cand[jumps]
         e = e[jumps]
@@ -135,22 +146,24 @@ def _start_legs(market, schedule, recovery, V0, t, first, rows):
         # one forward pass in time order: a jump inside segment j ends its
         # path before the barrier at date j is tested; x holds the previous
         # date's value (x0 before the first), x_dead each path's x at default
-        # and 0 while it lives
+        # and 0 while it lives, run the sum of the steps so far
         alive, hit, x_dead, step, run, x = (row[:n] for row in rows)
         alive.fill(True)
         x_dead.fill(0.0)
-        run.fill(0.0)
-        x.fill(x0)
         for j in range(n_dates):
             in_j = seg == j
             jumped = jidx[in_j]
             live = alive[jumped]
             jumped = jumped[live]
-            x_dead[jumped] = x[jumped] * growth[in_j][live]
+            x_dead[jumped] = (x[jumped] if j else x0) * growth[in_j][live]
             alive[jumped] = False
-            np.multiply(z[j], sign * vol[j], out=step)
-            step += drift[j]
-            run += step  # the order np.cumsum takes them; 0 + step is exact
+            # the first step is the sum, the rest add on in the order
+            # np.cumsum takes them
+            into = step if j else run
+            np.multiply(z[j], sign * vol[j], out=into)
+            into += drift[j]
+            if j:
+                run += step
             np.add(log_x0, run, out=x)
             np.exp(x, out=x)
             np.less_equal(x, barrier_levels[j], out=hit)
@@ -164,9 +177,9 @@ def _start_legs(market, schedule, recovery, V0, t, first, rows):
             np.fmax(x_dead, step, out=x_dead)
             alive ^= hit
         # a live path pays 1 >= paid(0), a dead one paid(x_dead) >= 0
-        pay = recovery.paid(x_dead)
-        np.maximum(pay, alive, out=pay)
-        return pay, int(np.count_nonzero(alive))
+        recovery.paid(x_dead, out=out)
+        np.maximum(out, alive, out=out)
+        return int(np.count_nonzero(alive))
 
     return df, u_bound, leg_payoff
 
@@ -181,8 +194,9 @@ def simulate_prices(
     """One ``McResult`` per ``(V0, t)`` in ``starts``, in their order, each
     equal to what ``simulate_price`` gives for that start alone.
 
-    ``V0`` is the firm value at the evaluation time ``t``.  Starts with the
-    same remaining dates share each block's draws.
+    ``V0`` is the firm value at the evaluation time ``t``.  Each block draws
+    its step normal rows once for every start, and starts with the same
+    remaining dates share its uniforms and bridge normals.
     """
     starts = list(starts)
     groups: dict[int, list[int]] = {}
@@ -193,26 +207,42 @@ def simulate_prices(
             raise DomainError(f"simulate_prices: t={t} outside [0, maturity)")
         first = next(j for j, d in enumerate(schedule.dates) if d > t)
         groups.setdefault(first, []).append(i)
+    if not groups:
+        return []
 
     n_pairs = config.n_paths // 2
     width = min(_BLOCK, n_pairs)
     rows = (np.empty(width, dtype=bool), np.empty(width, dtype=bool)) + tuple(
         np.empty(width) for _ in range(4)
     )
-    results: list[McResult] = [None] * len(starts)
-    for first, members in groups.items():
-        n_dates = len(schedule.dates) - first
-        legs = [
-            _start_legs(market, schedule, recovery, *starts[i], first, rows) for i in members
-        ]
+    # the fewest remaining dates first: a group's normal rows are a prefix
+    # of the next group's; u_wide is the group's widest candidate bound
+    plan = []
+    for first, members in sorted(groups.items(), reverse=True):
+        legs = [_start_legs(market, schedule, recovery, *starts[i], first, rows) for i in members]
         u_wide = max(u_bound for _, u_bound, _ in legs)
-        sums = [[0.0, 0.0, 0] for _ in members]  # sum v, sum v^2, survivors
-        done = 0
-        block = 0
-        while done < n_pairs:
-            count = min(_BLOCK, n_pairs - done)
-            rng = _block_rng(config.seed, block)
-            z = rng.standard_normal((n_dates, count))
+        plan.append((len(schedule.dates) - first, members, legs, u_wide))
+    n_rows = plan[-1][0]
+    z_buf = np.empty(n_rows * width)
+    # each leg pays into one row, then the pair's mean v and v^2 replace them
+    v_buf, v2_buf = np.empty(width), np.empty(width)
+    sums = [[0.0, 0.0, 0] for _ in starts]  # sum v, sum v^2, survivors
+    done = 0
+    block = 0
+    while done < n_pairs:
+        count = min(_BLOCK, n_pairs - done)
+        rng = _block_rng(config.seed, block)
+        z = z_buf[: n_rows * count].reshape(n_rows, count)
+        v, v2 = v_buf[:count], v2_buf[:count]
+        drawn = 0
+        for n_dates, members, legs, u_wide in plan:
+            # alone, this group would draw its n_dates rows, then its
+            # uniforms and bridge normals; the rows are the first n_dates of
+            # the longest group's, and the generator resumes after them for
+            # the next group's rows
+            rng.standard_normal(out=z[drawn:n_dates])
+            drawn = n_dates
+            resume = rng.bit_generator.state
             u = rng.random(count)
             u_anti = 1.0 - u
             # a bridge normal for every path that either leg of any start
@@ -220,20 +250,28 @@ def simulate_prices(
             # draw would be the first as many normals of this one
             wide_idx = np.flatnonzero((u < u_wide) | (u_anti < u_wide))
             wide_z = rng.standard_normal(len(wide_idx))
+            rng.bit_generator.state = resume
             u_w, u_anti_w = u[wide_idx], u_anti[wide_idx]
-            for (_, u_bound, leg_payoff), acc in zip(legs, sums):
+            z_group = z[:n_dates]
+            for i, (_, u_bound, leg_payoff) in zip(members, legs):
                 bridge_idx = wide_idx[(u_w < u_bound) | (u_anti_w < u_bound)]
                 bridge_z = wide_z[: len(bridge_idx)]
-                pay, surv = leg_payoff(z, u, bridge_idx, bridge_z, 1.0)
-                pay2, surv2 = leg_payoff(z, u_anti, bridge_idx, bridge_z, -1.0)
-                v = 0.5 * (pay + pay2)
+                surv = leg_payoff(z_group, wide_idx, u_w, bridge_idx, bridge_z, 1.0, v)
+                surv2 = leg_payoff(z_group, wide_idx, u_anti_w, bridge_idx, bridge_z, -1.0, v2)
+                np.add(v, v2, out=v)
+                np.multiply(v, 0.5, out=v)
+                np.multiply(v, v, out=v2)
+                acc = sums[i]
                 acc[0] += float(v.sum())
-                acc[1] += float((v * v).sum())
+                acc[1] += float(v2.sum())
                 acc[2] += surv + surv2
-            done += count
-            block += 1
+        done += count
+        block += 1
 
-        for i, (df, _, _), (sum_v, sum_v2, survived) in zip(members, legs, sums):
+    results: list[McResult] = [None] * len(starts)
+    for _, members, legs, _ in plan:
+        for i, (df, _, _) in zip(members, legs):
+            sum_v, sum_v2, survived = sums[i]
             mean_rel = sum_v / n_pairs
             if n_pairs > 1:
                 var = max(sum_v2 - n_pairs * mean_rel * mean_rel, 0.0) / (n_pairs - 1)

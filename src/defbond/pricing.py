@@ -115,15 +115,19 @@ class RecoveryModel:
         (exogenous, or endogenous with R = 0)."""
         return self.n / self.R if self.mode == "endogenous" and self.R > 0.0 else math.inf
 
-    def paid(self, x):
+    def paid(self, x, out=None):
         """Relative recovery a default pays at relative firm value ``x`` (a
-        float or an array): min(1, x / cap) endogenous, R exogenous.  The
-        closed form never calls it, so numpy is imported here."""
+        float or an array): min(1, x / cap) endogenous, R exogenous; written
+        to the float array ``out`` when one is given, which may be ``x``.
+        The closed form never calls it, so numpy is imported here."""
         import numpy as np
 
         if self.mode == "endogenous":
-            return np.minimum(1.0, x / self.cap)
-        return np.full_like(x, self.R, dtype=float)
+            return np.minimum(1.0, np.divide(x, self.cap, out=out), out=out)
+        if out is None:
+            return np.full_like(x, self.R, dtype=float)
+        out.fill(self.R)
+        return out
 
 
 @dataclass(frozen=True)

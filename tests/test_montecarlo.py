@@ -247,3 +247,30 @@ def test_shared_draws_keep_input_order(market):
     shared = db.simulate_prices(market, schedule, rec, starts, config)
     assert shared == [db.simulate_price(market, schedule, rec, V0, config, t) for V0, t in starts]
     assert len({r.price_estimate for r in shared}) == len(starts)
+
+
+@pytest.mark.parametrize("n_paths", [20_000, 2 * 2**16 + 3002])
+def test_shared_rows_span_every_interval(market, n_paths):
+    # starts in each of four intervals, shuffled, one exactly on a date and
+    # two in the last one: every group takes a prefix of the longest group's
+    # normal rows and draws its uniforms after its own last row, in every
+    # block, the partial last one too
+    schedule = db.DefaultSchedule(
+        (0.0, 1.0, 2.5, 4.0, 6.0), (0.02, 0.0, 0.05, 0.01), (90.0, 120.0, 80.0, 100.0)
+    )
+    rec = db.RecoveryModel("endogenous", 0.5, n=50.0)
+    config = db.SimConfig(n_paths, seed=4242)
+    starts = [(130.0, 4.5), (150.0, 0.3), (110.0, 2.5), (95.0, 5.9), (170.0, 1.7), (140.0, 3.1)]
+    shared = db.simulate_prices(market, schedule, rec, starts, config)
+    alone = [db.simulate_price(market, schedule, rec, V0, config, t) for V0, t in starts]
+    dense = [dense_simulate_price(market, schedule, rec, V0, config, t) for V0, t in starts]
+    assert shared == alone == dense
+
+
+def test_shared_rows_edge_cases(market, schedule, exo):
+    config = db.SimConfig(2 * 2**16 + 3002, seed=5)
+    assert db.simulate_prices(market, schedule, exo, [], config) == []
+    # every start in the last interval: one group, which is also the longest
+    starts = [(120.0, 4.5), (80.0, 3.0), (200.0, 5.5)]
+    shared = db.simulate_prices(market, schedule, exo, starts, config)
+    assert shared == [db.simulate_price(market, schedule, exo, V0, config, t) for V0, t in starts]
