@@ -171,7 +171,8 @@ def cmd_validate(args) -> int:
     firms = [scenario.firm_value(t) for t in times]  # x-scenarios rescale V, V-scenarios hold it
     # one call: probes with the same remaining dates share each block's
     # draws; made before the solve, its scratch never sits beside the
-    # cascade's kept rows, which keeps the peak memory down
+    # cascade's rows (isqrt(n_time) + 1 per LU interval), which keeps the
+    # peak memory down
     mcs = engines.simulate_prices(market, schedule, recovery, list(zip(firms, times)), sim)
     check = args.pde_tol if args.grid_check else None
     if recovery.mode == "exogenous":
@@ -254,7 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="closed form vs PDE vs Monte Carlo")
     p_val.add_argument("scenario")
     p_val.add_argument("--n-space", type=int, default=2048)
-    p_val.add_argument("--n-time", type=int, default=2048)
+    p_val.add_argument(
+        "--n-time", type=int, default=2048,
+        help="time steps per interval where the PDE takes the LU march (sine-basis "
+        "intervals are exact in time)",
+    )
     p_val.add_argument("--paths", type=int, default=200_000)
     p_val.add_argument("--seed", type=int, default=0)
     p_val.add_argument("--pde-tol", type=float, default=1e-3)

@@ -1,31 +1,29 @@
 """Finite-difference verification engine for the bond-price cascade.
 
 Solves the relative-price equation backward interval by interval on a uniform
-log-spot grid: Crank-Nicolson in time with an implicit-Euler (Rannacher)
-start-up after every discontinuous terminal or gluing condition.  Every
-recovery model runs through one cascade whose data all come from the
-recovery a default pays, p = ``RecoveryModel.paid``: the gluing values, the
-source lam * p, the large-spot boundary p(x_max) + (1 - p(x_max)) S_i(t)
-with S_i the jump survival to maturity, and the small-spot boundary
-p(0) + (p(x_min) - p(0)) c_i(t), exact while p is affine on [0, x_min].
-When every barrier sits far under the grid both edges take the far-field
-value, which needs the same recovery at both edges once a jump channel is
-live.  Each interval has constant coefficients, so its step matrix
-M = I - (dt/2) A is tridiagonal Toeplitz.  While the cell Peclet number is
-below 1, a diagonal scaling makes M symmetric, and the orthonormal discrete
-sine transform diagonalises it (the fast direct solver of Buzbee, Golub &
-Nielson, SIAM J. Numer. Anal. 1970): every step is then one scalar
-recurrence per sine mode, and an interval's kept rows come in closed form
-from a table of powers, one matrix product and one batched inverse
-transform (``_SineStepper``).  Rounding in that basis grows with the range
+log-spot grid.  Every recovery model runs through one cascade whose data all
+come from the recovery a default pays, p = ``RecoveryModel.paid``: the
+gluing values, the source lam * p, the large-spot boundary
+p(x_max) + (1 - p(x_max)) S_i(t) with S_i the jump survival to maturity, and
+the small-spot boundary p(0) + (p(x_min) - p(0)) c_i(t), exact while p is
+affine on [0, x_min] (``_edges``).  When every barrier sits far under the
+grid both edges take the far-field value, which needs the same recovery at
+both edges once a jump channel is live.  Each interval has constant
+coefficients, so its spatial operator A is tridiagonal Toeplitz.  While the
+cell Peclet number is below 1, a diagonal scaling makes A symmetric and the
+orthonormal discrete sine transform diagonalises it: in its modes the
+semi-discrete equation has a closed-form solution at any time, so an
+interval takes one transform of its terminal row and one inverse transform
+for any row (``_SineStepper``).  Rounding in that basis grows with the range
 of the scaling, so it runs while the scaling stays within e^(+-8); every
-other interval takes the pivoted LU march, one LAPACK ``dgttrs`` solve per
-step (``_Stepper``).  A stepper imports ``scipy.fft`` or
-``scipy.linalg`` when it is built, so importing this module loads no scipy.
-Only every s-th row is kept, s = isqrt(steps per interval), plus the glued
-terminal row; ``sample`` recomputes the rows it needs from the nearest kept
-row above them with the interval's own stepper.  This engine shares no code
-path with the closed forms it checks.
+other interval takes Crank-Nicolson steps with an implicit-Euler (Rannacher)
+start-up after its terminal row, one LAPACK ``dgttrs`` solve per step
+(``_Stepper``), which keeps only every s-th row, s = isqrt(steps per
+interval), plus the glued terminal row; ``sample`` re-marches the rows it
+needs from the nearest kept row above them.  A stepper imports
+``scipy.fft``, ``scipy.special`` or ``scipy.linalg`` when it first runs, so
+importing this module loads no scipy.  This engine shares no code path with
+the closed forms it checks.
 """
 
 from __future__ import annotations
@@ -53,16 +51,18 @@ __all__ = [
 # the spot (GridSpec.auto); barriers this far under x_min are unreachable.
 _MARGIN = 50.0
 
-# An interval marches in the sine basis only while its diagonal scaling P stays
-# within e^(+-_MAX_LOG_P): the basis's rounding scales like eps e^(2 _MAX_LOG_P)
-# toward the grid edge where P is largest and like eps e^_MAX_LOG_P mid-grid
-# (a 2048^2 grid at e^(+-7.95) kept its rows within 7e-11 of the LU march).
+# An interval is solved in the sine basis only while its diagonal scaling P
+# stays within e^(+-_MAX_LOG_P): the basis's rounding scales like
+# eps e^(2 _MAX_LOG_P) toward the grid edge where P is largest and like
+# eps e^_MAX_LOG_P mid-grid (on 2048 nodes at e^(+-7.95) the row at t_i stayed
+# within 2.3e-11 of the LU march at 32768 steps, whose own time error is 1.8e-11).
 _MAX_LOG_P = 8.0
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Spatial/temporal resolution for the cascade solver."""
+    """Spatial/temporal resolution for the cascade solver.  An interval in the
+    sine basis is exact in time; ``n_time_per_interval`` steps the others."""
 
     x_min: float
     x_max: float
@@ -113,42 +113,36 @@ class GridSpec:
 class CascadeSolution:
     """Per-interval grids of the relative price u on (log-spot, time).
 
-    ``times[i]`` is interval i's full step grid t_i + k dt, k = 0..n.
-    ``values[i]`` keeps only the rows k = 0, s, 2s, ... below n, with
-    s = ``stride``, and last the glued terminal row k = n.  ``sample`` reads
-    a kept row as it is and recomputes any other row with ``steppers[i]``
-    from the nearest kept row above it.  ``accuracy_warning`` is set when a
-    Richardson check exceeds its tolerance.
+    A sine-basis interval (``_SineStepper``) is exact in time: ``times[i]``
+    is [t_i, t_{i+1}] and ``values[i]`` its rows there, the second the glued
+    terminal row.  An LU interval (``_Stepper``) has ``times[i]``, its full
+    step grid t_i + k dt, k = 0..n, and keeps in ``values[i]`` only the rows
+    k = 0, s, 2s, ... below n, with s = isqrt(n), and last the glued
+    terminal row k = n.  ``sample`` takes the row at any t from
+    ``steppers[i]``.  ``accuracy_warning`` is set when a Richardson check
+    exceeds its tolerance.
     """
 
     dates: tuple[float, ...]
     y: np.ndarray
     times: list[np.ndarray]
     values: list[np.ndarray]
-    stride: int
-    steppers: list["_Stepper | _SineStepper"]
+    steppers: list[_Stepper | _SineStepper]
     accuracy_warning: str | None = None
 
 
-def _coefficients(y, sigma, mu, rho, t_lo, t_hi, n_steps):
-    """dt and the magnitudes (lo, diag, up) of M = I - (dt/2) A for
-    u_t + (sigma^2/2) u_yy + mu u_y - rho u + f = 0 on n_steps steps of
-    [t_lo, t_hi]: M has sub-diagonal -lo, diagonal diag and super-diagonal -up."""
+def _operator(y, sigma, mu):
+    """alpha = sigma^2 / (2 h^2) and the off-diagonals (lo, up) of the spatial
+    operator A of u_t + (sigma^2/2) u_yy + mu u_y - rho u + f = 0 on the grid
+    y: A has sub-diagonal lo, diagonal -2 alpha - rho and super-diagonal up."""
     h = y[1] - y[0]
     alpha = sigma * sigma / (2.0 * h * h)
-    dt = (t_hi - t_lo) / n_steps
-    half = 0.5 * dt
-    return (
-        dt,
-        half * (alpha - mu / (2.0 * h)),
-        1.0 + half * (2.0 * alpha + rho),
-        half * (alpha + mu / (2.0 * h)),
-    )
+    return alpha, alpha - mu / (2.0 * h), alpha + mu / (2.0 * h)
 
 
 class _Stepper:
     """Backward Crank-Nicolson for u_t + (sigma^2/2) u_yy + mu u_y - rho u + f = 0
-    on n_steps steps of [t_lo, t_hi]; row k is the solution at t_lo + k dt.
+    on n_steps steps of [t_lo, t_hi]; row k is the solution at ``times[k]``.
 
     The first transition after the (possibly discontinuous) terminal row is
     taken as two implicit-Euler half-steps.  Both schemes solve with
@@ -172,12 +166,17 @@ class _Stepper:
         t_hi: float,
         n_steps: int,
     ):
-        self.dt, self.lo, diag, self.up = _coefficients(y, sigma, mu, rho, t_lo, t_hi, n_steps)
+        # M = I - (dt/2) A has sub-diagonal -lo, diagonal diag and super-diagonal -up
+        alpha, lo, up = _operator(y, sigma, mu)
+        self.dt = (t_hi - t_lo) / n_steps
         self.half = 0.5 * self.dt
+        self.lo, self.up = self.half * lo, self.half * up
+        diag = 1.0 + self.half * (2.0 * alpha + rho)
         self.half_f = self.half * source
         self.dt_f = self.dt * source
         self.bc_lo, self.bc_hi = bc_lo, bc_hi
         self.t_lo, self.t_hi, self.n_steps = t_lo, t_hi, n_steps
+        self.times = np.linspace(t_lo, t_hi, n_steps + 1)
         # rows a march keeps: every stride-th, then the terminal row
         self.stride = math.isqrt(n_steps)
         from scipy.linalg import lapack
@@ -238,14 +237,20 @@ class _Stepper:
             raise ValueError("array must not contain infs or NaNs")
         return kept
 
-    def rows(self, row: np.ndarray, top: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows k and k + 1 re-marched from ``row``, row ``top`` > k, bit for
-        bit as ``march`` computes them."""
-        spare = np.empty((2, len(row)))
-        upper = row
-        for j in range(top - 1, k, -1):
+    def row(self, kept: np.ndarray, t: float) -> np.ndarray:
+        """The row at time t, linear in t between the step rows k and k + 1
+        around it.  Each is read from ``kept`` or re-marched from the nearest
+        kept row above it, bit for bit as ``march`` computes it."""
+        n, s, times = self.n_steps, self.stride, self.times
+        k = min(max(bisect_right(times, t) - 1, 0), n - 1)
+        r = -(-(k + 1) // s)  # the nearest kept row at or above k + 1
+        upper = kept[r]
+        spare = np.empty((2, len(upper)))
+        for j in range(min(r * s, n) - 1, k, -1):
             upper = self.step(j, upper, spare[j & 1])
-        return self.step(k, upper, spare[k & 1]), upper
+        lower = kept[k // s] if k % s == 0 else self.step(k, upper, spare[k & 1])
+        w = (t - times[k]) / (times[k + 1] - times[k])
+        return (1.0 - w) * lower + w * upper
 
 
 def _sine(x: np.ndarray) -> np.ndarray:
@@ -256,27 +261,36 @@ def _sine(x: np.ndarray) -> np.ndarray:
     return dst(x, type=1, norm="ortho")
 
 
+def _phi(x, tau):
+    """E_x(tau) = (1 - e^(-x tau)) / x elementwise, and tau where x = 0: the
+    weight after tau of a unit source under decay at rate x."""
+    from scipy.special import exprel
+
+    return tau * exprel(-x * tau)
+
+
 class _SineStepper:
-    """The scheme of ``_Stepper`` in closed form, for an interval where both
-    off-diagonals of M = I - (dt/2) A are negative (cell Peclet number
-    |mu| h / sigma^2 < 1); ``_stepper`` picks it.
+    """The semi-discrete equation of an interval solved exactly in time, where
+    both off-diagonals of the spatial operator A are positive (cell Peclet
+    number |mu| h / sigma^2 < 1); ``_stepper`` picks it.
 
-    Then M = P S P^-1 with P = diag(r^(j - (m-2)/2)), r = sqrt(lo / up), and
-    S symmetric Toeplitz with diagonal d and off-diagonal -sqrt(lo up), so
-    S = Q Lambda Q with Q the orthonormal DST-I and
-    Lambda_k = d - 2 sqrt(lo up) cos(k pi / m), k = 1..m-1, at least 1 for
-    rho >= 0.  In the modes w = Q P^-1 (u - p(0)), with the constant
-    ``shift`` = p(0) taken out so that a recovery constant on the grid adds
-    no rounding, a Crank-Nicolson step is
+    With A's sub- and super-diagonals lo and up, A = -P Q K Q P^-1 with
+    P = diag(r^(j - (m-2)/2)), r = sqrt(lo / up), Q the orthonormal DST-I and
+    K = diag(kappa), kappa_k = 2 alpha + rho - 2 sqrt(lo up) cos(k pi / m) > 0.
+    In the modes w = Q P^-1 (u - p(0)), with the constant ``shift`` = p(0)
+    taken out so that a recovery constant on the grid adds no rounding, the
+    equation in tau = t_hi - t is dw/dtau = -kappa w + F + a lo + c hi, where
+    F = Q P^-1 (f - rho p(0)), a and c are Q times the end unit vectors
+    weighted lo / p_0 and up / p_end, and lo, hi are the edge values less
+    p(0).  So
 
-        w <- g w + (F + beta a + gamma c) / Lambda,   g = 2 / Lambda - 1,
+        w(tau) = e^(-kappa tau) w(0) + E_kappa(tau) F + a I_lo + c I_hi,
 
-    where F = Q P^-1 dt (f - rho p(0)) is the transformed source, beta and
-    gamma are the sums of the old and new edge values less p(0), and a, c
-    are Q times the end unit vectors weighted lo / p_0 and up / p_end.  The
-    Rannacher start-up is two divisions by Lambda.  Kept rows s apart follow
-    from one another by g^s and a sum over their block of steps, taken for
-    all blocks as one matrix product with the table g^0..g^(s-1).
+    with I the edges' integrals against the modes' decay (``_Edge.integral``):
+    one transform of the terminal row and one inverse give the row at any t.
+    The basis is the fast direct solver of Buzbee, Golub & Nielson (SIAM J.
+    Numer. Anal. 1970) and the integrals are the phi-functions of exponential
+    integrators (Hochbruck & Ostermann, Acta Numerica 2010).
     """
 
     def __init__(
@@ -286,18 +300,16 @@ class _SineStepper:
         mu: float,
         rho: float,
         source: np.ndarray,
-        bc_lo: Callable,
-        bc_hi: Callable,
+        bc_lo: _Edge,
+        bc_hi: _Edge,
         t_lo: float,
         t_hi: float,
-        n_steps: int,
         shift: float,
     ):
-        self.dt, lo, diag, up = _coefficients(y, sigma, mu, rho, t_lo, t_hi, n_steps)
-        self.half = 0.5 * self.dt
+        alpha, lo, up = _operator(y, sigma, mu)
         self.bc_lo, self.bc_hi, self.shift = bc_lo, bc_hi, shift
-        self.t_lo, self.t_hi, self.n_steps = t_lo, t_hi, n_steps
-        self.stride = math.isqrt(n_steps)
+        self.t_hi = t_hi
+        self.times = np.array([t_lo, t_hi])
         m = len(y) - 1
         # powers of one rounded r keep every ratio p[j + 1] / p[j] within a
         # few ulps of r, which the similarity needs
@@ -305,150 +317,94 @@ class _SineStepper:
         j = np.arange(m - 1) - 0.5 * (m - 2)
         self.p = np.power(r, j)
         self.q = np.power(r, -j)
-        # d - 2 sqrt(lo up) cos(theta) as (d - 2 sqrt(lo up)) + 4 sqrt(lo up)
-        # sin(theta / 2)^2: the difference is exact while its terms are within
-        # a factor 2 and at least d / 2 otherwise, and the rest adds positive
-        # terms, so each Lambda_k is off by a few ulps of itself, not of d;
-        # an error of d's ulps in the slow modes grows over the steps and
-        # spreads across the grid
+        # 2 alpha - 2 sqrt(lo up) = (mu / h)^2 / (2 alpha + 2 sqrt(lo up)):
+        # with every term positive each kappa_k is off by a few ulps of
+        # itself; the difference would leave an error of alpha's ulps in the
+        # slow modes, which decay over the whole interval
         off = 2.0 * math.sqrt(lo * up)
-        lam = (diag - off) + 2.0 * off * np.sin(np.arange(1, m) * (0.5 * math.pi / m)) ** 2
-        self.inv = 1.0 / lam
-        self.g = 2.0 * self.inv - 1.0
+        theta = np.arange(1, m) * (0.5 * math.pi / m)
+        floor = rho + (mu / (y[1] - y[0])) ** 2 / (2.0 * alpha + off)
+        self.kappa = floor + 2.0 * off * np.sin(theta) ** 2
         forcing = np.zeros((3, m - 1))
-        forcing[0] = self.dt * (source - rho * shift) * self.q
+        forcing[0] = (source - rho * shift) * self.q
         forcing[1, 0] = lo * self.q[0]
         forcing[2, -1] = up * self.q[-1]
-        # F / Lambda, a / Lambda and c / Lambda
-        self.f, self.a, self.c = _sine(forcing) * self.inv
+        self.f, self.a, self.c = _sine(forcing)
 
-    def _boundary(self, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
-        """Boundary values of rows k0..k1-1."""
-        t = self.t_lo + np.arange(k0, k1) * self.dt
-        return self.bc_lo(t), self.bc_hi(t)
-
-    def _start(self, w: np.ndarray, lo: float, hi: float) -> np.ndarray:
-        """Modes of row n - 1 from those of the terminal row: two implicit-Euler
-        half-steps, the first to the midpoint's edges; lo and hi are row
-        n - 1's edge values less p(0)."""
-        mid = self.t_hi - self.half
-        w = w * self.inv + 0.5 * self.f
-        w += (self.bc_lo(mid) - self.shift) * self.a + (self.bc_hi(mid) - self.shift) * self.c
-        w *= self.inv
-        w += 0.5 * self.f + lo * self.a + hi * self.c
-        return w
-
-    def _modes(self, row: np.ndarray) -> np.ndarray:
-        """w = Q P^-1 (u - p(0)) of a row's interior."""
-        return _sine(self.q * (row[1:-1] - self.shift))
-
-    def _fill(self, out: np.ndarray, modes: np.ndarray) -> None:
-        """Write the interiors of the rows with ``modes`` into ``out``."""
-        inner = out[..., 1:-1]
-        inner[...] = _sine(modes)
-        inner *= self.p
-        inner += self.shift
+    def row(self, kept: np.ndarray, t: float) -> np.ndarray:
+        """The row at time t from the terminal row ``kept[-1]``."""
+        tau, kappa, terminal = self.t_hi - t, self.kappa, kept[-1]
+        w = _sine(self.q * (terminal[1:-1] - self.shift))
+        w *= np.exp(-kappa * tau)
+        w += _phi(kappa, tau) * self.f
+        w += self.bc_lo.integral(kappa, tau, self.shift) * self.a
+        w += self.bc_hi.integral(kappa, tau, self.shift) * self.c
+        out = np.empty_like(terminal)
+        out[1:-1] = _sine(w) * self.p + self.shift
+        out[0], out[-1] = self.bc_lo(t), self.bc_hi(t)
+        return out
 
     def march(self, terminal: np.ndarray) -> np.ndarray:
-        """The kept rows k = 0, s, 2s, ... below n_steps, then the terminal
-        row, as ``_Stepper.march`` returns them."""
-        n, s = self.n_steps, self.stride
-        blocks = -(-n // s)
-        lo, hi = self._boundary(0, n)
-        a, c = lo - self.shift, hi - self.shift
-        w = self._start(self._modes(terminal), a[-1], c[-1])
-        # each step's weights of F, a and c, padded to whole blocks of s
-        weights = np.zeros((3, blocks * s))
-        weights[0, : n - 1] = 1.0
-        np.add(a[1:], a[:-1], out=weights[1, : n - 1])
-        np.add(c[1:], c[:-1], out=weights[2, : n - 1])
-        powers = np.empty((s + 1, len(w)))
-        powers[0] = 1.0
-        for i in range(1, s + 1):
-            np.multiply(powers[i - 1], self.g, out=powers[i])
-        # block b's sum over its steps k = bs + i of g^i times their forcing
-        weights = weights.reshape(3, blocks, s)
-        modes = weights[0] @ powers[:s]
-        modes *= self.f
-        part = np.empty_like(modes)
-        for weight, vector in zip(weights[1:], (self.a, self.c)):
-            np.matmul(weight, powers[:s], out=part)
-            part *= vector
-            modes += part
-        # the top block runs from row n - 1 down to row (blocks - 1) s
-        modes[-1] += powers[n - 1 - (blocks - 1) * s] * w
-        for b in range(blocks - 2, -1, -1):
-            modes[b] += powers[s] * modes[b + 1]
-        del part, powers  # before the transform allocates its own
-        kept = np.empty((blocks + 1, len(terminal)))
-        self._fill(kept[:-1], modes)
-        kept[:-1, 0], kept[:-1, -1] = lo[::s], hi[::s]
-        kept[-1] = terminal
+        """The rows at t_lo and t_hi, the latter ``terminal`` itself."""
+        kept = np.array([terminal, terminal])
+        kept[0] = self.row(kept, self.times[0])
         # a non-finite value anywhere spreads through every mode
         if not np.isfinite(kept[0]).all():
             raise ValueError("array must not contain infs or NaNs")
         return kept
 
-    def rows(self, row: np.ndarray, top: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows k and k + 1 from ``row``, row ``top`` > k: its modes advanced
-        top - k steps by the recurrence, and one inverse transform.  Row
-        ``top`` itself is returned as it is."""
-        n = self.n_steps
-        lo, hi = self._boundary(k, min(top + 1, n))
-        a, c = lo - self.shift, hi - self.shift
-        # row top's own modes stand in for row k + 1 when top is k + 1; that
-        # row is then returned as it is
-        modes = np.empty((2, len(row) - 2))
-        modes[1] = w = self._modes(row)
-        for j in range(top - 1, k - 1, -1):
-            if j == n - 1:
-                w = self._start(w, a[j - k], c[j - k])
-            else:
-                beta, gamma = a[j + 1 - k] + a[j - k], c[j + 1 - k] + c[j - k]
-                w = self.g * w + self.f + beta * self.a + gamma * self.c
-            if j <= k + 1:
-                modes[j - k] = w
-        out = np.empty((2, len(row)))
-        self._fill(out, modes)
-        out[0, 0], out[0, -1] = lo[0], hi[0]
-        if top == k + 1:
-            out[1] = row
-        else:
-            out[1, 0], out[1, -1] = lo[1], hi[1]
-        return out[0], out[1]
-
 
 def _stepper(y, sigma, mu, rho, source, bc_lo, bc_hi, t_lo, t_hi, n_steps, shift):
-    """The interval's stepper: ``_SineStepper`` while both off-diagonals of M
-    are negative and P stays within e^(+-_MAX_LOG_P), else ``_Stepper``."""
-    _, lo, _, up = _coefficients(y, sigma, mu, rho, t_lo, t_hi, n_steps)
+    """The interval's stepper: ``_SineStepper`` while both off-diagonals of A
+    are positive and P stays within e^(+-_MAX_LOG_P), else ``_Stepper``."""
+    _, lo, up = _operator(y, sigma, mu)
     if lo > 0.0 and up > 0.0 and 0.25 * (len(y) - 3) * abs(math.log(lo / up)) <= _MAX_LOG_P:
-        return _SineStepper(y, sigma, mu, rho, source, bc_lo, bc_hi, t_lo, t_hi, n_steps, shift)
+        return _SineStepper(y, sigma, mu, rho, source, bc_lo, bc_hi, t_lo, t_hi, shift)
     return _Stepper(y, sigma, mu, rho, source, bc_lo, bc_hi, t_lo, t_hi, n_steps)
+
+
+@dataclass(frozen=True)
+class _Edge:
+    """A boundary value u(t) = base + jump e^(-rate tau) + drift E_rate(tau)
+    at tau = t_hi - t, with E as in ``_phi``: the form both edges of an
+    interval take.  ``_Stepper`` evaluates it at its step times and
+    ``_SineStepper`` integrates it exactly."""
+
+    base: float
+    jump: float
+    drift: float
+    rate: float
+    t_hi: float
+
+    def __call__(self, t):
+        tau = self.t_hi - t
+        return self.base + self.jump * np.exp(-self.rate * tau) + self.drift * _phi(self.rate, tau)
+
+    def integral(self, kappa: np.ndarray, tau: float, shift: float) -> np.ndarray:
+        """The integral over s in [0, tau] of e^(-kappa (tau - s)) times
+        u(t_hi - s) - shift, for each kappa > 0."""
+        # e^(-rate s) and E_rate(s) against the decay: divided differences of
+        # e^(-z tau) on (rate, kappa) and on (0, rate, kappa), formed so that
+        # nothing divides by rate or by kappa - rate
+        decay = np.exp(-self.rate * tau) * _phi(kappa - self.rate, tau)
+        return (
+            (self.base - shift) * _phi(kappa, tau)
+            + self.jump * decay
+            + self.drift * (_phi(self.rate, tau) - decay) / kappa
+        )
 
 
 def _edges(
     b: float, lam: float, t_hi: float, tail: float, p_0: float, p_lo: float, p_hi: float
-) -> tuple[Callable, Callable]:
-    """Small- and large-spot boundary values of one interval as functions of t,
-    a float or an array of times; ``tail`` is the jump hazard from t_hi to
-    maturity.  The interval's stepper keeps them for ``sample``, so each
-    binds its own values."""
-    g = b + lam
-
-    def near(t):
-        # u = p(0) + (p(x_min) - p(0)) c x / x_min while p is affine on
-        # [0, x_min]: dc/dt = (b + lam) c - lam, c(t_{i+1}) = 1
-        if g == 0.0:
-            c = 1.0 + lam * (t_hi - t)
-        else:
-            c = 1.0 + (1.0 - lam / g) * np.expm1(-g * (t_hi - t))
-        return p_0 + (p_lo - p_0) * c
-
-    def far(t):
-        # no barrier triggers; a jump default pays p(x_max)
-        return p_hi + (1.0 - p_hi) * np.exp(-(lam * (t_hi - t) + tail))
-
+) -> tuple[_Edge, _Edge]:
+    """Small- and large-spot boundary values of one interval; ``tail`` is the
+    jump hazard from t_hi to maturity."""
+    # u = p(0) + (p(x_min) - p(0)) c x / x_min while p is affine on [0, x_min]:
+    # dc/dtau = lam - (b + lam) c with c = 1 at tau = 0, so
+    # c = e^(-(b + lam) tau) + lam E_(b + lam)(tau) for any sign of b + lam
+    near = _Edge(p_0, p_lo - p_0, lam * (p_lo - p_0), b + lam, t_hi)
+    # no barrier triggers; a jump default pays p(x_max)
+    far = _Edge(p_hi, (1.0 - p_hi) * math.exp(-tail), 0.0, lam, t_hi)
     return near, far
 
 
@@ -505,7 +461,6 @@ def _cascade(
         y = np.linspace(math.log(spec.x_min), math.log(spec.x_max), spec.n_space + 1)
         dy = y[1] - y[0]
         rec = recovery.paid(np.exp(y))
-        times: list[np.ndarray] = [None] * n  # type: ignore[list-item]
         values: list[np.ndarray] = [None] * n  # type: ignore[list-item]
         steppers: list = [None] * n
         nxt = np.ones_like(y)
@@ -534,11 +489,9 @@ def _cascade(
                 p_0,
             )
             values[i] = steppers[i].march(terminal)
-            times[i] = np.linspace(t_lo, t_hi, spec.n_time_per_interval + 1)
             nxt = values[i][0]
-        solutions.append(
-            CascadeSolution(schedule.dates, y, times, values, steppers[0].stride, steppers)
-        )
+        times = [stepper.times for stepper in steppers]
+        solutions.append(CascadeSolution(schedule.dates, y, times, values, steppers))
 
     fine = solutions[0]
     if check_tolerance is not None:
@@ -582,14 +535,13 @@ def solve_exogenous_cascade(
 
 
 def sample(solution: CascadeSolution, x: float, t: float) -> float:
-    """Bilinear interpolation of the cascade on (log x, t).
+    """The cascade at spot x and time t, linear in log x between nodes.
 
     Announcing dates belong to the interval on their right; ``t`` equal to
-    maturity returns the glued terminal data of the last interval.  A kept
-    bracketing row is read as it is; any other is recomputed by the
-    interval's stepper from the nearest kept row above it: re-marched bit
-    for bit on an LU interval, advanced in closed form per sine mode on the
-    others.
+    maturity takes the last interval's row there.  The row at t is exact in
+    time on a sine-basis interval; on an LU interval it is linear in t
+    between the two step rows around t, which are read from the kept rows or
+    re-marched bit for bit from the nearest kept row above them.
     """
     y = math.log(x) if x > 0.0 else -math.inf
     if not (solution.y[0] <= y <= solution.y[-1]):
@@ -597,21 +549,5 @@ def sample(solution: CascadeSolution, x: float, t: float) -> float:
     if not (solution.dates[0] <= t <= solution.dates[-1]):
         raise DomainError(f"sample: time {t} outside the grid hull")
     i = min(bisect_right(solution.dates, t) - 1, len(solution.values) - 1)
-    times = solution.times[i]
-    k = min(max(bisect_right(times, t) - 1, 0), len(times) - 2)
-    w = (t - times[k]) / (times[k + 1] - times[k])
-    lower, upper = _bracket(solution, i, k)
-    row = (1.0 - w) * lower + w * upper
+    row = solution.steppers[i].row(solution.values[i], t)
     return float(np.interp(y, solution.y, row))
-
-
-def _bracket(solution: CascadeSolution, i: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows k and k + 1 of interval i."""
-    s = solution.stride
-    kept = solution.values[i]
-    r = -(-(k + 1) // s)  # the nearest kept row at or above k + 1
-    top = min(r * s, len(solution.times[i]) - 1)
-    if top == k + 1 and k % s == 0:
-        return kept[k // s], kept[r]
-    lower, upper = solution.steppers[i].rows(kept[r], top, k)
-    return (kept[k // s] if k % s == 0 else lower), upper

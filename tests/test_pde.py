@@ -11,7 +11,6 @@ from defbond.errors import DomainError
 from defbond.pde import (
     CascadeSolution,
     GridSpec,
-    _bracket,
     _edges,
     _SineStepper,
     _stepper,
@@ -135,6 +134,35 @@ def test_zero_growth_small_spot_boundary(market):
         assert sample(sol, x, 0.0) == pytest.approx(closed, abs=1e-3), x
 
 
+def test_zero_growth_edge_forcing_matches_the_lu_march(monkeypatch):
+    # the endogenous low-barrier base at b = -0.002 has b + lam = 0 exactly
+    # in interval 0, and +-1e-12 beside it: the sine basis integrates that
+    # small-spot edge with no division by b + lam, so all three sit within
+    # 5e-10 of the LU march at 32768 steps per interval, whose own time
+    # error there is about 2e-10
+    scenario = db.load_scenario(SCENARIOS / "base_endogenous_low_barrier.yaml")
+    schedule, rec = scenario.schedule, scenario.recovery
+
+    def market(b):
+        return db.MarketParams(scenario.market.r, b, scenario.market.s_V)
+
+    assert market(-0.002).b + schedule.intensities[0] == 0.0
+    grid = GridSpec.auto(market(-0.002), schedule, 200.0, rec, n_space=256, n_time_per_interval=64)
+    probes = [(x, t) for x in (1.5 * grid.x_min, 80.0, 150.0, 400.0) for t in (0.0, 1.3, 2.5, 4.5)]
+    exact = {}
+    for b in (-0.002, -0.002 + 1e-12, -0.002 - 1e-12):
+        sol = db.solve_endogenous_cascade(market(b), schedule, rec, grid)
+        assert all(type(stepper) is _SineStepper for stepper in sol.steppers)
+        exact[b] = [sample(sol, x, t) for x, t in probes]
+    monkeypatch.setattr(pde, "_MAX_LOG_P", -1.0)
+    fine = GridSpec(grid.x_min, grid.x_max, 256, 32768)
+    lu = db.solve_endogenous_cascade(market(-0.002), schedule, rec, fine)
+    assert all(type(stepper) is _Stepper for stepper in lu.steppers)
+    want = [sample(lu, x, t) for x, t in probes]
+    for b, got in exact.items():
+        assert got == pytest.approx(want, rel=0.0, abs=5e-10), b
+
+
 def test_recovery_mode_mismatch_rejected(market, schedule, exo, endo_high_barrier):
     grid = GridSpec.auto(market, schedule, 200.0, exo, n_space=128, n_time_per_interval=32)
     with pytest.raises(DomainError):
@@ -208,7 +236,7 @@ def test_jumps_only_at_announcing_dates(market, schedule, exo):
     assert abs(glued[j_below] - exo.R) < 1e-12
     assert continuation[j_below] - glued[j_below] > 0.02
     # away from the gluing the solution moves smoothly in time
-    interior = [sample(sol, 400.0, float(t)) for t in sol.times[0][1:-1]]
+    interior = [sample(sol, 400.0, float(t)) for t in np.linspace(0.0, 3.0, 257)[1:-1]]
     step = np.abs(np.diff(interior)).max()
     assert step < 5e-3
 
@@ -356,46 +384,65 @@ def test_step_matches_dense_solve(name):
 
 
 def _one_interval(stepper, y, terminal):
-    """A cascade of one interval, [0.5, 2.0], marched by ``stepper``."""
-    n = stepper.n_steps
-    values = [stepper.march(terminal)]
-    return CascadeSolution(
-        (0.5, 2.0), y, [np.linspace(0.5, 2.0, n + 1)], values, stepper.stride, [stepper]
-    )
+    """A cascade of one interval, [0.5, 2.0], solved by ``stepper``."""
+    return CascadeSolution((0.5, 2.0), y, [stepper.times], [stepper.march(terminal)], [stepper])
 
 
-def test_sine_march_matches_dense_steps():
-    # a whole interval in the sine basis, with a source, time-varying edges,
-    # the start-up and a shift p(0) that is not zero, against the dense
-    # Crank-Nicolson system solved row by row: kept rows from the closed-form
-    # march, the others from the per-mode recurrence, all to 1e-12 of the
-    # dense steps' terms
+def test_sine_rows_match_dense_exponential():
+    # an interval in the sine basis, with a source, both edge forms (the
+    # small-spot edge at b + lam = 0 exactly) and a shift p(0) that is not
+    # zero, against the exponential of the dense semi-discrete system whose
+    # edge values come from three more states: 1, e^(-rate tau) and
+    # E_rate(tau) of each edge, with d/dtau E_rate = e^(-rate tau)
+    from scipy.linalg import expm
+
     rng = np.random.default_rng(29)
-    sigma, mu, rho, m, n = 0.4, -0.13, 0.02, 128, 32
+    sigma, mu, rho, m, lam = 0.4, -0.13, 0.02, 128, 0.03
     y = np.linspace(0.0, 6.0, m + 1)
     f = rng.uniform(0.0, 0.05, m - 1)
-    bc_lo, bc_hi = (lambda t: 0.2 + 0.1 * t), (lambda t: 0.9 - 0.05 * t)
-    stepper = _stepper(y, sigma, mu, rho, f, bc_lo, bc_hi, 0.5, 2.0, n, 0.3)
+    near, far = _edges(-lam, lam, 2.0, 0.01, 0.3, 0.45, 0.6)
+    stepper = _stepper(y, sigma, mu, rho, f, near, far, 0.5, 2.0, 32, 0.3)
     assert type(stepper) is _SineStepper
-    rows = [None] * n + [rng.uniform(-1.0, 1.0, m + 1)]
-    scale = 0.0
-    for k in range(n - 1, -1, -1):
-        rows[k], terms = _dense_step(y, sigma, mu, rho, f, bc_lo, bc_hi, 0.5, 2.0, n, k, rows[k + 1])
-        scale = max(scale, float(np.max(terms)))
-    sol = _one_interval(stepper, y, rows[-1])
-    for k in range(n):
-        lower, upper = _bracket(sol, 0, k)
-        assert np.max(np.abs(lower - rows[k])) <= 1e-12 * scale, k
-        assert np.max(np.abs(upper - rows[k + 1])) <= 1e-12 * scale, k
+    h = y[1] - y[0]
+    alpha = sigma * sigma / (2.0 * h * h)
+    lo_c, up_c = alpha - mu / (2.0 * h), alpha + mu / (2.0 * h)
+    size = m - 1
+    gen = np.zeros((size + 5, size + 5))
+    gen[:size, :size] = (np.diag(np.full(size, -2.0 * alpha - rho))
+                         + np.diag(np.full(size - 1, lo_c), -1)
+                         + np.diag(np.full(size - 1, up_c), 1))
+    gen[:size, size] = f
+    for row, weight, edge, k in ((0, lo_c, near, size + 1), (size - 1, up_c, far, size + 3)):
+        gen[row, size] += weight * edge.base
+        gen[row, k] = weight * edge.jump
+        gen[row, k + 1] = weight * edge.drift
+        gen[k, k] = -edge.rate
+        gen[k + 1, k] = 1.0
+    terminal = rng.uniform(-1.0, 1.0, m + 1)
+    start = np.concatenate((terminal[1:-1], [1.0, 1.0, 0.0, 1.0, 0.0]))
+    kept = stepper.march(terminal)
+    assert np.array_equal(kept[-1], terminal)
+    assert np.array_equal(kept[0], stepper.row(kept, 0.5))
+    for t in (0.5, 0.9, 1.7, 2.0 - 1e-3, 2.0):
+        want = expm((2.0 - t) * gen) @ start
+        got = stepper.row(kept, t)
+        assert np.max(np.abs(got[1:-1] - want[:size])) <= 1e-13, t
+        for value, edge, k in ((got[0], near, size + 1), (got[-1], far, size + 3)):
+            assert value == pytest.approx(
+                edge.base + edge.jump * want[k] + edge.drift * want[k + 1], abs=1e-13
+            ), t
 
 
 @pytest.mark.parametrize("exponent", [7.95, 8.05])
 def test_sine_basis_guard(exponent):
-    # a 2048^2 grid whose scaling P reaches e^(+-exponent): under the guard
-    # of e^(+-8) the sine basis runs and stays within 1e-8 of the LU march on
-    # every kept row (rounding grows toward the edge where P is largest) and
-    # within 1e-10 on samples inside the grid; over it the LU march runs
-    m, n, sigma, lam, p_0 = 2048, 2048, 0.1, 0.02, 0.4
+    # a 2048-node grid whose scaling P reaches e^(+-exponent): under the
+    # guard of e^(+-8) the sine basis runs and stays within 1e-8 of the LU
+    # march on the row at t_lo (rounding grows toward the edge where P is
+    # largest) and within 1e-10 on samples inside the grid; over it the LU
+    # march runs.  At 32768 steps the march's own time error, estimated
+    # against 131072 steps, is 1.8e-11 on that row and at most 9.7e-12 on
+    # these samples, under a tenth of each bound.
+    m, n, sigma, lam, p_0 = 2048, 32768, 0.1, 0.02, 0.4
     y = np.linspace(0.0, 6.0, m + 1)
     mu = -math.tanh(exponent / (0.5 * (m - 2))) * sigma * sigma / (y[1] - y[0])
     near, far = _edges(0.05, lam, 2.0, 0.01, p_0, p_0, p_0)
@@ -408,38 +455,36 @@ def test_sine_basis_guard(exponent):
         return
     assert type(stepper) is _SineStepper
     sine, lu = _one_interval(stepper, y, terminal), _one_interval(_Stepper(*args), y, terminal)
-    assert np.max(np.abs(sine.values[0] - lu.values[0])) <= 1e-8
+    assert np.max(np.abs(sine.values[0][0] - lu.values[0][0])) <= 1e-8
     for x in (math.exp(1.0), math.exp(2.5), math.exp(3.0), math.exp(4.5)):
-        for t in (0.5, 0.5 + 1.5 * 13.5 / n, 1.3, 2.0 - 1.5 * 0.5 / n):
+        for t in (0.5, 0.8, 1.1):
             assert abs(sample(sine, x, t) - sample(lu, x, t)) <= 1e-10, (x, t)
 
 
-@pytest.mark.parametrize("s_v, path", [(1.0, "sine"), (0.01, "dgttrs")])
-def test_bracket_rows_equal_a_full_march(s_v, path, monkeypatch):
-    # every pair of rows sample() reads against the pair a march that keeps
-    # every row computes: bit for bit on LU intervals, which re-march from
-    # the kept rows, and to rounding on sine-basis intervals, against the
-    # same cascade with the sine basis switched off
+@pytest.mark.parametrize("s_v, path", [(0.01, "dgttrs")])
+def test_bracket_rows_equal_a_full_march(s_v, path):
+    # every row sample() reads on an LU interval, at each step time and
+    # halfway between two, against the rows of a march that keeps every
+    # row: bit for bit, since it re-marches from the kept rows with the
+    # same factorisation
     scenario = db.load_scenario(SCENARIOS / "base_exogenous.yaml")
     market = db.MarketParams(scenario.market.r, scenario.market.b, s_v)
     schedule, rec = scenario.schedule, scenario.recovery
     grid = GridSpec.auto(market, schedule, 200.0, rec, n_space=256, n_time_per_interval=64)
     sol = db.solve_exogenous_cascade(market, schedule, rec, grid)
-    kind = _SineStepper if path == "sine" else _Stepper
-    assert all(type(stepper) is kind for stepper in sol.steppers)
-    if path == "sine":
-        monkeypatch.setattr(pde, "_MAX_LOG_P", -1.0)
-    reference = db.solve_exogenous_cascade(market, schedule, rec, grid)
-    tolerance = 1e-12 if path == "sine" else 0.0
-    for i, stepper in enumerate(reference.steppers):
+    for i, stepper in enumerate(sol.steppers):
         assert type(stepper) is _Stepper
-        rows = [None] * 64 + [reference.values[i][-1]]
+        rows = [None] * 64 + [sol.values[i][-1]]
         for k in range(63, -1, -1):
             rows[k] = stepper.step(k, rows[k + 1], np.empty_like(rows[k + 1]))
+        times = sol.times[i]
         for k in range(64):
-            lower, upper = _bracket(sol, i, k)
-            assert np.max(np.abs(lower - rows[k])) <= tolerance, (i, k)
-            assert np.max(np.abs(upper - rows[k + 1])) <= tolerance, (i, k)
+            mid = 0.5 * (times[k] + times[k + 1])
+            w = (mid - times[k]) / (times[k + 1] - times[k])
+            assert np.array_equal(stepper.row(sol.values[i], times[k]), rows[k]), (i, k)
+            want = (1.0 - w) * rows[k] + w * rows[k + 1]
+            assert np.array_equal(stepper.row(sol.values[i], mid), want), (i, k)
+        assert np.array_equal(stepper.row(sol.values[i], times[-1]), rows[-1]), i
 
 
 @pytest.mark.parametrize("name", ["base_exogenous", "base_endogenous_low_barrier"])
@@ -469,11 +514,11 @@ def test_low_volatility_cascade_matches_closed_form(name, s_v, path):
 
 
 def _toy_solution():
-    y = np.array([0.0, 1.0, 2.0])
-    times = [np.array([0.0, 1.0])]
-    values = [np.array([[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])]
-    # stride 1 keeps every row, so sampling never re-marches
-    return CascadeSolution((0.0, 1.0), y, times, values, stride=1, steppers=[])
+    y = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    # one LU step keeps both of its rows, so sampling never re-marches
+    stepper = _Stepper(y, 0.3, 0.0, 0.0, np.zeros(3), None, None, 0.0, 1.0, 1)
+    values = [np.array([[1.0, 3.0, 5.0, 7.0, 9.0], [2.0, 4.0, 6.0, 8.0, 10.0]])]
+    return CascadeSolution((0.0, 1.0), y, [stepper.times], values, [stepper])
 
 
 def test_sample_exact_node():
@@ -490,7 +535,7 @@ def test_sample_bilinear_midpoint():
 def test_sample_out_of_hull():
     sol = _toy_solution()
     with pytest.raises(DomainError):
-        sample(sol, math.exp(2.5), 0.5)
+        sample(sol, math.exp(4.5), 0.5)
     with pytest.raises(DomainError):
         sample(sol, 1.5, 1.5)
 
@@ -510,90 +555,96 @@ def test_sample_interpolation_against_finer_grid(market, schedule, exo):
         assert sample(coarse, x, t) == pytest.approx(sample(fine, x, t), abs=1.5e-3)
 
 
-# Reference values of the march that called a banded solver at every step.
-# A factorisation per interval, pivoted or symmetrised, or the sine basis
-# solves the same systems, so they reproduce to 1e-12.  Rows: x = 80, 150, 400;
-# columns: t = 0, 1.3, 3, 4.5.
+# Values of the cascade on a 256-node grid, exact in time on these sine-basis
+# intervals.  Rows: x = 80, 150, 400; columns: t = 0, 1.3, 3, 4.5.
 _PINNED = {
     "base_exogenous": (
-        0.5230688219274277, 0.527812621470029, 0.5688477585478516, 0.5973445242755412,
-        0.542142721548878, 0.5562369093431034, 0.6163818000709926, 0.6817052646875126,
-        0.590369974684486, 0.6271861382617497, 0.7165494034203852, 0.835842217065938,
+        0.5230679478944539, 0.5278120355807968, 0.5688462405266148, 0.5973407922961328,
+        0.5421410032139796, 0.5562331380790518, 0.6163793294991738, 0.6816969903680967,
+        0.5903660047546608, 0.6271744391249041, 0.7165439958107233, 0.8358215201127069,
     ),
     "base_endogenous_low_barrier": (
-        0.15046559834926884, 0.20044327865253464, 0.2295721888406795, 0.32852282140208644,
-        0.2107903930026026, 0.2766549803417666, 0.3386264830108444, 0.4981325001782398,
-        0.3258065821250653, 0.4115040804663974, 0.5407001501930228, 0.763151786241286,
+        0.15046165022397712, 0.20043265328431026, 0.2295674556382622, 0.32851030683019367,
+        0.21078431085730934, 0.276641300197331, 0.3386196211186559, 0.49811259511599687,
+        0.3257969375095011, 0.4114904340996998, 0.5406887589112971, 0.7631220921599615,
     ),
     "base_endogenous_high_barrier": (
-        0.9401999438335318, 0.9900617990139523, 0.9433694649270046, 0.9970452259485175,
-        0.968466553290336, 0.991856535178611, 0.9728886230383161, 0.9993829175853581,
-        0.9866498584158024, 0.9906909568221743, 0.9930817926364774, 0.9999651791469979,
+        0.9402082000841057, 0.9900950072862942, 0.9433758041652734, 0.9970682908665166,
+        0.9684817516950037, 0.9918799268526569, 0.9729008115787415, 0.9993950109198322,
+        0.9866677120076541, 0.9907033041308216, 0.9930945839987808, 0.9999673371134431,
     ),
 }
 
 
-# Values of the march in the sine basis, at five kinds of step time on the
-# same grids (columns) and at x = x_min, 80, 150, 400, x_max (rows); the grid
-# edges carry each interval's own boundary values.  They moved by up to
-# 2.2e-14 from the symmetrised LAPACK march that the sine basis replaced.
+# The same grids at x = x_min, 80, 150, 400, x_max (rows) and at five more
+# times (columns), one of them the interior announcing date; the grid edges
+# carry each interval's own boundary values.
+_PINNED_TIMES = (0.75, 2.0, 3.0, 3.5, 3.7)
 _PINNED_STEPS = {
     "base_exogenous": (
         0.5, 0.5, 0.5, 0.5, 0.5,
-        0.5102082371892377, 0.5769507181865962, 0.5807688392529988, 0.5258561284515728, 0.5688477585478431,
-        0.6114361695830844, 0.6330197592502906, 0.6412673411839455, 0.5495775891254213, 0.6163818000709859,
-        0.713899928340521, 0.7478420658483232, 0.7632132187927878, 0.6093405608841522, 0.7165494034203818,
-        0.9925097948438474, 0.9937696153851978, 0.994290659355171, 0.990344447594333, 0.9925559698015314,
+        0.5258551913547224, 0.5295457575025743, 0.5688462405266148, 0.5770849703938707, 0.5807084123256382,
+        0.5495754043160244, 0.56721137198402, 0.6163793294991738, 0.6333040806852335, 0.6411353391672389,
+        0.6093348103463938, 0.6574329374732151, 0.7165439958107233, 0.7483729877634504, 0.7629662844655564,
+        0.990344447594333, 0.9915718423174549, 0.9925559698015314, 0.9937889002469407, 0.9942829361239565,
     ),
     "base_endogenous_low_barrier": (
-        0.0007514921521447464, 0.0006650291454263296, 0.0006719898745931912, 0.0006732837577593748, 0.000649096448734653,
-        0.36831728910895356, 0.2567481406851965, 0.26975107159301903, 0.1768283955397044, 0.22957218884068903,
-        0.34423164218796465, 0.3809871684556227, 0.4015691800261817, 0.24613852402219893, 0.3386264830108582,
-        0.5351686120562025, 0.6030294050387371, 0.6326050101487174, 0.3733783580600096, 0.5407001501930444,
+        0.0006732837577593748, 0.0007165551495727316, 0.000649096448734653, 0.000665285035323323, 0.0006718861548634886,
+        0.17682308219287013, 0.23871903753020807, 0.2295674556382622, 0.25720265280634375, 0.26954465805160244,
+        0.24613032896146736, 0.32179657915187326, 0.3386196211186559, 0.38170232366872925, 0.4012413684996488,
+        0.3733665314858331, 0.4612521747239591, 0.5406887589112971, 0.6040663478693079, 0.6321359663897483,
         1.0, 1.0, 1.0, 1.0, 1.0,
     ),
     "base_endogenous_high_barrier": (
-        0.0015029843042894929, 0.0013300582908526593, 0.0013439797491863823, 0.0013465675155187496, 0.001298192897469306,
-        0.9956891082416247, 0.9692660487304265, 0.9780076412933161, 0.9761581119961495, 0.9433694649270089,
-        0.9736863247782261, 0.9875495541106571, 0.9918830643026582, 0.9872388816333518, 0.9728886230383259,
-        0.992450342716196, 0.9976625589925197, 0.9987158129195632, 0.9910412949008548, 0.9930817926365042,
+        0.0013465675155187496, 0.0014331102991454632, 0.001298192897469306, 0.001330570070646646, 0.0013437723097269772,
+        0.9761777437768255, 0.9943207146488182, 0.9433758041652734, 0.9696388994541917, 0.9779060044494958,
+        0.987260326211677, 0.9905915051282606, 0.9729008115787415, 0.9877541265158244, 0.9918448215585695,
+        0.9910570782761514, 0.988838931762529, 0.9930945839987808, 0.9977242738824557, 0.9987133357819876,
         1.0, 1.0, 1.0, 1.0, 1.0,
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED))
-def test_pinned_bundled_cascades(name):
+def test_pinned_bundled_cascades(name, monkeypatch):
     scenario = db.load_scenario(SCENARIOS / f"{name}.yaml")
     market, schedule, rec = scenario.market, scenario.schedule, scenario.recovery
     grid = GridSpec.auto(market, schedule, 200.0, rec, n_space=256, n_time_per_interval=64)
     solve = db.solve_exogenous_cascade if rec.mode == "exogenous" else db.solve_endogenous_cascade
-    sol = solve(market, schedule, rec, grid)
-    got = [sample(sol, x, t) for x in (80.0, 150.0, 400.0) for t in (0.0, 1.3, 3.0, 4.5)]
-    assert got == pytest.approx(_PINNED[name], rel=0.0, abs=1e-12)
-    # 64 steps per interval keep every 8th row; the other rows are recomputed
-    t0, t1 = sol.times
-    steps = (
-        t0[63],  # the Rannacher start-up row
-        0.5 * (t1[10] + t1[11]),  # between two rows that are not kept
-        t1[15],  # one step below the kept row 16
-        t0[16],  # on a kept row
-        3.0,  # on the interior announcing date
-    )
     spots = (grid.x_min, 80.0, 150.0, 400.0, grid.x_max)
-    got = [sample(sol, x, float(t)) for x in spots for t in steps]
-    assert got == list(_PINNED_STEPS[name])
+
+    def samples(sol):
+        return (
+            [sample(sol, x, t) for x in (80.0, 150.0, 400.0) for t in (0.0, 1.3, 3.0, 4.5)],
+            [sample(sol, x, t) for x in spots for t in _PINNED_TIMES],
+        )
+
+    sol = solve(market, schedule, rec, grid)
+    assert all(type(stepper) is _SineStepper for stepper in sol.steppers)
+    got, steps = samples(sol)
+    assert got == pytest.approx(_PINNED[name], rel=0.0, abs=1e-12)
+    assert steps == list(_PINNED_STEPS[name])
+    # the LU march converges to the pins in time; 16384 steps per interval
+    # sit within 5.1e-10 of them
+    monkeypatch.setattr(pde, "_MAX_LOG_P", -1.0)
+    fine = GridSpec(grid.x_min, grid.x_max, 256, 16384)
+    got, steps = samples(solve(market, schedule, rec, fine))
+    assert got == pytest.approx(_PINNED[name], rel=0.0, abs=1e-9)
+    assert steps == pytest.approx(_PINNED_STEPS[name], rel=0.0, abs=1e-9)
 
 
 def test_history_memory_scales_with_root_of_steps(market):
-    # 16 intervals at 512 steps each: the kept rows are a small share of the
+    # 16 intervals at 512 steps each on the LU march (at s_V = 0.02 the cell
+    # Peclet number exceeds 1): the kept rows are a small share of the
     # 16 * 513 rows a full history would hold, and any step still samples
     n = 16
+    market = db.MarketParams(market.r, market.b, 0.02)
     schedule = db.DefaultSchedule(
         tuple(0.25 * k for k in range(n + 1)), (0.01,) * n, (80.0,) * n
     )
     rec = db.RecoveryModel("exogenous", 0.4)
     grid = GridSpec.auto(market, schedule, 100.0, rec, n_space=512, n_time_per_interval=512)
     sol = db.solve_exogenous_cascade(market, schedule, rec, grid)
+    assert all(type(stepper) is _Stepper for stepper in sol.steppers)
     assert sum(v.nbytes for v in sol.values) <= n * 513 * 513 * 8 / 10
     assert math.isfinite(sample(sol, 100.0, 0.25 * 7 + 0.25 * 301 / 512))
