@@ -169,10 +169,9 @@ def cmd_validate(args) -> int:
         market, schedule, x_ref, recovery, n_space=args.n_space, n_time_per_interval=args.n_time
     )
     firms = [scenario.firm_value(t) for t in times]  # x-scenarios rescale V, V-scenarios hold it
-    # one call: probes with the same remaining dates share each block's
-    # draws; made before the solve, its scratch never sits beside the
-    # cascade's rows (isqrt(n_time) + 1 per LU interval), which keeps the
-    # peak memory down
+    # one call: every probe reads the same draws of each block; made before
+    # the solve, its scratch never sits beside the cascade's rows
+    # (isqrt(n_time) + 1 per LU interval), which keeps the peak memory down
     mcs = engines.simulate_prices(market, schedule, recovery, list(zip(firms, times)), sim)
     check = args.pde_tol if args.grid_check else None
     if recovery.mode == "exogenous":

@@ -7,18 +7,20 @@ otherwise.  Jump defaults are drawn exactly by inverting the piecewise-linear
 cumulative hazard, and the firm value at the jump time is bridged with one
 exact lognormal step, so the estimator carries no discretization bias.
 
-Paths are generated in antithetic pairs, in fixed-size blocks, each seeded
-into its own SFC64 generator by (seed, block index); results are
+Paths are generated in antithetic pairs, in fixed-size blocks.  Every draw
+of a block comes from its own SFC64 stream keyed by (seed, block, key):
+stream 0 gives the uniforms, then one bridge normal for each path that
+either leg could see jump under the whole schedule's hazard, in path order;
+stream j >= 1 gives the step normals to announcing date j.  Results are
 bit-identical for a given (seed, n_paths) no matter how blocks would be
-dispatched.  A block draws its step normals date-major, so each announcing
-date is a contiguous row.  Only paths whose exponential draw falls inside the
-total hazard can jump (about 2% at lambda = 0.01), so the jump time and the
-lognormal bridge run on that subset alone, and the block draws bridge normals
-only for the paths that can jump in either leg.  Defaults are then settled in
-time order by one forward pass over the dates that keeps a single row of x: a
-jump inside the segment ending at date j comes first, then the barrier at
-date j.  The antithetic leg reuses the draws with a sign on the volatility,
-which IEEE arithmetic makes exact.
+dispatched, and no draw depends on the starts that a call prices.  Only
+paths whose exponential draw falls inside the total hazard can jump (about
+2% at lambda = 0.01), so the jump time and the lognormal bridge run on that
+subset alone.  Defaults are then settled in time order by one forward pass
+over the dates that keeps a single row of x: a jump inside the segment
+ending at date j comes first, then the barrier at date j.  The antithetic
+leg reuses the draws with a sign on the volatility, which IEEE arithmetic
+makes exact.
 
 The pass settles barrier defaults without branching selects.  A path's
 x_dead is 0 while it lives, so fmax(x_dead, x * hit) sets it to x at a hit
@@ -29,19 +31,11 @@ block-sized rows that every start of a call reuses, takes its jump
 candidates from the paths that have bridge normals rather than from a test
 over every path, and pays the recovery into a row that the caller passes.
 
-``simulate_prices`` takes several starts (V0, t).  Starts with the same first
-remaining date form a group.  Alone, a group would draw its d date rows of
-step normals, then its uniforms, then its bridge normals; the fill is
-sequential, so its rows are the first d rows of the longest group's.  Each
-block therefore draws the longest group's rows once, in runs ending at each
-group's last row, and keeps the generator state there: the group draws its
-uniforms and bridge normals from that state, which is then put back for the
-next rows.  A group's bridge normals are drawn once, for the paths that can
-jump under its widest hazard bound; each start takes the prefix that its own
-bound selects, which is its own draw, because ``standard_normal(k)`` returns
-the first k values of any longer draw.  So every start gets what it would get
-alone, bit for bit, and the starts share common random numbers, as they
-would through one seed.
+``simulate_prices`` takes several starts (V0, t).  A start reads the streams
+of its remaining dates, the block's candidates with their bridge normals and
+each leg's exponential draws, computed once per block; so every start gets
+what it would get alone, bit for bit, and the starts share common random
+numbers, as they would through one seed.
 """
 
 from __future__ import annotations
@@ -85,14 +79,19 @@ class McResult:
     n_paths: int
 
 
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed % 2**64, block])))
+def _stream(seed: int, block: int, key: int) -> np.random.Generator:
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed % 2**64, block, key])))
 
 
-def _start_legs(market, schedule, recovery, V0, t, first, rows):
-    """(discount factor, candidate bound, leg pass) of one start whose first
-    remaining date is ``schedule.dates[first]``; the pass works in ``rows``,
-    block-sized scratch rows that every start of a call shares."""
+def _start_legs(market, schedule, recovery, V0, t, rows):
+    """(discount factor, index of the first remaining date, leg pass) of one
+    start; the pass works in ``rows``, block-sized scratch rows that every
+    start of a call shares."""
+    if not (math.isfinite(V0) and V0 > 0.0):
+        raise DomainError(f"simulate_prices: firm value must be positive, got {V0}")
+    if not (0.0 <= t < schedule.maturity):
+        raise DomainError(f"simulate_prices: t={t} outside [0, maturity)")
+    first = next(j for j, d in enumerate(schedule.dates) if d > t)
     df = math.exp(-market.r * (schedule.maturity - t))
     # for a subnormal V0 and r < 0, V0 / df underflows to 0; the relative
     # price is flat there, so the smallest positive float prices it, as in
@@ -115,32 +114,25 @@ def _start_legs(market, schedule, recovery, V0, t, first, rows):
     log_x0 = math.log(x0)
 
     total_hazard = float(hazard_edges[-1])
-    # e = -log1p(-u) < H exactly when u < 1 - exp(-H); the widened bound
-    # keeps every such u against rounding in either function
-    u_bound = -math.expm1(-total_hazard) * (1.0 + 1e-6)
 
-    def leg_payoff(z, wide_idx, e_wide, bridge_idx, bridge_z, sign, out):
+    def leg_payoff(z, cand, e_cand, bridge_z, sign, out):
         """Paths survived from one set of draws, taken with ``sign``, and
         each path's relative payoff written to ``out``.  Row j of the
-        date-major ``z`` drives the step to date j; ``e_wide`` holds the
-        leg's uniforms at the paths ``wide_idx``, a sorted superset of those
-        below ``u_bound``, and ``bridge_z`` the bridge normals of the paths
-        ``bridge_idx``, a sorted superset of those that can jump."""
+        date-major ``z`` drives the step to date j; ``e_cand`` holds the
+        leg's exponential draws and ``bridge_z`` the bridge normals at the
+        paths ``cand``, a sorted superset of those that can jump."""
         n = z.shape[1]
-        # jump defaults: only draws below the bound can land inside the
-        # hazard mass, and the exact test keeps those that do
-        below = e_wide < u_bound
-        cand = wide_idx[below]
-        e = -np.log1p(-np.clip(e_wide[below], 0.0, 1.0 - 1e-16))
-        jumps = e < total_hazard
+        # jump defaults: the exact test keeps the draws that land inside
+        # the hazard mass
+        jumps = e_cand < total_hazard
         jidx = cand[jumps]
-        e = e[jumps]
+        e = e_cand[jumps]
         # edges[seg] <= e < edges[seg + 1], so the segment's intensity is > 0
         seg = np.searchsorted(hazard_edges, e, side="right") - 1
         theta = seg_times[seg] + (e - hazard_edges[seg]) / seg_lambdas[seg]
         d_theta = theta - seg_times[seg]
         # the lognormal step from the segment's start to the jump time
-        z_theta = bridge_z[np.searchsorted(bridge_idx, jidx)]
+        z_theta = bridge_z[jumps]
         growth = np.exp((-b - 0.5 * s * s) * d_theta + sign * s * np.sqrt(d_theta) * z_theta)
 
         # one forward pass in time order: a jump inside segment j ends its
@@ -181,7 +173,7 @@ def _start_legs(market, schedule, recovery, V0, t, first, rows):
         np.maximum(out, alive, out=out)
         return int(np.count_nonzero(alive))
 
-    return df, u_bound, leg_payoff
+    return df, first, leg_payoff
 
 
 def simulate_prices(
@@ -195,95 +187,70 @@ def simulate_prices(
     equal to what ``simulate_price`` gives for that start alone.
 
     ``V0`` is the firm value at the evaluation time ``t``.  Each block draws
-    its step normal rows once for every start, and starts with the same
-    remaining dates share its uniforms and bridge normals.
+    its normals and uniforms once for every start.
     """
-    starts = list(starts)
-    groups: dict[int, list[int]] = {}
-    for i, (V0, t) in enumerate(starts):
-        if not (math.isfinite(V0) and V0 > 0.0):
-            raise DomainError(f"simulate_prices: firm value must be positive, got {V0}")
-        if not (0.0 <= t < schedule.maturity):
-            raise DomainError(f"simulate_prices: t={t} outside [0, maturity)")
-        first = next(j for j, d in enumerate(schedule.dates) if d > t)
-        groups.setdefault(first, []).append(i)
-    if not groups:
-        return []
-
     n_pairs = config.n_paths // 2
     width = min(_BLOCK, n_pairs)
     rows = (np.empty(width, dtype=bool), np.empty(width, dtype=bool)) + tuple(
         np.empty(width) for _ in range(4)
     )
-    # the fewest remaining dates first: a group's normal rows are a prefix
-    # of the next group's; u_wide is the group's widest candidate bound
-    plan = []
-    for first, members in sorted(groups.items(), reverse=True):
-        legs = [_start_legs(market, schedule, recovery, *starts[i], first, rows) for i in members]
-        u_wide = max(u_bound for _, u_bound, _ in legs)
-        plan.append((len(schedule.dates) - first, members, legs, u_wide))
-    n_rows = plan[-1][0]
+    legs = [_start_legs(market, schedule, recovery, V0, t, rows) for V0, t in starts]
+    if not legs:
+        return []
+    dates = schedule.dates
+    # the whole schedule's hazard bounds every start's: e = -log1p(-u) < H
+    # exactly when u < 1 - exp(-H), and the widened bound keeps every such u
+    # against rounding in either function
+    hazard = sum(lam * (hi - lo) for lam, lo, hi in zip(schedule.intensities, dates, dates[1:]))
+    u_bound = -math.expm1(-hazard) * (1.0 + 1e-6)
+    # the step normals to the dates after the earliest start, date-major
+    lead = min(first for _, first, _ in legs)
+    n_rows = len(dates) - lead
     z_buf = np.empty(n_rows * width)
     # each leg pays into one row, then the pair's mean v and v^2 replace them
     v_buf, v2_buf = np.empty(width), np.empty(width)
-    sums = [[0.0, 0.0, 0] for _ in starts]  # sum v, sum v^2, survivors
-    done = 0
-    block = 0
+    sums = [[0.0, 0.0, 0] for _ in legs]  # sum v, sum v^2, survivors
+    done = block = 0
     while done < n_pairs:
         count = min(_BLOCK, n_pairs - done)
-        rng = _block_rng(config.seed, block)
         z = z_buf[: n_rows * count].reshape(n_rows, count)
+        for j in range(lead, len(dates)):
+            _stream(config.seed, block, j).standard_normal(out=z[j - lead])
+        rng = _stream(config.seed, block, 0)
+        u = rng.random(count)
+        u_anti = 1.0 - u
+        # a bridge normal for every path that either leg could see jump
+        cand = np.flatnonzero((u < u_bound) | (u_anti < u_bound))
+        bridge_z = rng.standard_normal(len(cand))
+        e_cand, e_anti = (-np.log1p(-np.clip(w[cand], 0.0, 1.0 - 1e-16)) for w in (u, u_anti))
         v, v2 = v_buf[:count], v2_buf[:count]
-        drawn = 0
-        for n_dates, members, legs, u_wide in plan:
-            # alone, this group would draw its n_dates rows, then its
-            # uniforms and bridge normals; the rows are the first n_dates of
-            # the longest group's, and the generator resumes after them for
-            # the next group's rows
-            rng.standard_normal(out=z[drawn:n_dates])
-            drawn = n_dates
-            resume = rng.bit_generator.state
-            u = rng.random(count)
-            u_anti = 1.0 - u
-            # a bridge normal for every path that either leg of any start
-            # could see jump; a start's own paths are a subset, and its own
-            # draw would be the first as many normals of this one
-            wide_idx = np.flatnonzero((u < u_wide) | (u_anti < u_wide))
-            wide_z = rng.standard_normal(len(wide_idx))
-            rng.bit_generator.state = resume
-            u_w, u_anti_w = u[wide_idx], u_anti[wide_idx]
-            z_group = z[:n_dates]
-            for i, (_, u_bound, leg_payoff) in zip(members, legs):
-                bridge_idx = wide_idx[(u_w < u_bound) | (u_anti_w < u_bound)]
-                bridge_z = wide_z[: len(bridge_idx)]
-                surv = leg_payoff(z_group, wide_idx, u_w, bridge_idx, bridge_z, 1.0, v)
-                surv2 = leg_payoff(z_group, wide_idx, u_anti_w, bridge_idx, bridge_z, -1.0, v2)
-                np.add(v, v2, out=v)
-                np.multiply(v, 0.5, out=v)
-                np.multiply(v, v, out=v2)
-                acc = sums[i]
-                acc[0] += float(v.sum())
-                acc[1] += float(v2.sum())
-                acc[2] += surv + surv2
+        for (_, first, leg_payoff), acc in zip(legs, sums):
+            z_start = z[first - lead :]
+            surv = leg_payoff(z_start, cand, e_cand, bridge_z, 1.0, v)
+            surv2 = leg_payoff(z_start, cand, e_anti, bridge_z, -1.0, v2)
+            np.add(v, v2, out=v)
+            np.multiply(v, 0.5, out=v)
+            np.multiply(v, v, out=v2)
+            acc[0] += float(v.sum())
+            acc[1] += float(v2.sum())
+            acc[2] += surv + surv2
         done += count
         block += 1
 
-    results: list[McResult] = [None] * len(starts)
-    for _, members, legs, _ in plan:
-        for i, (df, _, _) in zip(members, legs):
-            sum_v, sum_v2, survived = sums[i]
-            mean_rel = sum_v / n_pairs
-            if n_pairs > 1:
-                var = max(sum_v2 - n_pairs * mean_rel * mean_rel, 0.0) / (n_pairs - 1)
-                std_err = df * math.sqrt(var / n_pairs)
-            else:
-                std_err = math.inf
-            results[i] = McResult(
-                price_estimate=df * mean_rel,
-                std_error=std_err,
-                survival_freq=survived / config.n_paths,
-                n_paths=config.n_paths,
-            )
+    results = []
+    for (df, _, _), (sum_v, sum_v2, survived) in zip(legs, sums):
+        mean_rel = sum_v / n_pairs
+        if n_pairs > 1:
+            var = max(sum_v2 - n_pairs * mean_rel * mean_rel, 0.0) / (n_pairs - 1)
+            std_err = df * math.sqrt(var / n_pairs)
+        else:
+            std_err = math.inf
+        results.append(McResult(
+            price_estimate=df * mean_rel,
+            std_error=std_err,
+            survival_freq=survived / config.n_paths,
+            n_paths=config.n_paths,
+        ))
     return results
 
 

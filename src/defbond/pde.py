@@ -332,20 +332,22 @@ class _SineStepper:
         self.f, self.a, self.c = _sine(forcing)
 
     def row(self, kept: np.ndarray, t: float) -> np.ndarray:
-        """The row at time t from the terminal row ``kept[-1]``."""
-        tau, kappa, terminal = self.t_hi - t, self.kappa, kept[-1]
-        w = _sine(self.q * (terminal[1:-1] - self.shift))
-        w *= np.exp(-kappa * tau)
-        w += _phi(kappa, tau) * self.f
-        w += self.bc_lo.integral(kappa, tau, self.shift) * self.a
-        w += self.bc_hi.integral(kappa, tau, self.shift) * self.c
-        out = np.empty_like(terminal)
+        """The row at time t from the terminal row's modes, which ``march``
+        keeps."""
+        tau, kappa = self.t_hi - t, self.kappa
+        e_kappa = _phi(kappa, tau)
+        w = self.modes * np.exp(-kappa * tau)
+        w += e_kappa * self.f
+        w += self.bc_lo.integral(kappa, e_kappa, tau, self.shift) * self.a
+        w += self.bc_hi.integral(kappa, e_kappa, tau, self.shift) * self.c
+        out = np.empty_like(kept[-1])
         out[1:-1] = _sine(w) * self.p + self.shift
         out[0], out[-1] = self.bc_lo(t), self.bc_hi(t)
         return out
 
     def march(self, terminal: np.ndarray) -> np.ndarray:
         """The rows at t_lo and t_hi, the latter ``terminal`` itself."""
+        self.modes = _sine(self.q * (terminal[1:-1] - self.shift))
         kept = np.array([terminal, terminal])
         kept[0] = self.row(kept, self.times[0])
         # a non-finite value anywhere spreads through every mode
@@ -380,15 +382,18 @@ class _Edge:
         tau = self.t_hi - t
         return self.base + self.jump * np.exp(-self.rate * tau) + self.drift * _phi(self.rate, tau)
 
-    def integral(self, kappa: np.ndarray, tau: float, shift: float) -> np.ndarray:
+    def integral(
+        self, kappa: np.ndarray, e_kappa: np.ndarray, tau: float, shift: float
+    ) -> np.ndarray:
         """The integral over s in [0, tau] of e^(-kappa (tau - s)) times
-        u(t_hi - s) - shift, for each kappa > 0."""
+        u(t_hi - s) - shift, for each kappa > 0; ``e_kappa`` is
+        E_kappa(tau)."""
         # e^(-rate s) and E_rate(s) against the decay: divided differences of
         # e^(-z tau) on (rate, kappa) and on (0, rate, kappa), formed so that
         # nothing divides by rate or by kappa - rate
         decay = np.exp(-self.rate * tau) * _phi(kappa - self.rate, tau)
         return (
-            (self.base - shift) * _phi(kappa, tau)
+            (self.base - shift) * e_kappa
             + self.jump * decay
             + self.drift * (_phi(self.rate, tau) - decay) / kappa
         )

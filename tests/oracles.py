@@ -171,7 +171,9 @@ def dense_simulate_price(market, schedule, recovery, V0, config, t=0.0) -> McRes
     drift = (-b - 0.5 * s * s) * seg_dt
     vol = s * np.sqrt(seg_dt)
     log_x0 = math.log(x0)
-    u_bound = -math.expm1(-float(hazard_edges[-1])) * (1.0 + 1e-6)
+    dates = schedule.dates
+    hazard = sum(lam * (hi - lo) for lam, lo, hi in zip(schedule.intensities, dates, dates[1:]))
+    u_bound = -math.expm1(-hazard) * (1.0 + 1e-6)
 
     def leg_payoff(z, bridge, e_unif):
         n = z.shape[1]
@@ -217,16 +219,23 @@ def dense_simulate_price(market, schedule, recovery, V0, config, t=0.0) -> McRes
         return payoff, survived
 
     block_size = 1 << 16
+    seed = config.seed % 2**64
     n_base = config.n_paths // 2
     sum_v = sum_v2 = 0.0
     survived_total = done = block = 0
     while done < n_base:
         count = min(block_size, n_base - done)
-        seq = np.random.SeedSequence([config.seed % 2**64, block])
-        rng = np.random.Generator(np.random.SFC64(seq))
-        z = rng.standard_normal((n_dates, count))
+        # stream 0 holds the uniforms and bridge normals, stream j the step
+        # normals to date j
+        streams = [
+            np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, block, key])))
+            for key in [0, *range(first, len(dates))]
+        ]
+        z = np.array([rng.standard_normal(count) for rng in streams[1:]])
+        rng = streams[0]
         u = rng.random(count)
         # bridge normals only for the paths that can jump in either leg
+        # under the whole schedule's hazard
         can_jump = (u < u_bound) | (1.0 - u < u_bound)
         bridge = np.zeros(count)
         bridge[can_jump] = rng.standard_normal(int(can_jump.sum()))

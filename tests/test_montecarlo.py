@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import defbond as db
+from defbond import montecarlo
 from defbond.errors import DomainError
 from oracles import dense_simulate_price
 
@@ -103,14 +104,15 @@ def test_input_validation(market, schedule, exo):
     assert pair.std_error == math.inf
 
 
-# Reference outputs on the per-block SFC64 stream: date-major step normals,
-# the uniforms, then one bridge normal per path that can jump in either leg.
+# Reference outputs on the per-block SFC64 streams: stream 0 gives the
+# uniforms, then one bridge normal per path that can jump in either leg under
+# the whole schedule's hazard; stream j gives the step normals to date j.
 # Survival counts reproduce exactly, the rest to 1e-12.
 _PINNED = {
-    ("exogenous", 0.0): (0.2593779695500509, 0.00026725208894828965, 0.12102912454044118),
-    ("exogenous", 2.0): (0.34340328840471535, 0.00036880854005528503, 0.1871625114889706),
-    ("endogenous", 0.0): (0.26962318687897735, 0.00038525762260249697, 0.12102912454044118),
-    ("endogenous", 2.0): (0.37292016144555223, 0.0004987411489035229, 0.1871625114889706),
+    ("exogenous", 0.0): (0.25846764464240995, 0.0002651440191668839, 0.11826459099264706),
+    ("exogenous", 2.0): (0.34340040042198033, 0.0003688056977563344, 0.18715533088235295),
+    ("endogenous", 0.0): (0.26924770077320276, 0.0003869897174355943, 0.11826459099264706),
+    ("endogenous", 2.0): (0.37313994518477744, 0.0004989949664606297, 0.18715533088235295),
 }
 
 
@@ -142,23 +144,23 @@ _PINNED_REGIMES = {
     # hazard mass, so every path jumps
     "all_jump": (
         (20.0, 20.0, 20.0), (90.0, 120.0, 80.0), 0.0,
-        (0.37094762244089047, 0.00011598118636721665, 0.0),
+        (0.3711250319377333, 0.00011717390503385709, 0.0),
     ),
     # barriers 8 standard deviations under the spot: no path is ever hit
     "never_hit": (
         (0.05, 0.1, 0.2), (1e-6, 1e-6, 1e-6), 0.0,
-        (0.3513172226000044, 0.00036296525012370894, 0.49628762637867646),
+        (0.35128481565599695, 0.0003610414060590101, 0.4965389476102941),
     ),
     # first barrier far above the spot: every path that has not jumped is
     # hit on the first date
     "all_hit_first": (
         (0.05, 0.02, 0.03), (1e6, 120.0, 80.0), 0.5,
-        (0.23932664680403784, 0.0002758072031913488, 0.0),
+        (0.23915972718884185, 0.00027591849059953734, 0.0),
     ),
     # no jump channel, live barriers, evaluated on an announcing date
     "zero_hazard": (
         (0.0, 0.0, 0.0), (90.0, 120.0, 80.0), 2.0,
-        (0.19593936394693984, 0.0005076815717579629, 0.20741182215073528),
+        (0.1956555217342605, 0.0005078374123388106, 0.20685891544117646),
     ),
 }
 
@@ -225,7 +227,7 @@ def test_matches_dense_reference_engine(k):
 @pytest.mark.parametrize("k", range(40))
 def test_shared_draws_match_single_starts(k):
     # two more starts in the case's interval at other V and t, so their
-    # hazard bounds, and the bridge normals each one takes, differ
+    # remaining hazards, and the jumps each one keeps, differ
     market, schedule, rec, V, config, t = _differential_case(k)
     rng = np.random.default_rng(7000 + k)
     dates = schedule.dates
@@ -252,9 +254,8 @@ def test_shared_draws_keep_input_order(market):
 @pytest.mark.parametrize("n_paths", [20_000, 2 * 2**16 + 3002])
 def test_shared_rows_span_every_interval(market, n_paths):
     # starts in each of four intervals, shuffled, one exactly on a date and
-    # two in the last one: every group takes a prefix of the longest group's
-    # normal rows and draws its uniforms after its own last row, in every
-    # block, the partial last one too
+    # two in the last one: each reads the streams of its own remaining
+    # dates in every block, the partial last one too
     schedule = db.DefaultSchedule(
         (0.0, 1.0, 2.5, 4.0, 6.0), (0.02, 0.0, 0.05, 0.01), (90.0, 120.0, 80.0, 100.0)
     )
@@ -270,7 +271,61 @@ def test_shared_rows_span_every_interval(market, n_paths):
 def test_shared_rows_edge_cases(market, schedule, exo):
     config = db.SimConfig(2 * 2**16 + 3002, seed=5)
     assert db.simulate_prices(market, schedule, exo, [], config) == []
-    # every start in the last interval: one group, which is also the longest
+    # every start in the last interval: no block opens the first date's stream
     starts = [(120.0, 4.5), (80.0, 3.0), (200.0, 5.5)]
     shared = db.simulate_prices(market, schedule, exo, starts, config)
     assert shared == [db.simulate_price(market, schedule, exo, V0, config, t) for V0, t in starts]
+
+
+@pytest.mark.parametrize("times,keys", [((4.5, 5.9), {0, 4}), ((5.9, 3.1), {0, 3, 4})])
+def test_draws_only_the_streams_of_remaining_dates(market, monkeypatch, times, keys):
+    # stream 0 holds the uniforms and bridge normals, stream j the step
+    # normals to date j; no block opens a stream of a date before every start
+    schedule = db.DefaultSchedule(
+        (0.0, 1.0, 2.5, 4.0, 6.0), (0.02, 0.0, 0.05, 0.01), (90.0, 120.0, 80.0, 100.0)
+    )
+    rec = db.RecoveryModel("endogenous", 0.5, n=50.0)
+    starts = [(130.0, t) for t in times]
+    config = db.SimConfig(2 * 2**16 + 3002, seed=8)  # a full block and a partial one
+    opened = []
+    stream = montecarlo._stream
+
+    def counted(seed, block, key):
+        opened.append((block, key))
+        return stream(seed, block, key)
+
+    monkeypatch.setattr(montecarlo, "_stream", counted)
+    shared = db.simulate_prices(market, schedule, rec, starts, config)
+    assert sorted(opened) == sorted((block, key) for block in range(2) for key in keys)
+    monkeypatch.undo()
+    assert shared == [db.simulate_price(market, schedule, rec, V0, config, t) for V0, t in starts]
+
+
+@pytest.mark.parametrize("mode", ["exogenous", "endogenous"])
+def test_standard_errors_are_calibrated(market, mode):
+    # z-scores of one shared call against the closed form, at starts in four
+    # intervals over 64 seeds: a stream mix-up, such as two dates reading one
+    # stream, biases them or misstates their spread.  The bounds sit about
+    # 4.5 standard errors of each statistic from 0 and 1.
+    schedule = db.DefaultSchedule(
+        (0.0, 1.0, 2.5, 4.0, 6.0), (0.02, 0.0, 0.05, 0.01), (90.0, 120.0, 80.0, 100.0)
+    )
+    if mode == "exogenous":
+        rec, price = db.RecoveryModel("exogenous", 0.4), db.price_exogenous
+    else:
+        rec, price = db.RecoveryModel("endogenous", 0.5, n=50.0), db.price_endogenous
+    starts = [(150.0, 0.3), (170.0, 1.7), (110.0, 3.1), (130.0, 4.5)]
+    closed = [price(market, schedule, rec, V0, t).price for V0, t in starts]
+    z = np.array([
+        [
+            (res.price_estimate - c) / res.std_error
+            for res, c in zip(
+                db.simulate_prices(market, schedule, rec, starts, db.SimConfig(2**14, seed=seed)),
+                closed,
+            )
+        ]
+        for seed in range(64)
+    ])
+    mean, sd = z.mean(axis=0), z.std(axis=0, ddof=1)
+    assert np.all(np.abs(mean) <= 0.6), mean
+    assert np.all((0.6 <= sd) & (sd <= 1.45)), sd
