@@ -173,12 +173,11 @@ def cmd_validate(args) -> int:
     # the solve, its scratch never sits beside the cascade's rows
     # (isqrt(n_time) + 1 per LU interval), which keeps the peak memory down
     mcs = engines.simulate_prices(market, schedule, recovery, list(zip(firms, times)), sim)
-    check = args.pde_tol if args.grid_check else None
     if recovery.mode == "exogenous":
         solve = engines.solve_exogenous_cascade
     else:
         solve = engines.solve_endogenous_cascade
-    solution = solve(market, schedule, recovery, grid, check_tolerance=check)
+    solution = solve(market, schedule, recovery, grid)
 
     all_ok = True
     print(f"{'t':>6} {'closed':>14} {'pde':>14} {'|diff|':>10} "
@@ -216,8 +215,6 @@ def cmd_validate(args) -> int:
                 f"{'':6} survival {report.survival_prob:14.9f} vs mc "
                 f"{mc.survival_freq:14.9f} ({w_sig:.2f} sigma)"
             )
-    if solution.accuracy_warning:
-        print(f"warning: {solution.accuracy_warning}", file=sys.stderr)
     print(f"pde tol {args.pde_tol:.1e}, mc tol {args.mc_sigmas:.1f} sigma")
     if all_ok:
         print("VALIDATION PASS")
@@ -266,10 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument(
         "--times", type=float, nargs="+",
         help="probe times (default: the scenario's evaluation time)",
-    )
-    p_val.add_argument(
-        "--grid-check", action="store_true",
-        help="re-solve on a coarser grid and surface a Richardson accuracy warning",
     )
     p_val.set_defaults(func=cmd_validate)
     return parser

@@ -14,13 +14,19 @@ the previous expiry of the chain (the evaluation time for order 1, the last
 fixed expiry for order >= 2) the binary leaves its limit there like
 sqrt(tau - C), over a boundary layer of width ub^2 (D - C) with
 ``ub = dist / (sigma * sqrt(D - C))``; ``dist`` is the log-distance from the
-last strike to the spot (order 1) or to the half-line the previous
-coordinate must lie in (order >= 2, and 0 inside it).  With ub >= 1 that end
-is flat and the rule runs in tau itself.  Otherwise it runs in v on (0, 1)
-with ``tau = C + (D - C) v^2``, which makes the square root smooth, starting
-from panels that break at ub * 4^k so that each panel holds one scale of the
-layer.  Nodes never touch the endpoints, and any that round onto C are moved
-to the next float above it, so the degenerate limits are never evaluated.
+last strike to where the previous coordinate can lie.  Seen from (x, t) that
+coordinate, the log-spot at the previous expiry prev, has mean
+ln x + drift (prev - t), with the binary's drift r - q +- sigma^2/2 (+ for
+an asset binary), and deviation sigma sqrt(prev - t); it can lie on its
+half-line (the whole line for order 1) within ``_LAYER_SDS`` (8) deviations
+of that mean, or anywhere on the half-line when that window misses it.  For
+order 1, prev is t: the window is the spot and ``dist`` is |ln x - ln K|.
+With ub >= 1 that end is flat and the rule runs in tau itself.  Otherwise
+it runs in v on (0, 1) with ``tau = C + (D - C) v^2``, which makes the
+square root smooth, starting from panels that break at ub * 4^k so that
+each panel holds one scale of the layer.  Nodes never touch the endpoints,
+and any that round onto C are moved to the next float above it, so the
+degenerate limits are never evaluated.
 
 Each panel's Kronrod and Gauss sums are ``math.fsum`` over the weighted
 node values: exactly rounded, so a panel's value depends on neither a BLAS
@@ -28,11 +34,12 @@ nor the summation order, and the module needs no numpy.
 
 Measured against tight references, near-the-money prices are within their
 reported quadrature error and within about 1e-10 absolute; the 1e-8
-tolerance bounds the error estimate, not the error itself.  Within about
-1e-4 of an announcing date an order >= 2 integral whose previous strike is
-below the last gets ``dist`` 0 and no breaks, though the spot may sit just
-under the last strike: a 6-interval endogenous price was then 4.2e-9 off,
-reporting 1.1e-9 (ROADMAP item 2).
+tolerance bounds the error estimate, not the error itself.  Just before an
+announcing date the window shrinks onto the spot, so an order >= 2 integral
+whose half-line holds the last strike still gets the breaks of a spot just
+under it: a 6-interval endogenous price 1e-6 before a date is 2.9e-12 off,
+reporting 2.9e-10 (measured from the half-line alone it was 4.2e-9 off,
+reporting 1.1e-9).
 """
 
 from __future__ import annotations
@@ -53,6 +60,9 @@ __all__ = ["WeightedIntegralSpec", "integral_binary"]
 
 QUAD_ABS_TOL = 1e-8
 QUAD_MAX_INTERVALS = 2**12
+# The previous coordinate of a chain is taken to lie within this many
+# standard deviations of its mean when ``_layer_width`` measures ``dist``.
+_LAYER_SDS = 8.0
 # Double-precision machine epsilon.  A layer narrower than ub^2 < eps of the
 # span is below the span's float resolution and gets no breakpoints of its
 # own; eps also sets each panel's rounding floor.
@@ -202,16 +212,26 @@ def _layer_width(spec: WeightedIntegralSpec, x: float, t: float) -> float:
     """Boundary-layer width ``ub`` at the lower end (module docstring); inf
     when the running expiry starts after the previous expiry of the chain,
     which leaves that end smooth."""
+    c = spec.coeffs
     if spec.fixed_expiries:
-        if spec.lower > spec.fixed_expiries[-1]:
-            return math.inf
-        prev_sign, prev_strike = spec.signs[-2], spec.strikes[-2]
-        dist = max(0.0, prev_sign * (math.log(prev_strike) - math.log(spec.strikes[-1])))
+        prev = spec.fixed_expiries[-1]
+        edge = math.log(spec.strikes[-2])
+        lo, hi = (edge, math.inf) if spec.signs[-2] > 0 else (-math.inf, edge)
     else:
-        if spec.lower > t:
-            return math.inf
-        dist = abs(math.log(x) - math.log(spec.strikes[0]))
-    return dist / (spec.coeffs.sigma * math.sqrt(spec.upper - spec.lower))
+        prev, lo, hi = t, -math.inf, math.inf
+    if spec.lower > prev:
+        return math.inf
+    # where the previous coordinate can lie: its half-line within
+    # _LAYER_SDS deviations of its mean, or the half-line if that misses
+    drift = c.r - c.q + (0.5 if spec.kind == "asset" else -0.5) * c.sigma**2
+    mean = math.log(x) + drift * (prev - t)
+    dev = _LAYER_SDS * c.sigma * math.sqrt(prev - t)
+    window = max(lo, mean - dev), min(hi, mean + dev)
+    if window[0] <= window[1]:
+        lo, hi = window
+    strike = math.log(spec.strikes[-1])
+    dist = max(lo - strike, strike - hi, 0.0)
+    return dist / (c.sigma * math.sqrt(spec.upper - spec.lower))
 
 
 def integral_binary(spec: WeightedIntegralSpec, x: float, t: float) -> tuple[float, float]:

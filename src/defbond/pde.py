@@ -109,9 +109,10 @@ class GridSpec:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CascadeSolution:
-    """Per-interval grids of the relative price u on (log-spot, time).
+    """Per-interval grids of the relative price u on (log-spot, time), solved
+    on the one grid the cascade was given.
 
     A sine-basis interval (``_SineStepper``) is exact in time: ``times[i]``
     is [t_i, t_{i+1}] and ``values[i]`` its rows there, the second the glued
@@ -119,8 +120,7 @@ class CascadeSolution:
     step grid t_i + k dt, k = 0..n, and keeps in ``values[i]`` only the rows
     k = 0, s, 2s, ... below n, with s = isqrt(n), and last the glued
     terminal row k = n.  ``sample`` takes the row at any t from
-    ``steppers[i]``.  ``accuracy_warning`` is set when a Richardson check
-    exceeds its tolerance.
+    ``steppers[i]``.
     """
 
     dates: tuple[float, ...]
@@ -128,7 +128,6 @@ class CascadeSolution:
     times: list[np.ndarray]
     values: list[np.ndarray]
     steppers: list[_Stepper | _SineStepper]
-    accuracy_warning: str | None = None
 
 
 def _operator(y, sigma, mu):
@@ -418,16 +417,14 @@ def _cascade(
     schedule: DefaultSchedule,
     recovery: RecoveryModel,
     grid: GridSpec,
-    check_tolerance: float | None,
 ) -> CascadeSolution:
-    """Backward induction for every recovery model: glue at each announcing
-    date, march each interval with the source lam * paid.
+    """Backward induction on ``grid`` for every recovery model: glue at each
+    announcing date, march each interval with the source lam * paid.
 
     The gluing indicator is projected onto the grid by its cell average, so
     the discontinuity sits at the exact barrier with second-order accuracy
-    no matter how the nodes align.  With ``check_tolerance`` the cascade is
-    solved again on a grid halved in both directions, and a Richardson
-    estimate above the tolerance sets ``accuracy_warning``."""
+    no matter how the nodes align.  The solution carries no error estimate
+    of its own (ROADMAP item 8)."""
     p_0, p_lo, p_hi = (float(recovery.paid(v)) for v in (0.0, grid.x_min, grid.x_max))
     # the far-field value needs the recovery flat over the top of the grid
     if float(recovery.paid(0.5 * grid.x_max)) != p_hi:
@@ -450,66 +447,43 @@ def _cascade(
             f"GridSpec [{grid.x_min}, {grid.x_max}] does not span the barriers with margin"
         )
 
-    grids = [grid]
-    if check_tolerance is not None:
-        grids.append(GridSpec(
-            grid.x_min,
-            grid.x_max,
-            max(grid.n_space // 2, 64),
-            max(grid.n_time_per_interval // 2, 16),
-        ))
     sigma = market.s_V
     mu = -(market.b + 0.5 * sigma * sigma)
     n = schedule.n_intervals
-    solutions = []
-    for spec in grids:
-        y = np.linspace(math.log(spec.x_min), math.log(spec.x_max), spec.n_space + 1)
-        dy = y[1] - y[0]
-        rec = recovery.paid(np.exp(y))
-        values: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-        steppers: list = [None] * n
-        nxt = np.ones_like(y)
-        for i in range(n - 1, -1, -1):
-            lam = schedule.intensities[i]
-            t_lo, t_hi = schedule.dates[i], schedule.dates[i + 1]
-            # jump hazard from t_{i+1} to maturity, constant over the interval
-            tail = sum(
-                schedule.intensities[k] * (schedule.dates[k + 1] - schedule.dates[k])
-                for k in range(i + 1, n)
-            )
-            near, far = _edges(market.b, lam, t_hi, tail, p_0, p_lo, p_hi)
-            above = np.clip((y - math.log(schedule.barriers[i])) / dy + 0.5, 0.0, 1.0)
-            terminal = above * nxt + (1.0 - above) * rec
-            steppers[i] = _stepper(
-                y,
-                sigma,
-                mu,
-                lam,
-                lam * rec[1:-1],
-                far if unreachable else near,
-                far,
-                t_lo,
-                t_hi,
-                spec.n_time_per_interval,
-                p_0,
-            )
-            values[i] = steppers[i].march(terminal)
-            nxt = values[i][0]
-        times = [stepper.times for stepper in steppers]
-        solutions.append(CascadeSolution(schedule.dates, y, times, values, steppers))
-
-    fine = solutions[0]
-    if check_tolerance is not None:
-        coarse = solutions[1]
-        probe = slice(len(fine.y) // 4, 3 * len(fine.y) // 4)
-        coarse_on_fine = np.interp(fine.y[probe], coarse.y, coarse.values[0][0])
-        est = float(np.max(np.abs(fine.values[0][0][probe] - coarse_on_fine))) / 3.0
-        if est > check_tolerance:
-            fine.accuracy_warning = (
-                f"Richardson error estimate {est:.3e} exceeds requested tolerance "
-                f"{check_tolerance:.3e}"
-            )
-    return fine
+    y = np.linspace(math.log(grid.x_min), math.log(grid.x_max), grid.n_space + 1)
+    dy = y[1] - y[0]
+    rec = recovery.paid(np.exp(y))
+    values: list[np.ndarray] = [None] * n  # type: ignore[list-item]
+    steppers: list = [None] * n
+    nxt = np.ones_like(y)
+    for i in range(n - 1, -1, -1):
+        lam = schedule.intensities[i]
+        t_lo, t_hi = schedule.dates[i], schedule.dates[i + 1]
+        # jump hazard from t_{i+1} to maturity, constant over the interval
+        tail = sum(
+            schedule.intensities[k] * (schedule.dates[k + 1] - schedule.dates[k])
+            for k in range(i + 1, n)
+        )
+        near, far = _edges(market.b, lam, t_hi, tail, p_0, p_lo, p_hi)
+        above = np.clip((y - math.log(schedule.barriers[i])) / dy + 0.5, 0.0, 1.0)
+        terminal = above * nxt + (1.0 - above) * rec
+        steppers[i] = _stepper(
+            y,
+            sigma,
+            mu,
+            lam,
+            lam * rec[1:-1],
+            far if unreachable else near,
+            far,
+            t_lo,
+            t_hi,
+            grid.n_time_per_interval,
+            p_0,
+        )
+        values[i] = steppers[i].march(terminal)
+        nxt = values[i][0]
+    times = [stepper.times for stepper in steppers]
+    return CascadeSolution(schedule.dates, y, times, values, steppers)
 
 
 def solve_endogenous_cascade(
@@ -517,12 +491,11 @@ def solve_endogenous_cascade(
     schedule: DefaultSchedule,
     recovery: RecoveryModel,
     grid: GridSpec,
-    check_tolerance: float | None = None,
 ) -> CascadeSolution:
     """Backward cascade with firm-value recovery min(1, x / (n/R))."""
     if recovery.mode != "endogenous":
         raise DomainError("solve_endogenous_cascade: recovery model must be endogenous")
-    return _cascade(market, schedule, recovery, grid, check_tolerance)
+    return _cascade(market, schedule, recovery, grid)
 
 
 def solve_exogenous_cascade(
@@ -530,13 +503,12 @@ def solve_exogenous_cascade(
     schedule: DefaultSchedule,
     recovery: RecoveryModel,
     grid: GridSpec,
-    check_tolerance: float | None = None,
 ) -> CascadeSolution:
     """Backward cascade with fixed fractional recovery R; at R = 0 it is the
     survival probability W."""
     if recovery.mode != "exogenous":
         raise DomainError("solve_exogenous_cascade: recovery model must be exogenous")
-    return _cascade(market, schedule, recovery, grid, check_tolerance)
+    return _cascade(market, schedule, recovery, grid)
 
 
 def sample(solution: CascadeSolution, x: float, t: float) -> float:

@@ -262,15 +262,6 @@ def test_second_order_convergence(market):
     assert 2.5 <= ratio <= 8.0
 
 
-def test_richardson_warning_on_coarse_grid(market, schedule, exo):
-    grid = GridSpec.auto(market, schedule, 200.0, exo, n_space=128, n_time_per_interval=32)
-    sol = db.solve_exogenous_cascade(market, schedule, exo, grid, check_tolerance=1e-9)
-    assert sol.accuracy_warning is not None
-    fine = GridSpec.auto(market, schedule, 200.0, exo, n_space=1024, n_time_per_interval=256)
-    sol2 = db.solve_exogenous_cascade(market, schedule, exo, fine, check_tolerance=1e-2)
-    assert sol2.accuracy_warning is None
-
-
 def test_non_finite_data_rejected():
     # a NaN in the terminal row spreads through every solve; the march
     # refuses to return it

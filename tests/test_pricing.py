@@ -352,24 +352,49 @@ def test_prices_on_the_last_floats_before_a_date(name):
         assert math.isfinite(rep.price) and floor <= rep.price <= df, (t, rep.price)
 
 
-def test_near_the_money_prices_hold_their_quadrature_error(monkeypatch):
-    # a low-barrier curve variant whose relative spot sits 0.15% under the
-    # cap n/R: the tail integrals from t start inside their boundary layer.
-    # At t = 5.2 the raw-time Kronrod rule was 1.16e-7 off while reporting
-    # 1.76e-9.
-    market = db.MarketParams(r=0.1, b=0.05, s_V=0.9881724410788062)
-    schedule = db.DefaultSchedule(
+# A low-barrier curve variant whose relative spot sits 0.15% under the cap
+# n/R: the tail integrals from t start inside their boundary layer.  At
+# t = 5.2 the raw-time Kronrod rule was 1.16e-7 off while reporting 1.76e-9.
+_CAP_TAIL = (
+    db.MarketParams(r=0.1, b=0.05, s_V=0.9881724410788062),
+    db.DefaultSchedule(
         (0.0, 3.0, 6.0),
         (0.0017093178991521125, 0.005929604926072699),
         (95.309562259402, 100.07889576227251),
-    )
-    recovery = db.RecoveryModel("endogenous", 0.5187390375689751, n=100.0)
-    x = 192.49089480065913
-    times = [k * 6.0 / 15 for k in range(15)]  # k = 13 is t = 5.2
+    ),
+    db.RecoveryModel("endogenous", 0.5187390375689751, n=100.0),
+    192.49089480065913,
+    [k * 6.0 / 15 for k in range(15)],  # k = 13 is t = 5.2
+)
+# Just before the 2.6 date the previous coordinate of the order-2 bond
+# integral with strikes (70, 100) on [2.6, 3.2] sits near ln 91, 0.094 under
+# the cap, though its half-line x > 70 holds the cap: measuring the layer
+# from the half-line left the v-grid without breaks, 4.2e-9 off while
+# reporting 1.1e-9.
+_NEAR_DATE = (
+    db.MarketParams(r=0.08, b=0.03, s_V=0.8),
+    db.DefaultSchedule(
+        (0.0, 0.9, 2.6, 3.2, 5.0, 6.9, 8.4),
+        (0.007, 0.025, 0.033, 0.013, 0.016, 0.034),
+        (125.0, 70.0, 120.0, 155.0, 127.5, 82.5),
+    ),
+    db.RecoveryModel("endogenous", 0.5, n=50.0),
+    91.0,
+    [2.6 - 1e-6, math.nextafter(2.6, 0.0)],
+)
 
+
+@pytest.mark.parametrize(
+    "market, schedule, recovery, x, times", [_CAP_TAIL, _NEAR_DATE], ids=["cap_tail", "near_date"]
+)
+def test_near_the_money_prices_hold_their_quadrature_error(
+    monkeypatch, market, schedule, recovery, x, times
+):
     def prices():
         return [
-            db.price_endogenous(market, schedule, recovery, x * math.exp(-0.1 * (6.0 - t)), t)
+            db.price_endogenous(
+                market, schedule, recovery, x * math.exp(-market.r * (schedule.maturity - t)), t
+            )
             for t in times
         ]
 

@@ -518,23 +518,6 @@ def test_cli_validate_multiple_times(tmp_path, base_doc, capsys):
     assert out.count("survival") == 3
 
 
-def test_cli_validate_grid_check_warns_on_coarse_grid(tmp_path, base_doc, capsys):
-    rc = main(
-        [
-            "validate",
-            _write(tmp_path, base_doc),
-            "--n-space", "128",
-            "--n-time", "32",
-            "--paths", "2000",
-            "--pde-tol", "1e-9",
-            "--grid-check",
-        ]
-    )
-    err = capsys.readouterr().err
-    assert rc == 4
-    assert "warning: Richardson error estimate" in err
-
-
 def test_cli_validate_accuracy_failure(tmp_path, base_doc, capsys):
     rc = main(
         [
