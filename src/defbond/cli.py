@@ -170,8 +170,8 @@ def cmd_validate(args) -> int:
     )
     firms = [scenario.firm_value(t) for t in times]  # x-scenarios rescale V, V-scenarios hold it
     # one call: every probe reads the same draws of each block; made before
-    # the solve, its scratch never sits beside the cascade's rows
-    # (isqrt(n_time) + 1 per LU interval), which keeps the peak memory down
+    # the solve, its scratch never sits beside the cascade's kept rows, which
+    # keeps the peak memory down
     mcs = engines.simulate_prices(market, schedule, recovery, list(zip(firms, times)), sim)
     if recovery.mode == "exogenous":
         solve = engines.solve_exogenous_cascade
@@ -253,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--n-space", type=int, default=2048)
     p_val.add_argument(
         "--n-time", type=int, default=2048,
-        help="time steps per interval where the PDE takes the LU march (sine-basis "
-        "intervals are exact in time)",
+        help="unread: every PDE interval is exact in time; accepted (>= 16) until the "
+        "benchmark stops passing it",
     )
     p_val.add_argument("--paths", type=int, default=200_000)
     p_val.add_argument("--seed", type=int, default=0)

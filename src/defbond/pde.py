@@ -16,11 +16,9 @@ semi-discrete equation has a closed-form solution at any time, so an
 interval takes one transform of its terminal row and one inverse transform
 for any row (``_SineStepper``).  Rounding in that basis grows with the range
 of the scaling, so it runs while the scaling stays within e^(+-8); every
-other interval takes Crank-Nicolson steps with an implicit-Euler (Rannacher)
-start-up after its terminal row, one LAPACK ``dgttrs`` solve per step
-(``_Stepper``), which keeps only every s-th row, s = isqrt(steps per
-interval), plus the glued terminal row; ``sample`` re-marches the rows it
-needs from the nearest kept row above them.  A stepper imports
+other interval is solved exactly in time too, by a contour integral of its
+Laplace transform, 16 complex tridiagonal solves per row, over pieces short
+enough for the contour (``_ContourStepper``).  A stepper imports
 ``scipy.fft``, ``scipy.special`` or ``scipy.linalg`` when it first runs, so
 importing this module loads no scipy.  This engine shares no code path with
 the closed forms it checks.
@@ -29,9 +27,8 @@ the closed forms it checks.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -55,14 +52,15 @@ _MARGIN = 50.0
 # stays within e^(+-_MAX_LOG_P): the basis's rounding scales like
 # eps e^(2 _MAX_LOG_P) toward the grid edge where P is largest and like
 # eps e^_MAX_LOG_P mid-grid (on 2048 nodes at e^(+-7.95) the row at t_i stayed
-# within 2.3e-11 of the LU march at 32768 steps, whose own time error is 1.8e-11).
+# within 1.1e-12 of the contour).
 _MAX_LOG_P = 8.0
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Spatial/temporal resolution for the cascade solver.  An interval in the
-    sine basis is exact in time; ``n_time_per_interval`` steps the others."""
+    """Spatial resolution for the cascade solver, which is exact in time.
+    ``n_time_per_interval`` is checked but unread; it stays accepted until
+    the benchmark stops passing it (ROADMAP item 1)."""
 
     x_min: float
     x_max: float
@@ -92,7 +90,12 @@ class GridSpec:
         recovery cap and the evaluation spot, widened further when the
         lognormal drift plus four standard deviations over the full horizon
         reaches past that (the relative spot drifts down at rate
-        b + s_V^2/2, so high volatility pushes the far field out a lot)."""
+        b + s_V^2/2, so high volatility pushes the far field out a lot).
+        The small-spot edge value needs default at the next barrier test
+        under every measure that pays the recovery: one growing with x is paid
+        under the asset measure, where ln x drifts up at s_V^2/2 - b, so x_min
+        also sits that drift plus four deviations of the longest interval
+        under the lowest barrier."""
         refs = list(schedule.barriers) + [x_eval]
         if math.isfinite(recovery.cap):
             refs.append(recovery.cap)
@@ -101,8 +104,11 @@ class GridSpec:
         spread = 4.0 * market.s_V * math.sqrt(horizon)
         log_hi = max(math.log(_MARGIN), drift + spread)
         log_lo = max(math.log(_MARGIN), spread - drift)
+        h = max(hi - lo for lo, hi in zip(schedule.dates, schedule.dates[1:]))
+        rise = max(0.0, 0.5 * market.s_V**2 - market.b) * h
+        edge = max(math.log(_MARGIN), rise + 4.0 * market.s_V * math.sqrt(h))
         return cls(
-            min(refs) * math.exp(-log_lo),
+            min(min(refs) * math.exp(-log_lo), min(schedule.barriers) * math.exp(-edge)),
             max(refs) * math.exp(log_hi),
             n_space,
             n_time_per_interval,
@@ -112,22 +118,19 @@ class GridSpec:
 @dataclass(frozen=True)
 class CascadeSolution:
     """Per-interval grids of the relative price u on (log-spot, time), solved
-    on the one grid the cascade was given.
+    on the one grid the cascade was given, exact in time.
 
-    A sine-basis interval (``_SineStepper``) is exact in time: ``times[i]``
-    is [t_i, t_{i+1}] and ``values[i]`` its rows there, the second the glued
-    terminal row.  An LU interval (``_Stepper``) has ``times[i]``, its full
-    step grid t_i + k dt, k = 0..n, and keeps in ``values[i]`` only the rows
-    k = 0, s, 2s, ... below n, with s = isqrt(n), and last the glued
-    terminal row k = n.  ``sample`` takes the row at any t from
-    ``steppers[i]``.
+    ``times[i]`` holds the ends of interval i's pieces: [t_i, t_{i+1}] in
+    the sine basis, equal pieces under the contour.  ``values[i]`` holds the
+    rows there, the last the glued terminal row.  ``sample`` takes the row
+    at any t from ``steppers[i]``.
     """
 
     dates: tuple[float, ...]
     y: np.ndarray
     times: list[np.ndarray]
     values: list[np.ndarray]
-    steppers: list[_Stepper | _SineStepper]
+    steppers: list[_ContourStepper | _SineStepper]
 
 
 def _operator(y, sigma, mu):
@@ -139,117 +142,86 @@ def _operator(y, sigma, mu):
     return alpha, alpha - mu / (2.0 * h), alpha + mu / (2.0 * h)
 
 
-class _Stepper:
-    """Backward Crank-Nicolson for u_t + (sigma^2/2) u_yy + mu u_y - rho u + f = 0
-    on n_steps steps of [t_lo, t_hi]; row k is the solution at ``times[k]``.
+class _ContourStepper:
+    """The semi-discrete equation of an interval solved exactly in time on
+    any grid, by the contour integral of in 't Hout & Weideman (SIAM J. Sci.
+    Comput. 2011) on the parabolic contours of Weideman & Trefethen (Math.
+    Comp. 2007); ``_stepper`` picks it where ``_SineStepper`` does not apply.
 
-    The first transition after the (possibly discontinuous) terminal row is
-    taken as two implicit-Euler half-steps.  Both schemes solve with
-    M = I - (dt/2) A, LU-factored once with partial pivoting (LAPACK
-    ``dgttrf``); the explicit half of a Crank-Nicolson step is folded through
-    (I - (dt/2) A)^-1 (I + (dt/2) A) = 2 M^-1 - I, so a step is one
-    ``dgttrs`` solve of 2u + dt f plus the boundary halves, less u.  It takes
-    any grid; the cascade uses it where ``_SineStepper`` does not apply.
+    In tau = t_top - t below a piece top t_top the interior row v has the
+    Laplace transform
+
+        V(z) = (zI - A)^-1 [v(0) + f/z + lo e_1 G_lo(z) + up e_n G_hi(z)],
+
+    with G the edges' transforms (``_Edge.transform``), so
+    v(tau) = sum_k w_k Im[e^(z tau) z'(u_k) V(z_k)] on z = (M/tau)(1 + iu)^2,
+    M = 6, by the trapezoid rule at u_k = 0.16 k, k = 0..15, w_k = 0.16 / pi
+    halved at k = 0, conjugate nodes implied: one complex tridiagonal solve
+    (LAPACK ``zgtsv``) per node.  Rounding grows like e^M eps; the last
+    node's e^(z tau) is e^-28.6.  The numerical range of tau A lies inside
+    the parabola Re z <= -(Im z)^2 / (4p), p = mu^2 tau / (2 sigma^2), which
+    the contour encloses while p <= 2.  An edge with a negative rate puts a
+    pole at z = -rate > 0, which costs the trapezoid rule about
+    e^(-2 pi (1 - sqrt(-rate tau / M)) / 0.16): 1e-12 at -rate tau = 0.5.
+    So the interval is split into equal pieces that keep p <= 2 and
+    -rate tau <= 0.5; ``times`` holds their ends, ``march`` the row at each.
     """
 
-    def __init__(
-        self,
-        y: np.ndarray,
-        sigma: float,
-        mu: float,
-        rho: float,
-        source: np.ndarray,
-        bc_lo: Callable[[float], float],
-        bc_hi: Callable[[float], float],
-        t_lo: float,
-        t_hi: float,
-        n_steps: int,
-    ):
-        # M = I - (dt/2) A has sub-diagonal -lo, diagonal diag and super-diagonal -up
-        alpha, lo, up = _operator(y, sigma, mu)
-        self.dt = (t_hi - t_lo) / n_steps
-        self.half = 0.5 * self.dt
-        self.lo, self.up = self.half * lo, self.half * up
-        diag = 1.0 + self.half * (2.0 * alpha + rho)
-        self.half_f = self.half * source
-        self.dt_f = self.dt * source
-        self.bc_lo, self.bc_hi = bc_lo, bc_hi
-        self.t_lo, self.t_hi, self.n_steps = t_lo, t_hi, n_steps
-        self.times = np.linspace(t_lo, t_hi, n_steps + 1)
-        # rows a march keeps: every stride-th, then the terminal row
-        self.stride = math.isqrt(n_steps)
-        from scipy.linalg import lapack
-
+    def __init__(self, y, sigma, mu, rho, source, bc_lo, bc_hi, t_lo, t_hi):
+        alpha, self.lo, self.up = _operator(y, sigma, mu)
+        self.bc_lo, self.bc_hi, self.f = bc_lo, bc_hi, source
         m = len(y) - 1
-        *self.lu, info = lapack.dgttrf(
-            np.full(m - 2, -self.lo), np.full(m - 1, diag), np.full(m - 2, -self.up)
-        )
-        if info != 0:
-            raise LinAlgError("singular matrix")
-        self.trs = lapack.dgttrs
+        # zI - A has sub-diagonal -lo, diagonal z + diag and super-diagonal -up
+        self.sub, self.sup = np.full(m - 2, -self.lo), np.full(m - 2, -self.up)
+        self.diag = np.full(m - 1, 2.0 * alpha + rho)
+        span = t_hi - t_lo
+        peclet = mu * mu * span / (2.0 * sigma * sigma)
+        growth = max(0.0, -bc_lo.rate, -bc_hi.rate) * span
+        pieces = max(1, math.ceil(peclet / 2.0), math.ceil(2.0 * growth))
+        self.times = np.linspace(t_lo, t_hi, pieces + 1)
 
-    def _solve(self, row: np.ndarray, old_lo: float, old_hi: float, t: float) -> None:
-        """Overwrite row[1:-1], which holds the right-hand side without its
-        boundary halves, with the solution at time t; old_lo and old_hi are
-        the old-time boundary values the right side carries."""
-        lo, hi = self.bc_lo(t), self.bc_hi(t)
-        row[1] += self.lo * (old_lo + lo)
-        row[-2] += self.up * (old_hi + hi)
-        _, info = self.trs(*self.lu, row[1:-1], overwrite_b=True)
-        if info != 0:
-            raise ValueError(f"illegal value in {-info}-th argument of the tridiagonal solve")
-        row[0] = lo
-        row[-1] = hi
+    def _contour(self, top: np.ndarray, t_top: float, t: float) -> np.ndarray:
+        """The row at t < t_top from the row ``top`` at t_top."""
+        from scipy.linalg.lapack import zgtsv
 
-    def step(self, k: int, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write row k into ``out`` from row k + 1 in ``u`` (a different array)."""
-        inner = out[1:-1]
-        if k == self.n_steps - 1:
-            # Rannacher start-up: two implicit-Euler half-steps
-            np.add(u[1:-1], self.half_f, out=inner)
-            self._solve(out, 0.0, 0.0, self.t_hi - self.half)
-            inner += self.half_f
-            self._solve(out, 0.0, 0.0, self.t_lo + k * self.dt)
-        else:
-            # M^-1 (2u + dt f + the old- and new-time boundary halves) - u
-            np.multiply(u[1:-1], 2.0, out=inner)
-            inner += self.dt_f
-            self._solve(out, float(u[0]), float(u[-1]), self.t_lo + k * self.dt)
-            inner -= u[1:-1]
+        tau = t_top - t
+        s = 1.0 + 0.16j * np.arange(16)
+        z = (6.0 / tau) * s * s
+        # w_k e^(z tau) z'(u_k), with z'(u) = (2 M / tau) i (1 + iu)
+        scale = np.exp(z * tau) * (12.0 / tau * 0.16 / math.pi) * 1j * s
+        scale[0] *= 0.5
+        edge_lo = self.lo * self.bc_lo.transform(z, t_top)
+        edge_hi = self.up * self.bc_hi.transform(z, t_top)
+        out = np.zeros_like(top)
+        for k in range(len(z)):
+            rhs = top[1:-1] + self.f / z[k]
+            rhs[0] += edge_lo[k]
+            rhs[-1] += edge_hi[k]
+            *_, v, info = zgtsv(self.sub, self.diag + z[k], self.sup, rhs, overwrite_b=True)
+            if info != 0:
+                raise LinAlgError("singular matrix")
+            out[1:-1] += (scale[k] * v).imag
+        out[0], out[-1] = self.bc_lo(t), self.bc_hi(t)
         return out
 
     def march(self, terminal: np.ndarray) -> np.ndarray:
-        """Run down from ``terminal`` over two rolling row buffers.
-
-        Returns the kept rows: k = 0, s, 2s, ... below n_steps, then the
-        terminal row, with s = ``stride``.
-        """
-        n, s = self.n_steps, self.stride
-        kept = np.empty((-(-n // s) + 1, len(terminal)))
+        """The rows at the piece ends, the last ``terminal`` itself."""
+        kept = np.empty((len(self.times), len(terminal)))
         kept[-1] = terminal
-        spare = np.empty((2, len(terminal)))
-        u = kept[-1]
-        for k in range(n - 1, -1, -1):
-            u = self.step(k, u, kept[k // s] if k % s == 0 else spare[k & 1])
-        # a non-finite value anywhere spreads through every later solve
+        for j in range(len(self.times) - 2, -1, -1):
+            kept[j] = self._contour(kept[j + 1], self.times[j + 1], self.times[j])
+        # a non-finite value anywhere spreads through every solve
         if not np.isfinite(kept[0]).all():
             raise ValueError("array must not contain infs or NaNs")
         return kept
 
     def row(self, kept: np.ndarray, t: float) -> np.ndarray:
-        """The row at time t, linear in t between the step rows k and k + 1
-        around it.  Each is read from ``kept`` or re-marched from the nearest
-        kept row above it, bit for bit as ``march`` computes it."""
-        n, s, times = self.n_steps, self.stride, self.times
-        k = min(max(bisect_right(times, t) - 1, 0), n - 1)
-        r = -(-(k + 1) // s)  # the nearest kept row at or above k + 1
-        upper = kept[r]
-        spare = np.empty((2, len(upper)))
-        for j in range(min(r * s, n) - 1, k, -1):
-            upper = self.step(j, upper, spare[j & 1])
-        lower = kept[k // s] if k % s == 0 else self.step(k, upper, spare[k & 1])
-        w = (t - times[k]) / (times[k + 1] - times[k])
-        return (1.0 - w) * lower + w * upper
+        """The row at time t: a kept row, or one contour from the piece end
+        above t."""
+        j = bisect_left(self.times, t)
+        if self.times[j] == t:
+            return kept[j]
+        return self._contour(kept[j], self.times[j], t)
 
 
 def _sine(x: np.ndarray) -> np.ndarray:
@@ -355,21 +327,22 @@ class _SineStepper:
         return kept
 
 
-def _stepper(y, sigma, mu, rho, source, bc_lo, bc_hi, t_lo, t_hi, n_steps, shift):
+def _stepper(y, sigma, mu, rho, source, bc_lo, bc_hi, t_lo, t_hi, shift):
     """The interval's stepper: ``_SineStepper`` while both off-diagonals of A
-    are positive and P stays within e^(+-_MAX_LOG_P), else ``_Stepper``."""
+    are positive and P stays within e^(+-_MAX_LOG_P), else
+    ``_ContourStepper``, which costs 16 tridiagonal solves per row."""
     _, lo, up = _operator(y, sigma, mu)
     if lo > 0.0 and up > 0.0 and 0.25 * (len(y) - 3) * abs(math.log(lo / up)) <= _MAX_LOG_P:
         return _SineStepper(y, sigma, mu, rho, source, bc_lo, bc_hi, t_lo, t_hi, shift)
-    return _Stepper(y, sigma, mu, rho, source, bc_lo, bc_hi, t_lo, t_hi, n_steps)
+    return _ContourStepper(y, sigma, mu, rho, source, bc_lo, bc_hi, t_lo, t_hi)
 
 
 @dataclass(frozen=True)
 class _Edge:
     """A boundary value u(t) = base + jump e^(-rate tau) + drift E_rate(tau)
     at tau = t_hi - t, with E as in ``_phi``: the form both edges of an
-    interval take.  ``_Stepper`` evaluates it at its step times and
-    ``_SineStepper`` integrates it exactly."""
+    interval take.  ``_SineStepper`` integrates it exactly against its
+    modes and ``_ContourStepper`` takes its Laplace transform."""
 
     base: float
     jump: float
@@ -397,6 +370,16 @@ class _Edge:
             + self.drift * (_phi(self.rate, tau) - decay) / kappa
         )
 
+    def transform(self, z: np.ndarray, t_top: float) -> np.ndarray:
+        """The Laplace transform at z of u(t_top - s) in s >= 0, for t_top at
+        or below t_hi: re-based to t_top, the edge keeps its form with
+        base + drift E_rate(a), jump e^(-rate a) and drift e^(-rate a),
+        a = t_hi - t_top."""
+        a = self.t_hi - t_top
+        decay = math.exp(-self.rate * a)
+        base = self.base + self.drift * _phi(self.rate, a)
+        return base / z + (self.jump + self.drift / z) * decay / (z + self.rate)
+
 
 def _edges(
     b: float, lam: float, t_hi: float, tail: float, p_0: float, p_lo: float, p_hi: float
@@ -419,7 +402,7 @@ def _cascade(
     grid: GridSpec,
 ) -> CascadeSolution:
     """Backward induction on ``grid`` for every recovery model: glue at each
-    announcing date, march each interval with the source lam * paid.
+    announcing date, solve each interval with the source lam * paid.
 
     The gluing indicator is projected onto the grid by its cell average, so
     the discontinuity sits at the exact barrier with second-order accuracy
@@ -467,19 +450,8 @@ def _cascade(
         near, far = _edges(market.b, lam, t_hi, tail, p_0, p_lo, p_hi)
         above = np.clip((y - math.log(schedule.barriers[i])) / dy + 0.5, 0.0, 1.0)
         terminal = above * nxt + (1.0 - above) * rec
-        steppers[i] = _stepper(
-            y,
-            sigma,
-            mu,
-            lam,
-            lam * rec[1:-1],
-            far if unreachable else near,
-            far,
-            t_lo,
-            t_hi,
-            grid.n_time_per_interval,
-            p_0,
-        )
+        edge_lo = far if unreachable else near
+        steppers[i] = _stepper(y, sigma, mu, lam, lam * rec[1:-1], edge_lo, far, t_lo, t_hi, p_0)
         values[i] = steppers[i].march(terminal)
         nxt = values[i][0]
     times = [stepper.times for stepper in steppers]
@@ -516,9 +488,7 @@ def sample(solution: CascadeSolution, x: float, t: float) -> float:
 
     Announcing dates belong to the interval on their right; ``t`` equal to
     maturity takes the last interval's row there.  The row at t is exact in
-    time on a sine-basis interval; on an LU interval it is linear in t
-    between the two step rows around t, which are read from the kept rows or
-    re-marched bit for bit from the nearest kept row above them.
+    time, from the interval's stepper.
     """
     y = math.log(x) if x > 0.0 else -math.inf
     if not (solution.y[0] <= y <= solution.y[-1]):

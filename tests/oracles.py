@@ -15,10 +15,10 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import solve_banded
 from scipy.special import ndtr, roots_legendre
 
 from defbond import McResult, bivariate_cdf
-from defbond.pde import _Stepper
 
 
 def gl_mvn_cdf(a, cov, n: int = 96, lo: float = -9.5) -> float:
@@ -140,14 +140,38 @@ def simpson_integral(f, a: float, b: float, panels: int) -> float:
 
 def propagate_terminal(y, terminal, coeffs, t_start, t_end, n_steps, bc_lo, bc_hi) -> np.ndarray:
     """Solve the plain pricing equation with coefficients ``coeffs`` backward
-    from arbitrary terminal data on the log-spot grid ``y``, with the PDE
-    engine's Crank-Nicolson stepper and no source; returns the slice at
-    ``t_start``.  Checks nesting identities of the closed forms."""
+    from arbitrary terminal data on the uniform log-spot grid ``y``, with
+    edge values ``bc_lo(t)`` and ``bc_hi(t)``; returns the slice at
+    ``t_start``.  Crank-Nicolson on ``n_steps`` steps, the first after the
+    terminal row taken as two implicit-Euler half-steps; both schemes solve
+    with M = I - (dt/2) A by ``scipy.linalg.solve_banded``.  It shares no
+    code with the PDE engine.  Checks nesting identities of the closed
+    forms."""
+    h = y[1] - y[0]
+    alpha = coeffs.sigma**2 / (2.0 * h * h)
     mu = coeffs.r - coeffs.q - 0.5 * coeffs.sigma**2
-    stepper = _Stepper(
-        y, coeffs.sigma, mu, coeffs.r, np.zeros(len(y) - 2), bc_lo, bc_hi, t_start, t_end, n_steps
-    )
-    return stepper.march(terminal)[0]
+    lo, diag, up = alpha - mu / (2.0 * h), -2.0 * alpha - coeffs.r, alpha + mu / (2.0 * h)
+    dt = (t_end - t_start) / n_steps
+    half = 0.5 * dt
+    banded = np.zeros((3, len(y) - 2))
+    banded[0, 1:], banded[1], banded[2, :-1] = -half * up, 1.0 - half * diag, -half * lo
+
+    def solve(rhs, t):
+        # M v = rhs plus the new-time edge values at t
+        out = np.empty(len(y))
+        out[0], out[-1] = bc_lo(t), bc_hi(t)
+        rhs[0] += half * lo * out[0]
+        rhs[-1] += half * up * out[-1]
+        out[1:-1] = solve_banded((1, 1), banded, rhs)
+        return out
+
+    u = solve(np.array(terminal[1:-1], dtype=float), t_end - half)
+    u = solve(u[1:-1].copy(), t_end - dt)
+    for k in range(n_steps - 2, -1, -1):
+        # (I + (dt/2) A) u with the old-time edge values u carries
+        explicit = u[1:-1] + half * (lo * u[:-2] + diag * u[1:-1] + up * u[2:])
+        u = solve(explicit, t_start + k * dt)
+    return u
 
 
 def dense_simulate_price(market, schedule, recovery, V0, config, t=0.0) -> McResult:

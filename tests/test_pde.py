@@ -11,14 +11,12 @@ from defbond.errors import DomainError
 from defbond.pde import (
     CascadeSolution,
     GridSpec,
+    _ContourStepper,
     _edges,
     _SineStepper,
     _stepper,
-    _Stepper,
     sample,
 )
-
-from oracles import propagate_terminal
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -138,8 +136,7 @@ def test_zero_growth_edge_forcing_matches_the_lu_march(monkeypatch):
     # the endogenous low-barrier base at b = -0.002 has b + lam = 0 exactly
     # in interval 0, and +-1e-12 beside it: the sine basis integrates that
     # small-spot edge with no division by b + lam, so all three sit within
-    # 5e-10 of the LU march at 32768 steps per interval, whose own time
-    # error there is about 2e-10
+    # 1e-11 of the contour, which takes the edge's Laplace transform
     scenario = db.load_scenario(SCENARIOS / "base_endogenous_low_barrier.yaml")
     schedule, rec = scenario.schedule, scenario.recovery
 
@@ -155,12 +152,11 @@ def test_zero_growth_edge_forcing_matches_the_lu_march(monkeypatch):
         assert all(type(stepper) is _SineStepper for stepper in sol.steppers)
         exact[b] = [sample(sol, x, t) for x, t in probes]
     monkeypatch.setattr(pde, "_MAX_LOG_P", -1.0)
-    fine = GridSpec(grid.x_min, grid.x_max, 256, 32768)
-    lu = db.solve_endogenous_cascade(market(-0.002), schedule, rec, fine)
-    assert all(type(stepper) is _Stepper for stepper in lu.steppers)
-    want = [sample(lu, x, t) for x, t in probes]
+    contour = db.solve_endogenous_cascade(market(-0.002), schedule, rec, grid)
+    assert all(type(stepper) is _ContourStepper for stepper in contour.steppers)
+    want = [sample(contour, x, t) for x, t in probes]
     for b, got in exact.items():
-        assert got == pytest.approx(want, rel=0.0, abs=5e-10), b
+        assert got == pytest.approx(want, rel=0.0, abs=1e-11), b
 
 
 def test_recovery_mode_mismatch_rejected(market, schedule, exo, endo_high_barrier):
@@ -263,115 +259,16 @@ def test_second_order_convergence(market):
 
 
 def test_non_finite_data_rejected():
-    # a NaN in the terminal row spreads through every solve; the march
-    # refuses to return it
+    # a NaN in the terminal row spreads through every mode and every solve;
+    # the march of either stepper refuses to return it
     y = np.linspace(0.0, 6.0, 65)
     terminal = np.ones_like(y)
     terminal[30] = np.nan
-    coeffs = BsCoefficients(0.05, 0.0, 0.3)
-    with pytest.raises(ValueError):
-        propagate_terminal(y, terminal, coeffs, 0.0, 1.0, 16, lambda t: 0.0, lambda t: 1.0)
-
-
-def test_step_matches_unfolded_formula():
-    # step() folds the explicit half through (I - hA)^-1 (I + hA) = 2 (I - hA)^-1 - I,
-    # so it solves for 2u + dt f and subtracts u; on random rows it must match
-    # the solve of the unfolded right side u + (dt/2) A u + dt f to a few ulps
-    # of that sum's terms.  The solve's matrix is diagonally dominant by at
-    # least 1, so it does not amplify the difference.  The last step is the
-    # Rannacher start-up.
-    rng = np.random.default_rng(21)
-    y = np.linspace(0.0, 6.0, 129)
-    h = y[1] - y[0]
-    sigma, mu, rho = 0.4, -0.13, 0.02
-    alpha = sigma * sigma / (2.0 * h * h)
-    lo_c, di_c, up_c = alpha - mu / (2.0 * h), -2.0 * alpha - rho, alpha + mu / (2.0 * h)
-    f = rng.uniform(0.0, 0.05, len(y) - 2)
-    stepper = _Stepper(y, sigma, mu, rho, f, lambda t: 0.2, lambda t: 0.9, 0.5, 2.0, 32)
-    half, dt = stepper.half, stepper.dt
-    for k in (7, stepper.n_steps - 1):
-        u = rng.uniform(-1.0, 1.0, len(y))
-        got = stepper.step(k, u, np.empty_like(u))
-        want = np.empty_like(u)
-        if k == stepper.n_steps - 1:
-            want[1:-1] = u[1:-1] + half * f
-            stepper._solve(want, 0.0, 0.0, stepper.t_hi - half)
-            want[1:-1] += half * f
-            terms = np.abs(want[1:-1]) + half * f
-        else:
-            parts = (
-                u[1:-1],
-                half * (lo_c * u[:-2]),
-                half * (di_c * u[1:-1]),
-                half * (up_c * u[2:]),
-                dt * f,
-            )
-            want[1:-1] = u[1:-1] + half * (lo_c * u[:-2] + di_c * u[1:-1] + up_c * u[2:]) + dt * f
-            terms = sum(np.abs(p) for p in parts)
-        stepper._solve(want, 0.0, 0.0, stepper.t_lo + k * dt)
-        assert np.max(np.abs(got - want)) <= 4.0 * np.finfo(float).eps * np.max(terms)
-
-
-def _dense_step(y, sigma, mu, rho, f, bc_lo, bc_hi, t_lo, t_hi, n, k, u):
-    """Row k from row k + 1 by np.linalg.solve on the dense Crank-Nicolson
-    system (two implicit-Euler half-steps at k = n - 1), with the sum of the
-    absolute terms of its right-hand side."""
-    h = y[1] - y[0]
-    alpha = sigma * sigma / (2.0 * h * h)
-    lo_c, di_c, up_c = alpha - mu / (2.0 * h), -2.0 * alpha - rho, alpha + mu / (2.0 * h)
-    size = len(y) - 2
-    a = (np.diag(np.full(size, di_c)) + np.diag(np.full(size - 1, lo_c), -1)
-         + np.diag(np.full(size - 1, up_c), 1))
-    dt = (t_hi - t_lo) / n
-    half = 0.5 * dt
-    implicit = np.eye(size) - half * a
-
-    def edges(lo, hi):
-        e = np.zeros(size)
-        e[0], e[-1] = half * lo_c * lo, half * up_c * hi
-        return e
-
-    t = t_lo + k * dt
-    out = np.empty_like(u)
-    out[0], out[-1] = bc_lo(t), bc_hi(t)
-    if k == n - 1:
-        mid = edges(bc_lo(t_hi - half), bc_hi(t_hi - half))
-        first = np.linalg.solve(implicit, u[1:-1] + half * f + mid)
-        out[1:-1] = np.linalg.solve(implicit, first + half * f + edges(out[0], out[-1]))
-        terms = (np.abs(u[1:-1]) + np.abs(first) + dt * f + np.abs(mid)
-                 + np.abs(edges(out[0], out[-1])))
-    else:
-        explicit = u[1:-1] + half * (a @ u[1:-1]) + edges(u[0], u[-1])
-        out[1:-1] = np.linalg.solve(implicit, explicit + dt * f + edges(out[0], out[-1]))
-        terms = (np.abs(u[1:-1]) + half * (np.abs(a) @ np.abs(u[1:-1]))
-                 + np.abs(edges(u[0], u[-1])) + dt * f + np.abs(edges(out[0], out[-1])))
-    return out, terms
-
-
-# (sigma, mu, intervals of the grid): the cell Peclet number |mu| h / sigma^2
-# is below 1 on the first grid, where M can be symmetrised, and above 1 on
-# the second; ``_Stepper`` LU-factors both.
-_STEPPER_GRIDS = {
-    "symmetric": (0.4, -0.13, 128),
-    "Peclet above 1": (0.01, -0.03, 128),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_STEPPER_GRIDS))
-def test_step_matches_dense_solve(name):
-    # an interior step and the Rannacher start-up against the dense system
-    sigma, mu, m = _STEPPER_GRIDS[name]
-    rng = np.random.default_rng(17)
-    y = np.linspace(0.0, 6.0, m + 1)
-    rho, n = 0.02, 32
-    f = rng.uniform(0.0, 0.05, m - 1)
-    bc_lo, bc_hi = (lambda t: 0.2 + 0.1 * t), (lambda t: 0.9 - 0.05 * t)
-    stepper = _Stepper(y, sigma, mu, rho, f, bc_lo, bc_hi, 0.5, 2.0, n)
-    for k in (7, n - 1):
-        u = rng.uniform(-1.0, 1.0, m + 1)
-        got = stepper.step(k, u, np.empty_like(u))
-        want, terms = _dense_step(y, sigma, mu, rho, f, bc_lo, bc_hi, 0.5, 2.0, n, k, u)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(terms), k
+    near, far = _edges(0.05, 0.02, 1.0, 0.0, 0.4, 0.4, 1.0)
+    args = (y, 0.3, -0.095, 0.02, np.full(63, 0.008), near, far, 0.0, 1.0)
+    for stepper in (_SineStepper(*args, 0.4), _ContourStepper(*args)):
+        with pytest.raises(ValueError):
+            stepper.march(terminal)
 
 
 def _one_interval(stepper, y, terminal):
@@ -379,21 +276,15 @@ def _one_interval(stepper, y, terminal):
     return CascadeSolution((0.5, 2.0), y, [stepper.times], [stepper.march(terminal)], [stepper])
 
 
-def test_sine_rows_match_dense_exponential():
-    # an interval in the sine basis, with a source, both edge forms (the
-    # small-spot edge at b + lam = 0 exactly) and a shift p(0) that is not
-    # zero, against the exponential of the dense semi-discrete system whose
-    # edge values come from three more states: 1, e^(-rate tau) and
-    # E_rate(tau) of each edge, with d/dtau E_rate = e^(-rate tau)
+def _dense_rows(stepper, y, sigma, mu, rho, f, near, far, rng):
+    """Largest gap between the stepper's interior rows on [0.5, 2.0] and the
+    exponential of the dense semi-discrete system, whose edge values come
+    from three more states: 1, e^(-rate tau) and E_rate(tau) of each edge,
+    with d/dtau E_rate = e^(-rate tau); the edge values must match the
+    same states to 1e-13."""
     from scipy.linalg import expm
 
-    rng = np.random.default_rng(29)
-    sigma, mu, rho, m, lam = 0.4, -0.13, 0.02, 128, 0.03
-    y = np.linspace(0.0, 6.0, m + 1)
-    f = rng.uniform(0.0, 0.05, m - 1)
-    near, far = _edges(-lam, lam, 2.0, 0.01, 0.3, 0.45, 0.6)
-    stepper = _stepper(y, sigma, mu, rho, f, near, far, 0.5, 2.0, 32, 0.3)
-    assert type(stepper) is _SineStepper
+    m = len(y) - 1
     h = y[1] - y[0]
     alpha = sigma * sigma / (2.0 * h * h)
     lo_c, up_c = alpha - mu / (2.0 * h), alpha + mu / (2.0 * h)
@@ -410,80 +301,100 @@ def test_sine_rows_match_dense_exponential():
         gen[k, k] = -edge.rate
         gen[k + 1, k] = 1.0
     terminal = rng.uniform(-1.0, 1.0, m + 1)
+    terminal[0], terminal[-1] = near(2.0), far(2.0)
     start = np.concatenate((terminal[1:-1], [1.0, 1.0, 0.0, 1.0, 0.0]))
     kept = stepper.march(terminal)
     assert np.array_equal(kept[-1], terminal)
     assert np.array_equal(kept[0], stepper.row(kept, 0.5))
-    for t in (0.5, 0.9, 1.7, 2.0 - 1e-3, 2.0):
+    times = sorted({0.5, 0.9, 1.7, 2.0 - 1e-3, 2.0, *stepper.times})
+    worst = 0.0
+    for t in times:
         want = expm((2.0 - t) * gen) @ start
         got = stepper.row(kept, t)
-        assert np.max(np.abs(got[1:-1] - want[:size])) <= 1e-13, t
+        worst = max(worst, np.max(np.abs(got[1:-1] - want[:size])))
         for value, edge, k in ((got[0], near, size + 1), (got[-1], far, size + 3)):
             assert value == pytest.approx(
                 edge.base + edge.jump * want[k] + edge.drift * want[k + 1], abs=1e-13
             ), t
+    return worst
+
+
+def test_sine_rows_match_dense_exponential():
+    # an interval in the sine basis, with a source, both edge forms (the
+    # small-spot edge at b + lam = 0 exactly) and a shift p(0) that is not
+    # zero, against the dense exponential
+    rng = np.random.default_rng(29)
+    sigma, mu, rho, m, lam = 0.4, -0.13, 0.02, 128, 0.03
+    y = np.linspace(0.0, 6.0, m + 1)
+    f = rng.uniform(0.0, 0.05, m - 1)
+    near, far = _edges(-lam, lam, 2.0, 0.01, 0.3, 0.45, 0.6)
+    stepper = _stepper(y, sigma, mu, rho, f, near, far, 0.5, 2.0, 0.3)
+    assert type(stepper) is _SineStepper
+    assert _dense_rows(stepper, y, sigma, mu, rho, f, near, far, rng) <= 1e-13
+
+
+# (sigma, mu, b + lam of the small-spot edge, pieces): the sine basis's grid
+# with b + lam = 0; a cell Peclet number |mu| h / sigma^2 of 14, whose
+# interval Peclet number mu^2 (t_hi - t_lo) / (2 sigma^2) = 6.75 takes four
+# pieces; and a growing edge, b + lam = -1.5 over 1.5 years, which takes five
+_CONTOUR_CASES = {
+    "sine grid": (0.4, -0.13, 0.0, 1),
+    "Peclet above 1": (0.01, -0.03, 0.0, 4),
+    "growing edge": (0.4, -0.13, -1.5, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONTOUR_CASES))
+def test_contour_rows_match_dense_exponential(name):
+    sigma, mu, growth, pieces = _CONTOUR_CASES[name]
+    rng = np.random.default_rng(29)
+    rho, m, lam = 0.02, 128, 0.03
+    y = np.linspace(0.0, 6.0, m + 1)
+    f = rng.uniform(0.0, 0.05, m - 1)
+    near, far = _edges(growth - lam, lam, 2.0, 0.01, 0.3, 0.45, 0.6)
+    stepper = _ContourStepper(y, sigma, mu, rho, f, near, far, 0.5, 2.0)
+    assert len(stepper.times) == pieces + 1
+    # the contour's rounding grows like e^6 eps: 1e-12 to 5.4e-12 here
+    assert _dense_rows(stepper, y, sigma, mu, rho, f, near, far, rng) <= 1e-11
 
 
 @pytest.mark.parametrize("exponent", [7.95, 8.05])
 def test_sine_basis_guard(exponent):
     # a 2048-node grid whose scaling P reaches e^(+-exponent): under the
-    # guard of e^(+-8) the sine basis runs and stays within 1e-8 of the LU
-    # march on the row at t_lo (rounding grows toward the edge where P is
-    # largest) and within 1e-10 on samples inside the grid; over it the LU
-    # march runs.  At 32768 steps the march's own time error, estimated
-    # against 131072 steps, is 1.8e-11 on that row and at most 9.7e-12 on
-    # these samples, under a tenth of each bound.
-    m, n, sigma, lam, p_0 = 2048, 32768, 0.1, 0.02, 0.4
+    # guard of e^(+-8) the sine basis runs and stays within 1e-11 of the
+    # contour on the row at t_lo (1.1e-12 measured; rounding grows toward the
+    # edge where P is largest) and on samples inside the grid; over it the
+    # contour runs
+    m, sigma, lam, p_0 = 2048, 0.1, 0.02, 0.4
     y = np.linspace(0.0, 6.0, m + 1)
     mu = -math.tanh(exponent / (0.5 * (m - 2))) * sigma * sigma / (y[1] - y[0])
     near, far = _edges(0.05, lam, 2.0, 0.01, p_0, p_0, p_0)
     source = np.full(m - 1, lam * p_0)
     terminal = np.where(y > 2.5, 1.0, p_0)
-    args = (y, sigma, mu, lam, source, near, far, 0.5, 2.0, n)
+    args = (y, sigma, mu, lam, source, near, far, 0.5, 2.0)
     stepper = _stepper(*args, p_0)
     if exponent > 8.0:
-        assert type(stepper) is _Stepper
+        assert type(stepper) is _ContourStepper
         return
     assert type(stepper) is _SineStepper
-    sine, lu = _one_interval(stepper, y, terminal), _one_interval(_Stepper(*args), y, terminal)
-    assert np.max(np.abs(sine.values[0][0] - lu.values[0][0])) <= 1e-8
+    sine = _one_interval(stepper, y, terminal)
+    contour = _one_interval(_ContourStepper(*args), y, terminal)
+    assert np.max(np.abs(sine.values[0][0] - contour.values[0][0])) <= 1e-11
     for x in (math.exp(1.0), math.exp(2.5), math.exp(3.0), math.exp(4.5)):
         for t in (0.5, 0.8, 1.1):
-            assert abs(sample(sine, x, t) - sample(lu, x, t)) <= 1e-10, (x, t)
-
-
-@pytest.mark.parametrize("s_v, path", [(0.01, "dgttrs")])
-def test_bracket_rows_equal_a_full_march(s_v, path):
-    # every row sample() reads on an LU interval, at each step time and
-    # halfway between two, against the rows of a march that keeps every
-    # row: bit for bit, since it re-marches from the kept rows with the
-    # same factorisation
-    scenario = db.load_scenario(SCENARIOS / "base_exogenous.yaml")
-    market = db.MarketParams(scenario.market.r, scenario.market.b, s_v)
-    schedule, rec = scenario.schedule, scenario.recovery
-    grid = GridSpec.auto(market, schedule, 200.0, rec, n_space=256, n_time_per_interval=64)
-    sol = db.solve_exogenous_cascade(market, schedule, rec, grid)
-    for i, stepper in enumerate(sol.steppers):
-        assert type(stepper) is _Stepper
-        rows = [None] * 64 + [sol.values[i][-1]]
-        for k in range(63, -1, -1):
-            rows[k] = stepper.step(k, rows[k + 1], np.empty_like(rows[k + 1]))
-        times = sol.times[i]
-        for k in range(64):
-            mid = 0.5 * (times[k] + times[k + 1])
-            w = (mid - times[k]) / (times[k + 1] - times[k])
-            assert np.array_equal(stepper.row(sol.values[i], times[k]), rows[k]), (i, k)
-            want = (1.0 - w) * rows[k] + w * rows[k + 1]
-            assert np.array_equal(stepper.row(sol.values[i], mid), want), (i, k)
-        assert np.array_equal(stepper.row(sol.values[i], times[-1]), rows[-1]), i
+            assert abs(sample(sine, x, t) - sample(contour, x, t)) <= 1e-11, (x, t)
 
 
 @pytest.mark.parametrize("name", ["base_exogenous", "base_endogenous_low_barrier"])
-@pytest.mark.parametrize("s_v, path", [(0.01, "dgttrs"), (0.02, "dgttrs"), (0.2, "sine")])
+@pytest.mark.parametrize(
+    "s_v, path",
+    [(0.01, "contour"), (0.02, "contour"), (0.2, "sine"), (2.0, "contour"), (3.0, "contour")],
+)
 def test_low_volatility_cascade_matches_closed_form(name, s_v, path):
     # on the default grid s_V = 0.01 puts the cell Peclet number above 1; at
     # s_V = 0.02 the symmetrising scaling would reach e^592 and at 0.2 e^7.4,
-    # so only the last marches in the sine basis (guard e^8) and the others pivot
+    # so only the latter runs in the sine basis (guard e^8); the grids of
+    # s_V = 2 and 3 are so wide that their scalings leave it too
     scenario = db.load_scenario(SCENARIOS / f"{name}.yaml")
     market = db.MarketParams(scenario.market.r, scenario.market.b, s_v)
     schedule, rec = scenario.schedule, scenario.recovery
@@ -496,7 +407,7 @@ def test_low_volatility_cascade_matches_closed_form(name, s_v, path):
     else:
         sol = db.solve_endogenous_cascade(market, schedule, rec, grid)
         closed = db.price_endogenous(market, schedule, rec, firm, 0.0).price
-    kind = _SineStepper if path == "sine" else _Stepper
+    kind = _SineStepper if path == "sine" else _ContourStepper
     assert all(type(stepper) is kind for stepper in sol.steppers)
     assert df * sample(sol, firm / df, 0.0) == pytest.approx(closed, rel=0.0, abs=1e-6)
 
@@ -504,12 +415,20 @@ def test_low_volatility_cascade_matches_closed_form(name, s_v, path):
 # ------------------------------------------------------------------ sampling
 
 
+class _TwoRows:
+    """A stepper on [0, 1] whose rows are linear in t between its two kept
+    rows."""
+
+    times = np.array([0.0, 1.0])
+
+    def row(self, kept, t):
+        return (1.0 - t) * kept[0] + t * kept[1]
+
+
 def _toy_solution():
     y = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-    # one LU step keeps both of its rows, so sampling never re-marches
-    stepper = _Stepper(y, 0.3, 0.0, 0.0, np.zeros(3), None, None, 0.0, 1.0, 1)
     values = [np.array([[1.0, 3.0, 5.0, 7.0, 9.0], [2.0, 4.0, 6.0, 8.0, 10.0]])]
-    return CascadeSolution((0.0, 1.0), y, [stepper.times], values, [stepper])
+    return CascadeSolution((0.0, 1.0), y, [_TwoRows.times], values, [_TwoRows()])
 
 
 def test_sample_exact_node():
@@ -550,14 +469,14 @@ def test_sample_interpolation_against_finer_grid(market, schedule, exo):
 # intervals.  Rows: x = 80, 150, 400; columns: t = 0, 1.3, 3, 4.5.
 _PINNED = {
     "base_exogenous": (
-        0.5230679478944539, 0.5278120355807968, 0.5688462405266148, 0.5973407922961328,
-        0.5421410032139796, 0.5562331380790518, 0.6163793294991738, 0.6816969903680967,
-        0.5903660047546608, 0.6271744391249041, 0.7165439958107233, 0.8358215201127069,
+        0.5230741536384875, 0.5278238231308231, 0.568863693809364, 0.5973792796810395,
+        0.5421493232507038, 0.55624775244729, 0.6163990747777568, 0.6817292807497345,
+        0.5903576563489956, 0.6271695808553407, 0.7165505327434527, 0.835858609161393,
     ),
     "base_endogenous_low_barrier": (
-        0.15046165022397712, 0.20043265328431026, 0.2295674556382622, 0.32851030683019367,
-        0.21078431085730934, 0.276641300197331, 0.3386196211186559, 0.49811259511599687,
-        0.3257969375095011, 0.4114904340996998, 0.5406887589112971, 0.7631220921599615,
+        0.15048150433270546, 0.20045695383718987, 0.2296059218399188, 0.3285761130205767,
+        0.21080821914317388, 0.2766690643393988, 0.33866165732497744, 0.49816400094349483,
+        0.3258093530956344, 0.41151051109639747, 0.5407248565155557, 0.7632064011230484,
     ),
     "base_endogenous_high_barrier": (
         0.9402082000841057, 0.9900950072862942, 0.9433758041652734, 0.9970682908665166,
@@ -574,16 +493,16 @@ _PINNED_TIMES = (0.75, 2.0, 3.0, 3.5, 3.7)
 _PINNED_STEPS = {
     "base_exogenous": (
         0.5, 0.5, 0.5, 0.5, 0.5,
-        0.5258551913547224, 0.5295457575025743, 0.5688462405266148, 0.5770849703938707, 0.5807084123256382,
-        0.5495754043160244, 0.56721137198402, 0.6163793294991738, 0.6333040806852335, 0.6411353391672389,
-        0.6093348103463938, 0.6574329374732151, 0.7165439958107233, 0.7483729877634504, 0.7629662844655564,
+        0.5258640145265168, 0.5295644277740337, 0.568863693809364, 0.577106972914448, 0.5807327069741073,
+        0.5495868359009721, 0.5672316129956716, 0.6163990747777568, 0.6333275683707015, 0.6411604955099683,
+        0.6093276834152744, 0.657434566212533, 0.7165505327434527, 0.7483859962051932, 0.762982695206587,
         0.990344447594333, 0.9915718423174549, 0.9925559698015314, 0.9937889002469407, 0.9942829361239565,
     ),
     "base_endogenous_low_barrier": (
-        0.0006732837577593748, 0.0007165551495727316, 0.000649096448734653, 0.000665285035323323, 0.0006718861548634886,
-        0.17682308219287013, 0.23871903753020807, 0.2295674556382622, 0.25720265280634375, 0.26954465805160244,
-        0.24613032896146736, 0.32179657915187326, 0.3386196211186559, 0.38170232366872925, 0.4012413684996488,
-        0.3733665314858331, 0.4612521747239591, 0.5406887589112971, 0.6040663478693079, 0.6321359663897483,
+        0.00011351359537454697, 0.00012080902052774118, 0.00010943568858088177, 0.00011216503508082934, 0.00011327796377377008,
+        0.17684591849640258, 0.23874062720992714, 0.2296059218399188, 0.2572478761869719, 0.2695930693364804,
+        0.24615695407430038, 0.3218231171276079, 0.33866165732497744, 0.3817486805639278, 0.4012893496246598,
+        0.37338380204565863, 0.4612708418239677, 0.5407248565155557, 0.6041147822131915, 0.6321903165899961,
         1.0, 1.0, 1.0, 1.0, 1.0,
     ),
     "base_endogenous_high_barrier": (
@@ -615,27 +534,26 @@ def test_pinned_bundled_cascades(name, monkeypatch):
     got, steps = samples(sol)
     assert got == pytest.approx(_PINNED[name], rel=0.0, abs=1e-12)
     assert steps == list(_PINNED_STEPS[name])
-    # the LU march converges to the pins in time; 16384 steps per interval
-    # sit within 5.1e-10 of them
+    # the contour, exact in time too, sits within 1.7e-12 of the pins
     monkeypatch.setattr(pde, "_MAX_LOG_P", -1.0)
-    fine = GridSpec(grid.x_min, grid.x_max, 256, 16384)
-    got, steps = samples(solve(market, schedule, rec, fine))
-    assert got == pytest.approx(_PINNED[name], rel=0.0, abs=1e-9)
-    assert steps == pytest.approx(_PINNED_STEPS[name], rel=0.0, abs=1e-9)
+    contour = solve(market, schedule, rec, grid)
+    assert all(type(stepper) is _ContourStepper for stepper in contour.steppers)
+    got, steps = samples(contour)
+    assert got == pytest.approx(_PINNED[name], rel=0.0, abs=1e-11)
+    assert steps == pytest.approx(_PINNED_STEPS[name], rel=0.0, abs=1e-11)
 
 
-def test_history_memory_scales_with_root_of_steps(market):
-    # 16 intervals at 512 steps each on the LU march (at s_V = 0.02 the cell
-    # Peclet number exceeds 1): the kept rows are a small share of the
-    # 16 * 513 rows a full history would hold, and any step still samples
-    n = 16
-    market = db.MarketParams(market.r, market.b, 0.02)
-    schedule = db.DefaultSchedule(
-        tuple(0.25 * k for k in range(n + 1)), (0.01,) * n, (80.0,) * n
-    )
-    rec = db.RecoveryModel("exogenous", 0.4)
-    grid = GridSpec.auto(market, schedule, 100.0, rec, n_space=512, n_time_per_interval=512)
-    sol = db.solve_exogenous_cascade(market, schedule, rec, grid)
-    assert all(type(stepper) is _Stepper for stepper in sol.steppers)
-    assert sum(v.nbytes for v in sol.values) <= n * 513 * 513 * 8 / 10
-    assert math.isfinite(sample(sol, 100.0, 0.25 * 7 + 0.25 * 301 / 512))
+def test_time_steps_are_unread():
+    # every interval is exact in time, on the contour at s_V = 0.05 and in
+    # the sine basis at s_V = 1: n_time_per_interval changes no sample
+    scenario = db.load_scenario(SCENARIOS / "base_exogenous.yaml")
+    schedule, rec = scenario.schedule, scenario.recovery
+    for s_v, kind in ((0.05, _ContourStepper), (1.0, _SineStepper)):
+        market = db.MarketParams(scenario.market.r, scenario.market.b, s_v)
+        runs = []
+        for n_time in (16, 2048):
+            grid = GridSpec.auto(market, schedule, 200.0, rec, 256, n_time)
+            sol = db.solve_exogenous_cascade(market, schedule, rec, grid)
+            assert all(type(stepper) is kind for stepper in sol.steppers)
+            runs.append([sample(sol, x, t) for x in (80.0, 200.0) for t in (0.0, 1.3, 3.0, 4.5)])
+        assert runs[0] == runs[1], s_v
