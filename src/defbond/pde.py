@@ -6,9 +6,7 @@ come from the recovery a default pays, p = ``RecoveryModel.paid``: the
 gluing values, the source lam * p, the large-spot boundary
 p(x_max) + (1 - p(x_max)) S_i(t) with S_i the jump survival to maturity, and
 the small-spot boundary p(0) + (p(x_min) - p(0)) c_i(t), exact while p is
-affine on [0, x_min] (``_edges``).  When every barrier sits far under the
-grid both edges take the far-field value, which needs the same recovery at
-both edges once a jump channel is live.  Each interval has constant
+affine on [0, x_min] (``_edges``).  Each interval has constant
 coefficients, so its spatial operator A is tridiagonal Toeplitz.  While the
 cell Peclet number is below 1, a diagonal scaling makes A symmetric and the
 orthonormal discrete sine transform diagonalises it: in its modes the
@@ -48,7 +46,7 @@ __all__ = [
 ]
 
 # Grid edges sit at least this factor past every barrier, the recovery cap and
-# the spot (GridSpec.auto); barriers this far under x_min are unreachable.
+# the spot (GridSpec.auto).
 _MARGIN = 50.0
 
 # An interval is solved in the sine basis only while its diagonal scaling P
@@ -456,20 +454,9 @@ def _cascade(
         raise DomainError(
             f"GridSpec x_max {grid.x_max} does not clear the recovery cap with margin"
         )
-    # barriers far under the grid trigger no expected default on it (the
-    # vanishing-barrier limit): both edges take the far-field value, which
-    # holds only when every jump default on the grid pays the same
-    unreachable = max(schedule.barriers) * _MARGIN <= grid.x_min
-    if unreachable:
-        if p_lo != p_hi and any(v > 0.0 for v in schedule.intensities):
-            raise DomainError(
-                "PDE cascade: barriers below the grid combined with a live jump channel "
-                "and a recovery that varies on the grid have no analytic boundary value; "
-                "widen the grid"
-            )
-    elif grid.x_min >= min(schedule.barriers) or grid.x_max <= max(schedule.barriers):
+    if grid.x_min >= min(schedule.barriers) or grid.x_max <= max(schedule.barriers):
         raise DomainError(
-            f"GridSpec [{grid.x_min}, {grid.x_max}] does not span the barriers with margin"
+            f"GridSpec [{grid.x_min}, {grid.x_max}] does not hold every barrier strictly inside it"
         )
 
     sigma = market.s_V
@@ -492,8 +479,7 @@ def _cascade(
         near, far = _edges(market.b, lam, t_hi, tail, p_0, p_lo, p_hi)
         above = np.clip((y - math.log(schedule.barriers[i])) / dy + 0.5, 0.0, 1.0)
         terminal = above * nxt + (1.0 - above) * rec
-        edge_lo = far if unreachable else near
-        steppers[i] = _stepper(y, sigma, mu, lam, lam * rec[1:-1], edge_lo, far, t_lo, t_hi, p_0)
+        steppers[i] = _stepper(y, sigma, mu, lam, lam * rec[1:-1], near, far, t_lo, t_hi, p_0)
         values[i] = steppers[i].march(terminal)
         nxt = values[i][0]
     times = [stepper.times for stepper in steppers]

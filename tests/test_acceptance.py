@@ -249,7 +249,8 @@ def test_criterion_6_limit_checks(market):
     closed = db.price_exogenous(market, schedule=calm, recovery=rec, V=200.0 * df, t=0.0).price
     if abs(closed - df) > 1e-12:
         failures.append(f"calm closed: {closed} vs {df}")
-    sol = db.solve_exogenous_cascade(market, calm, rec, GridSpec(1.0, 4000.0, 512, 128))
+    grid = GridSpec.auto(market, calm, 200.0, rec, 512, 128)
+    sol = db.solve_exogenous_cascade(market, calm, rec, grid)
     pde_c = df * sample(sol, 200.0, 0.0)
     if abs(pde_c - df) > 1e-10:
         failures.append(f"calm pde: {pde_c} vs {df}")

@@ -50,29 +50,32 @@ def test_domain_check_rejects_grid_below_recovery_cap(market, schedule):
         db.solve_endogenous_cascade(market, schedule, rec, GridSpec(1.0, 10000.0, 128, 32))
 
 
-def test_unreachable_barriers_with_live_jump_channel_rejected(market):
-    # barriers under the grid plus a live jump channel: the small-spot
-    # boundary value has no closed form below the recovery cap
-    schedule = db.DefaultSchedule((0.0, 3.0, 6.0), (0.1, 0.1), (1e-10, 1e-10))
-    rec = db.RecoveryModel("endogenous", 0.5, n=100.0)  # cap 200 > x_min
-    with pytest.raises(DomainError):
+@pytest.mark.parametrize("lam", [0.1, 0.0])
+def test_grid_wholly_above_every_barrier_rejected(market, lam):
+    # the small-spot edge value needs a barrier on the grid, with or without
+    # a live jump channel
+    schedule = db.DefaultSchedule((0.0, 3.0, 6.0), (lam, lam), (1e-10, 1e-10))
+    rec = db.RecoveryModel("endogenous", 0.5, n=100.0)
+    with pytest.raises(DomainError, match="strictly inside"):
         db.solve_endogenous_cascade(market, schedule, rec, GridSpec(1.0, 4000.0, 128, 32))
 
 
 def test_constant_solution_no_default_channels(market):
-    # no intensity, barriers below the grid: the cascade is identically one
+    # no intensity and barriers far under the spot: from x = 1 up the
+    # cascade is identically one
     schedule = db.DefaultSchedule((0.0, 3.0, 6.0), (0.0, 0.0), (1e-10, 1e-10))
-    grid = GridSpec(1.0, 4000.0, 128, 32)
     for rec in (
         db.RecoveryModel("exogenous", 0.37),
         db.RecoveryModel("endogenous", 0.5, n=1.0),
         db.RecoveryModel("endogenous", 0.0, n=1.0),
     ):
+        grid = GridSpec.auto(market, schedule, 200.0, rec, 128, 32)
         if rec.mode == "exogenous":
             sol = db.solve_exogenous_cascade(market, schedule, rec, grid)
         else:
             sol = db.solve_endogenous_cascade(market, schedule, rec, grid)
-        assert max(float(np.abs(v - 1.0).max()) for v in sol.values) < 1e-10
+        upper = sol.y >= 0.0
+        assert max(float(np.abs(v[:, upper] - 1.0).max()) for v in sol.values) <= 1e-10
 
 
 def test_exogenous_full_recovery_constant(market, schedule):

@@ -354,6 +354,18 @@ def test_cli_curve_preset_deterministic(tmp_path, base_doc):
     assert len(lines) == 10
 
 
+@pytest.mark.parametrize("figure", [9, 18])
+def test_cli_curve_preset_applies_its_base_override(tmp_path, base_doc, capsys, figure):
+    # the file's lambda0 is 0.002; the preset prices every series at 0.01
+    path = _write(tmp_path, base_doc)
+    assert load_scenario(path).schedule.intensities[0] == 0.002
+    assert main(["curve", path, "--figure", str(figure), "--points", "4"]) == 0
+    preset = FIGURE_PRESETS[figure]
+    scenario = apply_sweep_value(load_scenario(path), "lambda0", 0.01)
+    header, rows = cli.curve_rows(scenario, preset.parameter, preset.values, preset.quantity, 4)
+    assert capsys.readouterr().out == "".join(",".join(row) + "\n" for row in [header, *rows])
+
+
 def test_cli_curve_custom_sweep(tmp_path, base_doc, capsys):
     base_doc["sweep"] = {"parameter": "K", "values": [[50.0, 150.0], [150.0, 50.0]]}
     rc = main(["curve", _write(tmp_path, base_doc), "--points", "5", "--quantity", "spread"])
