@@ -130,9 +130,14 @@ def cmd_curve(args) -> int:
     if args.points < 2:
         raise ScenarioError("BAD_VALUE", "--points must be >= 2")
     # check --out before the sweep but open it after, so a failed sweep leaves no file
-    target = Path(args.out)
-    if args.out != "-" and (target.is_dir() or not target.parent.is_dir()):
-        raise ScenarioError("BAD_FILE", f"cannot write {args.out}: not a file in an existing directory")
+    if args.out != "-":
+        target = Path(args.out)
+        try:
+            usable = not target.is_dir() and target.parent.is_dir()
+        except OSError as exc:  # a name the file system refuses, such as one too long
+            raise ScenarioError("BAD_FILE", f"cannot write {args.out}: {exc}") from exc
+        if not usable:
+            raise ScenarioError("BAD_FILE", f"cannot write {args.out}: not a file in an existing directory")
 
     header, rows = curve_rows(scenario, parameter, values, quantity, args.points)
     if args.out == "-":

@@ -7,19 +7,21 @@ gluing values, the source lam * p, the large-spot boundary
 p(x_max) + (1 - p(x_max)) S_i(t) with S_i the jump survival to maturity, and
 the small-spot boundary p(0) + (p(x_min) - p(0)) c_i(t), exact while p is
 affine on [0, x_min] (``_edges``).  Each interval has constant
-coefficients, so its spatial operator A is tridiagonal Toeplitz.  While the
-cell Peclet number is below 1, a diagonal scaling makes A symmetric and the
-orthonormal discrete sine transform diagonalises it: in its modes the
-semi-discrete equation has a closed-form solution at any time, so an
+coefficients, so its spatial operator A is tridiagonal Toeplitz, and the
+intervals differ only in their intensity lam.  While the cell Peclet number
+is below 1, a diagonal scaling makes A symmetric and the orthonormal discrete
+sine transform diagonalises it: in its modes the semi-discrete equation has a
+closed-form solution at any time.  The scaling, the modes of both edges and
+of the recovery source are built once per cascade (``_SineBasis``), so an
 interval takes one transform of its terminal row and one inverse transform
 for any row (``_SineStepper``).  A row pays ``exp`` and ``exprel`` only on
 the slow modes still moving at its time; every faster mode has decayed past
 e^-54 and takes its settled form, a fixed vector times the edges' scalars.
 Rounding in that basis grows with the range of the scaling, so it runs
-while the scaling stays within e^(+-8); every other interval is solved
-exactly in time too, by a contour integral of its Laplace transform, 16
-complex tridiagonal solves per row, over pieces short enough for the
-contour (``_ContourStepper``).  A stepper imports ``scipy.fft``,
+while the scaling stays within e^(+-8); on any other grid every interval is
+solved exactly in time too, by a contour integral of its Laplace transform,
+16 complex tridiagonal solves per row, over pieces short enough for the
+contour (``_ContourStepper``).  A cascade imports ``scipy.fftpack``,
 ``scipy.special`` or ``scipy.linalg`` when it first runs, so importing this
 module loads no scipy.  This engine shares no code path with the closed
 forms it checks.
@@ -49,7 +51,7 @@ __all__ = [
 # the spot (GridSpec.auto).
 _MARGIN = 50.0
 
-# An interval is solved in the sine basis only while its diagonal scaling P
+# A cascade is solved in the sine basis only while its diagonal scaling P
 # stays within e^(+-_MAX_LOG_P): the basis's rounding scales like
 # eps e^(2 _MAX_LOG_P) toward the grid edge where P is largest and like
 # eps e^_MAX_LOG_P mid-grid (on 2048 nodes at e^(+-7.95) the row at t_i stayed
@@ -61,14 +63,23 @@ _MAX_LOG_P = 8.0
 # e^(-(kappa - rate) tau) of a term that P^-1 and P scale by up to
 # e^(2 _MAX_LOG_P) in all; e^(-_SETTLED) = eps e^(-2 _MAX_LOG_P) / 8 keeps it,
 # summed over the settled modes, under the basis's own rounding.  About 54.
-_SETTLED = 2.0 * _MAX_LOG_P - math.log(np.finfo(float).eps / 8.0)
+_EPS = float(np.finfo(float).eps)
+_SETTLED = 2.0 * _MAX_LOG_P - math.log(_EPS / 8.0)
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Spatial resolution for the cascade solver, which is exact in time.
     ``n_time_per_interval`` is checked but unread; it stays accepted until
-    the benchmark stops passing it (ROADMAP item 1)."""
+    the benchmark stops passing it (ROADMAP item 1).
+
+    A grid built by hand is checked only for holding every barrier strictly
+    inside it and for clearing the recovery cap.  Its small-spot edge value
+    assumes default at the next barrier test, so an x_min that sits closer
+    under the lowest barrier than ``auto`` puts it prices silently off:
+    market (0.1, 0.05, 1.0), dates (0, 3, 6), lam (0.2, 0.3), barriers 100,
+    endogenous cap 2, x = 200 and 4096 nodes sample 1.05e-2 off the closed
+    form at x_min = 3, against 2.8e-7 on the ``auto`` grid."""
 
     x_min: float
     x_max: float
@@ -154,7 +165,7 @@ class _ContourStepper:
     """The semi-discrete equation of an interval solved exactly in time on
     any grid, by the contour integral of in 't Hout & Weideman (SIAM J. Sci.
     Comput. 2011) on the parabolic contours of Weideman & Trefethen (Math.
-    Comp. 2007); ``_stepper`` picks it where ``_SineStepper`` does not apply.
+    Comp. 2007); it runs where ``_sine_basis`` finds no sine basis.
 
     In tau = t_top - t below a piece top t_top the interior row v has the
     Laplace transform
@@ -234,8 +245,9 @@ class _ContourStepper:
 
 def _sine(x: np.ndarray) -> np.ndarray:
     """The orthonormal DST-I Q along the last axis; Q is symmetric and
-    orthogonal, so it is its own inverse."""
-    from scipy.fft import dst
+    orthogonal, so it is its own inverse.  ``scipy.fftpack`` runs the same
+    pocketfft kernel as ``scipy.fft`` without its backend dispatch."""
+    from scipy.fftpack import dst
 
     return dst(x, type=1, norm="ortho")
 
@@ -243,63 +255,38 @@ def _sine(x: np.ndarray) -> np.ndarray:
 def _phi(x, tau):
     """E_x(tau) = (1 - e^(-x tau)) / x elementwise, and tau where x = 0: the
     weight after tau of a unit source under decay at rate x."""
+    z = -x * tau
+    # a scalar takes exprel's own formula from math, without a ufunc call;
+    # exprel keeps |z| < eps, where it returns 1, and the z where
+    # math.expm1 would overflow
+    if isinstance(z, float) and _EPS <= abs(z) <= 700.0:
+        return tau * (math.expm1(z) / z)
     from scipy.special import exprel
 
-    return tau * exprel(-x * tau)
+    return tau * exprel(z)
 
 
-class _SineStepper:
-    """The semi-discrete equation of an interval solved exactly in time, where
-    both off-diagonals of the spatial operator A are positive (cell Peclet
-    number |mu| h / sigma^2 < 1); ``_stepper`` picks it.
+class _SineBasis:
+    """What every sine-basis interval of one cascade shares.  Its intervals
+    differ only in their rate rho = lam, which adds -rho I to the spatial
+    operator A.
 
     With A's sub- and super-diagonals lo and up, A = -P Q K Q P^-1 with
     P = diag(r^(j - (m-2)/2)), r = sqrt(lo / up), Q the orthonormal DST-I and
-    K = diag(kappa), kappa_k = 2 alpha + rho - 2 sqrt(lo up) cos(k pi / m) > 0.
-    In the modes w = Q P^-1 (u - p(0)), with the constant ``shift`` = p(0)
-    taken out so that a recovery constant on the grid adds no rounding, the
-    equation in tau = t_hi - t is dw/dtau = -kappa w + F + a lo + c hi, where
-    F = Q P^-1 (f - rho p(0)), a and c are Q times the end unit vectors
-    weighted lo / p_0 and up / p_end, and lo, hi are the edge values
-    base + jump e^(-rate tau) + drift E_rate(tau) less p(0).  So
-
-        w(tau) = e^(-kappa tau) w(0) + E_kappa(tau) G
-                 + e^(-rate tau) E_(kappa - rate)(tau) (jump - drift / kappa) a
-                 + E_rate(tau) (drift / kappa) a + (the same for c),
-
-    G = F + (base_lo - p(0)) a + (base_hi - p(0)) c: each edge integrated
-    against the modes' decay, with nothing divided by rate or by
-    kappa - rate.  ``__init__`` builds those vectors once, and one transform
-    of the terminal row and one inverse give the row at any t.
-
-    A mode has settled once (kappa - max(0, rates)) tau >= ``_SETTLED``:
-    it then takes its tau -> infinity form, E_kappa -> 1 / kappa and
-    e^(-rate tau) E_(kappa - rate) -> e^(-rate tau) / (kappa - rate), fixed
-    quotients times the edges' scalars.  Only the moving modes below pay
-    ``exp`` and ``exprel``: on the bundled bases' 1024-node grids, 42 to
-    181 of 1023 at the times of a 15-point curve.  The basis is the fast
-    direct solver of Buzbee, Golub & Nielson (SIAM J. Numer. Anal. 1970) and
-    the integrals are the phi-functions of exponential integrators
-    (Hochbruck & Ostermann, Acta Numerica 2010).
+    K = diag(kappa), kappa_k = rho + 2 alpha - 2 sqrt(lo up) cos(k pi / m) > 0.
+    The basis holds P and P^-1 (``p``, ``q``), kappa - rho as a constant
+    ``floor`` plus a sin^2 ``wave``, Q times the end unit vectors weighted
+    lo / p_0 and up / p_end (``a``, ``c``), and ``source`` =
+    Q P^-1 (p - p(0)) of the recovery p paid on the grid: an interval's
+    source lam p, less rho p(0) from the shift, is lam ``source`` in the
+    modes.  One transform of three rows builds it.  This is the fast direct
+    solver of Buzbee, Golub & Nielson (SIAM J. Numer. Anal. 1970), built once
+    per grid and market instead of once per interval.
     """
 
-    def __init__(
-        self,
-        y: np.ndarray,
-        sigma: float,
-        mu: float,
-        rho: float,
-        source: np.ndarray,
-        bc_lo: _Edge,
-        bc_hi: _Edge,
-        t_lo: float,
-        t_hi: float,
-        shift: float,
-    ):
+    def __init__(self, y: np.ndarray, sigma: float, mu: float, paid: np.ndarray, shift: float):
         alpha, lo, up = _operator(y, sigma, mu)
-        self.bc_lo, self.bc_hi, self.shift = bc_lo, bc_hi, shift
-        self.t_hi = t_hi
-        self.times = np.array([t_lo, t_hi])
+        self.shift = shift
         m = len(y) - 1
         # powers of one rounded r keep every ratio p[j + 1] / p[j] within a
         # few ulps of r, which the similarity needs
@@ -313,19 +300,77 @@ class _SineStepper:
         # slow modes, which decay over the whole interval
         off = 2.0 * math.sqrt(lo * up)
         theta = np.arange(1, m) * (0.5 * math.pi / m)
-        floor = rho + (mu / (y[1] - y[0])) ** 2 / (2.0 * alpha + off)
-        self.kappa = kappa = floor + 2.0 * off * np.sin(theta) ** 2
+        self.floor = (mu / (y[1] - y[0])) ** 2 / (2.0 * alpha + off)
+        self.wave = 2.0 * off * np.sin(theta) ** 2
         forcing = np.zeros((3, m - 1))
-        forcing[0] = (source - rho * shift) * self.q
+        forcing[0] = (paid - shift) * self.q
         forcing[1, 0] = lo * self.q[0]
         forcing[2, -1] = up * self.q[-1]
-        f, a, c = _sine(forcing)
+        self.source, self.a, self.c = _sine(forcing)
+
+
+def _sine_basis(y, sigma, mu, paid, shift) -> _SineBasis | None:
+    """The cascade's ``_SineBasis`` while both off-diagonals of A are
+    positive and P stays within e^(+-_MAX_LOG_P); else None, and every
+    interval takes ``_ContourStepper``, which costs 16 tridiagonal solves
+    per row."""
+    _, lo, up = _operator(y, sigma, mu)
+    if lo > 0.0 and up > 0.0 and 0.25 * (len(y) - 3) * abs(math.log(lo / up)) <= _MAX_LOG_P:
+        return _SineBasis(y, sigma, mu, paid, shift)
+    return None
+
+
+class _SineStepper:
+    """The semi-discrete equation of an interval solved exactly in time in
+    its cascade's ``_SineBasis``, where both off-diagonals of the spatial
+    operator A are positive (cell Peclet number |mu| h / sigma^2 < 1).
+
+    In the modes w = Q P^-1 (u - p(0)), with the constant ``shift`` = p(0)
+    taken out so that a recovery constant on the grid adds no rounding, the
+    equation in tau = t_hi - t is dw/dtau = -kappa w + F + a lo + c hi, where
+    kappa = rho + the basis's floor and wave, F = rho times the basis's
+    ``source`` and lo, hi are the edge values
+    base + jump e^(-rate tau) + drift E_rate(tau) less p(0).  So
+
+        w(tau) = e^(-kappa tau) w(0) + E_kappa(tau) G
+                 + e^(-rate tau) E_(kappa - rate)(tau) (jump - drift / kappa) a
+                 + E_rate(tau) (drift / kappa) a + (the same for c),
+
+    G = F + (base_lo - p(0)) a + (base_hi - p(0)) c: each edge integrated
+    against the modes' decay, with nothing divided by rate or by
+    kappa - rate.  ``__init__`` builds those vectors from the basis, and one
+    transform of the terminal row and one inverse give the row at any t.
+
+    A mode has settled once (kappa - max(0, rates)) tau >= ``_SETTLED``:
+    it then takes its tau -> infinity form, E_kappa -> 1 / kappa and
+    e^(-rate tau) E_(kappa - rate) -> e^(-rate tau) / (kappa - rate), fixed
+    quotients times the edges' scalars.  Only the moving modes below pay
+    ``exp`` and ``exprel``: on the bundled bases' 1024-node grids, 42 to
+    181 of 1023 at the times of a 15-point curve.  The integrals are the
+    phi-functions of exponential integrators (Hochbruck & Ostermann, Acta
+    Numerica 2010).
+    """
+
+    def __init__(
+        self,
+        basis: _SineBasis,
+        rho: float,
+        bc_lo: _Edge,
+        bc_hi: _Edge,
+        t_lo: float,
+        t_hi: float,
+    ):
+        self.basis, self.bc_lo, self.bc_hi = basis, bc_lo, bc_hi
+        self.t_hi = t_hi
+        self.times = np.array([t_lo, t_hi])
+        self.kappa = kappa = (rho + basis.floor) + basis.wave
+        shift, a, c = basis.shift, basis.a, basis.c
         # the vectors each row weighs by 1, e^(-rate tau) of each edge and
         # E_rate(tau) of each edge; a moving mode also weighs the first three
         # by E_kappa(tau) and E_(kappa - rate)(tau) of each edge
         self.rates = np.array([[0.0], [bc_lo.rate], [bc_hi.rate]])
         self.forms = np.array([
-            f + (bc_lo.base - shift) * a + (bc_hi.base - shift) * c,
+            rho * basis.source + (bc_lo.base - shift) * a + (bc_hi.base - shift) * c,
             (bc_lo.jump - bc_lo.drift / kappa) * a,
             (bc_hi.jump - bc_hi.drift / kappa) * c,
             bc_lo.drift * a / kappa,
@@ -351,8 +396,8 @@ class _SineStepper:
         keeps."""
         tau, lo, hi = self.t_hi - t, self.bc_lo, self.bc_hi
         # each edge's e^(-rate tau) and E_rate(tau)
-        decay_lo, decay_hi = np.exp(-lo.rate * tau), np.exp(-hi.rate * tau)
-        phi_lo, phi_hi = _phi(lo.rate, tau), _phi(hi.rate, tau)
+        decay_lo, phi_lo = lo.scalars(tau)
+        decay_hi, phi_hi = hi.scalars(tau)
         weights = np.array([1.0, decay_lo, decay_hi, phi_lo, phi_hi])
         n = self._moving(tau)
         w = np.empty(len(self.kappa))
@@ -363,13 +408,13 @@ class _SineStepper:
         forms[:3] *= _phi(kappa - self.rates, tau)
         w[:n] = weights @ forms + self.modes[:n] * np.exp(-kappa * tau)
         out = np.empty_like(kept[-1])
-        out[1:-1] = _sine(w) * self.p + self.shift
+        out[1:-1] = _sine(w) * self.basis.p + self.basis.shift
         out[0], out[-1] = lo.at(decay_lo, phi_lo), hi.at(decay_hi, phi_hi)
         return out
 
     def march(self, terminal: np.ndarray) -> np.ndarray:
         """The rows at t_lo and t_hi, the latter ``terminal`` itself."""
-        self.modes = _sine(self.q * (terminal[1:-1] - self.shift))
+        self.modes = _sine(self.basis.q * (terminal[1:-1] - self.basis.shift))
         kept = np.array([terminal, terminal])
         kept[0] = self.row(kept, self.times[0])
         # a non-finite terminal value spreads through every mode, and bad
@@ -377,16 +422,6 @@ class _SineStepper:
         if not np.isfinite(kept).all():
             raise ValueError("array must not contain infs or NaNs")
         return kept
-
-
-def _stepper(y, sigma, mu, rho, source, bc_lo, bc_hi, t_lo, t_hi, shift):
-    """The interval's stepper: ``_SineStepper`` while both off-diagonals of A
-    are positive and P stays within e^(+-_MAX_LOG_P), else
-    ``_ContourStepper``, which costs 16 tridiagonal solves per row."""
-    _, lo, up = _operator(y, sigma, mu)
-    if lo > 0.0 and up > 0.0 and 0.25 * (len(y) - 3) * abs(math.log(lo / up)) <= _MAX_LOG_P:
-        return _SineStepper(y, sigma, mu, rho, source, bc_lo, bc_hi, t_lo, t_hi, shift)
-    return _ContourStepper(y, sigma, mu, rho, source, bc_lo, bc_hi, t_lo, t_hi)
 
 
 @dataclass(frozen=True)
@@ -403,8 +438,11 @@ class _Edge:
     t_hi: float
 
     def __call__(self, t):
-        tau = self.t_hi - t
-        return self.at(np.exp(-self.rate * tau), _phi(self.rate, tau))
+        return self.at(*self.scalars(self.t_hi - t))
+
+    def scalars(self, tau: float) -> tuple[float, float]:
+        """e^(-rate tau) and E_rate(tau)."""
+        return math.exp(-self.rate * tau), _phi(self.rate, tau)
 
     def at(self, decay, weight):
         """The value from e^(-rate tau) and E_rate(tau)."""
@@ -465,6 +503,7 @@ def _cascade(
     y = np.linspace(math.log(grid.x_min), math.log(grid.x_max), grid.n_space + 1)
     dy = y[1] - y[0]
     rec = recovery.paid(np.exp(y))
+    basis = _sine_basis(y, sigma, mu, rec[1:-1], p_0)
     values: list[np.ndarray] = [None] * n  # type: ignore[list-item]
     steppers: list = [None] * n
     nxt = np.ones_like(y)
@@ -477,9 +516,17 @@ def _cascade(
             for k in range(i + 1, n)
         )
         near, far = _edges(market.b, lam, t_hi, tail, p_0, p_lo, p_hi)
-        above = np.clip((y - math.log(schedule.barriers[i])) / dy + 0.5, 0.0, 1.0)
-        terminal = above * nxt + (1.0 - above) * rec
-        steppers[i] = _stepper(y, sigma, mu, lam, lam * rec[1:-1], near, far, t_lo, t_hi, p_0)
+        # the cell average is 0 below the barrier's cell and 1 above it, and
+        # y[j - 1] < ln B <= y[j] puts the cell on nodes j - 1 and j
+        log_b = math.log(schedule.barriers[i])
+        j = max(1, int(np.searchsorted(y, log_b)))
+        above = np.clip((y[j - 1 : j + 1] - log_b) / dy + 0.5, 0.0, 1.0)
+        cell = above * nxt[j - 1 : j + 1] + (1.0 - above) * rec[j - 1 : j + 1]
+        terminal = np.concatenate((rec[: j - 1], cell, nxt[j + 1 :]))
+        if basis is None:
+            steppers[i] = _ContourStepper(y, sigma, mu, lam, lam * rec[1:-1], near, far, t_lo, t_hi)
+        else:
+            steppers[i] = _SineStepper(basis, lam, near, far, t_lo, t_hi)
         values[i] = steppers[i].march(terminal)
         nxt = values[i][0]
     times = [stepper.times for stepper in steppers]

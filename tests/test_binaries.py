@@ -42,6 +42,8 @@ def test_spec_validation():
     for expiry in (float("nan"), math.inf):
         with pytest.raises(ScheduleError):
             BinarySpec("bond", (1, 1), (100.0, 100.0), (1.0, expiry), BASE)
+    # the order counts the chained expiries; bench/tracing.py keys on it
+    assert BinarySpec("bond", (1, -1, 1), (90.0, 100.0, 110.0), (1.0, 2.0, 3.0), BASE).order == 3
     with pytest.raises(DomainError):
         BsCoefficients(0.0, 0.0, 0.0)
     for r, q in ((math.nan, 0.0), (0.0, math.inf)):

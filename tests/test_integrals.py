@@ -50,6 +50,9 @@ def test_spec_validation():
     for lower, upper in ((math.nan, 6.0), (3.0, math.nan), (3.0, math.inf), (-math.inf, 6.0)):
         with pytest.raises(ScheduleError):
             order1("bond", 1, 200.0, 0.01, lower, upper)
+    # the fixed expiries and the integrated one; bench/tracing.py keys on it
+    assert order1("bond", 1, 200.0, 0.01, 3.0, 6.0).order == 1
+    assert WeightedIntegralSpec("bond", (1, -1), (100.0, 200.0), (2.0,), BASE, 0.01, 3.0, 6.0).order == 2
 
 
 def test_evaluation_time_validation():

@@ -703,12 +703,16 @@ def test_mvn_two_sided_coordinate_inside_a_chain(pair):
     (-2.598395298646475, -1.5981929570216107, -0.7071067811865476, 1.0218821137899136e-9, 1e-13),
     (-4.984266748860291, 1.457527844765222, -0.9241215302011411, 5.4328381949122556e-24, 1e-13),
     (-2.7077, -4.956, -0.2845, 2.5013754385780267e-12, 5e-12),
+    (-5.258161580819269, 1.3987955909649692, -0.7293491944950199, 7.664268735969794e-12, 1e-12),
 ])
 def test_bivariate_negative_correlation_tail(a, b, rho, truth, rel):
     # P(X <= a, Y <= b) far below Phi(a) Phi(b) at rho < 0, where the
     # single-integral form cancels against that product (the second was
     # off by a factor of 1e4).  The third stays above 1e-4 of the product,
-    # so no cancellation: a 6-node rule left it 1.9e-7 off, 12 nodes 1.1e-12
+    # so no cancellation: a 6-node rule left it 1.9e-7 off, 12 nodes 1.1e-12.
+    # The fourth is 1.05e-4 of the marginal it is reflected from: subtracting
+    # there amplified the 12-node rule's error to 1.6e-8 relative (truth:
+    # 40-digit mpmath)
     assert db.bivariate_cdf(a, b, rho) == pytest.approx(truth, rel=rel, abs=0.0)
 
 

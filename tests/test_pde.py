@@ -14,8 +14,9 @@ from defbond.pde import (
     GridSpec,
     _ContourStepper,
     _edges,
+    _sine_basis,
+    _SineBasis,
     _SineStepper,
-    _stepper,
     sample,
 )
 
@@ -270,9 +271,18 @@ def test_non_finite_data_rejected():
     terminal[30] = np.nan
     near, far = _edges(0.05, 0.02, 1.0, 0.0, 0.4, 0.4, 1.0)
     args = (y, 0.3, -0.095, 0.02, np.full(63, 0.008), near, far, 0.0, 1.0)
-    for stepper in (_SineStepper(*args, 0.4), _ContourStepper(*args)):
+    sine = _sine_stepper(y, 0.3, -0.095, 0.02, np.full(63, 0.4), near, far, 0.0, 1.0, 0.4)
+    for stepper in (sine, _ContourStepper(*args)):
         with pytest.raises(ValueError):
             stepper.march(terminal)
+
+
+def _sine_stepper(y, sigma, mu, rho, paid, near, far, t_lo, t_hi, shift):
+    """A sine-basis interval with the source rho ``paid`` and the basis's
+    ``shift`` = p(0), on a grid that must take the sine basis."""
+    basis = _sine_basis(y, sigma, mu, paid, shift)
+    assert type(basis) is _SineBasis
+    return _SineStepper(basis, rho, near, far, t_lo, t_hi)
 
 
 def _one_interval(stepper, y, terminal):
@@ -332,8 +342,7 @@ def test_sine_rows_match_dense_exponential():
     y = np.linspace(0.0, 6.0, m + 1)
     f = rng.uniform(0.0, 0.05, m - 1)
     near, far = _edges(-lam, lam, 2.0, 0.01, 0.3, 0.45, 0.6)
-    stepper = _stepper(y, sigma, mu, rho, f, near, far, 0.5, 2.0, 0.3)
-    assert type(stepper) is _SineStepper
+    stepper = _sine_stepper(y, sigma, mu, rho, f / rho, near, far, 0.5, 2.0, 0.3)
     assert _dense_rows(stepper, y, sigma, mu, rho, f, near, far, rng) <= 1e-13
 
 
@@ -367,8 +376,7 @@ def test_sine_rows_match_the_all_modes_oracle():
         terminal = np.where(y > rng.uniform(y[m // 4], y[3 * m // 4]), 1.0, rec)
         terminal[0], terminal[-1] = near(t_hi), far(t_hi)
         args = (y, sigma, mu, lam, lam * rec[1:-1], near, far)
-        stepper = _stepper(*args, t_hi - span, t_hi, p_0)
-        assert type(stepper) is _SineStepper, case
+        stepper = _sine_stepper(y, sigma, mu, lam, rec[1:-1], near, far, t_hi - span, t_hi, p_0)
         kept = stepper.march(terminal)
         times = [t_hi - tau for tau in (0.0, 1e-12, 1e-6, 0.5 * span, span)]
         for t, want in zip(times, all_modes_rows(*args, t_hi, p_0, terminal, times)):
@@ -416,20 +424,111 @@ def test_sine_basis_guard(exponent):
     y = np.linspace(0.0, 6.0, m + 1)
     mu = -math.tanh(exponent / (0.5 * (m - 2))) * sigma * sigma / (y[1] - y[0])
     near, far = _edges(0.05, lam, 2.0, 0.01, p_0, p_0, p_0)
-    source = np.full(m - 1, lam * p_0)
+    paid = np.full(m - 1, p_0)
     terminal = np.where(y > 2.5, 1.0, p_0)
-    args = (y, sigma, mu, lam, source, near, far, 0.5, 2.0)
-    stepper = _stepper(*args, p_0)
+    args = (y, sigma, mu, lam, lam * paid, near, far, 0.5, 2.0)
     if exponent > 8.0:
-        assert type(stepper) is _ContourStepper
+        assert _sine_basis(y, sigma, mu, paid, p_0) is None
         return
-    assert type(stepper) is _SineStepper
+    stepper = _sine_stepper(y, sigma, mu, lam, paid, near, far, 0.5, 2.0, p_0)
     sine = _one_interval(stepper, y, terminal)
     contour = _one_interval(_ContourStepper(*args), y, terminal)
     assert np.max(np.abs(sine.values[0][0] - contour.values[0][0])) <= 1e-11
     for x in (math.exp(1.0), math.exp(2.5), math.exp(3.0), math.exp(4.5)):
         for t in (0.5, 0.8, 1.1):
             assert abs(sample(sine, x, t) - sample(contour, x, t)) <= 1e-11, (x, t)
+
+
+def test_phi_scalar_path_matches_exprel():
+    # a scalar E_x(tau) takes exprel's formula from math; it must give
+    # exprel's value bit for bit, at x tau = 0 and within eps of it (where
+    # exprel returns 1), and where math.expm1 would overflow (inf)
+    from scipy.special import exprel
+
+    rng = np.random.default_rng(39)
+    cases = [(x, tau) for x in (0.0, 1e-300, -1e-300, 0.3, -0.3, -1e3) for tau in (0.0, 1e-12, 0.5, 3.0)]
+    cases += [(-710.0, 1.0), (-800.0, 1.0), (-1e300, 1.0), (1e300, 1.0)]
+    cases += [(float(x), float(tau)) for x, tau in zip(rng.uniform(-300.0, 300.0, 2000), rng.uniform(0.0, 2.0, 2000))]
+    cases += [(float(x), 1.0) for x in -(10.0 ** rng.uniform(-17.0, 2.86, 2000))]
+    for x, tau in cases:
+        want = tau * exprel(-x * tau)
+        assert pde._phi(x, tau) == want, (x, tau)
+        assert pde._phi(np.array([x]), tau)[0] == want, (x, tau)
+
+
+def test_sine_cascade_builds_one_basis(monkeypatch):
+    # an 8-interval sine-basis cascade transforms the basis's three rows
+    # once, then per interval the terminal row's modes and the row at t_i:
+    # at most 2n + 2 transforms, where a basis per interval made 3n
+    calls = []
+    transform = pde._sine
+
+    def counted(x):
+        calls.append(x)
+        return transform(x)
+
+    monkeypatch.setattr(pde, "_sine", counted)
+    market = db.MarketParams(0.08, 0.03, 0.8)
+    schedule = db.DefaultSchedule(tuple(0.75 * k for k in range(9)), (0.01,) * 8, (110.0,) * 8)
+    rec = db.RecoveryModel("endogenous", 0.5, n=1.0)
+    grid = GridSpec.auto(market, schedule, 200.0, rec, n_space=1024, n_time_per_interval=16)
+    sol = db.solve_endogenous_cascade(market, schedule, rec, grid)
+    assert all(type(stepper) is _SineStepper for stepper in sol.steppers)
+    assert len(calls) <= 2 * 8 + 2
+
+
+def _exact_log(v):
+    """A float whose math.log is v exactly."""
+    b = math.exp(v)
+    while math.log(b) < v:
+        b = math.nextafter(b, math.inf)
+    while math.log(b) > v:
+        b = math.nextafter(b, 0.0)
+    assert math.log(b) == v
+    return b
+
+
+def _assert_glued_by_cell_average(sol, rec, barriers):
+    """Each glued row is the full-row cell average of the next interval's
+    row at its start (ones after the last) and the recovery, bit for bit."""
+    y = sol.y
+    dy = y[1] - y[0]
+    paid = rec.paid(np.exp(y))
+    for i, barrier in enumerate(barriers):
+        nxt = sol.values[i + 1][0] if i + 1 < len(barriers) else np.ones_like(y)
+        above = np.clip((y - math.log(barrier)) / dy + 0.5, 0.0, 1.0)
+        assert np.array_equal(sol.values[i][-1], above * nxt + (1.0 - above) * paid), (i, barrier)
+
+
+def test_gluing_averages_the_barrier_cell():
+    # hand-built grids with a barrier in the first cell, in the last cell,
+    # on a node and on a cell edge, then seeded random grids and barriers
+    market = db.MarketParams(0.05, 0.03, 0.4)
+    recoveries = (db.RecoveryModel("exogenous", 0.4), db.RecoveryModel("endogenous", 0.5, n=50.0))
+    grid = GridSpec(10.0, 1000.0, 128, 16)
+    y = np.linspace(math.log(grid.x_min), math.log(grid.x_max), grid.n_space + 1)
+    dy = y[1] - y[0]
+    barriers = (
+        math.exp(y[0] + 0.3 * dy),
+        math.exp(y[-1] - 0.4 * dy),
+        _exact_log(y[40]),
+        _exact_log(0.5 * (y[70] + y[71])),
+    )
+    schedule = db.DefaultSchedule((0.0, 1.0, 2.0, 3.0, 4.0), (0.02,) * 4, barriers)
+    for rec in recoveries:
+        sol = pde._cascade(market, schedule, rec, grid)
+        _assert_glued_by_cell_average(sol, rec, barriers)
+    rng = np.random.default_rng(39)
+    for case in range(200):
+        x_min = 10.0 ** rng.uniform(-1.0, 1.5)
+        x_max = x_min * 10.0 ** rng.uniform(2.5, 4.0)
+        grid = GridSpec(x_min, x_max, int(rng.integers(64, 300)), 16)
+        barriers = tuple(float(x_min * (x_max / x_min) ** rng.uniform(0.0, 1.0)) for _ in range(2))
+        schedule = db.DefaultSchedule((0.0, 1.0, 2.0), (0.02, 0.02), barriers)
+        # an endogenous cap mid-grid, where the recovery still varies
+        cap = math.sqrt(x_min * x_max)
+        rec = recoveries[0] if case % 2 else db.RecoveryModel("endogenous", 0.5, n=0.5 * cap)
+        _assert_glued_by_cell_average(pde._cascade(market, schedule, rec, grid), rec, barriers)
 
 
 @pytest.mark.parametrize("name", ["base_exogenous", "base_endogenous_low_barrier"])
@@ -554,9 +653,9 @@ _PINNED_STEPS = {
     ),
     "base_endogenous_high_barrier": (
         0.0013465675155187496, 0.0014331102991454632, 0.001298192897469306, 0.001330570070646646, 0.0013437723097269772,
-        0.9761777437768251, 0.9943207146488174, 0.9433758041652731, 0.9696388994541919, 0.9779060044494958,
-        0.9872603262116765, 0.9905915051282593, 0.9729008115787411, 0.9877541265158247, 0.9918448215585692,
-        0.9910570782761501, 0.988838931762527, 0.9930945839987803, 0.9977242738824562, 0.9987133357819876,
+        0.9761777437768252, 0.9943207146488174, 0.9433758041652731, 0.9696388994541919, 0.9779060044494958,
+        0.9872603262116766, 0.9905915051282593, 0.9729008115787411, 0.9877541265158247, 0.9918448215585692,
+        0.9910570782761504, 0.988838931762527, 0.9930945839987803, 0.9977242738824562, 0.9987133357819876,
         1.0, 1.0, 1.0, 1.0, 1.0,
     ),
 }

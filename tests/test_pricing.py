@@ -416,13 +416,16 @@ def test_near_the_money_prices_hold_their_quadrature_error(
 # Endogenous values moved by at most 2 ulps when the closed form became one
 # list of terms whose weights each carry the jump survival from t.  Three
 # quadrature errors moved by up to 4.7e-20 (prices not at all) when each
-# Kronrod panel's sums became exactly rounded (``math.fsum``).
+# Kronrod panel's sums became exactly rounded (``math.fsum``).  Two
+# high-barrier quadrature errors moved by up to 1.1e-20 (prices not at all)
+# when reflected orthants below 1e-3 of their marginal, not 1e-4, started
+# being integrated directly.
 PINNED_PRICES = {
     ("base_endogenous_low_barrier", 0.0): (0.13284295345819663, 5.147178255423852e-15, 6.798860405401928e-10),
     ("base_endogenous_low_barrier", 1.3): (0.19645262714548986, 6.065661177524609e-15, 1.6287233364944629e-09),
     ("base_endogenous_low_barrier", 4.5): (0.4994558990957418, 1.6468265629552576e-15, 4.815758321205294e-17),
-    ("base_endogenous_high_barrier", 0.0): (0.5358731781203808, 2.497925355830703e-13, 4.4748075325681435e-11),
-    ("base_endogenous_high_barrier", 1.3): (0.6197700830115707, 3.0407622589778187e-13, 3.800846017609735e-11),
+    ("base_endogenous_high_barrier", 0.0): (0.5358731781203808, 2.497925355830703e-13, 4.4748075314297724e-11),
+    ("base_endogenous_high_barrier", 1.3): (0.6197700830115707, 3.0407622589778187e-13, 3.8008460179807206e-11),
     ("base_endogenous_high_barrier", 4.5): (0.8604860400545189, 8.010925174828628e-14, 6.44772552769643e-15),
     ("base_exogenous", 0.0): (0.3039614574433192, 1.343516905099159e-15, 0.0),
     ("base_exogenous", 1.3): (0.3586479896109323, 1.5340184524882066e-15, 0.0),
@@ -443,15 +446,16 @@ def test_bundled_scenario_prices_are_pinned(name, t):
 # grid t = k T / 5 of ``defbond curve --points 5``, recorded before the CDF
 # argument handling was reworked for speed; that work moves no float.  Five
 # quadrature errors moved by up to 1.1e-19 when each Kronrod panel's sums
-# became exactly rounded.
+# became exactly rounded, and two high-barrier ones by up to 1.1e-20 when
+# reflected orthants below 1e-3 of their marginal were integrated directly.
 GRID_PRICES = {
     ("base_endogenous_low_barrier", 0.0): (0.13284295345819663, 5.147178255423852e-15, 6.798860405401928e-10),
     ("base_endogenous_low_barrier", 1.2): (0.19061008478674063, 5.989306907863685e-15, 1.5065316360261998e-09),
     ("base_endogenous_low_barrier", 2.4): (0.2691149351232555, 6.975488963317627e-15, 5.314182818714742e-09),
     ("base_endogenous_low_barrier", 3.6): (0.35907820593253886, 1.4665989805931688e-15, 6.203672801494316e-17),
     ("base_endogenous_low_barrier", 4.8): (0.5632573188136056, 1.7118884417653488e-15, 4.1663603797528346e-17),
-    ("base_endogenous_high_barrier", 0.0): (0.5358731781203808, 2.497925355830703e-13, 4.4748075325681435e-11),
-    ("base_endogenous_high_barrier", 1.2): (0.6135738950939376, 2.9951051366906606e-13, 3.5757943557240045e-11),
+    ("base_endogenous_high_barrier", 0.0): (0.5358731781203808, 2.497925355830703e-13, 4.4748075314297724e-11),
+    ("base_endogenous_high_barrier", 1.2): (0.6135738950939376, 2.9951051366906606e-13, 3.575794356110047e-11),
     ("base_endogenous_high_barrier", 2.4): (0.6881224646359664, 3.5914238754309663e-13, 8.813060291719868e-11),
     ("base_endogenous_high_barrier", 3.6): (0.7817908012128123, 6.97126689904912e-14, 3.056844335869288e-11),
     ("base_endogenous_high_barrier", 4.8): (0.8868905860128774, 8.390897434497667e-14, 4.404726212186292e-15),
@@ -483,7 +487,7 @@ def test_three_date_endogenous_price_is_pinned():
     rep = db.price_endogenous(market, schedule, recovery, 250.0 * math.exp(-0.08 * 7.0), 0.0)
     assert rep.price == 0.5703404516995124
     assert rep.diagnostics == {"cdf_error": 4.3254596425918385e-13,
-                               "quadrature_error": 1.8955450581177974e-12}
+                               "quadrature_error": 1.895545058645083e-12}
 
 
 # -------------------------------------------------------------- spreads

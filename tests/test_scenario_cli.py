@@ -417,17 +417,40 @@ def test_cli_curve_unwritable_out_is_bad_file(tmp_path, base_doc, capsys, monkey
     monkeypatch.setattr(cli, "_price_report", no_price)
     scenario = _write(tmp_path, base_doc)
     (tmp_path / "plain").write_text("")
-    for out in (tmp_path / "missing" / "x.csv", tmp_path / "plain" / "x.csv", tmp_path):
+    # a name too long for the file system, refused by stat itself
+    long_name = tmp_path / ("a" * 300)
+    for out in (tmp_path / "missing" / "x.csv", tmp_path / "plain" / "x.csv", tmp_path, long_name):
         rc = main(["curve", scenario, "--figure", "1", "--points", "2", "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 2, out
         assert err.startswith("error BAD_FILE: ")
         assert err.count("\n") == 1
     assert not (tmp_path / "missing").exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["plain", "scn.yaml"]
     # a usable target is opened only after the sweep: one that fails leaves no file
     with pytest.raises(AssertionError):
         main(["curve", scenario, "--figure", "1", "--points", "2", "--out", str(tmp_path / "x.csv")])
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_curve_out_that_fails_to_open_is_bad_file(tmp_path, base_doc, capsys, monkeypatch):
+    # a target that passes the check but cannot be opened after the sweep,
+    # here because a directory took its name meanwhile, is reported as
+    # BAD_FILE with no traceback
+    target = tmp_path / "x.csv"
+
+    def sweep(*args, **kwargs):
+        target.mkdir()
+        return ["t"], [["0"]]
+
+    monkeypatch.setattr(cli, "curve_rows", sweep)
+    scenario = _write(tmp_path, base_doc)
+    rc = main(["curve", scenario, "--figure", "1", "--points", "2", "--out", str(target)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error BAD_FILE: cannot write {target}: ")
+    assert err.count("\n") == 1
+    assert target.is_dir() and not list(target.iterdir())
 
 
 def test_cli_validate_rejects_bad_times(tmp_path, base_doc, capsys):
