@@ -20,7 +20,7 @@ from pathlib import Path
 from . import _ENGINES
 from .errors import DefbondError, ScenarioError
 from .figures import FIGURE_PRESETS
-from .pricing import PriceReport, price_endogenous, price_exogenous
+from .pricing import PriceReport, _relative_spot, price_endogenous, price_exogenous
 from .scenario import Scenario, apply_sweep_value, load_scenario
 
 EXIT_OK = 0
@@ -166,8 +166,9 @@ def cmd_validate(args) -> int:
     # every argument is checked before the engines run, the slow part
     engines = sys.modules[__name__]  # the engines load here, through __getattr__
     sim = engines.SimConfig(n_paths=args.paths, seed=args.seed)
-    x_ref = scenario.firm_value() / math.exp(
-        -market.r * (schedule.maturity - scenario.evaluation.t)
+    # spots clamped as the closed form clamps them, which the grid's bounds hold
+    x_ref = _relative_spot(
+        scenario.firm_value(), math.exp(-market.r * (schedule.maturity - scenario.evaluation.t))
     )
 
     grid = engines.GridSpec.auto(
@@ -191,7 +192,7 @@ def cmd_validate(args) -> int:
         df = math.exp(-market.r * (schedule.maturity - t))
         report = _price_report(scenario, t)
         closed = report.price
-        pde_price = df * engines.sample(solution, firm / df, t)
+        pde_price = df * engines.sample(solution, _relative_spot(firm, df), t)
 
         pde_ok = abs(closed - pde_price) <= args.pde_tol
         # When every path pays the same the standard error is 0, yet the

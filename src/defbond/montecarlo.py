@@ -115,6 +115,9 @@ def _start_legs(market, schedule, recovery, V0, t, rows):
 
     total_hazard = float(hazard_edges[-1])
 
+    # x0 near the largest float overflows x to inf, far above every barrier
+    # and the cap, where the payoff is flat in x; inf * 0 is settled below
+    @np.errstate(over="ignore", invalid="ignore")
     def leg_payoff(z, cand, e_cand, bridge_z, sign, out):
         """Paths survived from one set of draws, taken with ``sign``, and
         each path's relative payoff written to ``out``.  Row j of the
@@ -164,8 +167,7 @@ def _start_legs(market, schedule, recovery, V0, t, rows):
             # element: a hit path was alive, so its x_dead is 0 and fmax
             # takes x >= 0; elsewhere x * 0 is 0 or the NaN of inf * 0,
             # which fmax drops (step is free until the next date)
-            with np.errstate(invalid="ignore"):
-                np.multiply(x, hit, out=step)
+            np.multiply(x, hit, out=step)
             np.fmax(x_dead, step, out=x_dead)
             alive ^= hit
         # a live path pays 1 >= paid(0), a dead one paid(x_dead) >= 0

@@ -21,7 +21,9 @@ Rounding in that basis grows with the range of the scaling, so it runs
 while the scaling stays within e^(+-8); on any other grid every interval is
 solved exactly in time too, by a contour integral of its Laplace transform,
 16 complex tridiagonal solves per row, over pieces short enough for the
-contour (``_ContourStepper``).  A cascade imports ``scipy.fftpack``,
+contour (``_ContourStepper``).  Either stepper solves its interval when
+it is built from the glued terminal row, keeps the rows at its piece ends
+and gives the row at any time.  A cascade imports ``scipy.fftpack``,
 ``scipy.special`` or ``scipy.linalg`` when it first runs, so importing this
 module loads no scipy.  This engine shares no code path with the closed
 forms it checks.
@@ -30,6 +32,7 @@ forms it checks.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -63,8 +66,7 @@ _MAX_LOG_P = 8.0
 # e^(-(kappa - rate) tau) of a term that P^-1 and P scale by up to
 # e^(2 _MAX_LOG_P) in all; e^(-_SETTLED) = eps e^(-2 _MAX_LOG_P) / 8 keeps it,
 # summed over the settled modes, under the basis's own rounding.  About 54.
-_EPS = float(np.finfo(float).eps)
-_SETTLED = 2.0 * _MAX_LOG_P - math.log(_EPS / 8.0)
+_SETTLED = 2.0 * _MAX_LOG_P - math.log(sys.float_info.epsilon / 8.0)
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,8 @@ class GridSpec:
         under every measure that pays the recovery: one growing with x is paid
         under the asset measure, where ln x drifts up at s_V^2/2 - b, so x_min
         also sits that drift plus four deviations of the longest interval
-        under the lowest barrier."""
+        under the lowest barrier.  The bounds stay within the positive
+        floats, which hold every spot the closed form prices."""
         refs = list(schedule.barriers) + [x_eval]
         if math.isfinite(recovery.cap):
             refs.append(recovery.cap)
@@ -126,9 +129,10 @@ class GridSpec:
         h = max(hi - lo for lo, hi in zip(schedule.dates, schedule.dates[1:]))
         rise = max(0.0, 0.5 * market.s_V**2 - market.b) * h
         edge = max(math.log(_MARGIN), rise + 4.0 * market.s_V * math.sqrt(h))
+        x_min = min(min(refs) * math.exp(-log_lo), min(schedule.barriers) * math.exp(-edge))
         return cls(
-            min(min(refs) * math.exp(-log_lo), min(schedule.barriers) * math.exp(-edge)),
-            max(refs) * math.exp(log_hi),
+            max(x_min, math.ulp(0.0)),
+            min(max(refs) * math.exp(log_hi), sys.float_info.max),
             n_space,
             n_time_per_interval,
         )
@@ -136,20 +140,26 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class CascadeSolution:
-    """Per-interval grids of the relative price u on (log-spot, time), solved
-    on the one grid the cascade was given, exact in time.
+    """The relative price u on (log-spot, time), solved on the one grid the
+    cascade was given, exact in time: ``steppers[i]`` is interval i, solved,
+    and gives its row at any t.
 
-    ``times[i]`` holds the ends of interval i's pieces: [t_i, t_{i+1}] in
-    the sine basis, equal pieces under the contour.  ``values[i]`` holds the
-    rows there, the last the glued terminal row.  ``sample`` takes the row
-    at any t from ``steppers[i]``.
+    ``times[i]`` reads the ends of interval i's pieces: [t_i, t_{i+1}] in
+    the sine basis, equal pieces under the contour.  ``values[i]`` reads the
+    rows there, the last the glued terminal row.
     """
 
     dates: tuple[float, ...]
     y: np.ndarray
-    times: list[np.ndarray]
-    values: list[np.ndarray]
     steppers: list[_ContourStepper | _SineStepper]
+
+    @property
+    def times(self) -> list[np.ndarray]:
+        return [stepper.times for stepper in self.steppers]
+
+    @property
+    def values(self) -> list[np.ndarray]:
+        return [stepper.kept for stepper in self.steppers]
 
 
 def _operator(y, sigma, mu):
@@ -183,10 +193,12 @@ class _ContourStepper:
     pole at z = -rate > 0, which costs the trapezoid rule about
     e^(-2 pi (1 - sqrt(-rate tau / M)) / 0.16): 1e-12 at -rate tau = 0.5.
     So the interval is split into equal pieces that keep p <= 2 and
-    -rate tau <= 0.5; ``times`` holds their ends, ``march`` the row at each.
+    -rate tau <= 0.5; ``times`` holds their ends and ``kept`` the row at
+    each, solved from the glued ``terminal`` row down when the stepper is
+    built.
     """
 
-    def __init__(self, y, sigma, mu, rho, source, bc_lo, bc_hi, t_lo, t_hi):
+    def __init__(self, y, sigma, mu, rho, source, bc_lo, bc_hi, t_lo, t_hi, terminal):
         alpha, self.lo, self.up = _operator(y, sigma, mu)
         self.bc_lo, self.bc_hi, self.f = bc_lo, bc_hi, source
         m = len(y) - 1
@@ -198,6 +210,13 @@ class _ContourStepper:
         growth = max(0.0, -bc_lo.rate, -bc_hi.rate) * span
         pieces = max(1, math.ceil(peclet / 2.0), math.ceil(2.0 * growth))
         self.times = np.linspace(t_lo, t_hi, pieces + 1)
+        self.kept = np.empty((len(self.times), len(terminal)))
+        self.kept[-1] = terminal
+        for j in range(pieces - 1, -1, -1):
+            self.kept[j] = self._contour(self.kept[j + 1], self.times[j + 1], self.times[j])
+        # a non-finite value anywhere spreads through every solve
+        if not np.isfinite(self.kept[0]).all():
+            raise ValueError("array must not contain infs or NaNs")
 
     def _contour(self, top: np.ndarray, t_top: float, t: float) -> np.ndarray:
         """The row at t < t_top from the row ``top`` at t_top."""
@@ -223,24 +242,13 @@ class _ContourStepper:
         out[0], out[-1] = self.bc_lo(t), self.bc_hi(t)
         return out
 
-    def march(self, terminal: np.ndarray) -> np.ndarray:
-        """The rows at the piece ends, the last ``terminal`` itself."""
-        kept = np.empty((len(self.times), len(terminal)))
-        kept[-1] = terminal
-        for j in range(len(self.times) - 2, -1, -1):
-            kept[j] = self._contour(kept[j + 1], self.times[j + 1], self.times[j])
-        # a non-finite value anywhere spreads through every solve
-        if not np.isfinite(kept[0]).all():
-            raise ValueError("array must not contain infs or NaNs")
-        return kept
-
-    def row(self, kept: np.ndarray, t: float) -> np.ndarray:
+    def row(self, t: float) -> np.ndarray:
         """The row at time t: a kept row, or one contour from the piece end
         above t."""
         j = bisect_left(self.times, t)
         if self.times[j] == t:
-            return kept[j]
-        return self._contour(kept[j], self.times[j], t)
+            return self.kept[j]
+        return self._contour(self.kept[j], self.times[j], t)
 
 
 def _sine(x: np.ndarray) -> np.ndarray:
@@ -255,15 +263,9 @@ def _sine(x: np.ndarray) -> np.ndarray:
 def _phi(x, tau):
     """E_x(tau) = (1 - e^(-x tau)) / x elementwise, and tau where x = 0: the
     weight after tau of a unit source under decay at rate x."""
-    z = -x * tau
-    # a scalar takes exprel's own formula from math, without a ufunc call;
-    # exprel keeps |z| < eps, where it returns 1, and the z where
-    # math.expm1 would overflow
-    if isinstance(z, float) and _EPS <= abs(z) <= 700.0:
-        return tau * (math.expm1(z) / z)
     from scipy.special import exprel
 
-    return tau * exprel(z)
+    return tau * exprel(-x * tau)
 
 
 class _SineBasis:
@@ -338,8 +340,10 @@ class _SineStepper:
 
     G = F + (base_lo - p(0)) a + (base_hi - p(0)) c: each edge integrated
     against the modes' decay, with nothing divided by rate or by
-    kappa - rate.  ``__init__`` builds those vectors from the basis, and one
-    transform of the terminal row and one inverse give the row at any t.
+    kappa - rate.  ``__init__`` builds those vectors from the basis and
+    takes w(0), the modes of the glued ``terminal`` row; one inverse
+    transform then gives the row at any t.  ``times`` holds [t_lo, t_hi]
+    and ``kept`` the rows there, the last ``terminal`` itself.
 
     A mode has settled once (kappa - max(0, rates)) tau >= ``_SETTLED``:
     it then takes its tau -> infinity form, E_kappa -> 1 / kappa and
@@ -359,6 +363,7 @@ class _SineStepper:
         bc_hi: _Edge,
         t_lo: float,
         t_hi: float,
+        terminal: np.ndarray,
     ):
         self.basis, self.bc_lo, self.bc_hi = basis, bc_lo, bc_hi
         self.t_hi = t_hi
@@ -382,6 +387,13 @@ class _SineStepper:
         self.first = first = self._moving(t_hi - t_lo)
         self.settled = self.forms[:, first:].copy()
         self.settled[:3] /= kappa[first:] - self.rates
+        self.modes = _sine(basis.q * (terminal[1:-1] - shift))
+        self.kept = np.array([terminal, terminal])
+        self.kept[0] = self.row(t_lo)
+        # a non-finite terminal value spreads through every mode, and bad
+        # data through the row at t_lo
+        if not np.isfinite(self.kept).all():
+            raise ValueError("array must not contain infs or NaNs")
 
     def _moving(self, tau: float) -> int:
         """The number of modes still moving at tau: kappa is increasing, and
@@ -391,9 +403,8 @@ class _SineStepper:
         rate = max(0.0, self.bc_lo.rate, self.bc_hi.rate)
         return int(np.searchsorted(self.kappa, rate + _SETTLED / tau))
 
-    def row(self, kept: np.ndarray, t: float) -> np.ndarray:
-        """The row at time t from the terminal row's modes, which ``march``
-        keeps."""
+    def row(self, t: float) -> np.ndarray:
+        """The row at time t from the terminal row's modes."""
         tau, lo, hi = self.t_hi - t, self.bc_lo, self.bc_hi
         # each edge's e^(-rate tau) and E_rate(tau)
         decay_lo, phi_lo = lo.scalars(tau)
@@ -407,21 +418,10 @@ class _SineStepper:
         forms = self.forms[:, :n].copy()
         forms[:3] *= _phi(kappa - self.rates, tau)
         w[:n] = weights @ forms + self.modes[:n] * np.exp(-kappa * tau)
-        out = np.empty_like(kept[-1])
+        out = np.empty(len(w) + 2)
         out[1:-1] = _sine(w) * self.basis.p + self.basis.shift
         out[0], out[-1] = lo.at(decay_lo, phi_lo), hi.at(decay_hi, phi_hi)
         return out
-
-    def march(self, terminal: np.ndarray) -> np.ndarray:
-        """The rows at t_lo and t_hi, the latter ``terminal`` itself."""
-        self.modes = _sine(self.basis.q * (terminal[1:-1] - self.basis.shift))
-        kept = np.array([terminal, terminal])
-        kept[0] = self.row(kept, self.times[0])
-        # a non-finite terminal value spreads through every mode, and bad
-        # data through the row at t_lo
-        if not np.isfinite(kept).all():
-            raise ValueError("array must not contain infs or NaNs")
-        return kept
 
 
 @dataclass(frozen=True)
@@ -504,7 +504,6 @@ def _cascade(
     dy = y[1] - y[0]
     rec = recovery.paid(np.exp(y))
     basis = _sine_basis(y, sigma, mu, rec[1:-1], p_0)
-    values: list[np.ndarray] = [None] * n  # type: ignore[list-item]
     steppers: list = [None] * n
     nxt = np.ones_like(y)
     for i in range(n - 1, -1, -1):
@@ -516,21 +515,17 @@ def _cascade(
             for k in range(i + 1, n)
         )
         near, far = _edges(market.b, lam, t_hi, tail, p_0, p_lo, p_hi)
-        # the cell average is 0 below the barrier's cell and 1 above it, and
-        # y[j - 1] < ln B <= y[j] puts the cell on nodes j - 1 and j
-        log_b = math.log(schedule.barriers[i])
-        j = max(1, int(np.searchsorted(y, log_b)))
-        above = np.clip((y[j - 1 : j + 1] - log_b) / dy + 0.5, 0.0, 1.0)
-        cell = above * nxt[j - 1 : j + 1] + (1.0 - above) * rec[j - 1 : j + 1]
-        terminal = np.concatenate((rec[: j - 1], cell, nxt[j + 1 :]))
+        # the share of the node's cell above the barrier
+        above = np.clip((y - math.log(schedule.barriers[i])) / dy + 0.5, 0.0, 1.0)
+        terminal = above * nxt + (1.0 - above) * rec
         if basis is None:
-            steppers[i] = _ContourStepper(y, sigma, mu, lam, lam * rec[1:-1], near, far, t_lo, t_hi)
+            steppers[i] = _ContourStepper(
+                y, sigma, mu, lam, lam * rec[1:-1], near, far, t_lo, t_hi, terminal
+            )
         else:
-            steppers[i] = _SineStepper(basis, lam, near, far, t_lo, t_hi)
-        values[i] = steppers[i].march(terminal)
-        nxt = values[i][0]
-    times = [stepper.times for stepper in steppers]
-    return CascadeSolution(schedule.dates, y, times, values, steppers)
+            steppers[i] = _SineStepper(basis, lam, near, far, t_lo, t_hi, terminal)
+        nxt = steppers[i].kept[0]
+    return CascadeSolution(schedule.dates, y, steppers)
 
 
 def solve_endogenous_cascade(
@@ -570,6 +565,5 @@ def sample(solution: CascadeSolution, x: float, t: float) -> float:
         raise DomainError(f"sample: spot {x} outside the grid hull")
     if not (solution.dates[0] <= t <= solution.dates[-1]):
         raise DomainError(f"sample: time {t} outside the grid hull")
-    i = min(bisect_right(solution.dates, t) - 1, len(solution.values) - 1)
-    row = solution.steppers[i].row(solution.values[i], t)
-    return float(np.interp(y, solution.y, row))
+    i = min(bisect_right(solution.dates, t) - 1, len(solution.steppers) - 1)
+    return float(np.interp(y, solution.y, solution.steppers[i].row(t)))

@@ -250,6 +250,15 @@ def _sum_terms(market, schedule, cap: float, x: float, i: int, t: float, caller:
     return min(max(u, 0.0), 1.0), cdf_err, quad_err
 
 
+def _relative_spot(V: float, df: float) -> float:
+    """The relative firm value V / df, clamped to the positive floats.  It
+    overflows for V near the largest float, and for every V once df
+    underflows to 0; it underflows to 0 for a subnormal V when r < 0.  Far
+    above every barrier and the cap, and far below them, the relative price
+    is flat in x, so the largest or the smallest positive float prices it."""
+    return max(V / df, math.ulp(0.0)) if V < df * sys.float_info.max else sys.float_info.max
+
+
 def _report(market, schedule, recovery, V: float, t: float, caller: str) -> PriceReport:
     """Price report at firm value ``V``.  The relative price is a floor plus
     a share of the term sum: R plus 1 - R of the survival probability for
@@ -259,11 +268,7 @@ def _report(market, schedule, recovery, V: float, t: float, caller: str) -> Pric
     i = _interval(schedule, t, caller)
     remaining = schedule.maturity - t
     df = math.exp(-market.r * remaining)
-    # V / df overflows for V near the largest float, and for every V once df
-    # underflows to 0; it underflows to 0 for a subnormal V when r < 0.  Far
-    # above every barrier and the cap, and far below them, the relative price
-    # is flat in x, so the largest or the smallest positive float prices it.
-    x = max(V / df, math.ulp(0.0)) if V < df * sys.float_info.max else sys.float_info.max
+    x = _relative_spot(V, df)
     w, cdf_err, quad_err = _sum_terms(market, schedule, recovery.cap, x, i, t, caller)
     exogenous = recovery.mode == "exogenous"
     floor = recovery.R if exogenous else 0.0

@@ -265,32 +265,38 @@ def test_second_order_convergence(market):
 
 def test_non_finite_data_rejected():
     # a NaN in the terminal row spreads through every mode and every solve;
-    # the march of either stepper refuses to return it
+    # neither stepper is built from it
     y = np.linspace(0.0, 6.0, 65)
     terminal = np.ones_like(y)
     terminal[30] = np.nan
     near, far = _edges(0.05, 0.02, 1.0, 0.0, 0.4, 0.4, 1.0)
-    args = (y, 0.3, -0.095, 0.02, np.full(63, 0.008), near, far, 0.0, 1.0)
-    sine = _sine_stepper(y, 0.3, -0.095, 0.02, np.full(63, 0.4), near, far, 0.0, 1.0, 0.4)
-    for stepper in (sine, _ContourStepper(*args)):
-        with pytest.raises(ValueError):
-            stepper.march(terminal)
+    with pytest.raises(ValueError):
+        _sine_stepper(y, 0.3, -0.095, 0.02, np.full(63, 0.4), near, far, 0.0, 1.0, 0.4, terminal)
+    with pytest.raises(ValueError):
+        _ContourStepper(y, 0.3, -0.095, 0.02, np.full(63, 0.008), near, far, 0.0, 1.0, terminal)
 
 
-def _sine_stepper(y, sigma, mu, rho, paid, near, far, t_lo, t_hi, shift):
+def _sine_stepper(y, sigma, mu, rho, paid, near, far, t_lo, t_hi, shift, terminal):
     """A sine-basis interval with the source rho ``paid`` and the basis's
     ``shift`` = p(0), on a grid that must take the sine basis."""
     basis = _sine_basis(y, sigma, mu, paid, shift)
     assert type(basis) is _SineBasis
-    return _SineStepper(basis, rho, near, far, t_lo, t_hi)
+    return _SineStepper(basis, rho, near, far, t_lo, t_hi, terminal)
 
 
-def _one_interval(stepper, y, terminal):
+def _one_interval(stepper, y):
     """A cascade of one interval, [0.5, 2.0], solved by ``stepper``."""
-    return CascadeSolution((0.5, 2.0), y, [stepper.times], [stepper.march(terminal)], [stepper])
+    return CascadeSolution((0.5, 2.0), y, [stepper])
 
 
-def _dense_rows(stepper, y, sigma, mu, rho, f, near, far, rng):
+def _random_terminal(rng, y, near, far):
+    """A terminal row at t = 2.0 of uniform noise between the edge values."""
+    terminal = rng.uniform(-1.0, 1.0, len(y))
+    terminal[0], terminal[-1] = near(2.0), far(2.0)
+    return terminal
+
+
+def _dense_rows(stepper, terminal, y, sigma, mu, rho, f, near, far):
     """Largest gap between the stepper's interior rows on [0.5, 2.0] and the
     exponential of the dense semi-discrete system, whose edge values come
     from three more states: 1, e^(-rate tau) and E_rate(tau) of each edge,
@@ -314,17 +320,14 @@ def _dense_rows(stepper, y, sigma, mu, rho, f, near, far, rng):
         gen[row, k + 1] = weight * edge.drift
         gen[k, k] = -edge.rate
         gen[k + 1, k] = 1.0
-    terminal = rng.uniform(-1.0, 1.0, m + 1)
-    terminal[0], terminal[-1] = near(2.0), far(2.0)
     start = np.concatenate((terminal[1:-1], [1.0, 1.0, 0.0, 1.0, 0.0]))
-    kept = stepper.march(terminal)
-    assert np.array_equal(kept[-1], terminal)
-    assert np.array_equal(kept[0], stepper.row(kept, 0.5))
+    assert np.array_equal(stepper.kept[-1], terminal)
+    assert np.array_equal(stepper.kept[0], stepper.row(0.5))
     times = sorted({0.5, 0.9, 1.7, 2.0 - 1e-3, 2.0, *stepper.times})
     worst = 0.0
     for t in times:
         want = expm((2.0 - t) * gen) @ start
-        got = stepper.row(kept, t)
+        got = stepper.row(t)
         worst = max(worst, np.max(np.abs(got[1:-1] - want[:size])))
         for value, edge, k in ((got[0], near, size + 1), (got[-1], far, size + 3)):
             assert value == pytest.approx(
@@ -342,8 +345,9 @@ def test_sine_rows_match_dense_exponential():
     y = np.linspace(0.0, 6.0, m + 1)
     f = rng.uniform(0.0, 0.05, m - 1)
     near, far = _edges(-lam, lam, 2.0, 0.01, 0.3, 0.45, 0.6)
-    stepper = _sine_stepper(y, sigma, mu, rho, f / rho, near, far, 0.5, 2.0, 0.3)
-    assert _dense_rows(stepper, y, sigma, mu, rho, f, near, far, rng) <= 1e-13
+    terminal = _random_terminal(rng, y, near, far)
+    stepper = _sine_stepper(y, sigma, mu, rho, f / rho, near, far, 0.5, 2.0, 0.3, terminal)
+    assert _dense_rows(stepper, terminal, y, sigma, mu, rho, f, near, far) <= 1e-13
 
 
 def test_sine_rows_match_the_all_modes_oracle():
@@ -376,15 +380,16 @@ def test_sine_rows_match_the_all_modes_oracle():
         terminal = np.where(y > rng.uniform(y[m // 4], y[3 * m // 4]), 1.0, rec)
         terminal[0], terminal[-1] = near(t_hi), far(t_hi)
         args = (y, sigma, mu, lam, lam * rec[1:-1], near, far)
-        stepper = _sine_stepper(y, sigma, mu, lam, rec[1:-1], near, far, t_hi - span, t_hi, p_0)
-        kept = stepper.march(terminal)
+        stepper = _sine_stepper(
+            y, sigma, mu, lam, rec[1:-1], near, far, t_hi - span, t_hi, p_0, terminal
+        )
         times = [t_hi - tau for tau in (0.0, 1e-12, 1e-6, 0.5 * span, span)]
         for t, want in zip(times, all_modes_rows(*args, t_hi, p_0, terminal, times)):
-            got = stepper.row(kept, t)
+            got = stepper.row(t)
             scale = max(1.0, float(np.max(np.abs(want))))
             assert np.max(np.abs(got - want)) <= 1e-14 * scale, (case, t_hi - t)
         scale = max(1.0, float(np.max(np.abs(terminal))))
-        assert np.max(np.abs(stepper.row(kept, t_hi) - terminal)) <= 1e-14 * scale, case
+        assert np.max(np.abs(stepper.row(t_hi) - terminal)) <= 1e-14 * scale, case
     assert growing >= 4
 
 
@@ -407,10 +412,11 @@ def test_contour_rows_match_dense_exponential(name):
     y = np.linspace(0.0, 6.0, m + 1)
     f = rng.uniform(0.0, 0.05, m - 1)
     near, far = _edges(growth - lam, lam, 2.0, 0.01, 0.3, 0.45, 0.6)
-    stepper = _ContourStepper(y, sigma, mu, rho, f, near, far, 0.5, 2.0)
+    terminal = _random_terminal(rng, y, near, far)
+    stepper = _ContourStepper(y, sigma, mu, rho, f, near, far, 0.5, 2.0, terminal)
     assert len(stepper.times) == pieces + 1
     # the contour's rounding grows like e^6 eps: 1e-12 to 5.4e-12 here
-    assert _dense_rows(stepper, y, sigma, mu, rho, f, near, far, rng) <= 1e-11
+    assert _dense_rows(stepper, terminal, y, sigma, mu, rho, f, near, far) <= 1e-11
 
 
 @pytest.mark.parametrize("exponent", [7.95, 8.05])
@@ -426,34 +432,17 @@ def test_sine_basis_guard(exponent):
     near, far = _edges(0.05, lam, 2.0, 0.01, p_0, p_0, p_0)
     paid = np.full(m - 1, p_0)
     terminal = np.where(y > 2.5, 1.0, p_0)
-    args = (y, sigma, mu, lam, lam * paid, near, far, 0.5, 2.0)
+    args = (y, sigma, mu, lam, lam * paid, near, far, 0.5, 2.0, terminal)
     if exponent > 8.0:
         assert _sine_basis(y, sigma, mu, paid, p_0) is None
         return
-    stepper = _sine_stepper(y, sigma, mu, lam, paid, near, far, 0.5, 2.0, p_0)
-    sine = _one_interval(stepper, y, terminal)
-    contour = _one_interval(_ContourStepper(*args), y, terminal)
+    stepper = _sine_stepper(y, sigma, mu, lam, paid, near, far, 0.5, 2.0, p_0, terminal)
+    sine = _one_interval(stepper, y)
+    contour = _one_interval(_ContourStepper(*args), y)
     assert np.max(np.abs(sine.values[0][0] - contour.values[0][0])) <= 1e-11
     for x in (math.exp(1.0), math.exp(2.5), math.exp(3.0), math.exp(4.5)):
         for t in (0.5, 0.8, 1.1):
             assert abs(sample(sine, x, t) - sample(contour, x, t)) <= 1e-11, (x, t)
-
-
-def test_phi_scalar_path_matches_exprel():
-    # a scalar E_x(tau) takes exprel's formula from math; it must give
-    # exprel's value bit for bit, at x tau = 0 and within eps of it (where
-    # exprel returns 1), and where math.expm1 would overflow (inf)
-    from scipy.special import exprel
-
-    rng = np.random.default_rng(39)
-    cases = [(x, tau) for x in (0.0, 1e-300, -1e-300, 0.3, -0.3, -1e3) for tau in (0.0, 1e-12, 0.5, 3.0)]
-    cases += [(-710.0, 1.0), (-800.0, 1.0), (-1e300, 1.0), (1e300, 1.0)]
-    cases += [(float(x), float(tau)) for x, tau in zip(rng.uniform(-300.0, 300.0, 2000), rng.uniform(0.0, 2.0, 2000))]
-    cases += [(float(x), 1.0) for x in -(10.0 ** rng.uniform(-17.0, 2.86, 2000))]
-    for x, tau in cases:
-        want = tau * exprel(-x * tau)
-        assert pde._phi(x, tau) == want, (x, tau)
-        assert pde._phi(np.array([x]), tau)[0] == want, (x, tau)
 
 
 def test_sine_cascade_builds_one_basis(monkeypatch):
@@ -566,15 +555,14 @@ class _TwoRows:
     rows."""
 
     times = np.array([0.0, 1.0])
+    kept = np.array([[1.0, 3.0, 5.0, 7.0, 9.0], [2.0, 4.0, 6.0, 8.0, 10.0]])
 
-    def row(self, kept, t):
-        return (1.0 - t) * kept[0] + t * kept[1]
+    def row(self, t):
+        return (1.0 - t) * self.kept[0] + t * self.kept[1]
 
 
 def _toy_solution():
-    y = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-    values = [np.array([[1.0, 3.0, 5.0, 7.0, 9.0], [2.0, 4.0, 6.0, 8.0, 10.0]])]
-    return CascadeSolution((0.0, 1.0), y, [_TwoRows.times], values, [_TwoRows()])
+    return CascadeSolution((0.0, 1.0), np.array([0.0, 1.0, 2.0, 3.0, 4.0]), [_TwoRows()])
 
 
 def test_sample_exact_node():

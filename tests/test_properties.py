@@ -6,9 +6,9 @@ barriers on both sides of the endogenous cap, volatilities from 0.01 to 4,
 spots from 1e-3 to 1e3 times the lowest barrier and evaluation on a date
 30% of the time.  Every price must be finite and lie within its bounds, and
 exogenous prices must move the right way when one input moves.  Endogenous
-prices are checked only for bounds: with a barrier above the cap they can
-fall as the firm value rises, and where every barrier is at or under the cap
-their monotonicity is not proved.
+prices must rise with the firm value where every barrier is at or under the
+cap, and R > 0; with a barrier above the cap they can fall as the firm value
+rises, and are checked only for bounds.
 """
 
 import math
@@ -76,14 +76,24 @@ def test_prices_stay_in_bounds_and_move_the_right_way(seed):
         def exogenous(schedule=schedule, R=R, V=V):
             return db.price_exogenous(market, schedule, db.RecoveryModel("exogenous", R), V, t)
 
-        endo = db.price_endogenous(
-            market, schedule, db.RecoveryModel("endogenous", R, n=cap * R), V, t
-        )
+        def endogenous(V=V):
+            return db.price_endogenous(
+                market, schedule, db.RecoveryModel("endogenous", R, n=cap * R), V, t
+            )
+
+        endo = endogenous()
         base = exogenous()
         for name, report, floor in (("endogenous", endo, 0.0), ("exogenous", base, R * df)):
             e = _error(report)
             if not (math.isfinite(report.price) and floor - e <= report.price <= df + e):
                 failures.append(f"{name} price {report.price} outside [{floor}, {df}]: {case}")
+
+        if R > 0.0 and max(schedule.barriers) <= cap:
+            up = endogenous(V=1.05 * V)
+            if up.price - endo.price < -(_error(up) + _error(endo)):
+                failures.append(
+                    f"endogenous price {endo.price} -> {up.price} under V x1.05: {case}"
+                )
 
         # (label, moved price, +1 where the move raises the price, -1 where it lowers it)
         moved = [

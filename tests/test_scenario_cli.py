@@ -183,6 +183,9 @@ print(loaded("numpy", "scipy"))
 s = loaded_scenarios["base_endogenous_high_barrier"]
 print(repr(defbond.price_endogenous(s.market, s.schedule, s.recovery, s.firm_value(0.0), 0.0).price))
 print("numpy" in sys.modules, loaded("scipy"))
+# the PDE engine imports scipy inside the functions a cascade first runs
+import defbond.pde
+print(loaded("scipy"))
 # a chain of three dates takes Phi of its arrays from scipy.special
 market = defbond.MarketParams(r=0.08, b=0.03, s_V=0.8)
 schedule = defbond.DefaultSchedule((0.0, 1.5, 3.5, 7.0), (0.01, 0.02, 0.004), (120.0, 90.0, 110.0))
@@ -197,13 +200,14 @@ def test_startup_and_scalar_prices_load_no_scipy():
     # only scalar CDFs, whose Phi is libm's erfc, and pure-Python Kronrod
     # sums: a fresh interpreter loads neither numpy nor scipy.  The
     # high-barrier base's conditional integrals then load numpy but not
-    # scipy; a 3-date chain loads scipy.special
+    # scipy, and neither does importing the PDE engine; a 3-date chain loads
+    # scipy.special
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
     proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, str(root / "scenarios")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "0.5358731781203808", "True []", "True"]
+    assert proc.stdout.splitlines() == ["[]", "0.5358731781203808", "True []", "[]", "True"]
 
 
 def test_engine_names_resolve_on_first_use(tmp_path, base_doc, capsys, monkeypatch):
@@ -603,3 +607,26 @@ def test_cli_validate_zero_variance_row_reports_infinite_sigma(tmp_path, capsys)
     assert len(fields) == 7
     assert float(fields[1]) != float(fields[4])
     assert fields[5] == "inf"
+
+
+# Firm values at the ends of the float range: V / df overflows at V = 1e308
+# (r = 0.1) and underflows to 0 at V = 5e-324 (r = -0.5).  The closed form
+# clamps the relative spot to the positive floats; the grid's bounds and the
+# PDE's spots take the same clamp, so every engine prices the flat far field.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "r, V, recovery",
+    [
+        (0.1, 1e308, {"mode": "endogenous", "R": 0.5, "n": 1.0}),
+        (-0.5, 5e-324, {"mode": "exogenous", "R": 0.5}),
+    ],
+)
+def test_cli_validate_prices_extreme_firm_values(tmp_path, base_doc, capsys, r, V, recovery):
+    base_doc["market"]["r"] = r
+    base_doc["recovery"] = recovery
+    base_doc["evaluation"] = {"V": V, "t": 0.0}
+    rc = main(["validate", _write(tmp_path, base_doc), "--paths", "20000", "--seed", "1",
+               "--mc-sigmas", "4.5", "--times", "0", "1.5", "3", "4.5"])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert out.count("PASS") == 5
