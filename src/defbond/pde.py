@@ -1,43 +1,44 @@
-"""Finite-difference verification engine for the bond-price cascade.
+"""Fourier verification engine for the bond-price cascade.
 
 Solves the relative-price equation backward interval by interval on a uniform
-log-spot grid.  Every recovery model runs through one cascade whose data all
-come from the recovery a default pays, p = ``RecoveryModel.paid``: the
-gluing values, the source lam * p, the large-spot boundary
-p(x_max) + (1 - p(x_max)) S_i(t) with S_i the jump survival to maturity, and
-the small-spot boundary p(0) + (p(x_min) - p(0)) c_i(t), exact while p is
-affine on [0, x_min] (``_edges``).  Each interval has constant
-coefficients, so its spatial operator A is tridiagonal Toeplitz, and the
-intervals differ only in their intensity lam.  While the cell Peclet number
-is below 1, a diagonal scaling makes A symmetric and the orthonormal discrete
-sine transform diagonalises it: in its modes the semi-discrete equation has a
-closed-form solution at any time.  The scaling, the modes of both edges and
-of the recovery source are built once per cascade (``_SineBasis``), so an
-interval takes one transform of its terminal row and one inverse transform
-for any row (``_SineStepper``).  A row pays ``exp`` and ``exprel`` only on
-the slow modes still moving at its time; every faster mode has decayed past
-e^-54 and takes its settled form, a fixed vector times the edges' scalars.
-Rounding in that basis grows with the range of the scaling, so it runs
-while the scaling stays within e^(+-8); on any other grid every interval is
-solved exactly in time too, by a contour integral of its Laplace transform,
-16 complex tridiagonal solves per row, over pieces short enough for the
-contour (``_ContourStepper``).  Either stepper solves its interval when
-it is built from the glued terminal row, keeps the rows at its piece ends
-and gives the row at any time.  A cascade imports ``scipy.fftpack``,
-``scipy.special`` or ``scipy.linalg`` when it first runs, so importing this
-module loads no scipy.  This engine shares no code path with the closed
-forms it checks.
+log-spot grid y.  Every recovery model runs through one cascade whose data
+all come from the recovery a default pays, p = ``RecoveryModel.paid``: the
+gluing values and the source lam * p.  In tau = t_{i+1} - t an interval
+solves u_tau = (s_V^2/2) u_yy + mu u_y - lam u + lam p, mu = -(b + s_V^2/2),
+with constant coefficients on the whole line, so it is solved exactly in time
+by Fourier space time-stepping (Jackson, Jaimungal & Surkov, J. Comp.
+Finance 12(2), 2008), the scheme Feng & Linetsky (Math. Finance 18(3), 2008)
+apply to discretely monitored defaultable bonds.  At each announcing date the
+row is glued pointwise, the next row above ln B and the recovery at or below
+it, and split into parts that each move exactly (``_Interval``):
+
+- the barrier's jump J, carried in closed form as
+  J e^(-lam tau) Phi((y + mu tau - ln B) / (s_V sqrt tau)), and every older
+  jump still sharp at the gluing as a Phi term of its own;
+- a linear lift through the end values of the continuous rest, and the same
+  lift of the source;
+- the remainder, periodic over the grid's n cells, whose Fourier modes move
+  as e^(psi tau), psi(k) = -(s_V^2/2) k^2 + i mu k - lam.
+
+The continuous rest keeps two kinks, of the glued row at ln B and of the
+endogenous recovery at its cap; each gets the trapezoid rule's error in its
+cell put back on two nodes (``_trapezoid``), and ``sample`` reads the row by
+cubic interpolation, so neither adds an h^2 error.  The periodic extension
+joins the grid's two edges, so rows within reach of an edge carry the other
+edge's data; ``GridSpec.auto`` keeps every barrier, the cap and the spot out
+of that reach.  A cascade imports ``scipy.special`` when it first runs, so
+importing this module loads no scipy.  This engine shares no code path with
+the closed forms it checks.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
 from .errors import DomainError
 from .pricing import DefaultSchedule, MarketParams, RecoveryModel
@@ -54,19 +55,14 @@ __all__ = [
 # the spot (GridSpec.auto).
 _MARGIN = 50.0
 
-# A cascade is solved in the sine basis only while its diagonal scaling P
-# stays within e^(+-_MAX_LOG_P): the basis's rounding scales like
-# eps e^(2 _MAX_LOG_P) toward the grid edge where P is largest and like
-# eps e^_MAX_LOG_P mid-grid (on 2048 nodes at e^(+-7.95) the row at t_i stayed
-# within 1.1e-12 of the contour).
-_MAX_LOG_P = 8.0
+# e^-40 and Phi(-40) both lie under double rounding: a Fourier mode decayed
+# by e^-40 takes its settled value, and a Phi term is evaluated only within
+# 40 standard deviations of its centre, outside which it is 0 or 1 exactly.
+_TAIL = 40.0
 
-# A sine mode has settled at tau once (kappa - max(0, rates)) tau reaches
-# _SETTLED, and then takes its tau -> infinity form.  What that form drops is
-# e^(-(kappa - rate) tau) of a term that P^-1 and P scale by up to
-# e^(2 _MAX_LOG_P) in all; e^(-_SETTLED) = eps e^(-2 _MAX_LOG_P) / 8 keeps it,
-# summed over the settled modes, under the basis's own rounding.  About 54.
-_SETTLED = 2.0 * _MAX_LOG_P - math.log(sys.float_info.epsilon / 8.0)
+# A jump stays a Phi term of its own into the next gluing while its standard
+# deviation there is under this many cells; a wider one joins the nodes.
+_SHARP = 3.0
 
 
 @dataclass(frozen=True)
@@ -76,12 +72,13 @@ class GridSpec:
     the benchmark stops passing it (ROADMAP item 1).
 
     A grid built by hand is checked only for holding every barrier strictly
-    inside it and for clearing the recovery cap.  Its small-spot edge value
-    assumes default at the next barrier test, so an x_min that sits closer
-    under the lowest barrier than ``auto`` puts it prices silently off:
-    market (0.1, 0.05, 1.0), dates (0, 3, 6), lam (0.2, 0.3), barriers 100,
-    endogenous cap 2, x = 200 and 4096 nodes sample 1.05e-2 off the closed
-    form at x_min = 3, against 2.8e-7 on the ``auto`` grid."""
+    inside it and for clearing the recovery cap, so one that sits closer
+    under the lowest barrier than ``auto`` puts it prices off: market
+    (0.1, 0.05, 1.0), dates (0, 3, 6), lam (0.2, 0.3), barriers 100,
+    endogenous cap 2, x = 200 and 4096 nodes sample 1.27e-2 off the closed
+    form at x_min = 3, 10 and 50 alike, where the recovery is 1 over the
+    whole grid, 2.0e-3 at x_min = 1 and 5.9e-5 at 0.3, against 2.2e-10 on
+    the ``auto`` grid (x_min = 3.0e-3)."""
 
     x_min: float
     x_max: float
@@ -106,18 +103,18 @@ class GridSpec:
         n_space: int = 2048,
         n_time_per_interval: int = 2048,
     ) -> "GridSpec":
-        """Domain sized so the analytic boundary values hold to verification
-        tolerances: at least ``_MARGIN`` (50) times past every barrier, the
-        recovery cap and the evaluation spot, widened further when the
-        lognormal drift plus four standard deviations over the full horizon
-        reaches past that (the relative spot drifts down at rate
-        b + s_V^2/2, so high volatility pushes the far field out a lot).
-        The small-spot edge value needs default at the next barrier test
-        under every measure that pays the recovery: one growing with x is paid
-        under the asset measure, where ln x drifts up at s_V^2/2 - b, so x_min
-        also sits that drift plus four deviations of the longest interval
-        under the lowest barrier.  The bounds stay within the positive
-        floats, which hold every spot the closed form prices."""
+        """Domain sized so that the grid edges, which the periodic remainder
+        joins, lie out of reach to verification tolerances: at least
+        ``_MARGIN`` (50) times past every barrier, the recovery cap and the
+        evaluation spot, widened further when the lognormal drift plus four
+        standard deviations over the full horizon reaches past that (the
+        relative spot drifts down at rate b + s_V^2/2, so high volatility
+        pushes the far field out a lot).  A recovery growing with x is paid
+        under the asset measure, where ln x drifts up at s_V^2/2 - b, so
+        x_min also sits that drift plus four deviations of the longest
+        interval under the lowest barrier.  The bounds stay within the
+        positive floats, which hold every spot the closed form prices; the
+        cascade carries the log grid on past a bound clamped there."""
         refs = list(schedule.barriers) + [x_eval]
         if math.isfinite(recovery.cap):
             refs.append(recovery.cap)
@@ -144,14 +141,13 @@ class CascadeSolution:
     cascade was given, exact in time: ``steppers[i]`` is interval i, solved,
     and gives its row at any t.
 
-    ``times[i]`` reads the ends of interval i's pieces: [t_i, t_{i+1}] in
-    the sine basis, equal pieces under the contour.  ``values[i]`` reads the
-    rows there, the last the glued terminal row.
+    ``times[i]`` is [t_i, t_{i+1}] and ``values[i]`` the rows there, jump
+    terms included: the row at t_i and the glued terminal row.
     """
 
     dates: tuple[float, ...]
     y: np.ndarray
-    steppers: list[_ContourStepper | _SineStepper]
+    steppers: list[_Interval]
 
     @property
     def times(self) -> list[np.ndarray]:
@@ -162,315 +158,158 @@ class CascadeSolution:
         return [stepper.kept for stepper in self.steppers]
 
 
-def _operator(y, sigma, mu):
-    """alpha = sigma^2 / (2 h^2) and the off-diagonals (lo, up) of the spatial
-    operator A of u_t + (sigma^2/2) u_yy + mu u_y - rho u + f = 0 on the grid
-    y: A has sub-diagonal lo, diagonal -2 alpha - rho and super-diagonal up."""
-    h = y[1] - y[0]
-    alpha = sigma * sigma / (2.0 * h * h)
-    return alpha, alpha - mu / (2.0 * h), alpha + mu / (2.0 * h)
+def _on_nodes(y: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """The sum of the jump ``terms`` (K, c, v) on the nodes y, with Phi
+    evaluated only within ``_TAIL`` deviations of each centre."""
+    from scipy.special import ndtr
+
+    out = np.zeros_like(y)
+    for amp, centre, var in terms.T:
+        sd = math.sqrt(var)
+        lo, hi = np.searchsorted(y, (centre - _TAIL * sd, centre + _TAIL * sd))
+        out[lo:hi] += amp * ndtr((y[lo:hi] - centre) / sd)
+        out[hi:] += amp
+    return out
 
 
-class _ContourStepper:
-    """The semi-discrete equation of an interval solved exactly in time on
-    any grid, by the contour integral of in 't Hout & Weideman (SIAM J. Sci.
-    Comput. 2011) on the parabolic contours of Weideman & Trefethen (Math.
-    Comp. 2007); it runs where ``_sine_basis`` finds no sine basis.
+def _cubic(nodes: np.ndarray, row: np.ndarray, y: float) -> float:
+    """The cubic through ``row`` at the four uniform ``nodes`` around y: y's
+    cell and one more on each side, shifted inward at an edge."""
+    j = min(max(int(np.searchsorted(nodes, y)), 2), len(nodes) - 2)
+    u = (y - nodes[j - 2]) / (nodes[1] - nodes[0])
+    v = u - 1.0
+    w = (-v * (u - 2.0) * (u - 3.0) / 6.0, 0.5 * u * (u - 2.0) * (u - 3.0),
+         -0.5 * u * v * (u - 3.0), u * v * (u - 2.0) / 6.0)
+    return float(np.dot(w, row[j - 2 : j + 2]))
 
-    In tau = t_top - t below a piece top t_top the interior row v has the
-    Laplace transform
 
-        V(z) = (zI - A)^-1 [v(0) + f/z + lo e_1 G_lo(z) + up e_n G_hi(z)],
+def _trapezoid(values: np.ndarray, y: np.ndarray, at: float, kink: float) -> np.ndarray:
+    """``values`` on the nodes y of a function whose slope jumps by ``kink``
+    at ``at``, with the trapezoid rule's error there taken back.  Against a
+    smooth kernel G the node sum h sum G f misses the integral by
+    kink G(at) (a (h - a) / 2 - h^2 / 12), a = y_j - at the distance to the
+    node above; the opposite mass goes on the cell's two nodes, with zero
+    first moment about ``at``."""
+    j = int(np.searchsorted(y, at))
+    if not 0 < j < len(y):
+        return values
+    h, a = y[j] - y[j - 1], y[j] - at
+    mass = kink * (h * h / 12.0 - 0.5 * a * (h - a)) / (h * h)
+    out = values.copy()
+    out[j - 1] += mass * a
+    out[j] += mass * (h - a)
+    return out
 
-    with G the edges' transforms (``_Edge.transform``), so
-    v(tau) = sum_k w_k Im[e^(z tau) z'(u_k) V(z_k)] on z = (M/tau)(1 + iu)^2,
-    M = 6, by the trapezoid rule at u_k = 0.16 k, k = 0..15, w_k = 0.16 / pi
-    halved at k = 0, conjugate nodes implied: one complex tridiagonal solve
-    (LAPACK ``zgtsv``) per node.  Rounding grows like e^M eps; the last
-    node's e^(z tau) is e^-28.6.  The numerical range of tau A lies inside
-    the parabola Re z <= -(Im z)^2 / (4p), p = mu^2 tau / (2 sigma^2), which
-    the contour encloses while p <= 2.  An edge with a negative rate puts a
-    pole at z = -rate > 0, which costs the trapezoid rule about
-    e^(-2 pi (1 - sqrt(-rate tau / M)) / 0.16): 1e-12 at -rate tau = 0.5.
-    So the interval is split into equal pieces that keep p <= 2 and
-    -rate tau <= 0.5; ``times`` holds their ends and ``kept`` the row at
-    each, solved from the glued ``terminal`` row down when the stepper is
-    built.
+
+class _Space:
+    """What every interval of a cascade shares, since they differ only in
+    their intensity lam: the nodes y, z = y - y_0, each Fourier mode's
+    psi(k) + lam and (s_V^2/2) k^2, and the recovery p on the nodes split by
+    ``split``."""
+
+    def __init__(self, y: np.ndarray, sigma: float, mu: float, paid: np.ndarray):
+        self.y, self.sigma, self.mu = y, sigma, mu
+        self.z = y - y[0]
+        k = 2.0 * math.pi * np.fft.rfftfreq(len(y) - 1, y[1] - y[0])
+        self.spread = 0.5 * sigma * sigma * k * k
+        self.psi = 1j * mu * k - self.spread
+        self.paid_lift, self.paid_modes = self.split(paid)
+
+    def split(self, row: np.ndarray):
+        """The lift (c0, c1) of ``row``, the line c0 + c1 z through its end
+        values, and the Fourier modes of the rest over the n cells: it is 0
+        at both ends, so its periodic extension is continuous."""
+        c0, c1 = row[0], (row[-1] - row[0]) / self.z[-1]
+        return (c0, c1), np.fft.rfft(row[:-1] - (c0 + c1 * self.z[:-1]))
+
+
+class _Interval:
+    """One interval [t_lo, t_hi] with intensity lam, solved exactly in time
+    from its glued data at t_hi: the continuous part ``cont`` on the nodes
+    and the ``jumps``, rows of amplitudes K, centres c and variances v, each
+    a term K Phi((y - c) / sqrt v), a step at v = 0.
+
+    At tau = t_hi - t the row is A + B z + irfft(w) plus every term
+    K e^(-lam tau) Phi((y + mu tau - c) / sqrt(v + s_V^2 tau)).  With the
+    lift (c0, c1) of ``cont``, (d0, d1) = lam times that of p, the recovery
+    paid, e = e^(-lam tau) and E = (1 - e) / lam:
+
+        B = e c1 + d1 E,   A = e c0 + d0 E + mu (c1 tau e + d1 (E - tau e) / lam),
+
+    with E = tau and (E - tau e) / lam = tau^2 / 2 at lam = 0: the line moves
+    exactly on the whole line.  The rest's modes w move as
+
+        w(tau) = e^(psi tau) (w(0) - s) + s,   s = -g / psi,
+
+    g = lam times the modes of p's rest and psi = psi(k) - lam; s = 0 at
+    lam = 0, where only the mode k = 0 has psi = 0.  A mode with
+    -Re(psi) tau > ``_TAIL`` has settled at s and pays no ``exp``.
+
+    ``times`` holds [t_lo, t_hi] and ``kept`` the rows there, terms included,
+    the last the glued ``terminal`` row.  For the gluing at t_lo, ``smooth``
+    is the row there with every term wider than ``_SHARP`` cells added on
+    the nodes, and ``sharp`` the other terms, moved to t_lo.
     """
 
-    def __init__(self, y, sigma, mu, rho, source, bc_lo, bc_hi, t_lo, t_hi, terminal):
-        alpha, self.lo, self.up = _operator(y, sigma, mu)
-        self.bc_lo, self.bc_hi, self.f = bc_lo, bc_hi, source
-        m = len(y) - 1
-        # zI - A has sub-diagonal -lo, diagonal z + diag and super-diagonal -up
-        self.sub, self.sup = np.full(m - 2, -self.lo), np.full(m - 2, -self.up)
-        self.diag = np.full(m - 1, 2.0 * alpha + rho)
-        span = t_hi - t_lo
-        peclet = mu * mu * span / (2.0 * sigma * sigma)
-        growth = max(0.0, -bc_lo.rate, -bc_hi.rate) * span
-        pieces = max(1, math.ceil(peclet / 2.0), math.ceil(2.0 * growth))
-        self.times = np.linspace(t_lo, t_hi, pieces + 1)
-        self.kept = np.empty((len(self.times), len(terminal)))
-        self.kept[-1] = terminal
-        for j in range(pieces - 1, -1, -1):
-            self.kept[j] = self._contour(self.kept[j + 1], self.times[j + 1], self.times[j])
-        # a non-finite value anywhere spreads through every solve
-        if not np.isfinite(self.kept[0]).all():
-            raise ValueError("array must not contain infs or NaNs")
-
-    def _contour(self, top: np.ndarray, t_top: float, t: float) -> np.ndarray:
-        """The row at t < t_top from the row ``top`` at t_top."""
-        from scipy.linalg.lapack import zgtsv
-
-        tau = t_top - t
-        s = 1.0 + 0.16j * np.arange(16)
-        z = (6.0 / tau) * s * s
-        # w_k e^(z tau) z'(u_k), with z'(u) = (2 M / tau) i (1 + iu)
-        scale = np.exp(z * tau) * (12.0 / tau * 0.16 / math.pi) * 1j * s
-        scale[0] *= 0.5
-        edge_lo = self.lo * self.bc_lo.transform(z, t_top)
-        edge_hi = self.up * self.bc_hi.transform(z, t_top)
-        out = np.zeros_like(top)
-        for k in range(len(z)):
-            rhs = top[1:-1] + self.f / z[k]
-            rhs[0] += edge_lo[k]
-            rhs[-1] += edge_hi[k]
-            *_, v, info = zgtsv(self.sub, self.diag + z[k], self.sup, rhs, overwrite_b=True)
-            if info != 0:
-                raise LinAlgError("singular matrix")
-            out[1:-1] += (scale[k] * v).imag
-        out[0], out[-1] = self.bc_lo(t), self.bc_hi(t)
-        return out
-
-    def row(self, t: float) -> np.ndarray:
-        """The row at time t: a kept row, or one contour from the piece end
-        above t."""
-        j = bisect_left(self.times, t)
-        if self.times[j] == t:
-            return self.kept[j]
-        return self._contour(self.kept[j], self.times[j], t)
-
-
-def _sine(x: np.ndarray) -> np.ndarray:
-    """The orthonormal DST-I Q along the last axis; Q is symmetric and
-    orthogonal, so it is its own inverse.  ``scipy.fftpack`` runs the same
-    pocketfft kernel as ``scipy.fft`` without its backend dispatch."""
-    from scipy.fftpack import dst
-
-    return dst(x, type=1, norm="ortho")
-
-
-def _phi(x, tau):
-    """E_x(tau) = (1 - e^(-x tau)) / x elementwise, and tau where x = 0: the
-    weight after tau of a unit source under decay at rate x."""
-    from scipy.special import exprel
-
-    return tau * exprel(-x * tau)
-
-
-class _SineBasis:
-    """What every sine-basis interval of one cascade shares.  Its intervals
-    differ only in their rate rho = lam, which adds -rho I to the spatial
-    operator A.
-
-    With A's sub- and super-diagonals lo and up, A = -P Q K Q P^-1 with
-    P = diag(r^(j - (m-2)/2)), r = sqrt(lo / up), Q the orthonormal DST-I and
-    K = diag(kappa), kappa_k = rho + 2 alpha - 2 sqrt(lo up) cos(k pi / m) > 0.
-    The basis holds P and P^-1 (``p``, ``q``), kappa - rho as a constant
-    ``floor`` plus a sin^2 ``wave``, Q times the end unit vectors weighted
-    lo / p_0 and up / p_end (``a``, ``c``), and ``source`` =
-    Q P^-1 (p - p(0)) of the recovery p paid on the grid: an interval's
-    source lam p, less rho p(0) from the shift, is lam ``source`` in the
-    modes.  One transform of three rows builds it.  This is the fast direct
-    solver of Buzbee, Golub & Nielson (SIAM J. Numer. Anal. 1970), built once
-    per grid and market instead of once per interval.
-    """
-
-    def __init__(self, y: np.ndarray, sigma: float, mu: float, paid: np.ndarray, shift: float):
-        alpha, lo, up = _operator(y, sigma, mu)
-        self.shift = shift
-        m = len(y) - 1
-        # powers of one rounded r keep every ratio p[j + 1] / p[j] within a
-        # few ulps of r, which the similarity needs
-        r = math.sqrt(lo / up)
-        j = np.arange(m - 1) - 0.5 * (m - 2)
-        self.p = np.power(r, j)
-        self.q = np.power(r, -j)
-        # 2 alpha - 2 sqrt(lo up) = (mu / h)^2 / (2 alpha + 2 sqrt(lo up)):
-        # with every term positive each kappa_k is off by a few ulps of
-        # itself; the difference would leave an error of alpha's ulps in the
-        # slow modes, which decay over the whole interval
-        off = 2.0 * math.sqrt(lo * up)
-        theta = np.arange(1, m) * (0.5 * math.pi / m)
-        self.floor = (mu / (y[1] - y[0])) ** 2 / (2.0 * alpha + off)
-        self.wave = 2.0 * off * np.sin(theta) ** 2
-        forcing = np.zeros((3, m - 1))
-        forcing[0] = (paid - shift) * self.q
-        forcing[1, 0] = lo * self.q[0]
-        forcing[2, -1] = up * self.q[-1]
-        self.source, self.a, self.c = _sine(forcing)
-
-
-def _sine_basis(y, sigma, mu, paid, shift) -> _SineBasis | None:
-    """The cascade's ``_SineBasis`` while both off-diagonals of A are
-    positive and P stays within e^(+-_MAX_LOG_P); else None, and every
-    interval takes ``_ContourStepper``, which costs 16 tridiagonal solves
-    per row."""
-    _, lo, up = _operator(y, sigma, mu)
-    if lo > 0.0 and up > 0.0 and 0.25 * (len(y) - 3) * abs(math.log(lo / up)) <= _MAX_LOG_P:
-        return _SineBasis(y, sigma, mu, paid, shift)
-    return None
-
-
-class _SineStepper:
-    """The semi-discrete equation of an interval solved exactly in time in
-    its cascade's ``_SineBasis``, where both off-diagonals of the spatial
-    operator A are positive (cell Peclet number |mu| h / sigma^2 < 1).
-
-    In the modes w = Q P^-1 (u - p(0)), with the constant ``shift`` = p(0)
-    taken out so that a recovery constant on the grid adds no rounding, the
-    equation in tau = t_hi - t is dw/dtau = -kappa w + F + a lo + c hi, where
-    kappa = rho + the basis's floor and wave, F = rho times the basis's
-    ``source`` and lo, hi are the edge values
-    base + jump e^(-rate tau) + drift E_rate(tau) less p(0).  So
-
-        w(tau) = e^(-kappa tau) w(0) + E_kappa(tau) G
-                 + e^(-rate tau) E_(kappa - rate)(tau) (jump - drift / kappa) a
-                 + E_rate(tau) (drift / kappa) a + (the same for c),
-
-    G = F + (base_lo - p(0)) a + (base_hi - p(0)) c: each edge integrated
-    against the modes' decay, with nothing divided by rate or by
-    kappa - rate.  ``__init__`` builds those vectors from the basis and
-    takes w(0), the modes of the glued ``terminal`` row; one inverse
-    transform then gives the row at any t.  ``times`` holds [t_lo, t_hi]
-    and ``kept`` the rows there, the last ``terminal`` itself.
-
-    A mode has settled once (kappa - max(0, rates)) tau >= ``_SETTLED``:
-    it then takes its tau -> infinity form, E_kappa -> 1 / kappa and
-    e^(-rate tau) E_(kappa - rate) -> e^(-rate tau) / (kappa - rate), fixed
-    quotients times the edges' scalars.  Only the moving modes below pay
-    ``exp`` and ``exprel``: on the bundled bases' 1024-node grids, 42 to
-    181 of 1023 at the times of a 15-point curve.  The integrals are the
-    phi-functions of exponential integrators (Hochbruck & Ostermann, Acta
-    Numerica 2010).
-    """
-
-    def __init__(
-        self,
-        basis: _SineBasis,
-        rho: float,
-        bc_lo: _Edge,
-        bc_hi: _Edge,
-        t_lo: float,
-        t_hi: float,
-        terminal: np.ndarray,
-    ):
-        self.basis, self.bc_lo, self.bc_hi = basis, bc_lo, bc_hi
-        self.t_hi = t_hi
+    def __init__(self, space: _Space, lam: float, t_lo: float, t_hi: float,
+                 terminal: np.ndarray, cont: np.ndarray, jumps: np.ndarray):
+        self.space, self.lam, self.t_hi = space, lam, t_hi
         self.times = np.array([t_lo, t_hi])
-        self.kappa = kappa = (rho + basis.floor) + basis.wave
-        shift, a, c = basis.shift, basis.a, basis.c
-        # the vectors each row weighs by 1, e^(-rate tau) of each edge and
-        # E_rate(tau) of each edge; a moving mode also weighs the first three
-        # by E_kappa(tau) and E_(kappa - rate)(tau) of each edge
-        self.rates = np.array([[0.0], [bc_lo.rate], [bc_hi.rate]])
-        self.forms = np.array([
-            rho * basis.source + (bc_lo.base - shift) * a + (bc_hi.base - shift) * c,
-            (bc_lo.jump - bc_lo.drift / kappa) * a,
-            (bc_hi.jump - bc_hi.drift / kappa) * c,
-            bc_lo.drift * a / kappa,
-            bc_hi.drift * c / kappa,
-        ])
-        # modes from ``first`` on settle within the interval, where every
-        # kappa - rate is at least _SETTLED / (t_hi - t_lo): their first three
-        # weights are 1 / kappa and 1 / (kappa - rate) of each edge
-        self.first = first = self._moving(t_hi - t_lo)
-        self.settled = self.forms[:, first:].copy()
-        self.settled[:3] /= kappa[first:] - self.rates
-        self.modes = _sine(basis.q * (terminal[1:-1] - shift))
+        self.jumps = jumps[:, jumps[0] != 0.0]
+        self.lift, modes = space.split(cont)
+        self.psi = space.psi - lam
+        self.settled = -lam * space.paid_modes / self.psi if lam else np.zeros_like(modes)
+        self.modes = modes - self.settled
         self.kept = np.array([terminal, terminal])
-        self.kept[0] = self.row(t_lo)
-        # a non-finite terminal value spreads through every mode, and bad
-        # data through the row at t_lo
+        moved = self._moved(t_hi - t_lo)
+        sharp = moved[2] < (_SHARP * (space.y[1] - space.y[0])) ** 2
+        self.smooth = self.row(t_lo) + _on_nodes(space.y, moved[:, ~sharp])
+        self.sharp = moved[:, sharp]
+        self.kept[0] = self.smooth + _on_nodes(space.y, self.sharp)
+        # a non-finite value spreads through every mode
         if not np.isfinite(self.kept).all():
             raise ValueError("array must not contain infs or NaNs")
 
-    def _moving(self, tau: float) -> int:
-        """The number of modes still moving at tau: kappa is increasing, and
-        mode k moves while (kappa_k - max(0, rates)) tau < _SETTLED."""
-        if tau == 0.0:
-            return len(self.kappa)
-        rate = max(0.0, self.bc_lo.rate, self.bc_hi.rate)
-        return int(np.searchsorted(self.kappa, rate + _SETTLED / tau))
+    def _moved(self, tau: float):
+        """The terms' amplitudes, centres and variances at tau."""
+        amp, centre, var = self.jumps
+        space = self.space
+        return np.array(
+            [amp * math.exp(-self.lam * tau), centre - space.mu * tau, var + space.sigma**2 * tau]
+        )
 
     def row(self, t: float) -> np.ndarray:
-        """The row at time t from the terminal row's modes."""
-        tau, lo, hi = self.t_hi - t, self.bc_lo, self.bc_hi
-        # each edge's e^(-rate tau) and E_rate(tau)
-        decay_lo, phi_lo = lo.scalars(tau)
-        decay_hi, phi_hi = hi.scalars(tau)
-        weights = np.array([1.0, decay_lo, decay_hi, phi_lo, phi_hi])
-        n = self._moving(tau)
-        w = np.empty(len(self.kappa))
-        w[n:] = weights @ self.settled[:, n - self.first :]
-        # E_(kappa - rate)(tau) for rate 0 and each edge's
-        kappa = self.kappa[:n]
-        forms = self.forms[:, :n].copy()
-        forms[:3] *= _phi(kappa - self.rates, tau)
-        w[:n] = weights @ forms + self.modes[:n] * np.exp(-kappa * tau)
-        out = np.empty(len(w) + 2)
-        out[1:-1] = _sine(w) * self.basis.p + self.basis.shift
-        out[0], out[-1] = lo.at(decay_lo, phi_lo), hi.at(decay_hi, phi_hi)
+        """The row at t less its jump terms: A + B z + irfft(w).  At t_hi it
+        is the glued terminal row, which holds them."""
+        tau = self.t_hi - t
+        if tau == 0.0:
+            return self.kept[-1]
+        space, lam = self.space, self.lam
+        moving = np.searchsorted(space.spread, _TAIL / tau - lam)
+        modes = self.settled.copy()
+        modes[:moving] += np.exp(self.psi[:moving] * tau) * self.modes[:moving]
+        rest = np.fft.irfft(modes, len(space.y) - 1)
+        (c0, c1), (p0, p1) = self.lift, space.paid_lift
+        e = math.exp(-lam * tau)
+        big_e = -math.expm1(-lam * tau) / lam if lam else tau
+        inner = (big_e - tau * e) / lam if lam else 0.5 * tau * tau
+        slope = e * c1 + lam * p1 * big_e
+        level = e * c0 + lam * p0 * big_e + space.mu * (c1 * tau * e + lam * p1 * inner)
+        out = level + slope * space.z
+        out[:-1] += rest
+        out[-1] += rest[0]
         return out
 
+    def jump(self, y: float, t: float) -> float:
+        """The jump terms at log-spot y and time t; 0 at t_hi, whose row
+        holds them."""
+        tau = self.t_hi - t
+        if tau == 0.0:
+            return 0.0
+        from scipy.special import ndtr
 
-@dataclass(frozen=True)
-class _Edge:
-    """A boundary value u(t) = base + jump e^(-rate tau) + drift E_rate(tau)
-    at tau = t_hi - t, with E as in ``_phi``: the form both edges of an
-    interval take.  ``_SineStepper`` integrates it exactly against its
-    modes and ``_ContourStepper`` takes its Laplace transform."""
-
-    base: float
-    jump: float
-    drift: float
-    rate: float
-    t_hi: float
-
-    def __call__(self, t):
-        return self.at(*self.scalars(self.t_hi - t))
-
-    def scalars(self, tau: float) -> tuple[float, float]:
-        """e^(-rate tau) and E_rate(tau)."""
-        return math.exp(-self.rate * tau), _phi(self.rate, tau)
-
-    def at(self, decay, weight):
-        """The value from e^(-rate tau) and E_rate(tau)."""
-        return self.base + self.jump * decay + self.drift * weight
-
-    def transform(self, z: np.ndarray, t_top: float) -> np.ndarray:
-        """The Laplace transform at z of u(t_top - s) in s >= 0, for t_top at
-        or below t_hi: re-based to t_top, the edge keeps its form with
-        base + drift E_rate(a), jump e^(-rate a) and drift e^(-rate a),
-        a = t_hi - t_top."""
-        a = self.t_hi - t_top
-        decay = math.exp(-self.rate * a)
-        base = self.base + self.drift * _phi(self.rate, a)
-        return base / z + (self.jump + self.drift / z) * decay / (z + self.rate)
-
-
-def _edges(
-    b: float, lam: float, t_hi: float, tail: float, p_0: float, p_lo: float, p_hi: float
-) -> tuple[_Edge, _Edge]:
-    """Small- and large-spot boundary values of one interval; ``tail`` is the
-    jump hazard from t_hi to maturity."""
-    # u = p(0) + (p(x_min) - p(0)) c x / x_min while p is affine on [0, x_min]:
-    # dc/dtau = lam - (b + lam) c with c = 1 at tau = 0, so
-    # c = e^(-(b + lam) tau) + lam E_(b + lam)(tau) for any sign of b + lam
-    near = _Edge(p_0, p_lo - p_0, lam * (p_lo - p_0), b + lam, t_hi)
-    # no barrier triggers; a jump default pays p(x_max)
-    far = _Edge(p_hi, (1.0 - p_hi) * math.exp(-tail), 0.0, lam, t_hi)
-    return near, far
+        amp, centre, var = self._moved(tau)
+        return float(amp @ ndtr((y - centre) / np.sqrt(var)))
 
 
 def _cascade(
@@ -482,13 +321,16 @@ def _cascade(
     """Backward induction on ``grid`` for every recovery model: glue at each
     announcing date, solve each interval with the source lam * paid.
 
-    The gluing indicator is projected onto the grid by its cell average, so
-    the discontinuity sits at the exact barrier with second-order accuracy
-    no matter how the nodes align.  The solution carries no error estimate
-    of its own (ROADMAP item 8)."""
-    p_0, p_lo, p_hi = (float(recovery.paid(v)) for v in (0.0, grid.x_min, grid.x_max))
-    # the far-field value needs the recovery flat over the top of the grid
-    if float(recovery.paid(0.5 * grid.x_max)) != p_hi:
+    The glued row is the next row above ln B and the recovery p at or below
+    it.  Of the next row's sharp terms, one whose transition lies wholly
+    above ln B stays a term, one wholly below is K over ln B and joins the
+    new jump, and one across it joins the nodes.  The new jump J is the rest
+    of the next row, read linearly between nodes at ln B, less p(B), and the
+    continuous part is the glued row less J 1{y > ln B} and the kept terms.
+    The solution carries no error estimate of its own (ROADMAP item 24)."""
+    # a recovery still rising at the top of the grid would put its curve
+    # across the remainder's wrap-around
+    if float(recovery.paid(0.5 * grid.x_max)) != float(recovery.paid(grid.x_max)):
         raise DomainError(
             f"GridSpec x_max {grid.x_max} does not clear the recovery cap with margin"
         )
@@ -500,31 +342,43 @@ def _cascade(
     sigma = market.s_V
     mu = -(market.b + 0.5 * sigma * sigma)
     n = schedule.n_intervals
-    y = np.linspace(math.log(grid.x_min), math.log(grid.x_max), grid.n_space + 1)
-    dy = y[1] - y[0]
-    rec = recovery.paid(np.exp(y))
-    basis = _sine_basis(y, sigma, mu, rec[1:-1], p_0)
+    lo, hi = math.log(grid.x_min), math.log(grid.x_max)
+    # ``auto`` clamps its bounds to the positive floats, which leaves a spot
+    # on a clamped bound no margin against the wrap-around; the log grid
+    # runs on past such a bound by the horizon's drift plus four deviations,
+    # with the recovery held at its value there
+    h = (hi - lo) / grid.n_space
+    reach = abs(mu) * schedule.maturity + 4.0 * sigma * math.sqrt(schedule.maturity)
+    under = math.ceil(reach / h) if grid.x_min == math.ulp(0.0) else 0
+    over = math.ceil(reach / h) if grid.x_max == sys.float_info.max else 0
+    y = np.linspace(lo - under * h, hi + over * h, grid.n_space + under + over + 1)
+    rec = recovery.paid(np.exp(np.clip(y, lo, hi)))
+    # min(1, x / cap) has a kink of -1 in y at the cap
+    paid = _trapezoid(rec, y, math.log(recovery.cap), -1.0) if math.isfinite(recovery.cap) else rec
+    space = _Space(y, sigma, mu, paid)
     steppers: list = [None] * n
-    nxt = np.ones_like(y)
+    # after maturity the row is 1, with no terms
+    nxt = smooth = np.ones_like(y)
+    sharp = np.zeros((3, 0))
     for i in range(n - 1, -1, -1):
-        lam = schedule.intensities[i]
-        t_lo, t_hi = schedule.dates[i], schedule.dates[i + 1]
-        # jump hazard from t_{i+1} to maturity, constant over the interval
-        tail = sum(
-            schedule.intensities[k] * (schedule.dates[k + 1] - schedule.dates[k])
-            for k in range(i + 1, n)
+        b = math.log(schedule.barriers[i])
+        amp, centre, var = sharp
+        width = _TAIL * np.sqrt(var)
+        below, above = b - centre >= width, centre - b >= width
+        across = ~(below | above)
+        smooth = smooth + _on_nodes(y, sharp[:, across])
+        j = int(np.searchsorted(y, b))
+        level = float(np.interp(b, y, smooth))
+        paid_b = float(recovery.paid(schedule.barriers[i]))
+        kink = (smooth[j] - smooth[j - 1] - rec[j] + rec[j - 1]) / (y[j] - y[j - 1])
+        cont = _trapezoid(np.where(y > b, smooth - level + paid_b, paid), y, b, kink)
+        new = [[level + amp[below].sum() - paid_b], [b], [0.0]]
+        terminal = np.where(y > b, nxt, rec)
+        steppers[i] = stepper = _Interval(
+            space, schedule.intensities[i], schedule.dates[i], schedule.dates[i + 1],
+            terminal, cont, np.concatenate((new, sharp[:, above]), axis=1),
         )
-        near, far = _edges(market.b, lam, t_hi, tail, p_0, p_lo, p_hi)
-        # the share of the node's cell above the barrier
-        above = np.clip((y - math.log(schedule.barriers[i])) / dy + 0.5, 0.0, 1.0)
-        terminal = above * nxt + (1.0 - above) * rec
-        if basis is None:
-            steppers[i] = _ContourStepper(
-                y, sigma, mu, lam, lam * rec[1:-1], near, far, t_lo, t_hi, terminal
-            )
-        else:
-            steppers[i] = _SineStepper(basis, lam, near, far, t_lo, t_hi, terminal)
-        nxt = steppers[i].kept[0]
+        nxt, smooth, sharp = stepper.kept[0], stepper.smooth, stepper.sharp
     return CascadeSolution(schedule.dates, y, steppers)
 
 
@@ -554,11 +408,12 @@ def solve_exogenous_cascade(
 
 
 def sample(solution: CascadeSolution, x: float, t: float) -> float:
-    """The cascade at spot x and time t, linear in log x between nodes.
+    """The cascade at spot x and time t: the row less its jump terms, cubic
+    in log x between nodes, plus the jump terms at log x itself.
 
     Announcing dates belong to the interval on their right; ``t`` equal to
-    maturity takes the last interval's row there.  The row at t is exact in
-    time, from the interval's stepper.
+    maturity takes the last interval's glued row there.  The row at t is
+    exact in time, from the interval's stepper.
     """
     y = math.log(x) if x > 0.0 else -math.inf
     if not (solution.y[0] <= y <= solution.y[-1]):
@@ -566,4 +421,5 @@ def sample(solution: CascadeSolution, x: float, t: float) -> float:
     if not (solution.dates[0] <= t <= solution.dates[-1]):
         raise DomainError(f"sample: time {t} outside the grid hull")
     i = min(bisect_right(solution.dates, t) - 1, len(solution.steppers) - 1)
-    return float(np.interp(y, solution.y, solution.steppers[i].row(t)))
+    stepper = solution.steppers[i]
+    return _cubic(solution.y, stepper.row(t), y) + stepper.jump(y, t)

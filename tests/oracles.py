@@ -4,8 +4,7 @@ These deliberately avoid the code paths they verify: dense tensor-product
 Gauss-Legendre and conditioning on the first date for normal orthant
 probabilities, composite Simpson for the weighted binary integrals, a
 finite-difference solve of the plain pricing equation for nesting
-identities, the PDE's sine-basis rows with every mode in its exact form,
-and a dense Monte Carlo engine that carries every path through
+identities, and a dense Monte Carlo engine that carries every path through
 every step.  Bivariate boxes are integrated over one coordinate by
 adaptive quadrature with scipy's Phi.
 """
@@ -15,10 +14,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.fft import dst
 from scipy.integrate import quad
 from scipy.linalg import solve_banded
-from scipy.special import exprel, ndtr, roots_legendre
+from scipy.special import ndtr, roots_legendre
 
 from defbond import McResult, bivariate_cdf
 
@@ -174,59 +172,6 @@ def propagate_terminal(y, terminal, coeffs, t_start, t_end, n_steps, bc_lo, bc_h
         explicit = u[1:-1] + half * (lo * u[:-2] + diag * u[1:-1] + up * u[2:])
         u = solve(explicit, t_start + k * dt)
     return u
-
-
-def all_modes_rows(y, sigma, mu, rho, source, bc_lo, bc_hi, t_hi, shift, terminal, times):
-    """The rows at ``times`` of one interval solved in the discrete sine
-    basis with every mode in its exact form: the engine's row before settled
-    modes took their tau -> infinity form.  The operator, the scaling P, the
-    modes and each edge's integral against a mode's decay,
-
-        (base - shift) E_kappa + jump e^(-rate tau) E_(kappa - rate)
-        + drift (E_rate - e^(-rate tau) E_(kappa - rate)) / kappa,
-
-    with E_x(tau) = tau exprel(-x tau), are all rebuilt here from the
-    interval's data; ``bc_lo`` and ``bc_hi`` are the engine's edges, read
-    for their fields and their values at the grid ends."""
-    m = len(y) - 1
-    h = y[1] - y[0]
-    alpha = sigma * sigma / (2.0 * h * h)
-    lo, up = alpha - mu / (2.0 * h), alpha + mu / (2.0 * h)
-    r = math.sqrt(lo / up)
-    j = np.arange(m - 1) - 0.5 * (m - 2)
-    p, q = np.power(r, j), np.power(r, -j)
-    off = 2.0 * math.sqrt(lo * up)
-    theta = np.arange(1, m) * (0.5 * math.pi / m)
-    kappa = rho + (mu / h) ** 2 / (2.0 * alpha + off) + 2.0 * off * np.sin(theta) ** 2
-    forcing = np.zeros((3, m - 1))
-    forcing[0] = (source - rho * shift) * q
-    forcing[1, 0] = lo * q[0]
-    forcing[2, -1] = up * q[-1]
-    f, a, c = dst(forcing, type=1, norm="ortho")
-    modes = dst(q * (terminal[1:-1] - shift), type=1, norm="ortho")
-
-    def phi(x, tau):
-        return tau * exprel(-x * tau)
-
-    def integral(edge, e_kappa, tau):
-        decay = np.exp(-edge.rate * tau) * phi(kappa - edge.rate, tau)
-        return (
-            (edge.base - shift) * e_kappa
-            + edge.jump * decay
-            + edge.drift * (phi(edge.rate, tau) - decay) / kappa
-        )
-
-    rows = []
-    for t in times:
-        tau = t_hi - t
-        e_kappa = phi(kappa, tau)
-        w = modes * np.exp(-kappa * tau) + e_kappa * f
-        w += integral(bc_lo, e_kappa, tau) * a + integral(bc_hi, e_kappa, tau) * c
-        out = np.empty(m + 1)
-        out[1:-1] = dst(w, type=1, norm="ortho") * p + shift
-        out[0], out[-1] = bc_lo(t), bc_hi(t)
-        rows.append(out)
-    return rows
 
 
 def dense_simulate_price(market, schedule, recovery, V0, config, t=0.0) -> McResult:

@@ -630,3 +630,20 @@ def test_cli_validate_prices_extreme_firm_values(tmp_path, base_doc, capsys, r, 
     out = capsys.readouterr().out
     assert rc == 0, out
     assert out.count("PASS") == 5
+
+
+# The low-barrier base with the spot on the barrier, 0.1 before the date:
+# at s_V = 0.01 the barrier's jump spreads over less than a cell by t = 2.9,
+# which a PDE that smears the glued jump over a cell misses by 2.7e-3 there
+@pytest.mark.parametrize("s_v", [0.01, 0.02])
+def test_cli_validate_passes_at_low_volatility_on_the_barrier(tmp_path, capsys, s_v):
+    doc = yaml.safe_load((Path(__file__).resolve().parent.parent / "scenarios"
+                          / "base_endogenous_low_barrier.yaml").read_text())
+    doc["market"]["s_V"] = s_v
+    doc["evaluation"]["x"] = 100.0
+    rc = main(["validate", _write(tmp_path, doc), "--times", "0", "2.9",
+               "--paths", "200000", "--seed", "1"])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    row = next(line for line in out.splitlines() if line.split()[:1] == ["2.90"])
+    assert float(row.split()[3]) <= 2e-5, row
