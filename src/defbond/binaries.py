@@ -157,6 +157,10 @@ def shift_coefficients(spec: BinarySpec, new_r: float, t: float) -> tuple[float,
     """
     if not math.isfinite(new_r):
         raise DomainError("shift_coefficients: new rate must be finite")
+    if not (math.isfinite(t) and t < spec.expiries[0]):
+        raise ScheduleError(
+            f"shift_coefficients: time {t} is not before the first expiry {spec.expiries[0]}"
+        )
     old = spec.coeffs
     scale = math.exp(-(old.r - new_r) * (spec.expiries[-1] - t))
     shifted = replace(

@@ -34,6 +34,7 @@ the closed forms it checks.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -88,6 +89,10 @@ class GridSpec:
     def __post_init__(self):
         if not (0.0 < self.x_min < self.x_max) or not math.isfinite(self.x_max):
             raise DomainError("GridSpec: need 0 < x_min < x_max < inf")
+        for name in ("n_space", "n_time_per_interval"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"GridSpec: {name} must be an integer, got {value!r}")
         if self.n_space < 64:
             raise DomainError("GridSpec: n_space must be >= 64")
         if self.n_time_per_interval < 16:

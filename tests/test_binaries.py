@@ -78,6 +78,10 @@ def test_price_argument_validation():
         price_binary(spec, 100.0, 2.0)
     with pytest.raises(DomainError):
         shift_coefficients(spec, math.nan, 0.0)
+    with pytest.raises(ScheduleError):
+        shift_coefficients(spec, 0.03, math.nan)
+    with pytest.raises(ScheduleError):
+        shift_coefficients(spec, 0.03, 5.0)
 
 
 # ------------------------------------------------------------------ examples

@@ -173,6 +173,13 @@ import defbond
 
 loaded_scenarios = {p.stem: defbond.load_scenario(p) for p in sorted(Path(sys.argv[1]).glob("*.yaml"))}
 assert len(loaded_scenarios) == 3, sorted(loaded_scenarios)
+# the command line's price --json on the same two bases
+import contextlib, io, json
+for name in ("base_endogenous_low_barrier", "base_exogenous"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = defbond.cli.main(["price", str(Path(sys.argv[1]) / f"{name}.yaml"), "--json"])
+    print(rc, type(json.loads(out.getvalue())["price"]).__name__)
 for name in ("base_endogenous_low_barrier", "base_exogenous"):
     s = loaded_scenarios[name]
     price = defbond.price_endogenous if s.recovery.mode == "endogenous" else defbond.price_exogenous
@@ -196,9 +203,10 @@ print("scipy.special" in sys.modules)
 
 
 def test_startup_and_scalar_prices_load_no_scipy():
-    # import, scenario loading and the low-barrier and exogenous prices need
-    # only scalar CDFs, whose Phi is libm's erfc, and pure-Python Kronrod
-    # sums: a fresh interpreter loads neither numpy nor scipy.  The
+    # import, scenario loading and the low-barrier and exogenous prices, by
+    # the library and by ``defbond price --json``, need only scalar CDFs,
+    # whose Phi is libm's erfc, and pure-Python Kronrod sums: a fresh
+    # interpreter loads neither numpy nor scipy.  The
     # high-barrier base's conditional integrals then load numpy but not
     # scipy, and neither does importing the PDE engine; a 3-date chain loads
     # scipy.special
@@ -207,7 +215,9 @@ def test_startup_and_scalar_prices_load_no_scipy():
     proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, str(root / "scenarios")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "0.5358731781203808", "True []", "[]", "True"]
+    assert proc.stdout.splitlines() == [
+        "0 float", "0 float", "[]", "0.5358731781203808", "True []", "[]", "True"
+    ]
 
 
 def test_engine_names_resolve_on_first_use(tmp_path, base_doc, capsys, monkeypatch):
@@ -555,6 +565,30 @@ def test_cli_validate_multiple_times(tmp_path, base_doc, capsys):
     assert rc == 0
     assert out.count("PASS") >= 4  # three probe rows plus the final verdict
     assert out.count("survival") == 3
+
+
+def test_cli_validate_probe_rows_do_not_depend_on_the_other_probes(capsys):
+    # every probe reads the same draws of each block, keyed by seed, block
+    # and date: the probes in either order, each alone, and those of the
+    # second interval (3 and 4.5) without the first's, which draws no
+    # normals for the first date, print the same rows
+    path = str(Path(__file__).resolve().parent.parent / "scenarios"
+               / "base_endogenous_low_barrier.yaml")
+
+    def rows(*times):
+        rc = main(["validate", path, "--paths", "20000", "--n-space", "256",
+                   "--seed", "20240311", "--times", *times])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        return {line for line in out.splitlines() if line.lstrip()[:1].isdigit()}
+
+    shared = rows("0", "1.5", "3", "4.5")
+    assert len(shared) == 4
+    assert rows("4.5", "3", "1.5", "0") == shared
+    by_time = {row.split()[0]: row for row in shared}
+    for t in ("0.00", "1.50", "3.00", "4.50"):
+        assert rows(t) == {by_time[t]}
+    assert rows("3", "4.5") == {by_time["3.00"], by_time["4.50"]}
 
 
 def test_cli_validate_accuracy_failure(tmp_path, base_doc, capsys):
