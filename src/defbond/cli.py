@@ -166,14 +166,16 @@ def cmd_validate(args) -> int:
     # every argument is checked before the engines run, the slow part
     engines = sys.modules[__name__]  # the engines load here, through __getattr__
     sim = engines.SimConfig(n_paths=args.paths, seed=args.seed)
-    # spots clamped as the closed form clamps them, which the grid's bounds hold
-    x_ref = _relative_spot(
-        scenario.firm_value(), math.exp(-market.r * (schedule.maturity - scenario.evaluation.t))
+    # the relative spot, clamped as the closed form clamps it, is monotone in
+    # t: the hull of the grids at its ends holds the spot of every probe
+    low, high = (
+        engines.GridSpec.auto(market, schedule, x, recovery, args.n_space, args.n_time)
+        for x in sorted(
+            _relative_spot(scenario.firm_value(t), math.exp(-market.r * (schedule.maturity - t)))
+            for t in (0.0, schedule.maturity)
+        )
     )
-
-    grid = engines.GridSpec.auto(
-        market, schedule, x_ref, recovery, n_space=args.n_space, n_time_per_interval=args.n_time
-    )
+    grid = engines.GridSpec(low.x_min, high.x_max, args.n_space, args.n_time)
     firms = [scenario.firm_value(t) for t in times]  # x-scenarios rescale V, V-scenarios hold it
     # one call: every probe reads the same draws of each block; made before
     # the solve, its scratch never sits beside the cascade's kept rows, which

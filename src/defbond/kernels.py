@@ -92,8 +92,8 @@ def _conditional_box(lo, hi, r: float) -> float:
     below its marginals keeps its relative accuracy.
     x runs at most _L past its finite limit into the tail, on panels graded
     down at its own finite limits and at the other coordinate's limits seen
-    from x.  Phi at the nodes is the scalar libm one (``_phi_nodes``, and
-    ``_tail_mass`` node by node for a two-sided Y), so no scipy is loaded.
+    from x.  Phi at the nodes is the scalar libm one (``_phi_nodes``), so no
+    scipy is loaded.
     """
     if _tail_mass(lo[1], hi[1]) < _tail_mass(lo[0], hi[0]):
         lo, hi = lo[::-1], hi[::-1]
@@ -115,13 +115,7 @@ def _conditional_box(lo, hi, r: float) -> float:
     x, w, _ = _legendre(_NODES)
     half = 0.5 * np.diff(edges)[:, None]
     y = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * x
-    if lo[1] == -_INF:
-        q = _phi_nodes((hi[1] - r * y) / s)
-    elif hi[1] == _INF:
-        q = _phi_nodes((r * y - lo[1]) / s)
-    else:
-        zl, zh = ((lo[1] - r * y) / s).ravel().tolist(), ((hi[1] - r * y) / s).ravel().tolist()
-        q = np.reshape(list(map(_tail_mass, zl, zh)), y.shape)
+    q = _phi_between(lo[1], hi[1], r, s, y, _phi_nodes)
     return float(np.sum(half * w * _norm_pdf(y) * q))
 
 
@@ -187,19 +181,18 @@ def _point_kernel(x, r: float, s: float, z):
     return k
 
 
-def _phi_between(lo: float, hi: float, r, s, y):
-    """Phi((hi - r y) / s) - Phi((lo - r y) / s) at every y; Phi is exactly 0
-    and 1 at -inf and inf, so an infinite limit takes no Phi.  A window above
-    zero is taken as Phi(-zl) - Phi(-zh), so upper tails keep their relative
-    accuracy instead of cancelling against 1."""
-    ndtr = _array_phi()
+def _phi_between(lo: float, hi: float, r, s, y, phi):
+    """Phi((hi - r y) / s) - Phi((lo - r y) / s) at every y, by the array Phi
+    ``phi``; Phi is exactly 0 and 1 at -inf and inf, so an infinite limit
+    takes no Phi.  A window above zero is taken as Phi(-zl) - Phi(-zh), so
+    upper tails keep their relative accuracy instead of cancelling against 1."""
     if lo == -_INF:
-        return ndtr((hi - r * y) / s)
+        return phi((hi - r * y) / s)
     if hi == _INF:
-        return ndtr((r * y - lo) / s)
+        return phi((r * y - lo) / s)
     zl = (lo - r * y) / s
     flip = np.where(zl > 0.0, -1.0, 1.0)
-    return flip * (ndtr(flip * ((hi - r * y) / s)) - ndtr(flip * zl))
+    return flip * (phi(flip * ((hi - r * y) / s)) - phi(flip * zl))
 
 
 def _chain_box(lower, upper, rho) -> tuple[float, float]:
@@ -243,7 +236,7 @@ def _chain_box(lower, upper, rho) -> tuple[float, float]:
         hw = np.concatenate([half * w for _, w in rules], axis=None)
         blocks = [slice(0, half.size * _NODES), slice(half.size * _NODES, y.size)]
         if k == 1:
-            g = _phi_between(lower[0], upper[0], rho[0], s[0], y)
+            g = _phi_between(lower[0], upper[0], rho[0], s[0], y, _array_phi())
         elif prev_point:
             g = np.concatenate([
                 _point_kernel(prev_y[old], rho[k - 1], s[k - 1], y[new]) @ prev_wg[old]
@@ -256,5 +249,6 @@ def _chain_box(lower, upper, rho) -> tuple[float, float]:
                 for new, old, n in zip(blocks, prev_blocks, (_NODES, _NODES_COARSE))
             ])
         prev_point, prev_edges, prev_blocks, prev_y, prev_g, prev_wg = point, edges, blocks, y, g, hw * g
-    terms = prev_wg * _norm_pdf(y) * _phi_between(lower[d - 1], upper[d - 1], rho[d - 2], s[d - 2], y)
+    q = _phi_between(lower[d - 1], upper[d - 1], rho[d - 2], s[d - 2], y, _array_phi())
+    terms = prev_wg * _norm_pdf(y) * q
     return tuple(min(max(float(terms[block].sum()), 0.0), 1.0) for block in blocks)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .pricing import DefaultSchedule, MarketParams, RecoveryModel
+from .pricing import DefaultSchedule, MarketParams, RecoveryModel, _discount, _relative_spot
 
 __all__ = ["SimConfig", "McResult", "simulate_price", "simulate_prices"]
 
@@ -92,11 +92,8 @@ def _start_legs(market, schedule, recovery, V0, t, rows):
     if not (0.0 <= t < schedule.maturity):
         raise DomainError(f"simulate_prices: t={t} outside [0, maturity)")
     first = next(j for j, d in enumerate(schedule.dates) if d > t)
-    df = math.exp(-market.r * (schedule.maturity - t))
-    # for a subnormal V0 and r < 0, V0 / df underflows to 0; the relative
-    # price is flat there, so the smallest positive float prices it, as in
-    # the closed form
-    x0 = max(V0 / df, math.ulp(0.0))
+    df = _discount(market.r, schedule.maturity - t, "simulate_prices")
+    x0 = _relative_spot(V0, df)
 
     # remaining announcing dates (strictly after t; an evaluation exactly on a
     # date treats that date's barrier as already passed)

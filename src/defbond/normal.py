@@ -309,17 +309,6 @@ def _reduce_box(lower, upper, rho):
     changes the box by at most P(X <= c < Y) <= acos(r) / (2 pi) for its limit
     c; merge_error adds acos(r) / pi per merge.
     """
-    # the common case has nothing to do: every coordinate bounded on some
-    # side, no empty box and no neighbours of correlation 1
-    for lo, hi in zip(lower, upper):
-        if hi <= lo or lo == -_INF and hi == _INF:
-            break
-    else:
-        for r in rho:
-            if r >= 1.0 - 5e-16:
-                break
-        else:
-            return lower, upper, rho, False, 0.0
     merged = 0.0
     while True:
         keep = []

@@ -34,6 +34,9 @@ __all__ = [
     "price_exogenous",
 ]
 
+# the largest exponent math.exp takes without overflow
+_LOG_MAX = math.log(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class MarketParams:
@@ -250,6 +253,14 @@ def _sum_terms(market, schedule, cap: float, x: float, i: int, t: float, caller:
     return min(max(u, 0.0), 1.0), cdf_err, quad_err
 
 
+def _discount(r: float, remaining: float, caller: str) -> float:
+    """The default-free bond exp(-r remaining); one past the largest float
+    raises naming ``caller``."""
+    if -r * remaining > _LOG_MAX:
+        raise DomainError(f"{caller}: discount factor exp({-r * remaining:g}) past the float range")
+    return math.exp(-r * remaining)
+
+
 def _relative_spot(V: float, df: float) -> float:
     """The relative firm value V / df, clamped to the positive floats.  It
     overflows for V near the largest float, and for every V once df
@@ -267,7 +278,7 @@ def _report(market, schedule, recovery, V: float, t: float, caller: str) -> Pric
         raise DomainError(f"{caller}: firm value must be positive, got {V}")
     i = _interval(schedule, t, caller)
     remaining = schedule.maturity - t
-    df = math.exp(-market.r * remaining)
+    df = _discount(market.r, remaining, caller)
     x = _relative_spot(V, df)
     w, cdf_err, quad_err = _sum_terms(market, schedule, recovery.cap, x, i, t, caller)
     exogenous = recovery.mode == "exogenous"

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import yaml
 
 from .errors import DefbondError, DomainError, ScenarioError
-from .pricing import DefaultSchedule, MarketParams, RecoveryModel
+from .pricing import DefaultSchedule, MarketParams, RecoveryModel, _discount
 
 __all__ = [
     "Evaluation",
@@ -70,6 +70,17 @@ class Scenario:
     recovery: RecoveryModel
     evaluation: Evaluation
     sweep: Sweep | None = None
+
+    def __post_init__(self):
+        # runs on load and on every sweep: exp(-r T) stays under the largest
+        # float, and an x-scenario's firm value x exp(-r (T - t)), which lies
+        # between its values at t = 0 and t = T, stays a positive float
+        _discount(self.market.r, self.schedule.maturity, f"market.r={self.market.r}")
+        V = self.firm_value(0.0)
+        if not 0.0 < V < math.inf:
+            raise DomainError(
+                f"evaluation.x={self.evaluation.x}: the firm value x exp(-r T) at t = 0 is {V}"
+            )
 
     def firm_value(self, t: float | None = None) -> float:
         """Firm value at the evaluation (or supplied) time; a scenario given

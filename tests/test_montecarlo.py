@@ -99,6 +99,11 @@ def test_input_validation(market, schedule, exo):
         db.simulate_price(market, schedule, exo, -1.0, db.SimConfig(n_paths=100))
     with pytest.raises(DomainError):
         db.simulate_price(market, schedule, exo, 100.0, db.SimConfig(n_paths=100), t=6.0)
+    # a discount past the float range, exp(200 * 6), is named as the closed
+    # form names it
+    with pytest.raises(DomainError, match="^simulate_prices: discount factor exp"):
+        db.simulate_price(db.MarketParams(-200.0, 0.05, 1.0), schedule, exo, 100.0,
+                          db.SimConfig(n_paths=100))
     # the smallest budget, one antithetic pair, has no sample variance
     pair = db.simulate_price(market, schedule, exo, 100.0, db.SimConfig(n_paths=2))
     assert pair.std_error == math.inf

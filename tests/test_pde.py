@@ -402,6 +402,35 @@ def test_low_volatility_cascade_matches_closed_form(name, s_v):
 # ------------------------------------------------------------------ sampling
 
 
+def test_cascade_at_maturity_is_the_terminal_payoff(market, schedule, exo, endo_high_barrier):
+    # interval i spans [t_i, t_{i+1}] and keeps its two end rows; at t = T
+    # the glued terminal row holds every jump: 1 above the last barrier and
+    # the recovery below it, R or x / cap
+    for rec in (exo, endo_high_barrier):
+        grid = GridSpec.auto(market, schedule, 200.0, rec, 256, 64)
+        solve = db.solve_exogenous_cascade if rec.mode == "exogenous" else db.solve_endogenous_cascade
+        sol = solve(market, schedule, rec, grid)
+        assert [times.tolist() for times in sol.times] == [[0.0, 3.0], [3.0, 6.0]]
+        assert all(values.shape == (2, len(sol.y)) for values in sol.values)
+        assert [sample(sol, x, 6.0) for x in (150.0, 400.0)] == [1.0, 1.0]
+        below = (0.05, 0.3, 1.0)
+        if rec.mode == "exogenous":
+            assert [sample(sol, x, 6.0) for x in below] == [rec.R] * 3
+        else:
+            for x in below:
+                assert sample(sol, x, 6.0) == pytest.approx(x / rec.cap, rel=0.0, abs=1e-6)
+
+
+def test_recovery_cap_under_the_grid_pays_in_full(market, schedule, endo_high_barrier):
+    # the cap 2 lies under x_min = 10, so the recovery is 1 on every node,
+    # with no kink on the grid, and the bond is riskless
+    grid = GridSpec(10.0, 1e5, 256, 64)
+    sol = db.solve_endogenous_cascade(market, schedule, endo_high_barrier, grid)
+    for x in (20.0, 80.0, 150.0, 1000.0):
+        for t in (0.0, 1.3, 3.0, 4.5, 6.0):
+            assert sample(sol, x, t) == pytest.approx(1.0, rel=0.0, abs=1e-12)
+
+
 class _TwoRows:
     """A stepper on [0, 1] whose rows are linear in t between its two kept
     rows, with no jump terms."""

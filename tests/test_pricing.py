@@ -80,6 +80,15 @@ def test_input_errors_name_the_called_function(market, schedule, name, recovery,
         getattr(db, name)(*args, spot, t)
 
 
+def test_a_discount_past_the_float_range_names_the_called_function(schedule):
+    # exp(200 * 6) overflows; from t = 5.99 the discount is exp(2)
+    market = db.MarketParams(-200.0, 0.05, 1.0)
+    for name, recovery in (("price_exogenous", EXO), ("price_endogenous", ENDO)):
+        with pytest.raises(DomainError, match="^" + re.escape(f"{name}: discount factor exp(1200)")):
+            getattr(db, name)(market, schedule, recovery, 100.0, 0.0)
+        assert getattr(db, name)(market, schedule, recovery, 100.0, 5.99).price > 0.0
+
+
 # ----------------------------------------------------------- interval index
 
 
@@ -313,6 +322,9 @@ def test_prices_when_the_discount_underflows(market, schedule, exo, endo_high_ba
         rep = price(market, far, rec, 100.0, 0.0)
         assert rep.price == 0.0 and 0.0 < rep.relative_price <= 1.0
         assert math.isfinite(rep.credit_spread)
+        # Monte Carlo takes the same clamped spot, where V / df divided by 0
+        config = db.SimConfig(n_paths=1000, seed=3)
+        assert db.simulate_price(market, far, rec, 100.0, config).price_estimate == 0.0
     # at r < 0 a subnormal V / df underflows to 0 instead; it prices at the
     # smallest float, where the relative price is flat, as in Monte Carlo
     market = db.MarketParams(-0.5, market.b, market.s_V)

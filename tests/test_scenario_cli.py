@@ -10,7 +10,7 @@ import yaml
 
 from defbond import cli
 from defbond.cli import main
-from defbond.errors import ScenarioError
+from defbond.errors import DomainError, ScenarioError
 from defbond.figures import FIGURE_PRESETS
 from defbond.scenario import apply_sweep_value, load_scenario, parse_scenario
 
@@ -146,6 +146,39 @@ def test_cli_price_rejects_non_finite_numbers(tmp_path, capsys, b, V):
     assert main(["price", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error BAD_VALUE: "), err
+
+
+# A discount factor past the float range (r = -200 over T = 6), or an
+# x-scenario whose firm value x exp(-r T) at t = 0 is 0 or inf, fails at
+# load, naming the field the user gave
+@pytest.mark.parametrize(
+    "command", [["price"], ["curve", "--figure", "1"], ["validate"]],
+    ids=["price", "curve", "validate"],
+)
+@pytest.mark.parametrize("r, evaluation, field", [
+    (-200.0, {"x": 200.0, "t": 0.0}, "market.r=-200.0: "),
+    (-200.0, {"V": 100.0, "t": 0.0}, "market.r=-200.0: "),
+    (0.2, {"x": 5e-324, "t": 0.0}, "evaluation.x=5e-324: "),
+    (-0.2, {"x": 1e308, "t": 0.0}, "evaluation.x=1e+308: "),
+], ids=["r-x", "r-V", "x-underflow", "x-overflow"])
+def test_cli_rejects_discounts_floats_cannot_carry(
+    tmp_path, base_doc, capsys, command, r, evaluation, field
+):
+    base_doc["market"]["r"] = r
+    base_doc["evaluation"] = evaluation
+    assert main([command[0], _write(tmp_path, base_doc), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error BAD_VALUE: " + field), err
+
+
+def test_sweeps_reject_firm_values_floats_cannot_carry(base_doc):
+    base_doc["market"]["r"] = 0.2
+    scn = parse_scenario(base_doc)
+    with pytest.raises(DomainError, match="^evaluation.x=5e-324: "):
+        apply_sweep_value(scn, "x", 5e-324)
+    base_doc["sweep"] = {"parameter": "x", "values": [200.0, 5e-324]}
+    with pytest.raises(DomainError, match="^evaluation.x=5e-324: "):
+        parse_scenario(base_doc)
 
 
 def test_bundled_scenarios_parse():
@@ -664,6 +697,32 @@ def test_cli_validate_prices_extreme_firm_values(tmp_path, base_doc, capsys, r, 
     out = capsys.readouterr().out
     assert rc == 0, out
     assert out.count("PASS") == 5
+
+
+# A V-scenario whose relative spot V / df(t) falls from e^50 at t = 0 to
+# 1.105 at t = 49.9, where every path has defaulted and the price is R df:
+# the grid holds the spot path from t = 0 to T, so it holds every probe's
+# and does not change with the probes asked
+def test_cli_validate_grid_holds_every_probe(tmp_path, capsys):
+    path = _write(tmp_path, {
+        "market": {"r": 1.0, "b": 0.0, "s_V": 0.05},
+        "schedule": {"dates": [0.0, 25.0, 50.0], "intensities": [0.01, 0.01],
+                     "barriers": [100.0, 100.0]},
+        "recovery": {"mode": "exogenous", "R": 0.4},
+        "evaluation": {"V": 1.0, "t": 0.0},
+    })
+
+    def run(*times):
+        rc = main(["validate", path, "--paths", "20000", "--seed", "1", "--times", *times])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        return out.splitlines()
+
+    three = run("0", "45", "49.9")
+    row = next(line for line in three if line.split()[:1] == ["49.90"]).split()
+    assert row[1] == row[2] == row[4] == "0.361934967"
+    two = run("0", "45")
+    assert two[:-2] == three[: len(two) - 2]
 
 
 # The low-barrier base with the spot on the barrier, 0.1 before the date:

@@ -108,6 +108,15 @@ DERIVED = {
     # the recovery is paid under the asset measure, in which ln x drifts up,
     # so the grid's lower edge must sit that far under the barrier
     "high_vol": ("base_endogenous_low_barrier", {"market.s_V": 3.0}),
+    # a firm value whose relative value V / df(t) falls from e^50 at t = 0
+    # to 1.105 at t = 49.9: the grid holds the spot of every probe
+    "far_probes": ("base_exogenous", {
+        "market": {"r": 1.0, "b": 0.0, "s_V": 0.05},
+        "schedule": {"dates": [0.0, 25.0, 50.0], "intensities": [0.01, 0.01],
+                     "barriers": [100.0, 100.0]},
+        "recovery.R": 0.4,
+        "evaluation": {"V": 1.0, "t": 0.0},
+    }),
 }
 
 BASES = ["base_endogenous_high_barrier", "base_endogenous_low_barrier", "base_exogenous"]
@@ -143,6 +152,7 @@ ROWS = [
     *[("validate", name, "--times 0 1.5 3 4.5 --paths 1000000 --seed 1 --mc-sigmas 4.5")
       for name in ("low_vol_0.01", "low_vol_0.02", "low_vol_0.18", "low_vol_0.2",
                    "zero_growth", "high_vol")],
+    ("validate", "far_probes", "--times 0 45 49.9 --paths 1000000 --seed 1 --mc-sigmas 4.5"),
 ]
 
 
