@@ -20,7 +20,7 @@ from pathlib import Path
 from . import _ENGINES
 from .errors import DefbondError, ScenarioError
 from .figures import FIGURE_PRESETS
-from .pricing import PriceReport, _relative_spot, price_endogenous, price_exogenous
+from .pricing import PriceReport, _discount, _relative_spot, price_endogenous, price_exogenous
 from .scenario import Scenario, apply_sweep_value, load_scenario
 
 EXIT_OK = 0
@@ -171,7 +171,7 @@ def cmd_validate(args) -> int:
     low, high = (
         engines.GridSpec.auto(market, schedule, x, recovery, args.n_space, args.n_time)
         for x in sorted(
-            _relative_spot(scenario.firm_value(t), math.exp(-market.r * (schedule.maturity - t)))
+            _relative_spot(scenario.firm_value(t), _discount(market.r, schedule.maturity - t, "validate"))
             for t in (0.0, schedule.maturity)
         )
     )
@@ -188,10 +188,10 @@ def cmd_validate(args) -> int:
     solution = solve(market, schedule, recovery, grid)
 
     all_ok = True
-    print(f"{'t':>6} {'closed':>14} {'pde':>14} {'|diff|':>10} "
+    print(f"{'t':>18} {'closed':>14} {'pde':>14} {'|diff|':>10} "
           f"{'mc':>14} {'sigma':>6}  status")
     for t, firm, mc in zip(times, firms, mcs):
-        df = math.exp(-market.r * (schedule.maturity - t))
+        df = _discount(market.r, schedule.maturity - t, "validate")
         report = _price_report(scenario, t)
         closed = report.price
         pde_price = df * engines.sample(solution, _relative_spot(firm, df), t)
@@ -211,7 +211,7 @@ def cmd_validate(args) -> int:
         ok = pde_ok and mc_ok
         all_ok = all_ok and ok
         print(
-            f"{t:6.2f} {closed:14.9f} {pde_price:14.9f} {abs(closed - pde_price):10.3e} "
+            f"{t!r:>18} {closed:14.9f} {pde_price:14.9f} {abs(closed - pde_price):10.3e} "
             f"{mc.price_estimate:14.9f} {sigma_dist:6.2f}  {'PASS' if ok else 'FAIL'}"
         )
         if report.survival_prob is not None:
@@ -220,7 +220,7 @@ def cmd_validate(args) -> int:
             )
             w_sig = abs(mc.survival_freq - report.survival_prob) / w_se
             print(
-                f"{'':6} survival {report.survival_prob:14.9f} vs mc "
+                f"{'':18} survival {report.survival_prob:14.9f} vs mc "
                 f"{mc.survival_freq:14.9f} ({w_sig:.2f} sigma)"
             )
     print(f"pde tol {args.pde_tol:.1e}, mc tol {args.mc_sigmas:.1f} sigma")

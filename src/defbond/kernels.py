@@ -16,10 +16,6 @@ panel Gauss-Legendre rules:
   ``scipy.special.ndtr``, imported on the first chain.  Its error estimate
   is the distance to the same recursion on a coarser rule, run in the same
   pass over the same panels.
-
-Before any quadrature each kernel bounds the conditional mass of its last
-coordinate given the one before it over that coordinate's box; a bound of
-exactly 0.0 returns 0.0, what the quadrature would sum to.
 """
 
 from __future__ import annotations
@@ -71,17 +67,6 @@ def _norm_pdf(x):
     return np.exp(-0.5 * np.square(x)) / math.sqrt(2.0 * math.pi)
 
 
-def _largest_mass(lo: float, hi: float, r: float, s: float, a: float, b: float) -> float:
-    """The largest P(lo <= r y + s Z <= hi) over y in [a, b], by the scalar
-    ``_tail_mass``.  The mass is unimodal in y with its peak where r y is
-    the window's centre, so it is largest at an end of [a, b] or, for a
-    window bounded on both sides, at that centre when it lies inside."""
-    ys = [a, b]
-    if r != 0.0 and lo > -_INF and hi < _INF:
-        ys.append(min(max((0.5 * lo + 0.5 * hi) / r, a), b))
-    return max(_tail_mass((lo - r * y) / s, (hi - r * y) / s) for y in ys)
-
-
 def _conditional_box(lo, hi, r: float) -> float:
     """P(lo <= (X, Y) <= hi) for standard normals with correlation r, as the
     positive integral of phi(x) P(lo_Y <= Y <= hi_Y | X = x) over the limits
@@ -100,8 +85,6 @@ def _conditional_box(lo, hi, r: float) -> float:
     # both callers pass lo < hi in each coordinate, so a < b
     a, b = max(lo[0], min(hi[0], 0.0) - _L), min(hi[0], max(lo[0], 0.0) + _L)
     s = math.sqrt((1.0 - r) * (1.0 + r))
-    if _largest_mass(lo[1], hi[1], r, s, a, b) == 0.0:
-        return 0.0
     features = []
     for e in (lo[0], hi[0]):
         if math.isfinite(e):
@@ -215,9 +198,6 @@ def _chain_box(lower, upper, rho) -> tuple[float, float]:
     """
     d = len(lower)
     s = [math.sqrt((1.0 - r) * (1.0 + r)) for r in rho]
-    a, b = max(lower[d - 2], -_L), min(upper[d - 2], _L)
-    if _largest_mass(lower[d - 1], upper[d - 1], rho[d - 2], s[d - 2], a, b) == 0.0:
-        return 0.0, 0.0
     rules = [_legendre(n)[:2] for n in (_NODES, _NODES_COARSE)]
     for k in range(1, d - 1):
         a, b = max(lower[k], -_L), min(upper[k], _L)

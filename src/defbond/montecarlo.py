@@ -47,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .pricing import DefaultSchedule, MarketParams, RecoveryModel, _discount, _relative_spot
+from .pricing import (DefaultSchedule, MarketParams, RecoveryModel, _discount, _interval,
+                      _relative_spot)
 
 __all__ = ["SimConfig", "McResult", "simulate_price", "simulate_prices"]
 
@@ -89,9 +90,7 @@ def _start_legs(market, schedule, recovery, V0, t, rows):
     start of a call shares."""
     if not (math.isfinite(V0) and V0 > 0.0):
         raise DomainError(f"simulate_prices: firm value must be positive, got {V0}")
-    if not (0.0 <= t < schedule.maturity):
-        raise DomainError(f"simulate_prices: t={t} outside [0, maturity)")
-    first = next(j for j, d in enumerate(schedule.dates) if d > t)
+    first = _interval(schedule, t, "simulate_prices") + 1
     df = _discount(market.r, schedule.maturity - t, "simulate_prices")
     x0 = _relative_spot(V0, df)
 

@@ -89,8 +89,7 @@ class Scenario:
         if self.evaluation.V is not None:
             return self.evaluation.V
         assert self.evaluation.x is not None
-        df = math.exp(-self.market.r * (self.schedule.maturity - when))
-        return self.evaluation.x * df
+        return self.evaluation.x * _discount(self.market.r, self.schedule.maturity - when, "firm_value")
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -275,6 +274,6 @@ def apply_sweep_value(scenario: Scenario, parameter: str, value) -> Scenario:
         intensities = list(schedule.intensities)
         intensities[idx] = scalar()
         part, fields = "schedule", {"intensities": tuple(intensities)}
-    context = f"{parameter}={value!r}: "
-    swept = _build("BAD_SWEEP", replace, getattr(scenario, part), context=context, **fields)
-    return replace(scenario, **{part: swept})
+    # the swept part and the scenario around it both check the value
+    return _build("BAD_SWEEP", lambda: replace(scenario, **{part: replace(getattr(scenario, part), **fields)}),
+                  context=f"{parameter}={value!r}: ")

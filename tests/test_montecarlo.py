@@ -97,7 +97,8 @@ def test_evaluation_on_announcing_date_skips_its_barrier(market, schedule, exo):
 def test_input_validation(market, schedule, exo):
     with pytest.raises(DomainError):
         db.simulate_price(market, schedule, exo, -1.0, db.SimConfig(n_paths=100))
-    with pytest.raises(DomainError):
+    # a t outside [0, T) is named as the closed form names it
+    with pytest.raises(DomainError, match=r"^simulate_prices: t=6.0 outside \[0, 6.0\)$"):
         db.simulate_price(market, schedule, exo, 100.0, db.SimConfig(n_paths=100), t=6.0)
     # a discount past the float range, exp(200 * 6), is named as the closed
     # form names it

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -553,3 +556,32 @@ def test_time_steps_are_unread():
             sol = db.solve_exogenous_cascade(market, schedule, rec, grid)
             runs.append([sample(sol, x, t) for x in (80.0, 200.0) for t in (0.0, 1.3, 3.0, 4.5)])
         assert runs[0] == runs[1], s_v
+
+
+# each interval keeps its two end rows, whatever s_V
+_HISTORY_SCRIPT = """
+import resource
+import defbond as db
+from defbond.pde import GridSpec, sample
+
+n = 32
+market = db.MarketParams(0.05, 0.02, 0.02)
+schedule = db.DefaultSchedule(tuple(0.25 * k for k in range(n + 1)), (0.01,) * n, (80.0,) * n)
+rec = db.RecoveryModel("exogenous", 0.4)
+grid = GridSpec.auto(market, schedule, 100.0, rec)
+sol = db.solve_exogenous_cascade(market, schedule, rec, grid)
+print(sample(sol, 100.0, 1.3))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+def test_cascade_history_memory_is_bounded():
+    # a 32-interval cascade on the default 2048^2 grid peaks at no more than
+    # 300 MB of resident memory in a fresh interpreter
+    env = dict(os.environ, PYTHONPATH=str(Path(pde.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", _HISTORY_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    price, peak_mb = map(float, proc.stdout.split())
+    assert 0.0 < price < 1.0
+    assert peak_mb <= 300, f"peak RSS {peak_mb:.1f} MB exceeds 300 MB"

@@ -10,7 +10,7 @@ import yaml
 
 from defbond import cli
 from defbond.cli import main
-from defbond.errors import DomainError, ScenarioError
+from defbond.errors import ScenarioError
 from defbond.figures import FIGURE_PRESETS
 from defbond.scenario import apply_sweep_value, load_scenario, parse_scenario
 
@@ -171,14 +171,21 @@ def test_cli_rejects_discounts_floats_cannot_carry(
     assert err.count("\n") == 1 and err.startswith("error BAD_VALUE: " + field), err
 
 
-def test_sweeps_reject_firm_values_floats_cannot_carry(base_doc):
+def test_sweeps_reject_firm_values_floats_cannot_carry(tmp_path, base_doc, capsys):
+    # the swept scenario, not only its swept part, is built as a sweep value,
+    # so a firm value x exp(-r T) that underflows is BAD_SWEEP as .inf is
     base_doc["market"]["r"] = 0.2
     scn = parse_scenario(base_doc)
-    with pytest.raises(DomainError, match="^evaluation.x=5e-324: "):
+    with pytest.raises(ScenarioError, match="^BAD_SWEEP: x=5e-324: evaluation.x=5e-324: "):
         apply_sweep_value(scn, "x", 5e-324)
-    base_doc["sweep"] = {"parameter": "x", "values": [200.0, 5e-324]}
-    with pytest.raises(DomainError, match="^evaluation.x=5e-324: "):
-        parse_scenario(base_doc)
+    for values in ([200.0, 5e-324], [math.inf]):
+        base_doc["sweep"] = {"parameter": "x", "values": values}
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(base_doc)
+        assert exc.value.code == "BAD_SWEEP"
+        assert main(["curve", _write(tmp_path, base_doc), "--points", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error BAD_SWEEP: "), err
 
 
 def test_bundled_scenarios_parse():
@@ -600,6 +607,18 @@ def test_cli_validate_multiple_times(tmp_path, base_doc, capsys):
     assert out.count("survival") == 3
 
 
+def test_cli_validate_rows_print_each_probe_time_in_full(tmp_path, base_doc, capsys):
+    # one ulp under the date 3 and the date itself lie in different
+    # intervals; each row prints its probe time as repr does, as the first
+    # of its 7 fields
+    rc = main(["validate", _write(tmp_path, base_doc), "--n-space", "128", "--paths", "2000",
+               "--times", "2.9999999999999996", "3", "2.00005"])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    rows = [f for f in map(str.split, out.splitlines()) if len(f) == 7 and f[-1] in ("PASS", "FAIL")]
+    assert [row[0] for row in rows] == ["2.9999999999999996", "3.0", "2.00005"]
+
+
 def test_cli_validate_probe_rows_do_not_depend_on_the_other_probes(capsys):
     # every probe reads the same draws of each block, keyed by seed, block
     # and date: the probes in either order, each alone, and those of the
@@ -619,9 +638,9 @@ def test_cli_validate_probe_rows_do_not_depend_on_the_other_probes(capsys):
     assert len(shared) == 4
     assert rows("4.5", "3", "1.5", "0") == shared
     by_time = {row.split()[0]: row for row in shared}
-    for t in ("0.00", "1.50", "3.00", "4.50"):
+    for t in ("0.0", "1.5", "3.0", "4.5"):
         assert rows(t) == {by_time[t]}
-    assert rows("3", "4.5") == {by_time["3.00"], by_time["4.50"]}
+    assert rows("3", "4.5") == {by_time["3.0"], by_time["4.5"]}
 
 
 def test_cli_validate_accuracy_failure(tmp_path, base_doc, capsys):
@@ -669,7 +688,7 @@ def test_cli_validate_zero_variance_row_reports_infinite_sigma(tmp_path, capsys)
     # reads inf, as one token, so the row keeps its 7 fields
     main(["validate", _write(tmp_path, ZERO_VARIANCE_DOC), *ZERO_VARIANCE_ARGS])
     row = next(line for line in capsys.readouterr().out.splitlines()
-               if line.strip().startswith("5.39"))
+               if line.split()[:1] == [ZERO_VARIANCE_ARGS[1]])
     fields = row.split()
     assert len(fields) == 7
     assert float(fields[1]) != float(fields[4])
@@ -719,7 +738,7 @@ def test_cli_validate_grid_holds_every_probe(tmp_path, capsys):
         return out.splitlines()
 
     three = run("0", "45", "49.9")
-    row = next(line for line in three if line.split()[:1] == ["49.90"]).split()
+    row = next(line for line in three if line.split()[:1] == ["49.9"]).split()
     assert row[1] == row[2] == row[4] == "0.361934967"
     two = run("0", "45")
     assert two[:-2] == three[: len(two) - 2]
@@ -738,5 +757,5 @@ def test_cli_validate_passes_at_low_volatility_on_the_barrier(tmp_path, capsys, 
                "--paths", "200000", "--seed", "1"])
     out = capsys.readouterr().out
     assert rc == 0, out
-    row = next(line for line in out.splitlines() if line.split()[:1] == ["2.90"])
+    row = next(line for line in out.splitlines() if line.split()[:1] == ["2.9"])
     assert float(row.split()[3]) <= 2e-5, row
