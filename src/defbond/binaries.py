@@ -89,6 +89,11 @@ def _signed_limit(sign: int, log_m: float, drift: float, sigma: float, tau: floa
     return sign * (log_m + drift * tau) / (sigma * math.sqrt(tau))
 
 
+def _drift(kind: str, coeffs: BsCoefficients) -> float:
+    """Drift of ln x under the binary's measure, r - q +- s^2/2 (+ for asset)."""
+    return coeffs.r - coeffs.q + (0.5 if kind == "asset" else -0.5) * coeffs.sigma**2
+
+
 def last_expiry_pricer(
     kind: str, signs: tuple, strikes: tuple, fixed_expiries: tuple, coeffs: BsCoefficients,
     x: float, t: float,
@@ -104,9 +109,8 @@ def last_expiry_pricer(
     here.  The caller has checked the payoff, ``x > 0``, ``t`` before the
     first expiry and ``tau`` finite and after the last fixed one.
     """
-    plus = kind == "asset"
     sigma = coeffs.sigma
-    drift = coeffs.r - coeffs.q + (0.5 if plus else -0.5) * sigma**2
+    drift = _drift(kind, coeffs)
     t = float(t)
     fixed = tuple(map(float, fixed_expiries))
     head = [
@@ -114,7 +118,7 @@ def last_expiry_pricer(
         for sign, strike, expiry in zip(signs, strikes, fixed)
     ]
     sign, log_m = signs[-1], _log_moneyness(x, strikes[-1])
-    level, decay = (x, coeffs.q) if plus else (1.0, coeffs.r)
+    level, decay = (x, coeffs.q) if kind == "asset" else (1.0, coeffs.r)
     chain = CorrelationStructure._last_date_chains(t, fixed)
 
     def price(tau: float) -> tuple[float, float]:

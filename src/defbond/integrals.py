@@ -50,7 +50,7 @@ from heapq import heapify, heappop, heappush
 from operator import mul
 from typing import Callable, Literal
 
-from .binaries import BsCoefficients, check_payoff, last_expiry_pricer
+from .binaries import BsCoefficients, _drift, check_payoff, last_expiry_pricer
 # Nodes are priced by last_expiry_pricer; the name price_binary stays bound
 # because the benchmark tracer (bench/tracing.py) patches this attribute.
 from .binaries import price_binary  # noqa: F401
@@ -223,8 +223,7 @@ def _layer_width(spec: WeightedIntegralSpec, x: float, t: float) -> float:
         return math.inf
     # where the previous coordinate can lie: its half-line within
     # _LAYER_SDS deviations of its mean, or the half-line if that misses
-    drift = c.r - c.q + (0.5 if spec.kind == "asset" else -0.5) * c.sigma**2
-    mean = math.log(x) + drift * (prev - t)
+    mean = math.log(x) + _drift(spec.kind, c) * (prev - t)
     dev = _LAYER_SDS * c.sigma * math.sqrt(prev - t)
     window = max(lo, mean - dev), min(hi, mean + dev)
     if window[0] <= window[1]:

@@ -14,7 +14,8 @@ it, and split into parts that each move exactly (``_Interval``):
 
 - the barrier's jump J, carried in closed form as
   J e^(-lam tau) Phi((y + mu tau - ln B) / (s_V sqrt tau)), and every older
-  jump still sharp at the gluing as a Phi term of its own;
+  jump whose transition lies wholly above ln B as a Phi term of its own (one
+  wholly below joins J, one across goes onto the nodes);
 - a linear lift through the end values of the continuous rest, and the same
   lift of the source;
 - the remainder, periodic over the grid's n cells, whose Fourier modes move
@@ -60,11 +61,6 @@ _MARGIN = 50.0
 # by e^-40 takes its settled value, and a Phi term is evaluated only within
 # 40 standard deviations of its centre, outside which it is 0 or 1 exactly.
 _TAIL = 40.0
-
-# A jump stays a Phi term of its own into the next gluing while its standard
-# deviation there is under this many cells; a wider one joins the nodes.
-_SHARP = 3.0
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -164,14 +160,14 @@ class CascadeSolution:
 
 
 def _on_nodes(y: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """The sum of the jump ``terms`` (K, c, v) on the nodes y, with Phi
+    """The sum of the jump ``terms`` (K, c, v) at the sorted points y, with Phi
     evaluated only within ``_TAIL`` deviations of each centre."""
     from scipy.special import ndtr
 
     out = np.zeros_like(y)
-    for amp, centre, var in terms.T:
+    for amp, centre, var in zip(*terms.tolist()):
         sd = math.sqrt(var)
-        lo, hi = np.searchsorted(y, (centre - _TAIL * sd, centre + _TAIL * sd))
+        lo, hi = np.searchsorted(y, (centre - _TAIL * sd, centre + _TAIL * sd)).tolist()
         out[lo:hi] += amp * ndtr((y[lo:hi] - centre) / sd)
         out[hi:] += amp
     return out
@@ -251,13 +247,15 @@ class _Interval:
     -Re(psi) tau > ``_TAIL`` has settled at s and pays no ``exp``.
 
     ``times`` holds [t_lo, t_hi] and ``kept`` the rows there, terms included,
-    the last the glued ``terminal`` row.  For the gluing at t_lo, ``smooth``
-    is the row there with every term wider than ``_SHARP`` cells added on
-    the nodes, and ``sharp`` the other terms, moved to t_lo.
+    the last the glued ``terminal`` row.  The terms moved to t_lo are sorted
+    by where their transition (``_TAIL`` deviations each way) lies against
+    ``barrier``, the log barrier glued at t_lo (-inf at t = 0): ``carried``
+    holds those wholly above it, ``below`` sums the amplitudes of those
+    wholly below, and ``smooth`` is the row with those across it on the nodes.
     """
 
     def __init__(self, space: _Space, lam: float, t_lo: float, t_hi: float,
-                 terminal: np.ndarray, cont: np.ndarray, jumps: np.ndarray):
+                 terminal: np.ndarray, cont: np.ndarray, jumps: np.ndarray, barrier: float):
         self.space, self.lam, self.t_hi = space, lam, t_hi
         self.times = np.array([t_lo, t_hi])
         self.jumps = jumps[:, jumps[0] != 0.0]
@@ -267,10 +265,13 @@ class _Interval:
         self.modes = modes - self.settled
         self.kept = np.array([terminal, terminal])
         moved = self._moved(t_hi - t_lo)
-        sharp = moved[2] < (_SHARP * (space.y[1] - space.y[0])) ** 2
-        self.smooth = self.row(t_lo) + _on_nodes(space.y, moved[:, ~sharp])
-        self.sharp = moved[:, sharp]
-        self.kept[0] = self.smooth + _on_nodes(space.y, self.sharp)
+        amp, centre, var = moved
+        width = _TAIL * np.sqrt(var)
+        above, below = centre - barrier >= width, barrier - centre >= width
+        across = ~(above | below)
+        self.smooth = self.row(t_lo) + _on_nodes(space.y, moved[:, across])
+        self.carried, self.below = moved[:, above], amp[below].sum()
+        self.kept[0] = self.smooth + _on_nodes(space.y, moved[:, ~across])
         # a non-finite value spreads through every mode
         if not np.isfinite(self.kept).all():
             raise ValueError("array must not contain infs or NaNs")
@@ -311,10 +312,7 @@ class _Interval:
         tau = self.t_hi - t
         if tau == 0.0:
             return 0.0
-        from scipy.special import ndtr
-
-        amp, centre, var = self._moved(tau)
-        return float(amp @ ndtr((y - centre) / np.sqrt(var)))
+        return float(_on_nodes(np.array([y]), self._moved(tau))[0])
 
 
 def _cascade(
@@ -327,11 +325,9 @@ def _cascade(
     announcing date, solve each interval with the source lam * paid.
 
     The glued row is the next row above ln B and the recovery p at or below
-    it.  Of the next row's sharp terms, one whose transition lies wholly
-    above ln B stays a term, one wholly below is K over ln B and joins the
-    new jump, and one across it joins the nodes.  The new jump J is the rest
-    of the next row, read linearly between nodes at ln B, less p(B), and the
-    continuous part is the glued row less J 1{y > ln B} and the kept terms.
+    it.  The new jump J is the next row's ``smooth`` part, read linearly
+    between nodes at ln B, plus its terms wholly below ln B, less p(B); the
+    continuous part is the glued row less J 1{y > ln B} and the carried terms.
     The solution carries no error estimate of its own (ROADMAP item 24)."""
     # a recovery still rising at the top of the grid would put its curve
     # across the remainder's wrap-around
@@ -364,26 +360,22 @@ def _cascade(
     steppers: list = [None] * n
     # after maturity the row is 1, with no terms
     nxt = smooth = np.ones_like(y)
-    sharp = np.zeros((3, 0))
+    carried, below = np.zeros((3, 0)), 0.0
     for i in range(n - 1, -1, -1):
         b = math.log(schedule.barriers[i])
-        amp, centre, var = sharp
-        width = _TAIL * np.sqrt(var)
-        below, above = b - centre >= width, centre - b >= width
-        across = ~(below | above)
-        smooth = smooth + _on_nodes(y, sharp[:, across])
         j = int(np.searchsorted(y, b))
         level = float(np.interp(b, y, smooth))
         paid_b = float(recovery.paid(schedule.barriers[i]))
         kink = (smooth[j] - smooth[j - 1] - rec[j] + rec[j - 1]) / (y[j] - y[j - 1])
         cont = _trapezoid(np.where(y > b, smooth - level + paid_b, paid), y, b, kink)
-        new = [[level + amp[below].sum() - paid_b], [b], [0.0]]
+        new = [[level + below - paid_b], [b], [0.0]]
         terminal = np.where(y > b, nxt, rec)
-        steppers[i] = stepper = _Interval(
+        steppers[i] = step = _Interval(
             space, schedule.intensities[i], schedule.dates[i], schedule.dates[i + 1],
-            terminal, cont, np.concatenate((new, sharp[:, above]), axis=1),
+            terminal, cont, np.concatenate((new, carried), axis=1),
+            math.log(schedule.barriers[i - 1]) if i else -math.inf,
         )
-        nxt, smooth, sharp = stepper.kept[0], stepper.smooth, stepper.sharp
+        nxt, smooth, carried, below = step.kept[0], step.smooth, step.carried, step.below
     return CascadeSolution(schedule.dates, y, steppers)
 
 

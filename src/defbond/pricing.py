@@ -170,7 +170,9 @@ def survival_probability(
 ) -> float:
     """Probability of surviving both default channels on (t, T]."""
     i = _interval(schedule, t, "survival_probability")
-    w, _, _ = _sum_terms(market, schedule, math.inf, x, i, t, "survival_probability")
+    if not (math.isfinite(x) and x > 0.0):
+        raise DomainError(f"survival_probability: spot must be positive, got {x}")
+    w, _, _ = _sum_terms(market, schedule, math.inf, x, i, t)
     return w
 
 
@@ -236,11 +238,9 @@ def _terms(
     return terms
 
 
-def _sum_terms(market, schedule, cap: float, x: float, i: int, t: float, caller: str):
-    """The sum of the interval-i terms, clamped to [0, 1], plus the
-    accumulated (cdf_error, quadrature_error)."""
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"{caller}: spot must be positive, got {x}")
+def _sum_terms(market, schedule, cap: float, x: float, i: int, t: float):
+    """The sum of the interval-i terms at a positive finite spot x, clamped
+    to [0, 1], plus the accumulated (cdf_error, quadrature_error)."""
     u = cdf_err = quad_err = 0.0
     for w, spec in _terms(market, schedule, cap, i, t):
         if isinstance(spec, BinarySpec):
@@ -280,7 +280,7 @@ def _report(market, schedule, recovery, V: float, t: float, caller: str) -> Pric
     remaining = schedule.maturity - t
     df = _discount(market.r, remaining, caller)
     x = _relative_spot(V, df)
-    w, cdf_err, quad_err = _sum_terms(market, schedule, recovery.cap, x, i, t, caller)
+    w, cdf_err, quad_err = _sum_terms(market, schedule, recovery.cap, x, i, t)
     exogenous = recovery.mode == "exogenous"
     floor = recovery.R if exogenous else 0.0
     share = 1.0 - floor

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import os
 import subprocess
@@ -8,10 +10,13 @@ import numpy as np
 import pytest
 
 import defbond as db
-from defbond import pde
+from defbond import cli, pde
 from defbond.binaries import BinarySpec, BsCoefficients, price_binary
 from defbond.errors import DomainError
+from defbond.figures import FIGURE_PRESETS
 from defbond.pde import CascadeSolution, GridSpec, _Interval, _Space, sample
+from defbond.pricing import _discount, _relative_spot
+from defbond.scenario import apply_sweep_value
 from test_properties import _draw
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -251,7 +256,7 @@ def test_non_finite_data_rejected():
     cont = np.ones_like(space.y)
     cont[30] = np.nan
     with pytest.raises(ValueError):
-        _Interval(space, 0.02, 0.0, 1.0, cont, cont, np.array([[0.5], [3.0], [0.0]]))
+        _Interval(space, 0.02, 0.0, 1.0, cont, cont, np.array([[0.5], [3.0], [0.0]]), -math.inf)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.03, 7.0])
@@ -271,7 +276,7 @@ def test_interval_moves_each_part_exactly(lam):
     jump, barrier = 0.35, y[97] + 0.4 * (y[1] - y[0])
     cont = c0 + c1 * z + wave * np.cos(k * z)
     terminal = cont + jump * (y > barrier)
-    step = _Interval(space, lam, 0.5, 2.0, terminal, cont, np.array([[jump], [barrier], [0.0]]))
+    step = _Interval(space, lam, 0.5, 2.0, terminal, cont, np.array([[jump], [barrier], [0.0]]), -math.inf)
     assert np.array_equal(step.kept[-1], terminal)
     system = np.array([[-lam, mu, lam * p0], [0.0, -lam, lam * p1], [0.0, 0.0, 0.0]])
     for t in (0.5, 0.9, 1.7, 2.0 - 1e-9):
@@ -382,6 +387,44 @@ def test_bundled_cascades_match_closed_form(name):
         df = math.exp(-market.r * (schedule.maturity - t))
         closed = price(market, schedule, rec, 200.0 * df, float(t)).price
         assert df * sample(sol, 200.0, float(t)) == pytest.approx(closed, rel=0.0, abs=5e-8), t
+
+
+@pytest.mark.parametrize("name", ["base_exogenous", "base_endogenous_low_barrier",
+                                  "base_endogenous_high_barrier"])
+def test_figure_prices_match_the_cascade(name, capsys):
+    # every point of figures 1-9 as ``defbond curve --figure N --points 9``
+    # prints it, against one 2048-node cascade per series on the grid
+    # ``validate`` builds, the hull of the ``auto`` grids at the relative
+    # spot's two ends: within 2e-7 in price (largest gaps 1.7e-8, 7.5e-9 and
+    # 2.1e-9 on the low-barrier, high-barrier and exogenous bases, measured)
+    base = SCENARIOS / f"{name}.yaml"
+    failures = []
+    for figure in range(1, 10):
+        preset = FIGURE_PRESETS[figure]
+        assert cli.main(["curve", str(base), "--figure", str(figure), "--points", "9"]) == 0
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        scenario = db.load_scenario(base)
+        for parameter, value in preset.base_overrides:
+            scenario = apply_sweep_value(scenario, parameter, value)
+        for column, value in enumerate(preset.values, start=1):
+            s = apply_sweep_value(scenario, preset.parameter, value)
+            market, schedule, rec = s.market, s.schedule, s.recovery
+
+            def spot(t):
+                df = _discount(market.r, schedule.maturity - t, "test")
+                return df, _relative_spot(s.firm_value(t), df)
+
+            ends = sorted(spot(t)[1] for t in (0.0, schedule.maturity))
+            low, high = (GridSpec.auto(market, schedule, x, rec) for x in ends)
+            solve = db.solve_exogenous_cascade if rec.mode == "exogenous" else db.solve_endogenous_cascade
+            sol = solve(market, schedule, rec, GridSpec(low.x_min, high.x_max))
+            for k, row in enumerate(rows):
+                t = k * schedule.maturity / len(rows)  # the curve's time, unrounded
+                df, x = spot(t)
+                gap = abs(float(row[column]) - df * sample(sol, x, t))
+                if not gap <= 2e-7:
+                    failures.append(f"figure {figure} {header[column]} t={t}: |curve - pde| = {gap:.3e}")
+    assert not failures, "\n".join(failures)
 
 
 @pytest.mark.parametrize("name", ["base_exogenous", "base_endogenous_low_barrier"])

@@ -507,6 +507,41 @@ def test_cli_curve_out_that_fails_to_open_is_bad_file(tmp_path, base_doc, capsys
     assert target.is_dir() and not list(target.iterdir())
 
 
+def test_console_script_prints_an_error_code_once(tmp_path):
+    # the installed ``defbond`` runs ``entrypoint``, whose sys.exit carries
+    # main's code: each bad request exits 2 with one coded stderr line, from
+    # a fresh interpreter
+    root = Path(__file__).resolve().parent.parent
+    assert 'defbond = "defbond.cli:entrypoint"' in (root / "pyproject.toml").read_text()
+    base = root / "scenarios" / "base_exogenous.yaml"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+
+    def defbond(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", "from defbond.cli import entrypoint; entrypoint()", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, (argv, proc.stderr)
+        return proc.stderr.splitlines()
+
+    assert defbond("curve", str(base), "--figure", "99") == [
+        "error BAD_SWEEP: no figure preset 99; valid: 1..18"
+    ]
+    # a list where the swept parameter takes one number
+    list_sweep = tmp_path / "list_sweep.yaml"
+    list_sweep.write_text(
+        base.read_text(encoding="utf-8") + "sweep: {parameter: R, values: [[0.2, 0.3]]}\n",
+        encoding="utf-8",
+    )
+    [line] = defbond("price", str(list_sweep))
+    assert line.startswith("error BAD_SWEEP: ")
+    # an --out in a missing directory fails before the sweep and writes nothing
+    missing = tmp_path / "missing"
+    [line] = defbond("curve", str(base), "--figure", "1", "--out", str(missing / "x.csv"))
+    assert line.startswith("error BAD_FILE: ")
+    assert not missing.exists()
+
+
 def test_cli_validate_rejects_bad_times(tmp_path, base_doc, capsys):
     rc = main(["validate", _write(tmp_path, base_doc), "--times", "7.0"])
     assert rc == 2
