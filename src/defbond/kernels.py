@@ -6,9 +6,9 @@ imports this module on the first box that needs one of these kernels, so
 numpy loads with the first such box and not before.  Both kernels sum
 panel Gauss-Legendre rules:
 
-- the conditional integral (a cancelling orthant, or a box bounded on both
-  sides in one coordinate) integrates phi(x) P(Y in box | X = x) with the
-  scalar Phi at each node, so it needs no scipy;
+- the conditional integral of a cancelling orthant integrates
+  phi(x) P(Y > k | X = x) with the scalar Phi at each node, so it needs no
+  scipy;
 - the chain recursion of d >= 3 coordinates carries g_k(y) = P(earlier
   coordinates in their boxes | X_k = y) from date to date (quadrature between
   monitoring dates, as in Andricopoulos et al., J. Financial Economics 2003,
@@ -25,7 +25,7 @@ from functools import cache
 
 import numpy as np
 
-from .normal import _INF, _PHI_ZERO, _SQRT_HALF, _tail_mass
+from .normal import _INF, _PHI_ZERO, _SQRT_HALF, _phi
 
 # Standardized coordinates are cut to [-_L, _L] (the mass outside is below
 # 3e-19 per coordinate); panels carry _NODES Gauss-Legendre nodes, or
@@ -37,6 +37,11 @@ _NODES = 12
 _NODES_COARSE = 8
 _U_NODES = 40
 _MAX_PANELS = 64
+
+# Floor of a kernel's width s = sqrt((1 - r)(1 + r)): its width at the
+# largest float below 1, which no |r| < 1 goes under, so a correlation that
+# rounds to exactly 1 is taken as that float rather than divided by s = 0.
+_S_MIN = 2.0**-26
 
 
 @cache
@@ -67,38 +72,34 @@ def _norm_pdf(x):
     return np.exp(-0.5 * np.square(x)) / math.sqrt(2.0 * math.pi)
 
 
-def _conditional_box(lo, hi, r: float) -> float:
-    """P(lo <= (X, Y) <= hi) for standard normals with correlation r, as the
-    positive integral of phi(x) P(lo_Y <= Y <= hi_Y | X = x) over the limits
-    of the coordinate with the smaller marginal.
+def _conditional_box(h: float, k: float, r: float) -> float:
+    """P(X > h, Y > k) for standard normals with correlation r, h and k
+    finite, as the positive integral of phi(x) P(Y > k | X = x) over x > h,
+    x the coordinate with the smaller marginal.
 
-    For orthants whose reflection cancels and for boxes bounded on both
-    sides in one coordinate: every term is positive, so a probability far
-    below its marginals keeps its relative accuracy.
-    x runs at most _L past its finite limit into the tail, on panels graded
-    down at its own finite limits and at the other coordinate's limits seen
-    from x.  Phi at the nodes is the scalar libm one (``_phi_nodes``), so no
-    scipy is loaded.
+    For orthants whose reflection cancels: every term is positive, so a
+    probability far below its marginals keeps its relative accuracy.
+    x runs at most _L past its limit into the tail, on panels graded down at
+    that limit and at the other coordinate's limit seen from x.  Phi at the
+    nodes is the scalar libm one (``_phi_nodes``), so no scipy is loaded.
     """
-    if _tail_mass(lo[1], hi[1]) < _tail_mass(lo[0], hi[0]):
-        lo, hi = lo[::-1], hi[::-1]
-    # both callers pass lo < hi in each coordinate, so a < b
-    a, b = max(lo[0], min(hi[0], 0.0) - _L), min(hi[0], max(lo[0], 0.0) + _L)
-    s = math.sqrt((1.0 - r) * (1.0 + r))
-    features = []
-    for e in (lo[0], hi[0]):
-        if math.isfinite(e):
-            # past e the integrand decays at about |e| plus |r| / s times
-            # the depth of P(Y in box | X = e) in its tail
-            depth = max(0.0, (r * e - hi[1]) / s, (lo[1] - r * e) / s)
-            features.append((e, 1.0 / max(1.0, abs(e) + abs(r) / s * depth)))
+    # each marginal P(Z > e) is taken in the tail it lies in
+    tails = [_phi(-e) if e > 0.0 else 1.0 - _phi(e) for e in (h, k)]
+    if tails[1] < tails[0]:
+        h, k = k, h
+    a, b = max(h, -_L), max(h, 0.0) + _L
+    s = max(math.sqrt((1.0 - r) * (1.0 + r)), _S_MIN)
+    # past h the integrand decays at about |h| plus |r| / s times the depth
+    # of P(Y > k | X = h) in its tail
+    depth = max(0.0, (k - r * h) / s)
+    features = [(h, 1.0 / max(1.0, abs(h) + abs(r) / s * depth))]
     if r != 0.0:
-        features += [(e / r, s / abs(r)) for e in (lo[1], hi[1]) if math.isfinite(e)]
+        features.append((k / r, s / abs(r)))
     edges = _panel_edges(a, b, features, 1.0)
     x, w, _ = _legendre(_NODES)
     half = 0.5 * np.diff(edges)[:, None]
     y = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * x
-    q = _phi_between(lo[1], hi[1], r, s, y, _phi_nodes)
+    q = _phi_nodes((r * y - k) / s)
     return float(np.sum(half * w * _norm_pdf(y) * q))
 
 
@@ -166,16 +167,13 @@ def _point_kernel(x, r: float, s: float, z):
 
 def _phi_between(lo: float, hi: float, r, s, y, phi):
     """Phi((hi - r y) / s) - Phi((lo - r y) / s) at every y, by the array Phi
-    ``phi``; Phi is exactly 0 and 1 at -inf and inf, so an infinite limit
-    takes no Phi.  A window above zero is taken as Phi(-zl) - Phi(-zh), so
-    upper tails keep their relative accuracy instead of cancelling against 1."""
+    ``phi``, for a window bounded on one side: Phi is exactly 0 and 1 at -inf
+    and inf, so the infinite limit takes no Phi, and an upper window is
+    taken as Phi((r y - lo) / s), keeping its relative accuracy in the tail
+    instead of cancelling against 1."""
     if lo == -_INF:
         return phi((hi - r * y) / s)
-    if hi == _INF:
-        return phi((r * y - lo) / s)
-    zl = (lo - r * y) / s
-    flip = np.where(zl > 0.0, -1.0, 1.0)
-    return flip * (phi(flip * ((hi - r * y) / s)) - phi(flip * zl))
+    return phi((r * y - lo) / s)
 
 
 def _chain_box(lower, upper, rho) -> tuple[float, float]:
@@ -185,9 +183,9 @@ def _chain_box(lower, upper, rho) -> tuple[float, float]:
 
     g_k(y) = P(X_j in box_j for all j < k | X_k = y) is carried on a panel
     Gauss-Legendre grid of each inner coordinate's box cut to [-_L, _L].
-    g_1 is a difference of Phi; g_k integrates g_{k-1} against the law
+    g_1 is a Phi (``_phi_between``); g_k integrates g_{k-1} against the law
     N(rho z, 1 - rho^2) of X_{k-1} given X_k = z; the result integrates
-    phi * g_{d-2} against the last coordinate's Phi difference.
+    phi * g_{d-2} against the last coordinate's Phi.
     Panels break at the neighbouring box edges seen from this coordinate and
     grade down to their widths, so near-coincident dates stay resolved.
 
@@ -197,7 +195,7 @@ def _chain_box(lower, upper, rho) -> tuple[float, float]:
     contiguous block, exactly as that rule alone would.
     """
     d = len(lower)
-    s = [math.sqrt((1.0 - r) * (1.0 + r)) for r in rho]
+    s = [max(math.sqrt((1.0 - r) * (1.0 + r)), _S_MIN) for r in rho]
     rules = [_legendre(n)[:2] for n in (_NODES, _NODES_COARSE)]
     for k in range(1, d - 1):
         a, b = max(lower[k], -_L), min(upper[k], _L)

@@ -18,9 +18,10 @@ Statistics and Computing 2004) at a correlation r >= 0.  At r < 0 the
 orthant is its smaller marginal minus the reflected orthant at -r; where
 that difference cancels far below the marginal it is recomputed as a
 positive conditional integral, so tail boxes keep their relative accuracy.
-A coordinate bounded on both sides (only a merged pair of perfectly
-correlated dates makes one) is a Phi difference taken in its own tail in one
-dimension and the conditional integral in two.  From dimension three on the
+Every coordinate stays bounded on one side, dates one float apart included:
+their correlation is priced as it is, and one that rounds to exactly 1 adds
+its possible distance from the unrounded one to the error estimate
+(``_EXACTLY_ONE``).  From dimension three on the
 CDF is a forward recursion of one-dimensional Gaussian convolutions over panel
 Gauss-Legendre grids (quadrature between monitoring dates, as in
 Andricopoulos et al., J. Financial Economics 2003, and Feng & Linetsky,
@@ -62,6 +63,14 @@ _INF = float("inf")
 # 1.7e-12 from the 12-node rule in a far tail) more than 1e3 times; it is
 # recomputed as a positive conditional integral.
 _CANCEL = 1e-3
+
+# A chain correlation that rounds to exactly 1 is priced at 1 by ``_bvnu``
+# and at the float below 1 by the kernels.  Between any two correlations
+# that round to 1 a box moves by about the mass P(X <= c < Y) near the
+# pair's limit c, at most |acos(r1) - acos(r2)| / (2 pi) on each side, so
+# each such correlation adds acos(nextafter(1, 0)) / pi, about 4.7e-9, to
+# the error estimate.
+_EXACTLY_ONE = math.acos(math.nextafter(1.0, 0.0)) / math.pi
 
 # scipy's ndtr underflows to exactly 0 where x^2 / 2 exceeds log(DBL_MAX);
 # libm's erfc would still return subnormals there.
@@ -205,7 +214,7 @@ def _orthant(h: float, k: float, r: float) -> float:
     if p < _CANCEL * marginal:
         from .kernels import _conditional_box
 
-        return _conditional_box((h, k), (_INF, _INF), r)
+        return _conditional_box(h, k, r)
     return p
 
 
@@ -291,79 +300,60 @@ class CorrelationStructure:
         return ratio
 
 
-def _tail_mass(a: float, b: float) -> float:
-    """P(a <= Z <= b) for a standard normal Z, differenced in the tail the
-    interval lies in so that a tail interval keeps its relative accuracy."""
-    return _phi(-a) - _phi(-b) if a > 0.0 else _phi(b) - _phi(a)
-
-
 def _reduce_box(lower, upper, rho):
-    """Marginalize unconstrained coordinates and merge neighbours of
-    correlation 1.  Dropping coordinate k joins its neighbours with the
-    correlation ``rho[k-1] * rho[k]``; a chain's correlations, and so their
-    products, are never negative.
+    """Marginalize unconstrained coordinates: dropping coordinate k joins its
+    neighbours with the correlation ``rho[k-1] * rho[k]``; a chain's
+    correlations, and so their products, are never negative.
 
-    Returns (lower, upper, rho, is_empty, merge_error).  A limit past +-37.68
-    arrives as +-inf, so it drops or empties its coordinate here, before any
-    kernel.  Merging a one-sided coordinate into a neighbour at correlation r
-    changes the box by at most P(X <= c < Y) <= acos(r) / (2 pi) for its limit
-    c; merge_error adds acos(r) / pi per merge.
+    Returns (lower, upper, rho), or None for an empty box.  A limit past
+    +-37.68 arrives as +-inf, so it drops or empties its coordinate here,
+    before any kernel.
     """
-    merged = 0.0
-    while True:
-        keep = []
-        for lo, hi in zip(lower, upper):
-            if hi <= lo:
-                return lower, upper, rho, True, merged
-            keep.append(lo > -_INF or hi < _INF)
-        if all(keep):
-            if not rho or max(rho) < 1.0 - 5e-16:
-                return lower, upper, rho, False, merged
-            i = rho.index(max(rho))  # X_{i+1} = X_i: intersect the constraints
-            lower[i], upper[i] = max(lower[i], lower[i + 1]), min(upper[i], upper[i + 1])
-            keep[i + 1] = False
-            merged += math.acos(rho[i]) / math.pi
-        idx = [k for k, kept in enumerate(keep) if kept]
-        lower, upper = [lower[k] for k in idx], [upper[k] for k in idx]
-        rho = [math.prod(rho[i:j]) for i, j in zip(idx, idx[1:])]
+    keep = []
+    for lo, hi in zip(lower, upper):
+        if hi <= lo:
+            return None
+        keep.append(lo > -_INF or hi < _INF)
+    if all(keep):
+        return lower, upper, rho
+    idx = [k for k, kept in enumerate(keep) if kept]
+    rho = [math.prod(rho[i:j]) for i, j in zip(idx, idx[1:])]
+    return [lower[k] for k in idx], [upper[k] for k in idx], rho
 
 
 def _box_probability(lower, upper, rho):
     """P(lower <= X <= upper), with error estimate, for a standardized
-    Gaussian Markov chain X with adjacent correlations ``rho``; limits past
-    +-37.68 arrive as +-inf, and limits and correlations are lists of floats."""
-    merged = 0.0
+    Gaussian Markov chain X with adjacent correlations ``rho``; each
+    coordinate is bounded on one side at most, limits past +-37.68 arrive as
+    +-inf, and limits and correlations are lists of floats."""
     if rho:
         # one coordinate has nothing to reduce; d == 1 below tells it empty
-        lower, upper, rho, empty, merged = _reduce_box(lower, upper, rho)
-        if empty:
-            return 0.0, merged
+        reduced = _reduce_box(lower, upper, rho)
+        if reduced is None:
+            return 0.0, 0.0
+        lower, upper, rho = reduced
     d = len(lower)
     if d == 0:
         return 1.0, 0.0
     # up to two coordinates: an orthant of the coordinates signed toward
-    # their bounds, X > lo or -X > -hi, unless one is two-sided
+    # their bounds, X > lo or -X > -hi
     if d == 1:
         lo, hi = lower[0], upper[0]
         if hi <= lo:
             return 0.0, 0.0
-        p = _phi(-lo) if hi == _INF else _phi(hi) if lo == -_INF else _tail_mass(lo, hi)
-        return p, 1e-15 + merged
+        return _phi(-lo) if hi == _INF else _phi(hi), 1e-15
+    exactly_one = _EXACTLY_ONE * rho.count(1.0)
     if d == 2:
         (h, k), (h_up, k_up), r = lower, upper, rho[0]
-        if -_INF < h and h_up < _INF or -_INF < k and k_up < _INF:
-            from .kernels import _conditional_box
-
-            return _conditional_box(lower, upper, r), 5e-15 + merged
         if h_up < _INF:
             h, r = -h_up, -r
         if k_up < _INF:
             k, r = -k_up, -r
-        return _orthant(h, k, r), 5e-15 + merged
+        return _orthant(h, k, r), 5e-15 + exactly_one
     from .kernels import _chain_box
 
     p, coarse = _chain_box(lower, upper, rho)
-    return p, max(abs(p - coarse), 1e-15) + merged
+    return p, max(abs(p - coarse), 1e-15) + exactly_one
 
 
 def mvn_cdf(a, corr, signs=None, config: QmcConfig = DEFAULT_QMC):

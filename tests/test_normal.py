@@ -112,9 +112,11 @@ def test_bivariate_marginalizes_at_inf():
 
 
 def test_bivariate_known_value():
-    # closed form at the origin: 1/4 + arcsin(rho) / (2 pi)
-    expected = 0.25 + math.asin(0.5) / (2.0 * math.pi)
-    assert db.bivariate_cdf(0.0, 0.0, 0.5) == pytest.approx(expected, abs=1e-13)
+    # closed form at the origin: 1/4 + arcsin(rho) / (2 pi), also at the
+    # largest float below 1, where it lies 2.4e-9 below the value at rho = 1
+    for rho in (0.5, math.nextafter(1.0, 0.0)):
+        expected = 0.25 + math.asin(rho) / (2.0 * math.pi)
+        assert db.bivariate_cdf(0.0, 0.0, rho) == pytest.approx(expected, abs=1e-13), rho
 
 
 @pytest.mark.parametrize(
@@ -552,22 +554,88 @@ def test_correlation_rejects_non_finite_dates(t, expiries):
         db.CorrelationStructure(t, expiries)
 
 
-# A +-1 pair merged by box reduction leaves a coordinate bounded on both
-# sides: expiries one ulp apart with opposite signs give lo <= X_1 <= hi
-# beside X_3 <= a_3, at correlation sqrt(1/3).  The merge adds
-# acos(r) / pi = 4.7e-9 to the reported error, r = 1 - 1.1e-16 the pair's
-# correlation.
+# Expiries one ulp apart: their correlation r = 1 - 1.1e-16 is the largest
+# float below 1, and each box of the pair is priced at it, coordinate by
+# coordinate.  With opposite signs the pair holds lo <= X_1 <= hi up to a
+# width of sqrt(1 - r^2) = 1.5e-8, beside X_3 <= a_3 at correlation sqrt(1/3).
 ULP_PAIR = (1.0, math.nextafter(1.0, 2.0), 3.0)
-ULP_MERGE = math.acos(math.sqrt(1.0 / math.nextafter(1.0, 2.0))) / math.pi
 
 
-def test_merged_pair_reports_its_merge_error():
-    # two one-sided coordinates one ulp apart at 0 are merged into one, whose
-    # probability 0.5 lies acos(r) / (2 pi) = 2.4e-9 above the pair's
-    # 0.25 + asin(r) / (2 pi) (40-digit mpmath); the reported error covers it
+def test_ulp_pair_is_priced_within_its_reported_error():
+    # two coordinates one ulp apart at 0: the pair's 0.25 + asin(r) / (2 pi)
+    # (40-digit mpmath) lies acos(r) / (2 pi) = 2.4e-9 below 0.5, the value
+    # at r = 1
     p, err = db.mvn_cdf([0.0, 0.0], db.CorrelationStructure(0.0, (1.0, math.nextafter(1.0, 2.0))))
     assert abs(p - 0.4999999976284065) <= err
-    assert err == pytest.approx(ULP_MERGE, rel=1e-6)
+    assert err <= 5e-15
+
+
+# Boxes on the ulp pair and a third date, as (limits, signs), with P from
+# 40-digit mpmath conditioned on the pair's second date y: the integral of
+# phi(y) P(X_1 in box_1 | y) 1{y in box_2} P(X_3 in box_3 | y), broken at the
+# y where the first factor switches.  Taking the pair as one coordinate at
+# r = 1 is 1.3e-10 to 2.1e-9 off, and prices the two pairs of opposite signs
+# at exactly 0.
+ULP_BOXES = [
+    ((0.0, 0.0, 0.5), (1, 1, 1), 0.4305973508392224),
+    ((1.0, 1.0, -0.5), (1, 1, 1), 0.3002299518320235),
+    ((0.3, 0.3, 0.2), (1, 1, -1), 0.26896844057487423),
+    ((0.0, 0.0, 0.0), (1, -1, 1), 1.185796724657792e-09),
+    ((-0.3, 0.3, 0.5), (-1, 1, 1), 1.4861973909136963e-09),
+    ((0.0, 0.0, 1.0), (-1, -1, 1), 0.36538224078213233),
+]
+
+
+@pytest.mark.parametrize("limits, signs, truth", ULP_BOXES)
+def test_mvn_ulp_pair_boxes_match_the_conditional_integral(limits, signs, truth):
+    p, err = db.mvn_cdf(list(limits), db.CorrelationStructure(0.0, ULP_PAIR), signs)
+    assert abs(p - truth) <= 1e-15, (p, truth)
+    assert err <= 1e-14
+
+
+def _box_at_one(limits, signs, corr):
+    """The box of a chain of two or three dates whose one correlation of 1
+    joins a pair: the pair taken as one coordinate X, between the bounds
+    of both, beside the third date's coordinate."""
+    i = corr.rho.index(1.0)
+    bounds = [(-INF, v) if sgn == 1 else (-v, INF) for v, sgn in zip(limits, signs)]
+    lo, hi = max(bounds[i][0], bounds[i + 1][0]), min(bounds[i][1], bounds[i + 1][1])
+    if hi <= lo:
+        return 0.0
+    if len(limits) == 2:
+        return db.std_normal_cdf(hi) - db.std_normal_cdf(lo)
+    other = 2 if i == 0 else 0
+    r = corr.rho[1 - i] * signs[other]
+    return db.bivariate_cdf(hi, limits[other], r) - db.bivariate_cdf(lo, limits[other], r)
+
+
+def test_correlations_that_round_to_one_price_within_their_error():
+    # dates one float apart whose correlation rounds to exactly 1: seen from
+    # some t >= 0, and from t = -1e20 every date pair near 1.  Every box
+    # prices, cancelling pairs of opposite signs too, and its reported error
+    # covers the distance to the box with the pair taken as one coordinate
+    chains = [db.CorrelationStructure(-1e20, (1.0, 2.0, 3e20))]
+    rng = np.random.default_rng(52)
+    while len(chains) < 7:
+        t = rng.uniform(0.0, 5.0)
+        date = t + rng.uniform(0.01, 5.0)
+        pair = (date, math.nextafter(date, INF))
+        if db.CorrelationStructure(t, pair).rho == (1.0,):
+            chains += [db.CorrelationStructure(t, pair),
+                       db.CorrelationStructure(t, pair + (date + 1.5,)),
+                       db.CorrelationStructure(t, (0.5 * (t + date),) + pair)]
+    for corr in chains:
+        assert 1.0 in corr.rho
+        d = len(corr.expiries)
+        i = corr.rho.index(1.0)
+        for a in (-0.3, 0.0, 1.0, 2.5):
+            for gap in (-1e-8, 0.0, 1e-8, 0.5):
+                limits = [0.4] * d
+                limits[i], limits[i + 1] = a + gap, -a
+                for signs in itertools.product((1, -1), repeat=d):
+                    p, err = db.mvn_cdf(limits, corr, signs)
+                    merged = _box_at_one(limits, signs, corr)
+                    assert 0.0 <= p <= 1.0 and abs(p - merged) <= err, (corr, limits, signs, p, merged, err)
 
 
 # Boxes that cancel when taken as differences of larger probabilities, as
@@ -601,9 +669,8 @@ def test_mvn_cancelling_boxes_keep_relative_accuracy(limits, expiries, signs, tr
 
 def test_conditional_box_matches_the_ndtr_form():
     # the conditional integral takes Phi node by node from libm's erfc; an
-    # adaptive quadrature with scipy's ndtr gives the same boxes to
-    # rounding: orthants at r < 0 whose reflection cancels, and boxes
-    # bounded on both sides in one coordinate beside a one-sided one
+    # adaptive quadrature with scipy's ndtr gives the same orthants to
+    # rounding: orthants at r < 0 whose reflection cancels
     rng = np.random.default_rng(17)
     inf = math.inf
     boxes = []
@@ -611,16 +678,10 @@ def test_conditional_box_matches_the_ndtr_form():
         h, k, r = rng.uniform(-1.0, 5.0), rng.uniform(-1.0, 5.0), rng.uniform(-0.999, -0.05)
         marginal = normal._phi(-max(h, k))
         if marginal - normal._bvnu(max(h, k), -min(h, k), -r) < normal._CANCEL * marginal:
-            boxes.append(((h, k), (inf, inf), r))
-    while len(boxes) < 200:
-        a = rng.uniform(-6.0, 6.0)
-        pair = (a, a + rng.uniform(0.05, 3.0))
-        other = (rng.uniform(-4.0, 4.0), inf) if rng.uniform() < 0.5 else (-inf, rng.uniform(-4.0, 4.0))
-        lo, hi = zip(pair, other) if rng.uniform() < 0.5 else zip(other, pair)
-        boxes.append((lo, hi, rng.uniform(-0.999, 0.999)))
-    for lo, hi, r in boxes:
-        p, truth = kernels._conditional_box(lo, hi, r), conditional_box_ndtr(lo, hi, r)
-        assert p == pytest.approx(truth, rel=1e-13, abs=0.0), (lo, hi, r)
+            boxes.append((h, k, r))
+    for h, k, r in boxes:
+        p, truth = kernels._conditional_box(h, k, r), conditional_box_ndtr((h, k), (inf, inf), r)
+        assert p == pytest.approx(truth, rel=1e-13, abs=0.0), (h, k, r)
 
 
 @pytest.mark.parametrize("limits, rho, signs", [
@@ -656,8 +717,9 @@ def test_bvnu_tables_are_the_gauss_legendre_rules():
 
 
 def test_mvn_two_sided_pair_matches_bivariate_difference():
-    # P(-a_2 <= X_1 <= a_1, X_3 <= a_3) where the difference of bivariate
-    # CDFs keeps its digits
+    # X_1 <= a_1 and X_2 >= -a_2 on the ulp pair beside X_3 <= a_3: within
+    # rounding of P(-a_2 <= X_1 <= a_1, X_3 <= a_3), where the difference of
+    # bivariate CDFs keeps its digits
     c = db.CorrelationStructure(0.0, ULP_PAIR)
     r = math.sqrt(1.0 / 3.0)
     rng = np.random.default_rng(8)
@@ -669,15 +731,15 @@ def test_mvn_two_sided_pair_matches_bivariate_difference():
         assert whole - below > 1e-4 * whole  # the difference does not cancel
         p, err = db.mvn_cdf([a1, a2, a3], c, (1, -1, 1))
         assert p == pytest.approx(whole - below, rel=0.0, abs=1e-15)
-        assert err <= 1e-14 + ULP_MERGE
+        assert err <= 1e-14
 
 
 @pytest.mark.parametrize("pair", [0, 1, 2])
 def test_mvn_two_sided_coordinate_inside_a_chain(pair):
     # an ulp pair of opposite signs at the first, an inner or the last date
-    # of a 4-date chain merges to a 3-date chain with -0.4 <= X_pair <= a:
-    # the recursion's Phi difference at a finite lower and upper limit, or
-    # its two-sided inner grid, against a difference of one-sided chains
+    # of a 4-date chain, a 3-date chain with -0.4 <= X_pair <= a up to
+    # rounding: the recursion's narrow kernel at r = 1 - 1.1e-16 against a
+    # difference of one-sided chains
     taus, a, c = (1.0, 2.0, 3.0), [0.8, 0.5, 0.2], 0.4
     expiries = list(taus)
     expiries.insert(pair + 1, math.nextafter(taus[pair], INF))
@@ -691,7 +753,7 @@ def test_mvn_two_sided_coordinate_inside_a_chain(pair):
     corr = db.CorrelationStructure(0.0, expiries)
     p, err = db.mvn_cdf(limits, corr, signs)
     assert p == pytest.approx(whole - below, rel=0.0, abs=1e-13)
-    assert err <= 1e-14 + math.acos(corr.rho[pair]) / math.pi
+    assert err <= 2e-13
 
 
 @pytest.mark.parametrize("a, b, rho, truth, rel", [
@@ -754,8 +816,8 @@ def test_bivariate_near_degenerate_matches_collapse_limit():
 @pytest.mark.parametrize("x3, window", [(-5.0, False), (-6.0, False), (-5.0, True)])
 def test_mvn_chain_upper_tail_keeps_relative_accuracy(x3, window):
     # X_3 >= -x3 far in the upper tail of a 3-date chain, alone or as the
-    # window 5 <= X_3 <= 6 of a merged ulp pair: the chain takes the tail
-    # as Phi(-z), so it keeps its digits instead of cancelling against 1
+    # window 5 <= X_3 <= 6 of an ulp pair: the chain takes the tail as
+    # Phi(-z), so it keeps its digits instead of cancelling against 1
     taus = (1.0, 2.0, 3.0)
     truth = conditional_chain_cdf3([0.5, 1.0, x3], taus, (1, 1, -1))
     if window:

@@ -1,5 +1,3 @@
-import csv
-import io
 import math
 import os
 import subprocess
@@ -10,13 +8,11 @@ import numpy as np
 import pytest
 
 import defbond as db
-from defbond import cli, pde
+from defbond import pde
 from defbond.binaries import BinarySpec, BsCoefficients, price_binary
 from defbond.errors import DomainError
-from defbond.figures import FIGURE_PRESETS
 from defbond.pde import CascadeSolution, GridSpec, _Interval, _Space, sample
-from defbond.pricing import _discount, _relative_spot
-from defbond.scenario import apply_sweep_value
+from figure_check import figure_failures
 from test_properties import _draw
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -330,9 +326,11 @@ def test_gluing_is_pointwise():
 
 
 def test_sharp_jumps_carried_across_a_short_interval():
-    # the jump glued at 3.000001 is still under a cell wide at the gluing at
-    # 3, 0.26 in log spot above that barrier, so it joins the new jump there
-    # in closed form; put on the nodes instead it is 1.6e-5 off at t = 0
+    # the jump of the barrier 130 glued at 3.000001 reaches the gluing at 3
+    # with its centre 0.26 in log spot above the barrier 100 glued there and
+    # its transition, 40 deviations each way, 0.04 wide: wholly above it, so
+    # it stays a carried Phi term; put on the nodes instead it is 1.6e-5 off
+    # at t = 0
     market = db.MarketParams(0.1, 0.05, 1.0)
     schedule = db.DefaultSchedule(
         (0.0, 1.5, 3.0, 3.000001, 4.5, 6.0),
@@ -391,39 +389,14 @@ def test_bundled_cascades_match_closed_form(name):
 
 @pytest.mark.parametrize("name", ["base_exogenous", "base_endogenous_low_barrier",
                                   "base_endogenous_high_barrier"])
-def test_figure_prices_match_the_cascade(name, capsys):
+def test_figure_prices_match_the_cascade(name):
     # every point of figures 1-9 as ``defbond curve --figure N --points 9``
     # prints it, against one 2048-node cascade per series on the grid
     # ``validate`` builds, the hull of the ``auto`` grids at the relative
     # spot's two ends: within 2e-7 in price (largest gaps 1.7e-8, 7.5e-9 and
-    # 2.1e-9 on the low-barrier, high-barrier and exogenous bases, measured)
-    base = SCENARIOS / f"{name}.yaml"
-    failures = []
-    for figure in range(1, 10):
-        preset = FIGURE_PRESETS[figure]
-        assert cli.main(["curve", str(base), "--figure", str(figure), "--points", "9"]) == 0
-        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
-        scenario = db.load_scenario(base)
-        for parameter, value in preset.base_overrides:
-            scenario = apply_sweep_value(scenario, parameter, value)
-        for column, value in enumerate(preset.values, start=1):
-            s = apply_sweep_value(scenario, preset.parameter, value)
-            market, schedule, rec = s.market, s.schedule, s.recovery
-
-            def spot(t):
-                df = _discount(market.r, schedule.maturity - t, "test")
-                return df, _relative_spot(s.firm_value(t), df)
-
-            ends = sorted(spot(t)[1] for t in (0.0, schedule.maturity))
-            low, high = (GridSpec.auto(market, schedule, x, rec) for x in ends)
-            solve = db.solve_exogenous_cascade if rec.mode == "exogenous" else db.solve_endogenous_cascade
-            sol = solve(market, schedule, rec, GridSpec(low.x_min, high.x_max))
-            for k, row in enumerate(rows):
-                t = k * schedule.maturity / len(rows)  # the curve's time, unrounded
-                df, x = spot(t)
-                gap = abs(float(row[column]) - df * sample(sol, x, t))
-                if not gap <= 2e-7:
-                    failures.append(f"figure {figure} {header[column]} t={t}: |curve - pde| = {gap:.3e}")
+    # 2.1e-9 on the low-barrier, high-barrier and exogenous bases, measured);
+    # ``tests/figure_check.py`` runs the check at 121 points
+    _, failures = figure_failures(name, 9)
     assert not failures, "\n".join(failures)
 
 

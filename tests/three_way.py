@@ -20,6 +20,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import sys
 import tempfile
 import traceback
@@ -42,6 +43,12 @@ ENDOGENOUS_MIXED = {
     },
     "recovery": {"mode": "endogenous", "R": 0.5, "n": 50.0},
     "evaluation": {"x": 250.0, "t": 0.0},
+}
+
+ULP_SCHEDULE = {
+    "dates": [0.0, 1.5, 3.0, math.nextafter(3.0, 4.0), 7.0],
+    "intensities": [0.01, 0.02, 0.3, 0.004],
+    "barriers": [120.0, 90.0, 100.0, 110.0],
 }
 
 # Each derived scenario is a shared document (a bundled base by name, or the
@@ -96,6 +103,13 @@ DERIVED = {
             "barriers": [80.0, 100.0, 130.0, 100.0, 90.0],
         },
     }),
+    # an interval one float long, from 3 to nextafter(3, 4): the closed form
+    # prices its two dates as a pair of correlation 1 - 1.1e-16
+    "ulp_dates_endogenous": (ENDOGENOUS_MIXED, {"schedule": ULP_SCHEDULE}),
+    "ulp_dates_exogenous": (ENDOGENOUS_MIXED, {
+        "schedule": ULP_SCHEDULE,
+        "recovery": {"mode": "exogenous", "R": 0.5},
+    }),
     # R = 0: the closed form is the survival binary alone
     "zero_recovery": (ENDOGENOUS_MIXED, {"recovery": {"mode": "endogenous", "R": 0.0, "n": 1.0}}),
     "mixed_regime": (ENDOGENOUS_MIXED, {}),
@@ -145,6 +159,9 @@ ROWS = [
        "--times 0 1.5 2.9999999999999996 3 4.5") for name in BASES],
     *[("validate", name, f"--n-space 16384 --paths 200000 --seed 5 --mc-sigmas 4.5 --pde-tol 1e-6 "
        f"{times}") for name, times in NEAR_DATE_PROBES.items()],
+    # dates one float apart, also one ulp before the first of them
+    *[("validate", name, "--times 0 1.4 2.9999999999999996 3.5 --paths 200000 --seed 1 --mc-sigmas 4.5")
+      for name in ("ulp_dates_endogenous", "ulp_dates_exogenous")],
     ("validate", "zero_recovery", "--times 0 0.7 2 4 --paths 1000000 --seed 1 --mc-sigmas 4.5"),
     # the mixed regime also one ulp before each of its first two dates
     ("validate", "mixed_regime", "--times 0 0.7 1.4999999999999998 2 3.4999999999999996 4 "
