@@ -290,6 +290,36 @@ def test_interval_moves_each_part_exactly(lam):
     assert np.max(np.abs(step.kept[0] - got)) <= 1e-14
 
 
+@pytest.mark.parametrize("cells", [256, 255])
+@pytest.mark.parametrize("lam", [0.0, 0.03, 7.0])
+def test_four_nodes_read_the_row(cells, lam):
+    # ``four`` sums the moving modes at four nodes where ``row`` transforms
+    # every mode: on seeded data with every mode present, even and odd cell
+    # counts, at the interval's start, mid-way, with every mode moving and
+    # at its end, at the first nodes, inside and at the last
+    space = _space(cells)
+    rng = np.random.default_rng(53)
+    cont = 0.5 + 0.04 * space.z + 0.01 * rng.standard_normal(len(space.y))
+    step = _Interval(space, lam, 0.5, 2.0, cont, cont, np.array([[0.35], [2.3], [0.0]]), -math.inf)
+    for t in (0.5, 1.25, 2.0 - 1e-12, 2.0):
+        row = step.row(t)
+        for j in (2, 100, len(space.y) - 2):
+            got = step.four(j - 2, t)
+            assert np.max(np.abs(got - row[j - 2 : j + 2])) <= 1e-15, (t, j)
+
+
+def test_four_nodes_read_the_row_on_a_fine_grid():
+    # a 16384-node bundled cascade one ulp before its interior date, where
+    # every mode still moves
+    scenario = db.load_scenario(SCENARIOS / "base_endogenous_low_barrier.yaml")
+    market, schedule, rec = scenario.market, scenario.schedule, scenario.recovery
+    sol = db.solve_endogenous_cascade(market, schedule, rec, GridSpec.auto(market, schedule, 200.0, rec, 16384))
+    step, t = sol.steppers[0], math.nextafter(3.0, 0.0)
+    row = step.row(t)
+    for j in (2, int(np.searchsorted(sol.y, math.log(200.0))), len(sol.y) - 2):
+        assert np.max(np.abs(step.four(j - 2, t) - row[j - 2 : j + 2])) <= 1e-15, j
+
+
 def test_gluing_is_pointwise():
     # each glued row is the next interval's row at its start (ones after the
     # last) above ln B and the recovery at or below it, bit for bit: on
@@ -343,6 +373,32 @@ def test_sharp_jumps_carried_across_a_short_interval():
         df = math.exp(-market.r * (schedule.maturity - t))
         closed = db.price_exogenous(market, schedule, rec, 200.0 * df, t).price
         assert df * sample(sol, 200.0, t) == pytest.approx(closed, rel=0.0, abs=1e-6), t
+
+
+def test_jump_sum_at_a_spot_is_the_sum_on_nodes():
+    # ``jump`` sums the terms in floats by ``_on_nodes``'s window rule and
+    # order, so it equals ``_on_nodes`` at that one spot bit for bit: at
+    # seeded (y, t) on the near-date schedule above, and on and beside each
+    # term's window edges
+    market = db.MarketParams(0.1, 0.05, 1.0)
+    schedule = db.DefaultSchedule(
+        (0.0, 1.5, 3.0, 3.000001, 4.5, 6.0),
+        (0.002, 0.004, 0.3, 0.005, 0.003),
+        (80.0, 100.0, 130.0, 100.0, 90.0),
+    )
+    rec = db.RecoveryModel("exogenous", 0.5)
+    sol = db.solve_exogenous_cascade(market, schedule, rec, GridSpec.auto(market, schedule, 200.0, rec, 256))
+    rng = np.random.default_rng(53)
+    for step in sol.steppers:
+        lo, hi = step.times.tolist()
+        for t in [*rng.uniform(lo, hi, 20).tolist(), lo, math.nextafter(hi, lo)]:
+            moved = step._moved(step.t_hi - t)
+            edges = []
+            for centre, var in zip(moved[1].tolist(), moved[2].tolist()):
+                for edge in (centre - pde._TAIL * math.sqrt(var), centre + pde._TAIL * math.sqrt(var)):
+                    edges += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+            for y in [*rng.uniform(math.log(50.0), math.log(300.0), 10).tolist(), *edges]:
+                assert step.jump(y, t) == float(pde._on_nodes(np.array([y]), moved)[0]), (t, y)
 
 
 def test_cascade_matches_closed_form_over_the_property_box():
@@ -460,6 +516,9 @@ class _TwoRows:
     def row(self, t):
         return (1.0 - t) * self.kept[0] + t * self.kept[1]
 
+    def four(self, m, t):
+        return self.row(t)[m : m + 4]
+
     def jump(self, y, t):
         return 0.0
 
@@ -477,6 +536,28 @@ def test_sample_exact_node():
 def test_sample_bilinear_midpoint():
     sol = _toy_solution()
     assert sample(sol, math.exp(0.5), 0.5) == pytest.approx(2.5, abs=1e-14)
+
+
+def test_samples_transform_once_per_interval(monkeypatch):
+    # the cascade builds the start row of every interval but the first, which
+    # no gluing reads; a sampled interval adds one inverse FFT, its settled
+    # modes' rest, the first time it is read, and no sample after that makes
+    # one
+    calls = []
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: calls.append(1) or irfft(*args, **kw))
+    scenario = db.load_scenario(SCENARIOS / "base_endogenous_low_barrier.yaml")
+    market, schedule, rec = scenario.market, scenario.schedule, scenario.recovery
+    sol = db.solve_endogenous_cascade(market, schedule, rec, GridSpec.auto(market, schedule, 200.0, rec, 1024))
+    assert len(calls) == len(sol.steppers) - 1
+    times = np.linspace(0.0, 5.9, 15).tolist()
+    for t in times:
+        sample(sol, 200.0, t)
+    assert len(calls) <= 2 * len(sol.steppers)
+    made = len(calls)
+    for x, t in zip(np.geomspace(60.0, 600.0, 15).tolist(), times[::-1]):
+        sample(sol, x, t)
+    assert len(calls) == made
 
 
 def test_sample_out_of_hull():
@@ -534,14 +615,14 @@ _PINNED_STEPS = {
         0.6092973870670458, 0.6573869895000473, 0.716475725353867, 0.7483015967732274, 0.76289578465045,
     ),
     "base_endogenous_low_barrier": (
-        0.1767655633310929, 0.23862859338861547, 0.22949690016966662, 0.25711194078142574, 0.26944436487886236,
-        0.2460424180365976, 0.3216671937786958, 0.3385027641813879, 0.38155785001016035, 0.4010841026836879,
-        0.37322426033238576, 0.46106006152918355, 0.5405191422508395, 0.6038951813224631, 0.6319684351290307,
+        0.1767655633310928, 0.23862859338861553, 0.22949690016966656, 0.25711194078142574, 0.26944436487886225,
+        0.2460424180365976, 0.3216671937786959, 0.3385027641813879, 0.38155785001016035, 0.4010841026836879,
+        0.37322426033238587, 0.46106006152918355, 0.5405191422508395, 0.6038951813224631, 0.6319684351290307,
     ),
     "base_endogenous_high_barrier": (
-        0.9763210453586993, 0.9943720871253056, 0.9434838581525609, 0.9697618856323773, 0.9780281296614447,
-        0.9873809802269947, 0.9906465138272579, 0.9730184957025217, 0.9878571164223002, 0.9919358770375117,
-        0.9911277252384654, 0.9888828188207428, 0.9931616598915718, 0.9977655002268628, 0.9987439254190371,
+        0.9763210453586991, 0.9943720871253056, 0.9434838581525608, 0.9697618856323773, 0.9780281296614447,
+        0.9873809802269947, 0.9906465138272579, 0.9730184957025219, 0.9878571164223002, 0.9919358770375117,
+        0.9911277252384654, 0.9888828188207426, 0.9931616598915718, 0.9977655002268628, 0.9987439254190371,
     ),
 }
 

@@ -10,8 +10,9 @@ Each row runs ``defbond validate`` or ``defbond price --json`` through
 what the command prints.  A row fails on a nonzero exit code or an exception;
 a ``price --json`` record must also parse as strict JSON (RFC 8259: no
 Infinity or NaN).  A failure does not stop the rows after it: the script
-exits 1 and names every failing row.  Its name does not match
-``test_*.py``, so pytest does not collect it.
+exits 1 and names every failing row.  Each row's wall time and the total go
+to stderr, so stdout stays comparable between two versions of the code.
+Its name does not match ``test_*.py``, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 import math
 import sys
 import tempfile
+import time
 import traceback
 import warnings
 from pathlib import Path
@@ -220,12 +222,16 @@ def main() -> int:
         for name, (base, changes) in DERIVED.items():
             paths[name] = str(Path(tmp) / f"{name}.yaml")
             Path(paths[name]).write_text(json.dumps(derive(base, changes)), encoding="utf-8")
+        total = time.perf_counter()
         for command, scenario, args in ROWS:
             row = f"defbond {command} {scenario} {args}"
             print(f"=== {row}", flush=True)
+            start = time.perf_counter()
             if not run_row(command, paths[scenario], args):
                 failed.append(row)
             sys.stdout.flush()
+            print(f"{time.perf_counter() - start:8.3f} s  {row}", file=sys.stderr, flush=True)
+        print(f"{time.perf_counter() - total:8.3f} s  all {len(ROWS)} rows", file=sys.stderr)
     n_validate = sum(command == "validate" for command, _, _ in ROWS)
     print(f"{len(ROWS)} rows ({n_validate} validate, {len(ROWS) - n_validate} price --json), "
           f"{len(failed)} failed")
