@@ -217,7 +217,7 @@ class _Space:
     """What every interval of a cascade shares, since they differ only in
     their intensity lam: the nodes y, z = y - y_0, each Fourier mode's
     psi(k) + lam and (s_V^2/2) k^2, the recovery p on the nodes split by
-    ``split``, and the four-node ``table``, built on first use."""
+    ``split``, and the four-node ``table``, filled as its reads need it."""
 
     def __init__(self, y: np.ndarray, sigma: float, mu: float, paid: np.ndarray):
         self.y, self.sigma, self.mu = y, sigma, mu
@@ -226,6 +226,7 @@ class _Space:
         self.spread = 0.5 * sigma * sigma * k * k
         self.psi = 1j * mu * k - self.spread
         self.paid_lift, self.paid_modes = self.split(paid)
+        self._table, self._built = np.empty((4, len(k)), complex), 0
 
     def split(self, row: np.ndarray):
         """The lift (c0, c1) of ``row``, the line c0 + c1 z through its end
@@ -234,22 +235,29 @@ class _Space:
         c0, c1 = float(row[0]), float((row[-1] - row[0]) / self.z[-1])
         return (c0, c1), np.fft.rfft(row[:-1] - (c0 + c1 * self.z[:-1]))
 
-    @cached_property
-    def table(self) -> np.ndarray:
+    def table(self, width: int) -> np.ndarray:
         """a_k e^(2 pi i k q / n) for the nodes q = 0..3 of a four-node read
-        and each mode k, with irfft's weights a_k: 1/n at k = 0 and at the
-        Nyquist mode of an even n, 2/n otherwise.  The rest at node m + q is
-        then Re sum_k table[q, k] w_k e^(2 pi i k m / n)."""
-        n = len(self.y) - 1
-        root = np.exp(2j * math.pi / n * np.arange(n // 2 + 1))
-        table = np.empty((4, len(root)), complex)
-        table[0] = 2.0 / n
-        table[0, 0] = 1.0 / n
-        if n % 2 == 0:
-            table[0, -1] = 1.0 / n
-        for q in (1, 2, 3):
-            np.multiply(table[q - 1], root, out=table[q])
-        return table
+        and the modes k < ``width``, with irfft's weights a_k: 1/n at k = 0
+        and at the Nyquist mode of an even n, 2/n otherwise.  The rest at
+        node m + q is then Re sum_k table[q, k] w_k e^(2 pi i k m / n).
+        Columns are filled when a read first needs them, up to twice the
+        width it asks for, so reads whose moving modes grow pay a few
+        fills, not one each."""
+        built = self._built
+        if width > built:
+            n = len(self.y) - 1
+            fill = min(2 * width, self._table.shape[1])
+            cols = self._table[:, built:fill]
+            cols[0] = 2.0 / n
+            cols[1:] = np.exp(2j * math.pi / n * np.arange(built, fill))
+            if built == 0:
+                cols[0, 0] = 1.0 / n
+            if n % 2 == 0 and fill == n // 2 + 1:
+                cols[0, -1] = 1.0 / n
+            # row q is row q - 1 times the root, product by product
+            np.multiply.accumulate(cols, axis=0, out=cols)
+            self._built = fill
+        return self._table[:, :width]
 
 
 class _Interval:
@@ -382,7 +390,7 @@ class _Interval:
         turns = (m * np.arange(moving) + n // 2) % n - n // 2
         arg = self.psi[:moving] * tau
         arg.imag += 2.0 * math.pi / n * turns
-        waves, table = self.modes[:moving] * np.exp(arg), space.table[:, :moving]
+        waves, table = self.modes[:moving] * np.exp(arg), space.table(moving)
         rest = table[:, :_BLOCK] @ waves[:_BLOCK]
         for k in range(_BLOCK, moving, _BLOCK):
             rest += table[:, k : k + _BLOCK] @ waves[k : k + _BLOCK]

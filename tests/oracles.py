@@ -12,6 +12,7 @@ adaptive quadrature with scipy's Phi.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from scipy.integrate import quad
@@ -175,17 +176,17 @@ def propagate_terminal(y, terminal, coeffs, t_start, t_end, n_steps, bc_lo, bc_h
 
 
 def dense_simulate_price(market, schedule, recovery, V0, config, t=0.0) -> McResult:
-    """``simulate_price`` computed densely: every path's x is kept at every
-    date, the first barrier hit is found by a backward pass over the dates,
-    jump times are drawn for every path and each path's bridge normal sits in
-    a dense row (zero where the block drew none).  Same blocks, draws and
+    """``simulate_price`` computed densely: every path's w = log(x / cap) is
+    kept at every date (log x for a recovery that does not grow with x), the
+    first barrier hit is found by a backward pass over the dates, jump times
+    are drawn for every path and each path's bridge normal sits in a dense
+    row (zero where the block drew none).  Same blocks, draws and
     floating-point operations as the engine, so the two agree bit for bit."""
     maturity = schedule.maturity
     df = math.exp(-market.r * (maturity - t))
-    x0 = V0 / df
+    x0 = min(max(V0 / df, math.ulp(0.0)), sys.float_info.max)
     first = next(j for j, d in enumerate(schedule.dates) if d > t)
     rem_dates = np.asarray(schedule.dates[first:], dtype=float)
-    barrier_levels = np.asarray(schedule.barriers[first - 1 :], dtype=float)
     seg_times = np.concatenate(([t], rem_dates))
     seg_lambdas = np.asarray(schedule.intensities[first - 1 :], dtype=float)
     seg_dt = np.diff(seg_times)
@@ -194,22 +195,23 @@ def dense_simulate_price(market, schedule, recovery, V0, config, t=0.0) -> McRes
     n_dates = len(rem_dates)
     drift = (-b - 0.5 * s * s) * seg_dt
     vol = s * np.sqrt(seg_dt)
-    log_x0 = math.log(x0)
+    # exogenous recovery, and endogenous at R = 0, pay a constant at default
+    constant = recovery.mode == "exogenous" or recovery.R == 0.0
+    log_cap = 0.0 if constant else math.log(recovery.n / recovery.R)
+    w0 = math.log(x0) - log_cap
+    thresholds = [math.log(K) - log_cap for K in schedule.barriers[first - 1 :]]
     dates = schedule.dates
     hazard = sum(lam * (hi - lo) for lam, lo, hi in zip(schedule.intensities, dates, dates[1:]))
     u_bound = -math.expm1(-hazard) * (1.0 + 1e-6)
 
     def leg_payoff(z, bridge, e_unif):
         n = z.shape[1]
-        log_x = np.empty((n_dates, n))
-        x_at_dates = np.empty((n_dates, n))
+        w = np.empty((n_dates, n))
         hit = np.empty((n_dates, n), dtype=bool)
         for j in range(n_dates):
             step = drift[j] + vol[j] * z[j]
-            run = step if j == 0 else run + step
-            np.add(log_x0, run, out=log_x[j])
-            np.exp(log_x[j], out=x_at_dates[j])
-            np.less_equal(x_at_dates[j], barrier_levels[j], out=hit[j])
+            np.add(w[j - 1] if j else w0, step, out=w[j])
+            np.less_equal(w[j], thresholds[j], out=hit[j])
         first_hit = np.full(n, n_dates)
         for j in range(n_dates - 1, -1, -1):
             first_hit[hit[j]] = j
@@ -230,16 +232,18 @@ def dense_simulate_price(market, schedule, recovery, V0, config, t=0.0) -> McRes
         survived = ~unexpected & ~any_hit
 
         payoff = np.ones(n)
+        if constant:
+            payoff[~survived] = recovery.R if recovery.mode == "exogenous" else 0.0
+            return payoff, survived
+        # a default pays exp(min(w, 0)) = min(1, x / cap) at its w
         if expected.any():
-            payoff[expected] = recovery.paid(x_at_dates[first_hit[expected], expected])
+            payoff[expected] = np.exp(np.minimum(w[first_hit[expected], expected], 0.0))
         if unexpected.any():
             sc = seg_c[unexpected]
             d_theta = theta[unexpected] - seg_times[sc]
-            x_base = np.where(sc == 0, x0, np.exp(log_x[np.maximum(sc - 1, 0), unexpected]))
-            x_theta = x_base * np.exp(
-                (-b - 0.5 * s * s) * d_theta + s * np.sqrt(d_theta) * bridge[unexpected]
-            )
-            payoff[unexpected] = recovery.paid(x_theta)
+            w_prev = np.where(sc == 0, w0, w[np.maximum(sc - 1, 0), unexpected])
+            growth = (-b - 0.5 * s * s) * d_theta + s * np.sqrt(d_theta) * bridge[unexpected]
+            payoff[unexpected] = np.exp(np.minimum(w_prev + growth, 0.0))
         return payoff, survived
 
     block_size = 1 << 16

@@ -8,6 +8,10 @@ from defbond import montecarlo
 from defbond.errors import DomainError
 from oracles import dense_simulate_price
 
+# the pass runs without np.errstate, so an overflow or invalid operation in it
+# fails a test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_config_validation():
     with pytest.raises(DomainError):
@@ -186,15 +190,17 @@ def test_pinned_regimes(market, regime):
 
 
 def _differential_case(k: int):
-    """Seeded configuration k of 40; k mod 8 picks a regime the engine treats
-    differently from a dense pass over every path."""
+    """Seeded configuration k of 46; for k < 40, k mod 8 picks a regime the
+    engine treats differently from a dense pass over every path, and from
+    k = 40 on each pair, one per recovery mode, picks a path that the
+    log-space pass treats specially."""
     rng = np.random.default_rng(9000 + k)
     n_dates = 1 + k % 6
     dates = (0.0,) + tuple(np.round(np.cumsum(rng.uniform(0.2, 2.5, n_dates)), 6))
     intensities = list(10.0 ** rng.uniform(-3.0, -0.5, n_dates))
     barriers = list(10.0 ** rng.uniform(1.5, 2.3, n_dates))
-    V, t = 100.0, float(rng.uniform(0.0, 0.9 * dates[1]))
-    regime = k % 8
+    V, t, r = 100.0, float(rng.uniform(0.0, 0.9 * dates[1])), 0.05
+    regime = k % 8 if k < 40 else 8 + (k - 40) // 2
     if regime == 1:  # zero-intensity middle segments
         for j in range(1, n_dates - 1):
             intensities[j] = 0.0
@@ -208,13 +214,22 @@ def _differential_case(k: int):
         V = 1e-3
     elif regime == 6:  # no jump channel
         intensities = [0.0] * n_dates
-    market = db.MarketParams(0.05, float(rng.uniform(-0.05, 0.1)), float(rng.uniform(0.1, 0.8)))
+    elif regime == 8:  # exactly on a date whose segment has intensity 0:
+        # the first jump run is empty, the later ones not
+        i = int(rng.integers(1, n_dates - 1))
+        t, intensities[i] = dates[i], 0.0
+    elif regime == 9:  # V / df past the largest float, which x0 is clamped to
+        V, r = 1e307, 20.0
+    market = db.MarketParams(r, float(rng.uniform(-0.05, 0.1)), float(rng.uniform(0.1, 0.8)))
     schedule = db.DefaultSchedule(dates, tuple(intensities), tuple(barriers))
     if k % 2:
         R, n = rng.uniform(0.2, 0.9), rng.uniform(20.0, 200.0)
+        if regime == 10:  # an infinite cap: the recovery is constant
+            R = 0.0
         rec = db.RecoveryModel("endogenous", float(R), n=float(n))
     else:
-        rec = db.RecoveryModel("exogenous", float(rng.uniform(0.0, 1.0)))
+        R = rng.uniform(0.0, 1.0)
+        rec = db.RecoveryModel("exogenous", 0.0 if regime == 10 else float(R))
     n_paths = 4000 + 2 * int(rng.integers(0, 1000))
     if k in (7, 25):  # path pairs beyond one 2^16 block
         n_paths = 2 * 2**16 + 3002
@@ -222,7 +237,7 @@ def _differential_case(k: int):
     return market, schedule, rec, V, config, t
 
 
-@pytest.mark.parametrize("k", range(40))
+@pytest.mark.parametrize("k", range(46))
 def test_matches_dense_reference_engine(k):
     market, schedule, rec, V, config, t = _differential_case(k)
     assert db.simulate_price(market, schedule, rec, V, config, t) == dense_simulate_price(
@@ -230,7 +245,7 @@ def test_matches_dense_reference_engine(k):
     )
 
 
-@pytest.mark.parametrize("k", range(40))
+@pytest.mark.parametrize("k", range(46))
 def test_shared_draws_match_single_starts(k):
     # two more starts in the case's interval at other V and t, so their
     # remaining hazards, and the jumps each one keeps, differ
