@@ -154,6 +154,22 @@ def cmd_curve(args) -> int:
     return EXIT_OK
 
 
+def validation_grid(scenario: Scenario, n_space: int = 2048, n_time: int = 2048):
+    """The PDE grid ``validate`` solves on: the relative spot, clamped as the
+    closed form clamps it, is monotone in t, so the hull of the ``auto``
+    grids at its values at t = 0 and t = T holds the spot of every probe."""
+    market, schedule = scenario.market, scenario.schedule
+    engines = sys.modules[__name__]  # the PDE loads here, through __getattr__
+    low, high = (
+        engines.GridSpec.auto(market, schedule, x, scenario.recovery, n_space, n_time)
+        for x in sorted(
+            _relative_spot(scenario.firm_value(t), _discount(market.r, schedule.maturity - t, "validate"))
+            for t in (0.0, schedule.maturity)
+        )
+    )
+    return engines.GridSpec(low.x_min, high.x_max, n_space, n_time)
+
+
 def cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
     market, schedule, recovery = scenario.market, scenario.schedule, scenario.recovery
@@ -166,16 +182,7 @@ def cmd_validate(args) -> int:
     # every argument is checked before the engines run, the slow part
     engines = sys.modules[__name__]  # the engines load here, through __getattr__
     sim = engines.SimConfig(n_paths=args.paths, seed=args.seed)
-    # the relative spot, clamped as the closed form clamps it, is monotone in
-    # t: the hull of the grids at its ends holds the spot of every probe
-    low, high = (
-        engines.GridSpec.auto(market, schedule, x, recovery, args.n_space, args.n_time)
-        for x in sorted(
-            _relative_spot(scenario.firm_value(t), _discount(market.r, schedule.maturity - t, "validate"))
-            for t in (0.0, schedule.maturity)
-        )
-    )
-    grid = engines.GridSpec(low.x_min, high.x_max, args.n_space, args.n_time)
+    grid = validation_grid(scenario, args.n_space, args.n_time)
     firms = [scenario.firm_value(t) for t in times]  # x-scenarios rescale V, V-scenarios hold it
     # one call: every probe reads the same draws of each block; made before
     # the solve, its scratch never sits beside the cascade's kept rows, which

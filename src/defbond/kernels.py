@@ -25,7 +25,7 @@ from functools import cache
 
 import numpy as np
 
-from .normal import _INF, _PHI_ZERO, _SQRT_HALF, _phi
+from .normal import _PHI_ZERO, _SQRT_HALF, _phi
 
 # Standardized coordinates are cut to [-_L, _L] (the mass outside is below
 # 3e-19 per coordinate); panels carry _NODES Gauss-Legendre nodes, or
@@ -165,45 +165,49 @@ def _point_kernel(x, r: float, s: float, z):
     return k
 
 
-def _phi_between(lo: float, hi: float, r, s, y, phi):
-    """Phi((hi - r y) / s) - Phi((lo - r y) / s) at every y, by the array Phi
-    ``phi``, for a window bounded on one side: Phi is exactly 0 and 1 at -inf
-    and inf, so the infinite limit takes no Phi, and an upper window is
-    taken as Phi((r y - lo) / s), keeping its relative accuracy in the tail
-    instead of cancelling against 1."""
-    if lo == -_INF:
-        return phi((hi - r * y) / s)
-    return phi((r * y - lo) / s)
+def _window(h: float, sign: int, r, s, y, phi):
+    """P(sign X <= h | Y = y) = Phi((h - r y) / s) or Phi((r y + h) / s) at
+    every y, by the array Phi ``phi``, for X ~ N(r y, s^2): each sign takes
+    its own Phi rather than one minus the other's, so a tail keeps its
+    relative accuracy instead of cancelling against 1."""
+    if sign == 1:
+        return phi((h - r * y) / s)
+    return phi((r * y + h) / s)
 
 
-def _chain_box(lower, upper, rho) -> tuple[float, float]:
-    """P(lower <= X <= upper) for a standardized Gaussian Markov chain of
-    d >= 3 coordinates with adjacent correlations ``rho[k] = corr[k, k+1]``,
-    on the _NODES rule and on the _NODES_COARSE rule of its error estimate.
+def _chain_box(limits, signs, rho) -> tuple[float, float]:
+    """P(s_k X_k <= h_k for every k) for a standardized Gaussian Markov chain
+    of d >= 3 coordinates with adjacent correlations ``rho[k] = corr[k, k+1]``,
+    finite limits h_k and signs s_k = +-1, on the _NODES rule and on the
+    _NODES_COARSE rule of its error estimate.
 
-    g_k(y) = P(X_j in box_j for all j < k | X_k = y) is carried on a panel
-    Gauss-Legendre grid of each inner coordinate's box cut to [-_L, _L].
-    g_1 is a Phi (``_phi_between``); g_k integrates g_{k-1} against the law
+    g_k(y) = P(s_j X_j <= h_j for all j < k | X_k = y) is carried on a panel
+    Gauss-Legendre grid of each inner coordinate's window cut to [-_L, _L]:
+    (-_L, min(h, _L)) for s = 1 and (max(-h, -_L), _L) for s = -1.
+    g_1 is a Phi (``_window``); g_k integrates g_{k-1} against the law
     N(rho z, 1 - rho^2) of X_{k-1} given X_k = z; the result integrates
     phi * g_{d-2} against the last coordinate's Phi.
-    Panels break at the neighbouring box edges seen from this coordinate and
-    grade down to their widths, so near-coincident dates stay resolved.
+    Panels break at the neighbouring windows' edges s h seen from this
+    coordinate and grade down to their widths, so near-coincident dates stay
+    resolved.
 
     Both rules run in one pass over the same panel edges: their nodes sit in
     one flat array, the fine rule's block first, so each elementwise step is
     one numpy call, while each kernel step and each sum runs on one rule's
     contiguous block, exactly as that rule alone would.
     """
-    d = len(lower)
+    d = len(limits)
     s = [max(math.sqrt((1.0 - r) * (1.0 + r)), _S_MIN) for r in rho]
     rules = [_legendre(n)[:2] for n in (_NODES, _NODES_COARSE)]
     for k in range(1, d - 1):
-        a, b = max(lower[k], -_L), min(upper[k], _L)
+        if signs[k] == 1:
+            a, b = -_L, min(limits[k], _L)
+        else:
+            a, b = max(-limits[k], -_L), _L
         if a >= b:
             return 0.0, 0.0
-        features = [(e / rho[j], s[j] / abs(rho[j]))
-                    for j, nb in ((k - 1, k - 1), (k, k + 1)) for e in (lower[nb], upper[nb])
-                    if math.isfinite(e) and rho[j] != 0.0]
+        features = [(signs[nb] * limits[nb] / rho[j], s[j] / abs(rho[j]))
+                    for j, nb in ((k - 1, k - 1), (k, k + 1)) if rho[j] != 0.0]
         # grid k feeds the next inner step: point-evaluate that kernel on
         # panels of three kernel widths, unless that needs too many panels
         point = k < d - 2 and b - a <= 3.0 * s[k] * _MAX_PANELS
@@ -214,7 +218,7 @@ def _chain_box(lower, upper, rho) -> tuple[float, float]:
         hw = np.concatenate([half * w for _, w in rules], axis=None)
         blocks = [slice(0, half.size * _NODES), slice(half.size * _NODES, y.size)]
         if k == 1:
-            g = _phi_between(lower[0], upper[0], rho[0], s[0], y, _array_phi())
+            g = _window(limits[0], signs[0], rho[0], s[0], y, _array_phi())
         elif prev_point:
             g = np.concatenate([
                 _point_kernel(prev_y[old], rho[k - 1], s[k - 1], y[new]) @ prev_wg[old]
@@ -227,6 +231,6 @@ def _chain_box(lower, upper, rho) -> tuple[float, float]:
                 for new, old, n in zip(blocks, prev_blocks, (_NODES, _NODES_COARSE))
             ])
         prev_point, prev_edges, prev_blocks, prev_y, prev_g, prev_wg = point, edges, blocks, y, g, hw * g
-    q = _phi_between(lower[d - 1], upper[d - 1], rho[d - 2], s[d - 2], y, _array_phi())
+    q = _window(limits[d - 1], signs[d - 1], rho[d - 2], s[d - 2], y, _array_phi())
     terms = prev_wg * _norm_pdf(y) * q
     return tuple(min(max(float(terms[block].sum()), 0.0), 1.0) for block in blocks)

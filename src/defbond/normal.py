@@ -10,11 +10,12 @@ three or more needs arrays.  Every scalar Phi is ``math.erfc``, the C
 library's erfc (piecewise rational approximations after Cody, Math. Comp.
 1969), so dimensions one and two need no scipy.  Phi is exactly 0 or 1 past
 +-37.68 (``_PHI_ZERO``), so a limit past it is +-inf from where it enters
-``mvn_cdf`` or ``bivariate_cdf``, the one place it lives.  A box of one or two
-coordinates is an orthant of the coordinates signed toward their bounds
-(X > lo, or -X > -hi for an upper bound): Phi(-h) in one dimension, and in
-two a fixed-order Gauss-Legendre reduction of the bivariate integral (Genz,
-Statistics and Computing 2004) at a correlation r >= 0.  At r < 0 the
+``mvn_cdf`` or ``bivariate_cdf``, the one place it lives.  Every box is the
+event s_k X_k <= h_k at each coordinate, a limit h_k and a sign s_k = +-1, as
+the binaries state it, and it keeps that form down to the kernels.  One
+coordinate is Phi(h), and two the orthant P(-s_1 X > -h_1, -s_2 Y > -h_2) at
+correlation s_1 s_2 rho, a fixed-order Gauss-Legendre reduction of the
+bivariate integral (Genz, Statistics and Computing 2004) at r >= 0.  At r < 0 the
 orthant is its smaller marginal minus the reflected orthant at -r; where
 that difference cancels far below the marginal it is recomputed as a
 positive conditional integral, so tail boxes keep their relative accuracy.
@@ -226,8 +227,8 @@ def bivariate_cdf(a: float, b: float, rho: float) -> float:
         raise DomainError(f"bivariate_cdf: |rho| = {abs(rho)} > 1")
     if rho == -1.0:
         return max(0.0, _phi(a) - _phi(-b))
-    upper = [v if _PHI_ZERO < v < -_PHI_ZERO else math.copysign(_INF, v) for v in (a, b)]
-    return _box_probability([-_INF, -_INF], upper, [rho])[0]
+    limits = [v if _PHI_ZERO < v < -_PHI_ZERO else math.copysign(_INF, v) for v in (a, b)]
+    return _box_probability(limits, (1, 1), [rho])[0]
 
 
 @dataclass(frozen=True)
@@ -300,59 +301,43 @@ class CorrelationStructure:
         return ratio
 
 
-def _reduce_box(lower, upper, rho):
-    """Marginalize unconstrained coordinates: dropping coordinate k joins its
-    neighbours with the correlation ``rho[k-1] * rho[k]``; a chain's
-    correlations, and so their products, are never negative.
-
-    Returns (lower, upper, rho), or None for an empty box.  A limit past
-    +-37.68 arrives as +-inf, so it drops or empties its coordinate here,
-    before any kernel.
-    """
-    keep = []
-    for lo, hi in zip(lower, upper):
-        if hi <= lo:
-            return None
-        keep.append(lo > -_INF or hi < _INF)
-    if all(keep):
-        return lower, upper, rho
-    idx = [k for k, kept in enumerate(keep) if kept]
+def _reduce_box(limits, signs, rho):
+    """Marginalize the coordinates whose limit is +inf: dropping coordinate
+    k drops its sign too and joins its neighbours with the correlation
+    ``rho[k-1] * rho[k]``; a chain's correlations, and so their products, are
+    never negative.  A limit past +-37.68 arrives as +-inf, so it drops here,
+    before any kernel.  Returns (limits, signs, rho)."""
+    if _INF not in limits:
+        return limits, signs, rho
+    idx = [k for k, h in enumerate(limits) if h < _INF]
     rho = [math.prod(rho[i:j]) for i, j in zip(idx, idx[1:])]
-    return [lower[k] for k in idx], [upper[k] for k in idx], rho
+    return [limits[k] for k in idx], [signs[k] for k in idx], rho
 
 
-def _box_probability(lower, upper, rho):
-    """P(lower <= X <= upper), with error estimate, for a standardized
-    Gaussian Markov chain X with adjacent correlations ``rho``; each
-    coordinate is bounded on one side at most, limits past +-37.68 arrive as
-    +-inf, and limits and correlations are lists of floats."""
+def _box_probability(limits, signs, rho):
+    """P(s_k X_k <= h_k for every k), with error estimate, for a standardized
+    Gaussian Markov chain X with adjacent correlations ``rho``, limits h_k
+    (past +-37.68 they arrive as +-inf) and signs s_k = +-1; limits and
+    correlations are lists of floats."""
+    if -_INF in limits:
+        return 0.0, 0.0
     if rho:
-        # one coordinate has nothing to reduce; d == 1 below tells it empty
-        reduced = _reduce_box(lower, upper, rho)
-        if reduced is None:
-            return 0.0, 0.0
-        lower, upper, rho = reduced
-    d = len(lower)
+        # a single coordinate is not reduced: +inf gives Phi(inf) = 1 below
+        limits, signs, rho = _reduce_box(limits, signs, rho)
+    d = len(limits)
     if d == 0:
         return 1.0, 0.0
-    # up to two coordinates: an orthant of the coordinates signed toward
-    # their bounds, X > lo or -X > -hi
+    # s X <= h is the upper tail -s X > -h: one coordinate is Phi(h) under
+    # either sign, two an orthant of the coordinates so signed
     if d == 1:
-        lo, hi = lower[0], upper[0]
-        if hi <= lo:
-            return 0.0, 0.0
-        return _phi(-lo) if hi == _INF else _phi(hi), 1e-15
+        return _phi(limits[0]), 1e-15
     exactly_one = _EXACTLY_ONE * rho.count(1.0)
     if d == 2:
-        (h, k), (h_up, k_up), r = lower, upper, rho[0]
-        if h_up < _INF:
-            h, r = -h_up, -r
-        if k_up < _INF:
-            k, r = -k_up, -r
-        return _orthant(h, k, r), 5e-15 + exactly_one
+        (h, k), (s1, s2) = limits, signs
+        return _orthant(-h, -k, s1 * s2 * rho[0]), 5e-15 + exactly_one
     from .kernels import _chain_box
 
-    p, coarse = _chain_box(lower, upper, rho)
+    p, coarse = _chain_box(limits, signs, rho)
     return p, max(abs(p - coarse), 1e-15) + exactly_one
 
 
@@ -391,7 +376,7 @@ def mvn_cdf(a, corr, signs=None, config: QmcConfig = DEFAULT_QMC):
         signed = False
     if signs is None or not signed:
         signs = repeat(1)
-    lower, upper = [], []
+    limits, flips = [], []
     try:
         for v, s in zip(a, signs):
             v = float(v)
@@ -399,21 +384,20 @@ def mvn_cdf(a, corr, signs=None, config: QmcConfig = DEFAULT_QMC):
                 if v != v:
                     raise DomainError("mvn_cdf: NaN limit")
                 v = math.copysign(_INF, v)
+            limits.append(v)
             if s == -1:
-                lower.append(-v)
-                upper.append(_INF)
+                flips.append(-1)
             else:
                 signed = signed and s == 1
-                lower.append(-_INF)
-                upper.append(v)
+                flips.append(1)
     except TypeError:
-        lower = []
-    if not lower:
+        limits = []
+    if not limits:
         raise DomainError("mvn_cdf: limits must be a one-dimensional sequence")
     if not isinstance(corr, CorrelationStructure):
         raise DomainError("mvn_cdf: correlation must be a CorrelationStructure")
-    if len(corr.expiries) != len(lower):
+    if len(corr.expiries) != len(limits):
         raise DomainError("mvn_cdf: limits and correlation dimension differ")
     if not signed:
         raise DomainError("mvn_cdf: signs must be a vector of +-1 entries")
-    return _box_probability(lower, upper, corr.rho)
+    return _box_probability(limits, flips, corr.rho)

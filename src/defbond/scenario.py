@@ -41,7 +41,8 @@ __all__ = [
 
 SWEEP_PARAMETERS = ("R", "s_V", "x", "K", "K<i>", "lambda", "lambda<i>")
 
-_SWEEP_RE = re.compile(r"^(R|s_V|x|K(\d+)?|lambda(\d+)?)$")
+# matched with fullmatch: "$" would also match before a final newline
+_SWEEP_RE = re.compile(r"R|s_V|x|K(\d+)?|lambda(\d+)?")
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,10 @@ def _mapping(doc: dict, key: str) -> dict:
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError("BAD_VALUE", f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the largest float
+        raise ScenarioError("BAD_VALUE", f"{where} lies past the float range") from None
 
 
 def _number_list(value, where: str) -> tuple[float, ...]:
@@ -178,7 +182,7 @@ def parse_scenario(doc: dict) -> Scenario:
         if not isinstance(w, dict):
             raise ScenarioError("BAD_SWEEP", "sweep must be a mapping")
         parameter = _require(w, "parameter", "sweep")
-        if not isinstance(parameter, str) or not _SWEEP_RE.match(parameter):
+        if not isinstance(parameter, str) or not _SWEEP_RE.fullmatch(parameter):
             raise ScenarioError(
                 "BAD_SWEEP",
                 f"sweep.parameter {parameter!r} not in the published set {SWEEP_PARAMETERS}",
@@ -230,7 +234,7 @@ def load_scenario(path) -> Scenario:
 
 def apply_sweep_value(scenario: Scenario, parameter: str, value) -> Scenario:
     """New scenario with one swept parameter replaced."""
-    match = _SWEEP_RE.match(parameter)
+    match = _SWEEP_RE.fullmatch(parameter)
     if not match:
         raise ScenarioError("BAD_SWEEP", f"unknown sweep parameter {parameter!r}")
     schedule = scenario.schedule
@@ -261,14 +265,14 @@ def apply_sweep_value(scenario: Scenario, parameter: str, value) -> Scenario:
     elif parameter == "lambda":
         part, fields = "schedule", {"intensities": as_vector(schedule.intensities)}
     elif parameter.startswith("K"):
-        idx = int(match.group(2)) - 1
+        idx = int(match.group(1)) - 1
         if not 0 <= idx < n:
             raise ScenarioError("BAD_SWEEP", f"{parameter}: barrier index out of range 1..{n}")
         barriers = list(schedule.barriers)
         barriers[idx] = scalar()
         part, fields = "schedule", {"barriers": tuple(barriers)}
     else:
-        idx = int(match.group(3))
+        idx = int(match.group(2))
         if not 0 <= idx < n:
             raise ScenarioError("BAD_SWEEP", f"{parameter}: interval index out of range 0..{n - 1}")
         intensities = list(schedule.intensities)

@@ -7,9 +7,8 @@ Run from the repository root, with the package installed or on the path::
 
 ``figure_failures`` takes every point of figures 1-9 as ``defbond curve
 --figure N --points P`` prints it and compares it with one 2048-node cascade
-per series, on the grid ``validate`` builds: the hull of the ``auto`` grids
-at the relative spot's two ends.  A point fails when the two differ by more
-than ``GATE`` in price.  The script checks 121 points per series on all
+per series, on the grid ``validate`` builds, ``cli.validation_grid``.  A
+point fails when the two differ by more than ``GATE`` in price.  The script checks 121 points per series on all
 three bases, prints each base's largest gap and exits 1 naming every failing
 point; ``tests/test_pde.py`` runs the same check at 9 points.  Its name does
 not match ``test_*.py``, so pytest does not collect it.
@@ -26,7 +25,7 @@ from pathlib import Path
 import defbond as db
 from defbond import cli
 from defbond.figures import FIGURE_PRESETS
-from defbond.pde import GridSpec, sample
+from defbond.pde import sample
 from defbond.pricing import _discount, _relative_spot
 from defbond.scenario import apply_sweep_value
 
@@ -62,10 +61,8 @@ def figure_failures(name: str, points: int) -> tuple[float, list[str]]:
                 df = _discount(market.r, schedule.maturity - t, "test")
                 return df, _relative_spot(s.firm_value(t), df)
 
-            ends = sorted(spot(t)[1] for t in (0.0, schedule.maturity))
-            low, high = (GridSpec.auto(market, schedule, x, rec) for x in ends)
             solve = db.solve_exogenous_cascade if rec.mode == "exogenous" else db.solve_endogenous_cascade
-            sol = solve(market, schedule, rec, GridSpec(low.x_min, high.x_max))
+            sol = solve(market, schedule, rec, cli.validation_grid(s))
             for k, row in enumerate(rows):
                 t = k * schedule.maturity / len(rows)  # the curve's time, unrounded
                 df, x = spot(t)

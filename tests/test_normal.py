@@ -272,11 +272,13 @@ def test_mvn_delegates_low_dimensions():
 
 def test_mvn_marginalization_chain():
     # an infinite limit on the first, an interior or the last coordinate must
-    # reduce to the call on the chain without that date; an interior drop
-    # joins its neighbours through rho[k-1] * rho[k]
+    # reduce to the call on the chain without that date, whatever the sign of
+    # the dropped coordinate and under any signs of the kept ones; an interior
+    # drop joins its neighbours through rho[k-1] * rho[k].  A -inf limit at
+    # any position empties the box, exactly.
     rng = np.random.default_rng(5)
     expiries = (0.7, 1.1, 2.0, 3.4, 5.0, 6.5)
-    for m in range(3, 7):
+    for m in range(2, 7):
         c_full = db.CorrelationStructure(0.0, expiries[:m])
         for k in range(m):
             c_red = db.CorrelationStructure(0.0, expiries[:k] + expiries[k + 1 : m])
@@ -284,6 +286,13 @@ def test_mvn_marginalization_chain():
             p_full, _ = db.mvn_cdf(np.insert(a, k, INF), c_full)
             p_red, _ = db.mvn_cdf(a, c_red)
             assert abs(p_full - p_red) <= 1e-12, (m, k)
+            kept = rng.choice((-1, 1), size=m - 1)
+            p_red, _ = db.mvn_cdf(a, c_red, kept)
+            for sign in (1, -1):
+                signs = np.insert(kept, k, sign)
+                p_full, _ = db.mvn_cdf(np.insert(a, k, INF), c_full, signs)
+                assert abs(p_full - p_red) <= 1e-12, (m, k, kept, sign)
+                assert db.mvn_cdf(np.insert(a, k, -INF), c_full, signs) == (0.0, 0.0), (m, k, sign)
 
 
 def test_mvn_signs_match_bivariate_in_two_dimensions():

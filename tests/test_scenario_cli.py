@@ -70,6 +70,13 @@ def test_parse_firm_value_given_directly(base_doc):
         (lambda d: d["schedule"].update(dates=[0.0, 3.0, math.inf]), "BAD_VALUE"),
         (lambda d: d.update(sweep=["R", 0.2]), "BAD_SWEEP"),
         (lambda d: d.update(sweep={"parameter": "R", "values": []}), "BAD_SWEEP"),
+        # "$" alone would take a name with a final newline
+        (lambda d: d.update(sweep={"parameter": "R\n", "values": [0.2]}), "BAD_SWEEP"),
+        (lambda d: d.update(sweep={"parameter": "lambda\n", "values": [0.01]}), "BAD_SWEEP"),
+        (lambda d: d.update(sweep={"parameter": "K1\n", "values": [50.0]}), "BAD_SWEEP"),
+        # integers past the largest float
+        (lambda d: d["evaluation"].update(x=10**400), "BAD_VALUE"),
+        (lambda d: d.update(sweep={"parameter": "x", "values": [10**400]}), "BAD_VALUE"),
     ],
 )
 def test_parse_errors_carry_codes(base_doc, mutate, code):
