@@ -24,9 +24,10 @@ it, and split into parts that each move exactly (``_Interval``):
 The continuous rest keeps two kinks, of the glued row at ln B and of the
 endogenous recovery at its cap; each gets the trapezoid rule's error in its
 cell put back on two nodes (``_trapezoid``), and ``sample`` reads the row by
-cubic interpolation, so neither adds an h^2 error.  A sample sums the row's
-still-moving modes at the four nodes its cubic reads, not the whole row, and
-an interval's row at its start is built only when the gluing before it or a
+cubic interpolation, so neither adds an h^2 error.  The cubic at a spot is
+taken once in Fourier space, one weight per mode (``_Space.spot``), so a
+sample at t is one ``exp`` over the still-moving modes and one sum, and an
+interval's row at its start is built only when the gluing before it or a
 reader of ``values`` asks for it.  The periodic extension
 joins the grid's two edges, so rows within reach of an edge carry the other
 edge's data; ``GridSpec.auto`` keeps every barrier, the cap and the spot out
@@ -60,12 +61,6 @@ __all__ = [
 # Grid edges sit at least this factor past every barrier, the recovery cap and
 # the spot (GridSpec.auto).
 _MARGIN = 50.0
-
-# Modes per product in a four-node read.  OpenBLAS runs a gemv of 2304 x 4
-# or more complex entries on several threads, whose wake-up took 8 ms at the
-# 99th percentile on a busy 2-vCPU host against 47 us for the same sum in
-# blocks of 2048 modes, each on the calling thread.
-_BLOCK = 2048
 
 # e^-40 and Phi(-40) both lie under double rounding: a Fourier mode decayed
 # by e^-40 takes its settled value, and a Phi term is evaluated only within
@@ -217,7 +212,7 @@ class _Space:
     """What every interval of a cascade shares, since they differ only in
     their intensity lam: the nodes y, z = y - y_0, each Fourier mode's
     psi(k) + lam and (s_V^2/2) k^2, the recovery p on the nodes split by
-    ``split``, and the four-node ``table``, filled as its reads need it."""
+    ``split``, and the cubic read of each spot sampled (``spot``)."""
 
     def __init__(self, y: np.ndarray, sigma: float, mu: float, paid: np.ndarray):
         self.y, self.sigma, self.mu = y, sigma, mu
@@ -226,7 +221,7 @@ class _Space:
         self.spread = 0.5 * sigma * sigma * k * k
         self.psi = 1j * mu * k - self.spread
         self.paid_lift, self.paid_modes = self.split(paid)
-        self._table, self._built = np.empty((4, len(k)), complex), 0
+        self._spots = {}
 
     def split(self, row: np.ndarray):
         """The lift (c0, c1) of ``row``, the line c0 + c1 z through its end
@@ -235,29 +230,28 @@ class _Space:
         c0, c1 = float(row[0]), float((row[-1] - row[0]) / self.z[-1])
         return (c0, c1), np.fft.rfft(row[:-1] - (c0 + c1 * self.z[:-1]))
 
-    def table(self, width: int) -> np.ndarray:
-        """a_k e^(2 pi i k q / n) for the nodes q = 0..3 of a four-node read
-        and the modes k < ``width``, with irfft's weights a_k: 1/n at k = 0
-        and at the Nyquist mode of an even n, 2/n otherwise.  The rest at
-        node m + q is then Re sum_k table[q, k] w_k e^(2 pi i k m / n).
-        Columns are filled when a read first needs them, up to twice the
-        width it asks for, so reads whose moving modes grow pay a few
-        fills, not one each."""
-        built = self._built
-        if width > built:
+    def spot(self, y: float):
+        """The cubic read at log-spot y (``_cubic``): the first node m it
+        reads, its weights w_q on the nodes m + q, q = 0..3, their sum, the
+        sum of w_q z_(m+q), and c_k = a_k sum_q w_q e^(2 pi i k (m + q) / n),
+        the conjugate transform of the weights on the n cells, with irfft's
+        a_k: 1/n at k = 0 and at the Nyquist mode of an even n, 2/n
+        otherwise.  The cubic of irfft(w) at y is then Re sum_k c_k w_k.
+        Made once per spot and kept for the life of the cascade."""
+        read = self._spots.get(y)
+        if read is None:
+            m, weights = _cubic(self.y, y)
             n = len(self.y) - 1
-            fill = min(2 * width, self._table.shape[1])
-            cols = self._table[:, built:fill]
-            cols[0] = 2.0 / n
-            cols[1:] = np.exp(2j * math.pi / n * np.arange(built, fill))
-            if built == 0:
-                cols[0, 0] = 1.0 / n
-            if n % 2 == 0 and fill == n // 2 + 1:
-                cols[0, -1] = 1.0 / n
-            # row q is row q - 1 times the root, product by product
-            np.multiply.accumulate(cols, axis=0, out=cols)
-            self._built = fill
-        return self._table[:, :width]
+            at = np.zeros(n)
+            at[np.arange(m, m + 4) % n] = weights
+            c = np.fft.rfft(at).conj()
+            c *= 2.0 / n
+            c[0] *= 0.5
+            if n % 2 == 0:
+                c[-1] *= 0.5
+            read = m, weights, sum(weights), float(np.dot(weights, self.z[m : m + 4])), c
+            self._spots[y] = read
+        return read
 
 
 class _Interval:
@@ -281,9 +275,10 @@ class _Interval:
     g = lam times the modes of p's rest and psi = psi(k) - lam; s = 0 at
     lam = 0, where only the mode k = 0 has psi = 0.  A mode with
     -Re(psi) tau > ``_TAIL`` has settled at s and pays no ``exp``.  ``row``
-    gives the whole row at t; ``four`` reads four nodes, summing the moving
-    modes there directly onto the settled modes' rest, one inverse FFT made
-    the first time it is read.
+    gives the whole row at t; ``read`` gives its cubic at one spot from the
+    spot's weights c_k (``_Space.spot``): it keeps, per spot, c_k times the
+    moving part of w and the settled modes' share Re sum_k c_k s_k, so a
+    read at t is one ``exp`` over the moving modes, one sum and the line.
 
     ``times`` holds [t_lo, t_hi] and ``kept`` the rows there, terms included,
     the last the glued ``terminal`` row.  The row at t_lo is ``start``'s,
@@ -311,6 +306,7 @@ class _Interval:
         self.psi = space.psi - lam
         self.settled = -lam * space.paid_modes / self.psi if lam else np.zeros_like(modes)
         self.modes = modes - self.settled
+        self._reads = {}
 
     @cached_property
     def start(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -329,14 +325,6 @@ class _Interval:
     def kept(self) -> np.ndarray:
         return np.array([self.start[0], self.terminal])
 
-    @cached_property
-    def settled_rest(self) -> np.ndarray:
-        """irfft of the settled modes on the n + 1 nodes, the last the first
-        again; 0 at lam = 0."""
-        n = len(self.space.y) - 1
-        rest = np.fft.irfft(self.settled, n) if self.lam else np.zeros(n)
-        return np.append(rest, rest[0])
-
     def _moved(self, tau: float):
         """The terms' amplitudes, centres and variances at tau."""
         amp, centre, var = self.jumps
@@ -349,8 +337,8 @@ class _Interval:
         """How many modes, from k = 0 up, have not settled by tau."""
         return int(self.space.spread.searchsorted(_TAIL / tau - self.lam))
 
-    def _line(self, tau: float, z: np.ndarray) -> np.ndarray:
-        """The line A + B z at tau."""
+    def _line(self, tau: float) -> tuple[float, float]:
+        """The line's level A and slope B at tau."""
         (c0, c1), (p0, p1) = self.lift, self.space.paid_lift
         lam = self.lam
         e = math.exp(-lam * tau)
@@ -358,7 +346,7 @@ class _Interval:
         inner = (big_e - tau * e) / lam if lam else 0.5 * tau * tau
         slope = e * c1 + lam * p1 * big_e
         level = e * c0 + lam * p0 * big_e + self.space.mu * (c1 * tau * e + lam * p1 * inner)
-        return level + slope * z
+        return level, slope
 
     def row(self, t: float) -> np.ndarray:
         """The row at t less its jump terms: A + B z + irfft(w).  At t_hi it
@@ -371,30 +359,30 @@ class _Interval:
         modes = self.settled.copy()
         modes[:moving] += np.exp(self.psi[:moving] * tau) * self.modes[:moving]
         rest = np.fft.irfft(modes, len(space.y) - 1)
-        out = self._line(tau, space.z)
+        level, slope = self._line(tau)
+        out = level + slope * space.z
         out[:-1] += rest
         out[-1] += rest[0]
         return out
 
-    def four(self, m: int, t: float) -> np.ndarray:
-        """``row(t)[m : m + 4]`` from the moving modes alone, each summed at
-        the four nodes, on the settled modes' rest there."""
+    def read(self, y: float, t: float) -> float:
+        """The cubic of ``row(t)`` at log-spot y."""
+        m, weights, total, moment, c = self.space.spot(y)
         tau = self.t_hi - t
         if tau == 0.0:
-            return self.terminal[m : m + 4]
-        space = self.space
-        n = len(space.y) - 1
+            return float(np.dot(weights, self.terminal[m : m + 4]))
+        kept = self._reads.get(y)
+        if kept is None:
+            kept = c * self.modes, float((c * self.settled).real.sum())
+            self._reads[y] = kept
+        waves, settled = kept
         moving = self._moving(tau)
-        # m k reduced in integers into [-n/2, n/2): the phase stays exact on
-        # any grid and its rounding at most half an ulp of pi
-        turns = (m * np.arange(moving) + n // 2) % n - n // 2
-        arg = self.psi[:moving] * tau
-        arg.imag += 2.0 * math.pi / n * turns
-        waves, table = self.modes[:moving] * np.exp(arg), space.table(moving)
-        rest = table[:, :_BLOCK] @ waves[:_BLOCK]
-        for k in range(_BLOCK, moving, _BLOCK):
-            rest += table[:, k : k + _BLOCK] @ waves[k : k + _BLOCK]
-        return self._line(tau, space.z[m : m + 4]) + (rest.real + self.settled_rest[m : m + 4])
+        level, slope = self._line(tau)
+        # a numpy sum, not a BLAS dot, whose threads would hinge on the width
+        terms = self.psi[:moving] * tau
+        np.exp(terms, out=terms)
+        terms *= waves[:moving]
+        return float(terms.real.sum()) + settled + level * total + slope * moment
 
     def jump(self, y: float, t: float) -> float:
         """The jump terms at log-spot y and time t, summed in the order and
@@ -522,5 +510,4 @@ def sample(solution: CascadeSolution, x: float, t: float) -> float:
         raise DomainError(f"sample: time {t} outside the grid hull")
     i = min(bisect_right(solution.dates, t) - 1, len(solution.steppers) - 1)
     stepper = solution.steppers[i]
-    m, weights = _cubic(solution.y, y)
-    return float(np.dot(weights, stepper.four(m, t))) + stepper.jump(y, t)
+    return stepper.read(y, t) + stepper.jump(y, t)

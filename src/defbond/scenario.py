@@ -225,8 +225,10 @@ def load_scenario(path) -> Scenario:
             doc = yaml.load(fh, Loader=_Loader)
     except OSError as exc:
         raise ScenarioError("BAD_FILE", f"cannot read {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ScenarioError("BAD_FILE", f"cannot parse {path}: {exc}") from exc
+    except ValueError as exc:  # a scalar PyYAML's constructors refuse, no YAMLError
+        raise ScenarioError("BAD_VALUE", f"cannot read a value in {path}: {exc}") from exc
     if doc is None:
         raise ScenarioError("BAD_FILE", f"{path} is empty")
     return parse_scenario(doc)

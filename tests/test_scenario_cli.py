@@ -155,6 +155,25 @@ def test_cli_price_rejects_non_finite_numbers(tmp_path, capsys, b, V):
     assert err.count("\n") == 1 and err.startswith("error BAD_VALUE: "), err
 
 
+@pytest.mark.parametrize("b, V, code", [
+    ("0.05", "1" + "0" * 5000, "BAD_VALUE"), ("2020-13-45", "100.0", "BAD_VALUE"),
+    ("0.05", "100.0 # \xff", "BAD_FILE"),
+], ids=["int-of-5001-digits", "impossible-date", "non-utf-8"])
+def test_cli_price_rejects_unreadable_scalars(tmp_path, capsys, b, V, code):
+    # PyYAML's constructors raise ValueError, no YAMLError, for an integer
+    # past Python's 4300-digit conversion limit and for an impossible date,
+    # and a byte that is not UTF-8 raises UnicodeDecodeError: each is one
+    # coded line and exit 2, not a traceback
+    path = tmp_path / "scn.yaml"
+    path.write_bytes(_SCENARIO_TEXT.format(b=b, V=V).encode("latin-1"))
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(path)
+    assert exc.value.code == code
+    assert main(["price", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error {code}: "), err
+
+
 # A discount factor past the float range (r = -200 over T = 6), or an
 # x-scenario whose firm value x exp(-r T) at t = 0 is 0 or inf, fails at
 # load, naming the field the user gave
