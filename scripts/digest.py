@@ -16,7 +16,14 @@ Layers:
   nodes (``GridSpec.auto`` at the base's spot), at fixed spots and at fixed
   times that include the interior date, one ulp before it and maturity;
   then the benchmark's ``pde_prices`` of every ``curve`` and ``multidate``
-  problem of round 0 at seed 3, at the times that round prices them.
+  problem of round 0 at seed 3, at the times that round prices them; then
+  cascades whose intervals carry several jump terms: the near-date schedule
+  (dates 3 and 3.000001) and seeded 16- and 32-date schedules at s_V
+  0.05-0.1 with barriers log-uniform on 10-316, in both recovery modes, each
+  sampled at seeded spots and times in every interval.
+- ``closed``: the price, ``cdf_error`` and ``quadrature_error`` of every
+  ``PriceReport`` of ``curve`` rounds 0-1 and ``multidate`` round 0 at seed
+  3, the closed-form requests the benchmark times.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import argparse
 import hashlib
 import json
 import math
+import random
 import struct
 import sys
 from collections import defaultdict
@@ -33,7 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from defbond import load_scenario, pde  # noqa: E402
+from defbond import load_scenario, pde, pricing  # noqa: E402
 
 BASES = ("base_endogenous_low_barrier", "base_endogenous_high_barrier", "base_exogenous")
 NODES = (256, 2048, 16384)
@@ -71,8 +79,61 @@ def _benchmark_prices() -> list[float]:
     return values
 
 
+def _schedule(rng: random.Random, n: int) -> pricing.DefaultSchedule:
+    dates = [0.0]
+    for _ in range(n):
+        dates.append(dates[-1] + rng.uniform(0.02, 0.2))
+    return pricing.DefaultSchedule(
+        tuple(dates),
+        tuple(rng.uniform(0.005, 0.05) for _ in range(n)),
+        tuple(10.0 ** rng.uniform(1.0, 2.5) for _ in range(n)),
+    )
+
+
+def _many_term_samples() -> list[float]:
+    rng = random.Random(f"digest:terms:{SEED}")
+    near = pricing.DefaultSchedule(
+        (0.0, 1.5, 3.0, 3.000001, 4.5, 6.0),
+        (0.002, 0.004, 0.3, 0.005, 0.003),
+        (80.0, 100.0, 130.0, 100.0, 90.0),
+    )
+    cases = [(pricing.MarketParams(0.1, 0.05, 1.0), near, pricing.RecoveryModel("exogenous", 0.5))]
+    for n in (16, 32):
+        for recovery in (pricing.RecoveryModel("exogenous", 0.4),
+                         pricing.RecoveryModel("endogenous", 0.5, n=50.0)):
+            market = pricing.MarketParams(0.05, rng.uniform(-0.02, 0.03), rng.uniform(0.05, 0.1))
+            cases.append((market, _schedule(rng, n), recovery))
+    values = []
+    for market, schedule, recovery in cases:
+        x = 10.0 ** rng.uniform(1.5, 2.5)
+        solve = (pde.solve_exogenous_cascade if recovery.mode == "exogenous"
+                 else pde.solve_endogenous_cascade)
+        sol = solve(market, schedule, recovery, pde.GridSpec.auto(market, schedule, x, recovery, 1024))
+        spots = [x, *(10.0 ** rng.uniform(1.0, 2.5) for _ in range(3))]
+        for lo, hi in zip(schedule.dates, schedule.dates[1:]):
+            times = (lo, rng.uniform(lo, hi), math.nextafter(hi, lo))
+            values.extend(pde.sample(sol, s, t) for s in spots for t in times)
+    return values
+
+
+def _closed_form_reports() -> list[float]:
+    import workloads as wl
+
+    sizes = wl.Sizes.of(quick=False)
+    curve = wl.CurveWorkload(wl.load_bases(ROOT), SEED, sizes)
+    requests = curve.round(0) + curve.round(1) + wl.MultidateWorkload(SEED, sizes).round(0)
+    values = []
+    for req in requests:
+        report = wl.price_of(req.scenario, req.t)
+        values += [report.price, report.diagnostics["cdf_error"], report.diagnostics["quadrature_error"]]
+    return values
+
+
 def layers() -> dict[str, list[float]]:
-    return {"pde": _base_samples() + _benchmark_prices()}
+    return {
+        "pde": _base_samples() + _benchmark_prices() + _many_term_samples(),
+        "closed": _closed_form_reports(),
+    }
 
 
 def _digest(values: list[float]) -> str:

@@ -133,12 +133,12 @@ class GridSpec:
         rise = max(0.0, 0.5 * market.s_V**2 - market.b) * h
         edge = max(math.log(_MARGIN), rise + 4.0 * market.s_V * math.sqrt(h))
         x_min = min(min(refs) * math.exp(-log_lo), min(schedule.barriers) * math.exp(-edge))
-        return cls(
-            max(x_min, math.ulp(0.0)),
-            min(max(refs) * math.exp(log_hi), sys.float_info.max),
-            n_space,
-            n_time_per_interval,
-        )
+        # e^log_hi alone passes the largest float from s_V = 14 on the
+        # low-barrier base, so whether the top bound does is decided in logs
+        top, last = math.log(max(refs)) + log_hi, math.log(sys.float_info.max)
+        x_max = (min(max(refs) * math.exp(log_hi), sys.float_info.max) if max(top, log_hi) < last
+                 else math.exp(top) if top < last else sys.float_info.max)
+        return cls(max(x_min, math.ulp(0.0)), x_max, n_space, n_time_per_interval)
 
 
 @dataclass(frozen=True)
@@ -165,13 +165,13 @@ class CascadeSolution:
         return [stepper.kept for stepper in self.steppers]
 
 
-def _on_nodes(y: np.ndarray, terms: np.ndarray) -> np.ndarray:
+def _on_nodes(y: np.ndarray, terms: list[tuple[float, float, float]]) -> np.ndarray:
     """The sum of the jump ``terms`` (K, c, v) at the sorted points y, with Phi
     evaluated only within ``_TAIL`` deviations of each centre."""
     from scipy.special import ndtr
 
     out = np.zeros_like(y)
-    for amp, centre, var in zip(*terms.tolist()):
+    for amp, centre, var in terms:
         sd = math.sqrt(var)
         lo, hi = np.searchsorted(y, (centre - _TAIL * sd, centre + _TAIL * sd)).tolist()
         out[lo:hi] += amp * ndtr((y[lo:hi] - centre) / sd)
@@ -257,13 +257,13 @@ class _Space:
 class _Interval:
     """One interval [t_lo, t_hi] with intensity lam, solved exactly in time
     from its glued data at t_hi: the continuous part ``cont`` on the nodes
-    and the ``jumps``, rows of amplitudes K, centres c and variances v, each
-    a term K Phi((y - c) / sqrt v), a step at v = 0.
+    and the jump ``terms``, float triples (K, c, v), each the term
+    K Phi((y - c) / sqrt v), a step at v = 0; one with K = 0 is dropped.
 
-    At tau = t_hi - t the row is A + B z + irfft(w) plus every term
-    K e^(-lam tau) Phi((y + mu tau - c) / sqrt(v + s_V^2 tau)).  With the
-    lift (c0, c1) of ``cont``, (d0, d1) = lam times that of p, the recovery
-    paid, e = e^(-lam tau) and E = (1 - e) / lam:
+    At tau = t_hi - t the row is A + B z + irfft(w) plus every term moved to
+    tau (``_moved``), K e^(-lam tau) Phi((y + mu tau - c) / sqrt(v + s_V^2 tau)).
+    With the lift (c0, c1) of ``cont``, (d0, d1) = lam times that of p, the
+    recovery paid, e = e^(-lam tau) and E = (1 - e) / lam:
 
         B = e c1 + d1 E,   A = e c0 + d0 E + mu (c1 tau e + d1 (E - tau e) / lam),
 
@@ -291,17 +291,16 @@ class _Interval:
     and ``smooth`` is the row with those across it on the nodes.
     """
 
-    def __init__(self, space: _Space, lam: float, t_lo: float, t_hi: float,
-                 terminal: np.ndarray, cont: np.ndarray, jumps: np.ndarray, barrier: float):
+    def __init__(self, space: _Space, lam: float, t_lo: float, t_hi: float, terminal: np.ndarray,
+                 cont: np.ndarray, terms: list[tuple[float, float, float]], barrier: float):
         # a non-finite value would spread through every mode
         if not (np.isfinite(terminal).all() and np.isfinite(cont).all()
-                and np.isfinite(jumps).all()):
+                and all(math.isfinite(value) for term in terms for value in term)):
             raise ValueError("array must not contain infs or NaNs")
         self.space, self.lam, self.t_lo, self.t_hi = space, lam, t_lo, t_hi
         self.times = np.array([t_lo, t_hi])
         self.terminal, self.barrier = terminal, barrier
-        self.jumps = jumps[:, jumps[0] != 0.0]
-        self.terms = self.jumps.T.tolist()
+        self.terms = [term for term in terms if term[0] != 0.0]
         self.lift, modes = space.split(cont)
         self.psi = space.psi - lam
         self.settled = -lam * space.paid_modes / self.psi if lam else np.zeros_like(modes)
@@ -309,29 +308,31 @@ class _Interval:
         self._reads = {}
 
     @cached_property
-    def start(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    def start(self) -> tuple[np.ndarray, np.ndarray, list, float]:
         """The row at t_lo, terms included, its ``smooth`` part, the
         ``carried`` terms and ``below``."""
-        moved = self._moved(self.t_hi - self.t_lo)
-        amp, centre, var = moved
-        width = _TAIL * np.sqrt(var)
-        above, below = centre - self.barrier >= width, self.barrier - centre >= width
-        across = ~(above | below)
+        moved, across, carried, below = self._moved(self.t_hi - self.t_lo), [], [], 0.0
+        for term in moved:
+            gap = term[1] - self.barrier
+            if abs(gap) < _TAIL * math.sqrt(term[2]):
+                across.append(term)
+            elif gap >= 0.0:
+                carried.append(term)
+            else:
+                below += term[0]
         y = self.space.y
-        smooth = self.row(self.t_lo) + _on_nodes(y, moved[:, across])
-        return smooth + _on_nodes(y, moved[:, ~across]), smooth, moved[:, above], amp[below].sum()
+        smooth = self.row(self.t_lo) + _on_nodes(y, across)
+        return smooth + _on_nodes(y, [t for t in moved if t not in across]), smooth, carried, below
 
     @cached_property
     def kept(self) -> np.ndarray:
         return np.array([self.start[0], self.terminal])
 
-    def _moved(self, tau: float):
-        """The terms' amplitudes, centres and variances at tau."""
-        amp, centre, var = self.jumps
+    def _moved(self, tau: float) -> list[tuple[float, float, float]]:
+        """The terms at tau: (K e^(-lam tau), c - mu tau, v + s_V^2 tau)."""
         space = self.space
-        return np.array(
-            [amp * math.exp(-self.lam * tau), centre - space.mu * tau, var + space.sigma**2 * tau]
-        )
+        decay, drift, spread = math.exp(-self.lam * tau), space.mu * tau, space.sigma**2 * tau
+        return [(amp * decay, centre - drift, var + spread) for amp, centre, var in self.terms]
 
     def _moving(self, tau: float) -> int:
         """How many modes, from k = 0 up, have not settled by tau."""
@@ -393,11 +394,9 @@ class _Interval:
             return 0.0
         from scipy.special import ndtr
 
-        space = self.space
-        decay, drift, spread = math.exp(-self.lam * tau), space.mu * tau, space.sigma**2 * tau
         out = 0.0
-        for amp, centre, var in self.terms:
-            amp, centre, sd = amp * decay, centre - drift, math.sqrt(var + spread)
+        for amp, centre, var in self._moved(tau):
+            sd = math.sqrt(var)
             if y >= centre + _TAIL * sd:
                 out += amp
             elif y >= centre - _TAIL * sd:
@@ -450,7 +449,7 @@ def _cascade(
     steppers: list[_Interval] = []
     # after maturity the row is 1, with no terms
     nxt = smooth = np.ones_like(y)
-    carried, below = np.zeros((3, 0)), 0.0
+    carried, below = [], 0.0
     for i in range(n - 1, -1, -1):
         if steppers:
             nxt, smooth, carried, below = steppers[-1].start
@@ -460,11 +459,10 @@ def _cascade(
         paid_b = float(recovery.paid(schedule.barriers[i]))
         kink = (smooth[j] - smooth[j - 1] - rec[j] + rec[j - 1]) / (y[j] - y[j - 1])
         cont = _trapezoid(np.where(y > b, smooth - level + paid_b, paid), y, b, kink)
-        new = [[level + below - paid_b], [b], [0.0]]
         terminal = np.where(y > b, nxt, rec)
         steppers.append(_Interval(
             space, schedule.intensities[i], schedule.dates[i], schedule.dates[i + 1],
-            terminal, cont, np.concatenate((new, carried), axis=1),
+            terminal, cont, [(level + below - paid_b, b, 0.0), *carried],
             math.log(schedule.barriers[i - 1]) if i else -math.inf,
         ))
     return CascadeSolution(schedule.dates, y, steppers[::-1])

@@ -252,7 +252,12 @@ def test_non_finite_data_rejected():
     cont = np.ones_like(space.y)
     cont[30] = np.nan
     with pytest.raises(ValueError):
-        _Interval(space, 0.02, 0.0, 1.0, cont, cont, np.array([[0.5], [3.0], [0.0]]), -math.inf)
+        _Interval(space, 0.02, 0.0, 1.0, cont, cont, [(0.5, 3.0, 0.0)], -math.inf)
+    # nor from a non-finite jump term
+    finite = np.ones_like(space.y)
+    for term in ((math.nan, 3.0, 0.0), (0.5, math.inf, 0.0), (0.5, 3.0, math.inf)):
+        with pytest.raises(ValueError):
+            _Interval(space, 0.02, 0.0, 1.0, finite, finite, [(0.5, 2.0, 0.0), term], -math.inf)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.03, 7.0])
@@ -272,7 +277,7 @@ def test_interval_moves_each_part_exactly(lam):
     jump, barrier = 0.35, y[97] + 0.4 * (y[1] - y[0])
     cont = c0 + c1 * z + wave * np.cos(k * z)
     terminal = cont + jump * (y > barrier)
-    step = _Interval(space, lam, 0.5, 2.0, terminal, cont, np.array([[jump], [barrier], [0.0]]), -math.inf)
+    step = _Interval(space, lam, 0.5, 2.0, terminal, cont, [(jump, barrier, 0.0)], -math.inf)
     assert np.array_equal(step.kept[-1], terminal)
     system = np.array([[-lam, mu, lam * p0], [0.0, -lam, lam * p1], [0.0, 0.0, 0.0]])
     for t in (0.5, 0.9, 1.7, 2.0 - 1e-9):
@@ -307,7 +312,7 @@ def test_spot_read_is_the_cubic_of_the_row(cells, lam):
     space = _space(cells)
     rng = np.random.default_rng(53)
     cont = 0.5 + 0.04 * space.z + 0.01 * rng.standard_normal(len(space.y))
-    step = _Interval(space, lam, 0.5, 2.0, cont, cont, np.array([[0.35], [2.3], [0.0]]), -math.inf)
+    step = _Interval(space, lam, 0.5, 2.0, cont, cont, [(0.35, 2.3, 0.0)], -math.inf)
     y, h = space.y, space.y[1] - space.y[0]
     spots = (y[0] + 0.3 * h, y[100] - 0.45 * h, y[-1] - 0.2 * h)
     assert [_cubic(y, v)[0] for v in spots] == [0, 98, cells - 3]
@@ -410,27 +415,41 @@ def test_sharp_jumps_carried_across_a_short_interval():
 def test_jump_sum_at_a_spot_is_the_sum_on_nodes():
     # ``jump`` sums the terms in floats by ``_on_nodes``'s window rule and
     # order, so it equals ``_on_nodes`` at that one spot bit for bit: at
-    # seeded (y, t) on the near-date schedule above, and on and beside each
-    # term's window edges
-    market = db.MarketParams(0.1, 0.05, 1.0)
-    schedule = db.DefaultSchedule(
+    # seeded (y, t), and on and beside each term's window edges, on the
+    # near-date schedule above and on a low-volatility one whose barriers
+    # rise by ln 2 a date, so that each barrier's jump passes wholly above
+    # the one glued before it and the first interval carries four terms
+    near = db.DefaultSchedule(
         (0.0, 1.5, 3.0, 3.000001, 4.5, 6.0),
         (0.002, 0.004, 0.3, 0.005, 0.003),
         (80.0, 100.0, 130.0, 100.0, 90.0),
     )
-    rec = db.RecoveryModel("exogenous", 0.5)
-    sol = db.solve_exogenous_cascade(market, schedule, rec, GridSpec.auto(market, schedule, 200.0, rec, 256))
+    rising = db.DefaultSchedule(
+        (0.0, 0.1, 0.2, 0.3, 0.4, 0.5),
+        (0.01, 0.02, 0.01, 0.03, 0.01),
+        (20.0, 40.0, 80.0, 160.0, 100.0),
+    )
+    # (market, schedule, recovery, spot, spots read, terms per interval)
+    cases = [
+        (db.MarketParams(0.1, 0.05, 1.0), near, db.RecoveryModel("exogenous", 0.5), 200.0,
+         (50.0, 300.0), [1, 2, 1, 1, 1]),
+        (db.MarketParams(0.05, 0.02, 0.05), rising, db.RecoveryModel("endogenous", 0.5, n=500.0),
+         100.0, (10.0, 300.0), [4, 3, 2, 1, 1]),
+    ]
     rng = np.random.default_rng(53)
-    for step in sol.steppers:
-        lo, hi = step.times.tolist()
-        for t in [*rng.uniform(lo, hi, 20).tolist(), lo, math.nextafter(hi, lo)]:
-            moved = step._moved(step.t_hi - t)
-            edges = []
-            for centre, var in zip(moved[1].tolist(), moved[2].tolist()):
-                for edge in (centre - pde._TAIL * math.sqrt(var), centre + pde._TAIL * math.sqrt(var)):
-                    edges += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
-            for y in [*rng.uniform(math.log(50.0), math.log(300.0), 10).tolist(), *edges]:
-                assert step.jump(y, t) == float(pde._on_nodes(np.array([y]), moved)[0]), (t, y)
+    for market, schedule, rec, x, spots, counts in cases:
+        sol = pde._cascade(market, schedule, rec, GridSpec.auto(market, schedule, x, rec, 256))
+        assert [len(step.terms) for step in sol.steppers] == counts
+        for step in sol.steppers:
+            lo, hi = step.times.tolist()
+            for t in [*rng.uniform(lo, hi, 20).tolist(), lo, math.nextafter(hi, lo)]:
+                moved = step._moved(step.t_hi - t)
+                edges = []
+                for _, centre, var in moved:
+                    for edge in (centre - pde._TAIL * math.sqrt(var), centre + pde._TAIL * math.sqrt(var)):
+                        edges += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+                for y in [*rng.uniform(*np.log(spots), 10).tolist(), *edges]:
+                    assert step.jump(y, t) == float(pde._on_nodes(np.array([y]), moved)[0]), (t, y)
 
 
 def test_cascade_matches_closed_form_over_the_property_box():

@@ -279,6 +279,21 @@ def test_endogenous_near_maturity_above_barrier(market, endo_high_barrier):
     assert rep.price == pytest.approx(1.0, abs=1e-5)
 
 
+@pytest.mark.parametrize("lam", [3000.0, 10000.0])
+def test_jump_default_recovery_at_large_intensity(lam):
+    # at x = 2000, ten times the cap n/R = 200, a jump default in the first
+    # interval pays the full recovery almost at once, so the bond is worth
+    # the default-free one; the weight lam e^(-lam (tau - C)) sits within
+    # 1/lam of C, where a quadrature that starts from one panel over the
+    # whole interval sees none of it and priced 1.7e-15
+    market = db.MarketParams(0.05, 0.02, 0.3)
+    schedule = db.DefaultSchedule((0.0, 3.0, 4.0), (lam, 0.005), (100.0, 100.0))
+    rec = db.RecoveryModel("endogenous", 0.5, n=100.0)
+    df = math.exp(-market.r * schedule.maturity)
+    rep = db.price_endogenous(market, schedule, rec, 2000.0 * df, 0.0)
+    assert rep.relative_price == pytest.approx(1.0, rel=0.0, abs=1e-12)
+
+
 def test_endogenous_vanishing_firm(market, schedule, endo_low_barrier):
     df = math.exp(-market.r * schedule.maturity)
     rep = db.price_endogenous(market, schedule, endo_low_barrier, 1e-9, 0.0)

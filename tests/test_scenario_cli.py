@@ -820,3 +820,19 @@ def test_cli_validate_passes_at_low_volatility_on_the_barrier(tmp_path, capsys, 
     assert rc == 0, out
     row = next(line for line in out.splitlines() if line.split()[:1] == ["2.9"])
     assert float(row.split()[3]) <= 2e-5, row
+
+
+# The low-barrier base at high volatility: the horizon's drift plus four
+# deviations, about 725 in log spot at s_V = 14, puts the grid's top bound
+# past the largest float, which ``GridSpec.auto`` clamps instead of raising
+# OverflowError
+@pytest.mark.parametrize("s_v", [14.0, 20.0])
+def test_cli_validate_passes_at_high_volatility(tmp_path, capsys, s_v):
+    doc = yaml.safe_load((Path(__file__).resolve().parent.parent / "scenarios"
+                          / "base_endogenous_low_barrier.yaml").read_text())
+    doc["market"]["s_V"] = s_v
+    rc = main(["validate", _write(tmp_path, doc), "--times", "0", "3", "4.5",
+               "--paths", "20000", "--seed", "1", "--mc-sigmas", "4.5"])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert out.count("PASS") == 4

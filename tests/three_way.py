@@ -133,6 +133,17 @@ DERIVED = {
         "recovery.R": 0.4,
         "evaluation": {"V": 1.0, "t": 0.0},
     }),
+    # the horizon's drift plus four deviations puts the grid's top bound
+    # past the largest float, where the grid clamps it
+    "high_vol_14": ("base_endogenous_low_barrier", {"market.s_V": 14.0}),
+    # a jump default at rate 3000 in the first interval, at ten times the
+    # cap: the recovery's weight lies within 1/3000 of the interval's start
+    "jump_default": ("base_endogenous_low_barrier", {
+        "market": {"r": 0.05, "b": 0.02, "s_V": 0.3},
+        "schedule": {"dates": [0.0, 3.0, 4.0], "intensities": [3000.0, 0.005],
+                     "barriers": [100.0, 100.0]},
+        "evaluation": {"x": 2000.0, "t": 0.0},
+    }),
 }
 
 BASES = ["base_endogenous_high_barrier", "base_endogenous_low_barrier", "base_exogenous"]
@@ -172,6 +183,8 @@ ROWS = [
       for name in ("low_vol_0.01", "low_vol_0.02", "low_vol_0.18", "low_vol_0.2",
                    "zero_growth", "high_vol")],
     ("validate", "far_probes", "--times 0 45 49.9 --paths 1000000 --seed 1 --mc-sigmas 4.5"),
+    ("validate", "high_vol_14", "--times 0 1.5 3 4.5 --paths 200000 --seed 1 --mc-sigmas 4.5"),
+    ("validate", "jump_default", "--times 0 1.5 3.5 --paths 200000 --seed 1 --mc-sigmas 4.5"),
 ]
 
 
